@@ -19,6 +19,7 @@ local-to-local chain.
 
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ import pytest
 from conftest import write_bench_json
 from helpers import BLUR3, EDGE3, chain_pipeline, image, local_kernel, random_image
 
+from repro.api import ExecutionOptions, run, run_block
 from repro.apps import APPLICATIONS
 from repro.backend.native_exec import (
     assert_native_equiv,
     native_available,
     native_plan_for_partition,
 )
-from repro.backend.numpy_exec import execute_block, execute_partitioned
 from repro.dsl.pipeline import Pipeline
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
@@ -45,6 +46,9 @@ CHAIN_CASES = (
 )
 
 REPEATS = 2
+
+TAPE = ExecutionOptions(engine="tape")
+RECURSIVE = ExecutionOptions(engine="recursive")
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -76,12 +80,12 @@ def test_bench_exec_engines(output_dir):
         graph = chain_pipeline(("l",) * depth, size, size).build()
         data = {"img0": random_image(size, size, seed=3)}
         block = PartitionBlock(graph, set(graph.kernel_names))
-        execute_block(graph, block, data, engine="tape")  # compile once
+        run_block(graph, block, data, options=TAPE)  # compile once
         tape = _best_of(
-            lambda: execute_block(graph, block, data, engine="tape")
+            lambda: run_block(graph, block, data, options=TAPE)
         )
         recursive = _best_of(
-            lambda: execute_block(graph, block, data, engine="recursive")
+            lambda: run_block(graph, block, data, options=RECURSIVE)
         )
         entry = {
             "depth": depth,
@@ -110,15 +114,11 @@ def test_bench_exec_engines(output_dir):
             for lane in range(4)
         ],
     )
-    execute_partitioned(graph, partition, data, engine="tape")
-    serial = _best_of(
-        lambda: execute_partitioned(graph, partition, data, engine="tape")
-    )
-    parallel = _best_of(
-        lambda: execute_partitioned(
-            graph, partition, data, engine="tape", workers=4
-        )
-    )
+    serial_options = replace(TAPE, partition=partition)
+    run(graph, data, options=serial_options)
+    serial = _best_of(lambda: run(graph, data, options=serial_options))
+    parallel_options = replace(serial_options, workers=4)
+    parallel = _best_of(lambda: run(graph, data, options=parallel_options))
     report["parallel"] = {
         "size": size,
         "blocks": 4,
@@ -169,12 +169,12 @@ def test_bench_native_tape(output_dir):
         compile_ms = nplan.compile_ms
         nplan.execute(dict(data))  # warm: strict differential verify
         native = _best_of(lambda: nplan.execute(dict(data)))
-        execute_block(graph, block, data, engine="tape")
+        run_block(graph, block, data, options=TAPE)
         tape = _best_of(
-            lambda: execute_block(graph, block, data, engine="tape")
+            lambda: run_block(graph, block, data, options=TAPE)
         )
         recursive = _best_of(
-            lambda: execute_block(graph, block, data, engine="recursive")
+            lambda: run_block(graph, block, data, options=RECURSIVE)
         )
         report["chains"][label] = {
             "depth": depth,
@@ -203,8 +203,9 @@ def test_bench_native_tape(output_dir):
         partition = partition_for(graph, GTX680, "optimized")
         nplan = native_plan_for_partition(graph, partition)
         native_env = nplan.execute(dict(inputs), APP_PARAMS)
-        tape_env = execute_partitioned(
-            graph, partition, inputs, APP_PARAMS, engine="tape"
+        tape_env = run(
+            graph, inputs, APP_PARAMS,
+            options=replace(TAPE, partition=partition),
         )
         for name in tape_env:
             assert_native_equiv(

@@ -9,17 +9,13 @@ analogue of register reuse).
 import numpy as np
 import pytest
 
-from helpers import chain_pipeline, random_image
+from helpers import STAGED, chain_pipeline, random_image
 
+from repro.api import ExecutionOptions, run, run_block
 from repro.apps.harris import build_pipeline as build_harris
 from repro.apps.unsharp import build_pipeline as build_unsharp
-from repro.backend.numpy_exec import (
-    execute_block,
-    execute_partitioned,
-    execute_pipeline,
-)
 from repro.eval.runner import partition_for
-from repro.graph.partition import Partition, PartitionBlock
+from repro.graph.partition import PartitionBlock
 from repro.model.hardware import GTX680
 
 SIZE = 256
@@ -35,14 +31,16 @@ def harris_setup():
 
 def test_bench_staged_harris(benchmark, harris_setup):
     graph, data, _ = harris_setup
-    env = benchmark(execute_pipeline, graph, data)
+    env = benchmark(run, graph, data, options=STAGED)
     assert env["corners"].shape == (SIZE, SIZE)
 
 
 def test_bench_fused_harris(benchmark, harris_setup):
     graph, data, partition = harris_setup
-    env = benchmark(execute_partitioned, graph, partition, data)
-    staged = execute_pipeline(graph, data)
+    env = benchmark(
+        run, graph, data, options=ExecutionOptions(partition=partition)
+    )
+    staged = run(graph, data, options=STAGED)
     np.testing.assert_allclose(env["corners"], staged["corners"],
                                rtol=1e-9)
 
@@ -51,7 +49,7 @@ def test_bench_fused_unsharp_whole_block(benchmark):
     graph = build_unsharp(SIZE, SIZE).build()
     data = {"input": random_image(SIZE, SIZE, seed=1)}
     block = PartitionBlock(graph, set(graph.kernel_names))
-    out = benchmark(execute_block, graph, block, data)
+    out = benchmark(run_block, graph, block, data)
     assert out.shape == (SIZE, SIZE)
 
 
@@ -61,15 +59,6 @@ def test_bench_local_to_local_exchange(benchmark):
     graph = chain_pipeline(("l", "l"), SIZE, SIZE).build()
     data = {"img0": random_image(SIZE, SIZE, seed=2)}
     block = PartitionBlock(graph, {"k0", "k1"})
-    out = benchmark(execute_block, graph, block, data)
-    staged = execute_pipeline(graph, data)["img2"]
+    out = benchmark(run_block, graph, block, data)
+    staged = run(graph, data, options=STAGED)["img2"]
     np.testing.assert_allclose(out, staged, rtol=1e-9)
-
-
-def test_bench_baseline_partitioned_overhead(benchmark, harris_setup):
-    # execute_partitioned with singletons should cost about the same as
-    # execute_pipeline: the partition machinery adds little.
-    graph, data, _ = harris_setup
-    partition = Partition.singletons(graph)
-    env = benchmark(execute_partitioned, graph, partition, data)
-    assert "corners" in env

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import write_report
 
-from repro.backend.numpy_exec import execute_block, execute_pipeline
+from helpers import STAGED
+
+from repro.api import run, run_block
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.functional import convolve
 from repro.dsl.image import Image
@@ -67,8 +69,8 @@ def test_bench_fused_execution_with_exchange(benchmark):
     data = {"src": rng.uniform(0, 255, size=(128, 128))}
     block = PartitionBlock(graph, {"conv1", "conv2"})
 
-    fused = benchmark(execute_block, graph, block, data)
-    staged = execute_pipeline(graph, data)["out"]
+    fused = benchmark(run_block, graph, block, data)
+    staged = run(graph, data, options=STAGED)["out"]
     np.testing.assert_allclose(fused, staged, rtol=1e-9)
 
 
@@ -76,5 +78,5 @@ def test_bench_staged_execution_reference(benchmark):
     graph = double_conv_graph(128)
     rng = np.random.default_rng(0)
     data = {"src": rng.uniform(0, 255, size=(128, 128))}
-    env = benchmark(execute_pipeline, graph, data)
+    env = benchmark(run, graph, data, options=STAGED)
     assert env["out"].shape == (128, 128)

@@ -29,12 +29,12 @@ import pytest
 from conftest import write_bench_json
 from helpers import chain_pipeline, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
 from repro.backend.native_exec import (
     native_available,
     native_plan_for_partition,
 )
-from repro.backend.numpy_exec import execute_partitioned
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.model.hardware import GTX680
@@ -166,8 +166,9 @@ def test_bench_tiling(output_dir):
             )
         # And against the tape engine, under the pinned policy (some
         # apps pin a tiny tolerance for libm-scheduling differences).
-        tape_env = execute_partitioned(
-            app_graph, app_partition, inputs, APP_PARAMS, engine="tape"
+        tape_env = run(
+            app_graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(engine="tape", partition=app_partition),
         )
         for name in tape_env:
             if nplan.tolerance is None:

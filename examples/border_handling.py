@@ -20,7 +20,7 @@ from repro.dsl.image import Image
 from repro.dsl.kernel import Kernel
 from repro.dsl.mask import Mask
 from repro.dsl.pipeline import Pipeline
-from repro.backend.numpy_exec import execute_block, execute_pipeline
+from repro.api import ExecutionOptions, run, run_block
 from repro.eval.figures import FIGURE4_INPUT, figure4_example
 from repro.graph.partition import PartitionBlock
 
@@ -62,11 +62,15 @@ def main() -> None:
     for mode in (BoundaryMode.CLAMP, BoundaryMode.MIRROR,
                  BoundaryMode.REPEAT):
         graph = double_convolution(32, 32, BoundarySpec(mode))
-        staged = execute_pipeline(graph, {"src": data})["out"]
+        staged = run(
+            graph, {"src": data}, options=ExecutionOptions(fuse=False)
+        )["out"]
         block = PartitionBlock(graph, {"conv1", "conv2"})
-        naive = execute_block(graph, block, {"src": data},
-                              naive_borders=True)
-        exchanged = execute_block(graph, block, {"src": data})
+        naive = run_block(
+            graph, block, {"src": data},
+            options=ExecutionOptions(naive_borders=True),
+        )
+        exchanged = run_block(graph, block, {"src": data})
         print(
             f"{mode.value:<12}"
             f"{np.abs(naive - staged).max():>16.4f}"

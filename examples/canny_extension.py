@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.apps.canny import build_pipeline
 from repro.backend.launch import simulate_partition
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
+from repro.api import ExecutionOptions, run
 from repro.fusion.exhaustive import exhaustive_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
@@ -59,12 +59,17 @@ def main() -> None:
     small = build_pipeline(64, 64).build()
     rng = np.random.default_rng(0)
     data = rng.uniform(0, 255, size=(64, 64))
-    staged = execute_pipeline(small, {"input": data}, PARAMS)
+    staged = run(
+        small, {"input": data}, PARAMS, options=ExecutionOptions(fuse=False)
+    )
     for label, engine in (("min-cut", mincut_fusion),
                           ("exhaustive", exhaustive_fusion)):
         weighted_small = estimate_graph(small, GTX680)
         partition = engine(weighted_small).partition
-        fused = execute_partitioned(small, partition, {"input": data}, PARAMS)
+        fused = run(
+            small, {"input": data}, PARAMS,
+            options=ExecutionOptions(partition=partition),
+        )
         match = np.array_equal(fused["edges"], staged["edges"])
         print(f"{label:<11} fused output matches staged: {match}")
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""The CPU backend end to end: generate C, compile, run, measure.
+"""The CPU backend end to end: lower to C, compile, run, measure.
 
 The paper names CPUs as the next backend for kernel fusion; this
-example closes the loop on this machine:
+example closes the loop on this machine through the native engine:
 
-1. generate C for the baseline and the min-cut-fused Unsharp pipeline,
-2. compile both with the system C compiler,
-3. validate the fused binary against the NumPy reference (including
-   borders — the generated halo code implements index exchange),
-4. measure real wall-clock times and report the *actual* speedup that
+1. run the Unsharp pipeline unfused (4 compiled kernels) and
+   min-cut-fused (1 compiled kernel) with ``engine="native"``,
+2. validate the fused result against the NumPy oracle, bit for bit
+   (including borders — the lowered halo code implements index
+   exchange),
+3. measure real wall-clock times and report the *actual* speedup that
    kernel fusion buys on your CPU.
+
+``python -m repro codegen Unsharp --target c`` prints the C being run.
 
 Run:  python examples/cpu_backend.py
 """
@@ -18,53 +21,50 @@ import time
 
 import numpy as np
 
+from repro.api import ExecutionOptions, run
 from repro.apps.unsharp import build_pipeline
-from repro.backend.cpu_exec import compile_pipeline, compiler_available
-from repro.backend.numpy_exec import execute_pipeline
-from repro.eval.runner import partition_for
-from repro.graph.partition import Partition
-from repro.model.hardware import GTX680
+from repro.backend.native_exec import native_available
 
 SIZE = 1536
 
+UNFUSED = ExecutionOptions(engine="native", fuse=False)
+FUSED = ExecutionOptions(engine="native")
+ORACLE = ExecutionOptions(engine="recursive", fuse=False)
 
-def measure(pipeline, inputs, repeats=7):
+
+def measure(graph, inputs, options, repeats=7):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        pipeline.run(inputs)
+        run(graph, inputs, options=options)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def main() -> None:
-    if not compiler_available():
+    if not native_available():
         print("no C compiler on PATH — nothing to do")
         return
 
     graph = build_pipeline(SIZE, SIZE).build()
     rng = np.random.default_rng(0)
-    data = rng.uniform(0, 255, size=(SIZE, SIZE)).astype(np.float32)
+    inputs = {"input": rng.uniform(0, 255, size=(SIZE, SIZE))}
 
-    print(f"compiling baseline (4 kernels) and fused (1 kernel), "
+    print(f"compiling unfused (4 kernels) and fused (1 kernel), "
           f"{SIZE}x{SIZE}...")
-    baseline = compile_pipeline(graph, Partition.singletons(graph))
-    optimized = compile_pipeline(
-        graph, partition_for(graph, GTX680, "optimized")
-    )
+    run(graph, inputs, options=UNFUSED)
+    compiled = run(graph, inputs, options=FUSED)["sharpened"]
 
-    # Correctness against the NumPy reference executor.
-    reference = execute_pipeline(graph, {"input": data})["sharpened"]
-    compiled = optimized.run({"input": data})["sharpened"]
-    error = float(np.abs(compiled - reference).max())
-    print(f"fused binary vs NumPy reference: max abs error {error:.3e}")
+    reference = run(graph, inputs, options=ORACLE)["sharpened"]
+    identical = np.array_equal(compiled, reference)
+    print(f"fused binary vs NumPy oracle: bit-identical = {identical}")
 
-    base_s = measure(baseline, {"input": data})
-    fused_s = measure(optimized, {"input": data})
+    base_s = measure(graph, inputs, UNFUSED)
+    fused_s = measure(graph, inputs, FUSED)
     print()
-    print(f"baseline (4 launches): {base_s * 1e3:8.2f} ms")
-    print(f"fused    (1 launch)  : {fused_s * 1e3:8.2f} ms")
-    print(f"measured CPU speedup : {base_s / fused_s:8.2f}x")
+    print(f"unfused (4 launches): {base_s * 1e3:8.2f} ms")
+    print(f"fused   (1 launch)  : {fused_s * 1e3:8.2f} ms")
+    print(f"measured CPU speedup: {base_s / fused_s:8.2f}x")
     print()
     print("(The win comes from the same mechanism as on the GPU: the")
     print(" three intermediate images never travel through memory.)")

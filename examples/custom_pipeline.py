@@ -13,7 +13,7 @@ Run:  python examples/custom_pipeline.py
 import numpy as np
 
 from repro.backend.launch import simulate_partition
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
+from repro.api import ExecutionOptions, run
 from repro.dsl.boundary import BoundaryMode
 from repro.dsl.functional import convolve
 from repro.dsl.image import Image
@@ -83,9 +83,13 @@ def main() -> None:
     data = rng.uniform(0, 30, size=(512, 512))
     data[100:108, 200:208] += 180.0  # a blob
     params = {"tau": 4.0}
-    staged = execute_pipeline(graph, {"input": data}, params)
-    fused = execute_partitioned(graph, result.partition, {"input": data},
-                                params)
+    staged = run(
+        graph, {"input": data}, params, options=ExecutionOptions(fuse=False)
+    )
+    fused = run(
+        graph, {"input": data}, params,
+        options=ExecutionOptions(partition=result.partition),
+    )
     error = np.abs(fused["blobs"] - staged["blobs"]).max()
     print(f"fused vs staged max abs error: {error:.2e}")
     print(f"peak response (global reduction): {float(fused['peak'][0, 0]):.2f}")

@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
-from repro.backend.numpy_exec import execute_partitioned
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 from repro.serve import ServingRuntime
@@ -56,8 +56,9 @@ def main() -> None:
         spec = APPLICATIONS[name]
         graph = spec.build(WIDTH, HEIGHT).build()
         partition = partition_for(graph, GTX680, "optimized")
-        direct = execute_partitioned(
-            graph, partition, inputs, DEFAULT_APP_PARAMS.get(name)
+        direct = run(
+            graph, inputs, DEFAULT_APP_PARAMS.get(name),
+            options=ExecutionOptions(partition=partition),
         )
         assert all(
             np.array_equal(served[0][image], direct[image])

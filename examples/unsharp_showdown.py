@@ -19,7 +19,7 @@ import numpy as np
 from repro.apps.unsharp import build_pipeline
 from repro.backend.codegen_cuda import generate_cuda_pipeline
 from repro.backend.launch import simulate_partition
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
+from repro.api import ExecutionOptions, run
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.graph.partition import Partition
@@ -51,10 +51,15 @@ def main() -> None:
     # Correctness on real pixels (small geometry to keep it quick).
     small_graph = build_pipeline(64, 64).build()
     data = synthetic_photo(64, 64)
-    staged = execute_pipeline(small_graph, {"input": data})
+    staged = run(
+        small_graph, {"input": data}, options=ExecutionOptions(fuse=False)
+    )
     small_weighted = estimate_graph(small_graph, GTX680)
     small_partition = mincut_fusion(small_weighted).partition
-    fused = execute_partitioned(small_graph, small_partition, {"input": data})
+    fused = run(
+        small_graph, {"input": data},
+        options=ExecutionOptions(partition=small_partition),
+    )
     error = np.abs(fused["sharpened"] - staged["sharpened"]).max()
     print(f"fused vs staged max abs error: {error:.2e}")
     print()

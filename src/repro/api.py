@@ -1,19 +1,14 @@
 """The canonical execution API: one entry point, one options object.
 
-The reproduction grew nine ways to run a pipeline — ``execute_pipeline``
-/ ``execute_block`` / ``execute_partitioned`` and their ``*_tape`` /
-``*_native`` engine variants — each threading its own subset of loose
-keyword arguments (engine, workers, runtime, naive borders, ...).  This
-module replaces that sprawl with a single dispatch path:
-
 >>> from repro.api import ExecutionOptions, run
 >>> env = run(graph, {"src": image})                      # fuse + tape
 >>> env = run(graph, {"src": image},
 ...           options=ExecutionOptions(engine="native"))  # compiled C
 >>> env = run("Harris", {"src": image})                   # by app name
 
-:class:`ExecutionOptions` carries everything that used to be a keyword:
-the execution engine, intra-request parallelism, an optional
+:func:`run` and :func:`run_block` are the only ways to execute a
+pipeline.  :class:`ExecutionOptions` carries everything that shapes a
+call: the execution engine, intra-request parallelism, an optional
 :class:`~repro.serve.runtime.ServingRuntime` to route through, a
 per-call validation level, the fusion configuration (version / GPU
 model / benefit constants) or an explicit
@@ -21,10 +16,10 @@ model / benefit constants) or an explicit
 :class:`~repro.serve.resilience.ResiliencePolicy` whose degradation
 ladder also protects direct (non-serving) execution.
 
-The legacy ``execute_*`` entry points survive as thin shims over
-:func:`run` / :func:`run_block` that emit ``DeprecationWarning`` — the
-differential test suites keep passing through them, but first-party
-code calls this module (CI enforces it).
+Which engines exist, the order they degrade in, and what an engine that
+is unavailable on this host resolves to are decided in one place,
+:mod:`repro.backend.engines`; this module looks the engine up there and
+calls ``.execute`` on the plan it builds.
 """
 
 from __future__ import annotations
@@ -34,16 +29,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend.numpy_exec import (
-    _ENGINES,
-    Arrays,
-    ExecutionError,
-    Params,
-    _execute_block_recursive,
-    _execute_partitioned_recursive,
-    _execute_pipeline_recursive,
-    _resolve_engine,
-)
+from repro.backend import engines
+from repro.backend.numpy_exec import Arrays, ExecutionError, Params
 from repro.envknobs import VALIDATE_MODES, validate_override
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
@@ -60,9 +47,11 @@ class ExecutionOptions:
     Parameters
     ----------
     engine:
-        ``"tape"`` / ``"recursive"`` / ``"native"``; ``None`` defers to
-        ``REPRO_EXEC_ENGINE`` (default tape).  A requested native
-        engine falls back to tape on hosts without a C compiler.
+        A name from :data:`repro.backend.engines.ENGINE_NAMES`
+        (``"native"`` / ``"tape"`` / ``"recursive"``); ``None`` defers
+        to ``REPRO_EXEC_ENGINE`` (default tape).  An engine that is
+        unavailable on this host — native without a C compiler —
+        resolves to the next one in the table.
     workers:
         Parallelism across independent blocks within the call
         (``None`` defers to ``REPRO_EXEC_WORKERS``).
@@ -118,11 +107,8 @@ class ExecutionOptions:
     resilience: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in _ENGINES:
-            raise ExecutionError(
-                f"unknown execution engine {self.engine!r}; "
-                f"expected one of {_ENGINES}"
-            )
+        if self.engine is not None:
+            engines.requested(self.engine)
         if self.validate is not None and self.validate not in VALIDATE_MODES:
             raise ExecutionError(
                 f"unknown validation level {self.validate!r}; "
@@ -169,8 +155,7 @@ def run(
     through a serving runtime, otherwise against the default registry
     at the geometry inferred from ``inputs``.  Returns the environment
     mapping surviving image names to arrays — identical, bit for bit,
-    to what the legacy ``execute_*`` entry points return for the same
-    configuration.
+    on every engine.
     """
     opts = options or ExecutionOptions()
     if opts.runtime is not None:
@@ -187,7 +172,7 @@ def run(
             naive_borders=opts.naive_borders,
         )
     graph, params = _resolve_pipeline(pipeline, inputs, params)
-    engine = _resolve_engine(opts.engine)
+    engine = engines.resolve(opts.engine)
     with validate_override(opts.validate):
         if opts.resilience is not None and getattr(
             opts.resilience, "degradation", False
@@ -214,34 +199,12 @@ def run_block(
     """
     opts = options or ExecutionOptions()
     naive = bool(opts.naive_borders)
-    engine = (
-        "recursive"
-        if call_counter is not None
-        else _resolve_engine(opts.engine)
-    )
     with validate_override(opts.validate):
-        if engine == "native":
-            from repro.backend.native_exec import (
-                native_available,
-                native_plan_for_block,
-            )
-
-            if native_available():
-                plan = native_plan_for_block(graph, block, naive)
-                return plan.execute(arrays, params)
-            engine = "tape"
-        if engine == "tape":
-            from repro.backend.plan import plan_for_block
-
-            return plan_for_block(graph, block, naive).execute(arrays, params)
-        return _execute_block_recursive(
-            graph,
-            block,
-            arrays,
-            params,
-            naive_borders=naive,
-            call_counter=call_counter,
-        )
+        if call_counter is not None:
+            plan = engines.ORACLE.plan_block(graph, block, naive)
+            return plan.execute(arrays, params, call_counter=call_counter)
+        plan = engines.resolve(opts.engine).plan_block(graph, block, naive)
+        return plan.execute(arrays, params)
 
 
 def _resolve_pipeline(
@@ -292,32 +255,12 @@ def _run_direct(
     inputs: Arrays,
     params: Params | None,
     opts: ExecutionOptions,
-    engine: str,
+    engine: engines.Engine,
 ) -> Arrays:
-    staged = opts.partition is None and not opts.fuse
-    naive = bool(opts.naive_borders)
-    if engine == "recursive" and staged:
-        # The reference walk of the unfused program, kernel by kernel.
-        return _execute_pipeline_recursive(graph, inputs, params)
-    partition = _partition_of(graph, opts)
-    if engine == "native":
-        from repro.backend.native_exec import (
-            native_available,
-            native_plan_for_partition,
-        )
-
-        if native_available():
-            plan = native_plan_for_partition(graph, partition, naive)
-            return plan.execute(inputs, params, opts.workers)
-        engine = "tape"
-    if engine == "tape":
-        from repro.backend.plan import plan_for_partition
-
-        plan = plan_for_partition(graph, partition, naive)
-        return plan.execute(inputs, params, opts.workers)
-    return _execute_partitioned_recursive(
-        graph, partition, inputs, params, naive_borders=naive
+    plan = engine.plan_partition(
+        graph, _partition_of(graph, opts), bool(opts.naive_borders)
     )
+    return plan.execute(inputs, params, opts.workers)
 
 
 def _run_ladder(
@@ -325,7 +268,7 @@ def _run_ladder(
     inputs: Arrays,
     params: Params | None,
     opts: ExecutionOptions,
-    engine: str,
+    engine: engines.Engine,
 ) -> Arrays:
     """Direct execution under a resilience policy's degradation ladder.
 
@@ -334,10 +277,8 @@ def _run_ladder(
     the same availability contract the serving runtime enforces, for
     callers that execute directly.
     """
-    from repro.serve.resilience import ladder_from
-
     last_error: Optional[BaseException] = None
-    for rung in ladder_from(engine):
+    for rung in engines.ladder_from(engine.name):
         try:
             return _run_direct(graph, inputs, params, opts, rung)
         except Exception as err:

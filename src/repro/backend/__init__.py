@@ -1,30 +1,32 @@
 """Execution substrates.
 
-* :mod:`repro.backend.numpy_exec` — the reference executor: runs
-  kernels, pipelines, and fused partition blocks on NumPy arrays.  The
-  fused execution path implements the paper's two-stage index exchange,
-  so fused results are bit-comparable with unfused staged execution —
-  this is the correctness oracle of the whole reproduction.
-* :mod:`repro.backend.plan` — the plan-compiling tape engine: partition
-  blocks flattened once into SSA instruction tapes with producer-result
-  caching, interned coordinate grids, and parallel block scheduling.
-  The default engine behind ``execute_pipeline``/``execute_partitioned``.
-* :mod:`repro.backend.native_exec` — the native engine: block tapes
-  lowered to tiled, optionally OpenMP-parallel C kernels, compiled
-  through the :mod:`~repro.backend.cpu_exec` artifact cache and driven
-  via ctypes on zero-copy NumPy buffers.  Opt-in via
-  ``engine="native"`` / ``REPRO_EXEC_ENGINE=native``; falls back to the
-  tape engine per block (and entirely, without a C compiler).
-* :mod:`repro.backend.codegen_cuda` — CUDA C source text generation
-  (the "source-to-source" output of the compiler; inspectable, not
-  executed here).
+Three engines execute a fused partition, and bit-identity between them
+is the repo's form of the paper's claim; :mod:`repro.backend.engines`
+is the one table naming them, fastest first, and
+:func:`repro.api.run` / :func:`repro.api.run_block` the one way in.
+
+* :mod:`repro.backend.native_exec` — ``"native"``, the fast path: block
+  tapes lowered to tiled, optionally OpenMP-parallel C kernels,
+  compiled and loaded through :mod:`~repro.backend.cpu_exec` (compiler
+  discovery, content-hash ``.so`` cache, eviction, ``dlopen``) and
+  driven via ctypes on zero-copy NumPy buffers.  Falls back to the tape
+  per block, and entirely on hosts without a C compiler.
+* :mod:`repro.backend.plan` — ``"tape"``, the portable fallback and
+  the default: partition blocks flattened once into SSA instruction
+  tapes with producer-result caching, interned coordinate grids, and
+  parallel block scheduling.
+* :mod:`repro.backend.numpy_exec` — ``"recursive"``, the oracle: the
+  recursive walk implementing the paper's two-stage index exchange, so
+  fused results are bit-comparable with unfused staged execution.
+* :mod:`repro.backend.codegen_cuda` / :mod:`~repro.backend.codegen_opencl`
+  — CUDA / OpenCL source text generation (the "source-to-source" output
+  of the compiler; inspectable, not executed here).
 * :mod:`repro.backend.memsim` — the analytic GPU performance simulator
   standing in for the paper's physical devices.
 * :mod:`repro.backend.launch` — simulated pipeline launches producing
   per-version execution-time distributions.
 """
 
-from repro.backend.codegen_c import generate_c, generate_c_pipeline
 from repro.backend.codegen_cuda import generate_cuda, generate_cuda_pipeline
 from repro.backend.codegen_opencl import (
     generate_opencl,
@@ -36,12 +38,7 @@ from repro.backend.roofline import (
     device_balance,
     pipeline_roofline,
 )
-from repro.backend.cpu_exec import (
-    CompiledPipeline,
-    clear_compile_cache,
-    compile_pipeline,
-    compiler_available,
-)
+from repro.backend.cpu_exec import clear_compile_cache, compiler_available
 from repro.backend.launch import PipelineTiming, simulate_partition, simulate_runs
 from repro.backend.native_exec import (
     NativeBlockPlan,
@@ -50,6 +47,7 @@ from repro.backend.native_exec import (
     NativeVerificationError,
     clear_native_caches,
     lower_block_source,
+    lower_partition_source,
     native_available,
     native_plan_for_block,
     native_plan_for_partition,
@@ -58,10 +56,7 @@ from repro.backend.memsim import KernelCostBreakdown, estimate_kernel_time
 from repro.backend.numpy_exec import (
     ExecutionError,
     block_schedule,
-    execute_block,
     execute_kernel,
-    execute_partitioned,
-    execute_pipeline,
     recursion_headroom,
 )
 from repro.backend.plan import (
@@ -77,7 +72,6 @@ from repro.backend.plan import (
 
 __all__ = [
     "BlockPlan",
-    "CompiledPipeline",
     "ExecutionError",
     "GridStore",
     "NativeBlockPlan",
@@ -95,21 +89,16 @@ __all__ = [
     "clear_plan_caches",
     "compile_block",
     "compile_kernel",
-    "compile_pipeline",
     "compiler_available",
     "device_balance",
     "estimate_kernel_time",
-    "execute_block",
     "execute_kernel",
-    "execute_partitioned",
-    "execute_pipeline",
-    "generate_c",
-    "generate_c_pipeline",
     "generate_cuda",
     "generate_cuda_pipeline",
     "generate_opencl",
     "generate_opencl_pipeline",
     "lower_block_source",
+    "lower_partition_source",
     "native_available",
     "native_plan_for_block",
     "native_plan_for_partition",

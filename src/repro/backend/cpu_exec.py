@@ -1,15 +1,11 @@
-"""Executable CPU backend: compile the generated C and run it.
+"""The C toolchain behind the native engine: find, compile, cache, load.
 
-The paper names CPUs as the next backend target for kernel fusion; this
-module closes the loop: the C sources produced by
-:mod:`repro.backend.codegen_c` are compiled with the system C compiler
-into a shared library and driven through :mod:`ctypes` on real NumPy
-buffers.  The test-suite cross-validates the compiled pipeline —
-including the halo compute functions that implement index exchange —
-against the NumPy reference executor.
-
-Requires a C compiler (``gcc`` or ``cc``) on PATH; callers can probe
-with :func:`compiler_available` and skip gracefully.
+:mod:`repro.backend.native_exec` lowers block tapes to C text; this
+module turns that text into a callable library: compiler discovery
+(:func:`compiler_available`), the content-hash ``.so`` cache
+(:func:`compile_shared_library`), its eviction
+(:func:`evict_stale_artifacts`), and the ``dlopen``
+(:func:`load_shared_library`).
 
 Compiled libraries are kept in a **content-hash cache**: the shared
 object's file name is derived from a SHA-256 digest of the generated C
@@ -44,24 +40,11 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.envknobs import dir_env, size_env
 
-from repro.backend.codegen_c import generate_c_pipeline
-from repro.backend.numpy_exec import (
-    Arrays,
-    ExecutionError,
-    Params,
-    block_schedule,
-    fault_check,
-)
-from repro.dsl.kernel import Kernel
-from repro.fusion.fuser import fuse_block
-from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition
+from repro.backend.numpy_exec import ExecutionError, fault_check
 
 
 def compiler_available() -> bool:
@@ -177,20 +160,28 @@ def evict_stale_artifacts(keep: Path | None = None) -> int:
 # In-process serialization of compilation per content digest: threads
 # racing to build the same pipeline wait for one compiler invocation
 # and share its result (cross-process races stay safe through the
-# atomic rename below).  ``_digest_locks`` entries are tiny and bounded
-# by the number of distinct pipelines a process compiles.
-_digest_locks: Dict[str, threading.Lock] = {}
+# atomic rename below).  Reentrant: ``load_shared_library`` holds the
+# lock across compile *and* ``dlopen``.  ``_digest_locks`` entries are
+# tiny and bounded by the number of distinct pipelines a process
+# compiles.
+_digest_locks: Dict[str, threading.RLock] = {}
 _digest_locks_guard = threading.Lock()
 _scratch_counter = itertools.count()
 
 
-def _lock_for_digest(digest: str) -> threading.Lock:
+def _lock_for_digest(digest: str) -> threading.RLock:
     with _digest_locks_guard:
         lock = _digest_locks.get(digest)
         if lock is None:
-            lock = threading.Lock()
+            lock = threading.RLock()
             _digest_locks[digest] = lock
         return lock
+
+
+def _digest_of(source: str, cc: str, flags: Sequence[str]) -> str:
+    return hashlib.sha256(
+        "\x00".join((cc, *flags, source)).encode()
+    ).hexdigest()[:24]
 
 
 def compile_shared_library(
@@ -212,9 +203,7 @@ def compile_shared_library(
     including the one just built.
     """
     flags = tuple(extra_flags)
-    digest = hashlib.sha256(
-        "\x00".join((cc, *flags, source)).encode()
-    ).hexdigest()[:24]
+    digest = _digest_of(source, cc, flags)
     with _lock_for_digest(digest):
         cache = _cache_dir()
         cache.mkdir(parents=True, exist_ok=True)
@@ -255,20 +244,17 @@ def compile_shared_library(
         return library_path, False
 
 
-def _compile_shared_library(source: str, cc: str) -> tuple[Path, bool]:
-    """Backward-compatible alias of :func:`compile_shared_library`."""
-    return compile_shared_library(source, cc)
-
-
 def load_shared_library(
     source: str, cc: str, extra_flags: Sequence[str] = ()
 ) -> tuple[ctypes.CDLL, Path, bool]:
     """Compile (or fetch) and ``dlopen`` a generated library.
 
-    Returns ``(library, path, from_cache)``.  Tolerates the race where
-    a concurrent evictor removes the cached ``.so`` between the cache
-    probe and the ``dlopen``: the load is retried once with a fresh
-    compilation.
+    Returns ``(library, path, from_cache)``.  A cached artifact that
+    does not load — unlinked by a concurrent evictor between the cache
+    probe and the ``dlopen``, or truncated by a crashed writer or a
+    full disk — is removed and rebuilt once, under the digest's lock so
+    no thread of this process can hit the bad file in between; a second
+    failure propagates.
 
     The handle is a :class:`ctypes.CDLL` **by contract**: ``CDLL``
     releases the GIL around every foreign call, which is what lets the
@@ -277,14 +263,17 @@ def load_shared_library(
     ``ctypes.PyDLL`` (it holds the GIL) without revisiting every
     ``workers=`` code path.
     """
-    library_path, from_cache = compile_shared_library(source, cc, extra_flags)
-    try:
+    flags = tuple(extra_flags)
+    with _lock_for_digest(_digest_of(source, cc, flags)):
+        library_path, from_cache = compile_shared_library(source, cc, flags)
+        try:
+            return ctypes.CDLL(str(library_path)), library_path, from_cache
+        except OSError:
+            if not from_cache:
+                raise
+        library_path.unlink(missing_ok=True)
+        library_path, from_cache = compile_shared_library(source, cc, flags)
         return ctypes.CDLL(str(library_path)), library_path, from_cache
-    except OSError:
-        if not from_cache:
-            raise
-    library_path, from_cache = compile_shared_library(source, cc, extra_flags)
-    return ctypes.CDLL(str(library_path)), library_path, from_cache
 
 
 _openmp_probe: Dict[str, bool] = {}
@@ -317,121 +306,3 @@ def openmp_available(cc: str | None = None) -> bool:
                 cached = False
             _openmp_probe[compiler] = cached
         return cached
-
-
-class CompiledPipeline:
-    """A pipeline compiled to native code, one function per launch.
-
-    Global (reduction) operators have no C lowering here; pipelines
-    containing them are rejected at construction.
-    """
-
-    def __init__(
-        self,
-        graph: KernelGraph,
-        partition: Partition,
-        cc: str | None = None,
-    ):
-        compiler = cc or _find_compiler()
-        if compiler is None:
-            raise ExecutionError("no C compiler found on PATH")
-        self.graph = graph
-        self.partition = partition
-        self._kernels: List[Kernel] = [
-            fuse_block(graph, block)
-            for block in block_schedule(graph, partition)
-        ]
-        for kernel in self._kernels:
-            if kernel.reduction is not None:
-                raise ExecutionError(
-                    f"global operator {kernel.name!r} has no C lowering"
-                )
-
-        source = generate_c_pipeline(graph, partition)
-        library, from_cache = _compile_shared_library(source, compiler)
-        self.source = source
-        self.library_path = library
-        #: Whether the shared library came from the content-hash cache.
-        self.from_cache = from_cache
-        self._lib = ctypes.CDLL(str(library))
-
-        float_ptr = ctypes.POINTER(ctypes.c_float)
-        self._functions = {}
-        for kernel in self._kernels:
-            fn = getattr(self._lib, f"kernel_{kernel.name}")
-            argtypes = [float_ptr]
-            argtypes += [float_ptr] * len(kernel.input_names)
-            argtypes += [ctypes.c_int, ctypes.c_int]
-            argtypes += [ctypes.c_float] * len(kernel.param_names)
-            fn.argtypes = argtypes
-            fn.restype = None
-            self._functions[kernel.name] = fn
-
-    def _run_plane(
-        self, env: Dict[str, np.ndarray], params: Params
-    ) -> None:
-        float_ptr = ctypes.POINTER(ctypes.c_float)
-        for kernel in self._kernels:
-            width = kernel.space.width
-            height = kernel.space.height
-            out = np.zeros((height, width), dtype=np.float32)
-            args = [out.ctypes.data_as(float_ptr)]
-            for name in kernel.input_names:
-                buffer = env[name]
-                if buffer.shape != (height, width):
-                    raise ExecutionError(
-                        f"image {name!r} has shape {buffer.shape}, "
-                        f"expected {(height, width)}"
-                    )
-                args.append(buffer.ctypes.data_as(float_ptr))
-            args += [width, height]
-            for name in sorted(kernel.param_names):
-                try:
-                    args.append(float(params[name]))
-                except KeyError:
-                    raise ExecutionError(
-                        f"unbound parameter {name!r}"
-                    ) from None
-            self._functions[kernel.name](*args)
-            env[kernel.output.name] = out
-
-    def run(self, inputs: Arrays, params: Params | None = None) -> Arrays:
-        """Execute the compiled pipeline.
-
-        Multi-channel images run channel by channel (the kernels are
-        per-channel pointwise in the channel dimension).
-        """
-        params = params or {}
-        arrays = {
-            name: np.ascontiguousarray(value, dtype=np.float32)
-            for name, value in inputs.items()
-        }
-        channels = {a.ndim == 3 for a in arrays.values()}
-        if channels == {True}:
-            depth = {a.shape[2] for a in arrays.values()}
-            if len(depth) != 1:
-                raise ExecutionError("inconsistent channel counts")
-            planes: List[Dict[str, np.ndarray]] = []
-            for c in range(depth.pop()):
-                env = {
-                    name: np.ascontiguousarray(a[:, :, c])
-                    for name, a in arrays.items()
-                }
-                self._run_plane(env, params)
-                planes.append(env)
-            return {
-                name: np.stack([p[name] for p in planes], axis=-1)
-                for name in planes[0]
-            }
-        if channels == {False}:
-            env = dict(arrays)
-            self._run_plane(env, params)
-            return env
-        raise ExecutionError("mixed 2D/3D inputs are not supported")
-
-
-def compile_pipeline(
-    graph: KernelGraph, partition: Partition, cc: str | None = None
-) -> CompiledPipeline:
-    """Compile a partitioned pipeline to native code."""
-    return CompiledPipeline(graph, partition, cc)

@@ -13,8 +13,8 @@ tightest form of per-tile scratch), compiled through
 :mod:`repro.backend.cpu_exec`'s content-hash ``.so`` cache and driven
 via :mod:`ctypes` on zero-copy ``float64`` NumPy buffers.
 
-The loop nest mirrors :mod:`repro.backend.codegen_c`'s region analysis
-(Section IV-B): an **interior** body where every boundary resolver is
+The loop nest follows the paper's region analysis (Section IV-B): an
+**interior** body where every boundary resolver is
 provably the identity (direct loads, no branches), and a **halo** body
 that replays the tape's index exchange exactly — ``idx_clamp`` /
 ``idx_mirror`` / ``idx_repeat`` resolvers and CONSTANT-mode masks are
@@ -124,7 +124,6 @@ from repro.backend.numpy_exec import (
     ExecutionError,
     Params,
     _array_for,
-    _deprecated_entry,
     block_schedule,
     fault_check,
 )
@@ -156,10 +155,8 @@ __all__ = [
     "NativeVerificationError",
     "assert_native_equiv",
     "clear_native_caches",
-    "execute_block_native",
-    "execute_partitioned_native",
-    "execute_pipeline_native",
     "lower_block_source",
+    "lower_partition_source",
     "native_available",
     "native_plan_for_block",
     "native_plan_for_partition",
@@ -1704,6 +1701,69 @@ def lower_block_source(
     return _PREAMBLE + "\n" + spec.source
 
 
+def _block_fn_name(index: int, plan: BlockPlan) -> str:
+    return f"repro_block_{index}_" + re.sub(
+        r"[^0-9A-Za-z_]", "_", plan.output_name
+    )
+
+
+def _lower_partition(
+    graph: KernelGraph,
+    partition: Partition,
+    plan: PartitionPlan,
+    polymorphic: bool = False,
+) -> Tuple[List[Optional[_BlockSpec]], Dict[str, str]]:
+    """Lower every block of ``plan``: one spec per block in schedule
+    order (``None`` where the block has no lowering and stays on the
+    tape), plus the reasons, keyed by block output name."""
+    tile = resolve_native_tile()
+    specs: List[Optional[_BlockSpec]] = []
+    reasons: Dict[str, str] = {}
+    # ``block_schedule`` orders partition blocks exactly as the tape
+    # plan's ``plans`` — the member sets feed the tile2d lowering.
+    for index, (block_plan, block) in enumerate(
+        zip(plan.plans, block_schedule(graph, partition))
+    ):
+        try:
+            specs.append(
+                _lower_block(
+                    block_plan,
+                    _block_fn_name(index, block_plan),
+                    tile,
+                    polymorphic,
+                    graph=graph,
+                    block=block,
+                )
+            )
+        except NativeLoweringError as err:
+            specs.append(None)
+            reasons[block_plan.output_name] = str(err)
+    return specs, reasons
+
+
+def lower_partition_source(
+    graph: KernelGraph, partition: Partition, naive_borders: bool = False
+) -> str:
+    """The C the native engine runs for ``partition``: one function per
+    block in schedule order, under one preamble — no compiler needed.
+
+    A block the engine leaves to the tape (no lowering, e.g. a global
+    reduction) appears as a one-line comment carrying the reason.
+    """
+    plan = plan_for_partition(graph, partition, naive_borders)
+    specs, reasons = _lower_partition(graph, partition, plan)
+    parts = [_PREAMBLE]
+    for index, (block_plan, spec) in enumerate(zip(plan.plans, specs)):
+        name = block_plan.output_name
+        parts.append(
+            spec.source
+            if spec is not None
+            else f"/* block {index} ({name}) runs on the tape engine: "
+            f"{reasons[name]} */\n"
+        )
+    return "\n".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # ctypes wrappers
 # ---------------------------------------------------------------------------
@@ -2107,7 +2167,7 @@ class NativePartitionPlan:
 
 
 class NativeBlockPlan:
-    """A single block under ``execute_block`` semantics, native first.
+    """A single block under ``run_block`` semantics, native first.
 
     The native counterpart of
     :func:`repro.backend.plan.plan_for_block`'s result: runs the
@@ -2215,32 +2275,7 @@ def _build_native_partition(
     fault_check("native.compile")
     plan = plan_for_partition(graph, partition, naive_borders)
     started = time.perf_counter()
-    tile = resolve_native_tile()
-    # ``block_schedule`` orders partition blocks exactly as the tape
-    # plan's ``plans`` — the member sets feed the tile2d lowering.
-    schedule = block_schedule(graph, partition)
-    specs: List[Optional[_BlockSpec]] = []
-    reasons: Dict[str, str] = {}
-    for index, (block_plan, part_block) in enumerate(
-        zip(plan.plans, schedule)
-    ):
-        fn_name = f"repro_block_{index}_" + re.sub(
-            r"[^0-9A-Za-z_]", "_", block_plan.output_name
-        )
-        try:
-            specs.append(
-                _lower_block(
-                    block_plan,
-                    fn_name,
-                    tile,
-                    polymorphic,
-                    graph=graph,
-                    block=part_block,
-                )
-            )
-        except NativeLoweringError as err:
-            specs.append(None)
-            reasons[block_plan.output_name] = str(err)
+    specs, reasons = _lower_partition(graph, partition, plan, polymorphic)
     library, source, from_cache = _compile_specs(specs)
     blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
     for block_plan, spec in zip(plan.plans, specs):
@@ -2327,7 +2362,7 @@ def native_plan_for_block(
     block: PartitionBlock,
     naive_borders: bool = False,
 ) -> NativeBlockPlan:
-    """The (cached) native plan of one block (``execute_block``
+    """The (cached) native plan of one block (``run_block``
     semantics: the destination body is never reduced)."""
     tile = resolve_native_tile()
     key = (
@@ -2346,12 +2381,13 @@ def native_plan_for_block(
         if plan is None:
             fault_check("native.compile")
             block_plan = plan_for_block(graph, block, naive_borders)
-            fn_name = "repro_block_0_" + re.sub(
-                r"[^0-9A-Za-z_]", "_", block_plan.output_name
-            )
             try:
                 spec = _lower_block(
-                    block_plan, fn_name, tile, graph=graph, block=block
+                    block_plan,
+                    _block_fn_name(0, block_plan),
+                    tile,
+                    graph=graph,
+                    block=block,
                 )
             except NativeLoweringError:
                 spec = None
@@ -2378,102 +2414,3 @@ def clear_native_caches() -> None:
     with _native_cache_lock:
         _native_partition_plans.clear()
         _native_block_plans.clear()
-
-
-# ---------------------------------------------------------------------------
-# Engine entry points (called by numpy_exec's ``engine=`` dispatch)
-# ---------------------------------------------------------------------------
-
-
-def execute_pipeline_native(
-    graph: KernelGraph,
-    inputs: Arrays,
-    params: Params | None = None,
-    workers: int | None = None,
-) -> Arrays:
-    """Staged execution through the native engine (singleton partition);
-    falls back to the tape engine when no C compiler is available.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(engine="native", fuse=False)``.
-    """
-    _deprecated_entry(
-        "execute_pipeline_native",
-        "repro.api.run with ExecutionOptions(engine='native', fuse=False)",
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(
-            engine="native", workers=workers, fuse=False
-        ),
-    )
-
-
-def execute_partitioned_native(
-    graph: KernelGraph,
-    partition: Partition,
-    inputs: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-    workers: int | None = None,
-) -> Arrays:
-    """Partitioned execution through the native engine; falls back to
-    the tape engine when no C compiler is available.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(engine="native", partition=...)``.
-    """
-    _deprecated_entry(
-        "execute_partitioned_native",
-        "repro.api.run with ExecutionOptions(engine='native', partition=...)",
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(
-            engine="native",
-            workers=workers,
-            partition=partition,
-            naive_borders=naive_borders,
-        ),
-    )
-
-
-def execute_block_native(
-    graph: KernelGraph,
-    block: PartitionBlock,
-    arrays: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-) -> np.ndarray:
-    """Fused-block execution through the native engine; falls back to
-    the tape engine when no C compiler is available.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run_block` with
-        ``ExecutionOptions(engine="native")``.
-    """
-    _deprecated_entry(
-        "execute_block_native",
-        "repro.api.run_block with ExecutionOptions(engine='native')",
-    )
-    from repro.api import ExecutionOptions, run_block
-
-    return run_block(
-        graph,
-        block,
-        arrays,
-        params,
-        options=ExecutionOptions(
-            engine="native", naive_borders=naive_borders
-        ),
-    )

@@ -1,17 +1,16 @@
-"""Reference executor on NumPy arrays.
+"""Reference executor on NumPy arrays: the recursive oracle.
 
-Two execution paths exist, and their agreement is the central
-correctness property of the reproduction:
+Two semantics exist, and their agreement is the central correctness
+property of the reproduction:
 
-* **staged** (:func:`execute_pipeline`): every kernel runs separately,
+* **staged**: every kernel runs separately (:func:`execute_kernel`),
   intermediates are materialized as full arrays — the semantics of the
   unfused program, where each local kernel re-applies boundary handling
   to its (materialized) input;
-* **fused** (:func:`execute_block` / :func:`execute_partitioned`): a
-  partition block runs as one kernel.  Intermediate values are
-  recomputed per consumer read (the redundant computation the benefit
-  model prices), and intermediate coordinates are resolved in two
-  stages: the consumer's boundary mode exchanges out-of-border
+* **fused**: a partition block runs as one kernel.  Intermediate values
+  are recomputed per consumer read (the redundant computation the
+  benefit model prices), and intermediate coordinates are resolved in
+  two stages: the consumer's boundary mode exchanges out-of-border
   intermediate indices for valid ones (the index exchange of
   Section IV-B), then the producer's own reads resolve against *its*
   inputs.  ``naive_borders=True`` disables the exchange and reproduces
@@ -21,40 +20,21 @@ Evaluation is vectorized: expressions are evaluated over full integer
 coordinate grids, so a recursive producer evaluation at exchanged
 coordinates is a fancy-indexing gather, not a per-pixel loop.
 
-Three **engines** implement these semantics:
-
-* ``"tape"`` (default) — the plan-compiling executor of
-  :mod:`repro.backend.plan`: each block is flattened once into an SSA
-  instruction tape and executed iteratively, with producer-result
-  caching, interned coordinate grids, and optional parallel execution
-  of independent blocks (``REPRO_EXEC_WORKERS``);
-* ``"recursive"`` — the original recursive walk below, retained for
-  differential testing and instrumentation (``call_counter``);
-* ``"native"`` — the compiled executor of
-  :mod:`repro.backend.native_exec`: each block tape is lowered to one
-  row-tiled C loop nest (OpenMP via ``REPRO_NATIVE_THREADS``), with
-  graceful per-block fallback to the tape when no C compiler is on
-  PATH or a block has no lowering.
-
-Select per call with ``engine=`` or globally with the
-``REPRO_EXEC_ENGINE`` environment variable.  Tape and recursive are
-bit-identical on every pipeline (see ``tests/backend/test_plan_equiv``);
-native matches under the pinned tolerance policy of
-:func:`repro.backend.native_exec.tolerance_for` — bit-identical unless
-the tape calls libm functions beyond ``sqrt``/``rsqrt`` (see
-``tests/backend/test_native_equiv``).
+This module is the ``"recursive"`` engine — the walk every differential
+test compares against, and the only one ``call_counter`` instruments.
+It is reached, like the ``"tape"`` and ``"native"`` engines, through
+:func:`repro.api.run` / :func:`repro.api.run_block`; the table of
+engines and the order they degrade in lives in
+:mod:`repro.backend.engines`.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List
 
 import numpy as np
-
-from repro.envknobs import choice_env
 
 from repro.dsl.boundary import BoundaryMode, BoundarySpec, resolve_array
 from repro.dsl.kernel import Kernel, ReductionKind
@@ -127,28 +107,6 @@ def fault_check(site: str) -> None:
     faults = sys.modules.get("repro.serve.faultinject")
     if faults is not None and faults.armed():
         faults.check(site)
-
-
-#: Default engine; override per call (``engine=``) or globally with the
-#: ``REPRO_EXEC_ENGINE`` environment variable.
-DEFAULT_ENGINE = "tape"
-
-ENGINE_ENV = "REPRO_EXEC_ENGINE"
-
-_ENGINES = ("tape", "recursive", "native")
-
-
-def _resolve_engine(engine: str | None) -> str:
-    if engine is None:
-        # A bad environment value raises EnvKnobError (a ValueError)
-        # naming the variable; a bad explicit argument stays an
-        # ExecutionError — the caller passed it, not the environment.
-        return choice_env(ENGINE_ENV, _ENGINES, DEFAULT_ENGINE)
-    if engine not in _ENGINES:
-        raise ExecutionError(
-            f"unknown execution engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine
 
 
 @contextmanager
@@ -340,103 +298,6 @@ def execute_kernel(
     raise ExecutionError(f"unknown reduction {kernel.reduction!r}")
 
 
-def _deprecated_entry(old: str, new: str) -> None:
-    """Emit the :class:`DeprecationWarning` of one legacy entry point.
-
-    ``stacklevel=3`` points the warning at the *caller* of the shim
-    (shim → this helper → warn), where the migration has to happen.
-    """
-    warnings.warn(
-        f"{old} is deprecated; call {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def execute_pipeline(
-    graph: KernelGraph,
-    inputs: Arrays,
-    params: Params | None = None,
-    *,
-    engine: str | None = None,
-    workers: int | None = None,
-    runtime=None,
-) -> Arrays:
-    """Staged (unfused) execution: one kernel at a time, in topo order.
-
-    .. deprecated::
-        This is a thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(fuse=False)`` — the canonical entry point.
-
-    Returns the environment mapping every image name — inputs and all
-    produced images — to its array.  ``engine`` selects the tape
-    (default), recursive, or native (compiled C) implementation;
-    ``workers`` enables parallel execution of independent kernels under
-    the tape engine.  ``runtime`` (a
-    :class:`repro.serve.runtime.ServingRuntime`) routes the call
-    through the serving layer instead.
-    """
-    _deprecated_entry(
-        "execute_pipeline", "repro.api.run with ExecutionOptions(fuse=False)"
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(
-            engine=engine, workers=workers, runtime=runtime, fuse=False
-        ),
-    )
-
-
-def _execute_pipeline_recursive(
-    graph: KernelGraph,
-    inputs: Arrays,
-    params: Params | None = None,
-) -> Arrays:
-    """Staged execution through the recursive engine (reference walk)."""
-    env: Arrays = dict(inputs)
-    for name in graph.kernel_names:
-        kernel = graph.kernel(name)
-        env[kernel.output.name] = execute_kernel(kernel, env, params)
-    return env
-
-
-def execute_block(
-    graph: KernelGraph,
-    block: PartitionBlock,
-    arrays: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-    call_counter: Dict[str, int] | None = None,
-    *,
-    engine: str | None = None,
-) -> np.ndarray:
-    """Execute a partition block with fused-kernel semantics.
-
-    .. deprecated::
-        This is a thin shim over :func:`repro.api.run_block` — the
-        canonical entry point.
-
-    ``call_counter`` (when given) is filled with the number of times
-    each member kernel was (re)evaluated and forces the recursive
-    engine (see :func:`repro.api.run_block`).
-    """
-    _deprecated_entry("execute_block", "repro.api.run_block")
-    from repro.api import ExecutionOptions, run_block
-
-    return run_block(
-        graph,
-        block,
-        arrays,
-        params,
-        options=ExecutionOptions(engine=engine, naive_borders=naive_borders),
-        call_counter=call_counter,
-    )
-
-
 def _execute_block_recursive(
     graph: KernelGraph,
     block: PartitionBlock,
@@ -525,49 +386,6 @@ def block_schedule(graph: KernelGraph, partition: Partition) -> List[PartitionBl
         if not progressed:  # pragma: no cover - partition invariant
             raise ExecutionError("circular dependence between blocks")
     return ordered
-
-
-def execute_partitioned(
-    graph: KernelGraph,
-    partition: Partition,
-    inputs: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-    *,
-    engine: str | None = None,
-    workers: int | None = None,
-    runtime=None,
-) -> Arrays:
-    """Execute a pipeline under a fusion partition.
-
-    .. deprecated::
-        This is a thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(partition=...)`` — the canonical entry
-        point.
-
-    Singleton blocks run as plain kernels; fused blocks run with
-    fused-kernel semantics.  Only images that survive fusion — block
-    external inputs and destination outputs — appear in the returned
-    environment, mirroring what the generated program would allocate.
-    """
-    _deprecated_entry(
-        "execute_partitioned",
-        "repro.api.run with ExecutionOptions(partition=...)",
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(
-            engine=engine,
-            workers=workers,
-            runtime=runtime,
-            partition=partition,
-            naive_borders=naive_borders,
-        ),
-    )
 
 
 def _execute_partitioned_recursive(

@@ -59,7 +59,6 @@ from repro.backend.numpy_exec import (
     _apply_mask,
     _array_for,
     _broadcast_output,
-    _deprecated_entry,
     block_schedule,
     fault_check,
     recursion_headroom,
@@ -462,7 +461,7 @@ class BlockPlan:
 
     ``apply_reduction`` distinguishes the two call sites of the
     reference engine: ``execute_kernel`` reduces global operators,
-    ``execute_block`` evaluates the destination body as-is.
+    ``run_block`` evaluates the destination body as-is.
     """
 
     def __init__(
@@ -641,10 +640,10 @@ def compile_block(
     store: GridStore | None = None,
     apply_reduction: bool = False,
 ) -> BlockPlan:
-    """Compile a partition block (``execute_block`` semantics).
+    """Compile a partition block (``run_block`` semantics).
 
     Singleton blocks with ``apply_reduction=True`` get ``execute_kernel``
-    semantics instead — the behaviour of ``execute_partitioned``.
+    semantics instead — the behaviour of ``run``.
     """
     if len(block) == 1 and apply_reduction:
         (name,) = block.vertices
@@ -861,7 +860,7 @@ def plan_for_block(
     block: PartitionBlock,
     naive_borders: bool = False,
 ) -> BlockPlan:
-    """The (cached) compiled plan of one block (``execute_block``
+    """The (cached) compiled plan of one block (``run_block``
     semantics: the destination body is never reduced)."""
     key = (block.signature(), bool(naive_borders))
     with _plan_cache_lock:
@@ -890,95 +889,3 @@ def clear_plan_caches() -> None:
         _graph_stores.clear()
         _partition_plans.clear()
         _block_plans.clear()
-
-
-# ---------------------------------------------------------------------------
-# Engine entry points (called by numpy_exec's ``engine=`` dispatch)
-# ---------------------------------------------------------------------------
-
-
-def execute_pipeline_tape(
-    graph: KernelGraph,
-    inputs: Arrays,
-    params: Params | None = None,
-    workers: int | None = None,
-) -> Arrays:
-    """Staged execution through the tape engine (singleton partition).
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(engine="tape", fuse=False)``.
-    """
-    _deprecated_entry(
-        "execute_pipeline_tape",
-        "repro.api.run with ExecutionOptions(engine='tape', fuse=False)",
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(engine="tape", workers=workers, fuse=False),
-    )
-
-
-def execute_partitioned_tape(
-    graph: KernelGraph,
-    partition: Partition,
-    inputs: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-    workers: int | None = None,
-) -> Arrays:
-    """Partitioned execution through the tape engine.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run` with
-        ``ExecutionOptions(engine="tape", partition=...)``.
-    """
-    _deprecated_entry(
-        "execute_partitioned_tape",
-        "repro.api.run with ExecutionOptions(engine='tape', partition=...)",
-    )
-    from repro.api import ExecutionOptions, run
-
-    return run(
-        graph,
-        inputs,
-        params,
-        options=ExecutionOptions(
-            engine="tape",
-            workers=workers,
-            partition=partition,
-            naive_borders=naive_borders,
-        ),
-    )
-
-
-def execute_block_tape(
-    graph: KernelGraph,
-    block: PartitionBlock,
-    arrays: Arrays,
-    params: Params | None = None,
-    naive_borders: bool = False,
-) -> np.ndarray:
-    """Fused-block execution through the tape engine.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.run_block` with
-        ``ExecutionOptions(engine="tape")``.
-    """
-    _deprecated_entry(
-        "execute_block_tape",
-        "repro.api.run_block with ExecutionOptions(engine='tape')",
-    )
-    from repro.api import ExecutionOptions, run_block
-
-    return run_block(
-        graph,
-        block,
-        arrays,
-        params,
-        options=ExecutionOptions(engine="tape", naive_borders=naive_borders),
-    )

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from repro.apps import ALL_APPS, APPLICATIONS
 from repro.backend.codegen_cuda import generate_cuda_pipeline
+from repro.backend.engines import ENGINE_NAMES
 from repro.backend.launch import simulate_partition
 from repro.eval.report import render_figure6, render_table1, render_table2
 from repro.eval.runner import DEFAULT_GPUS, partition_for, run_matrix
@@ -113,9 +114,9 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     else:
         partition = partition_for(graph, gpu, _engine_to_version(args.engine))
     if args.target == "c":
-        from repro.backend.codegen_c import generate_c_pipeline
+        from repro.backend.native_exec import lower_partition_source
 
-        print(generate_c_pipeline(graph, partition))
+        print(lower_partition_source(graph, partition))
     elif args.target == "opencl":
         from repro.backend.codegen_opencl import generate_opencl_pipeline
 
@@ -633,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     codegen.add_argument(
         "--target", choices=["cuda", "opencl", "c"], default="cuda",
-        help="cuda/opencl: GPU kernels; c: OpenMP CPU functions",
+        help="cuda/opencl: GPU kernels; c: the C the native engine runs",
     )
     add_model_flags(codegen)
 
@@ -693,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_SERVE_PROCS or 1; >1 "
                             "serves through a ShardedRuntime)")
         p.add_argument("--exec-engine", default="tape",
-                       choices=("tape", "recursive", "native"),
+                       choices=ENGINE_NAMES,
                        help="execution engine serving requests; "
                             "'native' compiles block tapes to C and "
                             "falls back to 'tape' without a compiler")
@@ -769,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--seed", type=int, default=0,
                          help="deterministic input seed")
     run_cmd.add_argument("--exec-engine", default=None,
-                         choices=("tape", "recursive", "native"),
+                         choices=ENGINE_NAMES,
                          help="execution engine (default: "
                               "REPRO_EXEC_ENGINE or tape)")
     run_cmd.add_argument("--exec-workers", type=int, default=None,

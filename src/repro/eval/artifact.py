@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.apps import APPLICATIONS
-from repro.backend.codegen_c import generate_c_pipeline
 from repro.backend.codegen_cuda import generate_cuda_pipeline
 from repro.backend.codegen_opencl import generate_opencl_pipeline
+from repro.backend.native_exec import lower_partition_source
 from repro.backend.roofline import render_roofline_report
 from repro.eval.ascii_chart import render_figure6_chart
 from repro.eval.figures import figure3_trace, figure4_example, figure6_data
@@ -106,7 +106,7 @@ def build_artifact(
             )
             write(
                 f"generated_{stem}_fused.c",
-                generate_c_pipeline(graph, optimized),
+                lower_partition_source(graph, optimized),
             )
             # Re-anchor the partition on the weighted graph so the DOT
             # edges carry the estimated benefit labels.

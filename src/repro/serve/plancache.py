@@ -189,6 +189,10 @@ class CachedPlan:
     #: The execution engine this entry was built for (``tape`` /
     #: ``native`` / ``recursive``) — also the third key component.
     engine: str = "tape"
+    #: What serves a request on this entry — ``native_plan``, else
+    #: ``plan``, else the recursive engine's walk; all three share
+    #: ``.execute(inputs, params, workers=...)``.
+    executor: Optional[object] = None
 
 
 class _InFlight:

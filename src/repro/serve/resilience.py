@@ -38,6 +38,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
+from repro.backend import engines
+
 __all__ = [
     "BreakerBoard",
     "BreakerConfig",
@@ -51,18 +53,16 @@ __all__ = [
 ]
 
 
-#: The engine degradation ladder, fastest first.  A breaker guards
-#: every rung except the last; tripping routes traffic one rung down.
-DEGRADATION_LADDER: Tuple[str, ...] = ("native", "tape", "recursive")
+#: The engine degradation ladder, fastest first: the order of the
+#: engine table.  A breaker guards every rung except the last; tripping
+#: routes traffic one rung down.
+DEGRADATION_LADDER: Tuple[str, ...] = engines.ENGINE_NAMES
 
 
 def ladder_from(engine: str) -> Tuple[str, ...]:
-    """The degradation ladder starting at ``engine``."""
-    if engine not in DEGRADATION_LADDER:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {DEGRADATION_LADDER}"
-        )
-    return DEGRADATION_LADDER[DEGRADATION_LADDER.index(engine):]
+    """The degradation ladder starting at ``engine`` (``ValueError``
+    for a name outside the table)."""
+    return tuple(rung.name for rung in engines.ladder_from(engine))
 
 
 @dataclass(frozen=True)

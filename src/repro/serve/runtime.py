@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import engines
 from repro.backend.numpy_exec import Arrays, Params
 from repro.backend.plan import plan_for_partition, resolve_workers
 from repro.envknobs import validate_mode
@@ -136,12 +137,14 @@ class ServingRuntime:
     cache_capacity:
         LRU capacity of the plan cache, in distinct plans.
     engine:
-        Execution engine serving requests: ``"tape"`` (default),
+        Execution engine serving requests, a name from the engine
+        table (:mod:`repro.backend.engines`): ``"tape"`` (default),
         ``"recursive"``, or ``"native"`` — the compiled-C backend of
         :mod:`repro.backend.native_exec`.  With ``"native"`` each plan
         cache entry also carries the loaded kernel library, so a cache
-        hit skips fusion, tape planning *and* the C compile; hosts
-        without a C toolchain downgrade to ``"tape"`` at construction
+        hit skips fusion, tape planning *and* the C compile.  An engine
+        unavailable on this host (native without a C toolchain)
+        resolves to the next one in the table at construction
         (recorded under ``metrics_snapshot()["engine"]``).
     resilience:
         The :class:`~repro.serve.resilience.ResiliencePolicy` applied
@@ -187,11 +190,8 @@ class ServingRuntime:
                 f"unknown GPU {self.fusion.gpu_name!r}; known: {known}"
             )
         self.gpu: GpuSpec = KNOWN_GPUS[self.fusion.gpu_name]
-        if engine not in ("tape", "recursive", "native"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'tape', 'recursive' "
-                "or 'native'"
-            )
+        #: The engine the caller asked for, before availability checks.
+        self.requested_engine = engines.requested(engine)
         if cache_keying not in CACHE_KEYINGS:
             raise ValueError(
                 f"unknown cache keying {cache_keying!r}; expected one of "
@@ -205,26 +205,20 @@ class ServingRuntime:
             )
         #: The keying mode the caller asked for, before availability.
         self.requested_cache_keying = cache_keying
-        #: The engine the caller asked for, before availability checks.
-        self.requested_engine = engine
-        if engine == "native":
-            from repro.backend.native_exec import native_available
-
-            if not native_available():
-                # No C toolchain on this host: serve through the tape
-                # engine instead of failing every request.  The
-                # downgrade is visible in ``metrics_snapshot()``.
-                engine = "tape"
-                # Structure keying rides on polymorphic native plans;
-                # without them every entry is shape-specialized.
-                cache_keying = "shape"
-        self.engine = engine
-        self.cache_keying = cache_keying
+        #: The engine serving requests: the requested one, or — when
+        #: this host cannot run it — the next in the table, instead of
+        #: failing every request (visible in ``metrics_snapshot()``).
+        self.engine = engines.resolve(self.requested_engine).name
+        # Structure keying rides on polymorphic native plans; without
+        # them every entry is shape-specialized.
+        self.cache_keying = (
+            cache_keying if self.engine == self.requested_engine else "shape"
+        )
         self.intra_workers = intra_workers
         self.cache = PlanCache(capacity=cache_capacity)
         self.metrics = metrics or Metrics()
         self.resilience = resilience or ResiliencePolicy()
-        self._ladder = ladder_from(engine)
+        self._ladder = ladder_from(self.engine)
         self._board = BreakerBoard(
             self.resilience.breaker, self.resilience.clock
         )
@@ -287,11 +281,9 @@ class ServingRuntime:
         knobs (scheduler workers, queue/batch bounds, cache capacity)
         pass through ``overrides``.
         """
-        from repro.backend.numpy_exec import _resolve_engine
-
         kwargs: Dict[str, Any] = {
             "fusion": options.fusion_settings(),
-            "engine": _resolve_engine(options.engine),
+            "engine": engines.requested(options.engine),
             "intra_workers": options.workers,
         }
         if options.resilience is not None:
@@ -573,7 +565,7 @@ class ServingRuntime:
                 raise
             started = time.monotonic()
             try:
-                env = self._execute_entry(entry, request, engine)
+                env = self._execute_entry(entry, request)
             except BaseException as err:
                 last_error = err
                 if policy.quarantine:
@@ -659,33 +651,14 @@ class ServingRuntime:
             raise StageTimeout(stage, budget) from None
 
     def _execute_entry(
-        self, entry: CachedPlan, request: ServeRequest, engine: str
+        self, entry: CachedPlan, request: ServeRequest
     ) -> Arrays:
         inputs = request.payload["inputs"]
         params = request.payload["params"]
 
         def run() -> Arrays:
             faultinject.check("execute")
-            if engine == "native" and entry.native_plan is not None:
-                return entry.native_plan.execute(
-                    inputs, params, workers=self.intra_workers
-                )
-            if entry.plan is None:
-                # Recursive rung: no tape, walk the graph directly.
-                from repro.backend.numpy_exec import (
-                    _execute_partitioned_recursive,
-                )
-
-                return _execute_partitioned_recursive(
-                    entry.graph,
-                    entry.partition,
-                    inputs,
-                    params,
-                    naive_borders=request.payload.get(
-                        "naive_borders", self.fusion.naive_borders
-                    ),
-                )
-            return entry.plan.execute(
+            return entry.executor.execute(
                 inputs, params, workers=self.intra_workers
             )
 
@@ -864,6 +837,15 @@ class ServingRuntime:
             verified = True
         for stage, value in timings.items():
             self.metrics.histogram(f"compile_{stage}").observe(value)
+        if native_plan is not None:
+            executor = native_plan
+        elif plan is not None:
+            executor = plan
+        else:
+            # No build stage above: the engine's plan is the walk itself.
+            executor = engines.ladder_from(engine)[0].plan_partition(
+                graph, partition, naive_borders
+            )
         return CachedPlan(
             key=key,
             graph=graph,
@@ -873,6 +855,7 @@ class ServingRuntime:
             verified=verified,
             native_plan=native_plan,
             engine=engine,
+            executor=executor,
         )
 
     def _update_breaker_gauges(self) -> None:

@@ -422,11 +422,11 @@ class ShardedRuntime:
         """Build a sharded runtime from :class:`repro.api.
         ExecutionOptions` (the multi-process sibling of
         :meth:`ServingRuntime.from_options`)."""
-        from repro.backend.numpy_exec import _resolve_engine
+        from repro.backend.engines import requested
 
         kwargs: Dict[str, Any] = {
             "fusion": options.fusion_settings(),
-            "engine": _resolve_engine(options.engine),
+            "engine": requested(options.engine),
             "intra_workers": options.workers,
         }
         if options.resilience is not None:

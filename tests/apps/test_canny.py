@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.canny import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.fusion.exhaustive import exhaustive_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
@@ -39,7 +39,7 @@ class TestSemantics:
     def test_vertical_edge_detected(self, graph):
         data = np.zeros((24, 24))
         data[:, 12:] = 200.0
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         edges = env["edges"]
         # Edge response near the discontinuity, none in flat regions.
         assert edges[12, 11:13].max() == 255.0
@@ -47,7 +47,7 @@ class TestSemantics:
 
     def test_edges_are_binary(self, graph):
         data = random_image(24, 24, seed=1)
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         assert set(np.unique(env["edges"])) <= {0.0, 255.0}
 
     def test_nms_thins_edges(self, graph):
@@ -55,16 +55,17 @@ class TestSemantics:
         # non-maximum suppression keeps only its crest.
         ys, xs = np.mgrid[0:24, 0:24]
         data = 200.0 * np.exp(-((xs - 12.0) ** 2 + (ys - 12.0) ** 2) / 30.0)
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         raw = env["magnitude"][2:-2, 2:-2]
         kept = env["suppressed"][2:-2, 2:-2]
         assert np.count_nonzero(kept > 1.0) < np.count_nonzero(raw > 1.0)
 
     def test_threshold_scales_edge_count(self, graph):
         data = random_image(24, 24, seed=2)
-        low = execute_pipeline(graph, {"input": data}, {"threshold": 10.0})
-        high = execute_pipeline(
-            graph, {"input": data}, {"threshold": 10000.0}
+        low = run(graph, {"input": data}, {"threshold": 10.0}, options=STAGED)
+        high = run(
+            graph, {"input": data}, {"threshold": 10000.0},
+            options=STAGED,
         )
         assert np.count_nonzero(low["edges"]) >= np.count_nonzero(
             high["edges"]
@@ -95,9 +96,12 @@ class TestFusion:
     @pytest.mark.parametrize("engine", ["mincut", "exhaustive"])
     def test_fused_semantics(self, graph, engine):
         data = random_image(24, 24, seed=3)
-        staged = execute_pipeline(graph, {"input": data}, PARAMS)
+        staged = run(graph, {"input": data}, PARAMS, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         fn = mincut_fusion if engine == "mincut" else exhaustive_fusion
         partition = fn(weighted).partition
-        env = execute_partitioned(graph, partition, {"input": data}, PARAMS)
+        env = run(
+            graph, {"input": data}, PARAMS,
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(env["edges"], staged["edges"])

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps import testimages
 from repro.apps.dog import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.eval.runner import partition_for
 from repro.dsl.kernel import ComputePattern
 from repro.model.hardware import GTX680
@@ -39,21 +39,22 @@ class TestStructure:
 class TestSemantics:
     def test_blob_detected(self, graph):
         data = testimages.gaussian_blob(24, 24, sigma=1.2)
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         # The DoG response peaks at the blob centre.
         assert abs(env["response"][12, 12]) > abs(env["response"][4, 4])
         assert float(env["peak"][0, 0]) > 0.0
 
     def test_flat_image_no_response(self, graph):
-        env = execute_pipeline(
-            graph, {"input": testimages.constant(24, 24)}, PARAMS
+        env = run(
+            graph, {"input": testimages.constant(24, 24)}, PARAMS,
+            options=STAGED,
         )
         np.testing.assert_allclose(env["blobs"], 0.0, atol=1e-9)
         assert float(env["peak"][0, 0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_threshold_gates_output(self, graph):
         data = testimages.gaussian_blob(24, 24, sigma=1.2)
-        strict = execute_pipeline(graph, {"input": data}, {"tau": 1e6})
+        strict = run(graph, {"input": data}, {"tau": 1e6}, options=STAGED)
         np.testing.assert_allclose(strict["blobs"], 0.0)
 
 
@@ -75,9 +76,12 @@ class TestFusion:
 
     def test_fused_equals_staged_including_reduction(self, graph):
         data = random_image(24, 24, seed=1)
-        staged = execute_pipeline(graph, {"input": data}, PARAMS)
+        staged = run(graph, {"input": data}, PARAMS, options=STAGED)
         partition = partition_for(graph, GTX680, "optimized")
-        env = execute_partitioned(graph, partition, {"input": data}, PARAMS)
+        env = run(
+            graph, {"input": data}, PARAMS,
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(env["blobs"], staged["blobs"], rtol=1e-9)
         assert float(env["peak"][0, 0]) == pytest.approx(
             float(staged["peak"][0, 0])

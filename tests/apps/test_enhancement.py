@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.enhancement import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.dsl.kernel import ComputePattern
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
@@ -39,39 +39,44 @@ class TestStructure:
 class TestSemantics:
     def test_geometric_mean_of_constant(self, graph):
         data = np.full((16, 16), 63.0)
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         np.testing.assert_allclose(env["denoised"], 63.0, rtol=1e-9)
 
     def test_geometric_mean_reduces_speckle(self, graph):
         data = np.full((16, 16), 100.0)
         data[8, 8] = 10000.0  # hot pixel
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         # The geometric mean is robust to the outlier: the denoised
         # neighbourhood stays well below the arithmetic mean (1200).
         assert env["denoised"][8, 8] < 300.0
 
     def test_gamma_brightens_midtones(self, graph):
         data = np.full((16, 16), 64.0)
-        env = execute_pipeline(graph, {"input": data}, PARAMS)
+        env = run(graph, {"input": data}, PARAMS, options=STAGED)
         # gamma < 1 lifts values: (64/255)^0.8 * 255 > 64.
         assert env["corrected"][8, 8] > 64.0
 
     def test_stretch_clamps_to_display_range(self, graph):
-        env = execute_pipeline(
-            graph, {"input": np.full((16, 16), 255.0)}, PARAMS
+        env = run(
+            graph, {"input": np.full((16, 16), 255.0)}, PARAMS,
+            options=STAGED,
         )
         assert env["enhanced"].max() <= 255.0
-        env = execute_pipeline(
-            graph, {"input": np.full((16, 16), 1.0)}, PARAMS
+        env = run(
+            graph, {"input": np.full((16, 16), 1.0)}, PARAMS,
+            options=STAGED,
         )
         assert env["enhanced"].min() >= 0.0
 
     def test_fused_equals_staged(self, graph):
         data = random_image(16, 16, seed=1) + 1.0
-        staged = execute_pipeline(graph, {"input": data}, PARAMS)
+        staged = run(graph, {"input": data}, PARAMS, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
-        fused = execute_partitioned(graph, partition, {"input": data}, PARAMS)
+        fused = run(
+            graph, {"input": data}, PARAMS,
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(
             fused["enhanced"], staged["enhanced"], rtol=1e-9
         )

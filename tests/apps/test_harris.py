@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.harris import HARRIS_K, NORM, build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.dsl.kernel import ComputePattern
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
@@ -49,14 +49,14 @@ class TestStructure:
 class TestSemantics:
     def test_corner_response_formula(self, graph):
         data = random_image(16, 16, seed=1)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         gxx, gyy, gxy = env["Gxx"], env["Gyy"], env["Gxy"]
         expected = (gxx * gyy - gxy * gxy) - HARRIS_K * (gxx + gyy) ** 2
         np.testing.assert_allclose(env["corners"], expected)
 
     def test_squares_normalized(self, graph):
         data = random_image(16, 16, seed=2)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         np.testing.assert_allclose(env["Sxx"], env["Ix"] ** 2 * NORM)
         np.testing.assert_allclose(env["Sxy"], env["Ix"] * env["Iy"] * NORM)
 
@@ -66,16 +66,19 @@ class TestSemantics:
         graph = build_pipeline(24, 24).build()
         data = np.zeros((24, 24))
         data[8:16, 8:16] = 200.0
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         corners = env["corners"]
         assert abs(corners[8, 8]) > 10 * abs(corners[4, 4])
 
     def test_fused_equals_staged(self, graph):
         data = random_image(16, 16, seed=3)
-        staged = execute_pipeline(graph, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
-        fused = execute_partitioned(graph, partition, {"input": data})
+        fused = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(
             fused["corners"], staged["corners"], rtol=1e-10
         )

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.night import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.dsl.kernel import ComputePattern
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
@@ -48,20 +48,20 @@ class TestStructure:
 class TestSemantics:
     def test_bilateral_preserves_constant_image(self, graph):
         data = np.full((10, 12, 3), 80.0)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         np.testing.assert_allclose(env["smooth0"], 80.0, rtol=1e-12)
         np.testing.assert_allclose(env["smooth1"], 80.0, rtol=1e-12)
 
     def test_bilateral_smooths_noise(self, graph):
         rng = np.random.default_rng(0)
         data = 100.0 + rng.normal(0.0, 5.0, size=(10, 12, 3))
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         assert env["smooth0"].std() < data.std()
 
     def test_bilateral_preserves_strong_edges(self, graph):
         data = np.zeros((10, 12, 3))
         data[:, 6:, :] = 200.0
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         smoothed = env["smooth0"]
         # The edge column must stay close to its original values: the
         # range weight suppresses averaging across the jump.
@@ -70,10 +70,13 @@ class TestSemantics:
 
     def test_fused_equals_staged(self, graph):
         data = random_image(12, 10, channels=3, seed=1)
-        staged = execute_pipeline(graph, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
-        fused = execute_partitioned(graph, partition, {"input": data})
+        fused = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(fused["toned"], staged["toned"], rtol=1e-9)
 
 

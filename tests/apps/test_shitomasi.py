@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.harris import build_pipeline as build_harris
 from repro.apps.shitomasi import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
 from repro.model.hardware import GTX680
@@ -31,7 +31,7 @@ class TestStructure:
 class TestSemantics:
     def test_minimum_eigenvalue_formula(self, graph):
         data = random_image(16, 16, seed=1)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         gxx, gyy, gxy = env["Gxx"], env["Gyy"], env["Gxy"]
         half_trace = (gxx + gyy) / 2.0
         half_diff = (gxx - gyy) / 2.0
@@ -41,7 +41,7 @@ class TestSemantics:
     def test_response_is_true_min_eigenvalue(self, graph):
         # lambda_min of [[gxx, gxy], [gxy, gyy]] pointwise.
         data = random_image(16, 16, seed=2)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         y, x = 7, 9
         matrix = np.array(
             [
@@ -54,10 +54,13 @@ class TestSemantics:
 
     def test_fused_equals_staged(self, graph):
         data = random_image(16, 16, seed=3)
-        staged = execute_pipeline(graph, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
-        fused = execute_partitioned(graph, partition, {"input": data})
+        fused = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(
             fused["response"], staged["response"], rtol=1e-10
         )

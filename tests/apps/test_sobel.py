@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.sobel import build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.dsl.kernel import ComputePattern
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
@@ -34,28 +34,31 @@ class TestStructure:
 class TestSemantics:
     def test_magnitude_formula(self, graph):
         data = random_image(16, 16, seed=1)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         expected = np.sqrt(env["Ix"] ** 2 + env["Iy"] ** 2)
         np.testing.assert_allclose(env["magnitude"], expected)
 
     def test_vertical_edge_detected_by_dx_only(self, graph):
         data = np.zeros((16, 16))
         data[:, 8:] = 100.0
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         assert abs(env["Ix"][8, 8]) > 0
         np.testing.assert_allclose(env["Iy"][2:-2, 2:-2], 0.0)
 
     def test_flat_image_zero_magnitude(self, graph):
-        env = execute_pipeline(graph, {"input": np.full((16, 16), 42.0)})
+        env = run(graph, {"input": np.full((16, 16), 42.0)}, options=STAGED)
         np.testing.assert_allclose(env["magnitude"], 0.0, atol=1e-9)
 
     def test_fused_equals_staged(self, graph):
         data = random_image(16, 16, seed=2)
-        staged = execute_pipeline(graph, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
         assert partition.fused_block_count() == 1
-        fused = execute_partitioned(graph, partition, {"input": data})
+        fused = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(
             fused["magnitude"], staged["magnitude"], rtol=1e-10
         )

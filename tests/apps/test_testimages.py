@@ -4,10 +4,12 @@ applications respond to them (cross-cutting sanity checks)."""
 import numpy as np
 import pytest
 
+from helpers import STAGED
+
+from repro.api import run
 from repro.apps import testimages
 from repro.apps.harris import build_pipeline as build_harris
 from repro.apps.sobel import build_pipeline as build_sobel
-from repro.backend.numpy_exec import execute_pipeline
 
 
 class TestGenerators:
@@ -61,24 +63,28 @@ class TestGenerators:
 class TestApplicationsOnGenerators:
     def test_sobel_silent_on_constant(self):
         graph = build_sobel(16, 16).build()
-        env = execute_pipeline(
-            graph, {"input": testimages.constant(16, 16)}
+        env = run(
+            graph, {"input": testimages.constant(16, 16)},
+            options=STAGED,
         )
         np.testing.assert_allclose(env["magnitude"], 0.0, atol=1e-9)
 
     def test_sobel_fires_on_step_edge(self):
         graph = build_sobel(16, 16).build()
-        env = execute_pipeline(
-            graph, {"input": testimages.step_edge(16, 16)}
+        env = run(
+            graph, {"input": testimages.step_edge(16, 16)},
+            options=STAGED,
         )
         assert env["magnitude"].max() > 100.0
 
     def test_harris_loves_checkerboards(self):
         graph = build_harris(32, 32).build()
-        board = execute_pipeline(
-            graph, {"input": testimages.checkerboard(32, 32, cell=8)}
+        board = run(
+            graph, {"input": testimages.checkerboard(32, 32, cell=8)},
+            options=STAGED,
         )["corners"]
-        flat = execute_pipeline(
-            graph, {"input": testimages.constant(32, 32)}
+        flat = run(
+            graph, {"input": testimages.constant(32, 32)},
+            options=STAGED,
         )["corners"]
         assert np.abs(board).max() > 100.0 * np.abs(flat).max() + 1e-12

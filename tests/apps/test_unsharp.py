@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_image
+from helpers import STAGED, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.unsharp import LAMBDA, NORM, build_pipeline
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
 from repro.model.benefit import estimate_graph
@@ -32,7 +32,7 @@ class TestStructure:
 class TestSemantics:
     def test_pipeline_formula(self, graph):
         data = random_image(16, 16, seed=1)
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         high = data - env["blurred"]
         amplified = high * data * data * NORM
         expected = data + LAMBDA * amplified
@@ -41,7 +41,7 @@ class TestSemantics:
     def test_sharpening_increases_contrast_at_edges(self, graph):
         data = np.zeros((16, 16))
         data[:, 8:] = 100.0
-        env = execute_pipeline(graph, {"input": data})
+        env = run(graph, {"input": data}, options=STAGED)
         out = env["sharpened"]
         # Overshoot on the bright side of the edge.
         assert out[8, 8] > 100.0
@@ -50,11 +50,14 @@ class TestSemantics:
 
     def test_fused_whole_pipeline_equals_staged(self, graph):
         data = random_image(16, 16, seed=2)
-        staged = execute_pipeline(graph, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
         weighted = estimate_graph(graph, GTX680)
         partition = mincut_fusion(weighted).partition
         assert len(partition) == 1  # single fused kernel
-        fused = execute_partitioned(graph, partition, {"input": data})
+        fused = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(
             fused["sharpened"], staged["sharpened"], rtol=1e-10
         )

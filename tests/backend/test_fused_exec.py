@@ -11,17 +11,14 @@ from helpers import (
     BLUR3,
     BLUR5,
     EDGE3,
+    STAGED,
     chain_pipeline,
     diamond_pipeline,
     random_image,
 )
 
-from repro.backend.numpy_exec import (
-    ExecutionError,
-    execute_block,
-    execute_partitioned,
-    execute_pipeline,
-)
+from repro.api import ExecutionOptions, run, run_block
+from repro.backend.numpy_exec import ExecutionError
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.graph.partition import Partition, PartitionBlock
 
@@ -36,10 +33,10 @@ MODES = [
 
 def fused_equals_staged(pipe, inputs, block_vertices, params=None):
     graph = pipe.build()
-    staged = execute_pipeline(graph, inputs, params)
+    staged = run(graph, inputs, params, options=STAGED)
     block = PartitionBlock(graph, block_vertices)
     destination = graph.kernel(block.destination_kernels()[0])
-    fused = execute_block(graph, block, inputs, params)
+    fused = run_block(graph, block, inputs, params)
     np.testing.assert_allclose(
         fused, staged[destination.output.name], rtol=1e-10, atol=1e-9
     )
@@ -117,9 +114,12 @@ class TestLocalFusion:
         graph = chain_pipeline(
             ("l", "l"), 8, 8, boundary=BoundarySpec(BoundaryMode.CLAMP)
         ).build()
-        staged = execute_pipeline(graph, {"img0": data})
+        staged = run(graph, {"img0": data}, options=STAGED)
         block = PartitionBlock(graph, {"k0", "k1"})
-        naive = execute_block(graph, block, {"img0": data}, naive_borders=True)
+        naive = run_block(
+            graph, block, {"img0": data},
+            options=ExecutionOptions(naive_borders=True),
+        )
         # Interior agrees...
         np.testing.assert_allclose(naive[2:-2, 2:-2],
                                    staged["img2"][2:-2, 2:-2])
@@ -138,7 +138,7 @@ class TestExecutePartitioned:
     def test_partitioned_pipeline_full_agreement(self):
         data = random_image(8, 8, seed=11)
         graph = chain_pipeline(("p", "l", "p"), 8, 8).build()
-        staged = execute_pipeline(graph, {"img0": data})
+        staged = run(graph, {"img0": data}, options=STAGED)
         partition = Partition(
             graph,
             [
@@ -146,7 +146,10 @@ class TestExecutePartitioned:
                 PartitionBlock(graph, {"k2"}),
             ],
         )
-        env = execute_partitioned(graph, partition, {"img0": data})
+        env = run(
+            graph, {"img0": data},
+            options=ExecutionOptions(partition=partition),
+        )
         np.testing.assert_allclose(env["img3"], staged["img3"])
 
     def test_eliminated_intermediates_not_materialized(self):
@@ -155,16 +158,20 @@ class TestExecutePartitioned:
         partition = Partition(
             graph, [PartitionBlock(graph, {"k0", "k1"})]
         )
-        env = execute_partitioned(graph, partition, {"img0": data})
+        env = run(
+            graph, {"img0": data},
+            options=ExecutionOptions(partition=partition),
+        )
         assert "img1" not in env  # fused away
         assert "img2" in env
 
     def test_singleton_partition_equals_pipeline(self):
         data = random_image(6, 6, seed=13)
         graph = chain_pipeline(("l", "p"), 6, 6).build()
-        staged = execute_pipeline(graph, {"img0": data})
-        env = execute_partitioned(
-            graph, Partition.singletons(graph), {"img0": data}
+        staged = run(graph, {"img0": data}, options=STAGED)
+        env = run(
+            graph, {"img0": data},
+            options=ExecutionOptions(partition=Partition.singletons(graph)),
         )
         for name, value in staged.items():
             np.testing.assert_allclose(env[name], value)
@@ -175,4 +182,4 @@ class TestErrors:
         graph = chain_pipeline(("p", "p", "p"), 6, 6).build()
         block = PartitionBlock(graph, {"k0", "k2"})
         with pytest.raises(ExecutionError, match="destination"):
-            execute_block(graph, block, {"img0": np.zeros((6, 6))})
+            run_block(graph, block, {"img0": np.zeros((6, 6))})

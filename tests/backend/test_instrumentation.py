@@ -12,41 +12,41 @@ import pytest
 
 from helpers import BLUR3, BLUR5, chain_pipeline, random_image
 
+from repro.api import run_block
 from repro.apps.unsharp import build_pipeline as build_unsharp
-from repro.backend.numpy_exec import execute_block
 from repro.graph.partition import PartitionBlock
 
 
-def run_block(pipe, vertices, seed=0):
+def count_block(pipe, vertices, seed=0):
     graph = pipe.build()
     block = PartitionBlock(graph, vertices)
     data = {"img0": random_image(8, 8, seed=seed)}
     counter = {}
-    execute_block(graph, block, data, call_counter=counter)
+    run_block(graph, block, data, call_counter=counter)
     return counter
 
 
 class TestRecomputationCounts:
     def test_point_consumer_evaluates_producer_once(self):
         # Eq. 5 (point-based): the intermediate stays in a register.
-        counter = run_block(chain_pipeline(("p", "p")), {"k0", "k1"})
+        counter = count_block(chain_pipeline(("p", "p")), {"k0", "k1"})
         assert counter == {"k1": 1, "k0": 1}
 
     def test_local_consumer_evaluates_producer_per_offset(self):
         # Eq. 7 (point-to-local): one recomputation per window element.
-        counter = run_block(chain_pipeline(("p", "l")), {"k0", "k1"})
+        counter = count_block(chain_pipeline(("p", "l")), {"k0", "k1"})
         assert counter["k1"] == 1
         assert counter["k0"] == 9  # 3x3 consumer window
 
     def test_five_by_five_consumer(self):
-        counter = run_block(
+        counter = count_block(
             chain_pipeline(("p", "l"), masks=[BLUR5]), {"k0", "k1"}
         )
         assert counter["k0"] == 25
 
     def test_deep_chain_multiplies(self):
         # k0 <- k1 (3x3) <- k2 (3x3): k1 runs 9 times, k0 runs 9*9.
-        counter = run_block(
+        counter = count_block(
             chain_pipeline(("p", "l", "l")), {"k0", "k1", "k2"}
         )
         assert counter["k2"] == 1
@@ -60,7 +60,7 @@ class TestRecomputationCounts:
         graph = build_unsharp(8, 8).build()
         block = PartitionBlock(graph, set(graph.kernel_names))
         counter = {}
-        execute_block(
+        run_block(
             graph, block, {"input": random_image(8, 8, seed=1)},
             call_counter=counter,
         )
@@ -73,6 +73,6 @@ class TestRecomputationCounts:
         graph = chain_pipeline(("p", "l")).build()
         block = PartitionBlock(graph, {"k0", "k1"})
         data = {"img0": random_image(8, 8, seed=2)}
-        plain = execute_block(graph, block, data)
-        counted = execute_block(graph, block, data, call_counter={})
+        plain = run_block(graph, block, data)
+        counted = run_block(graph, block, data, call_counter={})
         np.testing.assert_array_equal(plain, counted)

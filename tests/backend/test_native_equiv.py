@@ -31,17 +31,15 @@ import pytest
 
 from helpers import chain_pipeline, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps import ALL_APPS, APPLICATIONS
-from repro.backend.numpy_exec import (
-    execute_partitioned,
-    execute_pipeline,
-)
 from repro.backend import native_exec
 from repro.backend.native_exec import (
     EXACT_CALLS,
     NativeVerificationError,
     assert_native_equiv,
     lower_block_source,
+    lower_partition_source,
     native_available,
     native_plan_for_block,
     native_plan_for_partition,
@@ -148,15 +146,17 @@ def _assert_env_equiv(native, expected, tolerance, context):
 class TestSixAppNativeEquivalence:
     def test_native_matches_tape_and_recursive(self, app_name):
         graph, inputs = _build(app_name)
-        recursive = execute_pipeline(
-            graph, inputs, APP_PARAMS, engine="recursive"
+        recursive = run(
+            graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(engine="recursive", fuse=False),
         )
         for label, partition in _partitions_for(graph, app_name).items():
             nplan = native_plan_for_partition(graph, partition)
             assert nplan.native_block_count >= 1, (app_name, label)
             native = nplan.execute(dict(inputs), APP_PARAMS)
-            tape = execute_partitioned(
-                graph, partition, inputs, APP_PARAMS, engine="tape"
+            tape = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(engine="tape", partition=partition),
             )
             _assert_env_equiv(
                 native, tape, nplan.tolerance, f"{app_name}/{label}"
@@ -178,9 +178,11 @@ class TestSixAppNativeEquivalence:
                 graph, partition, naive_borders=True
             )
             native = nplan.execute(dict(inputs), APP_PARAMS)
-            tape = execute_partitioned(
-                graph, partition, inputs, APP_PARAMS,
-                naive_borders=True, engine="tape",
+            tape = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(
+                    engine="tape", partition=partition, naive_borders=True
+                ),
             )
             _assert_env_equiv(
                 native, tape, nplan.tolerance, f"{app_name}/{label}/naive"
@@ -189,8 +191,9 @@ class TestSixAppNativeEquivalence:
     def test_engine_dispatch_matches_plan_api(self, app_name):
         graph, inputs = _build(app_name)
         partition = partition_for(graph, GTX680, "optimized")
-        dispatched = execute_partitioned(
-            graph, partition, inputs, APP_PARAMS, engine="native"
+        dispatched = run(
+            graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(engine="native", partition=partition),
         )
         nplan = native_plan_for_partition(graph, partition)
         direct = nplan.execute(dict(inputs), APP_PARAMS)
@@ -302,9 +305,15 @@ class TestFallbacks:
     def test_no_compiler_falls_back_to_tape(self, monkeypatch):
         graph = chain_pipeline(("p", "l"), 10, 8).build()
         data = {"img0": random_image(10, 8, seed=31)}
-        tape = execute_pipeline(graph, data, engine="tape")
+        tape = run(
+            graph, data,
+            options=ExecutionOptions(engine="tape", fuse=False),
+        )
         monkeypatch.setattr(native_exec, "native_available", lambda: False)
-        fallback = native_exec.execute_pipeline_native(graph, data)
+        fallback = run(
+            graph, data,
+            options=ExecutionOptions(engine="native", fuse=False),
+        )
         for name in tape:
             np.testing.assert_array_equal(fallback[name], tape[name])
 
@@ -321,8 +330,9 @@ class TestFallbacks:
         assert nplan.native_block_count >= 1
         assert nplan.fallback_reasons
         native = nplan.execute(dict(inputs), params)
-        tape = execute_partitioned(
-            graph, partition, inputs, params, engine="tape"
+        tape = run(
+            graph, inputs, params,
+            options=ExecutionOptions(engine="tape", partition=partition),
         )
         _assert_env_equiv(native, tape, nplan.tolerance, "DoG")
 
@@ -384,6 +394,13 @@ class TestLoweredSource:
         assert "-ffp-contract=off" in source  # contract documented
         assert "idx_clamp" in source
         assert "#pragma omp" in source
+
+    @needs_cc
+    def test_partition_source_is_the_compiled_source(self):
+        graph, _ = _build("Harris")
+        partition = partition_for(graph, GTX680, "optimized")
+        compiled = native_plan_for_partition(graph, partition).source
+        assert lower_partition_source(graph, partition) == compiled
 
 
 @needs_cc
@@ -455,8 +472,9 @@ class TestTile2DEquivalence:
             assert native.spec.tile2d is not None
             sources.add(native.spec.source)
             data = {"img0": random_image(width, height, seed=width + height)}
-            tape = execute_partitioned(
-                graph, partition, data, {}, engine="tape"
+            tape = run(
+                graph, data, {},
+                options=ExecutionOptions(engine="tape", partition=partition),
             )
             served = nplan.execute(dict(data), {})
             for name in tape:

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import BLUR3, chain_pipeline, image, local_kernel, point_kernel, random_image
+from helpers import BLUR3, STAGED, chain_pipeline, image, local_kernel, point_kernel, random_image
 
-from repro.backend.numpy_exec import (
-    ExecutionError,
-    execute_kernel,
-    execute_pipeline,
-    gather,
-)
+from repro.api import run
+from repro.backend.numpy_exec import ExecutionError, execute_kernel, gather
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.image import Image
 from repro.dsl.kernel import Accessor, Kernel, ReductionKind
@@ -182,12 +178,12 @@ class TestExecutePipeline:
     def test_chain_matches_manual_composition(self):
         graph = chain_pipeline(("p", "p"), width=5, height=5).build()
         data = random_image(5, 5, seed=12)
-        env = execute_pipeline(graph, {"img0": data})
+        env = run(graph, {"img0": data}, options=STAGED)
         np.testing.assert_allclose(
             env["img2"], (data * 2.0 + 1.0) * 2.0 + 1.0
         )
 
     def test_environment_contains_all_images(self):
         graph = chain_pipeline(("p", "p"), width=4, height=4).build()
-        env = execute_pipeline(graph, {"img0": np.zeros((4, 4))})
+        env = run(graph, {"img0": np.zeros((4, 4))}, options=STAGED)
         assert set(env) == {"img0", "img1", "img2"}

@@ -14,16 +14,11 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import chain_pipeline, image, local_kernel, random_image
+from helpers import STAGED, chain_pipeline, image, local_kernel, random_image
 
+from repro.api import ExecutionOptions, run, run_block
 from repro.apps import APPLICATIONS
-from repro.backend.numpy_exec import (
-    ExecutionError,
-    block_schedule,
-    execute_block,
-    execute_partitioned,
-    execute_pipeline,
-)
+from repro.backend.numpy_exec import ExecutionError, block_schedule
 from repro.backend.plan import (
     clear_plan_caches,
     plan_for_block,
@@ -118,12 +113,21 @@ def _partitions_for(graph, app_name):
 class TestSixAppEquivalence:
     def test_tape_matches_recursive_and_staged(self, app_name):
         graph, inputs = _build(app_name)
-        staged = execute_pipeline(graph, inputs, APP_PARAMS, engine="recursive")
+        staged = run(
+            graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(engine="recursive", fuse=False),
+        )
         for label, partition in _partitions_for(graph, app_name).items():
-            recursive = execute_partitioned(
-                graph, partition, inputs, APP_PARAMS, engine="recursive"
+            recursive = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(
+                    engine="recursive", partition=partition
+                ),
             )
-            tape = execute_partitioned(graph, partition, inputs, APP_PARAMS, engine="tape")
+            tape = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(engine="tape", partition=partition),
+            )
             assert set(tape) == set(recursive), (app_name, label)
             for image, expected in recursive.items():
                 np.testing.assert_array_equal(
@@ -140,13 +144,17 @@ class TestSixAppEquivalence:
     def test_naive_borders_match_recursive(self, app_name):
         graph, inputs = _build(app_name)
         for label, partition in _partitions_for(graph, app_name).items():
-            recursive = execute_partitioned(
-                graph, partition, inputs, APP_PARAMS,
-                naive_borders=True, engine="recursive",
+            recursive = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(
+                    engine="recursive", partition=partition, naive_borders=True
+                ),
             )
-            tape = execute_partitioned(
-                graph, partition, inputs, APP_PARAMS,
-                naive_borders=True, engine="tape",
+            tape = run(
+                graph, inputs, APP_PARAMS,
+                options=ExecutionOptions(
+                    engine="tape", partition=partition, naive_borders=True
+                ),
             )
             for image, expected in recursive.items():
                 np.testing.assert_array_equal(
@@ -158,9 +166,15 @@ class TestSixAppEquivalence:
     def test_parallel_blocks_match_serial(self, app_name):
         graph, inputs = _build(app_name)
         partition = partition_for(graph, GTX680, "optimized")
-        serial = execute_partitioned(graph, partition, inputs, APP_PARAMS, engine="tape")
-        parallel = execute_partitioned(
-            graph, partition, inputs, APP_PARAMS, engine="tape", workers=4
+        serial = run(
+            graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(engine="tape", partition=partition),
+        )
+        parallel = run(
+            graph, inputs, APP_PARAMS,
+            options=ExecutionOptions(
+                engine="tape", workers=4, partition=partition
+            ),
         )
         for image, expected in serial.items():
             np.testing.assert_array_equal(parallel[image], expected)
@@ -180,8 +194,14 @@ class TestBlockEquivalence:
         graph = chain_pipeline(("l", "l", "l"), 12, 10, boundary=mode).build()
         data = {"img0": random_image(12, 10, seed=21)}
         block = PartitionBlock(graph, {"k0", "k1", "k2"})
-        recursive = execute_block(graph, block, data, engine="recursive")
-        tape = execute_block(graph, block, data, engine="tape")
+        recursive = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="recursive"),
+        )
+        tape = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="tape"),
+        )
         np.testing.assert_array_equal(tape, recursive)
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: str(m))
@@ -189,11 +209,13 @@ class TestBlockEquivalence:
         graph = chain_pipeline(("l", "l"), 10, 9, boundary=mode).build()
         data = {"img0": random_image(10, 9, seed=22)}
         block = PartitionBlock(graph, {"k0", "k1"})
-        recursive = execute_block(
-            graph, block, data, naive_borders=True, engine="recursive"
+        recursive = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="recursive", naive_borders=True),
         )
-        tape = execute_block(
-            graph, block, data, naive_borders=True, engine="tape"
+        tape = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="tape", naive_borders=True),
         )
         np.testing.assert_array_equal(tape, recursive)
 
@@ -201,8 +223,9 @@ class TestBlockEquivalence:
         graph = chain_pipeline(("p", "p", "p"), 6, 6).build()
         block = PartitionBlock(graph, {"k0", "k2"})
         with pytest.raises(ExecutionError, match="destination"):
-            execute_block(
-                graph, block, {"img0": np.zeros((6, 6))}, engine="tape"
+            run_block(
+                graph, block, {"img0": np.zeros((6, 6))},
+                options=ExecutionOptions(engine="tape"),
             )
 
 
@@ -210,15 +233,18 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         graph = chain_pipeline(("p",), 4, 4).build()
         with pytest.raises(ExecutionError, match="engine"):
-            execute_pipeline(graph, {"img0": np.zeros((4, 4))}, engine="warp")
+            run(
+                graph, {"img0": np.zeros((4, 4))},
+                options=ExecutionOptions(engine="warp", fuse=False),
+            )
 
     def test_engine_env_var(self, monkeypatch):
         graph = chain_pipeline(("p", "l"), 8, 8).build()
         data = {"img0": random_image(8, 8, seed=5)}
         monkeypatch.setenv("REPRO_EXEC_ENGINE", "recursive")
-        recursive = execute_pipeline(graph, data)
+        recursive = run(graph, data, options=STAGED)
         monkeypatch.setenv("REPRO_EXEC_ENGINE", "tape")
-        tape = execute_pipeline(graph, data)
+        tape = run(graph, data, options=STAGED)
         for image, expected in recursive.items():
             np.testing.assert_array_equal(tape[image], expected)
 
@@ -238,8 +264,10 @@ class TestEngineSelection:
         graph = chain_pipeline(("l", "l"), 8, 8).build()
         data = {"img0": random_image(8, 8, seed=6)}
         counter = {}
-        execute_block(graph, PartitionBlock(graph, {"k0", "k1"}), data,
-                      call_counter=counter)
+        run_block(
+            graph, PartitionBlock(graph, {"k0", "k1"}), data,
+            call_counter=counter,
+        )
         assert counter["k0"] == 9  # one recursive eval per consumer tap
 
 
@@ -354,7 +382,10 @@ class TestPlanCachingAndInterning:
         plan = plan_for_block(graph, block)
         assert plan.stats.producer_cache_hits >= 1
         data = {"src": random_image(8, 8, seed=9)}
-        recursive = execute_block(graph, block, data, engine="recursive")
+        recursive = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="recursive"),
+        )
         np.testing.assert_array_equal(plan.execute(data), recursive)
 
     def test_tape_has_no_recursion_limit_dependence(self):
@@ -366,8 +397,14 @@ class TestPlanCachingAndInterning:
         data = {"img0": random_image(6, 6, seed=8)}
         block = PartitionBlock(graph, set(graph.kernel_names))
         prior = sys.getrecursionlimit()
-        tape = execute_block(graph, block, data, engine="tape")
+        tape = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="tape"),
+        )
         assert sys.getrecursionlimit() == prior  # no global mutation
-        recursive = execute_block(graph, block, data, engine="recursive")
+        recursive = run_block(
+            graph, block, data,
+            options=ExecutionOptions(engine="recursive"),
+        )
         assert sys.getrecursionlimit() == prior  # scoped, restored
         np.testing.assert_array_equal(tape, recursive)

@@ -56,6 +56,19 @@ def test_conformance_has_no_failures(artifact_dir):
     assert "0 fail" in text
 
 
+def test_generated_c_is_what_the_native_engine_compiles(artifact_dir):
+    from repro.apps import APPLICATIONS
+    from repro.backend.native_exec import lower_partition_source
+    from repro.eval.runner import partition_for
+    from repro.model.hardware import GTX680
+
+    graph = APPLICATIONS["Harris"].pipeline().build()
+    partition = partition_for(graph, GTX680, "optimized")
+    text = (artifact_dir / "generated_harris_fused.c").read_text()
+    assert text == lower_partition_source(graph, partition) + "\n"
+    assert text.count("\nvoid repro_block_") == len(partition)
+
+
 def test_sources_can_be_skipped(tmp_path):
     written = build_artifact(tmp_path / "lean", runs=5,
                              include_sources=False)

@@ -80,10 +80,23 @@ class TestCommands:
         assert out.count("__global__ void") == 3
 
     def test_codegen_c_target(self, capsys):
+        # The C the native engine runs: one function per fused block.
         assert main(["codegen", "Sobel", "--target", "c"]) == 0
         out = capsys.readouterr().out
-        assert "void kernel_fused_dx_dy_mag(" in out
+        assert "void repro_block_0_magnitude(double *restrict out" in out
         assert "#pragma omp parallel for" in out
+        assert "runs on the tape engine" not in out
+
+    def test_codegen_c_names_blocks_left_to_the_tape(self, capsys):
+        assert main(
+            ["codegen", "DoG", "--target", "c", "--engine", "none"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "void repro_block_3_blobs(" in out
+        assert (
+            "/* block 4 (peak) runs on the tape engine: global operator"
+            in out
+        )
 
     def test_dot(self, capsys):
         assert main(["dot", "Harris"]) == 0

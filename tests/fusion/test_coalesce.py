@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import chain_pipeline, random_image
+from helpers import STAGED, chain_pipeline, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
 from repro.apps.canny import build_pipeline as build_canny
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.fusion.coalesce import coalesce_partition, coalesced_fusion
 from repro.fusion.exhaustive import exhaustive_fusion
 from repro.fusion.mincut_fusion import mincut_fusion
@@ -59,9 +59,10 @@ class TestCanny:
         partition = coalesced_fusion(weighted).partition
         data = random_image(24, 24, seed=1)
         params = {"threshold": 200.0}
-        staged = execute_pipeline(graph, {"input": data}, params)
-        fused = execute_partitioned(
-            graph, partition, {"input": data}, params
+        staged = run(graph, {"input": data}, params, options=STAGED)
+        fused = run(
+            graph, {"input": data}, params,
+            options=ExecutionOptions(partition=partition),
         )
         np.testing.assert_allclose(fused["edges"], staged["edges"])
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import chain_pipeline, random_image
+from helpers import STAGED, chain_pipeline, random_image
 
+from repro.api import ExecutionOptions, run
 from repro.apps.harris import build_pipeline as build_harris
-from repro.backend.numpy_exec import execute_partitioned, execute_pipeline
 from repro.fusion.distribution import (
     distribute,
     distribute_block,
@@ -69,8 +69,11 @@ class TestDistribute:
         graph, strict, partition = overfused_harris()
         repaired = distribute(strict, partition)
         data = random_image(16, 16, seed=5)
-        staged = execute_pipeline(graph, {"input": data})
-        env = execute_partitioned(graph, repaired, {"input": data})
+        staged = run(graph, {"input": data}, options=STAGED)
+        env = run(
+            graph, {"input": data},
+            options=ExecutionOptions(partition=repaired),
+        )
         np.testing.assert_allclose(
             env["corners"], staged["corners"], rtol=1e-10
         )

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.api import ExecutionOptions
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.functional import convolve
 from repro.dsl.image import Image
@@ -19,6 +20,10 @@ from repro.dsl.kernel import Kernel
 from repro.dsl.mask import Mask
 from repro.dsl.pipeline import Pipeline
 from repro.ir.expr import Const
+
+#: The unfused program — every kernel on its own: the reference a fused
+#: result is compared to.
+STAGED = ExecutionOptions(fuse=False)
 
 #: A small unnormalized blur mask for local test kernels.
 BLUR3 = Mask([[1, 2, 1], [2, 4, 2], [1, 2, 1]])

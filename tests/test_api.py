@@ -1,8 +1,8 @@
 """The canonical execution API: ``repro.api.run`` and its options.
 
-Pins the api_redesign contract: one entry point drives every engine and
-configuration bit-identically to the legacy ``execute_*`` entry points,
-which survive only as deprecation-warning shims over it.
+Pins the contract: ``run`` / ``run_block`` are the only way in, they
+drive every entry of the engine table bit-identically, and the table's
+order is the degradation ladder.
 """
 
 import numpy as np
@@ -10,12 +10,15 @@ import pytest
 
 from repro.api import ExecutionOptions, run, run_block
 from repro.apps import APPLICATIONS
+from repro.backend import engines, native_exec
 from repro.backend.numpy_exec import ExecutionError
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.model.hardware import GTX680
+from repro.serve import ServingRuntime, faultinject
 from repro.serve.bench import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
+from repro.serve.resilience import DEGRADATION_LADDER, ladder_from
 
 from helpers import chain_pipeline, random_image
 
@@ -59,6 +62,67 @@ class TestRun:
         )
         for image, expected in tape.items():
             np.testing.assert_array_equal(recursive[image], expected)
+
+    @pytest.mark.parametrize("index", range(len(engines.ENGINES)))
+    def test_engine_table_is_the_ladder_and_matches_the_oracle(self, index):
+        engine = engines.ENGINES[index]
+        assert len(engines.ENGINES) == len(DEGRADATION_LADDER)
+        assert engine.name == DEGRADATION_LADDER[index]
+        assert ladder_from(engine.name) == DEGRADATION_LADDER[index:]
+        if not engine.available():
+            pytest.skip(f"{engine.name} engine unavailable on this host")
+        graph = APPLICATIONS["Harris"].build(96, 64).build()
+        inputs = request_inputs(APPLICATIONS["Harris"], 96, 64, seed=1)
+        partition = partition_for(graph, GTX680, "optimized")
+        oracle = engines.ORACLE.plan_partition(graph, partition, False)
+        expected = oracle.execute(inputs)
+        env = engine.plan_partition(graph, partition, False).execute(inputs)
+        assert sorted(env) == sorted(expected)
+        for image, value in expected.items():
+            np.testing.assert_array_equal(env[image], value)
+        block = max(partition.blocks, key=len)
+        np.testing.assert_array_equal(
+            engine.plan_block(graph, block, False).execute(expected),
+            engines.ORACLE.plan_block(graph, block, False).execute(expected),
+        )
+
+    def test_unavailable_native_resolves_to_tape_on_every_surface(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(native_exec, "native_available", lambda: False)
+        assert engines.resolve("native").name == "tape"
+        graph = APPLICATIONS["Harris"].build(WIDTH, HEIGHT).build()
+        inputs = _app_inputs("Harris")
+        block = PartitionBlock(graph, {"sx", "gx"})
+        native = ExecutionOptions(engine="native")
+        tape = ExecutionOptions(engine="tape")
+        faultinject.clear()
+        try:
+            # Any call into the native builder would now fail loudly.
+            with faultinject.fault_injection(
+                "native.compile", "error", times=None
+            ):
+                env = run(graph, inputs, options=native)
+                fused = run_block(graph, block, env, options=native)
+                with ServingRuntime(engine="native") as runtime:
+                    served = runtime.execute("Harris", inputs)
+                    serving = runtime.metrics_snapshot()["engine"]
+        finally:
+            faultinject.clear()
+        assert serving == {"requested": "native", "active": "tape"}
+        for image, expected in run(graph, inputs, options=tape).items():
+            np.testing.assert_array_equal(env[image], expected)
+            np.testing.assert_array_equal(served[image], expected)
+        np.testing.assert_array_equal(
+            fused, run_block(graph, block, env, options=tape)
+        )
+
+    def test_top_level_exports(self):
+        import repro
+
+        assert repro.run is run
+        assert repro.ExecutionOptions is ExecutionOptions
+        assert repro.run_block is run_block
 
     def test_explicit_partition_is_respected(self):
         graph = chain_pipeline(("l", "p", "l"), width=16, height=12).build()
@@ -156,136 +220,3 @@ class TestOptionsValidation:
         assert validate_mode() == "off"
         run(graph, inputs, options=ExecutionOptions(validate="strict"))
         assert validate_mode() == "off"  # the scope did not leak
-
-
-class TestDeprecatedShims:
-    """The nine legacy entry points: still correct, now warning."""
-
-    def _graph_and_inputs(self):
-        graph = chain_pipeline(("l", "p", "l"), width=16, height=12).build()
-        return graph, {"img0": random_image(16, 12, seed=5)}
-
-    def test_execute_pipeline_warns_and_matches(self):
-        from repro.backend.numpy_exec import execute_pipeline
-
-        graph, inputs = self._graph_and_inputs()
-        expected = run(graph, inputs, options=ExecutionOptions(fuse=False))
-        with pytest.warns(DeprecationWarning, match="execute_pipeline"):
-            legacy = execute_pipeline(graph, inputs)
-        for image, value in expected.items():
-            np.testing.assert_array_equal(legacy[image], value)
-
-    def test_execute_partitioned_warns_and_matches(self):
-        from repro.backend.numpy_exec import execute_partitioned
-
-        graph, inputs = self._graph_and_inputs()
-        partition = partition_for(graph, GTX680, "optimized")
-        expected = run(
-            graph, inputs, options=ExecutionOptions(partition=partition)
-        )
-        with pytest.warns(DeprecationWarning, match="execute_partitioned"):
-            legacy = execute_partitioned(graph, partition, inputs)
-        for image, value in expected.items():
-            np.testing.assert_array_equal(legacy[image], value)
-
-    def test_execute_block_warns_and_matches(self):
-        from repro.backend.numpy_exec import execute_block
-
-        graph, inputs = self._graph_and_inputs()
-        block = PartitionBlock(graph, set(graph))
-        expected = run_block(graph, block, inputs)
-        with pytest.warns(DeprecationWarning, match="execute_block"):
-            legacy = execute_block(graph, block, inputs)
-        np.testing.assert_array_equal(legacy, expected)
-
-    def test_tape_variants_warn(self):
-        from repro.backend.plan import (
-            execute_block_tape,
-            execute_partitioned_tape,
-            execute_pipeline_tape,
-        )
-
-        graph, inputs = self._graph_and_inputs()
-        partition = partition_for(graph, GTX680, "optimized")
-        block = PartitionBlock(graph, set(graph))
-        with pytest.warns(DeprecationWarning):
-            execute_pipeline_tape(graph, inputs)
-        with pytest.warns(DeprecationWarning):
-            execute_partitioned_tape(graph, partition, inputs)
-        with pytest.warns(DeprecationWarning):
-            execute_block_tape(graph, block, inputs)
-
-    def test_native_variants_warn(self):
-        from repro.backend.native_exec import (
-            execute_partitioned_native,
-            execute_pipeline_native,
-        )
-
-        graph, inputs = self._graph_and_inputs()
-        partition = partition_for(graph, GTX680, "optimized")
-        reference = run(
-            graph, inputs, options=ExecutionOptions(partition=partition)
-        )
-        with pytest.warns(DeprecationWarning):
-            by_pipeline = execute_pipeline_native(graph, inputs)
-        with pytest.warns(DeprecationWarning):
-            by_partition = execute_partitioned_native(
-                graph, partition, inputs
-            )
-        # Native (or its tape fallback) under the pinned tolerance.
-        for image, value in reference.items():
-            np.testing.assert_allclose(
-                by_partition[image], value, rtol=1e-12, atol=1e-12
-            )
-        assert set(by_pipeline) >= set(reference)
-
-    def test_top_level_exports(self):
-        import repro
-
-        assert repro.run is run
-        assert repro.ExecutionOptions is ExecutionOptions
-        assert repro.run_block is run_block
-
-
-class TestFirstPartyMigration:
-    """CI gate: no first-party module calls a deprecated entry point.
-
-    The shims themselves (``numpy_exec`` / ``plan`` / ``native_exec``)
-    and the compat re-exports in ``backend/__init__`` are the only
-    places the legacy names may appear in ``src/``.
-    """
-
-    SHIM_FILES = {
-        "backend/numpy_exec.py",
-        "backend/plan.py",
-        "backend/native_exec.py",
-        "backend/__init__.py",
-    }
-    LEGACY = (
-        "execute_pipeline(", "execute_partitioned(", "execute_block(",
-        "execute_pipeline_tape(", "execute_partitioned_tape(",
-        "execute_block_tape(", "execute_pipeline_native(",
-        "execute_partitioned_native(", "execute_block_native(",
-    )
-
-    def test_no_legacy_calls_outside_the_shims(self):
-        from pathlib import Path
-
-        import repro
-
-        src = Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            relative = path.relative_to(src).as_posix()
-            if relative in self.SHIM_FILES:
-                continue
-            for line_number, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                stripped = line.split("#", 1)[0]
-                if any(call in stripped for call in self.LEGACY):
-                    offenders.append(f"{relative}:{line_number}: {line.strip()}")
-        assert not offenders, (
-            "legacy execute_* calls outside the deprecation shims:\n"
-            + "\n".join(offenders)
-        )

@@ -10,7 +10,7 @@ from helpers import chain_pipeline, random_image
 
 from repro.backend.cpu_exec import CACHE_ENV, _cache_dir
 from repro.api import run
-from repro.backend.numpy_exec import ENGINE_ENV
+from repro.backend.engines import ENGINE_ENV
 from repro.backend.plan import WORKERS_ENV, resolve_workers
 from repro.envknobs import (
     VALIDATE_ENV,
