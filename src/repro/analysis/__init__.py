@@ -13,11 +13,10 @@ Three pass families over three artifact levels:
   enforced under ``REPRO_VALIDATE=strict``;
 * :mod:`repro.analysis.dataflow` — **value-range dataflow** (``VAL0xx``):
   abstract interpretation over kernel expressions and compiled tapes
-  propagating interval/NaN/zero facts, plus the provable tape
-  simplifications the native lowering folds;
+  propagating interval/NaN/zero facts;
 * :mod:`repro.analysis.native_check` — the **native-codegen sanitizer**
-  (``NAT0xx``): static in-bounds and no-alias proofs over the emitted C
-  of every native plan, run before first execution under strict mode.
+  (``NAT0xx``): static in-bounds and no-alias proofs over the loop-nest
+  IR of every native plan, run before first execution under strict mode.
 
 All passes report :class:`~repro.analysis.diagnostics.Diagnostic`
 records (stable code, severity, location, message, details) instead of
@@ -59,7 +58,6 @@ _EXPORTS = {
     "verify_partition_plan": "repro.analysis.verifier",
     "verify_tape": "repro.analysis.verifier",
     # value-range dataflow
-    "TapeSimplifications": "repro.analysis.dataflow",
     "VRange": "repro.analysis.dataflow",
     "analyze_graph": "repro.analysis.dataflow",
     "analyze_kernel": "repro.analysis.dataflow",
@@ -68,9 +66,7 @@ _EXPORTS = {
     "lint_graph_values": "repro.analysis.dataflow",
     "lint_kernel_values": "repro.analysis.dataflow",
     "lint_tape_values": "repro.analysis.dataflow",
-    "tape_simplifications": "repro.analysis.dataflow",
     # native-codegen sanitizer
-    "check_native_source": "repro.analysis.native_check",
     "verify_native_blocks": "repro.analysis.native_check",
     "verify_native_plan": "repro.analysis.native_check",
     # orchestration

@@ -14,22 +14,11 @@ constants through both representations of a pipeline —
   ``select`` guarded by an appropriate comparison is deliberate, not a
   defect).
 
-Two products come out of one lattice:
-
-1. the **VAL001–VAL008** diagnostic family (domain errors of
-   ``sqrt``/``log``/``rsqrt``, possibly-zero denominators, overflowing or
-   precision-losing casts, statically constant comparisons, dead
-   ``select`` branches, out-of-domain SFU arguments, unbound params in an
-   explicit range environment), and
-2. :func:`tape_simplifications` — facts the native backend
-   (:mod:`repro.backend.native_exec`) consumes to emit simplified bodies:
-   ``select`` instructions whose condition is proven constant, identity
-   ``min``/``max``, boundary resolvers and out-of-bounds masks proven to
-   be the identity.  Every fact is *per-pixel value-preserving*, so the
-   simplified C stays bit-identical to the tape engine; the facts are
-   computed **without** declared domains (structure and constants only),
-   so they are a pure function of the tape and safe under
-   structural-signature plan caching.
+The lattice produces the **VAL001–VAL008** diagnostic family: domain
+errors of ``sqrt``/``log``/``rsqrt``, possibly-zero denominators,
+overflowing or precision-losing casts, statically constant comparisons,
+dead ``select`` branches, out-of-domain SFU arguments, unbound params in
+an explicit range environment.
 
 Declared domains
 ----------------
@@ -70,17 +59,13 @@ from repro.ir.expr import (
 
 __all__ = [
     "VRange",
-    "TapeSimplifications",
     "analyze_graph",
     "analyze_kernel",
     "analyze_tape",
     "domain",
-    "grid_index_interval",
     "lint_graph_values",
     "lint_kernel_values",
     "lint_tape_values",
-    "resolve_is_identity",
-    "tape_simplifications",
 ]
 
 _INF = math.inf
@@ -1271,168 +1256,3 @@ def lint_tape_values(
         plan, images, params, strict_params=strict_params
     )[1]
 
-
-# ---------------------------------------------------------------------------
-# Native-simplification facts
-# ---------------------------------------------------------------------------
-
-
-def grid_index_interval(key: tuple) -> Tuple[int, int, int]:
-    """The index range of a grid key as ``(lo, hi_offset, hi_extent)``.
-
-    The range is ``[lo, hi_extent + hi_offset]`` with ``hi_extent`` the
-    numeric extent the upper bound rides on (0 for a pure constant) —
-    the affine form makes the containment test below independent of the
-    actual geometry, which is what licenses applying it to
-    shape-polymorphic plans.
-    """
-    tag = key[0]
-    if tag == "base":
-        extent = key[2] if key[1] == "x" else key[3]
-        return (0, -1, extent)
-    if tag == "shift":
-        lo, hi_off, hi_ext = grid_index_interval(key[1])
-        return (lo + key[2], hi_off + key[2], hi_ext)
-    if tag == "resolve":
-        return (0, -1, key[2])
-    raise ValueError(f"unknown grid key {key!r}")
-
-
-def resolve_is_identity(key: tuple, *, polymorphic: bool = False) -> bool:
-    """Is a ``("resolve", parent, n, mode)`` key provably the identity?
-
-    True when the parent's index range is contained in ``[0, n)`` for
-    every mode (each resolver maps in-range indices to themselves).
-    Polymorphic plans only accept the geometry-independent proof: the
-    parent's upper bound must ride on the *same* extent ``n``, so the
-    containment survives substitution by the runtime extent.
-    """
-    if key[0] != "resolve":
-        return False
-    n = key[2]
-    lo, hi_off, hi_ext = grid_index_interval(key[1])
-    if lo < 0:
-        return False
-    if hi_ext == n:
-        return hi_off <= -1
-    if polymorphic:
-        return False
-    return (hi_ext + hi_off) <= n - 1
-
-
-def _mask_is_false(mask_key: tuple, *, polymorphic: bool) -> bool:
-    """Is an ``("oob", parent, n)`` mask provably all-false?"""
-    _, parent, n = mask_key
-    lo, hi_off, hi_ext = grid_index_interval(parent)
-    if lo < 0:
-        return False
-    if hi_ext == n:
-        return hi_off <= -1
-    if polymorphic:
-        return False
-    return (hi_ext + hi_off) <= n - 1
-
-
-@dataclass(frozen=True)
-class TapeSimplifications:
-    """Value-analysis facts the native lowering may fold away.
-
-    Every fact is per-pixel value-preserving (NaN and signed-zero
-    behaviour included), so the simplified C is bit-identical to the
-    tape engine; the strict-mode first-execution differential check
-    stays on as the independent guard.
-    """
-
-    #: select instruction index -> the surviving argument slot.
-    dead_selects: Mapping[int, int] = field(default_factory=dict)
-    #: min/max instruction index -> the passthrough argument slot.
-    identity_ops: Mapping[int, int] = field(default_factory=dict)
-    #: resolve grid keys proven identity (resolver call elided).
-    identity_resolves: frozenset = frozenset()
-    #: oob mask keys proven all-false (mask/fill elided).
-    identity_masks: frozenset = frozenset()
-
-    @property
-    def count(self) -> int:
-        return (
-            len(self.dead_selects)
-            + len(self.identity_ops)
-            + len(self.identity_resolves)
-            + len(self.identity_masks)
-        )
-
-
-def _walk_grid_keys(key: tuple, resolves: set) -> None:
-    tag = key[0]
-    if tag == "shift":
-        _walk_grid_keys(key[1], resolves)
-    elif tag == "resolve":
-        resolves.add(key)
-        _walk_grid_keys(key[1], resolves)
-
-
-def tape_simplifications(plan, *, polymorphic: bool = False) -> TapeSimplifications:
-    """The provable simplifications of one block tape.
-
-    Deliberately computed with **no** declared domains — image reads are
-    fully conservative and params unbounded — so the result is a pure
-    function of the tape.  Structurally identical tapes (the unit the
-    native ``.so`` cache and the serving plan cache key on) therefore
-    always agree on their simplifications.
-    """
-    tape = plan.tape
-    ranges = _tape_ranges(plan, {}, {}, False, None, plan.destination.name)
-
-    dead_selects: Dict[int, int] = {}
-    identity_ops: Dict[int, int] = {}
-    for index, instr in enumerate(tape):
-        if instr.op == "select":
-            verdict = _select_verdict(ranges[instr.args[0]])
-            if verdict is not None:
-                dead_selects[index] = (
-                    instr.args[1] if verdict else instr.args[2]
-                )
-        elif instr.op == "bin" and instr.aux[0] in ("min", "max"):
-            a, b = instr.args
-            ra, rb = ranges[a], ranges[b]
-            # Strict inequalities only: ties can flip which operand's
-            # bits (signed zeros) come out, and the non-surviving side
-            # must be NaN-free (repro_min/max propagate either NaN).
-            if instr.aux[0] == "min":
-                if ra.hi < rb.lo and not rb.maybe_nan:
-                    identity_ops[index] = a
-                elif rb.hi < ra.lo and not ra.maybe_nan:
-                    identity_ops[index] = b
-            else:
-                if ra.lo > rb.hi and not rb.maybe_nan:
-                    identity_ops[index] = a
-                elif rb.lo > ra.hi and not ra.maybe_nan:
-                    identity_ops[index] = b
-
-    resolves: set = set()
-    masks: set = set()
-    for instr in tape:
-        if instr.op == "gather":
-            _, xi, yi, _boundary = instr.aux
-            _walk_grid_keys(xi, resolves)
-            _walk_grid_keys(yi, resolves)
-        elif instr.op == "maskfill":
-            mask_key = instr.aux[0]
-            for oob in mask_key[1:]:
-                masks.add(oob)
-                _walk_grid_keys(oob[1], resolves)
-
-    identity_resolves = frozenset(
-        key
-        for key in resolves
-        if resolve_is_identity(key, polymorphic=polymorphic)
-    )
-    identity_masks = frozenset(
-        key for key in masks if _mask_is_false(key, polymorphic=polymorphic)
-    )
-    return TapeSimplifications(
-        dead_selects=dead_selects,
-        identity_ops=identity_ops,
-        identity_resolves=identity_resolves,
-        identity_masks=identity_masks,
-    )

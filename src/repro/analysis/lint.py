@@ -14,8 +14,8 @@ geometry only scales array sizes, not findings), then runs
 4. the **plan verifier** (:mod:`repro.analysis.verifier`) over the
    compiled instruction tapes of that partition,
 5. with ``native=True`` (``repro lint --native``), the **native-codegen
-   sanitizer** (:mod:`repro.analysis.native_check`) over the C emitted
-   for that partition, specialized *and* shape-polymorphic.
+   sanitizer** (:mod:`repro.analysis.native_check`) over the loop
+   nests lowered for that partition, specialized *and* shape-polymorphic.
 
 The report's error gate covers the diagnostics only; trace events are
 explanatory context (a cut is a decision, not a defect).
@@ -211,12 +211,12 @@ def _with_provenance(
 
 
 def _lint_native(graph, partition) -> List[Diagnostic]:
-    """Sanitize the native C emitted for ``partition`` (NAT diagnostics).
+    """Sanitize the native loop nests of ``partition`` (NAT diagnostics).
 
     The plans are built under a ``standard`` validation override so that
     strict mode's build-time enforcement cannot raise before the lint
     report collects the findings; the sanitizer then runs explicitly
-    over both grammars (baked extents and runtime-geometry formals).
+    over both lowerings (baked extents and runtime-geometry formals).
     Blocks that fell back to the tape interpreter carry no native code
     and verify vacuously.
     """

@@ -1,4 +1,5 @@
-"""Native-codegen sanitizer: static memory-safety proofs over emitted C.
+"""Native-codegen sanitizer: static memory-safety proofs over the
+loop-nest IR of every lowered block.
 
 The native engine (:mod:`repro.backend.native_exec`) lowers each fused
 block tape to one C loop nest and — under ``REPRO_VALIDATE=strict`` —
@@ -6,9 +7,11 @@ differentially verifies its *output* against the tape interpreter on
 first execution.  That check sees values, not memory: an out-of-bounds
 read that happens to land on plausible bytes, or an aliasing ``restrict``
 violation that miscompiles only at higher optimization levels, can slip
-through.  This module closes the gap **before first execution** by
-parsing the emitted source and statically proving, for every array
-subscript in every body variant and in the driver loops:
+through.  This module closes the gap **before first execution**.  Its
+input is the :mod:`repro.backend.loopnest` tree the C text is printed
+from (``NativeBlock.spec.ir``) — never the text — and for every
+:class:`~repro.backend.loopnest.Load` in every body variant and every
+:class:`~repro.backend.loopnest.Store` in the driver it proves:
 
 * the index is in the canonical row-major form ``Y * width + X``, and
 * ``0 <= X <= width - 1`` and ``0 <= Y <= height - 1`` hold for all
@@ -20,21 +23,21 @@ Every buffer the driver is called with is one contiguous
 ``width x height`` ``float64`` plane (``NativeBlock._execute_native``
 re-planes multi-channel images with ``ascontiguousarray``), so the
 componentwise proof is exactly the allocation bound.  The proofs run
-over a miniature C expression parser and an affine-interval domain
-(``a*width + b*height + c`` bounds with min/max forms for the runtime
-clamp ternaries), so no compiler or execution is needed — ``repro lint
---native`` works on hosts without a toolchain.
+in an affine-interval domain (``a*width + b*height + c`` bounds with
+min/max forms for the runtime clamp ternaries), so no compiler or
+execution is needed — ``repro lint --native`` works on hosts without a
+toolchain.
 
 Diagnostics:
 
 * **NAT001** — an index proven *outside* its plane for some iteration.
 * **NAT002** — an index that cannot be proven inside (unknown form,
-  unprovable bound).  Soundness over completeness: honest emissions are
+  unprovable bound).  Soundness over completeness: honest lowerings are
   all provable, so NAT002 on real output is a codegen regression.
 * **NAT003** — ``restrict`` pointer arguments that may alias (the block
-  output appearing among its inputs), or a pointer parameter missing
-  its ``restrict`` qualifier.
-* **NAT004** — the source does not match the expected loop-nest shape
+  output appearing among its inputs), or a pointer formal missing its
+  ``restrict`` qualifier.
+* **NAT004** — the tree does not have the expected loop-nest shape
   (missing bodies/driver, a perturbed tile/row loop, a store outside
   the recognized pattern).
 
@@ -42,30 +45,50 @@ Two lowering families are recognized.  The **classic** row-tiled form
 (one halo/interior body pair, a tile/row driver) is proven purely in
 the affine domain.  The **2D overlapped-tiling** form
 (``REPRO_NATIVE_TILE2D``) adds per-tile scratch buffers filled by
-per-stage bodies; its driver is verified by *template matching* the
-canonical grid/region/fill grammar (the safety argument is a
-meta-theorem over the template: clipped regions can never exceed the
-compile-time scratch extents), and every scratch subscript inside a
-body is checked against the driver's recovered **margin ledger** —
-a consumer with halo margins ``(Lc, Rc, Tc, Bc)`` may read a producer
-at x-offset ``d`` only when ``Lp >= Lc - d`` and ``Rp >= Rc + d``
-(and the y analogue), which is exactly the containment invariant the
-emitter's reverse-topological ledger establishes.  Shape-polymorphic
-sources carry per-image runtime pitch formals (``st_*``); an input
-subscript may use its own pitch token in place of ``width`` because
-the runtime binder only passes pitches ``>= width``.
+per-stage bodies; every clip, clamp and split bound of its driver is an
+``IntDecl`` whose *expression* is matched against the canonical
+grid/region/fill shape (the safety argument is a meta-theorem over
+that shape: clipped regions can never exceed the compile-time scratch
+extents), and every scratch subscript inside a body is checked against
+the driver's recovered **margin ledger** — a consumer with halo margins
+``(Lc, Rc, Tc, Bc)`` may read a producer at x-offset ``d`` only when
+``Lp >= Lc - d`` and ``Rp >= Rc + d`` (and the y analogue), which is
+exactly the containment invariant the builder's reverse-topological
+ledger establishes.  Shape-polymorphic blocks carry per-image runtime
+pitch formals (``st_*``); an input subscript may use its own pitch in
+place of ``width`` because the runtime binder only passes pitches
+``>= width``.
+
+**What is trusted.**  The sanitizer reads the tree, the compiler reads
+the text printed from it, so the printer joins the trusted base.  Three
+things pin it: the byte-identity golden test (the printed C of every
+app and lowering equals what the pre-IR emitter wrote, which the
+text-parsing sanitizer of that commit accepted), a ``cc``-evaluated
+property test that printed index expressions mean their trees, and the
+ASan/UBSan differential CI job.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, diag
+from repro.backend.loopnest import (
+    For,
+    Func,
+    Guard,
+    IntDecl,
+    Load,
+    ScratchDecl,
+    Slot,
+    Store,
+    expr_text,
+    formal_text,
+    strip_parens,
+)
 
 __all__ = [
-    "check_native_source",
     "verify_native_blocks",
     "verify_native_plan",
 ]
@@ -185,145 +208,8 @@ def _iv_empty(iv: _Iv) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# A miniature C expression parser (integer index expressions only)
+# Index-tree shapes
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|(\|\||&&|<=|>=|==|!=|[-+*/%<>?:(),]))"
-)
-
-
-class _ParseError(Exception):
-    pass
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise _ParseError(f"unexpected {remainder[:10]!r}")
-        tokens.append(match.group(1) or match.group(2) or match.group(3))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser producing tuple ASTs.
-
-    Nodes: ``("num", v)``, ``("id", name)``, ``("call", name, args)``,
-    ``("neg", e)``, ``("bin", op, a, b)``, ``("cmp", op, a, b)``,
-    ``("log", op, a, b)``, ``("tern", c, t, f)``.  Parentheses are
-    transparent, so structural equality ignores grouping the emitter
-    inserts.
-    """
-
-    def __init__(self, tokens: List[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        token = self.peek()
-        if token is None or (expected is not None and token != expected):
-            raise _ParseError(f"expected {expected!r}, got {token!r}")
-        self.pos += 1
-        return token
-
-    def parse(self) -> tuple:
-        node = self.ternary()
-        if self.peek() is not None:
-            raise _ParseError(f"trailing {self.peek()!r}")
-        return node
-
-    def ternary(self) -> tuple:
-        cond = self.logical_or()
-        if self.peek() == "?":
-            self.take("?")
-            if_true = self.ternary()
-            self.take(":")
-            if_false = self.ternary()
-            return ("tern", cond, if_true, if_false)
-        return cond
-
-    def logical_or(self) -> tuple:
-        node = self.logical_and()
-        while self.peek() == "||":
-            self.take("||")
-            node = ("log", "||", node, self.logical_and())
-        return node
-
-    def logical_and(self) -> tuple:
-        node = self.comparison()
-        while self.peek() == "&&":
-            self.take("&&")
-            node = ("log", "&&", node, self.comparison())
-        return node
-
-    def comparison(self) -> tuple:
-        node = self.additive()
-        if self.peek() in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.take()
-            node = ("cmp", op, node, self.additive())
-        return node
-
-    def additive(self) -> tuple:
-        node = self.multiplicative()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = ("bin", op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> tuple:
-        node = self.unary()
-        while self.peek() in ("*", "/", "%"):
-            op = self.take()
-            node = ("bin", op, node, self.unary())
-        return node
-
-    def unary(self) -> tuple:
-        if self.peek() == "-":
-            self.take("-")
-            return ("neg", self.unary())
-        return self.primary()
-
-    def primary(self) -> tuple:
-        token = self.peek()
-        if token is None:
-            raise _ParseError("unexpected end of expression")
-        if token == "(":
-            self.take("(")
-            node = self.ternary()
-            self.take(")")
-            return node
-        if token.isdigit():
-            self.take()
-            return ("num", int(token))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
-            self.take()
-            if self.peek() == "(":
-                self.take("(")
-                args: List[tuple] = []
-                if self.peek() != ")":
-                    args.append(self.ternary())
-                    while self.peek() == ",":
-                        self.take(",")
-                        args.append(self.ternary())
-                self.take(")")
-                return ("call", token, tuple(args))
-            return ("id", token)
-        raise _ParseError(f"unexpected token {token!r}")
-
-
-def _parse_expr(text: str) -> tuple:
-    return _Parser(_tokenize(text)).parse()
 
 
 def _linear(node: tuple) -> Optional[Tuple[Dict[str, int], int]]:
@@ -520,130 +406,35 @@ class _Eval:
         return _Iv(los, his)
 
 
-# ---------------------------------------------------------------------------
-# Source structure
-# ---------------------------------------------------------------------------
-
-_FN_HEADER_RE = re.compile(
-    r"^(static inline double|static inline float|static double|void) "
-    r"(\w+)\((.*)\)$"
-)
-_INT_TEMP_RE = re.compile(r"^\s*const int (c\d+) = (.+);$")
-_SUBSCRIPT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[")
-_STORE_RE = re.compile(r"^\s*out\[(.+)\] = (\w+)\((.*)\);$")
-_FOR_X_RE = re.compile(r"^\s*for \(int x = (.+); x < (.+); \+\+x\)\s*\{?$")
-_GUARD_RE = re.compile(r"^\s*if \(y >= (\d+) && y < (.+)\) \{$")
-_Y_END_RE = re.compile(
-    r"^\s*const int y_end = \(t \+ 1\) \* (\d+) < (.+) "
-    r"\? \(t \+ 1\) \* (\d+) : (.+);$"
-)
-_FOR_Y_RE = re.compile(r"^\s*for \(int y = t \* (\d+); y < y_end; \+\+y\) \{$")
-_FOR_T_RE = re.compile(r"^\s*for \(int t = 0; t < n_tiles; \+\+t\) \{$")
-
-# -- the 2D overlapped-tiling driver grammar --------------------------------
-
-_N_TX_RE = re.compile(r"^\s*const int n_tx = \((.+) \+ (\d+)\) / (\d+);$")
-_N_TY_RE = re.compile(r"^\s*const int n_ty = \((.+) \+ (\d+)\) / (\d+);$")
-_N_TILES_RE = re.compile(r"^\s*const int n_tiles = n_tx \* n_ty;$")
-_TILE_X0_RE = re.compile(r"^\s*const int x0 = \(t % n_tx\) \* (\d+);$")
-_TILE_Y0_RE = re.compile(r"^\s*const int y0 = \(t / n_tx\) \* (\d+);$")
-_TILE_X1_RE = re.compile(
-    r"^\s*const int x1 = x0 \+ (\d+) < (.+) \? x0 \+ (\d+) : (.+);$"
-)
-_TILE_Y1_RE = re.compile(
-    r"^\s*const int y1 = y0 \+ (\d+) < (.+) \? y0 \+ (\d+) : (.+);$"
-)
-_SCR_DECL_RE = re.compile(r"^\s*(?:double|float) scr_(\d+)\[(\d+)\];$")
-_SX0_RE = re.compile(
-    r"^\s*const int sx0_(\d+) = x0 - (\d+) > 0 \? x0 - (\d+) : 0;$"
-)
-_SX1_RE = re.compile(
-    r"^\s*const int sx1_(\d+) = x1 \+ (\d+) < (.+) \? x1 \+ (\d+) : (.+);$"
-)
-_SY0_RE = re.compile(
-    r"^\s*const int sy0_(\d+) = y0 - (\d+) > 0 \? y0 - (\d+) : 0;$"
-)
-_SY1_RE = re.compile(
-    r"^\s*const int sy1_(\d+) = y1 \+ (\d+) < (.+) \? y1 \+ (\d+) : (.+);$"
-)
-_FILL_Y_RE = re.compile(
-    r"^\s*for \(int y = sy0_(\d+); y < sy1_(\d+); \+\+y\) \{$"
-)
-_FILL_X_RE = re.compile(
-    r"^\s*for \(int x = sx0_(\d+); x < sx1_(\d+); \+\+x\)$"
-)
-_FILL_STORE_RE = re.compile(
-    r"^\s*scr_(\d+)\[\(y - sy0_(\d+)\) \* (\d+) \+ \(x - sx0_(\d+)\)\] = "
-    r"(\w+)\((.*)\);$"
-)
-_FLA_RE = re.compile(
-    r"^\s*const int fla_(\d+) = (.+) > sx0_(\d+) \? (.+) : sx0_(\d+);$"
-)
-_FL_RE = re.compile(
-    r"^\s*const int fl_(\d+) = fla_(\d+) < sx1_(\d+) \? fla_(\d+) : sx1_(\d+);$"
-)
-_FHA_RE = re.compile(
-    r"^\s*const int fha_(\d+) = (.+) < sx1_(\d+) \? (.+) : sx1_(\d+);$"
-)
-_FH_RE = re.compile(
-    r"^\s*const int fh_(\d+) = fha_(\d+) > fl_(\d+) \? fha_(\d+) : fl_(\d+);$"
-)
-_FILL_SEG_RE = re.compile(r"^\s*for \(int x = (\w+); x < (\w+); \+\+x\)$")
-_FILL_ELSE_RE = re.compile(r"^\s*\} else \{$")
-_ILA_RE = re.compile(r"^\s*const int ila = (.+) > x0 \? (.+) : x0;$")
-_IL_RE = re.compile(r"^\s*const int il = ila < x1 \? ila : x1;$")
-_IHA_RE = re.compile(r"^\s*const int iha = (.+) < x1 \? (.+) : x1;$")
-_IH_RE = re.compile(r"^\s*const int ih = iha > il \? iha : il;$")
-_DEST_Y_RE = re.compile(r"^\s*for \(int y = y0; y < y1; \+\+y\) \{$")
-_CLOSE_RE = re.compile(r"^\s*\}$")
-_DRIVER_DECL_RE = re.compile(r"^\s*const int (\w+) = (.+);$")
-
-
-def _extract_functions(source: str) -> Dict[str, Tuple[str, List[str]]]:
-    """``name -> (arg text, body lines)`` for every function in the source."""
-    lines = source.split("\n")
-    functions: Dict[str, Tuple[str, List[str]]] = {}
-    index = 0
-    while index < len(lines):
-        match = _FN_HEADER_RE.match(lines[index])
-        if match is None or index + 1 >= len(lines) or lines[index + 1] != "{":
-            index += 1
-            continue
-        name, args = match.group(2), match.group(3)
-        body: List[str] = []
-        depth = 1
-        index += 2
-        while index < len(lines) and depth > 0:
-            line = lines[index]
-            depth += line.count("{") - line.count("}")
-            if depth > 0:
-                body.append(line)
-            index += 1
-        functions[name] = (args, body)
-    return functions
-
-
-def _subscripts(line: str) -> List[Tuple[str, str]]:
-    """``(buffer, index text)`` pairs for each subscript on a line."""
-    found: List[Tuple[str, str]] = []
-    for match in _SUBSCRIPT_RE.finditer(line):
-        depth = 1
-        start = match.end()
-        pos = start
-        while pos < len(line) and depth > 0:
-            if line[pos] == "[":
-                depth += 1
-            elif line[pos] == "]":
-                depth -= 1
-            pos += 1
-        if depth == 0:
-            found.append((match.group(1), line[start : pos - 1]))
-    return found
 
 
 # ---------------------------------------------------------------------------
 # The checker
 # ---------------------------------------------------------------------------
+
+
+def _as_pick(expr: Optional[tuple], op: str) -> Optional[Tuple[tuple, tuple]]:
+    """``(a, b)`` when ``expr`` is exactly ``a op b ? a : b`` — the
+    runtime min (``<``) / max (``>``) every clip and split decl uses."""
+    if (
+        expr is not None
+        and expr[0] == "tern"
+        and expr[1][:2] == ("cmp", op)
+        and expr[1][2] == expr[2]
+        and expr[1][3] == expr[3]
+    ):
+        return expr[2], expr[3]
+    return None
+
+
+def _loops_over(stmt, var: str, lo: tuple, hi: tuple) -> bool:
+    """Whether ``stmt`` is ``for (int var = lo; var < hi; ++var)``."""
+    return (
+        type(stmt) is For
+        and stmt.var == var
+        and strip_parens(stmt.lo) == lo
+        and strip_parens(stmt.hi) == hi
+    )
 
 
 @dataclass(frozen=True)
@@ -666,37 +457,41 @@ class _Tile2DShapeError(Exception):
 
 
 class _Checker:
-    def __init__(
-        self,
-        source: str,
-        fn_name: str,
-        width: int,
-        height: int,
-        polymorphic: bool,
-        images: Sequence[str],
-        output_name: Optional[str],
-        kernel: Optional[str],
-    ):
-        self.source = source
-        self.fn_name = fn_name
-        self.polymorphic = polymorphic
-        self.images = tuple(images)
-        self.output_name = output_name
-        self.kernel = kernel
+    def __init__(self, block):
+        spec = block.spec
+        self.fn_name = spec.fn_name
+        self.functions: Dict[str, Func] = {fn.name: fn for fn in spec.ir}
+        self.polymorphic = polymorphic = spec.polymorphic
+        self.images = tuple(spec.images)
+        self.output_name = block.output_name
         self.evaluator = _Eval(polymorphic)
-        self.width_aff = _WIDTH if polymorphic else _aff_const(width)
-        self.height_aff = _HEIGHT if polymorphic else _aff_const(height)
-        self.width_token = ("id", "width") if polymorphic else ("num", width)
+        self.point = self.evaluator.point
+        self.width_aff = _WIDTH if polymorphic else _aff_const(spec.width)
+        self.height_aff = _HEIGHT if polymorphic else _aff_const(spec.height)
+        self.width_token = (
+            ("id", "width") if polymorphic else ("num", spec.width)
+        )
+        self.width_limit = _aff_add(self.width_aff, _aff_const(-1))
+        self.height_limit = _aff_add(self.height_aff, _aff_const(-1))
+        #: Every pixel of the plane: the widest sound assumption.
+        self.full_x = _Iv((_ZERO,), (self.width_limit,))
+        self.full_y = _Iv((_ZERO,), (self.height_limit,))
         self.diagnostics: List[Diagnostic] = []
 
     def emit(self, code: str, message: str, path: str, **details) -> None:
         self.diagnostics.append(
-            diag(code, message, kernel=self.kernel, path=path, **details)
+            diag(
+                code,
+                message,
+                kernel=self.output_name or self.fn_name,
+                path=path,
+                **details,
+            )
         )
 
     # -- pointer discipline ----------------------------------------------
 
-    def check_pointers(self, functions) -> None:
+    def check_pointers(self) -> None:
         if self.output_name is not None and self.output_name in self.images:
             self.emit(
                 "NAT003",
@@ -706,16 +501,16 @@ class _Checker:
                 self.fn_name,
                 output=self.output_name,
             )
-        for name, (args, _body) in functions.items():
-            for arg in args.split(","):
-                arg = arg.strip()
-                if "*" in arg and not re.search(r"\brestrict\b", arg):
+        for fn in self.functions.values():
+            for formal in fn.formals:
+                if formal.ctype.endswith("*") and not formal.restrict:
+                    arg = formal_text(formal)
                     self.emit(
                         "NAT003",
-                        f"pointer argument {arg!r} of {name!r} is not "
+                        f"pointer argument {arg!r} of {fn.name!r} is not "
                         "restrict-qualified; the no-alias contract the "
                         "optimizer relies on is undeclared",
-                        name,
+                        fn.name,
                         argument=arg,
                     )
 
@@ -738,126 +533,103 @@ class _Checker:
 
     def check_index(
         self,
-        text: str,
+        index: tuple,
         env: Dict[str, _Iv],
         path: str,
         buffer: Optional[str] = None,
     ) -> None:
-        try:
-            ast = _parse_expr(text)
-        except _ParseError as err:
+        def fail(code: str, what: str, **details) -> None:
+            text = expr_text(index)
             self.emit(
-                "NAT002",
-                f"unparseable index expression {text!r} ({err})",
-                path,
-                index=text,
+                code, what.format(index=repr(text)), path, index=text, **details
             )
-            return
+
+        ast = strip_parens(index)
         if not (
-            ast[0] == "bin"
-            and ast[1] == "+"
-            and ast[2][0] == "bin"
-            and ast[2][1] == "*"
+            ast[:2] == ("bin", "+")
+            and ast[2][:2] == ("bin", "*")
             and ast[2][3] in self._pitch_tokens(buffer)
         ):
-            self.emit(
+            fail(
                 "NAT002",
-                f"index {text!r} is not in row-major "
-                "'Y * width + X' form; its plane bound cannot be "
-                "checked componentwise",
-                path,
-                index=text,
+                "index {index} is not in row-major 'Y * width + X' form; "
+                "its plane bound cannot be checked componentwise",
             )
             return
         checks = (
-            ("x", ast[3], self.width_aff),
-            ("y", ast[2][2], self.height_aff),
+            ("x", ast[3], self.width_aff, self.width_limit),
+            ("y", ast[2][2], self.height_aff, self.height_limit),
         )
-        for axis, node, extent in checks:
+        for axis, node, extent, limit in checks:
             interval = self.evaluator.interval(node, env)
-            limit = _aff_add(extent, _aff_const(-1))
             if interval is None:
-                self.emit(
+                fail(
                     "NAT002",
-                    f"{axis}-component of index {text!r} has no "
+                    f"{axis}-component of index {{index}} has no "
                     "provable bounds",
-                    path,
-                    index=text,
                     axis=axis,
                 )
                 continue
             below = any(_prove_le(m, _aff_const(-1)) for m in interval.his)
             above = any(_prove_le(extent, m) for m in interval.los)
             if below or above:
-                self.emit(
+                fail(
                     "NAT001",
-                    f"{axis}-component of index {text!r} is proven "
+                    f"{axis}-component of index {{index}} is proven "
                     f"{'negative' if below else 'past the plane extent'}",
-                    path,
-                    index=text,
                     axis=axis,
                 )
                 continue
             if not interval.ge_proven(_ZERO):
-                self.emit(
+                fail(
                     "NAT002",
-                    f"{axis}-component of index {text!r} cannot be "
+                    f"{axis}-component of index {{index}} cannot be "
                     "proven >= 0",
-                    path,
-                    index=text,
                     axis=axis,
                 )
             if not interval.le_proven(limit):
-                self.emit(
+                fail(
                     "NAT002",
-                    f"{axis}-component of index {text!r} cannot be "
+                    f"{axis}-component of index {{index}} cannot be "
                     f"proven <= {axis}-extent - 1",
-                    path,
-                    index=text,
                     axis=axis,
                 )
 
     def check_body(
         self,
-        name: str,
-        lines: List[str],
+        fn: Func,
         x_iv: _Iv,
         y_iv: _Iv,
-        scratch: Optional["_ScratchCtx"] = None,
+        scratch: Optional[_ScratchCtx] = None,
     ) -> None:
         env: Dict[str, _Iv] = {"x": x_iv, "y": y_iv}
         symbols: Dict[str, tuple] = {}
-        for number, line in enumerate(lines):
-            temp = _INT_TEMP_RE.match(line)
-            if temp is not None:
-                try:
-                    ast = _parse_expr(temp.group(2))
-                except _ParseError:
-                    ast = None
-                if ast is not None:
-                    symbols[temp.group(1)] = ast
-                value = (
-                    self.evaluator.interval(ast, env)
-                    if ast is not None
-                    else None
-                )
-                env[temp.group(1)] = value if value is not None else _Iv()
-            for buffer, index_text in _subscripts(line):
-                where = f"{name}:{number + 1}"
-                if buffer.startswith("scr_"):
-                    self.check_scratch_index(
-                        buffer, index_text, symbols, env, scratch, where
-                    )
-                else:
-                    self.check_index(index_text, env, where, buffer=buffer)
+        for number, stmt in enumerate(fn.body):
+            kind = type(stmt)
+            if kind is IntDecl:
+                ast = symbols[stmt.name] = strip_parens(stmt.expr)
+                value = self.evaluator.interval(ast, env)
+                env[stmt.name] = value if value is not None else _Iv()
+            elif kind is Slot:
+                for part in stmt.parts:
+                    if type(part) is not Load:
+                        continue
+                    where = f"{fn.name}:{number + 1}"
+                    if part.buffer.startswith("scr_"):
+                        self.check_scratch_index(
+                            part, symbols, env, scratch, where
+                        )
+                    else:
+                        self.check_index(
+                            part.index, env, where, buffer=part.buffer
+                        )
 
     def check_scratch_index(
         self,
-        buffer: str,
-        text: str,
+        load: Load,
         symbols: Dict[str, tuple],
         env: Dict[str, _Iv],
-        scratch: Optional["_ScratchCtx"],
+        scratch: Optional[_ScratchCtx],
         path: str,
     ) -> None:
         """Prove one scratch-buffer read against the margin ledger.
@@ -870,7 +642,10 @@ class _Checker:
         (``idx_clamp``) except in the interior body, where the raw
         offset is additionally proven in-plane.
         """
+        buffer = load.buffer
+
         def fail(code: str, why: str) -> None:
+            text = expr_text(load.index)
             self.emit(
                 code,
                 f"scratch read {buffer}[{text}] {why}",
@@ -893,22 +668,14 @@ class _Checker:
             return
         lp, rp, tp, bp, pitch = region
         lc, rc, tc, bc = scratch.consumer
-        try:
-            ast = _parse_expr(text)
-        except _ParseError as err:
-            fail("NAT002", f"is unparseable ({err})")
-            return
+        ast = strip_parens(load.index)
         if not (
-            ast[0] == "bin"
-            and ast[1] == "+"
-            and ast[2][0] == "bin"
-            and ast[2][1] == "*"
+            ast[:2] == ("bin", "+")
+            and ast[2][:2] == ("bin", "*")
             and ast[2][3] == ("num", pitch)
-            and ast[2][2][0] == "bin"
-            and ast[2][2][1] == "-"
+            and ast[2][2][:2] == ("bin", "-")
             and ast[2][2][3] == ("id", f"sy0_{producer}")
-            and ast[3][0] == "bin"
-            and ast[3][1] == "-"
+            and ast[3][:2] == ("bin", "-")
             and ast[3][3] == ("id", f"sx0_{producer}")
         ):
             fail(
@@ -919,10 +686,10 @@ class _Checker:
             )
             return
         components = (
-            ("x", ast[3][2], "x", self.width_aff, lp - lc, rp - rc),
-            ("y", ast[2][2][2], "y", self.height_aff, tp - tc, bp - bc),
+            ("x", ast[3][2], self.width_aff, lp - lc, rp - rc),
+            ("y", ast[2][2][2], self.height_aff, tp - tc, bp - bc),
         )
-        for axis, node, var, extent, lo_slack, hi_slack in components:
+        for axis, node, extent, lo_slack, hi_slack in components:
             if node[0] == "id" and node[1] in symbols:
                 node = symbols[node[1]]
             clamped = (
@@ -931,7 +698,7 @@ class _Checker:
                 and len(node[2]) == 2
             )
             if clamped:
-                if self.evaluator.point(node[2][1]) != extent:
+                if self.point(node[2][1]) != extent:
                     fail(
                         "NAT002",
                         f"clamps its {axis}-coordinate against something "
@@ -950,10 +717,10 @@ class _Checker:
             else:
                 inner = node
             offset = _unit_offset(inner)
-            if offset is None or offset[0] != var:
+            if offset is None or offset[0] != axis:
                 fail(
                     "NAT002",
-                    f"{axis}-coordinate is not a unit offset of {var!r}",
+                    f"{axis}-coordinate is not a unit offset of {axis!r}",
                 )
                 continue
             d = offset[1]
@@ -993,150 +760,110 @@ class _Checker:
 
     # -- driver structure --------------------------------------------------
 
-    def check_driver(self, body: List[str], has_interior: bool) -> None:
+    def check_sweep(
+        self,
+        rows: tuple,
+        env: Dict[str, _Iv],
+        has_interior: bool,
+        split: Optional[Tuple[_Iv, Tuple[tuple, tuple]]] = None,
+    ) -> Optional[Tuple[_Iv, _Iv]]:
+        """The guard / x-loop / store walk over the body of a row loop
+        whose ``y`` is proven inside the plane — the classic driver's
+        and the tile2d destination's alike.
+
+        Proves every ``out`` store in-plane for the x-range of its loop
+        (evaluated under ``env``) and the y-range of its guard branch,
+        and returns the proven ``(x_iv, y_iv)`` of the interior body's
+        call site.  ``split`` is the tile2d destination's template-proven
+        ``(interior x_iv, (lo, hi) loop bounds)``: the interior body may
+        then only be called from exactly that segment.
+        """
         path = self.fn_name
-        tile: Optional[int] = None
-        height_token = "height" if self.polymorphic else None
-
-        def is_height_token(text: str) -> bool:
-            text = text.strip()
-            point = None
-            try:
-                point = self.evaluator.point(_parse_expr(text))
-            except _ParseError:
-                return False
-            return point == self.height_aff
-
-        saw_t = saw_y = False
-        for line in body:
-            if _FOR_T_RE.match(line):
-                saw_t = True
-            match = _Y_END_RE.match(line)
-            if match is not None:
-                if (
-                    match.group(1) == match.group(3)
-                    and is_height_token(match.group(2))
-                    and match.group(2) == match.group(4)
-                ):
-                    tile = int(match.group(1))
-                else:
-                    self.emit(
-                        "NAT004",
-                        "tile bound does not clamp y_end to the plane "
-                        f"height: {line.strip()!r}",
-                        path,
-                        line=line.strip(),
-                    )
-            match = _FOR_Y_RE.match(line)
-            if match is not None:
-                saw_y = True
-                if tile is None or int(match.group(1)) != tile:
-                    self.emit(
-                        "NAT004",
-                        "row loop tile stride disagrees with the "
-                        f"clamped y_end tile: {line.strip()!r}",
-                        path,
-                        line=line.strip(),
-                    )
-        if not (saw_t and saw_y and tile is not None):
-            self.emit(
-                "NAT004",
-                "driver is missing the expected tile/row loop nest",
-                path,
-            )
-            return
-
-        # The clamped tile loop proves y in [0, height - 1]; the guard
-        # (when present) narrows it for the branch it encloses.
-        full_x = _Iv((_ZERO,), (_aff_add(self.width_aff, _aff_const(-1)),))
-        full_y = _Iv((_ZERO,), (_aff_add(self.height_aff, _aff_const(-1)),))
-        y_iv = full_y
+        halo, interior = f"{path}_halo", f"{path}_interior"
         interior_env: Optional[Tuple[_Iv, _Iv]] = None
         stores = 0
-        pending_x: Optional[_Iv] = None
-        for number, line in enumerate(body):
-            guard = _GUARD_RE.match(line)
-            if guard is not None:
-                try:
-                    upper = self.evaluator.point(_parse_expr(guard.group(2)))
-                except _ParseError:
-                    upper = None
-                if upper is None:
-                    self.emit(
-                        "NAT004",
-                        f"unrecognized interior guard bound "
-                        f"{guard.group(2)!r}",
-                        path,
-                        line=line.strip(),
+
+        def walk(stmts, x_iv, y_iv, bounds) -> None:
+            nonlocal interior_env, stores
+            for stmt in stmts:
+                kind = type(stmt)
+                if kind is Guard and stmt.var == "y" and stmt.lo[0] == "num":
+                    upper = self.point(strip_parens(stmt.hi))
+                    if upper is None:
+                        self.emit(
+                            "NAT004",
+                            "unrecognized interior guard bound "
+                            f"{expr_text(stmt.hi)!r}",
+                            path,
+                        )
+                        upper = self.height_aff
+                    # The row loop proves y in [0, height - 1]; the
+                    # guard narrows it for the branch it encloses.
+                    inside = _Iv(
+                        (_aff_const(stmt.lo[1]),),
+                        self.full_y.his + (_aff_add(upper, _aff_const(-1)),),
                     )
-                    upper = _aff_add(self.height_aff, _aff_const(0))
-                y_iv = _Iv(
-                    (_aff_const(int(guard.group(1))),),
-                    full_y.his + (_aff_add(upper, _aff_const(-1)),),
-                )
-                continue
-            if "} else {" in line:
-                y_iv = full_y
-                continue
-            for_x = _FOR_X_RE.match(line)
-            if for_x is not None:
-                try:
-                    init = self.evaluator.interval(
-                        _parse_expr(for_x.group(1)), {}
+                    walk(stmt.then, x_iv, inside, bounds)
+                    walk(stmt.orelse, x_iv, self.full_y, bounds)
+                elif kind is For and stmt.var == "x":
+                    lo, hi = strip_parens(stmt.lo), strip_parens(stmt.hi)
+                    init = self.evaluator.interval(lo, env)
+                    bound = self.evaluator.interval(hi, env)
+                    if init is None or bound is None:
+                        self.emit(
+                            "NAT004",
+                            "unrecognized x-loop bounds: "
+                            f"{expr_text(stmt.lo)!r} .. {expr_text(stmt.hi)!r}",
+                            path,
+                        )
+                        inner = self.full_x
+                    else:
+                        inner = _Iv(
+                            init.los,
+                            tuple(
+                                _aff_add(m, _aff_const(-1)) for m in bound.his
+                            ),
+                        )
+                    walk(stmt.body, inner, y_iv, (lo, hi))
+                elif kind is Store and stmt.buffer == "out":
+                    stores += 1
+                    where = f"{path}:store {stores}"
+                    if x_iv is None:
+                        self.emit(
+                            "NAT004", "store outside any x loop", where
+                        )
+                        x_iv = self.full_x
+                    if _iv_empty(x_iv) or _iv_empty(y_iv):
+                        continue  # loop provably never executes this store
+                    self.check_index(
+                        stmt.index, {"x": x_iv, "y": y_iv}, where, "out"
                     )
-                    bound = self.evaluator.interval(
-                        _parse_expr(for_x.group(2)), {}
-                    )
-                except _ParseError:
-                    init = bound = None
-                if init is None or bound is None:
-                    self.emit(
-                        "NAT004",
-                        f"unrecognized x-loop bounds: {line.strip()!r}",
-                        path,
-                        line=line.strip(),
-                    )
-                    pending_x = full_x
+                    if stmt.callee == interior:
+                        if split is None:
+                            interior_env = (x_iv, y_iv)
+                        elif bounds == split[1]:
+                            interior_env = (split[0], y_iv)
+                        else:
+                            self.emit(
+                                "NAT004",
+                                "the interior body is called outside the "
+                                "split's interior segment",
+                                where,
+                            )
+                    elif stmt.callee != halo:
+                        self.emit(
+                            "NAT004",
+                            f"store calls unknown body {stmt.callee!r}",
+                            where,
+                        )
                 else:
-                    pending_x = _Iv(
-                        init.los,
-                        tuple(
-                            _aff_add(m, _aff_const(-1)) for m in bound.his
-                        ),
-                    )
-                continue
-            store = _STORE_RE.match(line)
-            if store is not None:
-                stores += 1
-                if pending_x is None:
                     self.emit(
                         "NAT004",
-                        "store outside any x loop: " f"{line.strip()!r}",
+                        f"unrecognized {kind.__name__} in the row sweep",
                         path,
-                        line=line.strip(),
                     )
-                    x_iv = full_x
-                else:
-                    x_iv = pending_x
-                if _iv_empty(x_iv) or _iv_empty(y_iv):
-                    continue  # loop provably never executes this store
-                env = {"x": x_iv, "y": y_iv}
-                self.check_index(
-                    store.group(1), env, f"{path}:{number + 1}"
-                )
-                called = store.group(2)
-                if called == f"{self.fn_name}_interior":
-                    interior_env = (x_iv, y_iv)
-                elif called != f"{self.fn_name}_halo":
-                    self.emit(
-                        "NAT004",
-                        f"store calls unknown body {called!r}",
-                        path,
-                        line=line.strip(),
-                    )
-                continue
-            if line.strip().startswith("}"):
-                pending_x = None
+
+        walk(rows, None, self.full_y, None)
         if stores == 0:
             self.emit("NAT004", "driver stores no output pixels", path)
         if has_interior and interior_env is None:
@@ -1146,18 +873,165 @@ class _Checker:
                 "calls it",
                 path,
             )
-        self._interior_env = interior_env
-        self._full = (full_x, full_y)
+        return interior_env
+
+    def check_driver(self, driver: Func, has_interior: bool):
+        """The classic driver: ``for t`` over row tiles, ``y_end``
+        clamped to the plane height, ``for y`` over the tile's rows."""
+        path = self.fn_name
+        tile_loop = next(
+            (
+                stmt
+                for stmt in driver.body
+                if _loops_over(stmt, "t", ("num", 0), ("id", "n_tiles"))
+            ),
+            None,
+        )
+        y_end = row_loop = tile = None
+        for stmt in tile_loop.body if tile_loop is not None else ():
+            if type(stmt) is IntDecl and stmt.name == "y_end":
+                y_end = stmt
+            elif type(stmt) is For and stmt.var == "y":
+                row_loop = stmt
+        if y_end is not None:
+            # y_end = (t + 1) * T < height ? (t + 1) * T : height
+            pick = _as_pick(strip_parens(y_end.expr), "<")
+            if (
+                pick is not None
+                and pick[0][:3] == ("bin", "*", ("bin", "+", ("id", "t"), ("num", 1)))
+                and pick[0][3][0] == "num"
+                and self.point(pick[1]) == self.height_aff
+            ):
+                tile = pick[0][3][1]
+            else:
+                self.emit(
+                    "NAT004",
+                    "tile bound does not clamp y_end to the plane "
+                    f"height: {expr_text(y_end.expr)!r}",
+                    path,
+                )
+        if row_loop is not None and not _loops_over(
+            row_loop, "y", ("bin", "*", ("id", "t"), ("num", tile)), ("id", "y_end")
+        ):
+            self.emit(
+                "NAT004",
+                "row loop tile stride disagrees with the clamped y_end "
+                f"tile: y = {expr_text(row_loop.lo)!r}",
+                path,
+            )
+        if row_loop is None or tile is None:
+            self.emit(
+                "NAT004",
+                "driver is missing the expected tile/row loop nest",
+                path,
+            )
+            return None
+        return self.check_sweep(row_loop.body, {}, has_interior)
 
     # -- 2D overlapped-tiling driver ---------------------------------------
 
-    def _point_of(self, text: str) -> Optional[Aff]:
-        try:
-            return self.evaluator.point(_parse_expr(text))
-        except _ParseError:
-            return None
+    def malformed(self, why: str) -> None:
+        self.emit("NAT004", f"tile2d driver: {why}", self.fn_name)
+        raise _Tile2DShapeError
 
-    def check_tile2d_driver(self, body: List[str], has_interior: bool):
+    def _scope(self, stmts: tuple):
+        """One straight-line scope by name: its int decls (parens
+        stripped), scratch decls, and loops in order."""
+        decls: Dict[str, tuple] = {}
+        scratch: Dict[str, ScratchDecl] = {}
+        loops: List[For] = []
+        for stmt in stmts:
+            kind = type(stmt)
+            if kind is IntDecl and stmt.name not in decls:
+                decls[stmt.name] = strip_parens(stmt.expr)
+            elif kind is ScratchDecl and stmt.name not in scratch:
+                scratch[stmt.name] = stmt
+            elif kind is For:
+                loops.append(stmt)
+            else:
+                self.malformed(
+                    f"unexpected or repeated {kind.__name__} "
+                    f"{getattr(stmt, 'name', '')!r}"
+                )
+        return decls, scratch, loops
+
+    def _margin(
+        self, expr: Optional[tuple], op: str, origin: str, limit: Aff
+    ) -> Optional[int]:
+        """The margin ``m >= 0`` of one clipped region bound:
+        ``origin - m > 0 ? origin - m : 0`` (``op`` ``-``, ``limit``
+        zero) or ``origin + m < E ? origin + m : E`` (``op`` ``+``,
+        ``limit`` the plane extent ``E``)."""
+        pick = _as_pick(expr, ">" if op == "-" else "<")
+        if (
+            pick is not None
+            and pick[0][:3] == ("bin", op, ("id", origin))
+            and pick[0][3][0] == "num"
+            and pick[0][3][1] >= 0
+            and self.point(pick[1]) == limit
+        ):
+            return pick[0][3][1]
+        return None
+
+    def _tile_count(self, expr: Optional[tuple], extent: Aff) -> Optional[int]:
+        """The tile size ``t`` of ``(E + (t - 1)) / t``."""
+        if (
+            expr is not None
+            and expr[:2] == ("bin", "/")
+            and expr[3][0] == "num"
+            and expr[2][:2] == ("bin", "+")
+            and expr[2][3] == ("num", expr[3][1] - 1)
+            and self.point(expr[2][2]) == extent
+        ):
+            return expr[3][1]
+        return None
+
+    def _split_proof(
+        self, decls: Dict[str, tuple], names, lo: tuple, hi: tuple
+    ) -> Tuple[Aff, Aff]:
+        """The three-segment split decls over the region ``[lo, hi)``::
+
+            a = max(xlo, lo);  l = min(a, hi)
+            ha = min(xhi, hi); h = max(ha, l)
+
+        A nonempty ``[l, h)`` forces ``l = a >= xlo`` and
+        ``h = ha <= xhi`` (otherwise ``l = h = hi``), so the interior
+        segment runs only inside ``[xlo, xhi)``.  Returns the affine
+        ``(xlo, xhi)``.
+        """
+        a, l, ha, h = names
+        first = _as_pick(decls.get(a), ">")
+        xlo = self.point(first[0]) if first and first[1] == lo else None
+        if xlo is None:
+            self.malformed(f"mismatched {a} decl")
+        if _as_pick(decls.get(l), "<") != (("id", a), hi):
+            self.malformed(f"mismatched {l} decl")
+        third = _as_pick(decls.get(ha), "<")
+        xhi = self.point(third[0]) if third and third[1] == hi else None
+        if xhi is None:
+            self.malformed(f"mismatched {ha} decl")
+        if _as_pick(decls.get(h), ">") != (("id", ha), ("id", l)):
+            self.malformed(f"mismatched {h} decl")
+        return xlo, xhi
+
+    def _fill_loop(self, stmt, lo, hi, stage: int, suffix: str, cell) -> None:
+        """One fill x-loop: sweeps ``[lo, hi)`` and stores the canonical
+        region-relative cell from the stage's own body."""
+        if not _loops_over(stmt, "x", lo, hi):
+            self.malformed(f"scr_{stage} fill loop sweeps the wrong span")
+        store = stmt.body[0] if len(stmt.body) == 1 else None
+        if not (
+            type(store) is Store
+            and store.buffer == f"scr_{stage}"
+            and strip_parens(store.index) == cell
+            and store.callee == f"{self.fn_name}_s{stage}{suffix}"
+        ):
+            self.malformed(
+                "fill store does not write the canonical "
+                "region-relative index from its own stage body"
+            )
+
+    def check_tile2d_driver(self, driver: Func, has_interior: bool):
         """Template-verify the tile2d driver; recover the margin ledger.
 
         Returns ``(producers, interior_env, stage_envs)`` on success —
@@ -1168,102 +1042,44 @@ class _Checker:
         ``(x_iv, y_iv)`` of its clamp-free ``_s{k}i`` call sites.
         Emits NAT004 and raises :class:`_Tile2DShapeError` on any
         structural deviation: the scratch-safety argument is a
-        meta-theorem over this exact grammar, so an unrecognized driver
+        meta-theorem over this exact shape, so an unrecognized driver
         cannot be proven safe.
         """
-        path = self.fn_name
-        pos = 0
-
-        def skip() -> Optional[str]:
-            nonlocal pos
-            while pos < len(body):
-                stripped = body[pos].strip()
-                if (
-                    stripped == ""
-                    or stripped.startswith("#")
-                    or stripped == "(void)threads;"
-                ):
-                    pos += 1
-                    continue
-                return body[pos]
-            return None
-
-        def take(regex: "re.Pattern[str]", what: str) -> "re.Match[str]":
-            nonlocal pos
-            line = skip()
-            match = regex.match(line) if line is not None else None
-            if match is None:
-                got = line.strip() if line is not None else "end of driver"
-                self.emit(
-                    "NAT004",
-                    f"tile2d driver: expected {what}, got {got!r}",
-                    path,
-                    line=got,
-                )
-                raise _Tile2DShapeError
-            pos += 1
-            return match
-
-        def malformed(why: str, line: str = "") -> None:
-            self.emit(
-                "NAT004",
-                f"tile2d driver: {why}",
-                path,
-                line=line.strip(),
-            )
-            raise _Tile2DShapeError
+        W, H = self.width_aff, self.height_aff
+        x0, y0, x1, y1 = (("id", name) for name in ("x0", "y0", "x1", "y1"))
 
         # Tile grid: n_tx = ceil(width / tw), origin/clip decls.  The
         # grid template proves x0 in [0, width - 1] and x1 in [0, width]
         # ((n_tx - 1) * tw <= width - 1 whenever width >= 1).
-        match = take(_N_TX_RE, "the n_tx grid decl")
-        tile_w = int(match.group(3))
-        if (
-            self._point_of(match.group(1)) != self.width_aff
-            or int(match.group(2)) != tile_w - 1
-        ):
-            malformed(
-                "n_tx does not divide the plane width into ceil(W/tw) "
-                "tiles", match.group(0),
+        top, _, outer = self._scope(driver.body)
+        tile_w = self._tile_count(top.get("n_tx"), W)
+        tile_h = self._tile_count(top.get("n_ty"), H)
+        if tile_w is None or tile_h is None:
+            self.malformed(
+                "n_tx / n_ty do not divide the plane into ceil(W/tw) x "
+                "ceil(H/th) tiles"
             )
-        match = take(_N_TY_RE, "the n_ty grid decl")
-        tile_h = int(match.group(3))
-        if (
-            self._point_of(match.group(1)) != self.height_aff
-            or int(match.group(2)) != tile_h - 1
+        tiles = ("bin", "*", ("id", "n_tx"), ("id", "n_ty"))
+        if top.get("n_tiles") != tiles or len(outer) != 1 or not _loops_over(
+            outer[0], "t", ("num", 0), ("id", "n_tiles")
         ):
-            malformed(
-                "n_ty does not divide the plane height into ceil(H/th) "
-                "tiles", match.group(0),
-            )
-        take(_N_TILES_RE, "the n_tiles decl")
-        take(_FOR_T_RE, "the tile loop")
-        if int(take(_TILE_X0_RE, "the x0 decl").group(1)) != tile_w:
-            malformed("x0 stride disagrees with the n_tx tile width")
-        if int(take(_TILE_Y0_RE, "the y0 decl").group(1)) != tile_h:
-            malformed("y0 stride disagrees with the n_ty tile height")
-        match = take(_TILE_X1_RE, "the x1 clip decl")
-        if not (
-            int(match.group(1)) == int(match.group(3)) == tile_w
-            and match.group(2) == match.group(4)
-            and self._point_of(match.group(2)) == self.width_aff
+            self.malformed("expected one tile loop over n_tx * n_ty tiles")
+        decls, scratch, loops = self._scope(outer[0].body)
+        t, n_tx = ("id", "t"), ("id", "n_tx")
+        for axis, op, tile, extent in (
+            ("x", "%", tile_w, W),
+            ("y", "/", tile_h, H),
         ):
-            malformed("x1 is not clamped to the plane width", match.group(0))
-        match = take(_TILE_Y1_RE, "the y1 clip decl")
-        if not (
-            int(match.group(1)) == int(match.group(3)) == tile_h
-            and match.group(2) == match.group(4)
-            and self._point_of(match.group(2)) == self.height_aff
-        ):
-            malformed("y1 is not clamped to the plane height", match.group(0))
-
-        width_limit = _aff_add(self.width_aff, _aff_const(-1))
-        height_limit = _aff_add(self.height_aff, _aff_const(-1))
+            origin = ("bin", "*", ("bin", op, t, n_tx), ("num", tile))
+            if decls.get(f"{axis}0") != origin:
+                self.malformed(f"{axis}0 stride disagrees with the tile grid")
+            if self._margin(decls.get(f"{axis}1"), "+", f"{axis}0", extent) != tile:
+                self.malformed(f"{axis}1 is not clamped to the plane extent")
         env: Dict[str, _Iv] = {
-            "x0": _Iv((_ZERO,), (width_limit,)),
-            "y0": _Iv((_ZERO,), (height_limit,)),
-            "x1": _Iv((_ZERO,), (self.width_aff,)),
-            "y1": _Iv((_ZERO,), (self.height_aff,)),
+            "x0": self.full_x,
+            "y0": self.full_y,
+            "x1": _Iv((_ZERO,), (W,)),
+            "y1": _Iv((_ZERO,), (H,)),
         }
 
         # Scratch regions: one decl block per stage, clipped to the
@@ -1272,57 +1088,41 @@ class _Checker:
         # must cover (NAT001 otherwise: the fill loop would overrun a
         # stack buffer).
         producers: Dict[int, Tuple[int, int, int, int, int]] = {}
-        while True:
-            line = skip()
-            if line is None or _SCR_DECL_RE.match(line) is None:
-                break
-            match = take(_SCR_DECL_RE, "a scratch decl")
-            stage, declared = int(match.group(1)), int(match.group(2))
-            if stage in producers:
-                malformed(f"scr_{stage} is declared twice", match.group(0))
-            match = take(_SX0_RE, f"the sx0_{stage} decl")
-            if int(match.group(1)) != stage or match.group(2) != match.group(3):
-                malformed("mismatched sx0 decl", match.group(0))
-            left = int(match.group(2))
-            match = take(_SX1_RE, f"the sx1_{stage} decl")
-            if not (
-                int(match.group(1)) == stage
-                and match.group(2) == match.group(4)
-                and int(match.group(2)) == int(match.group(4))
-                and match.group(3) == match.group(5)
-                and self._point_of(match.group(3)) == self.width_aff
-            ):
-                malformed("mismatched sx1 decl", match.group(0))
-            right = int(match.group(2))
-            match = take(_SY0_RE, f"the sy0_{stage} decl")
-            if int(match.group(1)) != stage or match.group(2) != match.group(3):
-                malformed("mismatched sy0 decl", match.group(0))
-            top = int(match.group(2))
-            match = take(_SY1_RE, f"the sy1_{stage} decl")
-            if not (
-                int(match.group(1)) == stage
-                and match.group(2) == match.group(4)
-                and match.group(3) == match.group(5)
-                and self._point_of(match.group(3)) == self.height_aff
-            ):
-                malformed("mismatched sy1 decl", match.group(0))
-            bottom = int(match.group(2))
+        for stage in range(len(scratch)):
+            decl = scratch.get(f"scr_{stage}")
+            if decl is None:
+                self.malformed("scratch stages are not contiguously numbered")
+            margins = (
+                self._margin(decls.get(f"sx0_{stage}"), "-", "x0", _ZERO),
+                self._margin(decls.get(f"sx1_{stage}"), "+", "x1", W),
+                self._margin(decls.get(f"sy0_{stage}"), "-", "y0", _ZERO),
+                self._margin(decls.get(f"sy1_{stage}"), "+", "y1", H),
+            )
+            if None in margins:
+                self.malformed(
+                    f"scr_{stage}'s region is not the tile grown by "
+                    "constant margins and clipped to the plane"
+                )
+            left, right, up, down = margins
             pitch = tile_w + left + right
-            rows = tile_h + top + bottom
-            if declared != rows * pitch:
+            rows = tile_h + up + down
+            if decl.size != rows * pitch:
                 self.emit(
                     "NAT001",
-                    f"scratch buffer scr_{stage} declares {declared} "
+                    f"scratch buffer scr_{stage} declares {decl.size} "
                     f"elements but its clipped fill region needs up to "
                     f"{rows} x {pitch} = {rows * pitch}",
-                    path,
+                    self.fn_name,
                     buffer=f"scr_{stage}",
                 )
-            producers[stage] = (left, right, top, bottom, pitch)
+            producers[stage] = margins + (pitch,)
         if not producers:
-            malformed("no scratch stage declarations")
-        if sorted(producers) != list(range(len(producers))):
-            malformed("scratch stages are not contiguously numbered")
+            self.malformed("no scratch stage declarations")
+        if len(loops) != len(producers) + 1:
+            self.malformed(
+                "expected one fill loop per scratch stage and one "
+                "destination loop"
+            )
 
         # Fill loops: the canonical region sweep per stage, in order.
         # Safety is by template: x - sx0_k < sx1_k - sx0_k <= pitch and
@@ -1332,437 +1132,179 @@ class _Checker:
         # row guard confine the raw-read body (_s{k}i) to the proven
         # in-plane band, recorded in ``stage_envs``.
         stage_envs: Dict[int, Tuple[_Iv, _Iv]] = {}
+        for stage, loop in enumerate(loops[:-1]):
+            sx0, sx1, sy0, sy1 = (
+                ("id", f"{name}_{stage}") for name in ("sx0", "sx1", "sy0", "sy1")
+            )
+            if not _loops_over(loop, "y", sy0, sy1) or len(loop.body) != 1:
+                self.malformed(f"scr_{stage} fill row loop sweeps the wrong region")
+            cell = (
+                "bin",
+                "+",
+                ("bin", "*", ("bin", "-", ("id", "y"), sy0), ("num", producers[stage][4])),
+                ("bin", "-", ("id", "x"), sx0),
+            )
+            guard = loop.body[0]
+            if type(guard) is not Guard:
+                self._fill_loop(guard, sx0, sx1, stage, "", cell)
+                continue
+            names = tuple(f"{n}_{stage}" for n in ("fla", "fl", "fha", "fh"))
+            fxlo, fxhi = self._split_proof(decls, names, sx0, sx1)
+            fyhi = self.point(strip_parens(guard.hi))
+            if guard.var != "y" or guard.lo[0] != "num" or fyhi is None:
+                self.malformed("unrecognized fill guard bound")
+            fl, fh = ("id", names[1]), ("id", names[3])
+            spans = ((sx0, fl, ""), (fl, fh, "i"), (fh, sx1, ""))
+            if len(guard.then) != 3 or len(guard.orelse) != 1:
+                self.malformed(f"scr_{stage} fill is not a three-segment split")
+            for stmt, (lo, hi, suffix) in zip(guard.then, spans):
+                self._fill_loop(stmt, lo, hi, stage, suffix, cell)
+            self._fill_loop(guard.orelse[0], sx0, sx1, stage, "", cell)
+            # By the split proof the interior body runs only for x in
+            # [fxlo, fxhi) and, by the guard, y in [fylo, fyhi) — the
+            # band where raw reads must be proven in-plane.
+            stage_envs[stage] = (
+                _Iv((fxlo,), (_aff_add(fxhi, _aff_const(-1)), self.width_limit)),
+                _Iv(
+                    (_aff_const(guard.lo[1]),),
+                    (_aff_add(fyhi, _aff_const(-1)), self.height_limit),
+                ),
+            )
 
-        def fill_store(stage: int, suffix: str) -> None:
-            match = take(_FILL_STORE_RE, f"the scr_{stage} fill store")
-            if not (
-                int(match.group(1)) == int(match.group(2))
-                == int(match.group(4)) == stage
-                and int(match.group(3)) == producers[stage][4]
-                and match.group(5) == f"{self.fn_name}_s{stage}{suffix}"
-            ):
-                malformed(
-                    "fill store does not write the canonical "
-                    "region-relative index from its own stage body",
-                    match.group(0),
-                )
-
-        for stage in range(len(producers)):
-            line = skip()
-            if line is not None and _FLA_RE.match(line) is not None:
-                match = take(_FLA_RE, f"the fla_{stage} decl")
-                fxlo = self._point_of(match.group(2))
-                if (
-                    int(match.group(1)) != stage
-                    or int(match.group(3)) != stage
-                    or int(match.group(5)) != stage
-                    or match.group(2) != match.group(4)
-                    or fxlo is None
-                ):
-                    malformed("mismatched fla decl", match.group(0))
-                match = take(_FL_RE, f"the fl_{stage} decl")
-                if any(int(g) != stage for g in match.groups()):
-                    malformed("mismatched fl decl", match.group(0))
-                match = take(_FHA_RE, f"the fha_{stage} decl")
-                fxhi = self._point_of(match.group(2))
-                if (
-                    int(match.group(1)) != stage
-                    or int(match.group(3)) != stage
-                    or int(match.group(5)) != stage
-                    or match.group(2) != match.group(4)
-                    or fxhi is None
-                ):
-                    malformed("mismatched fha decl", match.group(0))
-                match = take(_FH_RE, f"the fh_{stage} decl")
-                if any(int(g) != stage for g in match.groups()):
-                    malformed("mismatched fh decl", match.group(0))
-                match = take(_FILL_Y_RE, f"the scr_{stage} fill row loop")
-                if int(match.group(1)) != stage or int(match.group(2)) != stage:
-                    malformed("fill row loop sweeps the wrong region",
-                              match.group(0))
-                guard = take(_GUARD_RE, f"the scr_{stage} fill row guard")
-                fylo = _aff_const(int(guard.group(1)))
-                fyhi = self._point_of(guard.group(2))
-                if fyhi is None:
-                    malformed("unrecognized fill guard bound", guard.group(0))
-                segments = (
-                    (f"sx0_{stage}", f"fl_{stage}", ""),
-                    (f"fl_{stage}", f"fh_{stage}", "i"),
-                    (f"fh_{stage}", f"sx1_{stage}", ""),
-                )
-                for lo, hi, suffix in segments:
-                    match = take(
-                        _FILL_SEG_RE, f"a scr_{stage} fill column loop"
-                    )
-                    if match.group(1) != lo or match.group(2) != hi:
-                        malformed("fill segment sweeps the wrong span",
-                                  match.group(0))
-                    fill_store(stage, suffix)
-                take(_FILL_ELSE_RE, "the fill else branch")
-                match = take(_FILL_X_RE, f"the scr_{stage} fill column loop")
-                if int(match.group(1)) != stage or int(match.group(2)) != stage:
-                    malformed("fill column loop sweeps the wrong region",
-                              match.group(0))
-                fill_store(stage, "")
-                take(_CLOSE_RE, "the fill guard close")
-                take(_CLOSE_RE, "the fill loop close")
-                # A nonempty [fl, fh) forces fl = fla = max(fxlo, sx0)
-                # and fh = fha = min(fxhi, sx1), so the interior body
-                # runs only for x in [fxlo, fxhi) and, by the guard,
-                # y in [fylo, fyhi) — the band where raw reads must be
-                # proven in-plane.
-                stage_envs[stage] = (
-                    _Iv(
-                        (fxlo,),
-                        (_aff_add(fxhi, _aff_const(-1)), width_limit),
-                    ),
-                    _Iv(
-                        (fylo,),
-                        (_aff_add(fyhi, _aff_const(-1)), height_limit),
-                    ),
-                )
-            else:
-                match = take(_FILL_Y_RE, f"the scr_{stage} fill row loop")
-                if int(match.group(1)) != stage or int(match.group(2)) != stage:
-                    malformed("fill row loop sweeps the wrong region",
-                              match.group(0))
-                match = take(_FILL_X_RE, f"the scr_{stage} fill column loop")
-                if int(match.group(1)) != stage or int(match.group(2)) != stage:
-                    malformed("fill column loop sweeps the wrong region",
-                              match.group(0))
-                fill_store(stage, "")
-                take(_CLOSE_RE, "the fill loop close")
-
-        # Interior split decls (when an interior body exists).  The
-        # il/ih clamps guarantee the interior x loop runs only inside
-        # [xlo, min(xhi, x1)): a nonempty [il, ih) forces il = ila and
-        # ih = iha (otherwise il = ih = x1).
-        interior_x: Optional[_Iv] = None
-        line = skip()
-        if line is not None and _ILA_RE.match(line) is not None:
-            match = take(_ILA_RE, "the ila decl")
-            xlo = self._point_of(match.group(1))
-            if match.group(1) != match.group(2) or xlo is None:
-                malformed("mismatched ila decl", match.group(0))
-            take(_IL_RE, "the il decl")
-            match = take(_IHA_RE, "the iha decl")
-            xhi = self._point_of(match.group(1))
-            if match.group(1) != match.group(2) or xhi is None:
-                malformed("mismatched iha decl", match.group(0))
-            take(_IH_RE, "the ih decl")
-            interior_x = _Iv(
-                (xlo,), (_aff_add(xhi, _aff_const(-1)), width_limit)
+        # Destination loop: out[] stores through the halo/interior
+        # bodies, x ranges are tile-clipped identifiers from env.
+        dest = loops[-1]
+        if not _loops_over(dest, "y", y0, y1):
+            self.malformed("expected the destination row loop over [y0, y1)")
+        split = None
+        if "ila" in decls:
+            xlo, xhi = self._split_proof(decls, ("ila", "il", "iha", "ih"), x0, x1)
+            split = (
+                _Iv((xlo,), (_aff_add(xhi, _aff_const(-1)), self.width_limit)),
+                (("id", "il"), ("id", "ih")),
             )
             for name in ("ila", "il", "iha", "ih"):
-                env[name] = _Iv((_ZERO,), (self.width_aff,))
-        take(_DEST_Y_RE, "the destination row loop")
-
-        # Destination loops: out[] stores through the halo/interior
-        # bodies, x ranges are tile-clipped identifiers from env.
-        full_y = _Iv((_ZERO,), (height_limit,))
-        y_iv = full_y
-        interior_env = None
-        stores = 0
-        pending_x: Optional[_Iv] = None
-        while pos < len(body):
-            line = body[pos]
-            pos += 1
-            stripped = line.strip()
-            if stripped == "" or stripped.startswith("#"):
-                continue
-            guard = _GUARD_RE.match(line)
-            if guard is not None:
-                upper = self._point_of(guard.group(2))
-                if upper is None:
-                    self.emit(
-                        "NAT004",
-                        "unrecognized interior guard bound "
-                        f"{guard.group(2)!r}",
-                        path,
-                        line=stripped,
-                    )
-                    upper = self.height_aff
-                y_iv = _Iv(
-                    (_aff_const(int(guard.group(1))),),
-                    full_y.his + (_aff_add(upper, _aff_const(-1)),),
-                )
-                continue
-            if "} else {" in line:
-                y_iv = full_y
-                continue
-            for_x = _FOR_X_RE.match(line)
-            if for_x is not None:
-                try:
-                    init = self.evaluator.interval(
-                        _parse_expr(for_x.group(1)), env
-                    )
-                    bound = self.evaluator.interval(
-                        _parse_expr(for_x.group(2)), env
-                    )
-                except _ParseError:
-                    init = bound = None
-                if init is None or bound is None:
-                    self.emit(
-                        "NAT004",
-                        f"unrecognized x-loop bounds: {stripped!r}",
-                        path,
-                        line=stripped,
-                    )
-                    pending_x = _Iv((_ZERO,), (width_limit,))
-                else:
-                    pending_x = _Iv(
-                        init.los,
-                        tuple(
-                            _aff_add(m, _aff_const(-1)) for m in bound.his
-                        ),
-                    )
-                continue
-            store = _STORE_RE.match(line)
-            if store is not None:
-                stores += 1
-                if pending_x is None:
-                    self.emit(
-                        "NAT004",
-                        f"store outside any x loop: {stripped!r}",
-                        path,
-                        line=stripped,
-                    )
-                    x_iv = _Iv((_ZERO,), (width_limit,))
-                else:
-                    x_iv = pending_x
-                if _iv_empty(x_iv) or _iv_empty(y_iv):
-                    continue
-                self.check_index(
-                    store.group(1),
-                    {"x": x_iv, "y": y_iv},
-                    f"{path}:{pos}",
-                    buffer="out",
-                )
-                called = store.group(2)
-                if called == f"{self.fn_name}_interior":
-                    interior_env = (
-                        interior_x if interior_x is not None else x_iv,
-                        y_iv,
-                    )
-                elif called != f"{self.fn_name}_halo":
-                    self.emit(
-                        "NAT004",
-                        f"store calls unknown body {called!r}",
-                        path,
-                        line=stripped,
-                    )
-                continue
-            if stripped.startswith("}"):
-                pending_x = None
-                continue
-            if "scr_" in line or "] = " in line:
-                self.emit(
-                    "NAT004",
-                    "unrecognized write in the destination loop: "
-                    f"{stripped!r}",
-                    path,
-                    line=stripped,
-                )
-        if stores == 0:
-            self.emit("NAT004", "driver stores no output pixels", path)
-        if has_interior and interior_env is None:
-            self.emit(
-                "NAT004",
-                "an interior body is emitted but the driver never "
-                "calls it",
-                path,
-            )
+                env[name] = _Iv((_ZERO,), (W,))
+        interior_env = self.check_sweep(dest.body, env, has_interior, split)
         return producers, interior_env, stage_envs
 
-    def run_tile2d(self, functions, driver_body: List[str]):
-        halo = functions[f"{self.fn_name}_halo"]
-        interior = functions.get(f"{self.fn_name}_interior")
+    def run_tile2d(self, driver: Func) -> List[Diagnostic]:
+        functions, fn_name = self.functions, self.fn_name
+        interior = functions.get(f"{fn_name}_interior")
         try:
             producers, interior_env, stage_envs = self.check_tile2d_driver(
-                driver_body, has_interior=interior is not None
+                driver, has_interior=interior is not None
             )
         except _Tile2DShapeError:
             return self.diagnostics
-        full_x = _Iv((_ZERO,), (_aff_add(self.width_aff, _aff_const(-1)),))
-        full_y = _Iv((_ZERO,), (_aff_add(self.height_aff, _aff_const(-1)),))
+        full_x, full_y = self.full_x, self.full_y
         for stage in sorted(producers):
-            fn = functions.get(f"{self.fn_name}_s{stage}")
+            fn = functions.get(f"{fn_name}_s{stage}")
             if fn is None:
                 self.emit(
                     "NAT004",
                     f"scratch buffer scr_{stage} has no stage body "
-                    f"{self.fn_name}_s{stage}",
-                    self.fn_name,
+                    f"{fn_name}_s{stage}",
+                    fn_name,
                 )
                 continue
+            consumer = producers[stage][:4]
             self.check_body(
-                f"{self.fn_name}_s{stage}",
-                fn[1],
-                full_x,
-                full_y,
-                scratch=_ScratchCtx(
-                    consumer=producers[stage][:4],
-                    producers=producers,
-                    raw=False,
-                ),
+                fn, full_x, full_y, _ScratchCtx(consumer, producers, raw=False)
             )
-            ifn = functions.get(f"{self.fn_name}_s{stage}i")
+            ifn = functions.get(f"{fn_name}_s{stage}i")
             envs = stage_envs.get(stage)
             if envs is not None and ifn is None:
                 self.emit(
                     "NAT004",
-                    f"the split fill calls {self.fn_name}_s{stage}i but "
+                    f"the split fill calls {fn_name}_s{stage}i but "
                     "no such stage body exists",
-                    self.fn_name,
+                    fn_name,
                 )
             elif ifn is not None and envs is None:
                 self.emit(
                     "NAT004",
-                    f"stage interior body {self.fn_name}_s{stage}i is "
+                    f"stage interior body {fn_name}_s{stage}i is "
                     "emitted but the driver never calls it",
-                    self.fn_name,
+                    fn_name,
                 )
             elif ifn is not None:
                 self.check_body(
-                    f"{self.fn_name}_s{stage}i",
-                    ifn[1],
-                    envs[0],
-                    envs[1],
-                    scratch=_ScratchCtx(
-                        consumer=producers[stage][:4],
-                        producers=producers,
-                        raw=True,
-                    ),
+                    ifn, *envs, _ScratchCtx(consumer, producers, raw=True)
                 )
-        stage_re = re.compile(re.escape(self.fn_name) + r"_s(\d+)i?")
+        prefix = f"{fn_name}_s"
         for name in functions:
-            match = stage_re.fullmatch(name)
-            if match is not None and int(match.group(1)) not in producers:
+            if not name.startswith(prefix):
+                continue
+            stage = name[len(prefix):].removesuffix("i")
+            if stage.isdigit() and int(stage) not in producers:
                 self.emit(
                     "NAT004",
                     f"stage body {name!r} has no scratch buffer in the "
                     "driver",
-                    self.fn_name,
+                    fn_name,
                 )
-        dest_ctx = _ScratchCtx(
-            consumer=(0, 0, 0, 0), producers=producers, raw=False
-        )
+        dest = (0, 0, 0, 0)
         self.check_body(
-            f"{self.fn_name}_halo", halo[1], full_x, full_y,
-            scratch=dest_ctx,
+            functions[f"{fn_name}_halo"],
+            full_x,
+            full_y,
+            _ScratchCtx(dest, producers, raw=False),
         )
         if interior is not None:
-            if interior_env is not None:
-                x_iv, y_iv = interior_env
-            else:
-                x_iv, y_iv = full_x, full_y
             self.check_body(
-                f"{self.fn_name}_interior",
-                interior[1],
-                x_iv,
-                y_iv,
-                scratch=_ScratchCtx(
-                    consumer=(0, 0, 0, 0), producers=producers, raw=True
-                ),
+                interior,
+                *(interior_env or (full_x, full_y)),
+                _ScratchCtx(dest, producers, raw=True),
             )
         return self.diagnostics
 
     # -- entry -------------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
-        functions = _extract_functions(self.source)
-        halo = functions.get(f"{self.fn_name}_halo")
-        interior = functions.get(f"{self.fn_name}_interior")
-        driver = functions.get(self.fn_name)
+        halo = self.functions.get(f"{self.fn_name}_halo")
+        interior = self.functions.get(f"{self.fn_name}_interior")
+        driver = self.functions.get(self.fn_name)
         if halo is None or driver is None:
             self.emit(
                 "NAT004",
-                f"source lacks the expected {self.fn_name!r} "
+                f"block lacks the expected {self.fn_name!r} "
                 "halo/driver functions",
                 self.fn_name,
             )
             return self.diagnostics
-        self.check_pointers(functions)
-        if any(_N_TX_RE.match(line) for line in driver[1]):
-            return self.run_tile2d(functions, driver[1])
-        self._interior_env = None
-        # Defaults in case the driver is too malformed to parse (it then
-        # reports NAT004 and returns early): check both bodies over the
-        # full plane, the widest sound assumption.
-        self._full = (
-            _Iv((_ZERO,), (_aff_add(self.width_aff, _aff_const(-1)),)),
-            _Iv((_ZERO,), (_aff_add(self.height_aff, _aff_const(-1)),)),
-        )
-        self.check_driver(driver[1], has_interior=interior is not None)
-        full_x, full_y = self._full
+        self.check_pointers()
+        if any(
+            type(stmt) is IntDecl and stmt.name == "n_tx"
+            for stmt in driver.body
+        ):
+            return self.run_tile2d(driver)
+        interior_env = self.check_driver(driver, interior is not None)
         # The halo body must be safe for every pixel of the plane: it
         # runs in the flanks, the non-interior rows, and — polymorphic —
         # wherever the runtime geometry shrinks the interior away.
-        self.check_body(f"{self.fn_name}_halo", halo[1], full_x, full_y)
+        self.check_body(halo, self.full_x, self.full_y)
         if interior is not None:
-            if self._interior_env is not None:
-                x_iv, y_iv = self._interior_env
-            else:
-                x_iv, y_iv = full_x, full_y
+            # A driver too malformed to locate the interior call site
+            # (reported as NAT004 above) leaves the full plane, the
+            # widest sound assumption.
             self.check_body(
-                f"{self.fn_name}_interior", interior[1], x_iv, y_iv
+                interior, *(interior_env or (self.full_x, self.full_y))
             )
         return self.diagnostics
 
 
-def check_native_source(
-    source: str,
-    fn_name: str,
-    *,
-    width: int,
-    height: int,
-    polymorphic: bool = False,
-    images: Sequence[str] = (),
-    output_name: Optional[str] = None,
-    kernel: Optional[str] = None,
-) -> List[Diagnostic]:
-    """Statically check one lowered block's C source (NAT001–NAT004).
-
-    ``source`` may be the block's standalone source or a concatenation
-    containing it; only the ``fn_name`` family of functions is checked.
-    ``width``/``height`` are the plan geometry (ignored for the bound
-    proofs when ``polymorphic``, where the symbolic extents rule).
-    """
-    checker = _Checker(
-        source,
-        fn_name,
-        width,
-        height,
-        polymorphic,
-        images,
-        output_name,
-        kernel or fn_name,
-    )
-    return checker.run()
-
-
 def verify_native_blocks(blocks) -> List[Diagnostic]:
-    """Check every compiled ``NativeBlock`` in ``blocks``.
+    """Check every compiled ``NativeBlock`` in ``blocks`` (NAT001–NAT004).
 
-    ``blocks`` is an iterable of objects with ``spec`` / ``plan`` /
-    ``output_name`` attributes (tape-fallback entries, which have no
-    emitted C, should be filtered out by the caller).
+    ``blocks`` is an iterable of objects with a ``spec`` (whose ``ir`` is
+    the block's loop-nest tree) and an ``output_name`` (tape-fallback
+    entries, which have no native code, should be filtered out by the
+    caller).
     """
     diagnostics: List[Diagnostic] = []
     for block in blocks:
-        spec = block.spec
-        diagnostics.extend(
-            check_native_source(
-                spec.source,
-                spec.fn_name,
-                width=spec.width,
-                height=spec.height,
-                polymorphic=spec.polymorphic,
-                images=spec.images,
-                output_name=block.output_name,
-                kernel=block.output_name,
-            )
-        )
+        diagnostics.extend(_Checker(block).run())
     return diagnostics
 
 

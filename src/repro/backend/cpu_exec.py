@@ -269,7 +269,10 @@ def load_shared_library(
         try:
             return ctypes.CDLL(str(library_path)), library_path, from_cache
         except OSError:
-            if not from_cache:
+            # A fresh build that is still on disk and does not load is a
+            # real failure; one a concurrent evictor already unlinked is
+            # the same race as a vanished cache hit.
+            if not from_cache and library_path.exists():
                 raise
         library_path.unlink(missing_ok=True)
         library_path, from_cache = compile_shared_library(source, cc, flags)

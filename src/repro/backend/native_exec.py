@@ -13,13 +13,20 @@ tightest form of per-tile scratch), compiled through
 :mod:`repro.backend.cpu_exec`'s content-hash ``.so`` cache and driven
 via :mod:`ctypes` on zero-copy ``float64`` NumPy buffers.
 
+**Tape → loop nest → C.**  The lowerings here are *builders* of the
+small structured IR in :mod:`repro.backend.loopnest`; its printer turns
+the tree into the C text that is compiled, and the sanitizer
+(:mod:`repro.analysis.native_check`) proves the same tree — the nest is
+written once, never printed and parsed back.  ``_BlockSpec`` carries
+both forms (``ir`` and ``source``).
+
 The loop nest follows the paper's region analysis (Section IV-B): an
 **interior** body where every boundary resolver is
 provably the identity (direct loads, no branches), and a **halo** body
 that replays the tape's index exchange exactly — ``idx_clamp`` /
 ``idx_mirror`` / ``idx_repeat`` resolvers and CONSTANT-mode masks are
 bit-compatible with :func:`repro.dsl.boundary.resolve_array`.  Rows are
-processed in tiles (``REPRO_NATIVE_TILE`` rows each) and tiles are the
+processed in tiles (:data:`TILE_ROWS` rows each) and tiles are the
 OpenMP work units (``REPRO_NATIVE_THREADS``; compiled in only when the
 toolchain supports ``-fopenmp``).  Every innermost x-loop carries
 ``#pragma omp simd`` so the compiler vectorizes without reassociating
@@ -108,11 +115,32 @@ from repro.envknobs import (
     int_env,
     native_cflags_env,
     native_f32_enabled,
-    native_simplify_enabled,
     native_tile2d_env,
     validate_mode,
 )
 
+from repro.backend.loopnest import (
+    For,
+    Formal,
+    Func,
+    Guard,
+    IntDecl,
+    Load,
+    Return,
+    ScratchDecl,
+    Slot,
+    Store,
+    add,
+    binop,
+    block_text,
+    ident,
+    max_of,
+    min_of,
+    mul,
+    num,
+    paren,
+    sub,
+)
 from repro.backend.cpu_exec import (
     _find_compiler,
     compiler_available,
@@ -147,7 +175,6 @@ __all__ = [
     "NATIVE_F32_ENV",
     "NATIVE_THREADS_ENV",
     "NATIVE_TILE2D_ENV",
-    "NATIVE_TILE_ENV",
     "NativeBlock",
     "NativeBlockPlan",
     "NativeLoweringError",
@@ -163,20 +190,16 @@ __all__ = [
     "noncontiguous_zero_copy_count",
     "reset_noncontiguous_zero_copy",
     "resolve_native_threads",
-    "resolve_native_tile",
-    "resolve_native_tile2d",
     "tolerance_for",
 ]
 
 #: Environment knob: OpenMP threads for the row-tiled loop nests.
 NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
 
-#: Environment knob: rows per parallel tile (the OpenMP work unit).
-NATIVE_TILE_ENV = "REPRO_NATIVE_TILE"
-
-#: Default rows per tile — large enough to amortize scheduling, small
-#: enough to load-balance tall images across threads.
-DEFAULT_TILE_ROWS = 64
+#: Rows per parallel tile of the classic lowering (the OpenMP work
+#: unit) — large enough to amortize scheduling, small enough to
+#: load-balance tall images across threads.
+TILE_ROWS = 64
 
 
 def native_available() -> bool:
@@ -190,17 +213,6 @@ def resolve_native_threads(threads: int | None = None) -> int:
     if threads is not None:
         return max(1, int(threads))
     return max(1, int_env(NATIVE_THREADS_ENV, default=1))
-
-
-def resolve_native_tile() -> int:
-    """Rows per parallel tile (``REPRO_NATIVE_TILE``, default 64)."""
-    return int_env(NATIVE_TILE_ENV, default=DEFAULT_TILE_ROWS, minimum=1)
-
-
-def resolve_native_tile2d() -> "str | Tuple[int, int]":
-    """The 2D overlapped-tiling setting: ``"auto"``, ``"off"`` or an
-    explicit ``(tile_h, tile_w)`` from ``REPRO_NATIVE_TILE2D``."""
-    return native_tile2d_env()
 
 
 # -- zero-copy metric for row-strided polymorphic inputs -------------------
@@ -544,8 +556,115 @@ def _interior_bounds(
     return (xlo, max(xlo, xhi), ylo, max(ylo, yhi))
 
 
+def _tape_reads(
+    tape: Sequence, produced: Dict[str, int]
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]]:
+    """What a tape reads, each sorted: the images it gathers from, its
+    params, and — of the images a tile2d chain ``produced`` itself —
+    the producer stage indices."""
+    gathers = {i.aux[0] for i in tape if i.op == "gather"}
+    return (
+        tuple(sorted(gathers - produced.keys())),
+        tuple(sorted({i.aux[0] for i in tape if i.op == "param"})),
+        tuple(sorted(produced[name] for name in gathers & produced.keys())),
+    )
+
+
+_OUT = Formal("double *", "out", True)
+_THREADS = Formal("const int", "threads")
+_XY = (Formal("const int", "x"), Formal("const int", "y"))
+
+
+class _Signature:
+    """What every function of one lowered block agrees on: the plan
+    geometry, its identifiers, and the order of its formals.
+
+    The per-pixel bodies, the tile2d stage bodies and the driver all
+    take the same families of arguments in the same order: input
+    planes, params, scratch triplets, then (when polymorphic) the
+    runtime geometry and one leading stride per plane.  Call sites pass
+    the formals' own names.
+    """
+
+    def __init__(
+        self,
+        images: Sequence[str],
+        params: Sequence[str],
+        width: int,
+        height: int,
+        polymorphic: bool,
+        f32: bool,
+    ):
+        used: set = set()
+        self.width = width
+        self.height = height
+        self.polymorphic = polymorphic
+        #: Float32 fast path: slots, literals and libm calls go single
+        #: precision (loads/stores convert implicitly on assignment).
+        self.f32 = f32
+        self.ctype = "float" if f32 else "double"
+        #: The plane extents as index expressions, chosen once per
+        #: block: literals when the geometry is baked, the runtime
+        #: formals otherwise.
+        self.W = ident("width") if polymorphic else num(width)
+        self.H = ident("height") if polymorphic else num(height)
+        self.img_ids = {n: _identifier("in", n, used) for n in images}
+        self.param_ids = {n: _identifier("p", n, used) for n in params}
+        self.stride_ids = (
+            {n: _identifier("st", n, used) for n in images}
+            if polymorphic
+            else {}
+        )
+        #: Per-image row pitch: the width, or — polymorphic — the
+        #: plane's runtime leading-stride formal, so row-strided views
+        #: bind zero-copy.
+        self.pitches = {n: ident(s) for n, s in self.stride_ids.items()}
+
+    def margin_hi(self, hi: int, axis: str) -> tuple:
+        """An upper interior bound: a literal when the geometry is
+        baked, a static margin off the runtime extent otherwise."""
+        if not self.polymorphic:
+            return num(hi)
+        extent, sym = (
+            (self.width, self.W) if axis == "x" else (self.height, self.H)
+        )
+        return sym if hi >= extent else paren(sub(sym, num(extent - hi)))
+
+    def formals(
+        self,
+        images: Sequence[str],
+        params: Sequence[str],
+        producers: Sequence[int] = (),
+    ) -> Tuple[Formal, ...]:
+        out = [Formal("const double *", self.img_ids[n], True) for n in images]
+        out += [Formal("const double", self.param_ids[n]) for n in params]
+        for j in producers:
+            out += [
+                Formal(f"const {self.ctype} *", f"scr_{j}", True),
+                Formal("const int", f"sx0_{j}"),
+                Formal("const int", f"sy0_{j}"),
+            ]
+        if self.polymorphic:
+            out += [Formal("const int", "width"), Formal("const int", "height")]
+            out += [Formal("const int", self.stride_ids[n]) for n in images]
+        return tuple(out)
+
+    def pixel_fn(self, name: str, formals: tuple, body: tuple) -> Func:
+        return Func(name, f"static inline {self.ctype}", formals + _XY, body)
+
+    def driver_fn(self, name: str, formals: tuple, body: tuple) -> Func:
+        return Func(
+            name, "void", (_OUT,) + formals + (_THREADS,), body, ("threads",)
+        )
+
+
+def _row_major(y: tuple, pitch: tuple, x: tuple) -> tuple:
+    """``(y) * pitch + (x)``."""
+    return add(mul(paren(y), pitch), paren(x))
+
+
 class _Body:
-    """Emits one per-pixel body variant (interior or halo) from a tape.
+    """Builds one per-pixel body variant (interior or halo) from a tape.
 
     Coordinate and mask expressions are value-numbered per grid key, so
     shared resolve chains (the producer-result cache's grids) land in
@@ -555,47 +674,23 @@ class _Body:
     def __init__(
         self,
         interior: bool,
-        width: int,
-        height: int,
-        img_ids: Dict[str, str],
-        polymorphic: bool = False,
-        simp=None,
-        f32: bool = False,
-        pitches: Optional[Dict[str, str]] = None,
-        scratch: Optional[Dict[str, Tuple[str, str, str, str]]] = None,
+        sig: _Signature,
+        scratch: Optional[Dict[str, Tuple[str, str, str, int]]] = None,
     ):
         self.interior = interior
-        self.width = width
-        self.height = height
-        self.img_ids = img_ids
-        self.polymorphic = polymorphic
-        #: Value-analysis facts (:class:`repro.analysis.dataflow.
-        #: TapeSimplifications`) proving some resolvers/masks are the
-        #: identity; ``None`` emits the literal tape.
-        self.simp = simp
-        #: Float32 fast path: slots, literals and libm calls go single
-        #: precision (loads/stores convert implicitly on assignment).
-        self.f32 = f32
-        #: Per-image row-pitch tokens.  Defaults to the width symbol;
-        #: polymorphic lowerings map each plane to its runtime leading
-        #: stride formal so row-strided views bind zero-copy.
-        self.pitches = pitches or {}
+        self.sig = sig
         #: Overlapped-tiling scratch redirection: image name ->
         #: ``(buffer, sx0, sy0, pitch)`` for intermediates materialized
         #: per-tile.  Reads subtract the region origin and use the
         #: compile-time scratch pitch.
         self.scratch = scratch or {}
-        #: The extent tokens used in emitted C: literals when the
-        #: geometry is baked, the runtime parameter names otherwise.
-        self.width_sym = "width" if polymorphic else str(width)
-        self.height_sym = "height" if polymorphic else str(height)
-        self.lines: List[str] = []
-        self._coords: Dict[tuple, str] = {}
+        self.lines: list = []
+        self._coords: Dict[tuple, tuple] = {}
         self._oobs: Dict[tuple, str] = {}
         self._counter = 0
 
-    def extent(self, axis: str, n: int) -> str:
-        """The C token for an extent baked into a grid/mask key.
+    def extent(self, axis: str, n: int) -> tuple:
+        """The index expression for an extent baked into a grid/mask key.
 
         In polymorphic mode the key's extent must equal the block's
         iteration-space extent on that axis — that is what makes the
@@ -603,38 +698,43 @@ class _Body:
         sound for every uniform geometry.  Mixed-geometry tapes have no
         polymorphic lowering.
         """
-        if not self.polymorphic:
-            return str(n)
-        expected = self.width if axis == "x" else self.height
+        sig = self.sig
+        if not sig.polymorphic:
+            return num(n)
+        expected = sig.width if axis == "x" else sig.height
         if n != expected:
             raise NativeLoweringError(
                 f"{axis}-axis extent {n} differs from the iteration "
                 f"space ({expected}); shape-polymorphic lowering needs "
                 "a uniform geometry"
             )
-        return "width" if axis == "x" else "height"
+        return sig.W if axis == "x" else sig.H
 
-    def _temp(self, expr: str) -> str:
+    def _temp(self, expr: tuple) -> tuple:
         name = f"c{self._counter}"
         self._counter += 1
-        self.lines.append(f"    const int {name} = {expr};")
-        return name
+        self.lines.append(IntDecl(name, expr))
+        return ident(name)
 
-    def coord(self, key: tuple) -> str:
+    @staticmethod
+    def _outside(raw: tuple, n: tuple) -> tuple:
+        """``(raw < 0 || raw >= n)``."""
+        return paren(
+            ("log", "||", ("cmp", "<", raw, num(0)), ("cmp", ">=", raw, n))
+        )
+
+    def coord(self, key: tuple) -> tuple:
         cached = self._coords.get(key)
         if cached is not None:
             return cached
         tag = key[0]
         if tag == "base":
-            out = "x" if key[1] == "x" else "y"
+            out = ident("x" if key[1] == "x" else "y")
         elif tag == "shift":
-            out = f"({self.coord(key[1])} + ({key[2]}))"
+            out = paren(add(self.coord(key[1]), paren(num(key[2]))))
         elif tag == "resolve":
             parent = self.coord(key[1])
-            if self.interior or (
-                self.simp is not None
-                and key in self.simp.identity_resolves
-            ):
+            if self.interior:
                 out = parent
             else:
                 _, _, n, mode = key
@@ -642,7 +742,7 @@ class _Body:
                 if mode == "constant":
                     raw = self._temp(parent)
                     out = self._temp(
-                        f"({raw} < 0 || {raw} >= {n_sym}) ? 0 : {raw}"
+                        ("tern", self._outside(raw, n_sym), num(0), raw)
                     )
                 else:
                     resolver = _RESOLVER_C.get(mode)
@@ -650,7 +750,7 @@ class _Body:
                         raise NativeLoweringError(
                             f"boundary mode {mode!r} has no native lowering"
                         )
-                    out = self._temp(f"{resolver}({parent}, {n_sym})")
+                    out = self._temp(("call", resolver, (parent, n_sym)))
         else:
             raise NativeLoweringError(
                 f"grid key {key!r} has no native lowering"
@@ -659,17 +759,14 @@ class _Body:
         return out
 
     def oob(self, key: tuple) -> str:
-        if self.interior:
-            return "0"
-        if self.simp is not None and key in self.simp.identity_masks:
-            return "0"
+        """The ``const int`` temp holding an out-of-bounds test."""
         cached = self._oobs.get(key)
         if cached is not None:
             return cached
         _, parent, n = key
         n_sym = self.extent(_axis_of(parent), n)
         raw = self._temp(self.coord(parent))
-        out = self._temp(f"({raw} < 0 || {raw} >= {n_sym})")
+        out = self._temp(self._outside(raw, n_sym))[1]
         self._oobs[key] = out
         return out
 
@@ -677,106 +774,69 @@ class _Body:
         if self.interior:
             return "0"
         _, xmask, ymask = key
-        x_oob, y_oob = self.oob(xmask), self.oob(ymask)
-        if x_oob == "0" and y_oob == "0":
-            return "0"
-        if x_oob == "0":
-            return y_oob
-        if y_oob == "0":
-            return x_oob
-        return f"({x_oob} || {y_oob})"
+        return f"({self.oob(xmask)} || {self.oob(ymask)})"
 
-    def read(self, image: str, xi: tuple, yi: tuple, boundary) -> str:
-        if image in self.scratch:
-            return self._read_scratch(image, xi, yi, boundary)
-        width, height = self.width, self.height
-        buffer = self.img_ids[image]
-        pitch = self.pitches.get(image, self.width_sym)
-        if self.interior:
-            return (
-                f"{buffer}[({self.coord(yi)}) * {pitch} "
-                f"+ ({self.coord(xi)})]"
-            )
-        mode = boundary.mode
+    def read(self, image: str, xi: tuple, yi: tuple, boundary) -> tuple:
+        """The :class:`Slot` parts of one gather."""
+        sig = self.sig
+        width, height = sig.width, sig.height
         # ``resolve_key``'s identity collapse (an un-shifted base grid
         # inside ``[0, n)``) is shape-relative at uniform geometry, so
         # deciding it against the plan geometry is valid for every
         # geometry a polymorphic block can run at.
-        xr = self.coord(resolve_key(xi, width, mode))
-        yr = self.coord(resolve_key(yi, height, mode))
-        value = f"{buffer}[({yr}) * {pitch} + ({xr})]"
-        if mode is BoundaryMode.CONSTANT:
-            oob = self.mask(
-                ("ormask", ("oob", xi, width), ("oob", yi, height))
-            )
-            if oob != "0":
-                fill = _double_literal(boundary.constant, self.f32)
-                value = f"({oob} ? {fill} : {value})"
-        return value
-
-    def _read_scratch(
-        self, image: str, xi: tuple, yi: tuple, boundary
-    ) -> str:
-        """A read of a per-tile materialized intermediate.
-
-        Every non-interior scratch read resolves through ``idx_clamp``:
-        for CLAMP/UNDEFINED that is the two-stage index exchange
-        verbatim, and for CONSTANT the clamped index is a safe
-        in-region dummy whose value the out-of-bounds guard discards —
-        the margin ledger proves the clamped coordinate stays inside
-        the producer's scratch region, where the tape's 0-index dummy
-        could step outside the tile.
-        """
-        buffer, sx0, sy0, pitch = self.scratch[image]
-        width, height = self.width, self.height
+        #
+        # A per-tile materialized intermediate resolves every
+        # non-interior read through ``idx_clamp``: for CLAMP/UNDEFINED
+        # that is the two-stage index exchange verbatim, and for
+        # CONSTANT the clamped index is a safe in-region dummy whose
+        # value the out-of-bounds guard discards — the margin ledger
+        # proves the clamped coordinate stays inside the producer's
+        # scratch region, where the tape's 0-index dummy could step
+        # outside the tile.
+        staged = self.scratch.get(image)
         if self.interior:
-            xr = self.coord(xi)
-            yr = self.coord(yi)
+            xr, yr = self.coord(xi), self.coord(yi)
         else:
-            xr = self.coord(resolve_key(xi, width, BoundaryMode.CLAMP))
-            yr = self.coord(resolve_key(yi, height, BoundaryMode.CLAMP))
-        value = f"{buffer}[(({yr}) - {sy0}) * {pitch} + (({xr}) - {sx0})]"
+            mode = BoundaryMode.CLAMP if staged else boundary.mode
+            xr = self.coord(resolve_key(xi, width, mode))
+            yr = self.coord(resolve_key(yi, height, mode))
+        if staged:
+            buffer, sx0, sy0, pitch = staged
+            index = _row_major(
+                sub(paren(yr), ident(sy0)),
+                num(pitch),
+                sub(paren(xr), ident(sx0)),
+            )
+        else:
+            buffer = sig.img_ids[image]
+            index = _row_major(yr, sig.pitches.get(image, sig.W), xr)
+        load = Load(buffer, index)
         if not self.interior and boundary.mode is BoundaryMode.CONSTANT:
             oob = self.mask(
                 ("ormask", ("oob", xi, width), ("oob", yi, height))
             )
-            if oob != "0":
-                fill = _double_literal(boundary.constant, self.f32)
-                value = f"({oob} ? {fill} : {value})"
-        return value
+            fill = _double_literal(boundary.constant, sig.f32)
+            return (f"({oob} ? {fill} : ", load, ")")
+        return (load,)
 
 
-def _emit_tape_body(
+def _build_tape_body(
     tape: Sequence,
     root: int,
-    width: int,
-    height: int,
     interior: bool,
-    img_ids: Dict[str, str],
-    param_ids: Dict[str, str],
-    polymorphic: bool = False,
-    simp=None,
-    f32: bool = False,
-    pitches: Optional[Dict[str, str]] = None,
-    scratch: Optional[Dict[str, Tuple[str, str, str, str]]] = None,
-) -> List[str]:
-    body = _Body(
-        interior,
-        width,
-        height,
-        img_ids,
-        polymorphic,
-        simp,
-        f32=f32,
-        pitches=pitches,
-        scratch=scratch,
-    )
-    ctype = "float" if f32 else "double"
+    sig: _Signature,
+    scratch: Optional[Dict[str, Tuple[str, str, str, int]]] = None,
+) -> tuple:
+    """The statements of one per-pixel function: coordinate temps, one
+    slot per tape instruction, the return."""
+    body = _Body(interior, sig, scratch)
+    f32, ctype, param_ids = sig.f32, sig.ctype, sig.param_ids
     one, zero = ("1.0f", "0.0f") if f32 else ("1.0", "0.0")
     bin_c = _BIN_C_F32 if f32 else _BIN_C
     call_c = _CALL_C_F32 if f32 else _CALL_C
     for index, instr in enumerate(tape):
         op, args, aux = instr.op, instr.args, instr.aux
+        parts = None
         if op == "const":
             expr = _double_literal(aux[0], f32)
         elif op == "param":
@@ -784,21 +844,14 @@ def _emit_tape_body(
             # assignment rounds them to single precision exactly once.
             expr = param_ids[aux[0]]
         elif op == "gather":
-            expr = body.read(*aux)
+            parts = body.read(*aux)
         elif op == "bin":
-            if simp is not None and index in simp.identity_ops:
-                # Value analysis proved this min/max always passes one
-                # operand through (strict interval separation, NaN-free
-                # loser) — the copy is bit-identical and the compiler
-                # propagates it away.
-                expr = f"s{simp.identity_ops[index]}"
-            else:
-                template = bin_c.get(aux[0])
-                if template is None:
-                    raise NativeLoweringError(
-                        f"binary op {aux[0]!r} has no native lowering"
-                    )
-                expr = template.format(f"s{args[0]}", f"s{args[1]}")
+            template = bin_c.get(aux[0])
+            if template is None:
+                raise NativeLoweringError(
+                    f"binary op {aux[0]!r} has no native lowering"
+                )
+            expr = template.format(f"s{args[0]}", f"s{args[1]}")
         elif op == "un":
             fabs = "fabsf" if f32 else "fabs"
             expr = (
@@ -814,10 +867,7 @@ def _emit_tape_body(
                 )
             expr = f"((s{args[0]} {operator} s{args[1]}) ? {one} : {zero})"
         elif op == "select":
-            if simp is not None and index in simp.dead_selects:
-                expr = f"s{simp.dead_selects[index]}"
-            else:
-                expr = f"((s{args[0]} != {zero}) ? s{args[1]} : s{args[2]})"
+            expr = f"((s{args[0]} != {zero}) ? s{args[1]} : s{args[2]})"
         elif op == "call":
             template = call_c.get(aux[0])
             if template is None:
@@ -848,83 +898,132 @@ def _emit_tape_body(
             raise NativeLoweringError(
                 f"tape op {op!r} has no native lowering"
             )
-        body.lines.append(f"    const {ctype} s{index} = {expr};")
-    body.lines.append(f"    return s{root};")
-    return body.lines
-
-
-def _emit_body(
-    plan: BlockPlan,
-    interior: bool,
-    img_ids: Dict[str, str],
-    param_ids: Dict[str, str],
-    polymorphic: bool = False,
-    simp=None,
-    f32: bool = False,
-    pitches: Optional[Dict[str, str]] = None,
-) -> List[str]:
-    space = plan.destination.space
-    return _emit_tape_body(
-        plan.tape,
-        plan.root,
-        space.width,
-        space.height,
-        interior,
-        img_ids,
-        param_ids,
-        polymorphic,
-        simp,
-        f32=f32,
-        pitches=pitches,
-    )
+        body.lines.append(Slot(index, ctype, parts or (expr,)))
+    body.lines.append(Return(root))
+    return tuple(body.lines)
 
 
 class _BlockSpec:
-    """The lowered form of one block: C source + call signature."""
+    """The lowered form of one block: loop-nest IR, its C text, and the
+    call signature."""
 
     def __init__(
         self,
         fn_name: str,
-        source: str,
+        ir: Tuple[Func, ...],
         images: Tuple[str, ...],
         params: Tuple[str, ...],
-        width: int,
-        height: int,
+        sig: _Signature,
         channels: int,
-        polymorphic: bool = False,
-        simplified: int = 0,
         tile2d: Optional[Tuple[int, int]] = None,
-        f32: bool = False,
     ):
         self.fn_name = fn_name
-        self.source = source
+        #: The block's functions as :mod:`repro.backend.loopnest` trees —
+        #: what the sanitizer proves.
+        self.ir = ir
+        #: The C text of ``ir`` — what the compiler reads.
+        self.source = block_text(ir)
         self.images = images
         self.params = params
-        self.width = width
-        self.height = height
+        self.width = sig.width
+        self.height = sig.height
         self.channels = channels
-        self.polymorphic = polymorphic
-        #: How many analysis-proven simplifications the emitted body
-        #: folded (identity resolvers/masks, dead selects, identity
-        #: min/max); 0 when the knob is off or nothing was provable.
-        self.simplified = simplified
+        self.polymorphic = sig.polymorphic
         #: The (tile_h, tile_w) of a 2D overlapped-tiling lowering, or
         #: ``None`` for the classic row-tiled form.
         self.tile2d = tile2d
         #: Whether the per-pixel arithmetic runs in single precision
         #: (``REPRO_NATIVE_F32``); plane I/O stays float64 either way.
-        self.f32 = f32
+        self.f32 = sig.f32
+
+
+def _pixel_fns(
+    sig: _Signature,
+    halo: str,
+    inner: str,
+    formals: Tuple[Formal, ...],
+    tape: Sequence,
+    root: int,
+    scratch: Optional[dict] = None,
+    full_plane_too: bool = True,
+) -> Tuple[List[Func], Optional[Tuple[int, int, int, int]]]:
+    """The per-pixel functions of one tape: the ``halo`` body that is
+    right everywhere and, when the tape has an interior, the clamp-free
+    ``inner`` body with its in-plane band ``(xlo, xhi, ylo, yhi)``.
+
+    ``full_plane_too=False`` skips an interior spanning the whole plane
+    (a stencil-free tile2d stage: both bodies would be the same code).
+    """
+    functions = [
+        sig.pixel_fn(
+            halo, formals, _build_tape_body(tape, root, False, sig, scratch)
+        )
+    ]
+    xlo, xhi, ylo, yhi = band = _interior_bounds(tape, sig.width, sig.height)
+    full_plane = band == (0, sig.width, 0, sig.height)
+    if xlo < xhi and ylo < yhi and (full_plane_too or not full_plane):
+        functions.append(
+            sig.pixel_fn(
+                inner, formals, _build_tape_body(tape, root, True, sig, scratch)
+            )
+        )
+        return functions, band
+    return functions, None
+
+
+def _store_of(buffer: str, index: tuple, halo: str, inner: str, formals):
+    """``store(interior)`` for one sweep: ``buffer[index]`` computed by
+    the ``halo`` or the ``inner`` per-pixel function, which is passed
+    its formals' own names and the pixel coordinate."""
+    actuals = tuple(formal.name for formal in formals + _XY)
+    return lambda interior: Store(
+        buffer, index, inner if interior else halo, actuals
+    )
+
+
+def _row_sweep(
+    store,
+    full: Tuple[tuple, tuple],
+    segments: Optional[Tuple[tuple, tuple, tuple]] = None,
+    guard: Tuple[tuple, ...] = (),
+    indent: int = 0,
+) -> tuple:
+    """The x-loops of one row of a sweep — the one three-segment split.
+
+    ``store(interior)`` builds the per-pixel :class:`Store`.  Without
+    ``segments`` the row is one halo loop over ``full``.  With them,
+    rows inside ``guard`` split into halo / interior / halo loops over
+    the three ``(lo, hi)`` segments and every other row takes the full
+    halo loop.
+    """
+
+    def xloop(bounds, interior=False, shift=0):
+        lo, hi = bounds
+        return For("x", lo, hi, (store(interior),), "simd", shift)
+
+    if segments is None:
+        return (xloop(full, shift=indent),)
+    left, middle, right = segments
+    return (
+        Guard(
+            "y",
+            guard[0],
+            guard[1],
+            (xloop(left), xloop(middle, True), xloop(right)),
+            (xloop(full, shift=-indent),),
+            indent,
+        ),
+    )
 
 
 def _lower_block(
     plan: BlockPlan,
     fn_name: str,
-    tile: int,
     polymorphic: bool = False,
     graph: Optional[KernelGraph] = None,
     block: Optional[PartitionBlock] = None,
 ) -> _BlockSpec:
-    """Lower one block tape to a C function (raises
+    """Lower one block tape to loop-nest IR (raises
     :class:`NativeLoweringError` when the tape has no lowering).
 
     With ``polymorphic=True`` the geometry becomes two runtime ``const
@@ -953,172 +1052,65 @@ def _lower_block(
             pass  # ineligible chain: classic row-tiled lowering below
     space = kernel.space
     width, height, channels = space.width, space.height, space.channels
-    images = tuple(
-        sorted({i.aux[0] for i in plan.tape if i.op == "gather"})
-    )
-    params = tuple(
-        sorted({i.aux[0] for i in plan.tape if i.op == "param"})
-    )
-    used: set = set()
-    img_ids = {name: _identifier("in", name, used) for name in images}
-    param_ids = {name: _identifier("p", name, used) for name in params}
-    stride_ids = (
-        {name: _identifier("st", name, used) for name in images}
-        if polymorphic
-        else {}
-    )
+    images, params, _ = _tape_reads(plan.tape, {})
+    sig = _Signature(images, params, width, height, polymorphic, f32)
+    W, H = sig.W, sig.H
+    formals = sig.formals(images, params)
+    names = (f"{fn_name}_halo", f"{fn_name}_interior")
+    functions, band = _pixel_fns(sig, *names, formals, plan.tape, plan.root)
+    xlo, xhi, ylo, yhi = band or (0, 0, 0, 0)
 
-    simp = None
-    # The simplifier's facts (identity resolvers, dead selects, identity
-    # min/max) are proven over float64 value ranges; f32 rounding could
-    # flip a near-tie, so the fast path always emits the literal tape.
-    if native_simplify_enabled() and not f32:
-        from repro.analysis.dataflow import tape_simplifications
-
-        try:
-            simp = tape_simplifications(plan, polymorphic=polymorphic)
-        except Exception:
-            # Simplification is an optimization; an analysis surprise
-            # must never block the literal lowering.
-            simp = None
-        if simp is not None and simp.count == 0:
-            simp = None
-
-    pitches = dict(stride_ids) if polymorphic else None
-    halo_lines = _emit_body(
-        plan, False, img_ids, param_ids, polymorphic, simp, f32, pitches
-    )
-    xlo, xhi, ylo, yhi = _interior_bounds(plan.tape, width, height)
-    has_interior = xlo < xhi and ylo < yhi
-
+    # The interior margins are static (offset intervals of the grid
+    # keys), so the upper bounds are expressible off the runtime
+    # extents.  When the runtime image is smaller than the margins the
+    # interior loop is simply empty and the flanking halo loops overlap
+    # — both compute the (always-correct) halo body, so the overlap is
+    # benign.
+    xhi_sym = sig.margin_hi(xhi, "x")
+    left_hi, right_lo = num(xlo), xhi_sym
     if polymorphic:
-        # The interior margins are static (offset intervals of the grid
-        # keys), so the upper bounds are expressible off the runtime
-        # extents.  When the runtime image is smaller than the margins
-        # the interior loop is simply empty and the flanking halo loops
-        # overlap — both compute the (always-correct) halo body, so the
-        # overlap is benign.
-        W, H = "width", "height"
-        xhi_sym = W if xhi >= width else f"(width - {width - xhi})"
-        yhi_sym = H if yhi >= height else f"(height - {height - yhi})"
         # A runtime geometry smaller than the baked halo margins must
         # not let the flanking loops index past the plane: clamp the
         # left flank's bound to the runtime width, and the right
         # flank's start to zero.  At any geometry at least as wide as
         # the margins the clamps are identities, so behaviour (and the
         # differential check) is unchanged.
-        xlo_sym = f"({xlo} < width ? {xlo} : width)" if xlo > 0 else "0"
-        xhi_lo_sym = (
-            f"({xhi_sym} > 0 ? {xhi_sym} : 0)" if xhi < width else xhi_sym
-        )
-    else:
-        W, H = str(width), str(height)
-        xhi_sym, yhi_sym = str(xhi), str(yhi)
-        xlo_sym, xhi_lo_sym = str(xlo), str(xhi)
-
-    geometry_formals = ["const int width", "const int height"]
-    geometry_actuals = ["width", "height"]
-    stride_formals = [f"const int {stride_ids[n]}" for n in images] if polymorphic else []
-    stride_actuals = [stride_ids[n] for n in images] if polymorphic else []
-    pixel_args = ", ".join(
-        [f"const double *restrict {img_ids[n]}" for n in images]
-        + [f"const double {param_ids[n]}" for n in params]
-        + (geometry_formals if polymorphic else [])
-        + stride_formals
-        + ["const int x", "const int y"]
+        if xlo > 0:
+            left_hi = paren(min_of(num(xlo), W))
+        if xhi < width:
+            right_lo = paren(max_of(xhi_sym, num(0)))
+    rows = _row_sweep(
+        _store_of("out", add(mul(ident("y"), W), ident("x")), *names, formals),
+        (num(0), W),
+        ((num(0), left_hi), (num(xlo), xhi_sym), (right_lo, W))
+        if band
+        else None,
+        (num(ylo), sig.margin_hi(yhi, "y")),
+        indent=4,
     )
-    call_args = ", ".join(
-        [img_ids[n] for n in images]
-        + [param_ids[n] for n in params]
-        + (geometry_actuals if polymorphic else [])
-        + stride_actuals
-        + ["x", "y"]
+    tile = num(TILE_ROWS)
+    tile_end = mul(paren(add(ident("t"), num(1))), tile)
+    driver = (
+        IntDecl(
+            "n_tiles",
+            paren(binop("/", paren(add(H, num(TILE_ROWS - 1))), tile))
+            if polymorphic
+            else num((height + TILE_ROWS - 1) // TILE_ROWS),
+        ),
+        For(
+            "t",
+            num(0),
+            ident("n_tiles"),
+            (
+                IntDecl("y_end", min_of(tile_end, H)),
+                For("y", mul(ident("t"), tile), ident("y_end"), rows),
+            ),
+            "parallel",
+        ),
     )
-    driver_args = ", ".join(
-        ["double *restrict out"]
-        + [f"const double *restrict {img_ids[n]}" for n in images]
-        + [f"const double {param_ids[n]}" for n in params]
-        + (geometry_formals if polymorphic else [])
-        + stride_formals
-        + ["const int threads"]
-    )
-
-    ct = "float" if f32 else "double"
-    parts = [
-        f"static inline {ct} {fn_name}_halo({pixel_args})",
-        "{",
-        *halo_lines,
-        "}",
-    ]
-    if has_interior:
-        interior_lines = _emit_body(
-            plan, True, img_ids, param_ids, polymorphic, simp, f32, pitches
-        )
-        parts += [
-            f"static inline {ct} {fn_name}_interior({pixel_args})",
-            "{",
-            *interior_lines,
-            "}",
-        ]
-
-    tiles_sym = (
-        f"(({H} + {tile - 1}) / {tile})"
-        if polymorphic
-        else str((height + tile - 1) // tile)
-    )
-    halo_row = (
-        "#pragma omp simd\n"
-        f"                for (int x = 0; x < {W}; ++x)\n"
-        f"                    out[y * {W} + x] = "
-        f"{fn_name}_halo({call_args});"
-    )
-    if has_interior:
-        row_body = f"""\
-                if (y >= {ylo} && y < {yhi_sym}) {{
-#pragma omp simd
-                    for (int x = 0; x < {xlo_sym}; ++x)
-                        out[y * {W} + x] = {fn_name}_halo({call_args});
-#pragma omp simd
-                    for (int x = {xlo}; x < {xhi_sym}; ++x)
-                        out[y * {W} + x] = {fn_name}_interior({call_args});
-#pragma omp simd
-                    for (int x = {xhi_lo_sym}; x < {W}; ++x)
-                        out[y * {W} + x] = {fn_name}_halo({call_args});
-                }} else {{
-{halo_row}
-                }}"""
-    else:
-        row_body = halo_row
-    parts += [
-        f"void {fn_name}({driver_args})",
-        "{",
-        "    (void)threads;",
-        f"    const int n_tiles = {tiles_sym};",
-        "#ifdef _OPENMP",
-        "#pragma omp parallel for schedule(static) "
-        "num_threads(threads > 0 ? threads : 1)",
-        "#endif",
-        "    for (int t = 0; t < n_tiles; ++t) {",
-        f"        const int y_end = "
-        f"(t + 1) * {tile} < {H} ? (t + 1) * {tile} : {H};",
-        f"        for (int y = t * {tile}; y < y_end; ++y) {{",
-        row_body,
-        "        }",
-        "    }",
-        "}",
-        "",
-    ]
+    functions.append(sig.driver_fn(fn_name, formals, driver))
     return _BlockSpec(
-        fn_name,
-        "\n".join(parts),
-        images,
-        params,
-        width,
-        height,
-        channels,
-        polymorphic,
-        simplified=simp.count if simp is not None else 0,
-        f32=f32,
+        fn_name, tuple(functions), images, params, sig, channels
     )
 
 
@@ -1360,326 +1352,132 @@ def _lower_block_tile2d(
                 f"tile2d: explicit {tile_h}x{tile_w} tile needs {need} "
                 f"bytes of stack scratch (cap {STACK_SCRATCH_CAP})"
             )
-    pitch = {
-        i: tile_w + margins[i][0] + margins[i][1] for i in range(n - 1)
-    }
-    rows = {
-        i: tile_h + margins[i][2] + margins[i][3] for i in range(n - 1)
-    }
+    pitch = [tile_w + m[0] + m[1] for m in margins[: n - 1]]
+    rows = [tile_h + m[2] + m[3] for m in margins[: n - 1]]
 
-    # -- identifiers and signatures ---------------------------------------
-    images = tuple(
-        sorted(
-            {
-                instr.aux[0]
-                for tape in tapes
-                for instr in tape
-                if instr.op == "gather" and instr.aux[0] not in produced
-            }
-        )
+    images, params, _ = _tape_reads(
+        [i for tape in tapes for i in tape], produced
     )
-    params = tuple(
-        sorted(
-            {
-                instr.aux[0]
-                for tape in tapes
-                for instr in tape
-                if instr.op == "param"
-            }
-        )
-    )
-    used: set = set()
-    img_ids = {name: _identifier("in", name, used) for name in images}
-    param_ids = {name: _identifier("p", name, used) for name in params}
-    stride_ids = (
-        {name: _identifier("st", name, used) for name in images}
-        if polymorphic
-        else {}
-    )
-    geometry_formals = ["const int width", "const int height"]
-    geometry_actuals = ["width", "height"]
-    ct = "float" if f32 else "double"
-    W, H = ("width", "height") if polymorphic else (str(width), str(height))
+    sig = _Signature(images, params, width, height, polymorphic, f32)
+    W, H = sig.W, sig.H
+    x, y, t, n_tx = ident("x"), ident("y"), ident("t"), ident("n_tx")
+    x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
 
-    def stage_signature(index: int) -> Tuple[str, str, dict]:
-        """(formals, actuals, scratch map) of one stage's pixel fn."""
-        tape = tapes[index]
-        stage_images = sorted(
-            {
-                instr.aux[0]
-                for instr in tape
-                if instr.op == "gather" and instr.aux[0] not in produced
-            }
+    def sweep(band, names, region, rows_of, store) -> list:
+        """One stage's sweep of ``region`` x ``rows_of``.  A stage with
+        an interior ``band`` is driven by the three-segment split: its
+        four ``names`` decls clamp the band to the region, so the
+        clamp-free body only runs where every resolver is the identity
+        — bit-identical values, no per-read clamping in interior tiles.
+        """
+        lo, hi = region
+        if band is None:
+            return [For("y", *rows_of, _row_sweep(store, region))]
+        a, l, ha, h = names
+        rows = _row_sweep(
+            store,
+            region,
+            ((lo, ident(l)), (ident(l), ident(h)), (ident(h), hi)),
+            (num(band[2]), sig.margin_hi(band[3], "y")),
         )
-        stage_params = sorted(
-            {instr.aux[0] for instr in tape if instr.op == "param"}
+        return [
+            IntDecl(a, max_of(num(band[0]), lo)),
+            IntDecl(l, min_of(ident(a), hi)),
+            IntDecl(ha, min_of(sig.margin_hi(band[1], "x"), hi)),
+            IntDecl(h, max_of(ident(ha), ident(l))),
+            For("y", *rows_of, rows),
+        ]
+
+    # Per stage: its per-pixel functions, its scratch region (decls
+    # first, for every stage), then its sweep (fills, then destination).
+    functions: List[Func] = []
+    regions: list = []
+    sweeps: list = []
+    for index in range(n):
+        final = index == n - 1
+        stage_images, stage_params, producers = _tape_reads(
+            tapes[index], produced
         )
-        stage_producers = sorted(
-            {
-                produced[instr.aux[0]]
-                for instr in tape
-                if instr.op == "gather" and instr.aux[0] in produced
-            }
-        )
+        formals = sig.formals(stage_images, stage_params, producers)
         scratch = {
             members[j].output.name: (
-                f"scr_{j}",
-                f"sx0_{j}",
-                f"sy0_{j}",
-                str(pitch[j]),
+                f"scr_{j}", f"sx0_{j}", f"sy0_{j}", pitch[j]
             )
-            for j in stage_producers
+            for j in producers
         }
-        scratch_formals = []
-        scratch_actuals = []
-        for j in stage_producers:
-            scratch_formals += [
-                f"const {ct} *restrict scr_{j}",
-                f"const int sx0_{j}",
-                f"const int sy0_{j}",
-            ]
-            scratch_actuals += [f"scr_{j}", f"sx0_{j}", f"sy0_{j}"]
-        formals = ", ".join(
-            [f"const double *restrict {img_ids[m]}" for m in stage_images]
-            + [f"const double {param_ids[m]}" for m in stage_params]
-            + scratch_formals
-            + (geometry_formals if polymorphic else [])
-            + (
-                [f"const int {stride_ids[m]}" for m in stage_images]
-                if polymorphic
-                else []
-            )
-            + ["const int x", "const int y"]
+        names = (
+            (f"{fn_name}_halo", f"{fn_name}_interior")
+            if final
+            else (f"{fn_name}_s{index}", f"{fn_name}_s{index}i")
         )
-        actuals = ", ".join(
-            [img_ids[m] for m in stage_images]
-            + [param_ids[m] for m in stage_params]
-            + scratch_actuals
-            + (geometry_actuals if polymorphic else [])
-            + (
-                [stride_ids[m] for m in stage_images]
-                if polymorphic
-                else []
-            )
-            + ["x", "y"]
-        )
-        return formals, actuals, scratch
-
-    def stage_body(index: int, interior: bool, scratch: dict) -> List[str]:
-        stage_pitches = (
-            {m: stride_ids[m] for m in stride_ids} if polymorphic else None
-        )
-        return _emit_tape_body(
+        stage_fns, band = _pixel_fns(
+            sig,
+            *names,
+            formals,
             tapes[index],
             roots[index],
-            width,
-            height,
-            interior,
-            img_ids,
-            param_ids,
-            polymorphic,
-            None,
-            f32=f32,
-            pitches=stage_pitches,
-            scratch=scratch,
+            scratch,
+            full_plane_too=final,
+        )
+        functions += stage_fns
+        if final:
+            store = _store_of("out", add(mul(y, W), x), *names, formals)
+            sweeps += sweep(
+                band, ("ila", "il", "iha", "ih"), (x0, x1), (y0, y1), store
+            )
+            continue
+        left, right, top, bottom = margins[index]
+        sx0, sx1, sy0, sy1 = (
+            ident(f"{name}_{index}") for name in ("sx0", "sx1", "sy0", "sy1")
+        )
+        regions += [
+            ScratchDecl(f"scr_{index}", sig.ctype, rows[index] * pitch[index]),
+            IntDecl(sx0[1], max_of(sub(x0, num(left)), num(0))),
+            IntDecl(sx1[1], min_of(add(x1, num(right)), W)),
+            IntDecl(sy0[1], max_of(sub(y0, num(top)), num(0))),
+            IntDecl(sy1[1], min_of(add(y1, num(bottom)), H)),
+        ]
+        cell = add(
+            mul(paren(sub(y, sy0)), num(pitch[index])), paren(sub(x, sx0))
+        )
+        sweeps += sweep(
+            band,
+            tuple(f"{name}_{index}" for name in ("fla", "fl", "fha", "fh")),
+            (sx0, sx1),
+            (sy0, sy1),
+            _store_of(f"scr_{index}", cell, *names, formals),
         )
 
-    parts: List[str] = []
-    stage_calls: List[str] = []
-    # Stages with a stencil get a clamp-free interior variant (_s{i}i)
-    # driven by the same three-segment split the destination loop uses:
-    # the fill guard and fl/fh clamps confine it to the in-plane band
-    # where every resolver is the identity, so values are bit-identical
-    # while interior tiles skip the per-read clamping.
-    stage_interiors: Dict[int, Tuple[int, str, int, str]] = {}
-    for index in range(n - 1):
-        formals, actuals, scratch = stage_signature(index)
-        stage_calls.append(actuals)
-        parts += [
-            f"static inline {ct} {fn_name}_s{index}({formals})",
-            "{",
-            *stage_body(index, False, scratch),
-            "}",
-        ]
-        sxlo, sxhi, sylo, syhi = _interior_bounds(tapes[index], width, height)
-        full_plane = (sxlo, sylo) == (0, 0) and (sxhi, syhi) == (width, height)
-        if sxlo < sxhi and sylo < syhi and not full_plane:
-            parts += [
-                f"static inline {ct} {fn_name}_s{index}i({formals})",
-                "{",
-                *stage_body(index, True, scratch),
-                "}",
-            ]
-            if polymorphic:
-                fxhi = W if sxhi >= width else f"(width - {width - sxhi})"
-                fyhi = H if syhi >= height else f"(height - {height - syhi})"
-            else:
-                fxhi, fyhi = str(sxhi), str(syhi)
-            stage_interiors[index] = (sxlo, fxhi, sylo, fyhi)
-    dest_formals, dest_call, dest_scratch = stage_signature(n - 1)
-    stage_calls.append(dest_call)
-    parts += [
-        f"static inline {ct} {fn_name}_halo({dest_formals})",
-        "{",
-        *stage_body(n - 1, False, dest_scratch),
-        "}",
+    # -- driver: tile grid, per-tile scratch regions, stage sweeps --------
+    tile = [
+        IntDecl("x0", mul(paren(binop("%", t, n_tx)), num(tile_w))),
+        IntDecl("y0", mul(paren(binop("/", t, n_tx)), num(tile_h))),
+        IntDecl("x1", min_of(add(x0, num(tile_w)), W)),
+        IntDecl("y1", min_of(add(y0, num(tile_h)), H)),
+        *regions,
+        *sweeps,
     ]
-    xlo, xhi, ylo, yhi = _interior_bounds(tapes[n - 1], width, height)
-    has_interior = xlo < xhi and ylo < yhi
-    if has_interior:
-        parts += [
-            f"static inline {ct} {fn_name}_interior({dest_formals})",
-            "{",
-            *stage_body(n - 1, True, dest_scratch),
-            "}",
-        ]
-    if polymorphic:
-        ixhi_sym = W if xhi >= width else f"(width - {width - xhi})"
-        iyhi_sym = H if yhi >= height else f"(height - {height - yhi})"
-    else:
-        ixhi_sym, iyhi_sym = str(xhi), str(yhi)
-
-    # -- driver: tile grid, per-tile scratch, stage loops, dest loops -----
-    driver_args = ", ".join(
-        ["double *restrict out"]
-        + [f"const double *restrict {img_ids[m]}" for m in images]
-        + [f"const double {param_ids[m]}" for m in params]
-        + (geometry_formals if polymorphic else [])
-        + (
-            [f"const int {stride_ids[m]}" for m in images]
-            if polymorphic
-            else []
-        )
-        + ["const int threads"]
+    driver = (
+        IntDecl("n_tx", binop("/", paren(add(W, num(tile_w - 1))), num(tile_w))),
+        IntDecl("n_ty", binop("/", paren(add(H, num(tile_h - 1))), num(tile_h))),
+        IntDecl("n_tiles", mul(n_tx, ident("n_ty"))),
+        For("t", num(0), ident("n_tiles"), tuple(tile), "parallel"),
     )
-    lines = [
-        f"void {fn_name}({driver_args})",
-        "{",
-        "    (void)threads;",
-        f"    const int n_tx = ({W} + {tile_w - 1}) / {tile_w};",
-        f"    const int n_ty = ({H} + {tile_h - 1}) / {tile_h};",
-        "    const int n_tiles = n_tx * n_ty;",
-        "#ifdef _OPENMP",
-        "#pragma omp parallel for schedule(static) "
-        "num_threads(threads > 0 ? threads : 1)",
-        "#endif",
-        "    for (int t = 0; t < n_tiles; ++t) {",
-        f"        const int x0 = (t % n_tx) * {tile_w};",
-        f"        const int y0 = (t / n_tx) * {tile_h};",
-        f"        const int x1 = x0 + {tile_w} < {W} ? x0 + {tile_w} : {W};",
-        f"        const int y1 = y0 + {tile_h} < {H} ? y0 + {tile_h} : {H};",
-    ]
-    for i in range(n - 1):
-        left, right, top, bottom = margins[i]
-        lines += [
-            f"        {ct} scr_{i}[{rows[i] * pitch[i]}];",
-            f"        const int sx0_{i} = "
-            f"x0 - {left} > 0 ? x0 - {left} : 0;",
-            f"        const int sx1_{i} = "
-            f"x1 + {right} < {W} ? x1 + {right} : {W};",
-            f"        const int sy0_{i} = "
-            f"y0 - {top} > 0 ? y0 - {top} : 0;",
-            f"        const int sy1_{i} = "
-            f"y1 + {bottom} < {H} ? y1 + {bottom} : {H};",
-        ]
-    for i in range(n - 1):
-        fill = (
-            f"scr_{i}[(y - sy0_{i}) * {pitch[i]} "
-            f"+ (x - sx0_{i})] = {fn_name}_s{i}"
-        )
-        if i in stage_interiors:
-            fxlo, fxhi, fylo, fyhi = stage_interiors[i]
-            lines += [
-                f"        const int fla_{i} = "
-                f"{fxlo} > sx0_{i} ? {fxlo} : sx0_{i};",
-                f"        const int fl_{i} = "
-                f"fla_{i} < sx1_{i} ? fla_{i} : sx1_{i};",
-                f"        const int fha_{i} = "
-                f"{fxhi} < sx1_{i} ? {fxhi} : sx1_{i};",
-                f"        const int fh_{i} = "
-                f"fha_{i} > fl_{i} ? fha_{i} : fl_{i};",
-                f"        for (int y = sy0_{i}; y < sy1_{i}; ++y) {{",
-                f"            if (y >= {fylo} && y < {fyhi}) {{",
-                "#pragma omp simd",
-                f"                for (int x = sx0_{i}; x < fl_{i}; ++x)",
-                f"                    {fill}({stage_calls[i]});",
-                "#pragma omp simd",
-                f"                for (int x = fl_{i}; x < fh_{i}; ++x)",
-                f"                    {fill}i({stage_calls[i]});",
-                "#pragma omp simd",
-                f"                for (int x = fh_{i}; x < sx1_{i}; ++x)",
-                f"                    {fill}({stage_calls[i]});",
-                "            } else {",
-                "#pragma omp simd",
-                f"                for (int x = sx0_{i}; x < sx1_{i}; ++x)",
-                f"                    {fill}({stage_calls[i]});",
-                "            }",
-                "        }",
-            ]
-        else:
-            lines += [
-                f"        for (int y = sy0_{i}; y < sy1_{i}; ++y) {{",
-                "#pragma omp simd",
-                f"            for (int x = sx0_{i}; x < sx1_{i}; ++x)",
-                f"                {fill}({stage_calls[i]});",
-                "        }",
-            ]
-    if has_interior:
-        lines += [
-            f"        const int ila = {xlo} > x0 ? {xlo} : x0;",
-            "        const int il = ila < x1 ? ila : x1;",
-            f"        const int iha = {ixhi_sym} < x1 ? {ixhi_sym} : x1;",
-            "        const int ih = iha > il ? iha : il;",
-            "        for (int y = y0; y < y1; ++y) {",
-            f"            if (y >= {ylo} && y < {iyhi_sym}) {{",
-            "#pragma omp simd",
-            "                for (int x = x0; x < il; ++x)",
-            f"                    out[y * {W} + x] = "
-            f"{fn_name}_halo({dest_call});",
-            "#pragma omp simd",
-            "                for (int x = il; x < ih; ++x)",
-            f"                    out[y * {W} + x] = "
-            f"{fn_name}_interior({dest_call});",
-            "#pragma omp simd",
-            "                for (int x = ih; x < x1; ++x)",
-            f"                    out[y * {W} + x] = "
-            f"{fn_name}_halo({dest_call});",
-            "            } else {",
-            "#pragma omp simd",
-            "                for (int x = x0; x < x1; ++x)",
-            f"                    out[y * {W} + x] = "
-            f"{fn_name}_halo({dest_call});",
-            "            }",
-            "        }",
-        ]
-    else:
-        lines += [
-            "        for (int y = y0; y < y1; ++y) {",
-            "#pragma omp simd",
-            "            for (int x = x0; x < x1; ++x)",
-            f"                out[y * {W} + x] = "
-            f"{fn_name}_halo({dest_call});",
-            "        }",
-        ]
-    lines += ["    }", "}", ""]
+    functions.append(sig.driver_fn(fn_name, sig.formals(images, params), driver))
     return _BlockSpec(
         fn_name,
-        "\n".join(parts + lines),
+        tuple(functions),
         images,
         params,
-        width,
-        height,
+        sig,
         channels,
-        polymorphic,
         tile2d=(tile_h, tile_w),
-        f32=f32,
     )
 
 
 def lower_block_source(
     plan: BlockPlan,
     fn_name: str = "repro_block",
-    tile: int | None = None,
     polymorphic: bool = False,
     graph: Optional[KernelGraph] = None,
     block: Optional[PartitionBlock] = None,
@@ -1690,14 +1488,7 @@ def lower_block_source(
     overlapped-tiling lowering reachable (it needs the member kernels,
     not just the fused tape).
     """
-    spec = _lower_block(
-        plan,
-        fn_name,
-        tile or resolve_native_tile(),
-        polymorphic,
-        graph=graph,
-        block=block,
-    )
+    spec = _lower_block(plan, fn_name, polymorphic, graph=graph, block=block)
     return _PREAMBLE + "\n" + spec.source
 
 
@@ -1716,7 +1507,6 @@ def _lower_partition(
     """Lower every block of ``plan``: one spec per block in schedule
     order (``None`` where the block has no lowering and stays on the
     tape), plus the reasons, keyed by block output name."""
-    tile = resolve_native_tile()
     specs: List[Optional[_BlockSpec]] = []
     reasons: Dict[str, str] = {}
     # ``block_schedule`` orders partition blocks exactly as the tape
@@ -1729,7 +1519,6 @@ def _lower_partition(
                 _lower_block(
                     block_plan,
                     _block_fn_name(index, block_plan),
-                    tile,
                     polymorphic,
                     graph=graph,
                     block=block,
@@ -2225,21 +2014,23 @@ def _native_flags(cc: str) -> Tuple[str, ...]:
     if openmp_available(cc):
         flags.append("-fopenmp")
     # Extra deployment/CI flags (e.g. -fsanitize=address,undefined);
-    # they join the content-hash key, so toggling them recompiles.
+    # they join the content-hash key and the plan-cache keys
+    # (:func:`_native_plan_key`), so toggling them recompiles.
     flags.extend(native_cflags_env())
     return tuple(flags)
 
 
-def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
+def _sanitize_natives(natives: Sequence[NativeBlock]) -> Tuple[float, bool]:
     """Strict-mode static sanitation of freshly lowered native blocks.
 
-    Runs the native-codegen sanitizer (:mod:`repro.analysis.
-    native_check`) over every compiled block **before first execution**
-    and raises :class:`repro.analysis.verifier.PlanVerificationError`
-    on any NAT diagnostic.  Returns the verify wall-clock in ms.
+    Under ``REPRO_VALIDATE=strict`` runs the native-codegen sanitizer
+    (:mod:`repro.analysis.native_check`) over every compiled block
+    **before first execution** and raises :class:`repro.analysis.
+    verifier.PlanVerificationError` on any NAT diagnostic.  Returns
+    ``(verify wall-clock in ms, whether anything was sanitized)``.
     """
-    if not natives:
-        return 0.0
+    if validate_mode() != "strict" or not natives:
+        return 0.0, False
     from repro.analysis.native_check import verify_native_blocks
     from repro.analysis.verifier import enforce
 
@@ -2247,7 +2038,7 @@ def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
     enforce(
         verify_native_blocks(natives), context="native codegen sanitizer"
     )
-    return (time.perf_counter() - started) * 1e3
+    return (time.perf_counter() - started) * 1e3, True
 
 
 def _compile_specs(
@@ -2289,13 +2080,9 @@ def _build_native_partition(
         fn = getattr(library, spec.fn_name)
         blocks.append((block_plan, NativeBlock(block_plan, spec, fn)))
     compile_ms = (time.perf_counter() - started) * 1e3
-    verify_ms = 0.0
-    sanitized = False
-    if validate_mode() == "strict":
-        verify_ms = _sanitize_natives(
-            [native for _plan, native in blocks if native is not None]
-        )
-        sanitized = any(native is not None for _plan, native in blocks)
+    verify_ms, sanitized = _sanitize_natives(
+        [native for _plan, native in blocks if native is not None]
+    )
     return NativePartitionPlan(
         plan,
         blocks,
@@ -2318,6 +2105,35 @@ _native_block_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
 _native_cache_lock = threading.Lock()
 
 
+def _native_plan_key(signature, naive_borders: bool, polymorphic: bool):
+    """The cache key of a native plan: every input of lowering and
+    compiling — the partition/block signature, ``naive_borders``,
+    polymorphic, and the three knobs read along the way
+    (``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``,
+    ``REPRO_NATIVE_CFLAGS``) — so changing any of them in-process
+    rebuilds instead of serving the stale plan."""
+    return (
+        signature,
+        bool(naive_borders),
+        bool(polymorphic),
+        native_tile2d_env(),
+        native_f32_enabled(),
+        native_cflags_env(),
+    )
+
+
+def _cached_native_plan(cache_of, graph: KernelGraph, key, build):
+    with _native_cache_lock:
+        cache = cache_of.get(graph)
+        if cache is None:
+            cache = {}
+            cache_of[graph] = cache
+        plan = cache.get(key)
+        if plan is None:
+            plan = cache[key] = build()
+        return plan
+
+
 def native_plan_for_partition(
     graph: KernelGraph,
     partition: Partition,
@@ -2327,34 +2143,42 @@ def native_plan_for_partition(
 ) -> NativePartitionPlan:
     """The (cached) native plan of a partition.
 
-    Cached per graph alongside the tape plan caches; the key includes
-    the tile size so changing ``REPRO_NATIVE_TILE`` recompiles.  The
-    underlying ``.so`` additionally lives in the cross-process
-    content-hash cache, so a cache *miss* here usually still skips the
-    C compiler.  ``polymorphic=True`` compiles runtime-geometry kernels
-    whose source — and therefore whose ``.so`` artifact — is shared by
-    every resolution of the structure.
+    Cached per graph alongside the tape plan caches.  The underlying
+    ``.so`` additionally lives in the cross-process content-hash cache,
+    so a cache *miss* here usually still skips the C compiler.
+    ``polymorphic=True`` compiles runtime-geometry kernels whose source
+    — and therefore whose ``.so`` artifact — is shared by every
+    resolution of the structure.
     """
-    key = (
-        partition.signature(),
-        bool(naive_borders),
-        resolve_native_tile(),
-        bool(polymorphic),
-        native_tile2d_env(),
-        native_f32_enabled(),
+    return _cached_native_plan(
+        _native_partition_plans,
+        graph,
+        _native_plan_key(partition.signature(), naive_borders, polymorphic),
+        lambda: _build_native_partition(
+            graph, partition, naive_borders, polymorphic
+        ),
     )
-    with _native_cache_lock:
-        cache = _native_partition_plans.get(graph)
-        if cache is None:
-            cache = {}
-            _native_partition_plans[graph] = cache
-        plan = cache.get(key)
-        if plan is None:
-            plan = _build_native_partition(
-                graph, partition, naive_borders, polymorphic
-            )
-            cache[key] = plan
-        return plan
+
+
+def _build_native_block(
+    graph: KernelGraph, block: PartitionBlock, naive_borders: bool
+) -> NativeBlockPlan:
+    fault_check("native.compile")
+    block_plan = plan_for_block(graph, block, naive_borders)
+    try:
+        spec = _lower_block(
+            block_plan, _block_fn_name(0, block_plan), graph=graph, block=block
+        )
+    except NativeLoweringError:
+        spec = None
+    library, _, _ = _compile_specs([spec])
+    native = None
+    if spec is not None and library is not None:
+        native = NativeBlock(block_plan, spec, getattr(library, spec.fn_name))
+    verify_ms, sanitized = _sanitize_natives([native] if native else [])
+    return NativeBlockPlan(
+        block_plan, native, verify_ms=verify_ms, sanitized=sanitized
+    )
 
 
 def native_plan_for_block(
@@ -2364,49 +2188,12 @@ def native_plan_for_block(
 ) -> NativeBlockPlan:
     """The (cached) native plan of one block (``run_block``
     semantics: the destination body is never reduced)."""
-    tile = resolve_native_tile()
-    key = (
-        block.signature(),
-        bool(naive_borders),
-        tile,
-        native_tile2d_env(),
-        native_f32_enabled(),
+    return _cached_native_plan(
+        _native_block_plans,
+        graph,
+        _native_plan_key(block.signature(), naive_borders, False),
+        lambda: _build_native_block(graph, block, naive_borders),
     )
-    with _native_cache_lock:
-        cache = _native_block_plans.get(graph)
-        if cache is None:
-            cache = {}
-            _native_block_plans[graph] = cache
-        plan = cache.get(key)
-        if plan is None:
-            fault_check("native.compile")
-            block_plan = plan_for_block(graph, block, naive_borders)
-            try:
-                spec = _lower_block(
-                    block_plan,
-                    _block_fn_name(0, block_plan),
-                    tile,
-                    graph=graph,
-                    block=block,
-                )
-            except NativeLoweringError:
-                spec = None
-            library, _, _ = _compile_specs([spec])
-            native = None
-            if spec is not None and library is not None:
-                native = NativeBlock(
-                    block_plan, spec, getattr(library, spec.fn_name)
-                )
-            verify_ms = 0.0
-            sanitized = False
-            if validate_mode() == "strict" and native is not None:
-                verify_ms = _sanitize_natives([native])
-                sanitized = True
-            plan = NativeBlockPlan(
-                block_plan, native, verify_ms=verify_ms, sanitized=sanitized
-            )
-            cache[key] = plan
-        return plan
 
 
 def clear_native_caches() -> None:

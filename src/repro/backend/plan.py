@@ -131,9 +131,6 @@ def resolve_key(parent: tuple, n: int, mode: BoundaryMode) -> tuple:
     return ("resolve", parent, n, mode.value)
 
 
-#: Environment knob bounding interned grid/mask entries per store.
-GRID_CACHE_ENV = "REPRO_GRID_CACHE"
-
 #: Default :class:`GridStore` capacity.  Grid entries are tiny
 #: (broadcast-form ``O(w + h)`` index vectors) but masks are full
 #: ``(h, w)`` boolean planes, and a long-lived serving process
@@ -156,10 +153,10 @@ class GridStore:
     The store holds at most ``capacity`` entries (grids + masks
     combined), evicting least-recently-used ones beyond it — serving
     processes that see an unbounded stream of request geometries no
-    longer leak interned grids.  ``capacity`` defaults to the
-    ``REPRO_GRID_CACHE`` environment knob (``0`` restores the unbounded
-    historical behaviour); an evicted key is simply re-materialized on
-    its next use, so eviction affects footprint, never results.
+    longer leak interned grids.  ``capacity`` defaults to
+    :data:`DEFAULT_GRID_CACHE` (``0`` is unbounded); an evicted key is
+    simply re-materialized on its next use, so eviction affects
+    footprint, never results.
 
     The store is **thread-safe**: one reentrant lock covers lookup,
     materialization, eviction, and the counters, so concurrent block
@@ -169,11 +166,7 @@ class GridStore:
     grids materialize their parents recursively.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is None:
-            capacity = int_env(
-                GRID_CACHE_ENV, default=DEFAULT_GRID_CACHE, minimum=0
-            )
+    def __init__(self, capacity: int = DEFAULT_GRID_CACHE) -> None:
         #: Maximum resident entries; ``0`` means unbounded.
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()

@@ -2,7 +2,7 @@
 
 Every runtime tunable that can arrive through the environment —
 ``REPRO_EXEC_WORKERS``, ``REPRO_EXEC_ENGINE``, ``REPRO_CC_CACHE``,
-``REPRO_CC_CACHE_MAX``, ``REPRO_NATIVE_THREADS``, ``REPRO_GRID_CACHE``,
+``REPRO_CC_CACHE_MAX``, ``REPRO_NATIVE_THREADS``,
 ``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``, ``REPRO_VALIDATE``,
 ``REPRO_SERVE_PROCS`` — funnels through the
 helpers here, so a typo in a
@@ -161,18 +161,6 @@ def validate_mode() -> str:
             f"{VALIDATE_MODES}"
         )
     return mode
-
-
-#: Environment knob: whether the native lowering folds the provable
-#: simplifications of :func:`repro.analysis.dataflow.tape_simplifications`
-#: (identity boundary resolvers, all-false masks, dead selects, identity
-#: min/max) into the emitted C.  ``off`` emits the literal tape.
-NATIVE_SIMPLIFY_ENV = "REPRO_NATIVE_SIMPLIFY"
-
-
-def native_simplify_enabled() -> bool:
-    """Whether analysis-driven native simplification is on (default)."""
-    return choice_env(NATIVE_SIMPLIFY_ENV, ("on", "off"), "on") == "on"
 
 
 #: Environment knob: 2D overlapped tiling in the native engine.

@@ -1,10 +1,8 @@
-"""Value-range dataflow: the VAL diagnostics and the analysis-driven
-native simplifications.
+"""Value-range dataflow: the VAL diagnostics.
 
 Covers the lattice (:class:`VRange`), the three analysis granularities
 (kernel body / graph walk / compiled tape), guard-aware suppression,
-declared domains, and :func:`tape_simplifications` — including its
-cache-safety contract (domains never change what a tape simplifies to).
+and declared domains.
 """
 
 import math
@@ -20,8 +18,6 @@ from repro.analysis.dataflow import (
     lint_graph_values,
     lint_kernel_values,
     lint_tape_values,
-    resolve_is_identity,
-    tape_simplifications,
 )
 from repro.apps import APPLICATIONS
 from repro.backend.plan import plan_for_partition
@@ -253,75 +249,3 @@ class TestTapeAnalysis:
             for block_plan in plan.plans:
                 found = lint_tape_values(block_plan, images=env)
                 assert found == [], f"{app}/{block_plan.destination.name}"
-
-
-#: A body whose min/max clamps and select guard are all provably inert:
-#: sin/cos land in [-1, 1], so min(.., 2) and max(.., 3) pass through
-#: and the select condition max(cos, 3) >= 3 > 0 is always truthy.
-def _simplifiable(a):
-    clamped = ops.minimum(ops.sin(a(-1, 0) + a(1, 0)), Const(2.0))
-    guard = ops.maximum(ops.cos(a()), Const(3.0))
-    return clamped + ops.select(guard, a(0, -1), ops.const(0.0))
-
-
-class TestTapeSimplifications:
-    def test_identity_minmax_and_dead_select_found(self):
-        _, plan = single_plan(_simplifiable)
-        simp = tape_simplifications(plan)
-        assert simp.identity_ops, "min/max identities missed"
-        assert simp.dead_selects, "constant-guard select missed"
-        assert simp.count == len(simp.identity_ops) + len(
-            simp.dead_selects
-        ) + len(simp.identity_resolves) + len(simp.identity_masks)
-
-    def test_simplifications_ignore_declared_domains(self):
-        # Cache-safety: the result is a pure function of the tape, so a
-        # graph with domains and one without must agree (the native .so
-        # cache and the serving plan cache key on tape structure only).
-        src = Image.create("src", 16, 16)
-        dst = Image.create("dst", 16, 16)
-        kernel = Kernel.from_function(
-            "k", [src], dst, _simplifiable, boundary=BoundaryMode.CLAMP
-        )
-        bare = KernelGraph([kernel], ["dst"])
-        domained = KernelGraph(
-            [kernel], ["dst"], declared_domains={"src": domain(0.0, 1.0)}
-        )
-        plan_a = plan_for_partition(bare, Partition.singletons(bare)).plans[0]
-        plan_b = plan_for_partition(
-            domained, Partition.singletons(domained)
-        ).plans[0]
-        assert tape_simplifications(plan_a) == tape_simplifications(plan_b)
-
-    def test_unprovable_clamp_is_kept(self):
-        _, plan = single_plan(
-            lambda a: ops.minimum(a(), Const(2.0))  # src unbounded
-        )
-        simp = tape_simplifications(plan)
-        assert simp.count == 0
-
-    def test_paper_apps_simplify_without_error(self):
-        for app in sorted(APPLICATIONS):
-            graph = APPLICATIONS[app].build(40, 28).build()
-            plan = plan_for_partition(graph, Partition.singletons(graph))
-            for block_plan in plan.plans:
-                simp = tape_simplifications(block_plan)
-                assert simp.count >= 0  # smoke: total function, no raise
-
-    def test_resolve_identity_requires_containment(self):
-        base_x = ("base", "x", 16, 16)
-        assert resolve_is_identity(("resolve", base_x, 16, "clamp"))
-        shifted = ("shift", base_x, 1)
-        assert not resolve_is_identity(("resolve", shifted, 16, "clamp"))
-
-    def test_polymorphic_identity_needs_matching_extent(self):
-        base_x = ("base", "x", 16, 16)
-        # Same extent: survives substitution of the runtime width.
-        assert resolve_is_identity(
-            ("resolve", base_x, 16, "clamp"), polymorphic=True
-        )
-        # Different extent: provable only for the baked geometry.
-        assert resolve_is_identity(("resolve", base_x, 32, "clamp"))
-        assert not resolve_is_identity(
-            ("resolve", base_x, 32, "clamp"), polymorphic=True
-        )

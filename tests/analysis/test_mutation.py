@@ -213,25 +213,41 @@ def test_value_dataflow_catches_value_defects():
     )
 
 
-#: Textual corruption of emitted C, keyed by what each seeds.  Every
-#: substitution that actually matches a block's source must trip the
-#: sanitizer (the pristine source verifies clean).
-_NATIVE_DEFECTS = [
-    # Off-by-one halo index: the interior body reaches one pixel past
-    # the margin the flank loops guarantee.
-    ("off-by-one-halo-index", "(x + (1))", "(x + (2))"),
-    ("off-by-one-halo-row", "(y + (-1))", "(y + (-2))"),
-    # Dropped restrict: the no-alias contract the tile loop relies on.
-    ("dropped-restrict", "*restrict out", "*out"),
-    # Transposed store: column-major indexing through a row-major plane.
-    ("transposed-store", "out[y * ", "out[x * "),
-]
+def _native_defects(width):
+    """(label, subtree, wrong subtree) edits of a block's loop-nest IR,
+    keyed by what each seeds.  Every edit that actually matches a
+    block's tree must trip the sanitizer (the pristine tree verifies
+    clean)."""
+    from analysis.ir_mutation import shifted
+
+    from repro.backend.loopnest import Formal, ident, mul, num
+
+    return [
+        # Off-by-one halo index: the interior body reaches one pixel past
+        # the margin the flank loops guarantee.
+        ("off-by-one-halo-index", shifted("x", 1), shifted("x", 2)),
+        ("off-by-one-halo-row", shifted("y", -1), shifted("y", -2)),
+        # Dropped restrict: the no-alias contract the tile loop relies on.
+        (
+            "dropped-restrict",
+            Formal("double *", "out", True),
+            Formal("double *", "out", False),
+        ),
+        # Transposed store: column-major indexing through a row-major plane.
+        (
+            "transposed-store",
+            mul(ident("y"), num(width)),
+            mul(ident("x"), num(width)),
+        ),
+    ]
 
 
 def test_native_sanitizer_catches_seeded_defects():
-    """The NAT family: every applicable textual defect seeded into the
-    emitted C of every native block of every app is caught."""
-    from repro.analysis.native_check import check_native_source
+    """The NAT family: every applicable defect seeded into the loop-nest
+    IR of every native block of every app is caught."""
+    from analysis.ir_mutation import replace_subtree, with_ir
+
+    from repro.analysis.native_check import verify_native_blocks
     from repro.backend.native_exec import native_plan_for_partition
     from repro.envknobs import validate_override
     from repro.eval.runner import partition_for
@@ -249,31 +265,16 @@ def test_native_sanitizer_catches_seeded_defects():
         for _plan, native in nplan.blocks:
             if native is None:
                 continue
-            spec = native.spec
-
-            def nat_codes(source):
-                return {
-                    d.code
-                    for d in check_native_source(
-                        source,
-                        spec.fn_name,
-                        width=spec.width,
-                        height=spec.height,
-                        polymorphic=spec.polymorphic,
-                        images=spec.images,
-                        output_name=native.output_name,
-                    )
-                }
-
-            assert not nat_codes(spec.source), (
-                f"{app}/{native.output_name}: pristine source flagged"
+            pristine = native.spec.ir
+            assert not verify_native_blocks([native]), (
+                f"{app}/{native.output_name}: pristine tree flagged"
             )
-            for label, needle, replacement in _NATIVE_DEFECTS:
-                mutated = spec.source.replace(needle, replacement)
-                if mutated == spec.source:
+            for label, old, new in _native_defects(native.spec.width):
+                mutated = replace_subtree(pristine, old, new)
+                if mutated == pristine:
                     continue
                 total += 1
-                if nat_codes(mutated):
+                if verify_native_blocks([with_ir(native, mutated)]):
                     caught += 1
                 else:  # pragma: no cover - failure detail
                     print(f"missed: {app}/{native.output_name} {label}")

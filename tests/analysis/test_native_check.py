@@ -1,39 +1,46 @@
-"""Native-codegen sanitizer: the NAT diagnostics over emitted C.
+"""Native-codegen sanitizer: the NAT diagnostics over the loop-nest IR.
 
-Proves the honest emitter clean (specialized and shape-polymorphic,
+Proves the honest lowerings clean (specialized and shape-polymorphic,
 including the degenerate zero-margin flank loops), pins each NAT family
-on seeded textual defects, and checks the strict-mode wiring: every
-fresh native plan is sanitizer-verified, and the analysis-driven
-simplifications stay bit-identical to the tape engine.
+on defects seeded as tree edits, and checks the strict-mode wiring:
+every fresh native plan is sanitizer-verified.
 """
 
-import re
-
-import numpy as np
 import pytest
+
+from analysis.ir_mutation import (
+    find_nodes,
+    replace_subtree,
+    shifted,
+    with_ir,
+)
 
 from repro.analysis.diagnostics import has_errors
 from repro.analysis.native_check import (
-    check_native_source,
     verify_native_blocks,
     verify_native_plan,
 )
 from repro.apps import APPLICATIONS
 from repro.backend import native_exec
+from repro.backend.loopnest import (
+    For,
+    Formal,
+    Guard,
+    IntDecl,
+    ScratchDecl,
+    add,
+    ident,
+    min_of,
+    mul,
+    num,
+    paren,
+)
 from repro.backend.native_exec import (
     native_available,
     native_plan_for_partition,
 )
-from repro.api import ExecutionOptions, run
-from repro.dsl.boundary import BoundaryMode
-from repro.dsl.image import Image
-from repro.dsl.kernel import Kernel
 from repro.envknobs import validate_override
 from repro.eval.runner import partition_for
-from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition
-from repro.ir import ops
-from repro.ir.expr import Const
 from repro.model.hardware import KNOWN_GPUS
 
 needs_cc = pytest.mark.skipif(
@@ -56,17 +63,17 @@ def _first_native(nplan):
     return next(n for _p, n in nplan.blocks if n is not None)
 
 
-def _check(native, source=None):
-    spec = native.spec
-    return check_native_source(
-        source if source is not None else spec.source,
-        spec.fn_name,
-        width=spec.width,
-        height=spec.height,
-        polymorphic=spec.polymorphic,
-        images=spec.images,
-        output_name=native.output_name,
-    )
+def _codes(native, ir=None):
+    """NAT codes for ``native``, or for its twin carrying the tree ``ir``."""
+    block = native if ir is None else with_ir(native, ir)
+    return {d.code for d in verify_native_blocks([block])}
+
+
+def _mutated(native, old, new):
+    """``native``'s tree with ``old`` swapped for ``new`` (must match)."""
+    ir = replace_subtree(native.spec.ir, old, new)
+    assert ir != native.spec.ir, f"defect site {old!r} not in the tree"
+    return ir
 
 
 @needs_cc
@@ -114,46 +121,45 @@ class TestSeededDefects:
                 os.environ["REPRO_NATIVE_TILE2D"] = old
         return _first_native(nplan)
 
-    def codes(self, native, source):
-        return {d.code for d in _check(native, source)}
-
     def test_out_of_plane_halo_read_is_caught(self, sobel):
-        mutated = sobel.spec.source.replace("(x + (1))", "(x + (2))")
-        assert mutated != sobel.spec.source
-        found = self.codes(sobel, mutated)
-        assert found & {"NAT001", "NAT002"}
+        ir = _mutated(sobel, shifted("x", 1), shifted("x", 2))
+        assert _codes(sobel, ir) & {"NAT001", "NAT002"}
 
     def test_dropped_restrict_is_nat003(self, sobel):
-        mutated = sobel.spec.source.replace("*restrict out", "*out")
-        assert self.codes(sobel, mutated) == {"NAT003"}
+        ir = _mutated(
+            sobel,
+            Formal("double *", "out", True),
+            Formal("double *", "out", False),
+        )
+        assert _codes(sobel, ir) == {"NAT003"}
 
     def test_unclamped_y_end_is_caught_without_crashing(self, sobel_classic):
-        source = sobel_classic.spec.source
-        mutated = source.replace(
-            "(t + 1) * 64 < 48 ? (t + 1) * 64 : 48", "(t + 1) * 64"
+        tile_end = mul(paren(add(ident("t"), num(1))), num(64))
+        ir = _mutated(
+            sobel_classic,
+            IntDecl("y_end", min_of(tile_end, num(48))),
+            IntDecl("y_end", tile_end),
         )
-        assert mutated != source
-        found = self.codes(sobel_classic, mutated)
-        assert "NAT004" in found  # the driver clamp proof fails loudly
+        # the driver clamp proof fails loudly
+        assert "NAT004" in _codes(sobel_classic, ir)
 
     def test_classic_out_of_plane_read_is_caught(self, sobel_classic):
-        mutated = sobel_classic.spec.source.replace("(x + (1))", "(x + (2))")
-        assert mutated != sobel_classic.spec.source
-        assert self.codes(sobel_classic, mutated) & {"NAT001", "NAT002"}
+        ir = _mutated(sobel_classic, shifted("x", 1), shifted("x", 2))
+        assert _codes(sobel_classic, ir) & {"NAT001", "NAT002"}
 
     def test_transposed_store_index_is_caught(self, sobel):
-        mutated = sobel.spec.source.replace("out[y * ", "out[x * ")
-        assert self.codes(sobel, mutated) & {"NAT001", "NAT002"}
+        ir = _mutated(
+            sobel, mul(ident("y"), num(64)), mul(ident("x"), num(64))
+        )
+        assert _codes(sobel, ir) & {"NAT001", "NAT002"}
 
     def test_widened_clamp_bound_is_caught(self, sobel):
-        mutated = sobel.spec.source.replace(
-            "idx_clamp((x + (-1)), 64)", "idx_clamp((x + (-1)), 65)"
-        )
-        assert mutated != sobel.spec.source
-        assert self.codes(sobel, mutated)
+        clamp = ("call", "idx_clamp", (shifted("x", -1), num(64)))
+        ir = _mutated(sobel, clamp, clamp[:2] + ((clamp[2][0], num(65)),))
+        assert _codes(sobel, ir)
 
     def test_missing_functions_are_nat004(self, sobel):
-        found = _check(sobel, "int main(void) { return 0; }")
+        found = verify_native_blocks([with_ir(sobel, ())])
         assert [d.code for d in found] == ["NAT004"]
         assert has_errors(found)
 
@@ -175,60 +181,45 @@ class TestTile2DSeededDefects:
         )
         return native
 
-    def codes(self, native, source):
-        return {d.code for d in _check(native, source)}
-
     def test_fixture_is_tile2d_and_clean(self, harris):
         assert harris.spec.tile2d is not None
-        assert self.codes(harris, harris.spec.source) == set()
+        assert _codes(harris) == set()
 
     def test_undersized_scratch_decl_is_nat001(self, harris):
-        source = harris.spec.source
-        decl = re.search(r"scr_0\[(\d+)\];", source)
-        assert decl is not None
-        mutated = source.replace(
-            decl.group(0), f"scr_0[{int(decl.group(1)) // 2}];"
-        )
-        assert "NAT001" in self.codes(harris, mutated)
+        (decl,) = find_nodes(harris.spec.ir, ScratchDecl, name="scr_0")
+        ir = _mutated(harris, decl, decl._replace(size=decl.size // 2))
+        assert "NAT001" in _codes(harris, ir)
 
     def test_widened_fill_region_is_caught(self, harris):
         # Growing sx1 past the declared margin makes the fill overrun
         # the scratch pitch.
-        source = harris.spec.source
-        match = re.search(
-            r"const int sx1_0 = x1 \+ (\d+) < (\w+) \? x1 \+ \1 : \2;", source
-        )
-        assert match is not None
-        right, plane = int(match.group(1)), match.group(2)
-        mutated = source.replace(
-            match.group(0),
-            f"const int sx1_0 = x1 + {right + 1} < {plane} "
-            f"? x1 + {right + 1} : {plane};",
-        )
-        assert self.codes(harris, mutated) & {"NAT001", "NAT004"}
+        (decl,) = find_nodes(harris.spec.ir, IntDecl, name="sx1_0")
+        reach, plane = decl.expr[2], decl.expr[3]  # x1 + R < W ? x1 + R : W
+        wider = add(reach[2], num(reach[3][1] + 1))
+        ir = _mutated(harris, decl, IntDecl("sx1_0", min_of(wider, plane)))
+        assert _codes(harris, ir) & {"NAT001", "NAT004"}
 
     def test_widened_fill_guard_is_caught(self, harris):
-        # The split-fill guard is what proves the clamp-free stage body
-        # in-plane; widening it to the full height must fail the raw
-        # row reads.
-        source = harris.spec.source
-        match = re.search(r"if \(y >= 1 && y < ([^)]+)\) \{", source)
-        if match is None:
-            pytest.skip("no split fill with a one-row margin in this block")
-        mutated = source.replace(
-            match.group(0), f"if (y >= 0 && y < {match.group(1)}) {{", 1
-        )
-        assert "NAT002" in self.codes(harris, mutated)
+        # The row guard of a split sweep (a stage fill's or the
+        # destination's) is what proves the clamp-free body in-plane;
+        # widening it to the full height must fail the raw row reads.
+        guards = find_nodes(harris.spec.ir, Guard, lo=num(1))
+        if not guards:
+            pytest.skip("no split sweep with a one-row margin in this block")
+        ir = _mutated(harris, guards[0], guards[0]._replace(lo=num(0)))
+        assert "NAT002" in _codes(harris, ir)
 
     def test_shrunk_fill_sweep_is_caught(self, harris):
         # Sweeping only the un-extended tile instead of the halo region
         # leaves scratch cells the destination reads uninitialized; the
-        # template parse must refuse the altered row loop.
-        source = harris.spec.source
-        needle = "for (int y = sy0_0; y < sy1_0; ++y)"
-        assert needle in source
-        mutated = source.replace(needle, "for (int y = y0; y < y1; ++y)", 1)
-        assert "NAT004" in self.codes(harris, mutated)
+        # template match must refuse the altered row loop.
+        (loop,) = find_nodes(
+            harris.spec.ir, For, var="y", lo=ident("sy0_0"), hi=ident("sy1_0")
+        )
+        ir = _mutated(
+            harris, loop, loop._replace(lo=ident("y0"), hi=ident("y1"))
+        )
+        assert "NAT004" in _codes(harris, ir)
 
 
 class TestEntryPoints:
@@ -262,55 +253,3 @@ class TestEntryPoints:
         with validate_override("standard"):
             nplan = native_plan_for_partition(graph, partition)
         assert not nplan.sanitized
-
-
-#: Every clamp/guard in this body is provably inert (sin/cos land in
-#: [-1, 1]), so the native lowering folds them away.
-def _simplifiable(a):
-    clamped = ops.minimum(ops.sin(a(-1, 0) + a(1, 0)), Const(2.0))
-    guard = ops.maximum(ops.cos(a()), Const(3.0))
-    return clamped + ops.select(guard, a(0, -1), ops.const(0.0))
-
-
-@needs_cc
-class TestSimplifiedLoweringIsBitIdentical:
-    def test_folded_plan_matches_tape_engine(self):
-        src = Image.create("src", 32, 24)
-        dst = Image.create("dst", 32, 24)
-        kernel = Kernel.from_function(
-            "fold", [src], dst, _simplifiable, boundary=BoundaryMode.CLAMP
-        )
-        graph = KernelGraph([kernel], ["dst"])
-        partition = Partition.singletons(graph)
-        with validate_override("standard"):
-            nplan = native_plan_for_partition(graph, partition)
-        native = _first_native(nplan)
-        assert native.spec.simplified > 0, "folds were expected here"
-        assert verify_native_plan(nplan) == []
-
-        rng = np.random.default_rng(7)
-        inputs = {"src": rng.uniform(-9.0, 9.0, (24, 32))}
-        reference = run(
-            graph, inputs, options=ExecutionOptions(engine="tape", fuse=False)
-        )
-        with validate_override("strict"):
-            produced = run(
-                graph,
-                inputs,
-                options=ExecutionOptions(engine="native", fuse=False),
-            )
-        np.testing.assert_array_equal(produced["dst"], reference["dst"])
-
-    def test_simplify_knob_disables_folding(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_SIMPLIFY", "off")
-        src = Image.create("src", 32, 24)
-        dst = Image.create("dst", 32, 24)
-        kernel = Kernel.from_function(
-            "fold", [src], dst, _simplifiable, boundary=BoundaryMode.CLAMP
-        )
-        graph = KernelGraph([kernel], ["dst"])
-        with validate_override("standard"):
-            nplan = native_plan_for_partition(
-                graph, Partition.singletons(graph)
-            )
-        assert _first_native(nplan).spec.simplified == 0

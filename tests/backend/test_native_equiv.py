@@ -254,19 +254,23 @@ class TestBoundaryAndThreads:
         for name in serial:
             np.testing.assert_array_equal(threaded[name], serial[name])
 
-    def test_tile_size_bit_identical(self, monkeypatch):
-        graph = chain_pipeline(("l", "l"), 16, 50).build()
-        data = {"img0": random_image(16, 50, seed=24)}
+    def test_tile_size_bit_identical(self):
+        # 150 rows = two full 64-row tiles and a clipped third: the
+        # y_end clamp and the tile seams must not show in the output.
+        assert 150 % native_exec.TILE_ROWS
+        graph = chain_pipeline(("l", "l"), 16, 150).build()
+        data = {"img0": random_image(16, 150, seed=24)}
         partition = Partition.singletons(graph)
-        default = native_plan_for_partition(graph, partition).execute(
-            dict(data), {}
-        )
-        monkeypatch.setenv("REPRO_NATIVE_TILE", "7")
         tiled = native_plan_for_partition(graph, partition).execute(
             dict(data), {}
         )
-        for name in default:
-            np.testing.assert_array_equal(tiled[name], default[name])
+        reference = run(
+            graph,
+            data,
+            options=ExecutionOptions(engine="tape", partition=partition),
+        )
+        for name in reference:
+            np.testing.assert_array_equal(tiled[name], reference[name])
 
 
 class TestTolerancePolicy:
@@ -383,6 +387,28 @@ class TestNativePlanCaching:
         native_exec.clear_native_caches()
         rebuilt = native_plan_for_partition(graph, partition)
         assert rebuilt.from_cache  # same source -> content-hash .so hit
+
+    def test_cflags_change_replans_the_same_graph(self, tmp_path, monkeypatch):
+        # The compile flags are an input of the build like any other:
+        # toggling them in-process must yield a new plan and a new .so
+        # for an already-planned graph, not the cached plan.
+        from repro.backend.cpu_exec import CACHE_ENV, compile_cache_stats
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
+        graph = APPLICATIONS["Sobel"].build(96, 64).build()
+        partition = partition_for(graph, GTX680, "optimized")
+        block = block_schedule(graph, partition)[0]
+        plan_a = native_plan_for_partition(graph, partition)
+        block_a = native_plan_for_block(graph, block)
+        libraries = compile_cache_stats()["libraries"]
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O1")
+        plan_b = native_plan_for_partition(graph, partition)
+        assert plan_b is not plan_a
+        assert compile_cache_stats()["libraries"] == libraries + 1
+        assert native_plan_for_block(graph, block) is not block_a
+        monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
+        assert native_plan_for_partition(graph, partition) is plan_a
 
 
 class TestLoweredSource:

@@ -20,6 +20,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.analysis.native_check import verify_native_plan
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
 from repro.backend import native_exec
@@ -100,12 +101,16 @@ def test_specialized_sources_differ_across_resolutions():
     assert len(sources) == 2
 
 
-@needs_cc
-@pytest.mark.parametrize("app_name", APP_NAMES)
-def test_one_plan_serves_every_resolution_bit_identically(app_name):
-    plan_w, plan_h = GEOMETRIES[0]
-    _, _, plan = _polymorphic_plan(app_name, plan_w, plan_h)
-    for salt, (width, height) in enumerate(GEOMETRIES):
+#: Geometries the sanitizer's proof is symbolic about: a single pixel,
+#: one-pixel-wide strips, planes narrower than every halo margin, and
+#: one pixel past the 64x48 plan geometry (a tile edge + 1).
+ADVERSARIAL_GEOMETRIES = [(1, 1), (1, 7), (7, 1), (2, 33), (65, 49)]
+
+
+def _assert_one_plan_serves(app_name, plan_geometry, geometries):
+    _, _, plan = _polymorphic_plan(app_name, *plan_geometry)
+    assert verify_native_plan(plan) == []
+    for salt, (width, height) in enumerate(geometries):
         graph = _graph(app_name, width, height)
         inputs = _inputs(app_name, graph, width, height, salt)
         partition = partition_for(graph, GTX680, "optimized", BenefitConfig())
@@ -128,17 +133,29 @@ def test_one_plan_serves_every_resolution_bit_identically(app_name):
 
 
 @needs_cc
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_one_plan_serves_every_resolution_bit_identically(app_name):
+    _assert_one_plan_serves(app_name, GEOMETRIES[0], GEOMETRIES)
+
+
+@needs_cc
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_one_plan_serves_adversarial_geometries(app_name):
+    _assert_one_plan_serves(app_name, (64, 48), ADVERSARIAL_GEOMETRIES)
+
+
+@needs_cc
 def test_fallback_blocks_pin_the_plan_to_its_geometry(monkeypatch):
     """A polymorphic plan with a tape-fallback block must refuse foreign
     geometries — the tape baked the plan-time extents."""
     real_lower = native_exec._lower_block
     poisoned = {"count": 0}
 
-    def lower_first_block_fails(plan, fn_name, tile, polymorphic=False, **kw):
+    def lower_first_block_fails(plan, fn_name, polymorphic=False, **kw):
         if poisoned["count"] == 0:
             poisoned["count"] += 1
             raise NativeLoweringError("injected: block refuses to lower")
-        return real_lower(plan, fn_name, tile, polymorphic, **kw)
+        return real_lower(plan, fn_name, polymorphic, **kw)
 
     monkeypatch.setattr(native_exec, "_lower_block", lower_first_block_fails)
     width, height = GEOMETRIES[0]
@@ -162,10 +179,9 @@ def test_extent_guard_rejects_foreign_extents_in_grid_keys():
     """``_Body.extent`` is the safety net of the substitution: a baked
     extent that is not the block's iteration-space extent cannot be
     renamed to ``width``/``height``."""
-    body = native_exec._Body(
-        interior=False, width=40, height=28, img_ids={}, polymorphic=True
-    )
-    assert body.extent("x", 40) == "width"
-    assert body.extent("y", 28) == "height"
+    sig = native_exec._Signature((), (), 40, 28, polymorphic=True, f32=False)
+    body = native_exec._Body(interior=False, sig=sig)
+    assert body.extent("x", 40) == ("id", "width")
+    assert body.extent("y", 28) == ("id", "height")
     with pytest.raises(NativeLoweringError, match="differs from the iteration"):
         body.extent("x", 64)

@@ -323,25 +323,6 @@ class TestPlanCachingAndInterning:
         store.grid(keys[2])
         assert store.hits == hits_before + 1
 
-    def test_gridstore_env_capacity(self, monkeypatch):
-        from repro.backend.plan import GRID_CACHE_ENV, GridStore
-
-        monkeypatch.setenv(GRID_CACHE_ENV, "1")
-        store = GridStore()
-        assert store.capacity == 1
-        store.grid(("base", "x", 5, 4))
-        store.grid(("base", "y", 5, 4))
-        assert len(store) == 1
-        monkeypatch.setenv(GRID_CACHE_ENV, "0")  # unbounded
-        unbounded = GridStore()
-        for width in range(3, 40):
-            unbounded.grid(("base", "x", width, 4))
-        assert len(unbounded) == 37
-        assert unbounded.evictions == 0
-        monkeypatch.setenv(GRID_CACHE_ENV, "-3")
-        with pytest.raises(ValueError, match=GRID_CACHE_ENV):
-            GridStore()
-
     def test_gridstore_derived_chain_survives_within_capacity(self):
         # Derived keys materialize parents recursively; a resolve over
         # a shifted grid stays correct when entries recycle.

@@ -148,21 +148,6 @@ class TestNativeKnobs:
         with pytest.raises(EnvKnobError, match=NATIVE_THREADS_ENV):
             resolve_native_threads()
 
-    def test_native_tile_default_and_minimum(self, monkeypatch):
-        from repro.backend.native_exec import (
-            DEFAULT_TILE_ROWS,
-            NATIVE_TILE_ENV,
-            resolve_native_tile,
-        )
-
-        monkeypatch.delenv(NATIVE_TILE_ENV, raising=False)
-        assert resolve_native_tile() == DEFAULT_TILE_ROWS
-        monkeypatch.setenv(NATIVE_TILE_ENV, "16")
-        assert resolve_native_tile() == 16
-        monkeypatch.setenv(NATIVE_TILE_ENV, "0")
-        with pytest.raises(EnvKnobError, match=NATIVE_TILE_ENV):
-            resolve_native_tile()
-
     def test_cc_cache_max_flows_through_size_env(self, monkeypatch):
         from repro.backend.cpu_exec import CACHE_MAX_ENV
 
