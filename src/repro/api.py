@@ -18,14 +18,18 @@ ladder also protects direct (non-serving) execution.
 
 Which engines exist, the order they degrade in, and what an engine that
 is unavailable on this host resolves to are decided in one place,
-:mod:`repro.backend.engines`; this module looks the engine up there and
-calls ``.execute`` on the plan it builds.
+:mod:`repro.backend.engines`.  What one request does is the same at
+both doors — key (:func:`~repro.serve.plancache.plan_key`) → plan-cache
+lookup → on a miss the staged
+:func:`~repro.serve.plancache.build_plan` → ``.execute`` on the entry:
+a direct call uses the process-wide cache, a serving runtime its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -36,6 +40,14 @@ from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
 from repro.model.benefit import BenefitConfig
 from repro.model.hardware import KNOWN_GPUS, GpuSpec
+from repro.serve.plancache import (
+    PROCESS_CACHE,
+    FusionSettings,
+    build_plan,
+    plan_key,
+    validate_plan,
+)
+from repro.serve.registry import default_registry
 
 __all__ = ["ExecutionOptions", "run", "run_block"]
 
@@ -57,9 +69,9 @@ class ExecutionOptions:
         (``None`` defers to ``REPRO_EXEC_WORKERS``).
     runtime:
         A :class:`~repro.serve.runtime.ServingRuntime` to route the
-        call through — plan caching, micro-batching, and the serving
-        resilience layer apply; the options' own engine/fusion fields
-        are ignored in favour of the runtime's configuration.  A
+        call through — its own plan cache, micro-batching, and the
+        serving resilience layer apply; the options' own engine/fusion
+        fields are ignored in favour of the runtime's configuration.  A
         :class:`~repro.serve.sharding.ShardedRuntime` also works for
         *named* pipelines (requests fan out over its worker
         processes); ad-hoc graph execution needs the single-process
@@ -115,27 +127,27 @@ class ExecutionOptions:
                 f"expected one of {VALIDATE_MODES}"
             )
         gpu_name = self.gpu if isinstance(self.gpu, str) else self.gpu.name
-        if gpu_name not in KNOWN_GPUS:
+        # Plan-cache keys carry the GPU by name, so a spec must be the
+        # known one of that name, not an edited copy.
+        spec = KNOWN_GPUS.get(gpu_name)
+        if spec is None or self.gpu not in (gpu_name, spec):
             known = ", ".join(sorted(KNOWN_GPUS))
             raise ExecutionError(
                 f"unknown GPU {gpu_name!r}; known: {known}"
             )
 
-    @property
-    def gpu_spec(self) -> GpuSpec:
-        return (
-            KNOWN_GPUS[self.gpu] if isinstance(self.gpu, str) else self.gpu
-        )
-
-    def fusion_settings(self):
-        """The equivalent :class:`repro.serve.plancache.FusionSettings`
-        (for building a :class:`ServingRuntime` from these options)."""
-        from repro.serve.runtime import fusion_settings
-
-        return fusion_settings(
+    def fusion_settings(self) -> FusionSettings:
+        """The fusion half of these options as the hashable
+        :class:`repro.serve.plancache.FusionSettings` — what plan-cache
+        keys carry and what a :class:`ServingRuntime` is built from."""
+        config = self.benefit or BenefitConfig()
+        return FusionSettings(
             version=self.fusion_version,
-            gpu=self.gpu_spec,
-            config=self.benefit,
+            gpu_name=self.gpu if isinstance(self.gpu, str) else self.gpu.name,
+            c_mshared=config.c_mshared,
+            epsilon=config.epsilon,
+            gamma=config.gamma,
+            is_units=config.is_units,
             naive_borders=bool(self.naive_borders),
         )
 
@@ -158,27 +170,41 @@ def run(
     on every engine.
     """
     opts = options or ExecutionOptions()
-    if opts.runtime is not None:
-        if isinstance(pipeline, str):
-            return opts.runtime.execute(pipeline, inputs, params)
-        partition = opts.partition
-        if partition is None and not opts.fuse:
-            partition = Partition.singletons(pipeline)
-        return opts.runtime.execute_graph(
-            pipeline,
-            inputs,
-            params,
-            partition,
-            naive_borders=opts.naive_borders,
+    runtime = opts.runtime
+    if isinstance(pipeline, str):
+        if runtime is not None:
+            return runtime.execute(pipeline, inputs, params)
+        graph, params = _default_registry().get(pipeline).bind(inputs, params)
+    elif isinstance(pipeline, KernelGraph):
+        graph = pipeline
+    else:
+        raise ExecutionError(
+            f"cannot run a {type(pipeline).__name__}; expected a "
+            "KernelGraph or a registered pipeline name"
         )
-    graph, params = _resolve_pipeline(pipeline, inputs, params)
+    partition = opts.partition
+    if partition is None and not opts.fuse:
+        partition = Partition.singletons(graph)
+    if runtime is not None:
+        return runtime.execute_graph(
+            graph, inputs, params, partition, naive_borders=opts.naive_borders
+        )
+    fusion = opts.fusion_settings()
     engine = engines.resolve(opts.engine)
+    # Under a resilience policy a failed build or execute hands the
+    # request down the ladder — every rung computes the same bits — the
+    # serving runtime's availability contract, for direct callers.
+    degrade = getattr(opts.resilience, "degradation", False)
+    rungs = engines.ladder_from(engine.name) if degrade else (engine,)
     with validate_override(opts.validate):
-        if opts.resilience is not None and getattr(
-            opts.resilience, "degradation", False
-        ):
-            return _run_ladder(graph, inputs, params, opts, engine)
-        return _run_direct(graph, inputs, params, opts, engine)
+        for rung in rungs:
+            try:
+                return _run_rung(
+                    graph, inputs, params, opts.workers, fusion, partition, rung.name
+                )
+            except Exception:
+                if rung is rungs[-1]:
+                    raise
 
 
 def run_block(
@@ -207,81 +233,37 @@ def run_block(
         return plan.execute(arrays, params)
 
 
-def _resolve_pipeline(
-    pipeline: Union[KernelGraph, str],
-    inputs: Arrays,
-    params: Params | None,
-) -> Tuple[KernelGraph, Params | None]:
-    if isinstance(pipeline, KernelGraph):
-        return pipeline, params
-    if isinstance(pipeline, str):
-        from repro.serve.registry import default_registry
-
-        entry = default_registry().get(pipeline)
-        geometries = {np.shape(a)[:2] for a in inputs.values()}
-        if len(geometries) != 1:
-            raise ExecutionError(
-                "cannot infer pipeline geometry from input shapes "
-                f"{geometries}"
-            )
-        height, width = geometries.pop()
-        merged = dict(entry.params)
-        merged.update(params or {})
-        return entry.graph(width, height), merged
-    raise ExecutionError(
-        f"cannot run a {type(pipeline).__name__}; expected a KernelGraph "
-        "or a registered pipeline name"
-    )
+#: The registry bare names resolve against — built once, so an entry's
+#: per-geometry graph memo survives from call to call.
+_default_registry = lru_cache(maxsize=None)(default_registry)
 
 
-def _partition_of(graph: KernelGraph, opts: ExecutionOptions) -> Partition:
-    """The partition one call executes: explicit, fused, or singletons."""
-    if opts.partition is not None:
-        return opts.partition
-    if not opts.fuse:
-        return Partition.singletons(graph)
-    from repro.eval.runner import partition_for
-
-    return partition_for(
-        graph,
-        opts.gpu_spec,
-        opts.fusion_version,
-        opts.benefit or BenefitConfig(),
-    )
-
-
-def _run_direct(
+def _run_rung(
     graph: KernelGraph,
     inputs: Arrays,
     params: Params | None,
-    opts: ExecutionOptions,
-    engine: engines.Engine,
+    workers: Optional[int],
+    fusion: FusionSettings,
+    partition: Partition | None,
+    engine: str,
 ) -> Arrays:
-    plan = engine.plan_partition(
-        graph, _partition_of(graph, opts), bool(opts.naive_borders)
+    """One request on one engine: key → :data:`PROCESS_CACHE` lookup →
+    :func:`build_plan` on a miss → execute.  An entry whose execute
+    raised is dropped, as serving's quarantine does, so it is never
+    served again."""
+    key = plan_key(
+        graph.structural_signature(), inputs, engine, fusion, partition=partition
     )
-    return plan.execute(inputs, params, opts.workers)
-
-
-def _run_ladder(
-    graph: KernelGraph,
-    inputs: Arrays,
-    params: Params | None,
-    opts: ExecutionOptions,
-    engine: engines.Engine,
-) -> Arrays:
-    """Direct execution under a resilience policy's degradation ladder.
-
-    All rungs compute bit-identical results, so a failed compile on a
-    fast engine degrades to a slower answer rather than an error —
-    the same availability contract the serving runtime enforces, for
-    callers that execute directly.
-    """
-    last_error: Optional[BaseException] = None
-    for rung in engines.ladder_from(engine.name):
-        try:
-            return _run_direct(graph, inputs, params, opts, rung)
-        except Exception as err:
-            last_error = err
-    assert last_error is not None
-    raise last_error
+    entry, hit = PROCESS_CACHE.get_or_build(
+        key,
+        lambda: build_plan(
+            graph, partition=partition, fusion=fusion, engine=engine
+        ),
+    )
+    if hit:
+        validate_plan(entry)
+    try:
+        return entry.executor.execute(inputs, params, workers)
+    except Exception:
+        PROCESS_CACHE.quarantine(key)
+        raise

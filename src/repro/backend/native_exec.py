@@ -104,7 +104,6 @@ import re
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,10 +159,12 @@ from repro.backend.plan import (
     PartitionPlan,
     _TapeCompiler,
     _iteration_grids,
+    clear_process_cache,
     plan_for_block,
     plan_for_partition,
     resolve_key,
     resolve_workers,
+    run_block_dag,
 )
 from repro.dsl.boundary import BoundaryMode
 from repro.graph.dag import KernelGraph
@@ -184,6 +185,7 @@ __all__ = [
     "clear_native_caches",
     "lower_block_source",
     "lower_partition_source",
+    "lowering_knobs",
     "native_available",
     "native_plan_for_block",
     "native_plan_for_partition",
@@ -1760,6 +1762,18 @@ class _VerifyOnce:
         self.pending = True
         self.lock = threading.Lock()
 
+    def run(self, check):
+        """On a plan's first strict-mode execution, ``check()`` under
+        the lock and return its result; ``None`` on every other call."""
+        if not self.pending or validate_mode() != "strict":
+            return None
+        with self.lock:
+            if not self.pending:
+                return None
+            result = check()
+            self.pending = False
+            return result
+
 
 class NativePartitionPlan:
     """A partition compiled to native code, block by block.
@@ -1782,8 +1796,6 @@ class NativePartitionPlan:
         fallback_reasons: Dict[str, str],
         source: str | None,
         polymorphic: bool = False,
-        verify_ms: float = 0.0,
-        sanitized: bool = False,
     ):
         self.plan = plan
         self.graph = plan.graph
@@ -1792,11 +1804,11 @@ class NativePartitionPlan:
         #: Wall-clock spent lowering + compiling (0 when fully cached).
         self.compile_ms = compile_ms
         #: Wall-clock the static native-codegen sanitizer spent proving
-        #: index bounds and the alias contract (0 outside strict mode).
-        self.verify_ms = verify_ms
-        #: Whether the sanitizer checked every compiled block's source
-        #: before the plan became executable (``REPRO_VALIDATE=strict``).
-        self.sanitized = sanitized
+        #: index bounds and the alias contract (0 until it has run).
+        self.verify_ms = 0.0
+        #: Whether the sanitizer passed every compiled block's loop nest
+        #: (see :meth:`ensure_sanitized`).
+        self.sanitized = False
         #: Whether the shared library came from the content-hash cache.
         self.from_cache = from_cache
         #: Per-output reasons for blocks that fell back to the tape.
@@ -1849,23 +1861,29 @@ class NativePartitionPlan:
                     f"({sorted(self.fallback_reasons)}) and cannot run "
                     "away from its plan geometry"
                 )
-        if (
-            self._verify.pending
-            and validate_mode() == "strict"
-            and at_plan_geometry
-        ):
+        if at_plan_geometry:
             # Differential verification compares against the tape plan,
             # which is shape-specialized — it only makes sense at the
             # plan geometry; polymorphic executions at other geometries
             # leave verification pending for a matching call.
-            with self._verify.lock:
-                if self._verify.pending:
-                    # Verification wants a deterministic first pass.
-                    result = self._execute_blocks(inputs, params, 1)
-                    self._differential_verify(inputs, params, result)
-                    self._verify.pending = False
-                    return result
+            result = self._verify.run(
+                lambda: self._verified_first_pass(inputs, params)
+            )
+            if result is not None:
+                return result
         return self._execute_blocks(inputs, params, workers)
+
+    def ensure_sanitized(self) -> None:
+        """Run the native-codegen sanitizer over the compiled blocks
+        unless this plan already passed it — strict mode's "sanitized
+        before first use", paid once.  Raises :class:`repro.analysis.
+        verifier.PlanVerificationError` on any NAT diagnostic."""
+        if self.sanitized:
+            return
+        self.verify_ms = _sanitize_natives(
+            [native for _plan, native in self.blocks if native is not None]
+        )
+        self.sanitized = True
 
     def _at_plan_geometry(self, inputs: Arrays) -> bool:
         """Whether the bound arrays match the geometry planned for."""
@@ -1880,71 +1898,28 @@ class NativePartitionPlan:
     def _execute_blocks(
         self, inputs: Arrays, params: Params, workers: int = 1
     ) -> Arrays:
-        env: Arrays = dict(inputs)
-        if workers > 1 and len(self.blocks) > 1:
-            return self._execute_blocks_parallel(env, params, workers)
-        for block_plan, native in self.blocks:
-            env[block_plan.output_name] = self._run_block(
-                block_plan, native, env, params
-            )
-        return env
+        """Dependence-ordered dispatch of the block DAG — ``self.blocks``
+        is aligned with ``self.plan.plans``, so the tape plan's ``deps``
+        indices apply verbatim."""
 
-    @staticmethod
-    def _run_block(
-        block_plan: BlockPlan,
-        native: Optional[NativeBlock],
-        env: Arrays,
-        params: Params,
-    ) -> np.ndarray:
-        if native is not None:
-            return native.execute(env, params)
-        return block_plan.execute(env, params)
+        def run_one(index: int, env: Arrays, params: Params) -> np.ndarray:
+            block_plan, native = self.blocks[index]
+            runner = native if native is not None else block_plan
+            return runner.execute(env, params)
 
-    def _execute_blocks_parallel(
-        self, env: Arrays, params: Params, workers: int
-    ) -> Arrays:
-        """Dependence-ordered thread-pool dispatch of the block DAG.
+        return run_block_dag(
+            self.plan.deps,
+            [block_plan.output_name for block_plan, _ in self.blocks],
+            run_one,
+            dict(inputs),
+            params,
+            workers,
+        )
 
-        Mirrors :meth:`repro.backend.plan.PartitionPlan.
-        _execute_parallel` — ``self.blocks`` is aligned with
-        ``self.plan.plans``, so the tape plan's ``deps`` indices apply
-        verbatim.  Each submission snapshots ``env`` so a worker never
-        observes a concurrent insert mid-execution.
-        """
-        deps = self.plan.deps
-        pending = {index: len(block_deps) for index, block_deps in enumerate(deps)}
-        dependents: Dict[int, List[int]] = {index: [] for index in pending}
-        for index, block_deps in enumerate(deps):
-            for dep in block_deps:
-                dependents[dep].append(index)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: Dict = {}
-
-            def submit(index: int) -> None:
-                block_plan, native = self.blocks[index]
-                futures[
-                    pool.submit(
-                        self._run_block, block_plan, native, dict(env), params
-                    )
-                ] = index
-
-            for index, count in pending.items():
-                if count == 0:
-                    submit(index)
-            while futures:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    env[self.blocks[index][0].output_name] = future.result()
-                    for dependent in dependents[index]:
-                        pending[dependent] -= 1
-                        if pending[dependent] == 0:
-                            submit(dependent)
-        return env
-
-    def _differential_verify(
-        self, inputs: Arrays, params: Params, result: Arrays
-    ) -> None:
+    def _verified_first_pass(self, inputs: Arrays, params: Params) -> Arrays:
+        """A deterministic (serial) pass, differentially verified
+        against the tape plan under :attr:`tolerance`."""
+        result = self._execute_blocks(inputs, params, 1)
         expected = self.plan.execute(dict(inputs), params)
         for block_plan, native in self.blocks:
             if native is None:
@@ -1953,6 +1928,7 @@ class NativePartitionPlan:
             assert_native_equiv(
                 expected[name], result[name], self.tolerance, context=name
             )
+        return result
 
 
 class NativeBlockPlan:
@@ -1965,21 +1941,11 @@ class NativeBlockPlan:
     :class:`NativePartitionPlan`.
     """
 
-    def __init__(
-        self,
-        plan: BlockPlan,
-        native: Optional[NativeBlock],
-        verify_ms: float = 0.0,
-        sanitized: bool = False,
-    ):
+    def __init__(self, plan: BlockPlan, native: Optional[NativeBlock]):
         self.plan = plan
         self.native = native
         self.output_name = plan.output_name
         self.tolerance = tolerance_for([plan])
-        #: Static-sanitizer wall-clock / coverage (see
-        #: :class:`NativePartitionPlan`).
-        self.verify_ms = verify_ms
-        self.sanitized = sanitized
         self._verify = _VerifyOnce()
 
     def execute(
@@ -1990,17 +1956,14 @@ class NativeBlockPlan:
         if self.native is None:
             return self.plan.execute(arrays, params)
         result = self.native.execute(arrays, params)
-        if self._verify.pending and validate_mode() == "strict":
-            with self._verify.lock:
-                if self._verify.pending:
-                    expected = self.plan.execute(arrays, params)
-                    assert_native_equiv(
-                        expected,
-                        result,
-                        self.tolerance,
-                        context=self.output_name,
-                    )
-                    self._verify.pending = False
+        self._verify.run(
+            lambda: assert_native_equiv(
+                self.plan.execute(arrays, params),
+                result,
+                self.tolerance,
+                context=self.output_name,
+            )
+        )
         return result
 
 
@@ -2015,22 +1978,16 @@ def _native_flags(cc: str) -> Tuple[str, ...]:
         flags.append("-fopenmp")
     # Extra deployment/CI flags (e.g. -fsanitize=address,undefined);
     # they join the content-hash key and the plan-cache keys
-    # (:func:`_native_plan_key`), so toggling them recompiles.
+    # (:func:`lowering_knobs`), so toggling them recompiles.
     flags.extend(native_cflags_env())
     return tuple(flags)
 
 
-def _sanitize_natives(natives: Sequence[NativeBlock]) -> Tuple[float, bool]:
-    """Strict-mode static sanitation of freshly lowered native blocks.
-
-    Under ``REPRO_VALIDATE=strict`` runs the native-codegen sanitizer
-    (:mod:`repro.analysis.native_check`) over every compiled block
-    **before first execution** and raises :class:`repro.analysis.
-    verifier.PlanVerificationError` on any NAT diagnostic.  Returns
-    ``(verify wall-clock in ms, whether anything was sanitized)``.
-    """
-    if validate_mode() != "strict" or not natives:
-        return 0.0, False
+def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
+    """Run the native-codegen sanitizer
+    (:mod:`repro.analysis.native_check`) over compiled blocks; raises
+    :class:`repro.analysis.verifier.PlanVerificationError` on any NAT
+    diagnostic.  Returns the wall-clock it took in ms."""
     from repro.analysis.native_check import verify_native_blocks
     from repro.analysis.verifier import enforce
 
@@ -2038,7 +1995,7 @@ def _sanitize_natives(natives: Sequence[NativeBlock]) -> Tuple[float, bool]:
     enforce(
         verify_native_blocks(natives), context="native codegen sanitizer"
     )
-    return (time.perf_counter() - started) * 1e3, True
+    return (time.perf_counter() - started) * 1e3
 
 
 def _compile_specs(
@@ -2080,20 +2037,12 @@ def _build_native_partition(
         fn = getattr(library, spec.fn_name)
         blocks.append((block_plan, NativeBlock(block_plan, spec, fn)))
     compile_ms = (time.perf_counter() - started) * 1e3
-    verify_ms, sanitized = _sanitize_natives(
-        [native for _plan, native in blocks if native is not None]
+    native_plan = NativePartitionPlan(
+        plan, blocks, compile_ms, from_cache, reasons, source, polymorphic
     )
-    return NativePartitionPlan(
-        plan,
-        blocks,
-        compile_ms,
-        from_cache,
-        reasons,
-        source,
-        polymorphic,
-        verify_ms=verify_ms,
-        sanitized=sanitized,
-    )
+    if validate_mode() == "strict":
+        native_plan.ensure_sanitized()
+    return native_plan
 
 
 _native_partition_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
@@ -2105,21 +2054,13 @@ _native_block_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
 _native_cache_lock = threading.Lock()
 
 
-def _native_plan_key(signature, naive_borders: bool, polymorphic: bool):
-    """The cache key of a native plan: every input of lowering and
-    compiling — the partition/block signature, ``naive_borders``,
-    polymorphic, and the three knobs read along the way
+def lowering_knobs() -> tuple:
+    """The knobs lowering and compiling read from the environment
     (``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``,
-    ``REPRO_NATIVE_CFLAGS``) — so changing any of them in-process
-    rebuilds instead of serving the stale plan."""
-    return (
-        signature,
-        bool(naive_borders),
-        bool(polymorphic),
-        native_tile2d_env(),
-        native_f32_enabled(),
-        native_cflags_env(),
-    )
+    ``REPRO_NATIVE_CFLAGS``) — part of every cache key above a native
+    plan, so changing one in-process rebuilds instead of serving the
+    stale plan."""
+    return (native_tile2d_env(), native_f32_enabled(), native_cflags_env())
 
 
 def _cached_native_plan(cache_of, graph: KernelGraph, key, build):
@@ -2153,7 +2094,8 @@ def native_plan_for_partition(
     return _cached_native_plan(
         _native_partition_plans,
         graph,
-        _native_plan_key(partition.signature(), naive_borders, polymorphic),
+        (partition.signature(), bool(naive_borders), polymorphic)
+        + lowering_knobs(),
         lambda: _build_native_partition(
             graph, partition, naive_borders, polymorphic
         ),
@@ -2175,10 +2117,9 @@ def _build_native_block(
     native = None
     if spec is not None and library is not None:
         native = NativeBlock(block_plan, spec, getattr(library, spec.fn_name))
-    verify_ms, sanitized = _sanitize_natives([native] if native else [])
-    return NativeBlockPlan(
-        block_plan, native, verify_ms=verify_ms, sanitized=sanitized
-    )
+    if native is not None and validate_mode() == "strict":
+        _sanitize_natives([native])
+    return NativeBlockPlan(block_plan, native)
 
 
 def native_plan_for_block(
@@ -2191,7 +2132,7 @@ def native_plan_for_block(
     return _cached_native_plan(
         _native_block_plans,
         graph,
-        _native_plan_key(block.signature(), naive_borders, False),
+        (block.signature(), bool(naive_borders)) + lowering_knobs(),
         lambda: _build_native_block(graph, block, naive_borders),
     )
 
@@ -2201,3 +2142,4 @@ def clear_native_caches() -> None:
     with _native_cache_lock:
         _native_partition_plans.clear()
         _native_block_plans.clear()
+    clear_process_cache()

@@ -39,11 +39,12 @@ environment knob; the default is the serial fallback.
 from __future__ import annotations
 
 import threading
+import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -693,6 +694,10 @@ class PartitionPlan:
         self.graph = graph
         self.partition = partition
         self.store = store or GridStore()
+        #: Whether the static plan verifier passed this plan (see
+        #: :meth:`ensure_verified`), and the wall-clock it took.
+        self.verified = False
+        self.verify_ms = 0.0
         schedule = block_schedule(graph, partition)
         producer_block: Dict[str, int] = {}
         self.plans: List[BlockPlan] = []
@@ -722,46 +727,73 @@ class PartitionPlan:
         workers: int | None = None,
     ) -> Arrays:
         """Run every block; returns the surviving-image environment."""
-        params = params or {}
-        workers = resolve_workers(workers)
-        env: Arrays = dict(inputs)
-        if workers <= 1 or len(self.plans) <= 1:
-            for plan in self.plans:
-                env[plan.output_name] = plan.execute(env, params)
-            return env
-        return self._execute_parallel(env, params, workers)
+        return run_block_dag(
+            self.deps,
+            [plan.output_name for plan in self.plans],
+            lambda index, env, params: self.plans[index].execute(env, params),
+            dict(inputs),
+            params or {},
+            resolve_workers(workers),
+        )
 
-    def _execute_parallel(
-        self, env: Arrays, params: Params, workers: int
-    ) -> Arrays:
-        pending = {index: len(deps) for index, deps in enumerate(self.deps)}
-        dependents: Dict[int, List[int]] = {i: [] for i in pending}
-        for index, deps in enumerate(self.deps):
-            for dep in deps:
-                dependents[dep].append(index)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: Dict = {}
+    def ensure_verified(self) -> None:
+        """Run the static plan verifier unless this plan already passed
+        it — strict mode's "verified before first use", paid once.
+        Raises :class:`repro.analysis.verifier.PlanVerificationError`.
+        """
+        if not self.verified:
+            started = time.perf_counter()
+            _verify(self, self.graph)
+            self.verify_ms = (time.perf_counter() - started) * 1e3
+            self.verified = True
 
-            def submit(index: int) -> None:
-                plan = self.plans[index]
-                # Snapshot the environment: blocks run concurrently with
-                # main-thread writes, and every input a block needs is
-                # present by the time its dependences completed.
-                futures[pool.submit(plan.execute, dict(env), params)] = index
 
-            for index, count in pending.items():
-                if count == 0:
-                    submit(index)
-            while futures:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    env[self.plans[index].output_name] = future.result()
-                    for dependent in dependents[index]:
-                        pending[dependent] -= 1
-                        if pending[dependent] == 0:
-                            submit(dependent)
+def run_block_dag(
+    deps: List[Set[int]],
+    output_names: List[str],
+    run_one: Callable[[int, Arrays, Params], np.ndarray],
+    env: Arrays,
+    params: Params,
+    workers: int,
+) -> Arrays:
+    """Run a partition's blocks in dependence order; returns ``env``
+    with every block's output added.
+
+    ``run_one(index, env, params)`` computes block ``index``; ``deps``
+    and ``output_names`` are aligned with it and listed in a valid
+    serial schedule.  With ``workers > 1`` independent blocks are
+    dispatched on a thread pool, each on a snapshot of ``env`` so a
+    worker never observes a concurrent insert — every input a block
+    needs is present by the time its dependences completed.
+    """
+    if workers <= 1 or len(deps) <= 1:
+        for index, name in enumerate(output_names):
+            env[name] = run_one(index, env, params)
         return env
+    pending = {index: len(block_deps) for index, block_deps in enumerate(deps)}
+    dependents: Dict[int, List[int]] = {index: [] for index in pending}
+    for index, block_deps in enumerate(deps):
+        for dep in block_deps:
+            dependents[dep].append(index)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures: Dict = {}
+
+        def submit(index: int) -> None:
+            futures[pool.submit(run_one, index, dict(env), params)] = index
+
+        for index, count in pending.items():
+            if count == 0:
+                submit(index)
+        while futures:
+            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
+            for future in done:
+                index = futures.pop(future)
+                env[output_names[index]] = future.result()
+                for dependent in dependents[index]:
+                    pending[dependent] -= 1
+                    if pending[dependent] == 0:
+                        submit(dependent)
+    return env
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -807,16 +839,13 @@ def _store_for(graph: KernelGraph) -> GridStore:
     return store
 
 
-def _strict_verify(plan, graph: KernelGraph, block=None) -> None:
-    """Run the static plan verifier on a freshly built plan when
-    ``REPRO_VALIDATE=strict``; raises
+def _verify(plan, graph: KernelGraph, block=None) -> None:
+    """Run the static plan verifier on ``plan``; raises
     :class:`repro.analysis.verifier.PlanVerificationError` on failure.
 
     Imported lazily: the verifier sits above this module (it recompiles
     reference tapes through :func:`compile_block`).
     """
-    if validate_mode() != "strict":
-        return
     from repro.analysis.verifier import enforce, verify_plan
 
     enforce(
@@ -843,7 +872,8 @@ def plan_for_partition(
             plan = PartitionPlan(
                 graph, partition, naive_borders, store=_store_for(graph)
             )
-            _strict_verify(plan, graph)
+            if validate_mode() == "strict":
+                plan.ensure_verified()
             cache[key] = plan
         return plan
 
@@ -871,9 +901,20 @@ def plan_for_block(
                 store=_store_for(graph),
                 apply_reduction=False,
             )
-            _strict_verify(plan, graph, block=block)
+            if validate_mode() == "strict":
+                _verify(plan, graph, block)
             cache[key] = plan
         return plan
+
+
+def clear_process_cache() -> None:
+    """Empty :data:`repro.serve.plancache.PROCESS_CACHE`.  It is built
+    on the per-graph caches here and in ``native_exec``, so their resets
+    call this and stay the whole process-cache reset.  (Imported
+    lazily: that module sits above this one.)"""
+    from repro.serve.plancache import PROCESS_CACHE
+
+    PROCESS_CACHE.clear()
 
 
 def clear_plan_caches() -> None:
@@ -882,3 +923,4 @@ def clear_plan_caches() -> None:
         _graph_stores.clear()
         _partition_plans.clear()
         _block_plans.clear()
+    clear_process_cache()

@@ -79,7 +79,7 @@ from repro.serve.resilience import (
     ShardPolicy,
     StageTimeouts,
 )
-from repro.serve.runtime import ServingRuntime, fusion_settings
+from repro.serve.runtime import ServingRuntime
 from repro.serve.scheduler import (
     MicroBatchScheduler,
     ResponseHandle,
@@ -135,7 +135,6 @@ __all__ = [
     "attach_segment",
     "default_registry",
     "fault_injection",
-    "fusion_settings",
     "inputs_signature",
     "merge_snapshots",
     "pack_arrays",

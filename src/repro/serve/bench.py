@@ -35,8 +35,6 @@ from repro.apps import ALL_APPS, AppSpec
 from repro.backend.numpy_exec import Arrays
 from repro.backend.plan import GridStore, PartitionPlan
 from repro.eval.runner import partition_for
-from repro.model.benefit import BenefitConfig
-from repro.model.hardware import KNOWN_GPUS
 from repro.serve.plancache import FusionSettings
 from repro.serve.registry import DEFAULT_APP_PARAMS, default_registry
 from repro.serve.runtime import ServingRuntime
@@ -69,15 +67,6 @@ def request_inputs(
     }
 
 
-def _benefit_config(fusion: FusionSettings) -> BenefitConfig:
-    return BenefitConfig(
-        c_mshared=fusion.c_mshared,
-        epsilon=fusion.epsilon,
-        gamma=fusion.gamma,
-        is_units=fusion.is_units,
-    )
-
-
 def _baseline_once(
     spec: AppSpec,
     width: int,
@@ -88,10 +77,7 @@ def _baseline_once(
     """One request the expensive way: rebuild, re-fuse, re-plan, run."""
     graph = spec.build(width, height).build()
     partition = partition_for(
-        graph,
-        KNOWN_GPUS[fusion.gpu_name],
-        fusion.version,
-        _benefit_config(fusion),
+        graph, fusion.gpu, fusion.version, fusion.benefit_config
     )
     plan = PartitionPlan(
         graph,

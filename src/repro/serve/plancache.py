@@ -1,21 +1,19 @@
-"""The compiled-plan cache: fuse once, plan once, serve forever.
+"""The compiled-plan cache and the one function that fills it.
 
-Every entry point of the reproduction used to re-fuse and re-plan per
-call; the whole point of the paper's compile-time analysis is that the
-result is **reusable** — the fused partition and the compiled
-instruction tapes depend only on the pipeline's structure, the input
-geometry/dtype, the execution engine, and the fusion configuration.
-:class:`PlanCache` materializes exactly that key:
-
-    (graph structural signature, input shapes/dtypes, engine,
-     fusion configuration)
-
-and holds the fused :class:`~repro.graph.partition.Partition` together
-with the compiled :class:`~repro.backend.plan.PartitionPlan` — plus,
-for ``engine="native"``, the loaded native-kernel plan whose ``.so``
-artifact makes a hit skip the C compile too — under LRU eviction.  Two *separately built* but structurally identical pipelines
-hash to the same entry (see :mod:`repro.ir.signature`); changing a mask
-constant, an image shape, or any fusion knob misses.
+The whole point of the paper's compile-time analysis is that its result
+is **reusable** — the fused partition and the compiled instruction
+tapes depend only on the pipeline's structure, the input
+geometry/dtype, the execution engine, the fusion configuration and the
+native lowering knobs.  :func:`plan_key` lists exactly those inputs,
+:func:`build_plan` is the one place the sequence fuse → tape plan →
+native compile → sanitize → verify is written, and :class:`PlanCache`
+holds the resulting :class:`CachedPlan` under LRU eviction.  Both doors
+use all three: :func:`repro.api.run` on the process-wide
+:data:`PROCESS_CACHE`, each :class:`~repro.serve.runtime.ServingRuntime`
+on a cache of its own.  Two *separately built* but structurally
+identical pipelines hash to the same entry (see
+:mod:`repro.ir.signature`); changing a mask constant, an image shape,
+or any fusion knob misses.
 
 Concurrent requests for the same missing key are **coalesced**: one
 thread compiles, the rest wait on the in-flight build and share its
@@ -29,22 +27,30 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.plan import PartitionPlan
+from repro.backend import engines, native_exec
+from repro.backend.numpy_exec import ExecutionError
+from repro.backend.plan import PartitionPlan, plan_for_partition
+from repro.envknobs import validate_mode
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition
+from repro.model.benefit import BenefitConfig
+from repro.model.hardware import KNOWN_GPUS, GpuSpec
 
 __all__ = [
     "CACHE_KEYINGS",
     "CachedPlan",
     "FusionSettings",
+    "PROCESS_CACHE",
     "PlanCache",
+    "build_plan",
     "inputs_signature",
     "inputs_structure",
     "plan_key",
+    "validate_plan",
 ]
 
 #: The two plan-cache keying modes: ``"shape"`` keys on exact input
@@ -75,15 +81,22 @@ class FusionSettings:
     naive_borders: bool = False
 
     def key(self) -> tuple:
-        return (
-            self.version,
-            self.gpu_name,
-            self.c_mshared,
-            self.epsilon,
-            self.gamma,
-            self.is_units,
-            self.naive_borders,
+        # Every field, in declaration order (``astuple`` deep-copies,
+        # and this sits on the per-request path).
+        return tuple(vars(self).values())
+
+    @property
+    def benefit_config(self) -> BenefitConfig:
+        return BenefitConfig(
+            c_mshared=self.c_mshared,
+            epsilon=self.epsilon,
+            gamma=self.gamma,
+            is_units=self.is_units,
         )
+
+    @property
+    def gpu(self) -> GpuSpec:
+        return KNOWN_GPUS[self.gpu_name]
 
 
 def inputs_signature(inputs: Dict[str, np.ndarray]) -> tuple:
@@ -110,12 +123,19 @@ def plan_key(
     engine: str,
     fusion: FusionSettings,
     keying: str = "shape",
+    partition: Partition | None = None,
 ) -> tuple:
-    """The full cache key of one (pipeline, request, config).
+    """The full cache key of one (pipeline, request, config): every
+    input of :func:`build_plan`.
 
     ``keying="shape"`` (the default) keys on exact input shapes;
     ``keying="structure"`` elides them, so every resolution of one
-    pipeline structure maps to the same entry.
+    pipeline structure maps to the same entry.  An explicit
+    ``partition`` replaces the fusion configuration — its block
+    structure is the plan identity, only ``naive_borders`` still
+    matters.  The native lowering knobs ride along on every key
+    (:func:`repro.backend.native_exec.lowering_knobs`): a key is
+    computed before the engine that will serve it is known to build.
     """
     if keying not in CACHE_KEYINGS:
         raise ValueError(
@@ -127,7 +147,18 @@ def plan_key(
         if keying == "structure"
         else inputs_signature(inputs)
     )
-    return (graph_signature, signature, engine, fusion.key())
+    decision = (
+        fusion.key()
+        if partition is None
+        else ("explicit", partition.signature(), fusion.naive_borders)
+    )
+    return (
+        graph_signature,
+        signature,
+        engine,
+        decision,
+        native_exec.lowering_knobs(),
+    )
 
 
 def _structure_of(key: tuple, structure_key: Optional[str]) -> tuple:
@@ -140,19 +171,19 @@ def _structure_of(key: tuple, structure_key: Optional[str]) -> tuple:
     graph's :meth:`~repro.graph.dag.KernelGraph.structure_signature`)
     replaces the graph half when the caller provides it — a shape-keyed
     key's own graph signature bakes in the geometry, so it cannot
-    identify the structure by itself.  Keys that are not the
-    :func:`plan_key` 4-tuple (the cache accepts arbitrary hashable
-    keys) project to themselves: each distinct key is its own
-    structure, so every miss on them is a structure miss.
+    identify the structure by itself.  Keys that are not a
+    :func:`plan_key` tuple (the cache accepts arbitrary hashable keys)
+    project to themselves: each distinct key is its own structure, so
+    every miss on them is a structure miss.
     """
-    if not (isinstance(key, tuple) and len(key) == 4):
+    if not (isinstance(key, tuple) and len(key) == 5):
         return (structure_key,) if structure_key is not None else (key,)
-    graph_signature, signature, engine, fusion = key
+    graph_signature, signature = key[:2]
     shapeless = tuple(
         (entry[0], entry[-1]) if len(entry) == 3 else entry
         for entry in signature
     )
-    return (structure_key or graph_signature, shapeless, engine, fusion)
+    return (structure_key or graph_signature, shapeless) + key[2:]
 
 
 @dataclass
@@ -166,26 +197,24 @@ class CachedPlan:
     ``partition`` instead.
     """
 
-    key: tuple
+    #: The key this entry is cached under (set by :class:`PlanCache`).
+    key: Any
     graph: KernelGraph
     partition: Partition
     plan: Optional[PartitionPlan]
-    #: Per-stage compile-time breakdown in milliseconds:
-    #: ``fuse`` (benefit estimate + partitioning) and ``plan`` (tape
-    #: compilation), the costs the cache amortizes across requests.
+    #: Per-stage build-time breakdown in milliseconds — ``fuse_ms``,
+    #: ``plan_ms``, ``native_compile_ms`` and, under strict,
+    #: ``native_verify_ms`` / ``verify_ms`` — the costs the cache
+    #: amortizes across requests.
     timings_ms: Dict[str, float] = field(default_factory=dict)
-    created_at: float = field(default_factory=time.time)
     serves: int = 0
-    #: True when the static plan verifier (:mod:`repro.analysis.verifier`)
-    #: checked this entry at insert time (``REPRO_VALIDATE=strict``).
-    verified: bool = False
     #: Compiled-native execution plan
     #: (:class:`repro.backend.native_exec.NativePartitionPlan`) carried
-    #: alongside the tape plan when the runtime serves
-    #: ``engine="native"``; ``None`` otherwise.  Because the native
-    #: plan holds the loaded ``.so`` artifact, a cache hit on this
-    #: entry skips fusion, tape planning *and* the C compile.
-    native_plan: Optional[object] = None
+    #: alongside the tape plan for ``engine="native"``; ``None``
+    #: otherwise.  Because the native plan holds the loaded ``.so``
+    #: artifact, a cache hit on this entry skips fusion, tape planning
+    #: *and* the C compile.
+    native_plan: Optional[native_exec.NativePartitionPlan] = None
     #: The execution engine this entry was built for (``tape`` /
     #: ``native`` / ``recursive``) — also the third key component.
     engine: str = "tape"
@@ -193,6 +222,137 @@ class CachedPlan:
     #: ``plan``, else the recursive engine's walk; all three share
     #: ``.execute(inputs, params, workers=...)``.
     executor: Optional[object] = None
+
+    @property
+    def verified(self) -> bool:
+        """Whether the static plan verifier
+        (:mod:`repro.analysis.verifier`) passed this entry's tape plan."""
+        return self.plan is not None and self.plan.verified
+
+
+#: Runs one named build stage: ``stage(name, fn)`` returns ``fn()``.
+Stage = Callable[[str, Callable[[], Any]], Any]
+
+
+def call_stage(name: str, fn: Callable[[], Any]) -> Any:
+    """The direct door's stage runner: a plain call, so callers see the
+    original exception types."""
+    return fn()
+
+
+def build_plan(
+    graph: KernelGraph,
+    *,
+    partition: Partition | None = None,
+    fusion: FusionSettings,
+    engine: str,
+    polymorphic: bool = False,
+    stage: Stage = call_stage,
+) -> CachedPlan:
+    """Build what one request executes — the only place in ``src/``
+    that runs fuse → tape plan → native compile → sanitize → verify.
+
+    ``partition=None`` fuses under ``fusion``; an explicit partition is
+    served as given (``fusion`` then only contributes
+    ``naive_borders``).  ``engine`` is a name from the engine table:
+    ``recursive`` deliberately skips tape compilation — its failure
+    domain must not include the tape compiler — and ``native`` compiles
+    on top of the tape plan (``polymorphic`` selects runtime-geometry
+    kernels, which a structure-keyed entry needs).  Everything the two
+    doors differ in is ``stage(name, fn)``, called once per stage that
+    runs with ``name`` in ``fuse`` / ``plan`` / ``compile`` /
+    ``sanitize`` / ``verify``: latency budgets, fault sites and
+    :class:`~repro.serve.errors.PlanBuildError` wrapping for serving, a
+    plain call for direct execution.
+    """
+    timings: Dict[str, float] = {}
+    naive_borders = fusion.naive_borders
+
+    def timed(name: str, label: str, fn: Callable[[], Any]) -> Any:
+        started = time.perf_counter()
+        result = stage(name, fn)
+        timings[label] = (time.perf_counter() - started) * 1e3
+        return result
+
+    if partition is None:
+
+        def fuse() -> Partition:
+            # Imported here: repro.eval.runner imports repro.api, which
+            # imports this module.
+            from repro.eval.runner import partition_for
+
+            return partition_for(
+                graph, fusion.gpu, fusion.version, fusion.benefit_config
+            )
+
+        partition = timed("fuse", "fuse_ms", fuse)
+    plan = native_plan = None
+    if engine != "recursive":
+        plan = timed(
+            "plan",
+            "plan_ms",
+            lambda: plan_for_partition(graph, partition, naive_borders),
+        )
+    if engine == "native":
+
+        def compile_native() -> native_exec.NativePartitionPlan:
+            built = native_exec.native_plan_for_partition(
+                graph, partition, naive_borders, polymorphic=polymorphic
+            )
+            if polymorphic and built.fallback_block_count:
+                # A structure-keyed entry serves every geometry through
+                # its polymorphic native blocks; a tape-fallback block
+                # is shape-specialized and would poison foreign-
+                # geometry requests.  Refuse the build — the resilience
+                # ladder serves the request through a shape-keyed tape
+                # plan instead.
+                raise ExecutionError(
+                    "structure-keyed caching needs a fully native plan; "
+                    f"fallback blocks: {built.fallback_reasons}"
+                )
+            return built
+
+        native_plan = timed("compile", "native_compile_ms", compile_native)
+    executor = native_plan if native_plan is not None else plan
+    if executor is None:
+        # No build stage above: the engine's plan is the walk itself.
+        executor = engines.ladder_from(engine)[0].plan_partition(
+            graph, partition, naive_borders
+        )
+    entry = CachedPlan(
+        key=None,
+        graph=graph,
+        partition=partition,
+        plan=plan,
+        timings_ms=timings,
+        native_plan=native_plan,
+        engine=engine,
+        executor=executor,
+    )
+    validate_plan(entry, stage)
+    return entry
+
+
+def validate_plan(entry: CachedPlan, stage: Stage = call_stage) -> None:
+    """Strict mode's one rule, at both doors: a plan is sanitized
+    (native loop nests) and verified (tapes) before its first use, once.
+
+    Runs only what is not yet marked on the plans themselves, so the
+    builders' own strict checks on a miss are not repeated, and a plan
+    built earlier under a weaker validation mode is caught up here —
+    :func:`build_plan` calls this on a miss, the doors on a hit.
+    """
+    if validate_mode() != "strict":
+        return
+    native_plan, plan = entry.native_plan, entry.plan
+    if native_plan is not None:
+        if not native_plan.sanitized:
+            stage("sanitize", native_plan.ensure_sanitized)
+        entry.timings_ms["native_verify_ms"] = native_plan.verify_ms
+    if plan is not None:
+        if not plan.verified:
+            stage("verify", plan.ensure_verified)
+        entry.timings_ms["verify_ms"] = plan.verify_ms
 
 
 class _InFlight:
@@ -303,6 +463,7 @@ class PlanCache:
                 pending.error = err
                 pending.event.set()
                 raise
+            entry.key = key
             entry.serves += 1
             with self._lock:
                 self._entries[key] = entry
@@ -355,9 +516,12 @@ class PlanCache:
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "quarantined": self.quarantined,
-                "hit_rate": (
-                    self.hits / (self.hits + self.misses)
-                    if (self.hits + self.misses)
-                    else 0.0
-                ),
+                "hit_rate": self.hit_rate,
             }
+
+
+#: The process-wide cache behind :func:`repro.api.run`.  It sits on top
+#: of the per-graph tape and native plan caches, whose resets
+#: (:func:`repro.backend.plan.clear_plan_caches`,
+#: :func:`repro.backend.native_exec.clear_native_caches`) empty it too.
+PROCESS_CACHE = PlanCache()

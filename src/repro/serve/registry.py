@@ -20,11 +20,15 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Tuple
 
+import numpy as np
+
+from repro.backend.numpy_exec import Arrays, ExecutionError, Params
 from repro.dsl.pipeline import Pipeline
 from repro.graph.dag import KernelGraph
 
 __all__ = [
     "DEFAULT_APP_PARAMS",
+    "GeometryError",
     "PipelineEntry",
     "PipelineRegistry",
     "RegistryError",
@@ -34,6 +38,12 @@ __all__ = [
 
 class RegistryError(KeyError):
     """Raised for unknown or duplicate pipeline names."""
+
+
+class GeometryError(ExecutionError, ValueError):
+    """A named request whose bound arrays disagree on (height, width).
+    Both bases are load-bearing: :func:`repro.api.run` callers catch
+    :class:`ExecutionError`, serving callers :class:`ValueError`."""
 
 
 @dataclass
@@ -72,9 +82,19 @@ class PipelineEntry:
                 self._graphs[key] = graph
             return graph
 
-    def signature(self, width: int | None = None, height: int | None = None) -> str:
-        """Structural signature of the graph at the given geometry."""
-        return self.graph(width, height).structural_signature()
+    def bind(
+        self, inputs: Arrays, params: Params | None = None
+    ) -> Tuple[KernelGraph, Params]:
+        """What one named request executes: the graph at the geometry
+        of the bound arrays (they must agree) and the entry's default
+        parameters with the request's merged on top."""
+        geometries = {np.shape(a)[:2] for a in inputs.values()}
+        if len(geometries) != 1:
+            raise GeometryError(
+                f"cannot infer request geometry from input shapes {geometries}"
+            )
+        height, width = geometries.pop()
+        return self.graph(width, height), {**self.params, **(params or {})}
 
 
 class PipelineRegistry:

@@ -47,18 +47,15 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.backend import engines
 from repro.backend.numpy_exec import Arrays, Params
-from repro.backend.plan import plan_for_partition, resolve_workers
-from repro.envknobs import validate_mode
+from repro.backend.plan import resolve_workers
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition
-from repro.model.benefit import BenefitConfig
 from repro.model.hardware import KNOWN_GPUS, GpuSpec
 from repro.serve import faultinject
 from repro.serve.errors import (
@@ -74,8 +71,9 @@ from repro.serve.plancache import (
     CachedPlan,
     FusionSettings,
     PlanCache,
-    inputs_signature,
+    build_plan,
     plan_key,
+    validate_plan,
 )
 from repro.serve.registry import PipelineRegistry, default_registry
 from repro.serve.resilience import (
@@ -90,30 +88,20 @@ from repro.serve.scheduler import (
     ServeRequest,
 )
 
-__all__ = ["ServingRuntime", "fusion_settings"]
+__all__ = ["ServingRuntime"]
 
 
-def fusion_settings(
-    version: str = "optimized",
-    gpu: "GpuSpec | str" = "GTX680",
-    config: BenefitConfig | None = None,
-    naive_borders: bool = False,
-) -> FusionSettings:
-    """Build :class:`FusionSettings` from the toolchain's native types."""
-    gpu_name = gpu if isinstance(gpu, str) else gpu.name
-    if gpu_name not in KNOWN_GPUS:
-        known = ", ".join(sorted(KNOWN_GPUS))
-        raise ValueError(f"unknown GPU {gpu_name!r}; known: {known}")
-    config = config or BenefitConfig()
-    return FusionSettings(
-        version=version,
-        gpu_name=gpu_name,
-        c_mshared=config.c_mshared,
-        epsilon=config.epsilon,
-        gamma=config.gamma,
-        is_units=config.is_units,
-        naive_borders=naive_borders,
-    )
+def options_kwargs(options: Any, overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """The runtime constructor keywords an
+    :class:`repro.api.ExecutionOptions` stands for, under ``overrides``."""
+    kwargs: Dict[str, Any] = {
+        "fusion": options.fusion_settings(),
+        "engine": engines.requested(options.engine),
+        "intra_workers": options.workers,
+    }
+    if options.resilience is not None:
+        kwargs["resilience"] = options.resilience
+    return {**kwargs, **overrides}
 
 
 class ServingRuntime:
@@ -189,7 +177,7 @@ class ServingRuntime:
             raise ValueError(
                 f"unknown GPU {self.fusion.gpu_name!r}; known: {known}"
             )
-        self.gpu: GpuSpec = KNOWN_GPUS[self.fusion.gpu_name]
+        self.gpu: GpuSpec = self.fusion.gpu
         #: The engine the caller asked for, before availability checks.
         self.requested_engine = engines.requested(engine)
         if cache_keying not in CACHE_KEYINGS:
@@ -281,15 +269,7 @@ class ServingRuntime:
         knobs (scheduler workers, queue/batch bounds, cache capacity)
         pass through ``overrides``.
         """
-        kwargs: Dict[str, Any] = {
-            "fusion": options.fusion_settings(),
-            "engine": engines.requested(options.engine),
-            "intra_workers": options.workers,
-        }
-        if options.resilience is not None:
-            kwargs["resilience"] = options.resilience
-        kwargs.update(overrides)
-        return cls(registry, **kwargs)
+        return cls(registry, **options_kwargs(options, overrides))
 
     def lint_registered(
         self, *, native: bool = False
@@ -340,11 +320,7 @@ class ServingRuntime:
         is full.  Returns a handle; ``handle.result()`` yields the same
         surviving-image environment :func:`repro.api.run` returns.
         """
-        entry = self.registry.get(pipeline)
-        height, width = _infer_geometry(inputs)
-        graph = entry.graph(width, height)
-        merged = dict(entry.params)
-        merged.update(params or {})
+        graph, merged = self.registry.get(pipeline).bind(inputs, params)
         return self._submit_graph(
             graph,
             inputs,
@@ -416,40 +392,19 @@ class ServingRuntime:
             # Refuse immediately instead of racing the scheduler's own
             # shutdown flag — close() stops admissions synchronously.
             raise RuntimeClosed("runtime is closed")
-        if naive_borders is None:
-            naive_borders = self.fusion.naive_borders
         fusion = self.fusion
-        if naive_borders != fusion.naive_borders:
+        if naive_borders not in (None, fusion.naive_borders):
             fusion = replace(fusion, naive_borders=naive_borders)
-        if partition is None:
-            structure_keyed = self.cache_keying == "structure"
-            key = plan_key(
-                graph.structure_signature()
-                if structure_keyed
-                else graph.structural_signature(),
-                inputs,
-                self.engine,
-                fusion,
-                keying=self.cache_keying,
-            )
-        else:
-            # Explicit partition: fusion settings do not matter, the
-            # block structure is the plan identity.
-            key = (
-                graph.structural_signature(),
-                plan_key("", inputs, self.engine, self.fusion)[1],
-                self.engine,
-                ("explicit", partition.signature(), naive_borders),
-            )
+        payload = {
+            "graph": graph,
+            "inputs": inputs,
+            "params": params,
+            "partition": partition,
+            "fusion": fusion,
+        }
         request = ServeRequest(
-            batch_key=key,
-            payload={
-                "graph": graph,
-                "inputs": inputs,
-                "params": params,
-                "partition": partition,
-                "naive_borders": naive_borders,
-            },
+            batch_key=self._plan_key(payload, self.engine),
+            payload=payload,
             deadline=(
                 time.monotonic() + deadline_s if deadline_s is not None else None
             ),
@@ -546,8 +501,9 @@ class ServingRuntime:
             else:
                 index = min(floor, len(self._ladder) - 1)
             engine = self._ladder[index]
-            attempt_key = self._attempt_key(key, engine, request)
+            attempt_key = key
             if engine != self.engine:
+                attempt_key = self._plan_key(request.payload, engine)
                 self.metrics.counter(f"degraded_to_{engine}").inc()
             try:
                 entry = self._lookup_plan(attempt_key, request, engine)
@@ -586,63 +542,75 @@ class ServingRuntime:
         assert last_error is not None
         raise last_error
 
-    def _attempt_key(self, key: tuple, engine: str, request: ServeRequest) -> tuple:
-        """The cache key of one (request, ladder rung) attempt.
+    def _plan_key(self, payload: Dict[str, Any], engine: str) -> tuple:
+        """The cache key of one request on one ladder rung.
 
-        Normally the submitted key with the rung's engine swapped in.
-        Under structure keying, degraded (non-native) rungs get the
-        request's exact shapes appended back — tape and recursive plans
-        are shape-specialized, so sharing them across geometries would
-        compute the wrong image.
+        Structure keying applies to fused native plans only.  Tape and
+        recursive plans are shape-specialized — sharing them across
+        geometries would compute the wrong image — and an explicit
+        partition's block signature names kernels of one geometry.
         """
-        if self.cache_keying == "structure" and engine != "native":
-            return (
-                key[0],
-                inputs_signature(request.payload["inputs"]),
-                engine,
-                key[3],
-            )
-        return key[:2] + (engine,) + key[3:]
+        graph = payload["graph"]
+        partition = payload["partition"]
+        structure_keyed = (
+            self.cache_keying == "structure"
+            and engine == "native"
+            and partition is None
+        )
+        return plan_key(
+            graph.structure_signature()
+            if structure_keyed
+            else graph.structural_signature(),
+            payload["inputs"],
+            engine,
+            payload["fusion"],
+            keying="structure" if structure_keyed else "shape",
+            partition=partition,
+        )
 
     def _lookup_plan(
         self, attempt_key: tuple, request: ServeRequest, engine: str
     ) -> CachedPlan:
         """Fetch or build the plan for one (request, ladder rung)."""
         structure = request.payload["graph"].structure_signature()
-        entry, hit = self.cache.get_or_build(
-            attempt_key,
-            lambda: self._build_plan(attempt_key, request, engine),
-            structure_key=structure,
-        )
-        if (
-            hit
-            and faultinject.armed()
-            and faultinject.take_corruption("cache.hit")
-        ):
+        while True:
+            entry, hit = self.cache.get_or_build(
+                attempt_key,
+                lambda: self._build_plan(request, engine),
+                structure_key=structure,
+            )
+            if not hit:
+                return entry
+            validate_plan(entry, partial(self._build_stage, engine))
+            if not (
+                faultinject.armed()
+                and faultinject.take_corruption("cache.hit")
+            ):
+                return entry
             # An injected corruption marks the served entry poisoned:
             # quarantine it and rebuild, exactly as the resilience
             # layer does for a genuinely bad plan.
             if self.cache.quarantine(attempt_key):
                 self.metrics.counter("plans_quarantined").inc()
-            entry, hit = self.cache.get_or_build(
-                attempt_key,
-                lambda: self._build_plan(attempt_key, request, engine),
-                structure_key=structure,
-            )
-        return entry
 
     def _timed_stage(self, stage: str, fn: Callable[[], Any]) -> Any:
-        """Run one pipeline stage under its configured latency budget.
+        """Run one pipeline stage behind its fault site and under its
+        configured latency budget.
 
         Without a budget (the default) the stage runs inline; with one,
         it runs on the side pool and a blown budget raises
         :class:`StageTimeout` (the stage thread is abandoned — numpy
         work cannot be interrupted — but the request moves on).
         """
+
+        def guarded() -> Any:
+            faultinject.check(stage)
+            return fn()
+
         budget = self.resilience.timeouts.budget_for(stage)
         if budget is None or self._timeout_pool is None:
-            return fn()
-        future = self._timeout_pool.submit(fn)
+            return guarded()
+        future = self._timeout_pool.submit(guarded)
         try:
             return future.result(timeout=budget)
         except _FutureTimeout:
@@ -653,104 +621,47 @@ class ServingRuntime:
     def _execute_entry(
         self, entry: CachedPlan, request: ServeRequest
     ) -> Arrays:
-        inputs = request.payload["inputs"]
-        params = request.payload["params"]
-
-        def run() -> Arrays:
-            faultinject.check("execute")
-            return entry.executor.execute(
-                inputs, params, workers=self.intra_workers
-            )
-
-        return self._timed_stage("execute", run)
-
-    def _build_plan(
-        self, key: Any, request: ServeRequest, engine: str
-    ) -> CachedPlan:
-        """Fuse and compile one plan for one ladder rung (cache miss).
-
-        Each stage runs under its latency budget and failures surface
-        as :class:`PlanBuildError` carrying the stage and engine, so
-        the retry loop can route the request down the ladder.  The
-        ``recursive`` rung deliberately skips tape compilation — its
-        failure domain must not include the tape compiler.
-        """
-        graph: KernelGraph = request.payload["graph"]
-        partition: Partition | None = request.payload["partition"]
-        naive_borders = request.payload.get(
-            "naive_borders", self.fusion.naive_borders
+        return self._timed_stage(
+            "execute",
+            lambda: entry.executor.execute(
+                request.payload["inputs"],
+                request.payload["params"],
+                workers=self.intra_workers,
+            ),
         )
-        timings: Dict[str, float] = {}
-        if partition is None:
 
-            def fuse() -> Partition:
-                faultinject.check("fuse")
-                from repro.eval.runner import partition_for
+    def _build_stage(
+        self, engine: str, stage: str, fn: Callable[[], Any]
+    ) -> Any:
+        """The serving door's stage runner for
+        :func:`~repro.serve.plancache.build_plan` (with ``engine``
+        bound): failures surface as :class:`PlanBuildError` carrying
+        the stage and engine, so the retry loop can route the request
+        down the ladder."""
+        try:
+            return self._timed_stage(stage, fn)
+        except StageTimeout:
+            raise
+        except Exception as err:
+            raise PlanBuildError(
+                stage, engine, f"{stage} stage failed: {err}"
+            ) from err
 
-                return partition_for(
-                    graph,
-                    self.gpu,
-                    self.fusion.version,
-                    BenefitConfig(
-                        c_mshared=self.fusion.c_mshared,
-                        epsilon=self.fusion.epsilon,
-                        gamma=self.fusion.gamma,
-                        is_units=self.fusion.is_units,
-                    ),
-                )
-
-            started = time.perf_counter()
-            try:
-                partition = self._timed_stage("fuse", fuse)
-            except StageTimeout:
-                raise
-            except Exception as err:
-                raise PlanBuildError(
-                    "fuse", engine, f"fusing the graph failed: {err}"
-                ) from err
-            timings["fuse_ms"] = (time.perf_counter() - started) * 1e3
-        plan = None
-        if engine != "recursive":
-            started = time.perf_counter()
-            try:
-                plan = self._timed_stage(
-                    "plan",
-                    lambda: plan_for_partition(
-                        graph, partition, naive_borders=naive_borders
-                    ),
-                )
-            except StageTimeout:
-                raise
-            except Exception as err:
-                raise PlanBuildError(
-                    "plan", engine, f"tape compilation failed: {err}"
-                ) from err
-            timings["plan_ms"] = (time.perf_counter() - started) * 1e3
-        native_plan = None
-        if engine == "native":
-            from repro.backend.native_exec import native_plan_for_partition
-
-            polymorphic = self.cache_keying == "structure"
-            started = time.perf_counter()
-            try:
-                native_plan = self._timed_stage(
-                    "compile",
-                    lambda: native_plan_for_partition(
-                        graph,
-                        partition,
-                        naive_borders=naive_borders,
-                        polymorphic=polymorphic,
-                    ),
-                )
-            except StageTimeout:
-                raise
-            except Exception as err:
-                raise PlanBuildError(
-                    "compile", engine, f"native compilation failed: {err}"
-                ) from err
-            timings["native_compile_ms"] = (
-                time.perf_counter() - started
-            ) * 1e3
+    def _build_plan(self, request: ServeRequest, engine: str) -> CachedPlan:
+        """Build one plan for one ladder rung (cache miss) and book its
+        stage timings and native counters."""
+        entry = build_plan(
+            request.payload["graph"],
+            partition=request.payload["partition"],
+            fusion=request.payload["fusion"],
+            engine=engine,
+            polymorphic=self.cache_keying == "structure",
+            stage=partial(self._build_stage, engine),
+        )
+        for label, value in entry.timings_ms.items():
+            self.metrics.histogram(f"compile_{label}").observe(value)
+        native_plan = entry.native_plan
+        if native_plan is not None:
             self.metrics.counter("native_blocks_compiled").inc(
                 native_plan.native_block_count
             )
@@ -760,103 +671,7 @@ class ServingRuntime:
                 )
             if native_plan.from_cache:
                 self.metrics.counter("native_artifact_cache_hits").inc()
-            if polymorphic and native_plan.fallback_block_count:
-                # A structure-keyed entry serves every geometry through
-                # its polymorphic native blocks; a tape-fallback block
-                # is shape-specialized and would poison foreign-
-                # geometry requests.  Refuse the build — the resilience
-                # ladder serves this request through a shape-keyed tape
-                # plan instead.
-                raise PlanBuildError(
-                    "compile",
-                    engine,
-                    "structure-keyed caching needs a fully native plan; "
-                    f"fallback blocks: {native_plan.fallback_reasons}",
-                )
-        if (
-            native_plan is not None
-            and validate_mode() == "strict"
-            and not native_plan.sanitized
-        ):
-            # A module-level native-cache hit built under a weaker
-            # validation mode must still pass the codegen sanitizer
-            # before this strict-mode cache insert.
-            from repro.analysis.native_check import verify_native_blocks
-            from repro.analysis.verifier import enforce
-
-            def sanitize() -> None:
-                faultinject.check("sanitize")
-                enforce(
-                    verify_native_blocks(
-                        native
-                        for _plan, native in native_plan.blocks
-                        if native is not None
-                    ),
-                    context="plan cache insert (native codegen sanitizer)",
-                )
-
-            started = time.perf_counter()
-            try:
-                self._timed_stage("sanitize", sanitize)
-            except StageTimeout:
-                raise
-            except Exception as err:
-                raise PlanBuildError(
-                    "sanitize",
-                    engine,
-                    f"native codegen sanitizing failed: {err}",
-                ) from err
-            native_plan.verify_ms = (time.perf_counter() - started) * 1e3
-            native_plan.sanitized = True
-        if native_plan is not None and native_plan.sanitized:
-            timings["native_verify_ms"] = native_plan.verify_ms
-        verified = False
-        if plan is not None and validate_mode() == "strict":
-            # Strict mode verifies every plan cache insert — including
-            # plans that were compiled earlier (module-level plan cache
-            # hit) under a weaker validation mode.
-            from repro.analysis.verifier import enforce, verify_partition_plan
-
-            def verify() -> None:
-                faultinject.check("verify")
-                enforce(
-                    verify_partition_plan(plan, graph=graph),
-                    context="plan cache insert",
-                )
-
-            started = time.perf_counter()
-            try:
-                self._timed_stage("verify", verify)
-            except StageTimeout:
-                raise
-            except Exception as err:
-                raise PlanBuildError(
-                    "verify", engine, f"plan verification failed: {err}"
-                ) from err
-            timings["verify_ms"] = (time.perf_counter() - started) * 1e3
-            verified = True
-        for stage, value in timings.items():
-            self.metrics.histogram(f"compile_{stage}").observe(value)
-        if native_plan is not None:
-            executor = native_plan
-        elif plan is not None:
-            executor = plan
-        else:
-            # No build stage above: the engine's plan is the walk itself.
-            executor = engines.ladder_from(engine)[0].plan_partition(
-                graph, partition, naive_borders
-            )
-        return CachedPlan(
-            key=key,
-            graph=graph,
-            partition=partition,
-            plan=plan,
-            timings_ms=timings,
-            verified=verified,
-            native_plan=native_plan,
-            engine=engine,
-            executor=executor,
-        )
+        return entry
 
     def _update_breaker_gauges(self) -> None:
         for rung in self._ladder[:-1]:
@@ -882,18 +697,7 @@ class ServingRuntime:
             "max_batch": self.scheduler.max_batch,
             "intra_workers": resolve_workers(self.intra_workers),
         }
-        snapshot["fusion"] = dict(zip(
-            (
-                "version",
-                "gpu",
-                "c_mshared",
-                "epsilon",
-                "gamma",
-                "is_units",
-                "naive_borders",
-            ),
-            self.fusion.key(),
-        ))
+        snapshot["fusion"] = asdict(self.fusion)
         retry = self.resilience.retry
         snapshot["resilience"] = {
             "ladder": list(self._ladder),
@@ -934,13 +738,3 @@ class ServingRuntime:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def _infer_geometry(inputs: Arrays) -> tuple[int, int]:
-    """(height, width) from the bound arrays; they must agree."""
-    geometries = {np.shape(a)[:2] for a in inputs.values()}
-    if len(geometries) != 1:
-        raise ValueError(
-            f"cannot infer request geometry from input shapes {geometries}"
-        )
-    return geometries.pop()

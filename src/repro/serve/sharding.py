@@ -68,7 +68,7 @@ from repro.serve.metrics import Metrics, merge_snapshots
 from repro.serve.plancache import FusionSettings
 from repro.serve.registry import PipelineRegistry, default_registry
 from repro.serve.resilience import ResiliencePolicy, ShardPolicy
-from repro.serve.runtime import _infer_geometry
+from repro.serve.runtime import options_kwargs
 from repro.serve.scheduler import ResponseHandle
 from repro.serve.transport import (
     SegmentPool,
@@ -422,17 +422,7 @@ class ShardedRuntime:
         """Build a sharded runtime from :class:`repro.api.
         ExecutionOptions` (the multi-process sibling of
         :meth:`ServingRuntime.from_options`)."""
-        from repro.backend.engines import requested
-
-        kwargs: Dict[str, Any] = {
-            "fusion": options.fusion_settings(),
-            "engine": requested(options.engine),
-            "intra_workers": options.workers,
-        }
-        if options.resilience is not None:
-            kwargs["resilience"] = options.resilience
-        kwargs.update(overrides)
-        return cls(apps, **kwargs)
+        return cls(apps, **options_kwargs(options, overrides))
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -566,11 +556,8 @@ class ShardedRuntime:
         """
         if self._closed:
             raise RuntimeClosed("sharded runtime is closed")
-        entry = self.registry.get(pipeline)
-        height, width = _infer_geometry(inputs)
-        route_key = entry.signature(width, height)
-        merged = dict(entry.params)
-        merged.update(params or {})
+        graph, merged = self.registry.get(pipeline).bind(inputs, params)
+        route_key = graph.structural_signature()
         with self._req_lock:
             self._req_counter += 1
             req_id = self._req_counter

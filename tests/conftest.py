@@ -25,6 +25,16 @@ from repro.model.benefit import BenefitConfig
 from repro.model.hardware import GTX680, GTX745, K20C
 
 
+@pytest.fixture(autouse=True)
+def _empty_process_plan_cache():
+    """``repro.api.run`` memoizes builds process-wide; a test must not
+    be served a plan some earlier test built (and validated, or
+    poisoned) under the same key."""
+    from repro.serve.plancache import PROCESS_CACHE
+
+    PROCESS_CACHE.clear()
+
+
 @pytest.fixture
 def gpu():
     """The paper's default evaluation device for single-GPU tests."""

@@ -1,0 +1,337 @@
+"""One build, two doors: ``repro.api.run`` and ``ServingRuntime`` share
+:func:`repro.serve.plancache.build_plan`, :func:`plan_key` and the
+:class:`PlanCache` class.
+
+Pins what that buys and what keeps it sound: both doors build the same
+partition and compute the same bits on every engine, the fusion
+decision is paid once per key (not once per graph object, not once per
+call), every build input — including the native lowering knobs — is in
+the key, the process-cache resets still reset, and strict mode means
+"verified and sanitized before first use, once" at both doors.
+"""
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import repro.analysis.native_check as native_check
+import repro.analysis.verifier as verifier
+import repro.api as api
+import repro.eval.runner as runner
+import repro.serve.runtime as serve_runtime
+from repro.api import ExecutionOptions, run
+from repro.apps import APPLICATIONS
+from repro.backend import engines, native_exec
+from repro.backend import plan as tape
+from repro.backend.cpu_exec import compiler_available
+from repro.graph.partition import Partition
+from repro.model.hardware import GTX680
+from repro.serve import ResiliencePolicy, ServingRuntime, default_registry
+from repro.serve.bench import request_inputs
+from repro.serve.plancache import PROCESS_CACHE
+
+WIDTH, HEIGHT = 32, 24
+
+needs_cc = pytest.mark.skipif(
+    not compiler_available(), reason="no C compiler on PATH"
+)
+
+
+def _graph(name="Sobel"):
+    """A fresh graph object each call — structurally identical ones."""
+    return APPLICATIONS[name].build(WIDTH, HEIGHT).build()
+
+
+def _inputs(name="Sobel"):
+    return request_inputs(APPLICATIONS[name], WIDTH, HEIGHT, seed=0)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call lands in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _count_builds(monkeypatch):
+    """Entries built through ``build_plan``, per door."""
+    return (
+        _count_calls(monkeypatch, api, "build_plan"),
+        _count_calls(monkeypatch, serve_runtime, "build_plan"),
+    )
+
+
+def _count_tape_plans(monkeypatch):
+    built = []
+
+    class Counted(tape.PartitionPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(tape, "PartitionPlan", Counted)
+    return built
+
+
+# -- (a) the two doors agree ------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", engines.ENGINE_NAMES)
+@pytest.mark.parametrize("naive_borders", [False, True])
+@pytest.mark.parametrize("mode", ["fused", "explicit", "staged"])
+def test_both_doors_build_the_same_plan(
+    monkeypatch, engine, naive_borders, mode
+):
+    graph = _graph("Harris")
+    inputs = _inputs("Harris")
+    shaping = {"naive_borders": naive_borders}
+    if mode == "explicit":
+        shaping["partition"] = runner.partition_for(graph, GTX680, "basic")
+    elif mode == "staged":
+        shaping["fuse"] = False
+    direct_builds, served_builds = _count_builds(monkeypatch)
+
+    direct = run(
+        graph, inputs, options=ExecutionOptions(engine=engine, **shaping)
+    )
+    with ServingRuntime(engine=engine, workers=1) as runtime:
+        served = run(
+            graph, inputs, options=ExecutionOptions(runtime=runtime, **shaping)
+        )
+
+    assert len(direct_builds) == len(served_builds) == 1
+    assert (
+        direct_builds[0].partition.signature()
+        == served_builds[0].partition.signature()
+    )
+    if mode == "staged":
+        assert (
+            direct_builds[0].partition.signature()
+            == Partition.singletons(graph).signature()
+        )
+    assert direct_builds[0].engine == served_builds[0].engine
+    assert sorted(direct) == sorted(served)
+    for image, expected in direct.items():
+        np.testing.assert_array_equal(served[image], expected)
+
+
+# -- (b) the decision is paid once per key ----------------------------------
+
+
+def test_identical_fresh_graph_does_not_fuse_again(monkeypatch):
+    fusions = _count_calls(monkeypatch, runner, "partition_for")
+    inputs = _inputs()
+    first = run(_graph(), inputs)
+    assert len(fusions) == 1
+    second = run(_graph(), inputs)
+    assert len(fusions) == 1
+    np.testing.assert_array_equal(first["magnitude"], second["magnitude"])
+    assert PROCESS_CACHE.stats()["size"] == 1
+
+
+def test_named_calls_plan_once(monkeypatch):
+    # The default registry pins its graphs for the life of the process,
+    # and with them whatever an earlier test planned on this one.
+    tape.clear_plan_caches()
+    plans = _count_tape_plans(monkeypatch)
+    inputs = _inputs()
+    run("Sobel", inputs)
+    run("Sobel", inputs)
+    assert len(plans) == 1
+
+
+# -- (c) every build input is in the key ------------------------------------
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("REPRO_NATIVE_TILE2D", "off"),
+        ("REPRO_NATIVE_F32", "on"),
+        ("REPRO_NATIVE_CFLAGS", "-DREPRO_TEST_BUILD_KEY=1"),
+    ],
+)
+def test_lowering_knob_change_replans_a_fresh_graph(
+    monkeypatch, tmp_path, knob, value
+):
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    builds, _ = _count_builds(monkeypatch)
+    options = ExecutionOptions(engine="native")
+    inputs = _inputs()
+    run(_graph(), inputs, options=options)
+    run(_graph(), inputs, options=options)
+    assert len(builds) == 1
+    monkeypatch.setenv(knob, value)
+    run(_graph(), inputs, options=options)
+    assert len(builds) == 2
+    assert builds[1].native_plan is not builds[0].native_plan
+
+
+# -- (d) the process-cache resets still reset -------------------------------
+
+
+@needs_cc
+def test_cache_resets_empty_the_process_cache(monkeypatch):
+    fusions = _count_calls(monkeypatch, runner, "partition_for")
+    plans = _count_tape_plans(monkeypatch)
+    natives = _count_calls(monkeypatch, native_exec, "_build_native_partition")
+    options = ExecutionOptions(engine="native")
+    graph, inputs = _graph(), _inputs()
+    run(graph, inputs, options=options)
+    run(graph, inputs, options=options)
+    assert (len(fusions), len(plans), len(natives)) == (1, 1, 1)
+    native_exec.clear_native_caches()
+    tape.clear_plan_caches()
+    assert len(PROCESS_CACHE) == 0
+    run(graph, inputs, options=options)
+    assert (len(fusions), len(plans), len(natives)) == (2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "reset", [tape.clear_plan_caches, native_exec.clear_native_caches]
+)
+def test_either_reset_alone_empties_the_process_cache(reset):
+    run(_graph(), _inputs())
+    assert len(PROCESS_CACHE) == 1
+    reset()
+    assert len(PROCESS_CACHE) == 0
+
+
+# -- (e) a racing first call builds once ------------------------------------
+
+
+def test_racing_first_calls_build_once(monkeypatch):
+    threads = 8
+    real_build = api.build_plan
+    builds = []
+
+    def slow_build(*args, **kwargs):
+        builds.append(1)
+        time.sleep(0.2)  # hold the build open so the others pile up on it
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(api, "build_plan", slow_build)
+    inputs = _inputs()
+    graphs = [_graph() for _ in range(threads)]
+    barrier = threading.Barrier(threads)
+    results, errors = [], []
+
+    def client(graph):
+        try:
+            barrier.wait(10.0)
+            results.append(run(graph, inputs)["magnitude"])
+        except BaseException as err:
+            errors.append(err)
+
+    before = PROCESS_CACHE.stats()
+    workers = [
+        threading.Thread(target=client, args=(graph,)) for graph in graphs
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    after = PROCESS_CACHE.stats()
+    assert len(builds) == 1
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] == threads - 1
+    assert after["coalesced"] - before["coalesced"] >= 1
+    for result in results[1:]:
+        np.testing.assert_array_equal(result, results[0])
+
+
+# -- (f) a plan that failed at execute time is not served again -------------
+
+
+class _Boom:
+    def execute(self, *args, **kwargs):
+        raise RuntimeError("poisoned plan")
+
+
+def test_entry_whose_execute_raised_is_dropped(monkeypatch):
+    builds, _ = _count_builds(monkeypatch)
+    graph, inputs = _graph(), _inputs()
+    expected = run(graph, inputs)
+    builds[0].executor = _Boom()
+    with pytest.raises(RuntimeError, match="poisoned plan"):
+        run(graph, inputs)
+    assert len(PROCESS_CACHE) == 0
+    again = run(graph, inputs)
+    assert len(builds) == 2
+    np.testing.assert_array_equal(again["magnitude"], expected["magnitude"])
+
+
+def test_ladder_degrades_past_a_poisoned_entry(monkeypatch):
+    builds, _ = _count_builds(monkeypatch)
+    graph, inputs = _graph(), _inputs()
+    options = ExecutionOptions(engine="tape", resilience=ResiliencePolicy())
+    expected = run(graph, inputs, options=options)
+    builds[0].executor = _Boom()
+    degraded = run(graph, inputs, options=options)
+    assert [entry.engine for entry in builds] == ["tape", "recursive"]
+    np.testing.assert_array_equal(
+        degraded["magnitude"], expected["magnitude"]
+    )
+    # The poisoned tape entry is gone; the next call rebuilds it.
+    run(graph, inputs, options=options)
+    assert [entry.engine for entry in builds][2:] == ["tape"]
+
+
+# -- strict: verified and sanitized before first use, once ------------------
+
+
+def _direct_door(engine):
+    graph, inputs = _graph(), _inputs()
+    options = ExecutionOptions(engine=engine)
+    return lambda: run(graph, inputs, options=options), lambda: None
+
+
+def _serving_door(engine):
+    runtime = ServingRuntime(
+        default_registry(apps={"Sobel"}), engine=engine, workers=1
+    )
+    inputs = _inputs()
+    return lambda: runtime.execute("Sobel", inputs), runtime.close
+
+
+@pytest.mark.parametrize("door", [_direct_door, _serving_door])
+@pytest.mark.parametrize("first_mode", ["standard", "strict"])
+@pytest.mark.parametrize(
+    "engine", ["tape", pytest.param("native", marks=needs_cc)]
+)
+def test_strict_validates_each_plan_exactly_once(
+    monkeypatch, door, first_mode, engine
+):
+    verifies = _count_calls(monkeypatch, verifier, "verify_partition_plan")
+    sanitizes = _count_calls(monkeypatch, native_check, "verify_native_blocks")
+    request, close = door(engine)
+    try:
+        monkeypatch.setenv("REPRO_VALIDATE", first_mode)
+        request()
+        if first_mode == "standard":
+            assert (len(verifies), len(sanitizes)) == (0, 0)
+        monkeypatch.setenv("REPRO_VALIDATE", "strict")
+        request()
+        request()
+    finally:
+        close()
+    assert len(verifies) == 1
+    assert len(sanitizes) == (1 if engine == "native" else 0)
