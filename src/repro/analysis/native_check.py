@@ -21,8 +21,9 @@ from (``NativeBlock.spec.ir``) — never the text — and for every
 
 Every buffer the driver is called with is one contiguous
 ``width x height`` ``float64`` plane (``NativeBlock._execute_native``
-re-planes multi-channel images with ``ascontiguousarray``), so the
-componentwise proof is exactly the allocation bound.  The proofs run
+binds multi-channel images plane by plane from a contiguous
+``(C, H, W)`` twin), so the componentwise proof is exactly the
+allocation bound.  The proofs run
 in an affine-interval domain (``a*width + b*height + c`` bounds with
 min/max forms for the runtime clamp ternaries), so no compiler or
 execution is needed — ``repro lint --native`` works on hosts without a

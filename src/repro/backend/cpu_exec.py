@@ -52,12 +52,23 @@ def compiler_available() -> bool:
     return _find_compiler() is not None
 
 
+#: ``PATH`` at the last discovery -> the compiler found there (one
+#: entry: the walk is three ``shutil.which`` scans, and the engine
+#: table asks on every request).
+_compiler_on_path: tuple[str | None, str | None] | None = None
+
+
 def _find_compiler() -> str | None:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
+    global _compiler_on_path
+    path = os.environ.get("PATH")
+    if _compiler_on_path is None or _compiler_on_path[0] != path:
+        found = None
+        for name in ("cc", "gcc", "clang"):
+            found = shutil.which(name)
+            if found:
+                break
+        _compiler_on_path = (path, found)
+    return _compiler_on_path[1]
 
 
 #: Environment variable redirecting the shared-library cache directory.

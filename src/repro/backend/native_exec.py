@@ -27,10 +27,21 @@ that replays the tape's index exchange exactly — ``idx_clamp`` /
 ``idx_mirror`` / ``idx_repeat`` resolvers and CONSTANT-mode masks are
 bit-compatible with :func:`repro.dsl.boundary.resolve_array`.  Rows are
 processed in tiles (:data:`TILE_ROWS` rows each) and tiles are the
-OpenMP work units (``REPRO_NATIVE_THREADS``; compiled in only when the
-toolchain supports ``-fopenmp``).  Every innermost x-loop carries
-``#pragma omp simd`` so the compiler vectorizes without reassociating
-(per-lane IEEE semantics keep the bit-identity contract).
+OpenMP work units (compiled in only when the toolchain supports
+``-fopenmp``).  Every innermost x-loop carries ``#pragma omp simd`` so
+the compiler vectorizes without reassociating (per-lane IEEE semantics
+keep the bit-identity contract).
+
+**One core budget.**  :func:`resolve_native_threads` sizes every OpenMP
+team: an explicit ``threads`` argument or ``REPRO_NATIVE_THREADS=n``
+means exactly ``n``; otherwise a call takes the caller's share of the
+cores — the process's affinity mask divided by the native executions
+running side by side (block-level ``workers``, a serving runtime's
+scheduler workers times its sibling shards, scoped by
+:func:`sharing_cores`) — and small planes stay serial.  Tiles are
+independent and nothing is reduced, so the count never changes a bit.
+The effective count (1 without OpenMP) is reported on
+:attr:`NativePartitionPlan.threads`.
 
 **2D overlapped tiling** (``REPRO_NATIVE_TILE2D``, default ``auto``).
 The fused tape recomputes every producer per consumer pixel — a
@@ -50,6 +61,22 @@ past the cap) silently keep the classic row-tiled form.  Stage values
 are computed by the same ``-ffp-contract=off`` expression sequences
 the fused tape inlines, so tile2d output is **bit-identical** to both
 the classic lowering and the tape interpreter.
+
+**Window-invariant hoisting.**  The same redundancy hides inside one
+kernel: ``exp(sum9(log(in(dx, dy) + 1)) / 9) - 1`` calls ``log`` nine
+times per output pixel.  Before staging, a lowering-private rewrite
+(:func:`_hoist_window_invariants`) splits a member kernel that applies
+one pure single-read subexpression with a libm call or a division at
+two or more taps of an image into a point stage plus the remainder, so
+tile2d computes it once per halo-extended tile pixel.  The graph, the
+partition and the tape are untouched; the result is bit-identical to
+the unsplit kernel; decisions are on :attr:`NativePartitionPlan.hoisted`.
+
+**Channels.**  Multi-channel images run plane by plane on a
+request-private planar ``(C, H, W)`` twin: an input is deinterleaved
+once per request (not once per channel per block), consumer blocks bind
+the producer's planes zero-copy, and the caller still receives
+C-contiguous ``(H, W, C)`` arrays.
 
 **Float32 fast path** (``REPRO_NATIVE_F32=on``, default off).  Plane
 I/O stays float64, but per-pixel slots, literals and libm calls run in
@@ -98,13 +125,17 @@ than the one it was planned at (the tape is shape-specialized).
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
+import os
 import re
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +146,7 @@ from repro.envknobs import (
     native_cflags_env,
     native_f32_enabled,
     native_tile2d_env,
+    raw_env,
     validate_mode,
 )
 
@@ -156,6 +188,7 @@ from repro.backend.numpy_exec import (
 )
 from repro.backend.plan import (
     BlockPlan,
+    GridStore,
     PartitionPlan,
     _TapeCompiler,
     _iteration_grids,
@@ -166,9 +199,13 @@ from repro.backend.plan import (
     resolve_workers,
     run_block_dag,
 )
-from repro.dsl.boundary import BoundaryMode
+from repro.dsl.boundary import BoundaryMode, BoundarySpec
+from repro.dsl.image import Image
+from repro.dsl.kernel import Accessor, Kernel
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
+from repro.ir.expr import BinOp, Call, Expr, InputAt
+from repro.ir.traversal import children, rebuild, shift_offsets, walk
 
 __all__ = [
     "F32_ATOL",
@@ -182,6 +219,7 @@ __all__ = [
     "NativePartitionPlan",
     "NativeVerificationError",
     "assert_native_equiv",
+    "available_cores",
     "clear_native_caches",
     "lower_block_source",
     "lower_partition_source",
@@ -192,6 +230,7 @@ __all__ = [
     "noncontiguous_zero_copy_count",
     "reset_noncontiguous_zero_copy",
     "resolve_native_threads",
+    "sharing_cores",
     "tolerance_for",
 ]
 
@@ -209,12 +248,102 @@ def native_available() -> bool:
     return compiler_available()
 
 
-def resolve_native_threads(threads: int | None = None) -> int:
-    """The effective OpenMP thread count: explicit argument, else the
-    ``REPRO_NATIVE_THREADS`` knob, else serial (1)."""
+#: Under the automatic thread share a plane gets one thread per this
+#: many pixels: below it waking a team (~0.05 ms) costs more than the
+#: rows it hands out (a 96x64 request is ~0.1 ms of work in total).
+MIN_PIXELS_PER_THREAD = 1 << 16
+
+
+def available_cores() -> int:
+    """The cores this process may run on: its affinity mask (a
+    container's cpuset shows here), ``os.cpu_count()`` on platforms
+    without one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: How many native executions the surrounding caller runs side by side
+#: (a contextvar, like ``envknobs._VALIDATE_OVERRIDE``: scheduler
+#: threads see their own runtime's value).
+_SIDE_BY_SIDE: "contextvars.ContextVar[int]" = contextvars.ContextVar(
+    "repro_native_side_by_side", default=1
+)
+
+
+@contextmanager
+def sharing_cores(callers: int) -> Iterator[None]:
+    """Scope in which the caller runs ``callers`` native executions at
+    once — a serving runtime's scheduler workers, times its sibling
+    shard processes — so each takes ``1/callers`` of the cores instead
+    of oversubscribing them.  Nested scopes compound."""
+    token = _SIDE_BY_SIDE.set(_SIDE_BY_SIDE.get() * max(1, int(callers)))
+    try:
+        yield
+    finally:
+        _SIDE_BY_SIDE.reset(token)
+
+
+def resolve_native_threads(
+    threads: int | None = None,
+    side_by_side: int | None = None,
+    pixels: int | None = None,
+) -> int:
+    """The OpenMP thread count of one compiled call.
+
+    An explicit argument, else ``REPRO_NATIVE_THREADS``, means exactly
+    that many.  Otherwise it is the caller's share of the machine:
+    :func:`available_cores` divided by the number of native executions
+    running ``side_by_side`` (``None`` reads the :func:`sharing_cores`
+    scope; block-level ``workers`` multiply in), and — given the plane
+    size — at most one thread per :data:`MIN_PIXELS_PER_THREAD`.  Tiles
+    are independent and nothing is reduced, so every count computes the
+    same bits.
+    """
+    if threads is None and raw_env(NATIVE_THREADS_ENV) is not None:
+        threads = int_env(NATIVE_THREADS_ENV, default=1)
     if threads is not None:
         return max(1, int(threads))
-    return max(1, int_env(NATIVE_THREADS_ENV, default=1))
+    if side_by_side is None:
+        side_by_side = _SIDE_BY_SIDE.get()
+    share = max(1, available_cores() // max(1, side_by_side))
+    if pixels is not None:
+        share = min(share, max(1, pixels // MIN_PIXELS_PER_THREAD))
+    return share
+
+
+# libgomp is not fork-safe: a child forked after its parent ran a
+# multi-threaded region inherits a thread pool whose threads do not
+# exist, and its first team of >1 hangs.  A team of one never touches
+# the pool, so such a child runs every kernel serially.
+_team_started = False
+_serial_after_fork = False
+
+
+def _after_fork_in_child() -> None:
+    global _serial_after_fork
+    _serial_after_fork = _team_started
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _prefer_passive_omp_wait() -> None:
+    """Ask libgomp — it reads this once, when the first OpenMP library
+    is loaded — to sleep at barriers instead of spinning, unless the
+    deployment already chose (``OMP_WAIT_POLICY`` / ``GOMP_SPINCOUNT``).
+
+    The default spins ~300k pause iterations before yielding.  On a
+    host whose cores are shared (a container's vCPUs), whenever a team
+    thread is not actually running the others burn that budget first:
+    measured here, 8 ms per parallel region, which made 2 threads 2.3x
+    *slower* than 1 for Harris@1024.  Sleeping costs ~0.05 ms per
+    region and degrades to single-core speed instead.
+    """
+    if "GOMP_SPINCOUNT" not in os.environ:
+        os.environ.setdefault("OMP_WAIT_POLICY", "passive")
 
 
 # -- zero-copy metric for row-strided polymorphic inputs -------------------
@@ -918,6 +1047,7 @@ class _BlockSpec:
         sig: _Signature,
         channels: int,
         tile2d: Optional[Tuple[int, int]] = None,
+        hoisted: Tuple[dict, ...] = (),
     ):
         self.fn_name = fn_name
         #: The block's functions as :mod:`repro.backend.loopnest` trees —
@@ -934,6 +1064,9 @@ class _BlockSpec:
         #: The (tile_h, tile_w) of a 2D overlapped-tiling lowering, or
         #: ``None`` for the classic row-tiled form.
         self.tile2d = tile2d
+        #: Window-invariant hoisting decisions of the tile2d lowering
+        #: (see :func:`_hoist_window_invariants`); empty for classic.
+        self.hoisted = hoisted
         #: Whether the per-pixel arithmetic runs in single precision
         #: (``REPRO_NATIVE_F32``); plane I/O stays float64 either way.
         self.f32 = sig.f32
@@ -1177,15 +1310,220 @@ def _stage_margins(
     return margins
 
 
-def _tile2d_stages(plan, graph, block):
+def _is_costly(node: Expr) -> bool:
+    """A libm call or a division: what is worth computing once per
+    pixel instead of once per window tap."""
+    return isinstance(node, Call) or (
+        isinstance(node, BinOp) and node.op == "div"
+    )
+
+
+def _single_reads(body: Expr) -> Dict[int, Tuple[object, bool]]:
+    """Per subexpression of ``body``, by ``id``: the one
+    :class:`InputAt` it reads (``None`` when it reads nothing, ``False``
+    when it reads several) and whether it contains a costly operation.
+    (Keyed by identity: hashing an expression walks its whole subtree.)"""
+    facts: Dict[int, Tuple[object, bool]] = {}
+
+    def visit(node: Expr) -> Tuple[object, bool]:
+        fact = facts.get(id(node))
+        if fact is None:
+            if isinstance(node, InputAt):
+                fact = (node, False)
+            else:
+                leaf, costly = None, _is_costly(node)
+                for child in children(node):
+                    child_leaf, child_costly = visit(child)
+                    costly = costly or child_costly
+                    if child_leaf is None:
+                        continue
+                    if leaf is None:
+                        leaf = child_leaf
+                    elif leaf != child_leaf:
+                        leaf = False
+                fact = (leaf, costly)
+            facts[id(node)] = fact
+        return fact
+
+    visit(body)
+    return facts
+
+
+def _exact_value(stage: Kernel, image: str, constant: float) -> Optional[float]:
+    """``stage``'s body at a pixel holding ``constant``, or ``None``
+    unless C computes those very bits: no parameters, and a tape the
+    pinned policy (:func:`tolerance_for`) already holds to bit-identity."""
+    tape, root = _stage_tape(stage)
+    compiled = BlockPlan(stage, tape, root, GridStore(), False, None)
+    if tolerance_for([compiled]) is not None or any(
+        instr.op == "param" for instr in tape
+    ):
+        return None
+    plane = np.full((1, 1), constant, dtype=np.float64)
+    return float(compiled.execute({image: plane})[0, 0])
+
+
+def _split_member(kernel: Kernel, fresh_name) -> Tuple[List[Kernel], List[dict]]:
+    """Split one member kernel into point stages plus its remainder.
+
+    Returns the kernels that replace it, in order, and one note per
+    group of taps: hoisted (``stage``) or left in place (``declined``).
+    ``fresh_name(base)`` names a stage (its kernel and its image).
+    """
+    windowed = {
+        image for image, offsets in kernel.reads().items() if len(offsets) > 1
+    }
+    if kernel.reduction is not None or not windowed:
+        return [kernel], []
+    facts = _single_reads(kernel.body)
+    # A candidate, moved to the window centre, names its group: equal
+    # keys are the same function of the same image at different taps.
+    group_of: Dict[int, Tuple[str, Expr]] = {}
+    taps: Dict[Tuple[str, Expr], set] = {}
+    for node in walk(kernel.body):
+        leaf, costly = facts[id(node)]
+        if id(node) in group_of:
+            continue  # a shared subtree, met again
+        if costly and isinstance(leaf, InputAt) and leaf.image in windowed:
+            key = (leaf.image, shift_offsets(node, -leaf.dx, -leaf.dy))
+            group_of[id(node)] = key
+            taps.setdefault(key, set()).add((leaf.dx, leaf.dy))
+    if not group_of:
+        return [kernel], []
+    space = kernel.space
+    stages: Dict[Tuple[str, Expr], Optional[Kernel]] = {}
+    accessors = list(kernel.accessors)
+    notes: List[dict] = []
+
+    def stage_for(key: Tuple[str, Expr]) -> Optional[Kernel]:
+        image, body = key
+        accessor = kernel.accessor_for(image)
+        mode, fill = accessor.boundary.mode, accessor.boundary.constant
+        name = fresh_name(f"{kernel.name}_w{len(stages)}")
+        stage = Kernel(
+            name,
+            [Accessor(accessor.image, accessor.boundary)],
+            Image(name, space, kernel.output.bytes_per_pixel),
+            body,
+        )
+        declined = None
+        if accessor.image.space != space:
+            declined = f"{image!r} has another geometry than the kernel"
+        elif mode not in _TILE2D_INTERNAL_MODES:
+            declined = (
+                f"boundary mode {mode.value!r} folds far-side values "
+                "into the halo, which a tile cannot see"
+            )
+        elif mode is BoundaryMode.CONSTANT:
+            fill = _exact_value(stage, image, fill)
+            if fill is None:
+                declined = (
+                    "the constant border would need f(constant) exactly "
+                    "as C computes it"
+                )
+        note = {"kernel": kernel.name, "image": image, "taps": len(taps[key])}
+        if declined is not None:
+            notes.append({**note, "declined": declined})
+            return None
+        accessors.append(Accessor(stage.output, BoundarySpec(mode, fill)))
+        notes.append({**note, "stage": name})
+        return stage
+
+    done: Dict[int, Expr] = {}
+
+    def rewrite(node: Expr) -> Expr:
+        """Top-down, so the largest hoistable subexpression wins."""
+        out = done.get(id(node))
+        if out is not None:
+            return out
+        key = group_of.get(id(node))
+        stage = None
+        if key is not None and len(taps[key]) >= 2:
+            if key not in stages:
+                stages[key] = stage_for(key)
+            stage = stages[key]
+        if stage is not None:
+            leaf = facts[id(node)][0]
+            out = InputAt(stage.output.name, leaf.dx, leaf.dy)
+        else:
+            kids = children(node)
+            new_kids = tuple(rewrite(kid) for kid in kids)
+            out = (
+                node
+                if all(a is b for a, b in zip(kids, new_kids))
+                else rebuild(node, new_kids)
+            )
+        done[id(node)] = out
+        return out
+
+    body = rewrite(kernel.body)
+    hoisted = [stage for stage in stages.values() if stage is not None]
+    if not hoisted:
+        return [kernel], notes
+    remainder = Kernel(kernel.name, accessors, kernel.output, body)
+    return hoisted + [remainder], notes
+
+
+def _hoist_window_invariants(
+    members: List[Kernel], graph: KernelGraph
+) -> Tuple[List[Kernel], Tuple[dict, ...]]:
+    """Window-invariant hoisting: the tile2d lowering's private view of
+    a block's members, in which no libm value is computed twice.
+
+    The paper prices fusing a point producer into a local consumer by
+    the redundant computation it causes (phi, Eq. 10: the producer is
+    re-evaluated once per window tap) and pays it down by staging in
+    shared memory.  Tile2d stages what crosses a *kernel* edge; this
+    rewrite finds the same redundancy *inside* one kernel.  A pure
+    subexpression that reads a single pixel and contains a libm call or
+    a division, applied at two or more taps of one image — ``log(in(dx,
+    dy) + 1)`` under a 3x3 sum — becomes a point stage ``f(in(0, 0))``
+    and the taps become reads of that stage through the kernel's own
+    boundary mode for the image.  Index-exchange modes commute with a
+    point function (``f(in[clamp(i)]) == f(in)[clamp(i)]``), so the
+    values, and the order they are combined in, are those of the unsplit
+    kernel — tile2d then computes ``f`` once per pixel of the stage's
+    halo-extended tile (~1.13x at 32x32) instead of once per tap.
+
+    The graph, the partition and the tape are not touched; the rewrite
+    is geometry-free, so polymorphic sources stay byte-identical across
+    resolutions.  Groups it must leave in place (MIRROR/REPEAT, a
+    CONSTANT border whose ``f(constant)`` is not exact) are noted with
+    the reason.
+    """
+    taken: set = set()
+
+    def fresh_name(name: str) -> str:
+        """``name``, suffixed until no kernel or image of the graph (or
+        earlier stage) carries it."""
+        if not taken:
+            for kernel in map(graph.kernel, graph.kernel_names):
+                taken.update((kernel.name, kernel.output.name))
+                taken.update(kernel.input_names)
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        return name
+
+    out: List[Kernel] = []
+    notes: List[dict] = []
+    for member in members:
+        kernels, member_notes = _split_member(member, fresh_name)
+        out += kernels
+        notes += member_notes
+    return out, tuple(notes)
+
+
+def _tile2d_stages(plan, graph, block, hoist: bool = True):
     """The eligibility front-half of the tile2d lowering.
 
-    Returns the ordered chain members, their per-stage tapes and roots,
-    the halo-margin ledger, the produced-name index, and the cost-model
-    :class:`~repro.model.tiling.StageFootprint` list.  Raises
-    :class:`NativeLoweringError` for every ineligible block shape, so
-    both the lowering and the ``repro tiling`` report agree on what
-    keeps the classic form.
+    Returns the ordered chain members (after window-invariant hoisting,
+    :func:`_hoist_window_invariants`), their per-stage tapes and roots,
+    the halo-margin ledger, the produced-name index, the cost-model
+    :class:`~repro.model.tiling.StageFootprint` list, and the hoisting
+    notes.  Raises :class:`NativeLoweringError` for every ineligible
+    block shape, so both the lowering and the ``repro tiling`` report
+    agree on what keeps the classic form.
     """
     from repro.model.tiling import StageFootprint
 
@@ -1194,9 +1532,16 @@ def _tile2d_stages(plan, graph, block):
             "tile2d: naive-borders composition keeps the classic lowering"
         )
     members = [graph.kernel(name) for name in block.ordered_vertices()]
+    hoisted: Tuple[dict, ...] = ()
+    if hoist:
+        members, hoisted = _hoist_window_invariants(members, graph)
     if len(members) < 2:
+        declined = "; ".join(
+            f"{note['image']}: {note['declined']}" for note in hoisted
+        )
         raise NativeLoweringError(
             "tile2d: single-kernel blocks have no intermediates to tile"
+            + (f" (hoisting declined for {declined})" if declined else "")
         )
     dest = plan.destination
     if members[-1].name != dest.name:
@@ -1232,6 +1577,10 @@ def _tile2d_stages(plan, graph, block):
         roots.append(root)
     margins = _stage_margins(members, tapes, produced)
     if any(m > _TILE2D_MAX_MARGIN for per_stage in margins for m in per_stage):
+        if any("stage" in note for note in hoisted):
+            # The hoisted stage's wider halo tipped the chain over the
+            # cap: the unsplit chain may still tile.
+            return _tile2d_stages(plan, graph, block, hoist=False)
         raise NativeLoweringError(
             f"tile2d: stage margins exceed {_TILE2D_MAX_MARGIN}"
         )
@@ -1248,7 +1597,7 @@ def _tile2d_stages(plan, graph, block):
         )
         for index, member in enumerate(members)
     ]
-    return members, tapes, roots, margins, produced, footprints
+    return members, tapes, roots, margins, produced, footprints, hoisted
 
 
 def tile2d_report(
@@ -1262,7 +1611,11 @@ def tile2d_report(
     kernels, and either the cost model's :class:`TileChoice` (as a
     dict, with the ranked runner-up count) or the
     :class:`NativeLoweringError` reason the block keeps the classic
-    row-tiled form.  Used by ``repro tiling``; needs no C compiler.
+    row-tiled form.  A tiled block that window-invariant hoisting
+    touched also lists its ``hoisted`` notes — each extra stage with
+    its halo margin and recompute factor at the chosen tile, each
+    declined group with the reason.  Used by ``repro tiling``; needs no
+    C compiler.
     """
     from repro.model.tiling import sweep_tiles
 
@@ -1275,7 +1628,7 @@ def tile2d_report(
             "kernels": list(part_block.ordered_vertices()),
         }
         try:
-            _m, _t, _r, _mg, _p, footprints = _tile2d_stages(
+            *_, footprints, hoisted = _tile2d_stages(
                 block_plan, graph, part_block
             )
             ranked = sweep_tiles(footprints, caches=caches)
@@ -1292,6 +1645,20 @@ def tile2d_report(
                 "cost": best.cost,
                 "candidates": len(ranked),
             }
+            if hoisted:
+                stages = {stage.name: stage for stage in footprints}
+                entry["hoisted"] = [
+                    {
+                        **note,
+                        "margin": list(stages[note["stage"]].margin),
+                        "recompute": stages[note["stage"]].recompute(
+                            best.height, best.width
+                        ),
+                    }
+                    if "stage" in note
+                    else note
+                    for note in hoisted
+                ]
         except NativeLoweringError as err:
             entry["classic_reason"] = str(err)
         report.append(entry)
@@ -1330,8 +1697,8 @@ def _lower_block_tile2d(
         scratch_bytes,
     )
 
-    members, tapes, roots, margins, produced, footprints = _tile2d_stages(
-        plan, graph, block
+    members, tapes, roots, margins, produced, footprints, hoisted = (
+        _tile2d_stages(plan, graph, block)
     )
     space = plan.destination.space
     width, height, channels = space.width, space.height, space.channels
@@ -1474,6 +1841,7 @@ def _lower_block_tile2d(
         sig,
         channels,
         tile2d=(tile_h, tile_w),
+        hoisted=hoisted,
     )
 
 
@@ -1562,19 +1930,38 @@ def lower_partition_source(
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
+def _deinterleave(array: np.ndarray) -> np.ndarray:
+    """An ``(H, W, C)`` image as contiguous ``(C, H, W)`` planes — one
+    pass, whatever the source strides."""
+    return np.ascontiguousarray(array.transpose(2, 0, 1))
+
+
+def _interleave(planes: np.ndarray) -> np.ndarray:
+    """Contiguous ``(C, H, W)`` planes as a contiguous ``(H, W, C)``
+    image."""
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
+
+
 class NativeBlock:
     """One compiled block: the bound C function plus its tape fallback.
 
-    ``execute`` drives the compiled row-tiled loop nest on zero-copy
-    ``float64`` buffers (multi-channel images run channel plane by
-    channel plane); inputs that do not match the compiled geometry or
-    dtype transparently fall back to the tape plan.
+    ``execute`` drives the compiled loop nest on zero-copy ``float64``
+    buffers (multi-channel images run channel plane by channel plane on
+    a planar ``(C, H, W)`` twin); inputs that do not match the compiled
+    geometry or dtype transparently fall back to the tape plan.
     """
 
-    def __init__(self, plan: BlockPlan, spec: _BlockSpec, fn) -> None:
+    def __init__(
+        self, plan: BlockPlan, spec: _BlockSpec, fn, openmp: bool = True
+    ) -> None:
         self.plan = plan
         self.spec = spec
         self.output_name = plan.output_name
+        #: Whether the library was compiled with ``-fopenmp``; without
+        #: it the ``threads`` argument is dead and every call is serial.
+        self.openmp = openmp
+        #: The effective thread count of the most recent call.
+        self.threads = 1
         self._fn = fn
         fn.restype = None
         fn.argtypes = (
@@ -1591,9 +1978,17 @@ class NativeBlock:
         arrays: Arrays,
         params: Params | None = None,
         threads: int | None = None,
+        side_by_side: int | None = None,
+        planar: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
         """Run the block; falls back to the tape plan when the bound
         arrays do not fit the compiled geometry/dtype.
+
+        ``threads`` / ``side_by_side`` are
+        :func:`resolve_native_threads`' arguments.  ``planar`` is the
+        request's ``(C, H, W)`` twins by image name: a multi-channel
+        block binds its inputs' twins (deinterleaving the ones that are
+        missing) and leaves its output's twin there for its consumers.
 
         A shape-polymorphic block can only fall back at its *plan*
         geometry — the tape's grid keys are shape-specialized, so a
@@ -1601,7 +1996,9 @@ class NativeBlock:
         and raises instead.
         """
         try:
-            return self._execute_native(arrays, params, threads)
+            return self._execute_native(
+                arrays, params, threads, side_by_side, planar
+            )
         except _RuntimeFallback as fallback:
             if self.spec.polymorphic and not self._fits_plan_geometry(
                 arrays
@@ -1655,6 +2052,8 @@ class NativeBlock:
         arrays: Arrays,
         params: Params | None,
         threads: int | None,
+        side_by_side: int | None,
+        planar: Optional[Dict[str, np.ndarray]],
     ) -> np.ndarray:
         params = params or {}
         spec = self.spec
@@ -1680,35 +2079,35 @@ class NativeBlock:
                 raise ExecutionError(
                     f"unbound parameter {name!r}"
                 ) from None
-        thread_count = resolve_native_threads(threads)
-        if channels > 1:
-            out = np.empty((height, width, channels), dtype=np.float64)
-            for c in range(channels):
-                bound = [self._bind_plane(a[:, :, c]) for a in inputs]
-                plane = np.empty((height, width), dtype=np.float64)
-                self._call(
-                    plane,
-                    [buffer for buffer, _ in bound],
-                    values,
-                    thread_count,
-                    width,
-                    height,
-                    [stride for _, stride in bound],
-                )
-                out[:, :, c] = plane
-            return out
-        out = np.empty((height, width), dtype=np.float64)
-        bound = [self._bind_plane(a) for a in inputs]
-        self._call(
-            out,
-            [buffer for buffer, _ in bound],
-            values,
-            thread_count,
-            width,
-            height,
-            [stride for _, stride in bound],
+        thread_count = resolve_native_threads(
+            threads, side_by_side, pixels=height * width
         )
-        return out
+        if channels == 1:
+            out = np.empty((height, width), dtype=np.float64)
+            self._call(out, inputs, values, thread_count, width, height)
+            return out
+        # Channels are bound once per request, not once per block: the
+        # kernels read and write whole planes of the (C, H, W) twins.
+        if planar is None:
+            planar = {}
+        twins = []
+        for name, array in zip(spec.images, inputs):
+            twin = planar.get(name)
+            if twin is None:
+                twin = planar[name] = _deinterleave(array)
+            twins.append(twin)
+        planes = np.empty((channels, height, width), dtype=np.float64)
+        for c in range(channels):
+            self._call(
+                planes[c],
+                [twin[c] for twin in twins],
+                values,
+                thread_count,
+                width,
+                height,
+            )
+        planar[self.output_name] = planes
+        return _interleave(planes)
 
     def _bind_plane(self, array: np.ndarray) -> Tuple[np.ndarray, int]:
         """One input plane as ``(buffer, leading stride in elements)``.
@@ -1743,14 +2142,23 @@ class NativeBlock:
         threads: int,
         width: int,
         height: int,
-        strides: Optional[List[int]] = None,
     ) -> None:
+        """Bind one output plane and its input planes and run the
+        compiled function on ``threads`` threads (1 when the library
+        has no OpenMP, or in a child forked from a threaded parent)."""
+        global _team_started
+        if not self.openmp or _serial_after_fork:
+            threads = 1
+        elif threads > 1:
+            _team_started = True
+        self.threads = threads
+        bound = [self._bind_plane(plane) for plane in inputs]
         args = [out.ctypes.data_as(_DOUBLE_P)]
-        args += [a.ctypes.data_as(_DOUBLE_P) for a in inputs]
+        args += [buffer.ctypes.data_as(_DOUBLE_P) for buffer, _ in bound]
         args += params
         if self.spec.polymorphic:
             args += [width, height]
-            args += strides if strides is not None else [width] * len(inputs)
+            args += [stride for _, stride in bound]
         args.append(threads)
         self._fn(*args)
 
@@ -1813,6 +2221,23 @@ class NativePartitionPlan:
         self.from_cache = from_cache
         #: Per-output reasons for blocks that fell back to the tape.
         self.fallback_reasons = fallback_reasons
+        #: Per-output window-invariant hoisting decisions of the tile2d
+        #: lowering: one dict per stage split out of a member kernel
+        #: (``stage``, ``kernel``, ``image``, ``taps``) or per group it
+        #: left in place (``kernel``, ``image``, ``declined``).
+        self.hoisted: Dict[str, Tuple[dict, ...]] = {
+            block_plan.output_name: native.spec.hoisted
+            for block_plan, native in blocks
+            if native is not None and native.spec.hoisted
+        }
+        #: How many native blocks bind each image — a request drops an
+        #: image's planar twin once its last reader has run.
+        self._twin_readers = Counter(
+            image
+            for _, native in blocks
+            if native is not None and native.spec.channels > 1
+            for image in native.spec.images
+        )
         #: The generated C source (``None`` when nothing was lowered).
         self.source = source
         #: Whether the compiled kernels take runtime width/height — one
@@ -1831,11 +2256,21 @@ class NativePartitionPlan:
         """Blocks executing through the tape interpreter."""
         return sum(1 for _, native in self.blocks if native is None)
 
+    @property
+    def threads(self) -> int:
+        """The widest OpenMP team the most recent execution ran — the
+        *effective* count: 1 when the toolchain has no OpenMP, whatever
+        was asked for."""
+        return max(
+            (native.threads for _, native in self.blocks if native), default=1
+        )
+
     def execute(
         self,
         inputs: Arrays,
         params: Params | None = None,
         workers: int | None = None,
+        threads: int | None = None,
     ) -> Arrays:
         """Run every block; returns the surviving-image environment.
 
@@ -1850,6 +2285,11 @@ class NativePartitionPlan:
         tiles; ``workers`` overlaps *different* loop nests.  Blocks
         connected by producer/consumer edges still run in dependence
         order, so results are bit-identical to the serial schedule.
+
+        ``threads`` is the OpenMP team of each compiled call; ``None``
+        is :func:`resolve_native_threads`' default — the environment
+        knob, else this caller's share of the cores, which ``workers``
+        divides further (two blocks side by side get half each).
         """
         workers = resolve_workers(workers)
         params = params or {}
@@ -1867,11 +2307,11 @@ class NativePartitionPlan:
             # plan geometry; polymorphic executions at other geometries
             # leave verification pending for a matching call.
             result = self._verify.run(
-                lambda: self._verified_first_pass(inputs, params)
+                lambda: self._verified_first_pass(inputs, params, threads)
             )
             if result is not None:
                 return result
-        return self._execute_blocks(inputs, params, workers)
+        return self._execute_blocks(inputs, params, workers, threads)
 
     def ensure_sanitized(self) -> None:
         """Run the native-codegen sanitizer over the compiled blocks
@@ -1896,16 +2336,37 @@ class NativePartitionPlan:
         )
 
     def _execute_blocks(
-        self, inputs: Arrays, params: Params, workers: int = 1
+        self,
+        inputs: Arrays,
+        params: Params,
+        workers: int = 1,
+        threads: int | None = None,
     ) -> Arrays:
         """Dependence-ordered dispatch of the block DAG — ``self.blocks``
         is aligned with ``self.plan.plans``, so the tape plan's ``deps``
         indices apply verbatim."""
+        # Pool threads do not inherit the caller's context, so the share
+        # is settled here, on the caller's thread.
+        side_by_side = _SIDE_BY_SIDE.get()
+        if workers > 1 and len(self.blocks) > 1:
+            side_by_side *= workers
+        # The request's (C, H, W) twins: made on first bind, dropped
+        # after the last block that binds them.
+        planar: Dict[str, np.ndarray] = {}
+        readers = Counter(self._twin_readers)
+        readers_lock = threading.Lock()
 
         def run_one(index: int, env: Arrays, params: Params) -> np.ndarray:
             block_plan, native = self.blocks[index]
-            runner = native if native is not None else block_plan
-            return runner.execute(env, params)
+            if native is None:
+                return block_plan.execute(env, params)
+            result = native.execute(env, params, threads, side_by_side, planar)
+            with readers_lock:
+                readers.subtract(native.spec.images)
+                for image in native.spec.images + (native.output_name,):
+                    if readers[image] <= 0:
+                        planar.pop(image, None)
+            return result
 
         return run_block_dag(
             self.plan.deps,
@@ -1916,10 +2377,12 @@ class NativePartitionPlan:
             workers,
         )
 
-    def _verified_first_pass(self, inputs: Arrays, params: Params) -> Arrays:
+    def _verified_first_pass(
+        self, inputs: Arrays, params: Params, threads: int | None = None
+    ) -> Arrays:
         """A deterministic (serial) pass, differentially verified
         against the tape plan under :attr:`tolerance`."""
-        result = self._execute_blocks(inputs, params, 1)
+        result = self._execute_blocks(inputs, params, 1, threads)
         expected = self.plan.execute(dict(inputs), params)
         for block_plan, native in self.blocks:
             if native is None:
@@ -2000,18 +2463,20 @@ def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
 
 def _compile_specs(
     specs: List[Optional[_BlockSpec]],
-) -> Tuple[Optional[ctypes.CDLL], Optional[str], bool]:
+) -> Tuple[Optional[ctypes.CDLL], Optional[str], bool, bool]:
+    """``(library, source, from_cache, openmp)`` of the lowered specs —
+    ``openmp`` says whether the library's ``threads`` argument is live."""
     lowered = [spec for spec in specs if spec is not None]
     if not lowered:
-        return None, None, False
+        return None, None, False, False
     cc = _find_compiler()
     if cc is None:
-        return None, None, False
+        return None, None, False, False
     source = _PREAMBLE + "\n" + "\n".join(spec.source for spec in lowered)
-    library, _, from_cache = load_shared_library(
-        source, cc, _native_flags(cc)
-    )
-    return library, source, from_cache
+    flags = _native_flags(cc)
+    _prefer_passive_omp_wait()
+    library, _, from_cache = load_shared_library(source, cc, flags)
+    return library, source, from_cache, "-fopenmp" in flags
 
 
 def _build_native_partition(
@@ -2024,7 +2489,7 @@ def _build_native_partition(
     plan = plan_for_partition(graph, partition, naive_borders)
     started = time.perf_counter()
     specs, reasons = _lower_partition(graph, partition, plan, polymorphic)
-    library, source, from_cache = _compile_specs(specs)
+    library, source, from_cache, openmp = _compile_specs(specs)
     blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
     for block_plan, spec in zip(plan.plans, specs):
         if spec is None or library is None:
@@ -2035,7 +2500,7 @@ def _build_native_partition(
             blocks.append((block_plan, None))
             continue
         fn = getattr(library, spec.fn_name)
-        blocks.append((block_plan, NativeBlock(block_plan, spec, fn)))
+        blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
     compile_ms = (time.perf_counter() - started) * 1e3
     native_plan = NativePartitionPlan(
         plan, blocks, compile_ms, from_cache, reasons, source, polymorphic
@@ -2113,10 +2578,12 @@ def _build_native_block(
         )
     except NativeLoweringError:
         spec = None
-    library, _, _ = _compile_specs([spec])
+    library, _, _, openmp = _compile_specs([spec])
     native = None
     if spec is not None and library is not None:
-        native = NativeBlock(block_plan, spec, getattr(library, spec.fn_name))
+        native = NativeBlock(
+            block_plan, spec, getattr(library, spec.fn_name), openmp
+        )
     if native is not None and validate_mode() == "strict":
         _sanitize_natives([native])
     return NativeBlockPlan(block_plan, native)

@@ -576,6 +576,17 @@ def cmd_tiling(args: argparse.Namespace) -> int:
                     f"scratch {c['scratch_bytes']}B ({c['fits']})  "
                     f"recompute {c['recompute']:.3f}  [{kernels}]"
                 )
+                for note in entry.get("hoisted", ()):
+                    where = f"{note['kernel']}: {note['taps']} taps of {note['image']}"
+                    if "stage" in note:
+                        left, right, top, bottom = note["margin"]
+                        print(
+                            f"    hoisted {note['stage']} ({where})  margin "
+                            f"{left}/{right}/{top}/{bottom}  "
+                            f"recompute {note['recompute']:.3f}"
+                        )
+                    else:
+                        print(f"    not hoisted ({where}): {note['declined']}")
             else:
                 print(
                     f"  {entry['output']:<16} classic: "

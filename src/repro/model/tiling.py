@@ -79,11 +79,21 @@ class StageFootprint:
     weight: float = 1.0
     materialized: bool = True
 
+    @property
+    def margin(self) -> Tuple[int, int, int, int]:
+        """``(left, right, top, bottom)``."""
+        return (self.left, self.right, self.top, self.bottom)
+
     def area(self, tile_h: int, tile_w: int) -> int:
         """Elements the stage computes per (tile_h × tile_w) tile."""
         return (tile_h + self.top + self.bottom) * (
             tile_w + self.left + self.right
         )
+
+    def recompute(self, tile_h: int, tile_w: int) -> float:
+        """This stage's redundant-work factor: halo-extended area over
+        tile area (1.0 = no halo)."""
+        return self.area(tile_h, tile_w) / (tile_h * tile_w)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ from dataclasses import asdict, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.backend import engines
+from repro.backend import engines, native_exec
+from repro.backend.cpu_exec import openmp_available
 from repro.backend.numpy_exec import Arrays, Params
 from repro.backend.plan import resolve_workers
 from repro.graph.dag import KernelGraph
@@ -203,6 +204,12 @@ class ServingRuntime:
             cache_keying if self.engine == self.requested_engine else "shape"
         )
         self.intra_workers = intra_workers
+        #: How many requests this runtime's host executes side by side:
+        #: its scheduler workers — times the shard count, which a
+        #: :class:`~repro.serve.sharding.ShardedRuntime` worker process
+        #: multiplies in.  Each compiled call takes that share of the
+        #: cores (:func:`repro.backend.native_exec.sharing_cores`).
+        self.side_by_side = workers
         self.cache = PlanCache(capacity=cache_capacity)
         self.metrics = metrics or Metrics()
         self.resilience = resilience or ResiliencePolicy()
@@ -621,14 +628,17 @@ class ServingRuntime:
     def _execute_entry(
         self, entry: CachedPlan, request: ServeRequest
     ) -> Arrays:
-        return self._timed_stage(
-            "execute",
-            lambda: entry.executor.execute(
-                request.payload["inputs"],
-                request.payload["params"],
-                workers=self.intra_workers,
-            ),
-        )
+        def execute() -> Arrays:
+            # Scoped inside the stage: a budgeted stage runs on a side
+            # thread, which does not inherit this one's context.
+            with native_exec.sharing_cores(self.side_by_side):
+                return entry.executor.execute(
+                    request.payload["inputs"],
+                    request.payload["params"],
+                    workers=self.intra_workers,
+                )
+
+        return self._timed_stage("execute", execute)
 
     def _build_stage(
         self, engine: str, stage: str, fn: Callable[[], Any]
@@ -681,6 +691,17 @@ class ServingRuntime:
 
     # -- observability -------------------------------------------------------
 
+    def native_threads(self) -> int:
+        """The OpenMP team a compiled call gets in this runtime — its
+        *effective* size: 1 off the native engine or when the toolchain
+        has no OpenMP.  (Blocks that ``intra_workers`` overlap split it
+        further, and small planes run narrower.)"""
+        if self.engine != "native" or not openmp_available():
+            return 1
+        return native_exec.resolve_native_threads(
+            side_by_side=self.side_by_side
+        )
+
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Instruments + plan-cache stats + scheduler state, one dict."""
         snapshot = self.metrics.snapshot()
@@ -696,6 +717,7 @@ class ServingRuntime:
             "max_queue": self.scheduler.max_queue,
             "max_batch": self.scheduler.max_batch,
             "intra_workers": resolve_workers(self.intra_workers),
+            "native_threads": self.native_threads(),
         }
         snapshot["fusion"] = asdict(self.fusion)
         retry = self.resilience.retry

@@ -163,6 +163,10 @@ def _worker_main(worker_id: int, conn: Any, config: Dict[str, Any]) -> None:
         engine=config["engine"],
         resilience=config["resilience"],
     )
+    # Every shard's scheduler workers run side by side on one machine:
+    # a compiled call takes 1/(shards x workers) of the cores, not
+    # 1/workers of them per shard.
+    runtime.side_by_side *= config["processes"]
     response_pool = SegmentPool()
     request_segments: Dict[str, Any] = {}  # parent-owned, attach once
 
@@ -366,6 +370,7 @@ class ShardedRuntime:
         )
         self._config: Dict[str, Any] = {
             "apps": self.apps,
+            "processes": processes,
             "fusion": self.fusion,
             "engine": engine,
             "intra_workers": intra_workers,

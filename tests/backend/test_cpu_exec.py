@@ -212,3 +212,35 @@ class TestPoisonedCache:
         env = run(graph, data, options=NATIVE)
         for image, value in expected.items():
             np.testing.assert_array_equal(env[image], value)
+
+
+class TestCompilerDiscovery:
+    """``api.run`` asks the engine table for the native engine on every
+    request; the PATH walk behind the answer happens once per PATH."""
+
+    def test_warm_requests_do_not_walk_path(self, monkeypatch):
+        import shutil
+
+        graph = build_sobel(24, 16).build()
+        inputs = {"input": random_image(24, 16, seed=3)}
+        options = ExecutionOptions(engine="native")
+        run(graph, inputs, options=options)
+        walks = []
+        real = shutil.which
+
+        def counting(name, *args, **kwargs):
+            walks.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "which", counting)
+        for _ in range(100):
+            run(graph, inputs, options=options)
+        assert walks == []
+
+    def test_a_changed_path_is_looked_at_again(self, monkeypatch, tmp_path):
+        found = _find_compiler()
+        assert found is not None
+        monkeypatch.setenv("PATH", str(tmp_path))  # a compiler-less host
+        assert _find_compiler() is None and not compiler_available()
+        monkeypatch.undo()
+        assert _find_compiler() == found

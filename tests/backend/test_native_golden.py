@@ -10,6 +10,11 @@ test is one of the three things that keep the printer honest (see
 ``docs/analysis.md``): any byte the printer changes shows up here — and
 in every ``pipeline-<digest>.so`` cache name.  Regenerate the file only
 for a deliberate change of the emitted C.
+
+One such change since: window-invariant hoisting (PR 17) gave the 16
+Enhance digests with tile2d on (``auto`` and ``16x32``) an extra
+``gmean_w0`` stage; the other 128 — every ``off`` digest and every other
+app — are still PR 14's.
 """
 
 import hashlib

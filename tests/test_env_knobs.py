@@ -134,11 +134,14 @@ class TestNativeKnobs:
     def test_native_threads_default_and_parse(self, monkeypatch):
         from repro.backend.native_exec import (
             NATIVE_THREADS_ENV,
+            available_cores,
             resolve_native_threads,
         )
 
         monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-        assert resolve_native_threads() == 1
+        # Unset is the caller's share of the cores (it was 1 before the
+        # thread budget; tests/backend/test_native_threads.py has the rest).
+        assert resolve_native_threads() == available_cores()
         monkeypatch.setenv(NATIVE_THREADS_ENV, "6")
         assert resolve_native_threads() == 6
         assert resolve_native_threads(2) == 2  # argument wins
