@@ -2,22 +2,34 @@
 
 :mod:`repro.backend.native_exec` lowers block tapes to C text; this
 module turns that text into a callable library: compiler discovery
-(:func:`compiler_available`), the content-hash ``.so`` cache
-(:func:`compile_shared_library`), its eviction
+(:func:`compiler_available`), the content-hash cache of libraries and
+kernel objects (:func:`build_shared_library`), its eviction
 (:func:`evict_stale_artifacts`), and the ``dlopen``
-(:func:`load_shared_library`).
+(:func:`load_kernel_library`).
 
-Compiled libraries are kept in a **content-hash cache**: the shared
-object's file name is derived from a SHA-256 digest of the generated C
-source (and the compiler used), so building the same partitioned
-pipeline twice — within a process or across runs — reuses the cached
-``.so`` instead of re-invoking the compiler.  The cache directory
-defaults to ``<tmp>/repro-cc-cache`` and can be redirected with the
-``REPRO_CC_CACHE`` environment variable.  The cache is keyed purely by
-content and written atomically (scratch file + ``os.replace``), so it
-is shared **across processes**: the sharded serving tier
+**The unit of compilation is the kernel, not the pipeline.**  A library
+is linked from one translation unit per lowered block, and the cache —
+``<tmp>/repro-cc-cache``, or wherever ``REPRO_CC_CACHE`` points — holds
+both levels, each beside the ``.c`` it was made from:
+
+* ``pipeline-<digest>.so`` — a partition's library, named by a SHA-256
+  digest of the compiler, the flags and the *whole* generated source.
+  Building the same partitioned pipeline twice, within a process or
+  across runs, is one ``stat`` and one ``dlopen``.
+* ``kernel-<digest>.o`` — one block's object, named by the same digest
+  of its own text.  The sharing rule is **same cc + same flags + same
+  text ⇒ same object**, whichever pipeline asks: a library miss runs
+  ``cc -c`` only for the kernels nobody has compiled yet (ShiTomasi
+  after Harris compiles one of its six), in parallel on a process-wide
+  pool of :func:`available_cores` workers, and links once.
+
+The directory is the only store — nothing is remembered in memory, so an
+emptied directory means every kernel is compiled again.  It is keyed
+purely by content and written atomically (scratch file + ``os.replace``;
+a scratch file whose writer died is swept by the next build), so it is
+shared **across processes**: the sharded serving tier
 (:mod:`repro.serve.sharding`) points every worker at one directory and
-only the first worker to need a plan pays the compiler.
+only the first worker to need a kernel pays the compiler.
 
 **GIL release.**  Every compiled entry point is loaded through
 :class:`ctypes.CDLL`, which — unlike ``ctypes.PyDLL`` — releases the
@@ -39,8 +51,19 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 from repro.envknobs import dir_env, size_env
 
@@ -77,7 +100,7 @@ CACHE_ENV = "REPRO_CC_CACHE"
 #: Environment variable capping the on-disk cache size in bytes
 #: (accepts ``K``/``M``/``G`` suffixes, e.g. ``REPRO_CC_CACHE_MAX=256M``).
 #: Unset means unbounded — the historical behaviour; ``0`` keeps only
-#: the most recently built artifact's source/library pair.
+#: the most recently built library and the objects it was linked from.
 CACHE_MAX_ENV = "REPRO_CC_CACHE_MAX"
 
 #: Default eviction cap applied when ``REPRO_CC_CACHE_MAX`` is unset.
@@ -91,102 +114,191 @@ def _cache_dir() -> Path:
 
 
 def clear_compile_cache() -> None:
-    """Delete every cached shared library (tests, stale toolchains)."""
+    """Delete every cached library and object (tests, stale toolchains)."""
     shutil.rmtree(_cache_dir(), ignore_errors=True)
+
+
+def available_cores() -> int:
+    """The cores this process may run on: its affinity mask (a
+    container's cpuset shows here), ``os.cpu_count()`` on platforms
+    without one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _artifacts(cache: Path) -> List[Tuple[Path, os.stat_result]]:
+    """Every finished artifact in ``cache`` — ``pipeline-*.so`` and
+    ``kernel-*.o`` — with its ``stat``.  Scratch files (``*.partial.*``)
+    belong to an in-flight build and are not artifacts; a file vanishing
+    mid-scan (a concurrent evictor or ``clear_compile_cache``) is
+    skipped, never an error."""
+    found = []
+    for pattern in ("pipeline-*.so", "kernel-*.o"):
+        try:
+            paths = list(cache.glob(pattern))
+        except OSError:
+            continue
+        for path in paths:
+            if ".partial." in path.name:
+                continue
+            try:
+                found.append((path, path.stat()))
+            except OSError:
+                continue
+    return found
 
 
 def compile_cache_stats() -> Dict[str, object]:
     """The on-disk compile cache at a glance (observability surface).
 
-    Returns the cache directory, the number of cached libraries, and
-    their total byte size.  Files vanishing mid-scan (a concurrent
-    evictor or ``clear_compile_cache``) are skipped, never an error —
-    this is a monitoring read, not a consistency check.
+    Returns the cache directory, the number of cached libraries and
+    their total byte size (``libraries`` / ``bytes``: ``.so`` files
+    only), and the same for the kernel objects they were linked from
+    (``objects`` / ``object_bytes``).  A monitoring read, not a
+    consistency check.
     """
     cache = _cache_dir()
-    libraries = 0
-    total = 0
+    stats = {"dir": str(cache), "libraries": 0, "bytes": 0,
+             "objects": 0, "object_bytes": 0}
+    for path, stat in _artifacts(cache):
+        count, size = (
+            ("libraries", "bytes") if path.suffix == ".so"
+            else ("objects", "object_bytes")
+        )
+        stats[count] += 1
+        stats[size] += stat.st_size
+    return stats
+
+
+#: Objects a link of this process is reading (a count: two partitions
+#: linking at once may share kernels).  No evictor of this process drops
+#: them — the builder pins before it probes, the evictor unlinks under
+#: the same guard.  Evictors in *other* processes are caught by the
+#: relink in :func:`build_shared_library`.
+_pinned: "Counter[Path]" = Counter()
+_pinned_guard = threading.Lock()
+
+
+@contextmanager
+def _pinned_objects(paths: Sequence[Path]) -> Iterator[None]:
+    with _pinned_guard:
+        _pinned.update(paths)
     try:
-        entries = list(cache.glob("pipeline-*.so"))
-    except OSError:
-        entries = []
-    for library in entries:
-        if library.name.endswith(".partial.so"):
-            continue
-        try:
-            total += library.stat().st_size
-        except OSError:
-            continue
-        libraries += 1
-    return {"dir": str(cache), "libraries": libraries, "bytes": total}
+        yield
+    finally:
+        with _pinned_guard:
+            _pinned.subtract(paths)
 
 
-def evict_stale_artifacts(keep: Path | None = None) -> int:
+def evict_stale_artifacts(keep: Path | Iterable[Path] | None = None) -> int:
     """Trim the on-disk cache to the ``REPRO_CC_CACHE_MAX`` byte cap.
 
-    Artifacts (``.so`` plus matching ``.c``) are dropped oldest-access
-    first until the cache fits; ``keep`` names a library that must
-    survive regardless (the artifact the caller is about to load).
-    Returns the number of libraries evicted.  A no-op when the knob is
-    unset.  Concurrent evictors and builders tolerate each other: a
-    file deleted under our feet is simply skipped, and a reader that
-    loses its library to eviction recompiles (see
-    :func:`load_shared_library`).
+    Artifacts — libraries and kernel objects in one LRU, each with its
+    matching ``.c`` — are dropped oldest-access first until the cache
+    fits; ``keep`` names artifacts that must survive regardless (the
+    library the caller is about to load), and the objects of a link in
+    progress always do.  Returns the number of artifacts evicted.  A
+    no-op when the knob is unset.  Concurrent evictors and builders
+    tolerate each other: a file deleted under our feet is simply
+    skipped, and a reader that loses its library to eviction rebuilds
+    (see :func:`load_kernel_library`).
     """
     limit = size_env(CACHE_MAX_ENV, DEFAULT_CACHE_MAX)
     if limit is None:
         return 0
-    cache = _cache_dir()
+    kept = {keep} if isinstance(keep, Path) else set(keep or ())
     entries = []
-    try:
-        libraries = list(cache.glob("pipeline-*.so"))
-    except OSError:
-        return 0
-    for library in libraries:
-        if library.name.endswith(".partial.so"):
-            continue  # an in-flight build owned by another thread
-        try:
-            stat = library.stat()
-        except OSError:
-            continue
-        source = library.with_suffix(".c")
+    for path, stat in _artifacts(_cache_dir()):
+        source = path.with_suffix(".c")
         try:
             size = stat.st_size + source.stat().st_size
         except OSError:
             size = stat.st_size
-        entries.append((stat.st_mtime, size, library, source))
+        entries.append((stat.st_mtime, size, path, source))
     entries.sort(reverse=True)  # newest first; evict from the tail
     evicted = 0
     total = 0
-    for mtime, size, library, source in entries:
+    for mtime, size, path, source in entries:
         total += size
-        if total <= limit or (keep is not None and library == keep):
+        if total <= limit or path in kept:
             continue
-        library.unlink(missing_ok=True)
+        with _pinned_guard:
+            if _pinned[path] > 0:
+                continue
+            path.unlink(missing_ok=True)
         source.unlink(missing_ok=True)
         evicted += 1
     return evicted
 
 
-# In-process serialization of compilation per content digest: threads
-# racing to build the same pipeline wait for one compiler invocation
-# and share its result (cross-process races stay safe through the
-# atomic rename below).  Reentrant: ``load_shared_library`` holds the
-# lock across compile *and* ``dlopen``.  ``_digest_locks`` entries are
-# tiny and bounded by the number of distinct pipelines a process
-# compiles.
+def _sweep_orphans(cache: Path) -> None:
+    """Delete the scratch files of builders that no longer exist.
+
+    A builder killed mid-``cc`` leaves ``<stem>.<pid>-<tid>-<n>.partial
+    .{c,o,so}`` behind; nothing else ever names them.  Called on the
+    build path only, so a cache hit never pays the directory scan."""
+    try:
+        leftovers = list(cache.glob("*.partial.*"))
+    except OSError:
+        return
+    for path in leftovers:
+        try:
+            pid = int(path.name.split(".")[-3].split("-")[0])
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            path.unlink(missing_ok=True)
+        except (ValueError, IndexError, OSError):
+            continue  # not ours to judge, or alive under another uid
+
+
+# In-process serialization of builds per artifact: threads racing to
+# build the same library (or the same kernel object, from two libraries)
+# wait for one compiler invocation and share its result (cross-process
+# races stay safe through the atomic rename below).  Reentrant:
+# ``load_shared_library`` holds the library's lock across build *and*
+# ``dlopen``.  Entries are tiny and bounded by the number of distinct
+# artifacts a process builds.
 _digest_locks: Dict[str, threading.RLock] = {}
 _digest_locks_guard = threading.Lock()
 _scratch_counter = itertools.count()
 
+#: The compile pool: every ``cc -c`` of the process runs here, so any
+#: number of concurrent builders start at most :func:`available_cores`
+#: compilers.  Created on first use.
+_compile_pool: ThreadPoolExecutor | None = None
 
-def _lock_for_digest(digest: str) -> threading.RLock:
+
+def _lock_for_digest(stem: str) -> threading.RLock:
     with _digest_locks_guard:
-        lock = _digest_locks.get(digest)
+        lock = _digest_locks.get(stem)
         if lock is None:
             lock = threading.RLock()
-            _digest_locks[digest] = lock
+            _digest_locks[stem] = lock
         return lock
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _compile_pool
+    with _digest_locks_guard:
+        if _compile_pool is None:
+            _compile_pool = ThreadPoolExecutor(
+                max_workers=available_cores(),
+                thread_name_prefix="repro-cc",
+            )
+        return _compile_pool
+
+
+def _after_fork_in_child() -> None:
+    # The parent's pool threads and lock holders do not exist here.
+    global _compile_pool
+    _compile_pool = None
+    _digest_locks.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _digest_of(source: str, cc: str, flags: Sequence[str]) -> str:
@@ -195,77 +307,168 @@ def _digest_of(source: str, cc: str, flags: Sequence[str]) -> str:
     ).hexdigest()[:24]
 
 
-def compile_shared_library(
-    source: str, cc: str, extra_flags: Sequence[str] = ()
-) -> tuple[Path, bool]:
-    """Compile ``source`` or reuse the content-hash cached library.
+def _scratch_tag() -> str:
+    # pid, thread id and a counter: concurrent builders — across
+    # processes *or* threads — never collide, and the pid tells
+    # ``_sweep_orphans`` whose file it is.
+    return (
+        f"{os.getpid()}-{threading.get_ident()}"
+        f"-{next(_scratch_counter)}.partial"
+    )
 
-    Returns ``(library_path, from_cache)``.  The library file name is a
-    digest of the compiler, the extra flags, and the source text, so
-    identical generated pipelines share one compilation across
-    processes; the build lands in a temporary file first and is moved
-    into place atomically, and the scratch name embeds pid, thread id,
-    and a counter so concurrent builders — across processes *or*
-    threads — never collide.
 
-    A cache hit refreshes the library's mtime (the LRU clock of
-    :func:`evict_stale_artifacts`); a build triggers eviction of the
-    oldest artifacts beyond the ``REPRO_CC_CACHE_MAX`` cap, never
-    including the one just built.
+def _compile_object(
+    cache: Path, digest: str, text: str, cc: str, flags: Tuple[str, ...]
+) -> bool:
+    """Make ``kernel-<digest>.o`` exist; ``True`` when ``cc`` ran.
+
+    An object already there is reused (and its LRU clock refreshed).
+    The compiler reads a scratch-named source and writes a scratch-named
+    object, both moved into place atomically: an evictor working from a
+    stale directory snapshot never knows those names.
+    """
+    stem = f"kernel-{digest}"
+    with _lock_for_digest(stem):
+        object_path = cache / f"{stem}.o"
+        if object_path.exists():
+            try:
+                os.utime(object_path)
+            except OSError:
+                pass  # evicted by another process; the link will say so
+            return False
+        tag = _scratch_tag()
+        scratch_source = cache / f"{stem}.{tag}.c"
+        scratch = cache / f"{stem}.{tag}.o"
+        scratch_source.write_text(text)
+        result = subprocess.run(
+            [cc, "-O2", "-fPIC", *flags, "-c", "-o", str(scratch),
+             str(scratch_source)],
+            capture_output=True, text=True,
+        )
+        if result.returncode != 0:
+            scratch.unlink(missing_ok=True)
+            scratch_source.unlink(missing_ok=True)
+            raise ExecutionError(
+                f"C compilation failed ({stem}.c):\n{result.stderr}\n"
+                "--- source ---\n" + text
+            )
+        os.replace(scratch_source, cache / f"{stem}.c")
+        os.replace(scratch, object_path)
+        return True
+
+
+class LibraryBuild(NamedTuple):
+    """What :func:`build_shared_library` did."""
+
+    path: Path
+    #: Whether ``pipeline-<digest>.so`` was already there.
+    from_cache: bool
+    #: Kernel objects this build ran ``cc -c`` for / found in the cache
+    #: (0 / 0 on a library hit).
+    objects_compiled: int = 0
+    objects_reused: int = 0
+
+
+def build_shared_library(
+    source: str,
+    kernels: Sequence[str],
+    cc: str,
+    extra_flags: Sequence[str] = (),
+) -> LibraryBuild:
+    """Build the library of ``kernels`` or reuse the cached one.
+
+    ``source`` names the library: its file name is a digest of the
+    compiler, the extra flags and that text, so identical generated
+    pipelines share one library across processes.  ``kernels`` are the
+    translation units it is made of, each cached on its own as
+    ``kernel-<digest of cc, flags, text>.o`` — **same compiler, same
+    flags, same text, same object**, whichever pipeline asks — so a miss
+    compiles only the kernels nobody has compiled yet (longest first, on
+    the process-wide pool) and links once.
+
+    A library hit refreshes its mtime (the LRU clock of
+    :func:`evict_stale_artifacts`) and touches nothing else.  A link
+    that fails — a truncated object left by a crashed writer, an object
+    evicted by another process mid-build — drops this library's objects
+    and rebuilds them once; a second failure raises with ``cc``'s
+    stderr.  A finished build evicts the oldest artifacts beyond the
+    ``REPRO_CC_CACHE_MAX`` cap, never its own.
     """
     flags = tuple(extra_flags)
     digest = _digest_of(source, cc, flags)
-    with _lock_for_digest(digest):
+    stem = f"pipeline-{digest}"
+    with _lock_for_digest(stem):
         cache = _cache_dir()
         cache.mkdir(parents=True, exist_ok=True)
-        library_path = cache / f"pipeline-{digest}.so"
+        library_path = cache / f"{stem}.so"
         if library_path.exists():
             try:
                 os.utime(library_path)
             except OSError:
                 pass  # concurrently evicted; the caller's load retries
-            return library_path, True
+            return LibraryBuild(library_path, True)
         fault_check("cc.compile")
-        source_path = cache / f"pipeline-{digest}.c"
-        scratch_tag = (
-            f"{os.getpid()}-{threading.get_ident()}"
-            f"-{next(_scratch_counter)}.partial"
-        )
-        # Compile from a scratch-named source: an evictor working from a
-        # stale directory snapshot may unlink pipeline-<digest>.c while
-        # the compiler is still reading it, but it never knows this name.
-        scratch_source = cache / f"pipeline-{digest}.{scratch_tag}.c"
+        _sweep_orphans(cache)
+        texts = {_digest_of(text, cc, flags): text for text in kernels}
+        objects = [cache / f"kernel-{d}.o" for d in texts]
+        tag = _scratch_tag()
+        scratch = cache / f"{stem}.{tag}.so"
+        with _pinned_objects(objects):
+            for retry in (False, True):
+                jobs = [
+                    _pool().submit(_compile_object, cache, d, text, cc, flags)
+                    for d, text in sorted(
+                        texts.items(), key=lambda item: -len(item[1])
+                    )
+                ]
+                wait(jobs)
+                compiled = sum(job.result() for job in jobs)
+                result = subprocess.run(
+                    [cc, "-shared", *flags, "-o", str(scratch),
+                     *map(str, objects), "-lm"],
+                    capture_output=True, text=True,
+                )
+                if result.returncode == 0:
+                    break
+                scratch.unlink(missing_ok=True)
+                for path in objects:
+                    path.unlink(missing_ok=True)
+                if retry:
+                    raise ExecutionError(
+                        f"linking {stem}.so failed:\n{result.stderr}"
+                    )
+        scratch_source = cache / f"{stem}.{tag}.c"
         scratch_source.write_text(source)
-        scratch = cache / f"pipeline-{digest}.{scratch_tag}.so"
-        command = [
-            cc, "-O2", "-fPIC", "-shared", *flags, "-o", str(scratch),
-            str(scratch_source), "-lm",
-        ]
-        result = subprocess.run(command, capture_output=True, text=True)
-        if result.returncode != 0:
-            scratch.unlink(missing_ok=True)
-            scratch_source.unlink(missing_ok=True)
-            raise ExecutionError(
-                f"C compilation failed:\n{result.stderr}\n--- source ---\n"
-                + source
-            )
-        os.replace(scratch_source, source_path)
+        os.replace(scratch_source, cache / f"{stem}.c")
         os.replace(scratch, library_path)
-        evict_stale_artifacts(keep=library_path)
-        return library_path, False
+        evict_stale_artifacts(keep={library_path, *objects})
+        return LibraryBuild(
+            library_path, False, compiled, len(objects) - compiled
+        )
 
 
-def load_shared_library(
+def compile_shared_library(
     source: str, cc: str, extra_flags: Sequence[str] = ()
-) -> tuple[ctypes.CDLL, Path, bool]:
-    """Compile (or fetch) and ``dlopen`` a generated library.
+) -> tuple[Path, bool]:
+    """``(library_path, from_cache)`` of a one-kernel library:
+    :func:`build_shared_library` with ``source`` as its only unit."""
+    build = build_shared_library(source, (source,), cc, extra_flags)
+    return build.path, build.from_cache
 
-    Returns ``(library, path, from_cache)``.  A cached artifact that
-    does not load — unlinked by a concurrent evictor between the cache
-    probe and the ``dlopen``, or truncated by a crashed writer or a
-    full disk — is removed and rebuilt once, under the digest's lock so
-    no thread of this process can hit the bad file in between; a second
-    failure propagates.
+
+def load_kernel_library(
+    source: str,
+    kernels: Sequence[str],
+    cc: str,
+    extra_flags: Sequence[str] = (),
+) -> tuple[ctypes.CDLL, LibraryBuild]:
+    """Build (or fetch) and ``dlopen`` the library of ``kernels``.
+
+    A cached library that does not load — unlinked by a concurrent
+    evictor between the cache probe and the ``dlopen``, or truncated by
+    a crashed writer or a full disk — is removed and rebuilt once, under
+    the library's lock so no thread of this process can hit the bad file
+    in between; a second failure propagates.
 
     The handle is a :class:`ctypes.CDLL` **by contract**: ``CDLL``
     releases the GIL around every foreign call, which is what lets the
@@ -275,19 +478,28 @@ def load_shared_library(
     ``workers=`` code path.
     """
     flags = tuple(extra_flags)
-    with _lock_for_digest(_digest_of(source, cc, flags)):
-        library_path, from_cache = compile_shared_library(source, cc, flags)
+    with _lock_for_digest(f"pipeline-{_digest_of(source, cc, flags)}"):
+        build = build_shared_library(source, kernels, cc, flags)
         try:
-            return ctypes.CDLL(str(library_path)), library_path, from_cache
+            return ctypes.CDLL(str(build.path)), build
         except OSError:
             # A fresh build that is still on disk and does not load is a
             # real failure; one a concurrent evictor already unlinked is
             # the same race as a vanished cache hit.
-            if not from_cache and library_path.exists():
+            if not build.from_cache and build.path.exists():
                 raise
-        library_path.unlink(missing_ok=True)
-        library_path, from_cache = compile_shared_library(source, cc, flags)
-        return ctypes.CDLL(str(library_path)), library_path, from_cache
+        build.path.unlink(missing_ok=True)
+        build = build_shared_library(source, kernels, cc, flags)
+        return ctypes.CDLL(str(build.path)), build
+
+
+def load_shared_library(
+    source: str, cc: str, extra_flags: Sequence[str] = ()
+) -> tuple[ctypes.CDLL, Path, bool]:
+    """``(library, path, from_cache)`` of a one-kernel library:
+    :func:`load_kernel_library` with ``source`` as its only unit."""
+    library, build = load_kernel_library(source, (source,), cc, extra_flags)
+    return library, build.path, build.from_cache
 
 
 _openmp_probe: Dict[str, bool] = {}

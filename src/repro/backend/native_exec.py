@@ -9,9 +9,10 @@ This module finishes the journey from loop fusion to kernel fusion on
 the CPU: each :class:`~repro.backend.plan.BlockPlan` tape is lowered to
 **one C function** — a single row-tiled loop nest whose per-pixel SSA
 slots become ``const double`` register temporaries (the degenerate,
-tightest form of per-tile scratch), compiled through
-:mod:`repro.backend.cpu_exec`'s content-hash ``.so`` cache and driven
-via :mod:`ctypes` on zero-copy ``float64`` NumPy buffers.
+tightest form of per-tile scratch), compiled as a translation unit of
+its own through :mod:`repro.backend.cpu_exec`'s content-hash cache (one
+object per block, one linked library per partition) and driven via
+:mod:`ctypes` on zero-copy ``float64`` NumPy buffers.
 
 **Tape → loop nest → C.**  The lowerings here are *builders* of the
 small structured IR in :mod:`repro.backend.loopnest`; its printer turns
@@ -173,9 +174,11 @@ from repro.backend.loopnest import (
     sub,
 )
 from repro.backend.cpu_exec import (
+    LibraryBuild,
     _find_compiler,
+    available_cores,
     compiler_available,
-    load_shared_library,
+    load_kernel_library,
     openmp_available,
 )
 from repro.backend.numpy_exec import (
@@ -252,16 +255,6 @@ def native_available() -> bool:
 #: many pixels: below it waking a team (~0.05 ms) costs more than the
 #: rows it hands out (a 96x64 request is ~0.1 ms of work in total).
 MIN_PIXELS_PER_THREAD = 1 << 16
-
-
-def available_cores() -> int:
-    """The cores this process may run on: its affinity mask (a
-    container's cpuset shows here), ``os.cpu_count()`` on platforms
-    without one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 #: How many native executions the surrounding caller runs side by side
@@ -2200,7 +2193,7 @@ class NativePartitionPlan:
         plan: PartitionPlan,
         blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]],
         compile_ms: float,
-        from_cache: bool,
+        build: Optional[LibraryBuild],
         fallback_reasons: Dict[str, str],
         source: str | None,
         polymorphic: bool = False,
@@ -2217,8 +2210,13 @@ class NativePartitionPlan:
         #: Whether the sanitizer passed every compiled block's loop nest
         #: (see :meth:`ensure_sanitized`).
         self.sanitized = False
-        #: Whether the shared library came from the content-hash cache.
-        self.from_cache = from_cache
+        #: Whether the partition library came from the content-hash
+        #: cache (``False`` when nothing was compiled at all).
+        self.from_cache = build is not None and build.from_cache
+        #: Kernel objects the build ran ``cc -c`` for / found in the
+        #: object cache — 0 / 0 when the library itself was a hit.
+        self.objects_compiled = build.objects_compiled if build else 0
+        self.objects_reused = build.objects_reused if build else 0
         #: Per-output reasons for blocks that fell back to the tape.
         self.fallback_reasons = fallback_reasons
         #: Per-output window-invariant hoisting decisions of the tile2d
@@ -2463,20 +2461,25 @@ def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
 
 def _compile_specs(
     specs: List[Optional[_BlockSpec]],
-) -> Tuple[Optional[ctypes.CDLL], Optional[str], bool, bool]:
-    """``(library, source, from_cache, openmp)`` of the lowered specs —
-    ``openmp`` says whether the library's ``threads`` argument is live."""
+) -> Tuple[Optional[ctypes.CDLL], Optional[str], Optional[LibraryBuild], bool]:
+    """``(library, source, build, openmp)`` of the lowered specs: every
+    block is its own translation unit (the text
+    :func:`lower_block_source` returns) and its own entry of the object
+    cache; ``source`` — all of them under one preamble — names the
+    library.  ``openmp`` says whether the library's ``threads`` argument
+    is live."""
     lowered = [spec for spec in specs if spec is not None]
     if not lowered:
-        return None, None, False, False
+        return None, None, None, False
     cc = _find_compiler()
     if cc is None:
-        return None, None, False, False
+        return None, None, None, False
     source = _PREAMBLE + "\n" + "\n".join(spec.source for spec in lowered)
+    kernels = [_PREAMBLE + "\n" + spec.source for spec in lowered]
     flags = _native_flags(cc)
     _prefer_passive_omp_wait()
-    library, _, from_cache = load_shared_library(source, cc, flags)
-    return library, source, from_cache, "-fopenmp" in flags
+    library, build = load_kernel_library(source, kernels, cc, flags)
+    return library, source, build, "-fopenmp" in flags
 
 
 def _build_native_partition(
@@ -2489,7 +2492,7 @@ def _build_native_partition(
     plan = plan_for_partition(graph, partition, naive_borders)
     started = time.perf_counter()
     specs, reasons = _lower_partition(graph, partition, plan, polymorphic)
-    library, source, from_cache, openmp = _compile_specs(specs)
+    library, source, build, openmp = _compile_specs(specs)
     blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
     for block_plan, spec in zip(plan.plans, specs):
         if spec is None or library is None:
@@ -2503,7 +2506,7 @@ def _build_native_partition(
         blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
     compile_ms = (time.perf_counter() - started) * 1e3
     native_plan = NativePartitionPlan(
-        plan, blocks, compile_ms, from_cache, reasons, source, polymorphic
+        plan, blocks, compile_ms, build, reasons, source, polymorphic
     )
     if validate_mode() == "strict":
         native_plan.ensure_sanitized()

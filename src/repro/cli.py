@@ -539,9 +539,12 @@ def cmd_tiling(args: argparse.Namespace) -> int:
     for each application, every fused block's model-chosen tile shape —
     or the reason the block keeps the classic row-tiled lowering.
     Needs no C compiler: this reads the model, not the emitted code.
+    The last line is the on-disk compile cache those blocks are built
+    into — libraries, and the per-block kernel objects they link.
     """
     import json
 
+    from repro.backend.cpu_exec import compile_cache_stats
     from repro.backend.native_exec import tile2d_report
     from repro.model.hardware import calibrate_cpu_caches, detect_cpu_caches
 
@@ -557,9 +560,11 @@ def cmd_tiling(args: argparse.Namespace) -> int:
             graph, _resolve_gpu(args.gpu), args.version, _config(args)
         )
         reports[name] = tile2d_report(graph, partition, caches=caches)
+    cache = compile_cache_stats()
     if args.json:
         print(json.dumps(
-            {"caches": caches.describe(), "apps": reports},
+            {"caches": caches.describe(), "apps": reports,
+             "compile_cache": cache},
             indent=2, sort_keys=True,
         ))
         return 0
@@ -592,6 +597,11 @@ def cmd_tiling(args: argparse.Namespace) -> int:
                     f"  {entry['output']:<16} classic: "
                     f"{entry['classic_reason']}  [{kernels}]"
                 )
+    print(
+        f"\ncompile cache {cache['dir']}: {cache['libraries']} libraries "
+        f"({cache['bytes']}B), {cache['objects']} kernel objects "
+        f"({cache['object_bytes']}B)"
+    )
     return 0
 
 

@@ -681,6 +681,12 @@ class ServingRuntime:
                 )
             if native_plan.from_cache:
                 self.metrics.counter("native_artifact_cache_hits").inc()
+            self.metrics.counter("native_objects_compiled").inc(
+                native_plan.objects_compiled
+            )
+            self.metrics.counter("native_objects_reused").inc(
+                native_plan.objects_reused
+            )
         return entry
 
     def _update_breaker_gauges(self) -> None:
