@@ -257,7 +257,7 @@ def _run_rung(
     entry, hit = PROCESS_CACHE.get_or_build(
         key,
         lambda: build_plan(
-            graph, partition=partition, fusion=fusion, engine=engine
+            graph, key=key, partition=partition, fusion=fusion, engine=engine
         ),
     )
     if hit:

@@ -22,6 +22,14 @@ both levels, each beside the ``.c`` it was made from:
   ``cc -c`` only for the kernels nobody has compiled yet (ShiTomasi
   after Harris compiles one of its six), in parallel on a process-wide
   pool of :func:`available_cores` workers, and links once.
+* ``plan-<digest>.json`` — one persisted plan record per plan key,
+  read and written by :func:`repro.serve.plancache.build_plan` only
+  (:func:`read_cache_bytes` / :func:`write_cache_text` are its file
+  access): the partition and the strict-mode verdicts for the exact
+  digests they were proved on, so a restart neither re-decides nor
+  re-proves what the artifacts above have not changed under.  An
+  artifact like the other two: same LRU, same byte cap, same atomic
+  write, same sweep, gone with :func:`clear_compile_cache`.
 
 The directory is the only store — nothing is remembered in memory, so an
 emptied directory means every kernel is compiled again.  It is keyed
@@ -114,7 +122,8 @@ def _cache_dir() -> Path:
 
 
 def clear_compile_cache() -> None:
-    """Delete every cached library and object (tests, stale toolchains)."""
+    """Delete every cached library, object and plan record (tests,
+    stale toolchains, forcing strict mode to prove everything again)."""
     shutil.rmtree(_cache_dir(), ignore_errors=True)
 
 
@@ -129,13 +138,13 @@ def available_cores() -> int:
 
 
 def _artifacts(cache: Path) -> List[Tuple[Path, os.stat_result]]:
-    """Every finished artifact in ``cache`` — ``pipeline-*.so`` and
-    ``kernel-*.o`` — with its ``stat``.  Scratch files (``*.partial.*``)
-    belong to an in-flight build and are not artifacts; a file vanishing
-    mid-scan (a concurrent evictor or ``clear_compile_cache``) is
-    skipped, never an error."""
+    """Every finished artifact in ``cache`` — ``pipeline-*.so``,
+    ``kernel-*.o`` and the plan records ``plan-*.json`` — with its
+    ``stat``.  Scratch files (``*.partial.*``) belong to an in-flight
+    build and are not artifacts; a file vanishing mid-scan (a concurrent
+    evictor or ``clear_compile_cache``) is skipped, never an error."""
     found = []
-    for pattern in ("pipeline-*.so", "kernel-*.o"):
+    for pattern in ("pipeline-*.so", "kernel-*.o", "plan-*.json"):
         try:
             paths = list(cache.glob(pattern))
         except OSError:
@@ -155,18 +164,22 @@ def compile_cache_stats() -> Dict[str, object]:
 
     Returns the cache directory, the number of cached libraries and
     their total byte size (``libraries`` / ``bytes``: ``.so`` files
-    only), and the same for the kernel objects they were linked from
-    (``objects`` / ``object_bytes``).  A monitoring read, not a
-    consistency check.
+    only), the same for the kernel objects they were linked from
+    (``objects`` / ``object_bytes``) and for the persisted plan records
+    beside them (``records`` / ``record_bytes``).  A monitoring read,
+    not a consistency check.
     """
     cache = _cache_dir()
     stats = {"dir": str(cache), "libraries": 0, "bytes": 0,
-             "objects": 0, "object_bytes": 0}
+             "objects": 0, "object_bytes": 0,
+             "records": 0, "record_bytes": 0}
+    counters = {
+        ".so": ("libraries", "bytes"),
+        ".o": ("objects", "object_bytes"),
+        ".json": ("records", "record_bytes"),
+    }
     for path, stat in _artifacts(cache):
-        count, size = (
-            ("libraries", "bytes") if path.suffix == ".so"
-            else ("objects", "object_bytes")
-        )
+        count, size = counters[path.suffix]
         stats[count] += 1
         stats[size] += stat.st_size
     return stats
@@ -195,11 +208,11 @@ def _pinned_objects(paths: Sequence[Path]) -> Iterator[None]:
 def evict_stale_artifacts(keep: Path | Iterable[Path] | None = None) -> int:
     """Trim the on-disk cache to the ``REPRO_CC_CACHE_MAX`` byte cap.
 
-    Artifacts — libraries and kernel objects in one LRU, each with its
-    matching ``.c`` — are dropped oldest-access first until the cache
-    fits; ``keep`` names artifacts that must survive regardless (the
-    library the caller is about to load), and the objects of a link in
-    progress always do.  Returns the number of artifacts evicted.  A
+    Artifacts — libraries and kernel objects, each with its matching
+    ``.c``, and plan records, all in one LRU — are dropped oldest-access
+    first until the cache fits; ``keep`` names artifacts that must
+    survive regardless (the library the caller is about to load), and
+    the objects of a link in progress always do.  Returns the number of artifacts evicted.  A
     no-op when the knob is unset.  Concurrent evictors and builders
     tolerate each other: a file deleted under our feet is simply
     skipped, and a reader that loses its library to eviction rebuilds
@@ -233,12 +246,46 @@ def evict_stale_artifacts(keep: Path | Iterable[Path] | None = None) -> int:
     return evicted
 
 
+def read_cache_bytes(name: str) -> bytes | None:
+    """The artifact ``name`` of the cache directory, its LRU clock
+    refreshed — ``None`` when it is not there."""
+    path = _cache_dir() / name
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    try:
+        os.utime(path)
+    except OSError:
+        pass  # read-only cache, or evicted since the read
+    return data
+
+
+def write_cache_text(name: str, text: str) -> bool:
+    """Put the small text artifact ``name`` into the cache directory,
+    atomically (scratch name + ``os.replace``, like every artifact
+    there).  A cache that cannot be written — read-only, full — costs
+    the artifact, not the request: returns ``False``."""
+    cache = _cache_dir()
+    stem, suffix = os.path.splitext(name)
+    scratch = cache / f"{stem}.{_scratch_tag()}{suffix}"
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        scratch.write_text(text)
+        os.replace(scratch, cache / name)
+    except OSError:
+        scratch.unlink(missing_ok=True)
+        return False
+    return True
+
+
 def _sweep_orphans(cache: Path) -> None:
     """Delete the scratch files of builders that no longer exist.
 
-    A builder killed mid-``cc`` leaves ``<stem>.<pid>-<tid>-<n>.partial
-    .{c,o,so}`` behind; nothing else ever names them.  Called on the
-    build path only, so a cache hit never pays the directory scan."""
+    A builder killed mid-``cc`` (or mid-record) leaves
+    ``<stem>.<pid>-<tid>-<n>.partial.{c,o,so,json}`` behind; nothing
+    else ever names them.  Called on the build path only, so a cache
+    hit never pays the directory scan."""
     try:
         leftovers = list(cache.glob("*.partial.*"))
     except OSError:

@@ -136,7 +136,7 @@ import time
 import weakref
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -2162,6 +2162,9 @@ class _VerifyOnce:
     def __init__(self) -> None:
         self.pending = True
         self.lock = threading.Lock()
+        #: Called once, after the check passed (the plan record's
+        #: writer); a check that raises leaves the state pending.
+        self.on_pass: Optional[Callable[[], None]] = None
 
     def run(self, check):
         """On a plan's first strict-mode execution, ``check()`` under
@@ -2173,6 +2176,8 @@ class _VerifyOnce:
                 return None
             result = check()
             self.pending = False
+            if self.on_pass is not None:
+                self.on_pass()
             return result
 
 
@@ -2213,6 +2218,9 @@ class NativePartitionPlan:
         #: Whether the partition library came from the content-hash
         #: cache (``False`` when nothing was compiled at all).
         self.from_cache = build is not None and build.from_cache
+        #: The loaded ``pipeline-<digest>.so`` (``None`` when nothing
+        #: was compiled) — its stem is the library's source digest.
+        self.library_path = build.path if build is not None else None
         #: Kernel objects the build ran ``cc -c`` for / found in the
         #: object cache — 0 / 0 when the library itself was a hit.
         self.objects_compiled = build.objects_compiled if build else 0
@@ -2311,11 +2319,27 @@ class NativePartitionPlan:
                 return result
         return self._execute_blocks(inputs, params, workers, threads)
 
+    @property
+    def differential_pending(self) -> bool:
+        """Whether the first strict execution has yet to be compared
+        with the tape."""
+        return self._verify.pending
+
+    def settle_differential(self) -> None:
+        """Mark the first-run differential as passed: a persisted plan
+        record proved it on this tape and these library bytes."""
+        self._verify.pending = False
+
+    def on_differential_pass(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once the differential has passed."""
+        self._verify.on_pass = callback
+
     def ensure_sanitized(self) -> None:
         """Run the native-codegen sanitizer over the compiled blocks
         unless this plan already passed it — strict mode's "sanitized
-        before first use", paid once.  Raises :class:`repro.analysis.
-        verifier.PlanVerificationError` on any NAT diagnostic."""
+        before first use", paid once per artifact.  Raises
+        :class:`repro.analysis.verifier.PlanVerificationError` on any
+        NAT diagnostic."""
         if self.sanitized:
             return
         self.verify_ms = _sanitize_natives(
@@ -2505,12 +2529,9 @@ def _build_native_partition(
         fn = getattr(library, spec.fn_name)
         blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
     compile_ms = (time.perf_counter() - started) * 1e3
-    native_plan = NativePartitionPlan(
+    return NativePartitionPlan(
         plan, blocks, compile_ms, build, reasons, source, polymorphic
     )
-    if validate_mode() == "strict":
-        native_plan.ensure_sanitized()
-    return native_plan
 
 
 _native_partition_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
@@ -2549,6 +2570,7 @@ def native_plan_for_partition(
     naive_borders: bool = False,
     *,
     polymorphic: bool = False,
+    proved_library: Optional[str] = None,
 ) -> NativePartitionPlan:
     """The (cached) native plan of a partition.
 
@@ -2557,16 +2579,29 @@ def native_plan_for_partition(
     so a cache *miss* here usually still skips the C compiler.
     ``polymorphic=True`` compiles runtime-geometry kernels whose source
     — and therefore whose ``.so`` artifact — is shared by every
-    resolution of the structure.
+    resolution of the structure.  ``proved_library`` is the
+    ``pipeline-<digest>`` stem a persisted plan record says the
+    sanitizer already passed: a build whose generated source reproduces
+    it is marked sanitized without running NAT001–004 again.
     """
+
+    def build() -> NativePartitionPlan:
+        native_plan = _build_native_partition(
+            graph, partition, naive_borders, polymorphic
+        )
+        library = native_plan.library_path
+        if library is not None and library.stem == proved_library:
+            native_plan.sanitized = True
+        if validate_mode() == "strict":
+            native_plan.ensure_sanitized()
+        return native_plan
+
     return _cached_native_plan(
         _native_partition_plans,
         graph,
         (partition.signature(), bool(naive_borders), polymorphic)
         + lowering_knobs(),
-        lambda: _build_native_partition(
-            graph, partition, naive_borders, polymorphic
-        ),
+        build,
     )
 
 

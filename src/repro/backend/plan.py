@@ -38,6 +38,7 @@ environment knob; the default is the serial fallback.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 import weakref
@@ -698,6 +699,7 @@ class PartitionPlan:
         #: :meth:`ensure_verified`), and the wall-clock it took.
         self.verified = False
         self.verify_ms = 0.0
+        self._tape_digest: Optional[str] = None
         schedule = block_schedule(graph, partition)
         producer_block: Dict[str, int] = {}
         self.plans: List[BlockPlan] = []
@@ -736,10 +738,37 @@ class PartitionPlan:
             resolve_workers(workers),
         )
 
+    def tape_digest(self) -> str:
+        """SHA-256 over everything the static verifier reads off the
+        compiled plan — per block its output, kind, root, flags,
+        dependences and the tape itself.  A persisted plan record
+        (:mod:`repro.serve.plancache`) binds the ``verified`` verdict to
+        it: same digest, same proof."""
+        if self._tape_digest is None:
+            # ``repr`` of plain tuples: the ``Instr`` dataclass repr is
+            # three times slower and says nothing more.
+            payload = [
+                (
+                    plan.output_name,
+                    plan.kind,
+                    plan.root,
+                    plan.apply_reduction,
+                    plan.naive_borders,
+                    sorted(deps),
+                    [(instr.op, instr.args, instr.aux) for instr in plan.tape],
+                )
+                for plan, deps in zip(self.plans, self.deps)
+            ]
+            self._tape_digest = hashlib.sha256(
+                repr(payload).encode()
+            ).hexdigest()
+        return self._tape_digest
+
     def ensure_verified(self) -> None:
         """Run the static plan verifier unless this plan already passed
-        it — strict mode's "verified before first use", paid once.
-        Raises :class:`repro.analysis.verifier.PlanVerificationError`.
+        it — strict mode's "verified before first use", paid once per
+        artifact.  Raises
+        :class:`repro.analysis.verifier.PlanVerificationError`.
         """
         if not self.verified:
             started = time.perf_counter()
@@ -858,8 +887,16 @@ def plan_for_partition(
     graph: KernelGraph,
     partition: Partition,
     naive_borders: bool = False,
+    *,
+    proved_digest: Optional[str] = None,
 ) -> PartitionPlan:
-    """The (cached) compiled plan of a partition."""
+    """The (cached) compiled plan of a partition.
+
+    ``proved_digest`` is the :meth:`PartitionPlan.tape_digest` a
+    persisted plan record says the verifier already passed: a freshly
+    compiled plan that reproduces it is marked verified without running
+    the verifier again; any other digest changes nothing.
+    """
     key = (partition.signature(), bool(naive_borders))
     with _plan_cache_lock:
         cache = _partition_plans.get(graph)
@@ -872,6 +909,8 @@ def plan_for_partition(
             plan = PartitionPlan(
                 graph, partition, naive_borders, store=_store_for(graph)
             )
+            if proved_digest is not None:
+                plan.verified = plan.tape_digest() == proved_digest
             if validate_mode() == "strict":
                 plan.ensure_verified()
             cache[key] = plan

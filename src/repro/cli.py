@@ -540,7 +540,8 @@ def cmd_tiling(args: argparse.Namespace) -> int:
     or the reason the block keeps the classic row-tiled lowering.
     Needs no C compiler: this reads the model, not the emitted code.
     The last line is the on-disk compile cache those blocks are built
-    into — libraries, and the per-block kernel objects they link.
+    into — libraries, the per-block kernel objects they link, and the
+    persisted plan records beside them.
     """
     import json
 
@@ -600,7 +601,8 @@ def cmd_tiling(args: argparse.Namespace) -> int:
     print(
         f"\ncompile cache {cache['dir']}: {cache['libraries']} libraries "
         f"({cache['bytes']}B), {cache['objects']} kernel objects "
-        f"({cache['object_bytes']}B)"
+        f"({cache['object_bytes']}B), {cache['records']} plan records "
+        f"({cache['record_bytes']}B)"
     )
     return 0
 

@@ -18,7 +18,7 @@ from repro.dsl.image import Image, IterationSpace
 from repro.ir.expr import Expr, InputAt
 from repro.ir.cost import OpCounts, count_ops
 from repro.ir.signature import expr_signature
-from repro.ir.traversal import input_extent, inputs_of, params_of
+from repro.ir.traversal import inputs_of, params_of, reads_extent
 from repro.ir.validate import validate
 
 
@@ -171,7 +171,10 @@ class Kernel:
                     f"its own output {output.name!r}"
                 )
             seen.add(accessor.image.name)
-        read_images = set(inputs_of(body))
+        #: What :meth:`reads` returns: the one walk of the body this
+        #: kernel pays.
+        self._reads_cache = inputs_of(body)
+        read_images = set(self._reads_cache)
         missing = read_images - seen
         if missing:
             raise ValueError(
@@ -209,7 +212,7 @@ class Kernel:
     @property
     def window_radius(self) -> Tuple[int, int]:
         """``(rx, ry)`` read-window radius over all inputs."""
-        return input_extent(self.body)
+        return reads_extent(self.reads())
 
     @property
     def window_size(self) -> int:
@@ -333,12 +336,9 @@ class Kernel:
         return cached
 
     def reads(self) -> Dict[str, Set[Tuple[int, int]]]:
-        """Per-image sets of read offsets (cached; body is immutable)."""
-        cached = getattr(self, "_reads_cache", None)
-        if cached is None:
-            cached = inputs_of(self.body)
-            self._reads_cache = cached
-        return cached
+        """Per-image sets of read offsets (collected once, by the
+        constructor; body is immutable)."""
+        return self._reads_cache
 
     # -- construction convenience -----------------------------------------
 

@@ -227,3 +227,35 @@ class Cast(Expr):
 
 #: All concrete node classes, used by the validator.
 NODE_TYPES = (Const, Param, InputAt, BinOp, UnOp, Cmp, Select, Call, Cast)
+
+
+def _hash_once(cls: type) -> None:
+    """Cache the dataclass-generated hash on each instance.
+
+    The generated ``__hash__`` hashes the field tuple, so every dict or
+    set probe of a node re-hashes its whole subtree; nodes are immutable,
+    so the value is computed once and parked in the instance ``__dict__``
+    (which ``__eq__``, ``__repr__`` and ``dataclasses.fields`` never
+    look at).  String hashes are salted per process, so the cached value
+    is dropped on pickling — a spawn-started shard hashes afresh.
+    """
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = generated(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+
+
+for _node_type in NODE_TYPES:
+    _hash_once(_node_type)

@@ -159,8 +159,13 @@ def input_extent(expr: Expr) -> Tuple[int, int]:
     ``|dx| <= rx`` and ``|dy| <= ry``.  A point operator has extent
     ``(0, 0)``.
     """
+    return reads_extent(inputs_of(expr))
+
+
+def reads_extent(reads: Dict[str, Set[Offset]]) -> Tuple[int, int]:
+    """:func:`input_extent` of already collected :func:`inputs_of`."""
     rx = ry = 0
-    for offsets in inputs_of(expr).values():
+    for offsets in reads.values():
         for dx, dy in offsets:
             rx = max(rx, abs(dx))
             ry = max(ry, abs(dy))

@@ -19,24 +19,47 @@ Concurrent requests for the same missing key are **coalesced**: one
 thread compiles, the rest wait on the in-flight build and share its
 result — a cold cache under a request storm still compiles each plan
 exactly once.
+
+What a build decided and proved **outlives the process**: beside the
+``.so`` in the compile cache directory, :func:`build_plan` keeps one
+small JSON *plan record* per key (:class:`_PlanRecord`) — the
+partition, and strict mode's three verdicts (plan verifier, native
+sanitizer, first-run differential), each bound to the digest it was
+proved on.  A miss after a restart still compiles the tape and lowers it
+to C, because that is what recomputes the digests; where they equal the
+recorded ones the min-cut and the proofs are not run again
+(:attr:`CachedPlan.restored` says what was taken over).  "Verified and
+sanitized before first use, once" therefore means once per *artifact*,
+not once per process; anything about the record that does not check out
+(:attr:`CachedPlan.record_rejected`) costs exactly the work it would
+have saved, and ``cpu_exec.clear_compile_cache()`` or a fresh
+``REPRO_CC_CACHE`` forces every proof to be made again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import platform
+import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import engines, native_exec
+import repro
+from repro.backend import cpu_exec, engines, native_exec
 from repro.backend.numpy_exec import ExecutionError
 from repro.backend.plan import PartitionPlan, plan_for_partition
 from repro.envknobs import validate_mode
 from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition
+from repro.graph.partition import Partition, PartitionBlock
 from repro.model.benefit import BenefitConfig
 from repro.model.hardware import KNOWN_GPUS, GpuSpec
 
@@ -46,7 +69,9 @@ __all__ = [
     "FusionSettings",
     "PROCESS_CACHE",
     "PlanCache",
+    "RECORD_FORMAT",
     "build_plan",
+    "code_fingerprint",
     "inputs_signature",
     "inputs_structure",
     "plan_key",
@@ -203,9 +228,11 @@ class CachedPlan:
     partition: Partition
     plan: Optional[PartitionPlan]
     #: Per-stage build-time breakdown in milliseconds — ``fuse_ms``,
-    #: ``plan_ms``, ``native_compile_ms`` and, under strict,
+    #: ``plan_ms``, ``native_compile_ms``, ``record_ms`` (the plan
+    #: record: read + digests + write) and, under strict,
     #: ``native_verify_ms`` / ``verify_ms`` — the costs the cache
-    #: amortizes across requests.
+    #: amortizes across requests.  A stage the plan record supplied
+    #: reads 0.0.
     timings_ms: Dict[str, float] = field(default_factory=dict)
     serves: int = 0
     #: Compiled-native execution plan
@@ -222,12 +249,206 @@ class CachedPlan:
     #: ``plan``, else the recursive engine's walk; all three share
     #: ``.execute(inputs, params, workers=...)``.
     executor: Optional[object] = None
+    #: The persisted plan record of :attr:`key` (``None`` for an entry
+    #: built without a key).
+    record: Optional["_PlanRecord"] = field(default=None, repr=False)
+
+    @property
+    def restored(self) -> Tuple[str, ...]:
+        """What the plan record supplied to this build — a subset of
+        ``("partition", "verified", "sanitized", "differential")``,
+        empty on a full build."""
+        return tuple(self.record.restored) if self.record else ()
+
+    @property
+    def record_rejected(self) -> Optional[str]:
+        """Why (part of) the plan record found was not used:
+        ``"unreadable"``, ``"fingerprint"``, ``"partition"``, ``"tape
+        digest"``, ``"source digest"`` or ``"library bytes"`` — ``None``
+        when there was none or all of it applied."""
+        return self.record.rejected if self.record else None
 
     @property
     def verified(self) -> bool:
         """Whether the static plan verifier
         (:mod:`repro.analysis.verifier`) passed this entry's tape plan."""
         return self.plan is not None and self.plan.verified
+
+
+#: Layout version of a plan record's JSON; any other is ignored.
+RECORD_FORMAT = 1
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the bytes of every ``.py`` of the installed
+    ``repro`` package plus the NumPy version, the Python minor version
+    and the machine type — everything a recorded verdict silently
+    depends on besides the digests it is bound to.  Part of every
+    record's file name, so an edited emitter, verifier or benefit model
+    never meets an old verdict.  Computed once per process."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    digest.update(
+        f"numpy {np.__version__} python {sys.version_info[0]}."
+        f"{sys.version_info[1]} {platform.machine()}".encode()
+    )
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Optional[Path]) -> Optional[str]:
+    if path is None:
+        return None
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
+class _PlanRecord:
+    """One key's persisted plan record, through the life of its entry.
+
+    ``plan-<sha256(key, code fingerprint)[:24]>.json`` in the compile
+    cache directory holds the partition and up to three verdicts, each
+    bound to the digest it was proved on::
+
+        {"format": 1, "fingerprint": "<code_fingerprint()>",
+         "partition": [["k1", "k2"], ["k3"]],
+         "tape": "<PartitionPlan.tape_digest()>" | null,
+         "library": "pipeline-<source digest>" | null,
+         "library_sha256": "<sha256 of the .so bytes>" | null,
+         "verified": bool, "sanitized": bool, "differential": bool}
+
+    :func:`build_plan` reads it once, applies a verdict only where the
+    digest it just recomputed equals the recorded one, and writes the
+    file back whenever the entry holds a verdict the file lacks.
+    """
+
+    def __init__(self, key: tuple) -> None:
+        fingerprint = code_fingerprint()
+        name = hashlib.sha256(
+            f"{key!r}\0{fingerprint}".encode()
+        ).hexdigest()[:24]
+        self.name = f"plan-{name}.json"
+        #: The accepted file content ({} when absent or rejected), and
+        #: what this process knows the file to hold now.
+        self.offered: Dict[str, Any] = {}
+        self.saved: Optional[Dict[str, Any]] = None
+        #: Why (part of) the file was not used — the first cause.
+        self.rejected: Optional[str] = None
+        self.restored: List[str] = []
+        self.library_sha256: Optional[str] = None
+        self.writes = 0
+        #: Called after each successful write (serving's counter).
+        self.on_write: Optional[Callable[[], None]] = None
+        self.ms = 0.0
+        started = time.perf_counter()
+        self._read(fingerprint)
+        self.ms += (time.perf_counter() - started) * 1e3
+
+    def _read(self, fingerprint: str) -> None:
+        raw = cpu_exec.read_cache_bytes(self.name)
+        if raw is None:
+            return  # no record: a full build, nothing rejected
+        try:
+            data = json.loads(raw)
+            if not isinstance(data, dict):
+                raise ValueError("not an object")
+        except ValueError:
+            self.rejected = "unreadable"
+            return
+        if (
+            data.get("format") != RECORD_FORMAT
+            or data.get("fingerprint") != fingerprint
+        ):
+            self.rejected = "fingerprint"
+            return
+        self.offered = self.saved = data
+
+    def reject(self, reason: str) -> None:
+        if self.rejected is None:
+            self.rejected = reason
+
+    def partition(self, graph: KernelGraph) -> Optional[Partition]:
+        """The recorded partition over ``graph``, or ``None``."""
+        blocks = self.offered.get("partition")
+        if blocks is None:
+            return None
+        try:
+            partition = Partition(
+                graph, [PartitionBlock(graph, names) for names in blocks]
+            )
+        except (ValueError, TypeError):  # GraphError is a ValueError
+            self.reject("partition")
+            return None
+        self.restored.append("partition")
+        return partition
+
+    def proved(self, verdict: str, bound_to: str) -> Optional[str]:
+        """The digest the record binds ``verdict`` to, if it holds it."""
+        return self.offered.get(bound_to) if self.offered.get(verdict) else None
+
+    def settle(self, entry: "CachedPlan") -> None:
+        """After the build stages: note which verdicts the recomputed
+        digests let the record supply, and settle the differential."""
+        started = time.perf_counter()
+        offered, plan, native = self.offered, entry.plan, entry.native_plan
+        library = native.library_path if native is not None else None
+        self.library_sha256 = _file_sha256(library)
+        same_tape = plan is not None and offered.get("tape") == plan.tape_digest()
+        same_source = (
+            library is not None and offered.get("library") == library.stem
+        )
+        same_bytes = (
+            same_source
+            and offered.get("library_sha256") == self.library_sha256
+        )
+        if offered and plan is not None and not same_tape:
+            self.reject("tape digest")
+        if offered.get("library") and not same_source:
+            self.reject("source digest")
+        elif same_source and not same_bytes:
+            self.reject("library bytes")
+        if offered.get("verified") and same_tape:
+            self.restored.append("verified")
+        if offered.get("sanitized") and same_source:
+            self.restored.append("sanitized")
+        if offered.get("differential") and same_tape and same_bytes:
+            native.settle_differential()
+            self.restored.append("differential")
+        self.ms += (time.perf_counter() - started) * 1e3
+
+    def sync(self, entry: "CachedPlan") -> None:
+        """Write the record if ``entry`` holds what the file lacks."""
+        started = time.perf_counter()
+        plan, native = entry.plan, entry.native_plan
+        library = native.library_path if native is not None else None
+        current = {
+            "format": RECORD_FORMAT,
+            "fingerprint": code_fingerprint(),
+            "partition": [list(block) for block in entry.partition.signature()],
+            "tape": plan.tape_digest() if plan is not None else None,
+            "library": library.stem if library is not None else None,
+            "library_sha256": self.library_sha256,
+            "verified": plan is not None and plan.verified,
+            "sanitized": library is not None and native.sanitized,
+            "differential": (
+                library is not None
+                and self.library_sha256 is not None
+                and not native.differential_pending
+            ),
+        }
+        if current != self.saved and cpu_exec.write_cache_text(
+            self.name, json.dumps(current)
+        ):
+            self.saved = current
+            self.writes += 1
+            if self.on_write is not None:
+                self.on_write()
+        self.ms += (time.perf_counter() - started) * 1e3
 
 
 #: Runs one named build stage: ``stage(name, fn)`` returns ``fn()``.
@@ -243,6 +464,7 @@ def call_stage(name: str, fn: Callable[[], Any]) -> Any:
 def build_plan(
     graph: KernelGraph,
     *,
+    key: tuple | None = None,
     partition: Partition | None = None,
     fusion: FusionSettings,
     engine: str,
@@ -264,9 +486,20 @@ def build_plan(
     ``sanitize`` / ``verify``: latency budgets, fault sites and
     :class:`~repro.serve.errors.PlanBuildError` wrapping for serving, a
     plain call for direct execution.
+
+    ``key`` (the entry's :func:`plan_key`) names the persisted plan
+    record consulted inside those stages — this function is its only
+    reader and writer.  The record replaces the ``fuse`` stage with its
+    partition; the tape is still compiled and lowered to C, which
+    *recomputes* the digests, and a recorded verdict (verifier,
+    sanitizer, first-run differential) is taken over only where its
+    digest equals the recomputed one.  No record, or one that is
+    unreadable, from other code, or bound to other digests: that part of
+    the build runs as if there were none, and the record is rewritten.
     """
     timings: Dict[str, float] = {}
     naive_borders = fusion.naive_borders
+    record = _PlanRecord(key) if key is not None else None
 
     def timed(name: str, label: str, fn: Callable[[], Any]) -> Any:
         started = time.perf_counter()
@@ -274,6 +507,10 @@ def build_plan(
         timings[label] = (time.perf_counter() - started) * 1e3
         return result
 
+    if partition is None and record is not None:
+        partition = record.partition(graph)
+        if partition is not None:
+            timings["fuse_ms"] = 0.0
     if partition is None:
 
         def fuse() -> Partition:
@@ -291,13 +528,23 @@ def build_plan(
         plan = timed(
             "plan",
             "plan_ms",
-            lambda: plan_for_partition(graph, partition, naive_borders),
+            lambda: plan_for_partition(
+                graph,
+                partition,
+                naive_borders,
+                proved_digest=record and record.proved("verified", "tape"),
+            ),
         )
     if engine == "native":
 
         def compile_native() -> native_exec.NativePartitionPlan:
             built = native_exec.native_plan_for_partition(
-                graph, partition, naive_borders, polymorphic=polymorphic
+                graph,
+                partition,
+                naive_borders,
+                polymorphic=polymorphic,
+                proved_library=record
+                and record.proved("sanitized", "library"),
             )
             if polymorphic and built.fallback_block_count:
                 # A structure-keyed entry serves every geometry through
@@ -328,8 +575,25 @@ def build_plan(
         native_plan=native_plan,
         engine=engine,
         executor=executor,
+        record=record,
     )
+    if record is not None:
+        record.settle(entry)
     validate_plan(entry, stage)
+    if record is not None:
+        record.sync(entry)
+        if native_plan is not None and native_plan.differential_pending:
+            # Weakly: the plan must not keep its entry (and through it
+            # itself) alive in a cycle only the collector can free.
+            entry_ref = weakref.ref(entry)
+
+            def record_differential() -> None:
+                live = entry_ref()
+                if live is not None:
+                    record.sync(live)
+
+            native_plan.on_differential_pass(record_differential)
+        timings["record_ms"] = record.ms
     return entry
 
 
@@ -345,14 +609,19 @@ def validate_plan(entry: CachedPlan, stage: Stage = call_stage) -> None:
     if validate_mode() != "strict":
         return
     native_plan, plan = entry.native_plan, entry.plan
+    caught_up = False
     if native_plan is not None:
         if not native_plan.sanitized:
             stage("sanitize", native_plan.ensure_sanitized)
+            caught_up = True
         entry.timings_ms["native_verify_ms"] = native_plan.verify_ms
     if plan is not None:
         if not plan.verified:
             stage("verify", plan.ensure_verified)
+            caught_up = True
         entry.timings_ms["verify_ms"] = plan.verify_ms
+    if caught_up and entry.record is not None:
+        entry.record.sync(entry)
 
 
 class _InFlight:

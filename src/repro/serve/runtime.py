@@ -583,7 +583,7 @@ class ServingRuntime:
         while True:
             entry, hit = self.cache.get_or_build(
                 attempt_key,
-                lambda: self._build_plan(request, engine),
+                lambda: self._build_plan(attempt_key, request, engine),
                 structure_key=structure,
             )
             if not hit:
@@ -657,11 +657,14 @@ class ServingRuntime:
                 stage, engine, f"{stage} stage failed: {err}"
             ) from err
 
-    def _build_plan(self, request: ServeRequest, engine: str) -> CachedPlan:
+    def _build_plan(
+        self, key: tuple, request: ServeRequest, engine: str
+    ) -> CachedPlan:
         """Build one plan for one ladder rung (cache miss) and book its
-        stage timings and native counters."""
+        stage timings, native counters and plan-record counters."""
         entry = build_plan(
             request.payload["graph"],
+            key=key,
             partition=request.payload["partition"],
             fusion=request.payload["fusion"],
             engine=engine,
@@ -687,6 +690,17 @@ class ServingRuntime:
             self.metrics.counter("native_objects_reused").inc(
                 native_plan.objects_reused
             )
+        record = entry.record
+        self.metrics.counter("plan_records_restored").inc(
+            1 if record.restored else 0
+        )
+        self.metrics.counter("plan_records_rejected").inc(
+            1 if record.rejected else 0
+        )
+        # The differential verdict is written after the first execute.
+        written = self.metrics.counter("plan_records_written")
+        written.inc(record.writes)
+        record.on_write = written.inc
         return entry
 
     def _update_breaker_gauges(self) -> None:

@@ -10,7 +10,6 @@ objects computes the same bits as one compiled from the single
 concatenated translation unit.
 """
 
-import ctypes
 import os
 import re
 import subprocess
@@ -49,6 +48,8 @@ from repro.model.hardware import GTX680
 from repro.serve.bench import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
+from helpers import ToolchainSpy as Spy
+
 pytestmark = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler on PATH"
 )
@@ -65,41 +66,6 @@ def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     clear_native_caches()
     return tmp_path
-
-
-class Spy:
-    """Every compiler invocation and every ``dlopen``, in order."""
-
-    def __init__(self, monkeypatch):
-        self.commands = []
-        self.loads = []
-        self._lock = threading.Lock()
-        real_run, real_cdll = subprocess.run, ctypes.CDLL
-
-        def run(command, *args, **kwargs):
-            with self._lock:
-                self.commands.append(list(command))
-            return real_run(command, *args, **kwargs)
-
-        def cdll(path, *args, **kwargs):
-            with self._lock:
-                self.loads.append(path)
-            return real_cdll(path, *args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "run", run)
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-
-    @property
-    def compiles(self):
-        return [c for c in self.commands if "-c" in c]
-
-    @property
-    def links(self):
-        return [c for c in self.commands if "-shared" in c]
-
-    def reset(self):
-        self.commands.clear()
-        self.loads.clear()
 
 
 def _plan(app, width=WIDTH, height=HEIGHT, polymorphic=False):

@@ -30,9 +30,18 @@ def _empty_process_plan_cache():
     """``repro.api.run`` memoizes builds process-wide; a test must not
     be served a plan some earlier test built (and validated, or
     poisoned) under the same key."""
+    from repro.backend.cpu_exec import _cache_dir
     from repro.serve.plancache import PROCESS_CACHE
 
     PROCESS_CACHE.clear()
+    # The persisted plan records would carry a partition or a strict
+    # verdict from an earlier test (or an earlier run: the default cache
+    # directory outlives it) into this one.  The .so / .o files stay.
+    try:
+        for record in _cache_dir().glob("plan-*.json"):
+            record.unlink(missing_ok=True)
+    except OSError:
+        pass  # unreadable or read-only cache directory
 
 
 @pytest.fixture

@@ -168,3 +168,28 @@ class TestDerivedHeaders:
             "k", [b, a], out, lambda x, y: x() + y()
         )
         assert kernel.input_names == ("b", "a")
+
+    def test_header_queries_never_walk_the_body_again(self, monkeypatch):
+        # window_radius / pattern / uses_shared_memory / window_size all
+        # come from the reads the constructor collected: a whole fusion
+        # decision costs no walk of any kernel body.
+        import repro.ir.traversal as traversal
+        from repro.apps import APPLICATIONS
+        from repro.eval.runner import partition_for
+        from repro.model.hardware import GTX680
+
+        graph = APPLICATIONS["Night"].build(96, 64).build()
+        bodies = {id(graph.kernel(n).body): n for n in graph.kernel_names}
+        walks = {name: 0 for name in bodies.values()}
+        real = traversal.walk
+
+        def counting(expr):
+            if id(expr) in bodies:
+                walks[bodies[id(expr)]] += 1
+            return real(expr)
+
+        monkeypatch.setattr(traversal, "walk", counting)
+        partition_for(graph, GTX680, "optimized")
+        for kernel in map(graph.kernel, graph.kernel_names):
+            assert kernel.window_size >= 1 and kernel.pattern
+        assert max(walks.values()) <= 1, walks

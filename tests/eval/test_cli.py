@@ -156,6 +156,7 @@ class TestCommands:
         # gradient blocks report why they keep the classic form.
         assert "tile " in out and "scratch " in out
         assert "single-kernel blocks have no intermediates" in out
+        assert " kernel objects (" in out and " plan records (" in out
 
     def test_tiling_json(self, capsys):
         import json
@@ -166,3 +167,4 @@ class TestCommands:
         (entry,) = report["apps"]["Sobel"]
         assert entry["choice"]["tile"][0] >= 1
         assert entry["choice"]["scratch_bytes"] > 0
+        assert report["compile_cache"]["records"] >= 0

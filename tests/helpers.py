@@ -8,6 +8,9 @@ structural property.
 
 from __future__ import annotations
 
+import ctypes
+import subprocess
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -152,3 +155,38 @@ def random_image(
     rng = np.random.default_rng(seed)
     shape = (height, width) if channels == 1 else (height, width, channels)
     return rng.uniform(0.0, 255.0, size=shape)
+
+
+class ToolchainSpy:
+    """Every compiler invocation and every ``dlopen``, in order."""
+
+    def __init__(self, monkeypatch):
+        self.commands = []
+        self.loads = []
+        self._lock = threading.Lock()
+        real_run, real_cdll = subprocess.run, ctypes.CDLL
+
+        def run(command, *args, **kwargs):
+            with self._lock:
+                self.commands.append(list(command))
+            return real_run(command, *args, **kwargs)
+
+        def cdll(path, *args, **kwargs):
+            with self._lock:
+                self.loads.append(path)
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", run)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+    @property
+    def compiles(self):
+        return [c for c in self.commands if "-c" in c]
+
+    @property
+    def links(self):
+        return [c for c in self.commands if "-shared" in c]
+
+    def reset(self):
+        self.commands.clear()
+        self.loads.clear()

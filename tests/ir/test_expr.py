@@ -125,3 +125,67 @@ class TestStructuralEquality:
 
     def test_param_named(self):
         assert Param("gamma").name == "gamma"
+
+
+class TestCachedHash:
+    def test_hash_is_computed_once_per_node(self):
+        tree = (InputAt("x", 1, 0) + Param("gain")) * Const(2.0)
+        assert "_hash" not in vars(tree)
+        value = hash(tree)
+        assert vars(tree)["_hash"] == value == hash(tree)
+        # Children were hashed on the way and keep their own value.
+        assert vars(tree.lhs)["_hash"] == hash(tree.lhs)
+
+    def test_cache_changes_neither_equality_nor_repr(self):
+        hashed, fresh = InputAt("x") + 1.0, InputAt("x") + 1.0
+        hash(hashed)
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+        assert len({hashed, fresh}) == 1
+
+    def test_every_node_type_caches(self):
+        from repro.ir.expr import NODE_TYPES
+
+        nodes = [
+            Const(1.0), Param("p"), InputAt("a"), Const(1.0) + 2.0,
+            -Const(1.0), Const(1.0) < 2.0,
+            Select(Const(1.0), Const(2.0), Const(3.0)),
+            Call("sqrt", (Const(4.0),)), Cast("uint8", Const(1.0)),
+        ]
+        assert {type(node) for node in nodes} == set(NODE_TYPES)
+        for node in nodes:
+            hash(node)
+            assert "_hash" in vars(node)
+
+    def test_cached_hash_does_not_cross_a_process_boundary(self):
+        # String hashes are salted per process and spawn-started shards
+        # unpickle graphs: a node pickled with its hash cached must still
+        # find itself in a dict of the process that unpickles it.
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        tree = (InputAt("img", 1, -1) + Param("gain")) * Const(2.0)
+        hash(tree)
+        payload = pickle.dumps(tree)
+        assert b"_hash" not in payload
+        child = (
+            "import pickle, sys\n"
+            "from repro.ir.expr import Const, InputAt, Param\n"
+            "tree = pickle.loads(sys.stdin.buffer.read())\n"
+            "twin = (InputAt('img', 1, -1) + Param('gain')) * Const(2.0)\n"
+            "assert '_hash' not in vars(tree)\n"
+            "assert tree in {twin: 1} and twin in {tree} and tree == twin\n"
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+            result = subprocess.run(
+                [sys.executable, "-c", child],
+                input=payload, env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr.decode()

@@ -195,7 +195,9 @@ def test_cache_resets_empty_the_process_cache(monkeypatch):
     tape.clear_plan_caches()
     assert len(PROCESS_CACHE) == 0
     run(graph, inputs, options=options)
-    assert (len(fusions), len(plans), len(natives)) == (2, 2, 2)
+    # Tape and native plans are rebuilt; the partition is not re-decided
+    # — the persisted plan record supplies it (test_plan_record.py).
+    assert (len(fusions), len(plans), len(natives)) == (1, 2, 2)
 
 
 @pytest.mark.parametrize(
