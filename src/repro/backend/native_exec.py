@@ -133,7 +133,6 @@ import os
 import re
 import threading
 import time
-import weakref
 from collections import Counter
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -195,7 +194,8 @@ from repro.backend.plan import (
     PartitionPlan,
     _TapeCompiler,
     _iteration_grids,
-    clear_process_cache,
+    forget_plans,
+    memo,
     plan_for_block,
     plan_for_partition,
     resolve_key,
@@ -2509,11 +2509,9 @@ def _compile_specs(
 def _build_native_partition(
     graph: KernelGraph,
     partition: Partition,
-    naive_borders: bool,
+    plan: PartitionPlan,
     polymorphic: bool = False,
 ) -> NativePartitionPlan:
-    fault_check("native.compile")
-    plan = plan_for_partition(graph, partition, naive_borders)
     started = time.perf_counter()
     specs, reasons = _lower_partition(graph, partition, plan, polymorphic)
     library, source, build, openmp = _compile_specs(specs)
@@ -2534,15 +2532,6 @@ def _build_native_partition(
     )
 
 
-_native_partition_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_native_block_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_native_cache_lock = threading.Lock()
-
-
 def lowering_knobs() -> tuple:
     """The knobs lowering and compiling read from the environment
     (``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``,
@@ -2550,18 +2539,6 @@ def lowering_knobs() -> tuple:
     plan, so changing one in-process rebuilds instead of serving the
     stale plan."""
     return (native_tile2d_env(), native_f32_enabled(), native_cflags_env())
-
-
-def _cached_native_plan(cache_of, graph: KernelGraph, key, build):
-    with _native_cache_lock:
-        cache = cache_of.get(graph)
-        if cache is None:
-            cache = {}
-            cache_of[graph] = cache
-        plan = cache.get(key)
-        if plan is None:
-            plan = cache[key] = build()
-        return plan
 
 
 def native_plan_for_partition(
@@ -2574,7 +2551,7 @@ def native_plan_for_partition(
 ) -> NativePartitionPlan:
     """The (cached) native plan of a partition.
 
-    Cached per graph alongside the tape plan caches.  The underlying
+    Memoized on the graph beside its tape plan.  The underlying
     ``.so`` additionally lives in the cross-process content-hash cache,
     so a cache *miss* here usually still skips the C compiler.
     ``polymorphic=True`` compiles runtime-geometry kernels whose source
@@ -2586,8 +2563,12 @@ def native_plan_for_partition(
     """
 
     def build() -> NativePartitionPlan:
+        fault_check("native.compile")
         native_plan = _build_native_partition(
-            graph, partition, naive_borders, polymorphic
+            graph,
+            partition,
+            plan_for_partition(graph, partition, naive_borders),
+            polymorphic,
         )
         library = native_plan.library_path
         if library is not None and library.stem == proved_library:
@@ -2596,20 +2577,17 @@ def native_plan_for_partition(
             native_plan.ensure_sanitized()
         return native_plan
 
-    return _cached_native_plan(
-        _native_partition_plans,
+    return memo(
         graph,
-        (partition.signature(), bool(naive_borders), polymorphic)
+        ("native", partition.signature(), bool(naive_borders), polymorphic)
         + lowering_knobs(),
         build,
     )
 
 
 def _build_native_block(
-    graph: KernelGraph, block: PartitionBlock, naive_borders: bool
+    graph: KernelGraph, block: PartitionBlock, block_plan: BlockPlan
 ) -> NativeBlockPlan:
-    fault_check("native.compile")
-    block_plan = plan_for_block(graph, block, naive_borders)
     try:
         spec = _lower_block(
             block_plan, _block_fn_name(0, block_plan), graph=graph, block=block
@@ -2634,17 +2612,22 @@ def native_plan_for_block(
 ) -> NativeBlockPlan:
     """The (cached) native plan of one block (``run_block``
     semantics: the destination body is never reduced)."""
-    return _cached_native_plan(
-        _native_block_plans,
+
+    def build() -> NativeBlockPlan:
+        fault_check("native.compile")
+        return _build_native_block(
+            graph, block, plan_for_block(graph, block, naive_borders)
+        )
+
+    return memo(
         graph,
-        (block.signature(), bool(naive_borders)) + lowering_knobs(),
-        lambda: _build_native_block(graph, block, naive_borders),
+        ("native-block", block.signature(), bool(naive_borders))
+        + lowering_knobs(),
+        build,
     )
 
 
 def clear_native_caches() -> None:
-    """Drop every cached native plan (tests, knob changes)."""
-    with _native_cache_lock:
-        _native_partition_plans.clear()
-        _native_block_plans.clear()
-    clear_process_cache()
+    """Drop every memoized native plan (tests, knob changes) and empty
+    the process-wide plan cache; tape plans and grid stores stay."""
+    forget_plans(lambda key: key[0].startswith("native"))

@@ -839,33 +839,66 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Plan caches
+# The per-graph plan memo
 # ---------------------------------------------------------------------------
 #
-# Plans and grid stores are cached per graph (weakly, so graphs can be
-# collected) and keyed by partition/block shape — repeated executions of
-# the same configuration reuse both the tape and the interned grids.
-# One lock covers every cache: compilation happens exactly once per
-# (graph, partition/block) even when serving threads race to it.
+# A graph owns what is compiled from it: ``graph.__dict__["_plan_memo"]``
+# (kept where ``KernelGraph._signature_cache`` is) is one table — the
+# interned grids under ``("grids",)``, each tape and native plan under
+# ``(kind, partition/block shape, ...)`` — and one lock, all collected
+# with the graph.  The lock being the graph's, a plan is compiled once
+# however many threads race to it while cold builds of different graphs
+# overlap; it is re-entrant because a native build fetches its tape plan,
+# and a tape build the grids, from the same memo.
 
-_graph_stores: "weakref.WeakKeyDictionary[KernelGraph, GridStore]" = (
-    weakref.WeakKeyDictionary()
-)
-_partition_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_block_plans: "weakref.WeakKeyDictionary[KernelGraph, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_plan_cache_lock = threading.Lock()
+#: The graphs carrying a memo — weakly, only so the resets can reach
+#: them.  The lock guards membership, never a build.
+_memo_graphs: "weakref.WeakSet[KernelGraph]" = weakref.WeakSet()
+_memo_graphs_lock = threading.Lock()
 
 
-def _store_for(graph: KernelGraph) -> GridStore:
-    store = _graph_stores.get(graph)
-    if store is None:
-        store = GridStore()
-        _graph_stores[graph] = store
-    return store
+def memo(graph: KernelGraph, key: tuple, build: Callable[[], object]):
+    """What ``graph`` memoizes under ``key``; a miss stores ``build()``,
+    called under the graph's lock."""
+    state = graph.__dict__.get("_plan_memo")
+    if state is None:
+        with _memo_graphs_lock:
+            state = graph.__dict__.setdefault(
+                "_plan_memo", ({}, threading.RLock())
+            )
+            _memo_graphs.add(graph)
+    table, lock = state
+    with lock:
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build()
+        return value
+
+
+def forget_plans(
+    stale: Callable[[tuple], bool], graph: Optional[KernelGraph] = None
+) -> None:
+    """Drop what ``graph`` memoizes under the keys ``stale`` accepts.
+    Without a graph: on every graph, and
+    :data:`repro.serve.plancache.PROCESS_CACHE`, whose entries hold
+    those plans, is emptied too."""
+    if graph is None:
+        with _memo_graphs_lock:
+            graphs = list(_memo_graphs)
+    else:
+        graphs = [graph]
+    for owner in graphs:
+        state = owner.__dict__.get("_plan_memo")
+        if state is not None:
+            table, lock = state
+            with lock:
+                for key in [key for key in table if stale(key)]:
+                    del table[key]
+    if graph is None:
+        # Imported here: that module sits above this one.
+        from repro.serve.plancache import PROCESS_CACHE
+
+        PROCESS_CACHE.clear()
 
 
 def _verify(plan, graph: KernelGraph, block=None) -> None:
@@ -897,24 +930,24 @@ def plan_for_partition(
     compiled plan that reproduces it is marked verified without running
     the verifier again; any other digest changes nothing.
     """
-    key = (partition.signature(), bool(naive_borders))
-    with _plan_cache_lock:
-        cache = _partition_plans.get(graph)
-        if cache is None:
-            cache = {}
-            _partition_plans[graph] = cache
-        plan = cache.get(key)
-        if plan is None:
-            fault_check("plan.compile")
-            plan = PartitionPlan(
-                graph, partition, naive_borders, store=_store_for(graph)
-            )
-            if proved_digest is not None:
-                plan.verified = plan.tape_digest() == proved_digest
-            if validate_mode() == "strict":
-                plan.ensure_verified()
-            cache[key] = plan
+
+    def build() -> PartitionPlan:
+        fault_check("plan.compile")
+        plan = PartitionPlan(
+            graph,
+            partition,
+            naive_borders,
+            store=memo(graph, ("grids",), GridStore),
+        )
+        if proved_digest is not None:
+            plan.verified = plan.tape_digest() == proved_digest
+        if validate_mode() == "strict":
+            plan.ensure_verified()
         return plan
+
+    return memo(
+        graph, ("tape", partition.signature(), bool(naive_borders)), build
+    )
 
 
 def plan_for_block(
@@ -924,42 +957,26 @@ def plan_for_block(
 ) -> BlockPlan:
     """The (cached) compiled plan of one block (``run_block``
     semantics: the destination body is never reduced)."""
-    key = (block.signature(), bool(naive_borders))
-    with _plan_cache_lock:
-        cache = _block_plans.get(graph)
-        if cache is None:
-            cache = {}
-            _block_plans[graph] = cache
-        plan = cache.get(key)
-        if plan is None:
-            fault_check("plan.compile")
-            plan = compile_block(
-                graph,
-                block,
-                naive_borders=naive_borders,
-                store=_store_for(graph),
-                apply_reduction=False,
-            )
-            if validate_mode() == "strict":
-                _verify(plan, graph, block)
-            cache[key] = plan
+
+    def build() -> BlockPlan:
+        fault_check("plan.compile")
+        plan = compile_block(
+            graph,
+            block,
+            naive_borders=naive_borders,
+            store=memo(graph, ("grids",), GridStore),
+            apply_reduction=False,
+        )
+        if validate_mode() == "strict":
+            _verify(plan, graph, block)
         return plan
 
-
-def clear_process_cache() -> None:
-    """Empty :data:`repro.serve.plancache.PROCESS_CACHE`.  It is built
-    on the per-graph caches here and in ``native_exec``, so their resets
-    call this and stay the whole process-cache reset.  (Imported
-    lazily: that module sits above this one.)"""
-    from repro.serve.plancache import PROCESS_CACHE
-
-    PROCESS_CACHE.clear()
+    return memo(
+        graph, ("tape-block", block.signature(), bool(naive_borders)), build
+    )
 
 
 def clear_plan_caches() -> None:
-    """Drop every cached plan and grid store (tests, memory pressure)."""
-    with _plan_cache_lock:
-        _graph_stores.clear()
-        _partition_plans.clear()
-        _block_plans.clear()
-    clear_process_cache()
+    """Drop every memoized plan, tape and native, and every grid store,
+    and empty the process-wide plan cache (tests, memory pressure)."""
+    forget_plans(lambda key: True)

@@ -56,7 +56,7 @@ import numpy as np
 import repro
 from repro.backend import cpu_exec, engines, native_exec
 from repro.backend.numpy_exec import ExecutionError
-from repro.backend.plan import PartitionPlan, plan_for_partition
+from repro.backend.plan import PartitionPlan, forget_plans, plan_for_partition
 from repro.envknobs import validate_mode
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
@@ -633,10 +633,15 @@ class _InFlight:
         self.error: Optional[BaseException] = None
 
 
+#: How many entries a :class:`PlanCache` holds unless told otherwise —
+#: also the cap of a registry entry's per-geometry graph memo.
+DEFAULT_CAPACITY = 64
+
+
 class PlanCache:
     """LRU cache of :class:`CachedPlan` entries with hit/miss stats."""
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
@@ -750,14 +755,28 @@ class PlanCache:
 
         A poisoned or miscompiled entry must never be served again: the
         resilience layer calls this before rebuilding, so the next
-        lookup misses and recompiles from scratch.  Returns whether an
-        entry was actually present (idempotent under racing callers).
+        lookup misses and recompiles from scratch — the entry's graph
+        also forgets the tape and native plans of the entry's partition
+        (its grid store and other partitions stay), so the rebuild
+        constructs new plan objects and loads the ``.so`` again.  The
+        doors do not tell a bad plan from a bad request: an execute that
+        failed on an unbound parameter costs the same tape compile,
+        lowering and ``dlopen``.  Returns whether an entry was actually
+        present (idempotent under racing callers).
         """
         with self._lock:
             removed = self._entries.pop(key, None)
-            if removed is not None:
-                self.quarantined += 1
-            return removed is not None
+            if removed is None:
+                return False
+            self.quarantined += 1
+        # Outside the cache lock: this waits for the graph's own lock,
+        # which a build in flight on that graph holds.
+        blocks = removed.partition.signature()
+        forget_plans(
+            lambda memo: memo[0] in ("tape", "native") and memo[1] == blocks,
+            removed.graph,
+        )
+        return True
 
     def clear(self) -> None:
         with self._lock:
@@ -789,8 +808,8 @@ class PlanCache:
             }
 
 
-#: The process-wide cache behind :func:`repro.api.run`.  It sits on top
-#: of the per-graph tape and native plan caches, whose resets
+#: The process-wide cache behind :func:`repro.api.run`.  Its entries
+#: hold the plans memoized on their graphs, whose resets
 #: (:func:`repro.backend.plan.clear_plan_caches`,
 #: :func:`repro.backend.native_exec.clear_native_caches`) empty it too.
 PROCESS_CACHE = PlanCache()

@@ -11,12 +11,15 @@ embeds the geometry).
 
 Built graphs are memoized per ``(name, width, height)`` under a lock —
 building and signing a graph is cheap but not free, and the registry
-sits on the per-request hot path.
+sits on the per-request hot path.  The memo is an LRU as large as a
+default plan cache: a graph owns the plans compiled from it, so an
+unbounded memo would pin every plan mixed-resolution traffic ever built.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Tuple
 
@@ -25,6 +28,7 @@ import numpy as np
 from repro.backend.numpy_exec import Arrays, ExecutionError, Params
 from repro.dsl.pipeline import Pipeline
 from repro.graph.dag import KernelGraph
+from repro.serve.plancache import DEFAULT_CAPACITY
 
 __all__ = [
     "DEFAULT_APP_PARAMS",
@@ -61,25 +65,29 @@ class PipelineEntry:
     height: int
     channels: int = 1
     params: Dict[str, float] = field(default_factory=dict)
-    _graphs: Dict[Tuple[int, int], KernelGraph] = field(
-        default_factory=dict, repr=False
+    _graphs: "OrderedDict[Tuple[int, int], KernelGraph]" = field(
+        default_factory=OrderedDict, repr=False
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def graph(self, width: int | None = None, height: int | None = None) -> KernelGraph:
         """The dependence DAG at the given (or default) geometry, memoized.
 
-        Memoization also pins the graph object, which keeps the tape
-        engine's per-graph weak caches (plans, grid stores) alive for
-        the lifetime of the registry — a long-lived serving process
-        never recompiles a geometry it has already seen.
+        Memoization also pins the graph object and, with it, the plans
+        and grid store the graph owns — a serving process does not
+        recompile any of its :data:`DEFAULT_CAPACITY` most recently
+        used geometries.  An older one is rebuilt on its next request;
+        whatever was compiled from it goes when the plan caches let go.
         """
         key = (width or self.width, height or self.height)
         with self._lock:
             graph = self._graphs.get(key)
             if graph is None:
-                graph = self.build(*key).build()
-                self._graphs[key] = graph
+                graph = self._graphs[key] = self.build(*key).build()
+                if len(self._graphs) > DEFAULT_CAPACITY:
+                    self._graphs.popitem(last=False)
+            else:
+                self._graphs.move_to_end(key)
             return graph
 
     def bind(

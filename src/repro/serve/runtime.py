@@ -124,7 +124,8 @@ class ServingRuntime:
     max_queue / max_batch:
         Queue bound (backpressure) and micro-batch size cap.
     cache_capacity:
-        LRU capacity of the plan cache, in distinct plans.
+        LRU capacity of the plan cache, in distinct plans.  It bounds
+        memory: an evicted entry's graph takes its plans along.
     engine:
         Execution engine serving requests, a name from the engine
         table (:mod:`repro.backend.engines`): ``"tape"`` (default),

@@ -2,8 +2,8 @@
 
 The serving runtime executes cached plans from multiple scheduler
 threads at once, so the structures under a plan — the interned
-coordinate grids of :class:`~repro.backend.plan.GridStore`, the weak
-per-graph plan caches, and the content-hashed compile cache of
+coordinate grids of :class:`~repro.backend.plan.GridStore`, the
+per-graph plan memos, and the content-hashed compile cache of
 :mod:`repro.backend.cpu_exec` — must tolerate concurrent first-use and
 reuse.  Each test here hammers one of those paths and asserts the
 results stay bit-identical to a serial run.

@@ -157,6 +157,21 @@ def random_image(
     return rng.uniform(0.0, 255.0, size=shape)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call's result lands in the returned
+    list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class ToolchainSpy:
     """Every compiler invocation and every ``dlopen``, in order."""
 

@@ -6,8 +6,9 @@ Pins what that buys and what keeps it sound: both doors build the same
 partition and compute the same bits on every engine, the fusion
 decision is paid once per key (not once per graph object, not once per
 call), every build input — including the native lowering knobs — is in
-the key, the process-cache resets still reset, and strict mode means
-"verified and sanitized before first use, once" at both doors.
+the key, the process-cache resets still reset, a quarantined plan is
+rebuilt from scratch, and strict mode means "verified and sanitized
+before first use, once" at both doors.
 """
 
 import sys
@@ -16,6 +17,8 @@ import time
 
 import numpy as np
 import pytest
+
+from helpers import count_calls
 
 import repro.analysis.native_check as native_check
 import repro.analysis.verifier as verifier
@@ -29,7 +32,12 @@ from repro.backend import plan as tape
 from repro.backend.cpu_exec import compiler_available
 from repro.graph.partition import Partition
 from repro.model.hardware import GTX680
-from repro.serve import ResiliencePolicy, ServingRuntime, default_registry
+from repro.serve import (
+    ResiliencePolicy,
+    ServingRuntime,
+    default_registry,
+    fault_injection,
+)
 from repro.serve.bench import request_inputs
 from repro.serve.plancache import PROCESS_CACHE
 
@@ -49,25 +57,11 @@ def _inputs(name="Sobel"):
     return request_inputs(APPLICATIONS[name], WIDTH, HEIGHT, seed=0)
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so every call lands in the returned list."""
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append(result)
-        return result
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def _count_builds(monkeypatch):
     """Entries built through ``build_plan``, per door."""
     return (
-        _count_calls(monkeypatch, api, "build_plan"),
-        _count_calls(monkeypatch, serve_runtime, "build_plan"),
+        count_calls(monkeypatch, api, "build_plan"),
+        count_calls(monkeypatch, serve_runtime, "build_plan"),
     )
 
 
@@ -129,7 +123,7 @@ def test_both_doors_build_the_same_plan(
 
 
 def test_identical_fresh_graph_does_not_fuse_again(monkeypatch):
-    fusions = _count_calls(monkeypatch, runner, "partition_for")
+    fusions = count_calls(monkeypatch, runner, "partition_for")
     inputs = _inputs()
     first = run(_graph(), inputs)
     assert len(fusions) == 1
@@ -183,9 +177,9 @@ def test_lowering_knob_change_replans_a_fresh_graph(
 
 @needs_cc
 def test_cache_resets_empty_the_process_cache(monkeypatch):
-    fusions = _count_calls(monkeypatch, runner, "partition_for")
+    fusions = count_calls(monkeypatch, runner, "partition_for")
     plans = _count_tape_plans(monkeypatch)
-    natives = _count_calls(monkeypatch, native_exec, "_build_native_partition")
+    natives = count_calls(monkeypatch, native_exec, "_build_native_partition")
     options = ExecutionOptions(engine="native")
     graph, inputs = _graph(), _inputs()
     run(graph, inputs, options=options)
@@ -297,6 +291,47 @@ def test_ladder_degrades_past_a_poisoned_entry(monkeypatch):
     assert [entry.engine for entry in builds][2:] == ["tape"]
 
 
+# -- (g) a quarantined plan is really gone: its graph forgot it too ---------
+
+
+def _assert_rebuilt_from_scratch(quarantined, rebuilt):
+    assert quarantined.engine == rebuilt.engine == "native"
+    assert rebuilt.plan is not quarantined.plan
+    assert rebuilt.native_plan is not quarantined.native_plan
+    # The library was read again, from the compile cache.
+    assert rebuilt.native_plan.from_cache
+
+
+@needs_cc
+def test_direct_door_rebuilds_a_quarantined_plan_from_scratch(monkeypatch):
+    builds, _ = _count_builds(monkeypatch)
+    graph, inputs = _graph(), _inputs()
+    options = ExecutionOptions(engine="native", resilience=ResiliencePolicy())
+    expected = run(graph, inputs, options=options)
+    builds[0].executor = _Boom()
+    run(graph, inputs, options=options)  # served one rung down
+    again = run(graph, inputs, options=options)
+    assert [entry.engine for entry in builds] == ["native", "tape", "native"]
+    _assert_rebuilt_from_scratch(builds[0], builds[2])
+    np.testing.assert_array_equal(again["magnitude"], expected["magnitude"])
+
+
+@needs_cc
+def test_serving_door_rebuilds_a_quarantined_plan_from_scratch(monkeypatch):
+    _, builds = _count_builds(monkeypatch)
+    inputs = _inputs()
+    with ServingRuntime(
+        default_registry(apps={"Sobel"}), engine="native", workers=1
+    ) as runtime:
+        expected = runtime.execute("Sobel", inputs)
+        with fault_injection("cache.hit", "corrupt", times=1):
+            again = runtime.execute("Sobel", inputs)
+        assert runtime.cache.stats()["quarantined"] == 1
+    assert len(builds) == 2
+    _assert_rebuilt_from_scratch(builds[0], builds[1])
+    np.testing.assert_array_equal(again["magnitude"], expected["magnitude"])
+
+
 # -- strict: verified and sanitized before first use, once ------------------
 
 
@@ -322,8 +357,8 @@ def _serving_door(engine):
 def test_strict_validates_each_plan_exactly_once(
     monkeypatch, door, first_mode, engine
 ):
-    verifies = _count_calls(monkeypatch, verifier, "verify_partition_plan")
-    sanitizes = _count_calls(monkeypatch, native_check, "verify_native_blocks")
+    verifies = count_calls(monkeypatch, verifier, "verify_partition_plan")
+    sanitizes = count_calls(monkeypatch, native_check, "verify_native_blocks")
     request, close = door(engine)
     try:
         monkeypatch.setenv("REPRO_VALIDATE", first_mode)
