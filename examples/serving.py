@@ -8,7 +8,7 @@ a :class:`repro.serve.ServingRuntime`, floods it with concurrent
 requests across the six paper applications, verifies the results are
 bit-identical to direct one-shot execution, and prints the metrics the
 runtime collected along the way: cache hit rate, latency percentiles,
-batch sizes, per-stage compile costs.
+queue wait, per-stage compile costs.
 
 Run:  python examples/serving.py
 """
@@ -31,7 +31,7 @@ REQUESTS = 120
 
 def main() -> None:
     # 1. A runtime with the paper's six applications pre-registered.
-    runtime = ServingRuntime(workers=4, max_batch=8)
+    runtime = ServingRuntime(workers=4)
     names = sorted(runtime.registry.names())
     print(f"registered pipelines: {', '.join(names)}")
     print()
@@ -78,9 +78,9 @@ def main() -> None:
     latency = snapshot["histograms"]["total_ms"]
     print(f"latency   : p50 {latency['p50']:.2f} ms, "
           f"p95 {latency['p95']:.2f} ms, p99 {latency['p99']:.2f} ms")
-    batch = snapshot["histograms"]["batch_size"]
-    print(f"batches   : {batch['count']} executed, mean size "
-          f"{batch['mean']:.2f}, max {batch['max']:.0f}")
+    wait = snapshot["histograms"]["queue_wait_ms"]
+    print(f"queue wait: p50 {wait['p50']:.2f} ms, "
+          f"p95 {wait['p95']:.2f} ms over {wait['count']} dispatches")
     fuse = snapshot["histograms"].get("compile_fuse_ms")
     plan = snapshot["histograms"].get("compile_plan_ms")
     if fuse and plan:

@@ -375,14 +375,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             names,
             processes=processes,
             worker_threads=args.workers,
-            max_batch=args.max_batch,
         )
     else:
         runtime_cm = ServingRuntime.from_options(
             options,
             registry=registry,
             workers=args.workers,
-            max_batch=args.max_batch,
             cache_keying=args.cache_keying,
         )
     with runtime_cm as runtime:
@@ -428,10 +426,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"latency ms: p50={latency.get('p50', 0.0):.2f} "
           f"p95={latency.get('p95', 0.0):.2f} "
           f"p99={latency.get('p99', 0.0):.2f}")
-    batches = snapshot["counters"].get("batches_executed", 0)
-    if batches:
-        print(f"batches: {batches} "
-              f"(mean size {args.requests / batches:.2f})")
     resilience_snapshot = snapshot["resilience"]
     counters = snapshot["counters"]
     retries = counters.get("request_retries", 0)
@@ -710,8 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduler worker threads")
         p.add_argument("--clients", type=int, default=8,
                        help="concurrent client threads")
-        p.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch size cap")
         p.add_argument("--processes", type=int, default=None,
                        help="worker processes for sharded serving "
                             "(default: REPRO_SERVE_PROCS or 1; >1 "

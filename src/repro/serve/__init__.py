@@ -11,7 +11,7 @@ paper's analysis implies:
   compiled tapes keyed on structural signature, geometry, engine, and
   fusion configuration, with in-flight build coalescing and entry
   quarantine;
-* :mod:`~repro.serve.scheduler` — bounded-queue micro-batching with
+* :mod:`~repro.serve.scheduler` — bounded FIFO queue + worker pool with
   backpressure, deadlines, and graceful drain;
 * :mod:`~repro.serve.metrics` — counters/gauges/state gauges/latency
   histograms behind one snapshot call;
@@ -81,7 +81,7 @@ from repro.serve.resilience import (
 )
 from repro.serve.runtime import ServingRuntime
 from repro.serve.scheduler import (
-    MicroBatchScheduler,
+    RequestScheduler,
     ResponseHandle,
     ServeRequest,
 )
@@ -109,7 +109,6 @@ __all__ = [
     "HashRing",
     "Histogram",
     "Metrics",
-    "MicroBatchScheduler",
     "PipelineEntry",
     "PipelineRegistry",
     "PlanBuildError",
@@ -117,6 +116,7 @@ __all__ = [
     "QueueFull",
     "RegistryError",
     "RemoteServeError",
+    "RequestScheduler",
     "ResiliencePolicy",
     "ResponseHandle",
     "RetryPolicy",

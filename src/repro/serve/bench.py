@@ -95,7 +95,6 @@ def run_serving_benchmark(
     height: int = 48,
     client_threads: int = 8,
     scheduler_workers: int = 2,
-    max_batch: int = 8,
     fusion: Optional[FusionSettings] = None,
     check_identity: bool = True,
     engine: str = "tape",
@@ -150,7 +149,6 @@ def run_serving_benchmark(
             processes=processes,
             fusion=fusion,
             worker_threads=scheduler_workers,
-            max_batch=max_batch,
             engine=engine,
         )
     else:
@@ -159,7 +157,6 @@ def run_serving_benchmark(
             registry,
             fusion=fusion,
             workers=scheduler_workers,
-            max_batch=max_batch,
             engine=engine,
             cache_keying=cache_keying,
         )
@@ -197,14 +194,6 @@ def run_serving_benchmark(
     baseline_rps = total / baseline_seconds if baseline_seconds else 0.0
     serving_rps = total / serving_seconds if serving_seconds else 0.0
     latency = snapshot["histograms"].get("total_ms", {})
-    batches = snapshot["counters"].get("batches_executed", 0)
-    if processes > 1:
-        # Workers micro-batch; the parent's counters only see routing.
-        batches = (
-            snapshot.get("fleet", {})
-            .get("counters", {})
-            .get("batches_executed", 0)
-        )
     return {
         "benchmark": "serving",
         "config": {
@@ -215,7 +204,6 @@ def run_serving_benchmark(
             "height": height,
             "client_threads": client_threads,
             "scheduler_workers": scheduler_workers,
-            "max_batch": max_batch,
             "processes": processes,
             "fusion_version": fusion.version,
             "gpu": fusion.gpu_name,
@@ -236,7 +224,6 @@ def run_serving_benchmark(
                 "p99": latency.get("p99", 0.0),
                 "mean": latency.get("mean", 0.0),
             },
-            "batches": batches,
         },
         "speedup": (serving_rps / baseline_rps) if baseline_rps else 0.0,
         "bit_identical": (mismatches == 0) if check_identity else None,

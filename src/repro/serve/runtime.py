@@ -10,14 +10,14 @@ input arrays; the runtime
 2. derives the plan-cache key from the graph's structural signature,
    the input shapes/dtypes, the execution engine, and the fusion
    configuration,
-3. enqueues the request in the micro-batching scheduler; a worker
-   groups it with same-key requests, fetches (or compiles, exactly
-   once) the fused partition + instruction tapes from the
-   :class:`~repro.serve.plancache.PlanCache`, and runs each request on
+3. enqueues the request in the bounded FIFO scheduler; a worker pops
+   it, fetches (or compiles, exactly once) the fused partition +
+   instruction tapes from the
+   :class:`~repro.serve.plancache.PlanCache`, and runs the request on
    the cached plan through the tape executor of PR 1,
 4. records per-stage metrics: queue wait, execution latency,
    end-to-end latency, compile/fuse timings on misses, cache hit rate,
-   queue depth, batch sizes.
+   queue depth.
 
 Results are **bit-identical** to direct :func:`repro.api.run`
 execution of the same configuration — the serving layer reorders
@@ -49,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import asdict, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.backend import engines, native_exec
 from repro.backend.cpu_exec import openmp_available
@@ -84,7 +84,7 @@ from repro.serve.resilience import (
     ladder_from,
 )
 from repro.serve.scheduler import (
-    MicroBatchScheduler,
+    RequestScheduler,
     ResponseHandle,
     ServeRequest,
 )
@@ -121,8 +121,8 @@ class ServingRuntime:
     intra_workers:
         Block-level parallelism *within* one request, forwarded to the
         tape executor (``None`` defers to ``REPRO_EXEC_WORKERS``).
-    max_queue / max_batch:
-        Queue bound (backpressure) and micro-batch size cap.
+    max_queue:
+        Queue bound (backpressure).
     cache_capacity:
         LRU capacity of the plan cache, in distinct plans.  It bounds
         memory: an evicted entry's graph takes its plans along.
@@ -164,7 +164,6 @@ class ServingRuntime:
         workers: int = 2,
         intra_workers: int | None = None,
         max_queue: int = 128,
-        max_batch: int = 8,
         cache_capacity: int = 64,
         engine: str = "tape",
         resilience: ResiliencePolicy | None = None,
@@ -187,7 +186,7 @@ class ServingRuntime:
                 f"unknown cache keying {cache_keying!r}; expected one of "
                 f"{CACHE_KEYINGS}"
             )
-        if cache_keying == "structure" and engine != "native":
+        if cache_keying == "structure" and self.requested_engine != "native":
             raise ValueError(
                 "structure-keyed plan caching requires engine='native' "
                 "(only shape-polymorphic native plans execute at "
@@ -256,11 +255,8 @@ class ServingRuntime:
                     + ", ".join(sorted(failing)),
                 )
         self._closed = False
-        self.scheduler = MicroBatchScheduler(
-            self._handle_batch,
-            workers=workers,
-            max_queue=max_queue,
-            max_batch=max_batch,
+        self.scheduler = RequestScheduler(
+            self._handle_request, workers=workers, max_queue=max_queue
         )
 
     @classmethod
@@ -274,7 +270,7 @@ class ServingRuntime:
 
         The options contribute engine, fusion configuration,
         intra-request workers, and the resilience policy; serving-only
-        knobs (scheduler workers, queue/batch bounds, cache capacity)
+        knobs (scheduler workers, queue bound, cache capacity)
         pass through ``overrides``.
         """
         return cls(registry, **options_kwargs(options, overrides))
@@ -411,7 +407,7 @@ class ServingRuntime:
             "fusion": fusion,
         }
         request = ServeRequest(
-            batch_key=self._plan_key(payload, self.engine),
+            key=self._plan_key(payload, self.engine),
             payload=payload,
             deadline=(
                 time.monotonic() + deadline_s if deadline_s is not None else None
@@ -426,43 +422,42 @@ class ServingRuntime:
         self.metrics.gauge("queue_depth").set(self.scheduler.queue_depth)
         return request.handle
 
-    # -- batch execution (scheduler workers land here) ----------------------
+    # -- request execution (scheduler workers land here) --------------------
 
-    def _handle_batch(self, key: Any, batch: List[ServeRequest]) -> None:
-        self.metrics.counter("batches_executed").inc()
-        self.metrics.histogram("batch_size").observe(len(batch))
+    def _handle_request(self, request: ServeRequest) -> None:
+        # The ledger's, not the runtime's: benchmarks/ledger/workloads.py
+        # reads this histogram's mean, and one dispatch is one request.
+        # Goes when Ledger v2 retires serve.scheduler.batch_size_mean.
+        self.metrics.histogram("batch_size").observe(1)
         self.metrics.gauge("queue_depth").set(self.scheduler.queue_depth)
-        for request in batch:
-            now = time.monotonic()
-            self.metrics.histogram("queue_wait_ms").observe(
-                request.queue_wait_s(now) * 1e3
-            )
-            if request.expired(now):
-                self.metrics.counter("requests_timed_out").inc()
-                request.handle.set_error(
-                    DeadlineExceeded(
-                        "deadline expired after "
-                        f"{request.queue_wait_s(now):.3f}s in queue"
-                    )
+        now = time.monotonic()
+        self.metrics.histogram("queue_wait_ms").observe(
+            request.queue_wait_s(now) * 1e3
+        )
+        if request.expired(now):
+            self.metrics.counter("requests_timed_out").inc()
+            request.handle.set_error(
+                DeadlineExceeded(
+                    "deadline expired after "
+                    f"{request.queue_wait_s(now):.3f}s in queue"
                 )
-                continue
-            try:
-                env, engine = self._serve_request(key, request)
-                finished = time.monotonic()
-            except BaseException as err:
-                self.metrics.counter("requests_failed").inc()
-                request.handle.set_error(err)
-                continue
-            self.metrics.counter(f"engine_{engine}_executions").inc()
-            self.metrics.histogram("total_ms").observe(
-                (finished - request.enqueued_at) * 1e3
             )
-            self.metrics.counter("requests_completed").inc()
-            request.handle.set_result(env)
+            return
+        try:
+            env, engine = self._serve_request(request)
+            finished = time.monotonic()
+        except BaseException as err:
+            self.metrics.counter("requests_failed").inc()
+            request.handle.set_error(err)
+            return
+        self.metrics.counter(f"engine_{engine}_executions").inc()
+        self.metrics.histogram("total_ms").observe(
+            (finished - request.enqueued_at) * 1e3
+        )
+        self.metrics.counter("requests_completed").inc()
+        request.handle.set_result(env)
 
-    def _serve_request(
-        self, key: Any, request: ServeRequest
-    ) -> Tuple[Arrays, str]:
+    def _serve_request(self, request: ServeRequest) -> Tuple[Arrays, str]:
         """Serve one request under the resilience policy.
 
         The attempt loop owns the whole failure story: build failures
@@ -475,6 +470,7 @@ class ServingRuntime:
         """
         policy = self.resilience
         retry = policy.retry
+        key = request.key
         pipeline = key[0]  # structural signature = per-pipeline identity
         backoff_spent = 0.0
         floor = 0  # lowest ladder index this request may still try
@@ -736,7 +732,6 @@ class ServingRuntime:
             "queue_depth": self.scheduler.queue_depth,
             "inflight": self.scheduler.inflight,
             "max_queue": self.scheduler.max_queue,
-            "max_batch": self.scheduler.max_batch,
             "intra_workers": resolve_workers(self.intra_workers),
             "native_threads": self.native_threads(),
         }

@@ -1,14 +1,8 @@
-"""Micro-batching request scheduler.
+"""Bounded FIFO request scheduler.
 
-Kernel fusion amortizes memory traffic across kernels; the scheduler
-amortizes *serving* overhead across requests.  Requests enter a bounded
-FIFO queue; worker threads pull the oldest request and then sweep the
-queue for every request sharing its **batch key** (same pipeline, same
-geometry, same configuration — i.e. same compiled plan), up to
-``max_batch``.  The whole batch executes against one cached plan, so
-plan lookup, grid-store warmup, and scheduling bookkeeping are paid
-once per batch instead of once per request (the runtime analogue of
-Filipovič et al.'s per-launch overhead argument for kernel fusion).
+Requests enter a bounded FIFO queue; each worker thread pops the oldest
+request and handles it — one request, one dispatch, in submit order, so
+an idle worker always takes the next request whatever its plan.
 
 Operational semantics, in one place:
 
@@ -23,10 +17,9 @@ Operational semantics, in one place:
   lets queued work finish, then joins the workers; ``drain=False``
   fails queued requests with :class:`SchedulerClosed`.
 
-The scheduler is execution-agnostic: a *handler* callback receives
-``(batch_key, [requests])`` and settles each request's
-:class:`ResponseHandle`.  The serving runtime supplies the handler that
-looks up plans and runs tapes.
+The scheduler is execution-agnostic: a *handler* callback receives the
+request and settles its :class:`ResponseHandle`.  The serving runtime
+supplies the handler that looks up plans and runs tapes.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 # The exception types historically lived here; they are defined in
 # :mod:`repro.serve.errors` now (as part of the typed ServeError
@@ -49,7 +42,7 @@ from repro.serve.errors import (
 __all__ = [
     "BackpressureError",
     "DeadlineExceeded",
-    "MicroBatchScheduler",
+    "RequestScheduler",
     "ResponseHandle",
     "SchedulerClosed",
     "ServeRequest",
@@ -93,14 +86,14 @@ class ResponseHandle:
 class ServeRequest:
     """One queued unit of work.
 
-    ``batch_key`` groups requests that share a compiled plan;
-    ``payload`` is opaque to the scheduler (the runtime stores the
-    bound arrays, parameters, and plan builder there).  ``deadline`` is
+    ``key`` and ``payload`` are opaque to the scheduler (the runtime
+    stores the request's plan-cache key, and the bound arrays,
+    parameters, and plan builder there).  ``deadline`` is
     an absolute ``time.monotonic()`` instant, or ``None`` for
     best-effort requests.
     """
 
-    batch_key: Any
+    key: Any
     payload: Dict[str, Any]
     deadline: Optional[float] = None
     handle: ResponseHandle = field(default_factory=ResponseHandle)
@@ -115,29 +108,25 @@ class ServeRequest:
         return (now if now is not None else time.monotonic()) - self.enqueued_at
 
 
-Handler = Callable[[Any, List[ServeRequest]], None]
+Handler = Callable[[ServeRequest], None]
 
 
-class MicroBatchScheduler:
-    """Bounded queue + worker pool grouping same-key requests."""
+class RequestScheduler:
+    """Bounded FIFO queue + worker pool, one request per dispatch."""
 
     def __init__(
         self,
         handler: Handler,
         workers: int = 2,
         max_queue: int = 128,
-        max_batch: int = 8,
         name: str = "repro-serve",
     ):
         if workers < 1:
             raise ValueError("scheduler needs at least one worker")
         if max_queue < 1:
             raise ValueError("queue bound must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self._handler = handler
         self.max_queue = max_queue
-        self.max_batch = max_batch
         self._pending: Deque[ServeRequest] = deque()
         self._cond = threading.Condition()
         self._accepting = True
@@ -198,37 +187,18 @@ class MicroBatchScheduler:
                     self._cond.wait()
                 if not self._pending and self._stop:
                     return
-                batch = self._take_batch()
-                self._inflight += len(batch)
+                request = self._pending.popleft()
+                self._inflight += 1
                 self._cond.notify_all()
             try:
-                self._handler(batch[0].batch_key, batch)
-            except BaseException as err:  # handler bug: fail the batch
-                for request in batch:
-                    if not request.handle.done():
-                        request.handle.set_error(err)
+                self._handler(request)
+            except BaseException as err:  # handler bug: fail the request
+                if not request.handle.done():
+                    request.handle.set_error(err)
             finally:
                 with self._cond:
-                    self._inflight -= len(batch)
+                    self._inflight -= 1
                     self._cond.notify_all()
-
-    def _take_batch(self) -> List[ServeRequest]:
-        """Pop the head request plus queued same-key requests (FIFO kept)."""
-        first = self._pending.popleft()
-        batch = [first]
-        if self.max_batch > 1 and self._pending:
-            keep: Deque[ServeRequest] = deque()
-            while self._pending:
-                request = self._pending.popleft()
-                if (
-                    len(batch) < self.max_batch
-                    and request.batch_key == first.batch_key
-                ):
-                    batch.append(request)
-                else:
-                    keep.append(request)
-            self._pending.extend(keep)
-        return batch
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -4,7 +4,7 @@ The single-process :class:`~repro.serve.runtime.ServingRuntime` is
 GIL-bound: its scheduler threads interleave NumPy dispatch and
 bookkeeping on one interpreter.  :class:`ShardedRuntime` lifts the same
 serving contract onto N worker **processes**, each hosting its own
-complete ``ServingRuntime`` (plan cache, micro-batcher, metrics,
+complete ``ServingRuntime`` (plan cache, scheduler, metrics,
 resilience ladder), so aggregate throughput scales with cores while
 every response stays bit-identical to direct execution.
 
@@ -142,7 +142,7 @@ def _worker_main(worker_id: int, conn: Any, config: Dict[str, Any]) -> None:
 
     Runs in a child process.  Requests arrive as shared-memory
     descriptors, execute on this worker's own runtime (plan cache,
-    micro-batcher, in-process resilience ladder), and return through
+    scheduler, in-process resilience ladder), and return through
     the worker's response segment pool.  The protocol is strictly
     request/response — the parent serializes round-trips per worker —
     so one response pool segment set is always safe to reuse.
@@ -158,7 +158,6 @@ def _worker_main(worker_id: int, conn: Any, config: Dict[str, Any]) -> None:
         fusion=config["fusion"],
         workers=config["worker_threads"],
         intra_workers=config["intra_workers"],
-        max_batch=config["max_batch"],
         cache_capacity=config["cache_capacity"],
         engine=config["engine"],
         resilience=config["resilience"],
@@ -311,14 +310,12 @@ class ShardedRuntime:
     processes:
         Worker process count; ``None`` defers to ``REPRO_SERVE_PROCS``
         (default 1 — but construct a plain ServingRuntime for that).
-    fusion / engine / intra_workers / max_batch / cache_capacity /
-    resilience:
+    fusion / engine / intra_workers / cache_capacity / resilience:
         Forwarded to each worker's ServingRuntime.  ``resilience`` must
         stay picklable (the default policy is; injected lambda clocks
         are not).
     worker_threads:
-        Scheduler threads inside each worker (micro-batching still
-        applies per worker).
+        Scheduler threads inside each worker.
     max_queue:
         Bound of each shard's parent-side dispatch queue.
     shard:
@@ -342,7 +339,6 @@ class ShardedRuntime:
         intra_workers: int | None = None,
         worker_threads: int = 2,
         max_queue: int = 128,
-        max_batch: int = 8,
         cache_capacity: int = 64,
         resilience: ResiliencePolicy | None = None,
         shard: ShardPolicy | None = None,
@@ -375,7 +371,6 @@ class ShardedRuntime:
             "engine": engine,
             "intra_workers": intra_workers,
             "worker_threads": worker_threads,
-            "max_batch": max_batch,
             "cache_capacity": cache_capacity,
             "resilience": resilience,
         }

@@ -1,4 +1,4 @@
-"""MicroBatchScheduler: batching, backpressure, deadlines, shutdown."""
+"""RequestScheduler: FIFO dispatch, backpressure, deadlines, shutdown."""
 
 import threading
 import time
@@ -7,26 +7,23 @@ import pytest
 
 from repro.serve import (
     BackpressureError,
-    MicroBatchScheduler,
+    RequestScheduler,
     SchedulerClosed,
     ServeRequest,
 )
 
 
 def _request(key="k", payload=None, deadline=None):
-    return ServeRequest(
-        batch_key=key, payload=payload or {}, deadline=deadline
-    )
+    return ServeRequest(key=key, payload=payload or {}, deadline=deadline)
 
 
-def _echo_handler(key, batch):
-    for request in batch:
-        request.handle.set_result((key, request.payload))
+def _echo_handler(request):
+    request.handle.set_result((request.key, request.payload))
 
 
 class TestBasics:
     def test_submit_and_result(self):
-        scheduler = MicroBatchScheduler(_echo_handler, workers=1)
+        scheduler = RequestScheduler(_echo_handler, workers=1)
         try:
             handle = scheduler.submit(_request(payload={"n": 1}))
             key, payload = handle.result(timeout=5.0)
@@ -36,10 +33,10 @@ class TestBasics:
             scheduler.close()
 
     def test_handler_exception_fails_request(self):
-        def explode(key, batch):
+        def explode(request):
             raise RuntimeError("handler bug")
 
-        scheduler = MicroBatchScheduler(explode, workers=1)
+        scheduler = RequestScheduler(explode, workers=1)
         try:
             handle = scheduler.submit(_request())
             with pytest.raises(RuntimeError, match="handler bug"):
@@ -49,54 +46,24 @@ class TestBasics:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            MicroBatchScheduler(_echo_handler, workers=0)
+            RequestScheduler(_echo_handler, workers=0)
         with pytest.raises(ValueError):
-            MicroBatchScheduler(_echo_handler, max_queue=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(_echo_handler, max_batch=0)
+            RequestScheduler(_echo_handler, max_queue=0)
 
 
-class TestBatching:
-    def test_same_key_requests_grouped(self):
-        batches = []
+class TestDispatch:
+    def test_dispatch_order_is_submit_order(self):
+        """A younger request never overtakes an older one of another
+        key (an older deadline could expire behind it)."""
+        order = []
         gate = threading.Event()
 
-        def handler(key, batch):
-            gate.wait(5.0)  # hold the worker so the queue fills
-            batches.append([r.payload["n"] for r in batch])
-            for request in batch:
-                request.handle.set_result(None)
+        def handler(request):
+            gate.wait(5.0)  # hold the one worker so the queue fills
+            order.append((request.key, request.payload["n"]))
+            request.handle.set_result(None)
 
-        scheduler = MicroBatchScheduler(handler, workers=1, max_batch=8)
-        try:
-            handles = [
-                scheduler.submit(_request(payload={"n": i}))
-                for i in range(5)
-            ]
-            gate.set()
-            for handle in handles:
-                handle.result(timeout=5.0)
-        finally:
-            scheduler.close()
-        # First batch may be the lone head request the worker grabbed
-        # before the gate; the rest must be grouped.
-        assert sum(len(b) for b in batches) == 5
-        assert len(batches) <= 3
-        # FIFO within the key.
-        flattened = [n for batch in batches for n in batch]
-        assert flattened == sorted(flattened)
-
-    def test_different_keys_not_grouped(self):
-        batches = []
-        gate = threading.Event()
-
-        def handler(key, batch):
-            gate.wait(5.0)
-            batches.append((key, len(batch)))
-            for request in batch:
-                request.handle.set_result(None)
-
-        scheduler = MicroBatchScheduler(handler, workers=1, max_batch=8)
+        scheduler = RequestScheduler(handler, workers=1)
         try:
             handles = [
                 scheduler.submit(_request(key=f"k{i % 2}", payload={"n": i}))
@@ -107,40 +74,47 @@ class TestBatching:
                 handle.result(timeout=5.0)
         finally:
             scheduler.close()
-        for key, size in batches:
-            assert size <= 2
+        assert order == [("k0", 0), ("k1", 1), ("k0", 2), ("k1", 3)]
 
-    def test_max_batch_respected(self):
-        sizes = []
+    def test_same_key_requests_spread_over_idle_workers(self):
+        """Two queued same-key requests land on two workers: the
+        handler meets itself on a barrier, which one worker running
+        them back to back could never pass."""
         gate = threading.Event()
+        meet = threading.Barrier(2, timeout=5.0)
 
-        def handler(key, batch):
-            gate.wait(5.0)
-            sizes.append(len(batch))
-            for request in batch:
-                request.handle.set_result(None)
+        def handler(request):
+            if request.key == "hold":
+                gate.wait(5.0)
+            else:
+                meet.wait()
+            request.handle.set_result(None)
 
-        scheduler = MicroBatchScheduler(handler, workers=1, max_batch=2)
+        scheduler = RequestScheduler(handler, workers=2)
         try:
-            handles = [scheduler.submit(_request()) for _ in range(6)]
+            held = [scheduler.submit(_request(key="hold")) for _ in range(2)]
+            deadline = time.monotonic() + 5.0
+            while scheduler.inflight < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert scheduler.inflight == 2  # both workers on the gate
+            pair = [scheduler.submit(_request(key="same")) for _ in range(2)]
             gate.set()
-            for handle in handles:
-                handle.result(timeout=5.0)
+            for handle in held + pair:
+                handle.result(timeout=10.0)
         finally:
+            gate.set()
             scheduler.close()
-        assert max(sizes) <= 2
 
 
 class TestBackpressure:
     def test_nonblocking_submit_raises_when_full(self):
         gate = threading.Event()
 
-        def handler(key, batch):
+        def handler(request):
             gate.wait(5.0)
-            for request in batch:
-                request.handle.set_result(None)
+            request.handle.set_result(None)
 
-        scheduler = MicroBatchScheduler(handler, workers=1, max_queue=2)
+        scheduler = RequestScheduler(handler, workers=1, max_queue=2)
         try:
             scheduler.submit(_request())  # taken by the worker
             time.sleep(0.05)
@@ -155,12 +129,11 @@ class TestBackpressure:
     def test_blocking_submit_times_out(self):
         gate = threading.Event()
 
-        def handler(key, batch):
+        def handler(request):
             gate.wait(5.0)
-            for request in batch:
-                request.handle.set_result(None)
+            request.handle.set_result(None)
 
-        scheduler = MicroBatchScheduler(handler, workers=1, max_queue=1)
+        scheduler = RequestScheduler(handler, workers=1, max_queue=1)
         try:
             scheduler.submit(_request())
             time.sleep(0.05)
@@ -174,13 +147,13 @@ class TestBackpressure:
 
 class TestLifecycle:
     def test_submit_after_close_raises(self):
-        scheduler = MicroBatchScheduler(_echo_handler, workers=1)
+        scheduler = RequestScheduler(_echo_handler, workers=1)
         scheduler.close()
         with pytest.raises(SchedulerClosed):
             scheduler.submit(_request())
 
     def test_close_drains_queued_work(self):
-        scheduler = MicroBatchScheduler(_echo_handler, workers=2)
+        scheduler = RequestScheduler(_echo_handler, workers=2)
         handles = [
             scheduler.submit(_request(payload={"n": i})) for i in range(20)
         ]
@@ -191,12 +164,11 @@ class TestLifecycle:
     def test_hard_close_fails_pending(self):
         gate = threading.Event()
 
-        def handler(key, batch):
+        def handler(request):
             gate.wait(5.0)
-            for request in batch:
-                request.handle.set_result(None)
+            request.handle.set_result(None)
 
-        scheduler = MicroBatchScheduler(handler, workers=1, max_queue=8)
+        scheduler = RequestScheduler(handler, workers=1, max_queue=8)
         taken = scheduler.submit(_request())
         time.sleep(0.05)
         queued = scheduler.submit(_request(key="other"))
@@ -207,7 +179,7 @@ class TestLifecycle:
         taken.result(timeout=5.0)  # in-flight work still completes
 
     def test_drain_returns_true_when_idle(self):
-        scheduler = MicroBatchScheduler(_echo_handler, workers=1)
+        scheduler = RequestScheduler(_echo_handler, workers=1)
         try:
             assert scheduler.drain(timeout=1.0)
         finally:

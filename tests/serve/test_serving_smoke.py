@@ -123,7 +123,7 @@ class TestServingSmoke:
         assert snap["plan_cache"]["misses"] == 1
         assert "total_ms" in snap["histograms"]
         assert snap["fusion"]["version"] == "optimized"
-        assert snap["scheduler"]["max_batch"] >= 1
+        assert snap["scheduler"]["max_queue"] >= 1
 
     def test_shape_polymorphic_serving(self):
         spec = APPLICATIONS["Sobel"]

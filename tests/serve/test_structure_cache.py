@@ -118,6 +118,21 @@ def test_structure_keying_requires_native_engine():
     assert CACHE_KEYINGS == ("shape", "structure")
 
 
+def test_structure_keying_accepts_native_from_the_environment(monkeypatch):
+    """``engine=None`` defers to ``REPRO_EXEC_ENGINE``; the check reads
+    the resolved name, not the raw argument."""
+    monkeypatch.setenv("REPRO_EXEC_ENGINE", "native")
+    registry = default_registry(apps={"Sobel"})
+    with ServingRuntime(
+        registry, engine=None, cache_keying="structure"
+    ) as runtime:
+        assert runtime.requested_engine == "native"
+        assert runtime.requested_cache_keying == "structure"
+    monkeypatch.setenv("REPRO_EXEC_ENGINE", "tape")
+    with pytest.raises(ValueError, match="requires engine='native'"):
+        ServingRuntime(registry, engine=None, cache_keying="structure")
+
+
 def test_structure_keying_downgrades_with_the_engine(monkeypatch):
     monkeypatch.setattr(native_exec, "native_available", lambda: False)
     registry = default_registry(apps={"Sobel"})
