@@ -12,7 +12,7 @@ Three pass families over three artifact levels:
   invariants over compiled instruction tapes and partition plans,
   enforced under ``REPRO_VALIDATE=strict``;
 * :mod:`repro.analysis.dataflow` — **value-range dataflow** (``VAL0xx``):
-  abstract interpretation over kernel expressions and compiled tapes
+  abstract interpretation over kernel expressions and whole graphs
   propagating interval/NaN/zero facts;
 * :mod:`repro.analysis.native_check` — the **native-codegen sanitizer**
   (``NAT0xx``): static in-bounds and no-alias proofs over the loop-nest
@@ -61,11 +61,9 @@ _EXPORTS = {
     "VRange": "repro.analysis.dataflow",
     "analyze_graph": "repro.analysis.dataflow",
     "analyze_kernel": "repro.analysis.dataflow",
-    "analyze_tape": "repro.analysis.dataflow",
     "domain": "repro.analysis.dataflow",
     "lint_graph_values": "repro.analysis.dataflow",
     "lint_kernel_values": "repro.analysis.dataflow",
-    "lint_tape_values": "repro.analysis.dataflow",
     # native-codegen sanitizer
     "verify_native_blocks": "repro.analysis.native_check",
     "verify_native_plan": "repro.analysis.native_check",

@@ -1,18 +1,14 @@
-"""Value-range dataflow analysis over kernel expressions and SSA tapes.
+"""Value-range dataflow analysis over kernel expressions and graphs.
 
 The structural passes (:mod:`repro.analysis.passes`,
 :mod:`repro.analysis.verifier`) check shapes, SSA discipline, and fusion
 legality; this module is the *semantic* tier: an abstract interpretation
 that propagates per-value interval ranges, a dtype lattice, and NaN/zero
 flags from source images (declared or default domains), params, and
-constants through both representations of a pipeline —
-
-* the kernel expression IR (:mod:`repro.ir.expr`), with path-sensitive
-  refinement through ``Select`` guards, and
-* the compiled :class:`~repro.backend.plan.BlockPlan` SSA tapes, with
-  guarded-use suppression (a risky slot whose every consumer is a
-  ``select`` guarded by an appropriate comparison is deliberate, not a
-  defect).
+constants through the kernel expression IR (:mod:`repro.ir.expr`) —
+with path-sensitive refinement through ``Select`` guards, so a risky
+operation under an appropriate guard is deliberate, not a defect — and
+from kernel to kernel across a :class:`~repro.graph.dag.KernelGraph`.
 
 The lattice produces the **VAL001–VAL008** diagnostic family: domain
 errors of ``sqrt``/``log``/``rsqrt``, possibly-zero denominators,
@@ -61,11 +57,9 @@ __all__ = [
     "VRange",
     "analyze_graph",
     "analyze_kernel",
-    "analyze_tape",
     "domain",
     "lint_graph_values",
     "lint_kernel_values",
-    "lint_tape_values",
 ]
 
 _INF = math.inf
@@ -944,315 +938,3 @@ def lint_graph_values(
     return analyze_graph(
         graph, images, params, strict_params=strict_params
     ).diagnostics
-
-
-# ---------------------------------------------------------------------------
-# Tape-level analysis
-# ---------------------------------------------------------------------------
-
-
-def _instr_const(tape, slot: int) -> Optional[float]:
-    instr = tape[slot]
-    return float(instr.aux[0]) if instr.op == "const" else None
-
-
-def _tape_ranges(
-    plan,
-    images: Dict[str, VRange],
-    params: Dict[str, VRange],
-    strict_params: bool,
-    diagnostics: Optional[List[Diagnostic]],
-    kernel_name: str,
-) -> List[VRange]:
-    """One forward pass over a block tape; ranges per slot.
-
-    When ``diagnostics`` is given, VAL findings are appended — with
-    guarded-use suppression resolved by the caller.
-    """
-    tape = plan.tape
-    ranges: List[VRange] = []
-    pending: List[Tuple[int, Diagnostic, int, str]] = []
-
-    for index, instr in enumerate(tape):
-        op, args, aux = instr.op, instr.args, instr.aux
-
-        def emit_pending(code, message, guard_slot, need, **details):
-            if diagnostics is None:
-                return
-            pending.append(
-                (
-                    index,
-                    diag(
-                        code,
-                        message,
-                        kernel=kernel_name,
-                        path=f"tape[{index}]",
-                        **details,
-                    ),
-                    guard_slot,
-                    need,
-                )
-            )
-
-        def emit(code, message, **details):
-            if diagnostics is not None:
-                diagnostics.append(
-                    diag(
-                        code,
-                        message,
-                        kernel=kernel_name,
-                        path=f"tape[{index}]",
-                        **details,
-                    )
-                )
-
-        if op == "const":
-            v = float(aux[0])
-            r = VRange(v, v, maybe_nan=math.isnan(v))
-        elif op == "param":
-            bound = params.get(aux[0])
-            if bound is not None:
-                r = bound
-            elif strict_params:
-                emit(
-                    "VAL008",
-                    f"param {aux[0]!r} is unbound in the range "
-                    "environment",
-                    param=aux[0],
-                )
-                r = TOP
-            else:
-                r = PARAM_DEFAULT
-        elif op == "gather":
-            image, _, _, boundary = aux
-            r = images.get(image, TOP)
-            mode = getattr(boundary, "mode", None)
-            fill = getattr(boundary, "constant", None)
-            if getattr(mode, "value", None) == "constant" and fill is not None:
-                f = float(fill)
-                r = _join(r, VRange(f, f, maybe_nan=math.isnan(f)))
-        elif op == "bin":
-            kind = aux[0]
-            a, b = ranges[args[0]], ranges[args[1]]
-            if kind == "mul":
-                if args[0] == args[1]:
-                    r = _square(a)
-                else:
-                    r = _tape_scaled_square(tape, ranges, args) or _mul(a, b)
-            elif kind == "add":
-                r = _add(a, b)
-            elif kind == "sub":
-                r = _add(a, _neg(b))
-            elif kind in ("div", "mod"):
-                if b.maybe_zero:
-                    emit_pending(
-                        "VAL002",
-                        f"{'division' if kind == 'div' else 'modulo'} by "
-                        f"a possibly-zero denominator "
-                        f"(range {b.describe()})",
-                        args[1],
-                        "nonzero",
-                        denominator_range=b.describe(),
-                    )
-                r = _div(a, b) if kind == "div" else _mod(a, b)
-            elif kind == "min":
-                r = _min(a, b)
-            elif kind == "max":
-                r = _max(a, b)
-            else:
-                r = VRange()
-        elif op == "un":
-            a = ranges[args[0]]
-            r = _neg(a) if aux[0] == "neg" else _abs(a)
-        elif op == "cmp":
-            a, b = ranges[args[0]], ranges[args[1]]
-            verdict = _cmp_verdict(aux[0], a, b)
-            if verdict is not None:
-                emit(
-                    "VAL005",
-                    f"comparison is always "
-                    f"{'true' if verdict else 'false'} "
-                    f"(lhs {a.describe()} {aux[0]} rhs {b.describe()})",
-                    verdict=verdict,
-                    lhs_range=a.describe(),
-                    rhs_range=b.describe(),
-                )
-                v = 1.0 if verdict else 0.0
-                r = VRange(v, v, maybe_nan=False)
-            else:
-                r = _BOOL
-        elif op == "select":
-            cond = ranges[args[0]]
-            verdict = _select_verdict(cond)
-            if verdict is not None:
-                emit(
-                    "VAL006",
-                    f"select branch "
-                    f"{'if_false' if verdict else 'if_true'!r} is proven "
-                    f"dead (condition {cond.describe()})",
-                    dead_branch="if_false" if verdict else "if_true",
-                    cond_range=cond.describe(),
-                )
-                r = ranges[args[1] if verdict else args[2]]
-            else:
-                r = _join(ranges[args[1]], ranges[args[2]])
-        elif op == "call":
-            arg_ranges = [ranges[s] for s in args]
-            risky = {"code": None}
-
-            def emit_call(code, message, **details):
-                risky["code"] = (code, message, details)
-
-            r = _transfer_call(aux[0], arg_ranges, emit_call)
-            if risky["code"] is not None:
-                code, message, details = risky["code"]
-                need = "nonneg" if code == "VAL001" else "guarded"
-                emit_pending(code, message, args[0], need, **details)
-        elif op == "cast":
-            r = _transfer_cast(aux[0], ranges[args[0]], emit)
-        elif op == "maskfill":
-            fill = float(aux[1])
-            r = _join(
-                ranges[args[0]], VRange(fill, fill, maybe_nan=math.isnan(fill))
-            )
-        else:
-            r = VRange()
-        ranges.append(r)
-
-    if diagnostics is not None and pending:
-        diagnostics.extend(
-            entry
-            for index, entry, guard_slot, need in pending
-            if not _guarded(plan, index, guard_slot, need, ranges)
-        )
-    return ranges
-
-
-def _tape_scaled_square(tape, ranges, args) -> Optional[VRange]:
-    """Slot-level ``(c * x) * x`` detection (see :func:`_scaled_square`)."""
-    lhs = tape[args[0]]
-    if lhs.op != "bin" or lhs.aux[0] != "mul":
-        return None
-    for c_slot, x_slot in (
-        (lhs.args[0], lhs.args[1]),
-        (lhs.args[1], lhs.args[0]),
-    ):
-        c = _instr_const(tape, c_slot)
-        if c is not None and x_slot == args[1] and not math.isnan(c):
-            return _mul(VRange(c, c, maybe_nan=False), _square(ranges[x_slot]))
-    return None
-
-
-def _guarded(plan, slot: int, risky_arg: int, need: str, ranges) -> bool:
-    """Guarded-use suppression: every consumer of ``slot`` is a select
-    whose condition provably constrains ``risky_arg`` the way ``need``
-    requires for the branch position ``slot`` occupies.  A flipped guard
-    or swapped branches breaks the match, so seeded defects still fire."""
-    tape = plan.tape
-    users = [
-        (i, instr)
-        for i, instr in enumerate(tape)
-        if slot in instr.args
-    ]
-    if not users:
-        return False
-    for _, instr in users:
-        if instr.op != "select":
-            return False
-        cond_slot, true_slot, false_slot = instr.args
-        if slot == cond_slot and slot not in (true_slot, false_slot):
-            return False
-        branch = slot == true_slot
-        cond = tape[cond_slot]
-        if cond.op != "cmp":
-            return False
-        if not _cmp_implies(
-            cond.aux[0], cond.args, branch, risky_arg, need, ranges
-        ):
-            return False
-    return True
-
-
-def _cmp_implies(
-    op: str, cmp_args, true_branch: bool, x: int, need: str, ranges
-) -> bool:
-    """Does ``(a op b) == true_branch`` imply the fact ``need`` of slot
-    ``x``?  (On the false branch NaN survives the comparison, but a NaN
-    input already propagates NaN regardless of the guard — suppression
-    concerns the *domain* warning, which is about real-valued inputs.)"""
-    a, b = cmp_args
-    if not true_branch:
-        negate = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt",
-                  "eq": "ne", "ne": "eq"}
-        op = negate.get(op)
-        if op is None:
-            return False
-    if op in ("eq", "ne"):
-        other = b if a == x else (a if b == x else None)
-        if other is None:
-            return False
-        if need == "guarded":
-            return True
-        bound = ranges[other]
-        if need == "nonzero":
-            if op == "ne":
-                # x != c excludes zero only when c is exactly zero.
-                return bound.lo == 0.0 and bound.hi == 0.0
-            return bound.lo > 0.0 or bound.hi < 0.0
-        if need == "nonneg" and op == "eq":
-            return bound.lo >= 0.0
-        return False
-    # Normalize to a fact about x: x >= bound / x <= bound.
-    if a == x and op in ("gt", "ge"):
-        bound, strict, lower = ranges[b], op == "gt", True
-    elif b == x and op in ("lt", "le"):
-        bound, strict, lower = ranges[a], op == "lt", True
-    elif a == x and op in ("lt", "le"):
-        bound, strict, lower = ranges[b], op == "lt", False
-    elif b == x and op in ("gt", "ge"):
-        bound, strict, lower = ranges[a], op == "gt", False
-    else:
-        return False
-    if need == "nonneg":
-        return lower and bound.lo >= 0.0
-    if need == "nonzero":
-        if lower:
-            return bound.lo > 0.0 or (strict and bound.lo >= 0.0)
-        return bound.hi < 0.0 or (strict and bound.hi <= 0.0)
-    if need == "guarded":  # out-of-domain SFU: any guard on the arg
-        return True
-    return False
-
-
-def analyze_tape(
-    plan,
-    images: Optional[Mapping[str, DomainLike]] = None,
-    params: Optional[Mapping[str, DomainLike]] = None,
-    *,
-    strict_params: bool = False,
-) -> Tuple[List[VRange], List[Diagnostic]]:
-    """Per-slot value ranges + VAL diagnostics of one block plan."""
-    diagnostics: List[Diagnostic] = []
-    ranges = _tape_ranges(
-        plan,
-        _env(images),
-        _env(params),
-        strict_params,
-        diagnostics,
-        plan.destination.name,
-    )
-    return ranges, diagnostics
-
-
-def lint_tape_values(
-    plan,
-    images: Optional[Mapping[str, DomainLike]] = None,
-    params: Optional[Mapping[str, DomainLike]] = None,
-    *,
-    strict_params: bool = False,
-) -> List[Diagnostic]:
-    """The VAL diagnostics of one block plan's tape."""
-    return analyze_tape(
-        plan, images, params, strict_params=strict_params
-    )[1]
-

@@ -66,10 +66,11 @@ class ExecutionOptions:
         resolves to the next one in the table.
     workers:
         Parallelism across independent blocks within the call
-        (``None`` defers to ``REPRO_EXEC_WORKERS``).
+        (``None`` defers to ``REPRO_EXEC_WORKERS``) — tape plans only:
+        the native engine parallelises inside each kernel.
     runtime:
         A :class:`~repro.serve.runtime.ServingRuntime` to route the
-        call through — its own plan cache, micro-batching, and the
+        call through — its own plan cache, scheduler, and the
         serving resilience layer apply; the options' own engine/fusion
         fields are ignored in favour of the runtime's configuration.  A
         :class:`~repro.serve.sharding.ShardedRuntime` also works for

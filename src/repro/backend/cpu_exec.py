@@ -42,9 +42,9 @@ only the first worker to need a kernel pays the compiler.
 **GIL release.**  Every compiled entry point is loaded through
 :class:`ctypes.CDLL`, which — unlike ``ctypes.PyDLL`` — releases the
 GIL for the duration of each foreign call.  This is a load-bearing
-guarantee: block-level ``workers`` threads in the native engine
-(:mod:`repro.backend.native_exec`) and the scheduler threads of the
-serving tier overlap native kernel execution on separate cores only
+guarantee: the scheduler threads of the serving tier
+(:mod:`repro.serve.scheduler`) overlap native kernel execution on
+separate cores, and pop the next request while a kernel runs, only
 because the interpreter lock is dropped at the call boundary.  Keep any
 future loader on ``CDLL`` (or an equivalent GIL-releasing FFI).
 """
@@ -519,10 +519,10 @@ def load_kernel_library(
 
     The handle is a :class:`ctypes.CDLL` **by contract**: ``CDLL``
     releases the GIL around every foreign call, which is what lets the
-    native engine's block-level worker threads and the serving tier's
-    schedulers overlap kernel execution on real cores.  Do not swap in
-    ``ctypes.PyDLL`` (it holds the GIL) without revisiting every
-    ``workers=`` code path.
+    serving tier's scheduler threads overlap kernel execution on real
+    cores.  Do not swap in ``ctypes.PyDLL`` (it holds the GIL) without
+    revisiting :class:`~repro.serve.runtime.ServingRuntime`'s
+    ``workers``.
     """
     flags = tuple(extra_flags)
     with _lock_for_digest(f"pipeline-{_digest_of(source, cc, flags)}"):

@@ -1,6 +1,6 @@
 """The loop-nest IR between a block tape and its C text.
 
-:mod:`repro.backend.native_exec` *builds* these trees from tapes, the
+:mod:`repro.backend.native_lower` *builds* these trees from tapes, the
 printer below turns them into the C that is compiled, and
 :mod:`repro.analysis.native_check` proves NAT001–NAT004 over the same
 trees — one structure, written once, instead of C text that is printed

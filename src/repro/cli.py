@@ -114,7 +114,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     else:
         partition = partition_for(graph, gpu, _engine_to_version(args.engine))
     if args.target == "c":
-        from repro.backend.native_exec import lower_partition_source
+        from repro.backend.native_lower import lower_partition_source
 
         print(lower_partition_source(graph, partition))
     elif args.target == "opencl":
@@ -540,7 +540,7 @@ def cmd_tiling(args: argparse.Namespace) -> int:
     import json
 
     from repro.backend.cpu_exec import compile_cache_stats
-    from repro.backend.native_exec import tile2d_report
+    from repro.backend.native_lower import tile2d_report
     from repro.model.hardware import calibrate_cpu_caches, detect_cpu_caches
 
     caches = detect_cpu_caches()
@@ -789,7 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution engine (default: "
                               "REPRO_EXEC_ENGINE or tape)")
     run_cmd.add_argument("--exec-workers", type=int, default=None,
-                         help="parallel block workers within the call")
+                         help="parallel block workers within the call "
+                              "(tape plans only: the native engine "
+                              "parallelises inside each kernel)")
     run_cmd.add_argument("--validate", default=None,
                          choices=("off", "standard", "strict"),
                          help="per-call validation level")

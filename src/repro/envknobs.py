@@ -3,12 +3,11 @@
 Every runtime tunable that can arrive through the environment —
 ``REPRO_EXEC_WORKERS``, ``REPRO_EXEC_ENGINE``, ``REPRO_CC_CACHE``,
 ``REPRO_CC_CACHE_MAX``, ``REPRO_NATIVE_THREADS``,
-``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``, ``REPRO_VALIDATE``,
-``REPRO_SERVE_PROCS`` — funnels through the
-helpers here, so a typo in a
-deployment manifest fails with one clear message naming the variable
-and the accepted values instead of a bare ``int()`` traceback deep
-inside an executor.
+``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``, ``REPRO_NATIVE_CFLAGS``,
+``REPRO_VALIDATE``, ``REPRO_SERVE_PROCS``, ``REPRO_FAULTS`` — funnels
+through the helpers here, so a typo in a deployment manifest fails with
+one clear message naming the variable and the accepted values instead
+of a bare ``int()`` traceback deep inside an executor.
 
 The helpers raise :class:`EnvKnobError`, a :class:`ValueError`:
 misconfigured environments are configuration errors, not execution

@@ -65,7 +65,7 @@ class StageFootprint:
 
     ``left``/``right``/``top``/``bottom`` are the halo margins the
     stage must be computed over (from the consumer-offset ledger in
-    ``native_exec``); ``weight`` is its relative per-pixel compute cost
+    ``native_lower``); ``weight`` is its relative per-pixel compute cost
     (the stage tape's instruction count); ``materialized`` is False for
     the destination stage, which writes the output plane directly and
     needs no scratch.

@@ -11,10 +11,10 @@ input arrays; the runtime
    the input shapes/dtypes, the execution engine, and the fusion
    configuration,
 3. enqueues the request in the bounded FIFO scheduler; a worker pops
-   it, fetches (or compiles, exactly once) the fused partition +
-   instruction tapes from the
+   it, fetches (or builds, exactly once) the plan from the
    :class:`~repro.serve.plancache.PlanCache`, and runs the request on
-   the cached plan through the tape executor of PR 1,
+   the cached plan's executor — the runtime's engine, or the rung the
+   degradation ladder handed it to,
 4. records per-stage metrics: queue wait, execution latency,
    end-to-end latency, compile/fuse timings on misses, cache hit rate,
    queue depth.
@@ -119,8 +119,9 @@ class ServingRuntime:
     workers:
         Scheduler worker threads — the request-level concurrency.
     intra_workers:
-        Block-level parallelism *within* one request, forwarded to the
-        tape executor (``None`` defers to ``REPRO_EXEC_WORKERS``).
+        Block-level parallelism *within* one request — tape plans only
+        (``None`` defers to ``REPRO_EXEC_WORKERS``); the native engine
+        parallelises inside each kernel.
     max_queue:
         Queue bound (backpressure).
     cache_capacity:
@@ -711,8 +712,7 @@ class ServingRuntime:
     def native_threads(self) -> int:
         """The OpenMP team a compiled call gets in this runtime — its
         *effective* size: 1 off the native engine or when the toolchain
-        has no OpenMP.  (Blocks that ``intra_workers`` overlap split it
-        further, and small planes run narrower.)"""
+        has no OpenMP.  (Small planes run narrower.)"""
         if self.engine != "native" or not openmp_available():
             return 1
         return native_exec.resolve_native_threads(

@@ -311,9 +311,10 @@ class ShardedRuntime:
         Worker process count; ``None`` defers to ``REPRO_SERVE_PROCS``
         (default 1 — but construct a plain ServingRuntime for that).
     fusion / engine / intra_workers / cache_capacity / resilience:
-        Forwarded to each worker's ServingRuntime.  ``resilience`` must
-        stay picklable (the default policy is; injected lambda clocks
-        are not).
+        Forwarded to each worker's ServingRuntime (``intra_workers``:
+        tape plans only — the native engine parallelises inside each
+        kernel).  ``resilience`` must stay picklable (the default
+        policy is; injected lambda clocks are not).
     worker_threads:
         Scheduler threads inside each worker.
     max_queue:

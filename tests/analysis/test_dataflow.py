@@ -1,8 +1,8 @@
 """Value-range dataflow: the VAL diagnostics.
 
-Covers the lattice (:class:`VRange`), the three analysis granularities
-(kernel body / graph walk / compiled tape), guard-aware suppression,
-and declared domains.
+Covers the lattice (:class:`VRange`), the two analysis granularities
+(kernel body / graph walk), guard-aware suppression, and declared
+domains.
 """
 
 import math
@@ -17,16 +17,13 @@ from repro.analysis.dataflow import (
     domain,
     lint_graph_values,
     lint_kernel_values,
-    lint_tape_values,
 )
 from repro.apps import APPLICATIONS
-from repro.backend.plan import plan_for_partition
 from repro.dsl.boundary import BoundaryMode
 from repro.dsl.image import Image
 from repro.dsl.kernel import Kernel
 from repro.dsl.pipeline import Pipeline, PipelineError
 from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition
 from repro.ir import ops
 from repro.ir.expr import Cast, Const, Param
 
@@ -212,40 +209,3 @@ class TestDeclaredDomainAPI:
             pipe.declare_domain("src", 1.0, 0.0)
         with pytest.raises(PipelineError):
             pipe.declare_domain("src", float("nan"), 1.0)
-
-
-def single_plan(body, name="k"):
-    src = Image.create("src", 16, 16)
-    dst = Image.create("dst", 16, 16)
-    kernel = Kernel.from_function(
-        name, [src], dst, body, boundary=BoundaryMode.CLAMP
-    )
-    graph = KernelGraph([kernel], ["dst"])
-    plan = plan_for_partition(graph, Partition.singletons(graph))
-    return graph, plan.plans[0]
-
-
-class TestTapeAnalysis:
-    def test_tape_warning_matches_kernel_warning(self):
-        _, plan = single_plan(lambda a: ops.sqrt(a() - Const(300.0)))
-        assert codes(lint_tape_values(plan, images=PIXELS)) == ["VAL001"]
-
-    def test_tape_guard_suppression(self):
-        _, plan = single_plan(
-            lambda a: ops.select(
-                a() > ops.const(0.0), ops.sqrt(a()), ops.const(0.0)
-            )
-        )
-        assert lint_tape_values(plan) == []
-
-    def test_paper_app_tapes_are_value_clean(self):
-        for app in sorted(APPLICATIONS):
-            graph = APPLICATIONS[app].build(64, 48).build()
-            # Seed each block with the graph walk's propagated ranges —
-            # a lone block cannot know an intermediate image's domain.
-            env = dict(graph.declared_domains)
-            env.update(analyze_graph(graph).ranges)
-            plan = plan_for_partition(graph, Partition.singletons(graph))
-            for block_plan in plan.plans:
-                found = lint_tape_values(block_plan, images=env)
-                assert found == [], f"{app}/{block_plan.destination.name}"

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.backend import native_exec
+from repro.backend import native_exec, native_lower
 from repro.backend.cpu_exec import CACHE_ENV, _find_compiler, load_shared_library
 from repro.backend.loopnest import _OPERAND, expr_text, strip_parens
 
@@ -123,7 +123,7 @@ def test_printed_text_means_the_tree(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     trees = _defined_trees(300)
     formals = "int x, int y, int width, int height"
-    lines = [native_exec._PREAMBLE]
+    lines = [native_lower._PREAMBLE]
     for k, (tree, _) in enumerate(trees):
         # Once as a whole expression, once as the operand of ``<`` the
         # way loop headers and guards print their bounds.

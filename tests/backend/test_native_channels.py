@@ -14,7 +14,7 @@ from helpers import BLUR3
 
 from repro import lazy
 from repro.api import ExecutionOptions, run
-from repro.backend import native_exec
+from repro.backend import native_bind
 from repro.backend.native_exec import native_available
 from repro.serve.plancache import PROCESS_CACHE
 
@@ -58,16 +58,15 @@ def gathers(monkeypatch):
             counted.append(array.shape)
         return real_copy(array, *args, **kwargs)
 
-    monkeypatch.setattr(native_exec.np, "ascontiguousarray", copying)
-    real_deinterleave = getattr(native_exec, "_deinterleave", None)
-    if real_deinterleave is not None:
+    monkeypatch.setattr(native_bind.np, "ascontiguousarray", copying)
+    real_deinterleave = native_bind._deinterleave
 
-        def deinterleaving(array):
-            planes = real_deinterleave(array)
-            counted.append(planes.shape)
-            return planes
+    def deinterleaving(array):
+        planes = real_deinterleave(array)
+        counted.append(planes.shape)
+        return planes
 
-        monkeypatch.setattr(native_exec, "_deinterleave", deinterleaving)
+    monkeypatch.setattr(native_bind, "_deinterleave", deinterleaving)
     return counted
 
 
@@ -166,8 +165,8 @@ def test_twins_do_not_outlive_their_readers():
     for native in blocks:
         real = native.execute
 
-        def spying(arrays, params, threads, side_by_side, planar, real=real):
-            result = real(arrays, params, threads, side_by_side, planar)
+        def spying(arrays, params, threads, planar, real=real):
+            result = real(arrays, params, threads, planar)
             live.append(sorted(planar))
             return result
 

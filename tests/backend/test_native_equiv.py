@@ -33,7 +33,7 @@ from helpers import chain_pipeline, random_image
 
 from repro.api import ExecutionOptions, run
 from repro.apps import ALL_APPS, APPLICATIONS
-from repro.backend import native_exec
+from repro.backend import native_exec, native_lower
 from repro.backend.native_exec import (
     EXACT_CALLS,
     NativeVerificationError,
@@ -257,7 +257,7 @@ class TestBoundaryAndThreads:
     def test_tile_size_bit_identical(self):
         # 150 rows = two full 64-row tiles and a clipped third: the
         # y_end clamp and the tile seams must not show in the output.
-        assert 150 % native_exec.TILE_ROWS
+        assert 150 % native_lower.TILE_ROWS
         graph = chain_pipeline(("l", "l"), 16, 150).build()
         data = {"img0": random_image(16, 150, seed=24)}
         partition = Partition.singletons(graph)

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.backend import native_exec
+from repro.backend import native_lower
 from repro.backend.native_exec import (
     native_available,
     native_plan_for_partition,
@@ -44,10 +44,10 @@ GOLDEN = json.loads(
 def _partition_source(graph, partition, polymorphic):
     """``NativePartitionPlan.source`` without needing a compiler."""
     plan = plan_for_partition(graph, partition, False)
-    specs, _ = native_exec._lower_partition(
+    specs, _ = native_lower._lower_partition(
         graph, partition, plan, polymorphic
     )
-    return native_exec._PREAMBLE + "\n" + "\n".join(
+    return native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs if spec is not None
     )
 

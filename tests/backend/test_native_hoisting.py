@@ -19,7 +19,7 @@ from analysis.ir_mutation import find_nodes, replace_subtree, shifted, with_ir
 
 from repro.analysis.native_check import verify_native_blocks
 from repro.apps import APPLICATIONS
-from repro.backend import native_exec
+from repro.backend import native_exec, native_lower
 from repro.backend.loopnest import IntDecl, ScratchDecl
 from repro.backend.native_exec import (
     assert_native_equiv,
@@ -100,7 +100,7 @@ def _plan(graph, partition, monkeypatch, tile2d="auto", hoist=True):
     monkeypatch.setenv("REPRO_NATIVE_TILE2D", tile2d)
     if not hoist:
         monkeypatch.setattr(
-            native_exec,
+            native_lower,
             "_hoist_window_invariants",
             lambda members, graph: (members, ()),
         )
@@ -284,7 +284,7 @@ def test_a_stage_past_the_margin_cap_keeps_the_unsplit_tiles(monkeypatch):
         roomy = _plan(graph, partition, patch)
     (spec,) = [native.spec for _plan_, native in roomy.blocks]
     assert spec.tile2d is not None and roomy.hoisted  # margin 2 fits 32
-    monkeypatch.setattr(native_exec, "_TILE2D_MAX_MARGIN", 1)
+    monkeypatch.setattr(native_lower, "_TILE2D_MAX_MARGIN", 1)
     native_exec.clear_native_caches()
     capped = native_plan_for_partition(graph, partition)
     (spec,) = [native.spec for _plan_, native in capped.blocks]

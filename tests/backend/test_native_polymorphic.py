@@ -23,7 +23,7 @@ import pytest
 from repro.analysis.native_check import verify_native_plan
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
-from repro.backend import native_exec
+from repro.backend import native_lower
 from repro.backend.native_exec import (
     NativeLoweringError,
     native_available,
@@ -148,7 +148,7 @@ def test_one_plan_serves_adversarial_geometries(app_name):
 def test_fallback_blocks_pin_the_plan_to_its_geometry(monkeypatch):
     """A polymorphic plan with a tape-fallback block must refuse foreign
     geometries — the tape baked the plan-time extents."""
-    real_lower = native_exec._lower_block
+    real_lower = native_lower._lower_block
     poisoned = {"count": 0}
 
     def lower_first_block_fails(plan, fn_name, polymorphic=False, **kw):
@@ -157,7 +157,7 @@ def test_fallback_blocks_pin_the_plan_to_its_geometry(monkeypatch):
             raise NativeLoweringError("injected: block refuses to lower")
         return real_lower(plan, fn_name, polymorphic, **kw)
 
-    monkeypatch.setattr(native_exec, "_lower_block", lower_first_block_fails)
+    monkeypatch.setattr(native_lower, "_lower_block", lower_first_block_fails)
     width, height = GEOMETRIES[0]
     graph, _, plan = _polymorphic_plan("Sobel", width, height)
     assert plan.fallback_block_count == 1
@@ -179,8 +179,8 @@ def test_extent_guard_rejects_foreign_extents_in_grid_keys():
     """``_Body.extent`` is the safety net of the substitution: a baked
     extent that is not the block's iteration-space extent cannot be
     renamed to ``width``/``height``."""
-    sig = native_exec._Signature((), (), 40, 28, polymorphic=True, f32=False)
-    body = native_exec._Body(interior=False, sig=sig)
+    sig = native_lower._Signature((), (), 40, 28, polymorphic=True, f32=False)
+    body = native_lower._Body(interior=False, sig=sig)
     assert body.extent("x", 40) == ("id", "width")
     assert body.extent("y", 28) == ("id", "height")
     with pytest.raises(NativeLoweringError, match="differs from the iteration"):

@@ -1,10 +1,11 @@
 """The native thread budget: one function decides the OpenMP team.
 
 With ``REPRO_NATIVE_THREADS`` unset a compiled call takes the caller's
-share of the cores — all of them under ``api.run``, ``cores / workers``
-under a serving runtime, ``cores / (shards x workers)`` in a shard —
-and an explicit count wins everywhere.  Tiles are independent and
-nothing is reduced, so every count computes the same bits.
+share of the cores — all of them under ``api.run`` (whatever its
+block-level ``workers``: native blocks run one at a time), ``cores /
+workers`` under a serving runtime, ``cores / (shards x workers)`` in a
+shard — and an explicit count wins everywhere.  Tiles are independent
+and nothing is reduced, so every count computes the same bits.
 """
 
 import numpy as np
@@ -12,10 +13,10 @@ import pytest
 
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
-from repro.backend import native_exec
+from repro.backend import native_bind, native_exec
 from repro.backend.cpu_exec import openmp_available
+from repro.backend.native_bind import MIN_PIXELS_PER_THREAD
 from repro.backend.native_exec import (
-    MIN_PIXELS_PER_THREAD,
     NATIVE_THREADS_ENV,
     available_cores,
     native_available,
@@ -47,7 +48,7 @@ BIG = 512
 @pytest.fixture
 def four_cores(monkeypatch):
     monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-    monkeypatch.setattr(native_exec, "available_cores", lambda: 4)
+    monkeypatch.setattr(native_bind, "available_cores", lambda: 4)
 
 
 def _image(app, height, width, seed=0):
@@ -155,7 +156,7 @@ class TestWhoGetsTheCores:
         """``serve_mixed`` executes exactly what it executed before the
         budget: cores <= workers means threads == 1 in every call."""
         monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-        monkeypatch.setattr(native_exec, "available_cores", lambda: 2)
+        monkeypatch.setattr(native_bind, "available_cores", lambda: 2)
         inputs = {"input": _image("Harris", BIG, BIG)}
         with ServingRuntime(engine="native", workers=2) as runtime:
             seen = self._serve(runtime, inputs)
@@ -178,7 +179,7 @@ class TestWhoGetsTheCores:
         from repro.serve.resilience import ResiliencePolicy, StageTimeouts
 
         monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-        monkeypatch.setattr(native_exec, "available_cores", lambda: 2)
+        monkeypatch.setattr(native_bind, "available_cores", lambda: 2)
         policy = ResiliencePolicy(timeouts=StageTimeouts(execute_s=60.0))
         inputs = {"input": _image("Harris", BIG, BIG)}
         with ServingRuntime(
@@ -196,14 +197,41 @@ class TestWhoGetsTheCores:
         assert seen and set(seen) == {4}
         assert entry.native_plan.threads == 4
 
-    def test_block_workers_split_the_share(self, four_cores):
+    def test_block_workers_keep_the_full_share(self, four_cores):
+        """``workers`` overlaps blocks of tape plans only: a native
+        block never has a sibling to share the cores with."""
         inputs = {"input": _image("Harris", BIG, BIG)}
         options = ExecutionOptions(engine="native", workers=2)
         run("Harris", inputs, options=options)
         (entry,) = PROCESS_CACHE._entries.values()
         seen = _spy_on(entry.native_plan)
         run("Harris", inputs, options=options)
-        assert seen and set(seen) == {2}
+        assert seen and set(seen) == {4}
+
+    def test_blocks_start_in_dependence_order_one_at_a_time(self, four_cores):
+        inputs = {"input": _image("Harris", BIG, BIG)}
+        options = ExecutionOptions(engine="native", workers=4)
+        run("Harris", inputs, options=options)
+        (entry,) = PROCESS_CACHE._entries.values()
+        plan = entry.native_plan
+        started, in_flight = [], []
+        for index, (_plan, native) in enumerate(plan.blocks):
+
+            def call(*args, index=index, fn=native._fn):
+                in_flight.append(index)
+                started.append((index, tuple(in_flight)))
+                try:
+                    return fn(*args)
+                finally:
+                    in_flight.remove(index)
+
+            native._fn = call
+        run("Harris", inputs, options=options)
+        order = [index for index, _ in started]
+        assert sorted(order) == list(range(len(plan.blocks))) and len(order) > 1
+        assert all(running == (index,) for index, running in started)
+        for position, index in enumerate(order):
+            assert plan.plan.deps[index] <= set(order[:position])
 
     def test_small_requests_stay_serial(self, four_cores):
         inputs = {"input": _image("Harris", 64, 96)}

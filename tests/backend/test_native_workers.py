@@ -6,13 +6,14 @@ Two properties the sharded serving tier leans on:
   GIL for the duration of each C call — a Python thread makes real
   progress while a native kernel runs (this is what lets one worker
   process overlap native execution with scheduling);
-* ``NativePartitionPlan.execute(..., workers=N)`` runs *independent*
-  blocks on a thread pool, bit-identical to the serial walk — which is
-  only a speedup because of the first property.
+* ``NativePartitionPlan.execute(..., workers=N)`` accepts the engine
+  table's block-overlap argument and computes the same bits for every
+  ``N`` — the native engine runs its blocks one at a time and
+  parallelises inside each kernel; the threads the first property
+  serves are the serving tier's schedulers.
 
 Correctness (bit-identity) is asserted unconditionally; these tests
-make no timing claims, so they hold on one core (the scaling floor
-lives in ``benchmarks/test_bench_sharded.py``, gated on CPU count).
+make no timing claims, so they hold on one core.
 """
 
 import threading
@@ -141,8 +142,9 @@ class TestWorkersParallelBlocks:
             np.testing.assert_array_equal(threaded[name], serial[name])
 
     def test_default_workers_env(self, monkeypatch):
-        # workers=None defers to REPRO_EXEC_WORKERS, like the tape
-        # engine — the knob applies uniformly across engines.
+        # REPRO_EXEC_WORKERS overlaps blocks of tape plans; the native
+        # engine accepts it and runs its one schedule, so the bits
+        # cannot depend on it.
         graph = _fan_graph(branches=2, stages=1, width=24, height=16)
         data = {"src": random_image(24, 16, seed=35)}
         partition = Partition.singletons(graph)

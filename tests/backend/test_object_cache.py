@@ -23,7 +23,7 @@ import pytest
 
 import repro.analysis.native_check as native_check
 from repro.apps import APPLICATIONS
-from repro.backend import cpu_exec, native_exec
+from repro.backend import cpu_exec, native_exec, native_lower
 from repro.backend.cpu_exec import (
     CACHE_ENV,
     CACHE_MAX_ENV,
@@ -83,11 +83,11 @@ def _units(app):
     the toolchain — without building anything."""
     graph = APPLICATIONS[app].build(WIDTH, HEIGHT).build()
     partition = partition_for(graph, GTX680, "optimized")
-    specs, _ = native_exec._lower_partition(
+    specs, _ = native_lower._lower_partition(
         graph, partition, plan_for_partition(graph, partition, False)
     )
     texts = [spec.source for spec in specs if spec is not None]
-    preamble = native_exec._PREAMBLE + "\n"
+    preamble = native_lower._PREAMBLE + "\n"
     return preamble + "\n".join(texts), [preamble + text for text in texts]
 
 
