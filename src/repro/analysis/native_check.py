@@ -13,17 +13,18 @@ from (``NativeBlock.spec.ir``) — never the text — and for every
 :class:`~repro.backend.loopnest.Load` in every body variant and every
 :class:`~repro.backend.loopnest.Store` in the driver it proves:
 
-* the index is in the canonical row-major form ``Y * width + X``, and
+* the pixel index is in the canonical row-major form ``Y * width + X``,
 * ``0 <= X <= width - 1`` and ``0 <= Y <= height - 1`` hold for all
   iterations, under the symbolic assumption ``width >= 1, height >= 1``
   for shape-polymorphic plans (runtime geometry formals) or the baked
-  numeric extents for specialized plans.
+  numeric extents for specialized plans, and
+* its pixel stride is the block's channel count ``C`` (1 on tile
+  scratch).
 
-Every buffer the driver is called with is one contiguous
-``width x height`` ``float64`` plane (``NativeBlock._execute_native``
-binds multi-channel images plane by plane from a contiguous
-``(C, H, W)`` twin), so the componentwise proof is exactly the
-allocation bound.  The proofs run
+Every buffer the driver is called with is one channel of a ``float64``
+``(height, width, C)`` image: the binder passes ``base + c`` for
+``c < C`` (see :meth:`_Checker.check_pointers`), so the componentwise
+proof at stride ``C`` is exactly the allocation bound.  The proofs run
 in an affine-interval domain (``a*width + b*height + c`` bounds with
 min/max forms for the runtime clamp ternaries), so no compiler or
 execution is needed — ``repro lint --native`` works on hosts without a
@@ -464,6 +465,7 @@ class _Checker:
         self.functions: Dict[str, Func] = {fn.name: fn for fn in spec.ir}
         self.polymorphic = polymorphic = spec.polymorphic
         self.images = tuple(spec.images)
+        self.channels = spec.channels
         self.output_name = block.output_name
         self.evaluator = _Eval(polymorphic)
         self.point = self.evaluator.point
@@ -493,6 +495,13 @@ class _Checker:
     # -- pointer discipline ----------------------------------------------
 
     def check_pointers(self) -> None:
+        """The alias half of the binding contract.  The other half is
+        what :meth:`check_index` relies on: ``NativeBlock`` calls the
+        driver once per channel ``c < C`` with every pointer advanced to
+        ``base + c`` of a ``(height, width, C)`` image, so ``H*W*C - c``
+        elements lie behind it and a stride-``C`` access at a proven
+        in-plane pixel — at most ``(H*W - 1) * C`` — stays inside, as
+        does a row pitch ``>= width`` pixels of a strided view."""
         if self.output_name is not None and self.output_name in self.images:
             self.emit(
                 "NAT003",
@@ -538,6 +547,7 @@ class _Checker:
         env: Dict[str, _Iv],
         path: str,
         buffer: Optional[str] = None,
+        stride: int = 1,
     ) -> None:
         def fail(code: str, what: str, **details) -> None:
             text = expr_text(index)
@@ -545,6 +555,16 @@ class _Checker:
                 code, what.format(index=repr(text)), path, index=text, **details
             )
 
+        if stride != self.channels:
+            fail(
+                "NAT002",
+                f"index {{index}} steps {stride} elements per pixel, but the "
+                f"block's planes are bound as channels of a "
+                f"{self.channels}-channel image; the plane bound only "
+                "holds at that stride",
+                stride=stride,
+            )
+            return
         ast = strip_parens(index)
         if not (
             ast[:2] == ("bin", "+")
@@ -622,7 +642,7 @@ class _Checker:
                         )
                     else:
                         self.check_index(
-                            part.index, env, where, buffer=part.buffer
+                            part.index, env, where, part.buffer, part.stride
                         )
 
     def check_scratch_index(
@@ -657,6 +677,13 @@ class _Checker:
 
         if scratch is None:
             fail("NAT002", "appears outside any tile2d scratch context")
+            return
+        if load.stride != 1:
+            fail(
+                "NAT002",
+                f"steps {load.stride} elements per pixel; tile scratch "
+                "is dense",
+            )
             return
         try:
             producer = int(buffer[4:])
@@ -837,7 +864,11 @@ class _Checker:
                     if _iv_empty(x_iv) or _iv_empty(y_iv):
                         continue  # loop provably never executes this store
                     self.check_index(
-                        stmt.index, {"x": x_iv, "y": y_iv}, where, "out"
+                        stmt.index,
+                        {"x": x_iv, "y": y_iv},
+                        where,
+                        "out",
+                        stmt.stride,
                     )
                     if stmt.callee == interior:
                         if split is None:
@@ -1025,10 +1056,11 @@ class _Checker:
             type(store) is Store
             and store.buffer == f"scr_{stage}"
             and strip_parens(store.index) == cell
+            and store.stride == 1
             and store.callee == f"{self.fn_name}_s{stage}{suffix}"
         ):
             self.malformed(
-                "fill store does not write the canonical "
+                "fill store does not write the canonical, dense "
                 "region-relative index from its own stage body"
             )
 

@@ -22,6 +22,12 @@ higher-level node that would print its own clamps unseen.  Float
 arithmetic is opaque text (:class:`Slot` parts); the only structured
 thing inside it is a :class:`Load`.
 
+**Channels are a stride.**  ``index`` of a :class:`Load` / :class:`Store`
+counts *pixels*; ``stride`` is how many elements apart two pixels of the
+buffer lie — 1 for a dense plane or tile scratch, ``C`` for one channel
+of an interleaved ``(H, W, C)`` image, whose pointer the binder hands
+over already advanced to that channel.
+
 **The printer means the tree**: a child that binds looser than its
 parent is parenthesised, so a builder that forgets a ``paren`` can
 change bytes, never meaning.  Otherwise it prints what is there.
@@ -128,10 +134,12 @@ def strip_parens(node: Expr) -> Expr:
 
 
 class Load(NamedTuple):
-    """``buffer[index]`` inside a slot's float expression."""
+    """``buffer[index]`` inside a slot's float expression
+    (``buffer[(index) * stride]`` when pixels lie ``stride`` apart)."""
 
     buffer: str
     index: Expr
+    stride: int = 1
 
 
 class IntDecl(NamedTuple):
@@ -167,12 +175,14 @@ class ScratchDecl(NamedTuple):
 
 
 class Store(NamedTuple):
-    """``buffer[index] = callee(actuals);``."""
+    """``buffer[index] = callee(actuals);`` (the subscript scaled by
+    ``stride`` as in :class:`Load`)."""
 
     buffer: str
     index: Expr
     callee: str
     actuals: Tuple[str, ...]
+    stride: int = 1
 
 
 class For(NamedTuple):
@@ -290,23 +300,28 @@ def formal_text(formal: Formal) -> str:
     return f"{formal.ctype}{qualifier}{gap}{formal.name}"
 
 
-def _load_text(part: Union[str, Load]) -> str:
-    if type(part) is Load:
-        return f"{part.buffer}[{expr_text(part.index)}]"
-    return part
+def _subscript_text(node: Union[Load, Store]) -> str:
+    """``buffer[index]``, the pixel index scaled by a stride past 1."""
+    index = expr_text(node.index)
+    if node.stride != 1:
+        index = f"({index}) * {node.stride}"
+    return f"{node.buffer}[{index}]"
 
 
 def _emit(node, column: int, out: list) -> None:
     kind = type(node)
     pad = " " * column
     if kind is Slot:
-        value = "".join(_load_text(part) for part in node.parts)
+        value = "".join(
+            part if type(part) is str else _subscript_text(part)
+            for part in node.parts
+        )
         out.append(f"{pad}const {node.ctype} s{node.index} = {value};")
     elif kind is IntDecl:
         out.append(f"{pad}const int {node.name} = {expr_text(node.expr)};")
     elif kind is Store:
         out.append(
-            f"{pad}{node.buffer}[{expr_text(node.index)}] = "
+            f"{pad}{_subscript_text(node)} = "
             f"{node.callee}({', '.join(node.actuals)});"
         )
     elif kind is For:

@@ -14,15 +14,19 @@ serial.  The team is the native engine's only parallelism: a request's
 blocks run one after another, each on the whole share.  Tiles are
 independent and nothing is reduced, so the count never changes a bit.
 
-**Channels.**  Multi-channel images run plane by plane on a
-request-private planar ``(C, H, W)`` twin: an input is deinterleaved
-once per request, consumer blocks bind the producer's planes zero-copy,
-and the caller still receives C-contiguous ``(H, W, C)`` arrays.
+**Channels are a stride.**  A block over ``C``-channel images is called
+once per channel on the caller's own ``(H, W, C)`` arrays and one fresh
+``(H, W, C)`` result, every pointer advanced to ``base + c``: the
+kernel's global accesses step ``C`` elements per pixel
+(:mod:`repro.backend.loopnest`), so nothing is transposed in or out.
 
 **Strided views.**  Shape-polymorphic kernels infer ``(height, width)``
-from the bound arrays per call and take one leading stride per input
-plane, so row-strided ``float64`` views (crops, row subsampling) bind
-zero-copy (:func:`noncontiguous_zero_copy_count` tallies them).
+from the bound arrays per call and take one row pitch (in pixels) per
+input, so row-strided ``float64`` views (crops, row subsampling — of a
+plane or of an interleaved frame) bind zero-copy
+(:func:`noncontiguous_zero_copy_count` tallies them).  What no kernel
+can index in place — negative or sub-pixel strides, a row pitch under
+baked geometry — is copied by :func:`as_bindable`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import ctypes
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,27 +172,49 @@ class _RuntimeFallback(Exception):
     """Bound arrays do not fit the compiled geometry; use the tape."""
 
 
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+def _row_pitch(array: np.ndarray, polymorphic: bool) -> Optional[int]:
+    """The row pitch, in pixels, at which a kernel indexes the
+    ``float64`` image ``array`` (``(H, W)`` or ``(H, W, C)``) in place,
+    or ``None`` when it cannot.
+
+    A C-contiguous image always binds.  Shape-polymorphic kernels take
+    a runtime pitch per input, so a view also binds when its pixels are
+    dense and its rows lie a whole, non-overlapping number of pixels
+    apart; baked-geometry kernels hard-code the width as the pitch.
+    """
+    width = array.shape[1]
+    if array.flags.c_contiguous:
+        return width
+    pixel = 8 * (array.shape[2] if array.ndim == 3 else 1)
+    row, dense = array.strides[0], array.strides[1:]
+    if (
+        polymorphic
+        and dense == ((pixel, 8) if array.ndim == 3 else (8,))
+        and row % pixel == 0
+        and row >= width * pixel
+    ):
+        return row // pixel
+    return None
 
 
-def _deinterleave(array: np.ndarray) -> np.ndarray:
-    """An ``(H, W, C)`` image as contiguous ``(C, H, W)`` planes — one
-    pass, whatever the source strides."""
-    return np.ascontiguousarray(array.transpose(2, 0, 1))
-
-
-def _interleave(planes: np.ndarray) -> np.ndarray:
-    """Contiguous ``(C, H, W)`` planes as a contiguous ``(H, W, C)``
-    image."""
-    return np.ascontiguousarray(planes.transpose(1, 2, 0))
+def as_bindable(array, polymorphic: bool):
+    """``array`` itself, unless it is a ``float64`` image no kernel can
+    index in place: then a contiguous copy (one whole-image pass)."""
+    if (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.float64
+        and array.ndim in (2, 3)
+        and _row_pitch(array, polymorphic) is None
+    ):
+        return np.ascontiguousarray(array)
+    return array
 
 
 class NativeBlock:
     """One compiled block: the bound C function plus its tape fallback.
 
     ``execute`` drives the compiled loop nest on zero-copy ``float64``
-    buffers (multi-channel images run channel plane by channel plane on
-    a planar ``(C, H, W)`` twin); inputs that do not match the compiled
+    buffers, once per channel; inputs that do not match the compiled
     geometry or dtype transparently fall back to the tape plan.
     """
 
@@ -206,10 +232,12 @@ class NativeBlock:
         self._fn = fn
         fn.restype = None
         fn.argtypes = (
-            [_DOUBLE_P] * (1 + len(spec.images))
+            # Addresses, not ``double *`` objects: a channel is bound
+            # at ``base + c`` by integer arithmetic.
+            [ctypes.c_void_p] * (1 + len(spec.images))
             + [ctypes.c_double] * len(spec.params)
-            # width, height, one leading stride per plane, threads —
-            # or just threads when the geometry is baked.
+            # width, height, one row pitch per input, threads — or
+            # just threads when the geometry is baked.
             + [ctypes.c_int]
             * ((3 + len(spec.images)) if spec.polymorphic else 1)
         )
@@ -219,15 +247,11 @@ class NativeBlock:
         arrays: Arrays,
         params: Params | None = None,
         threads: int | None = None,
-        planar: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
         """Run the block; falls back to the tape plan when the bound
         arrays do not fit the compiled geometry/dtype.
 
         ``threads`` is :func:`resolve_native_threads`' argument.
-        ``planar`` is the request's ``(C, H, W)`` twins by image name: a
-        multi-channel block binds its inputs' twins (deinterleaving the
-        missing ones) and leaves its output's twin for its consumers.
 
         A shape-polymorphic block can only fall back at its *plan*
         geometry — the tape's grid keys are shape-specialized, so a
@@ -235,7 +259,7 @@ class NativeBlock:
         and raises instead.
         """
         try:
-            return self._execute_native(arrays, params, threads, planar)
+            return self._execute_native(arrays, params, threads)
         except _RuntimeFallback as fallback:
             if self.spec.polymorphic and not self._fits_plan_geometry(
                 arrays
@@ -289,7 +313,6 @@ class NativeBlock:
         arrays: Arrays,
         params: Params | None,
         threads: int | None,
-        planar: Optional[Dict[str, np.ndarray]],
     ) -> np.ndarray:
         params = params or {}
         spec = self.spec
@@ -316,57 +339,9 @@ class NativeBlock:
                     f"unbound parameter {name!r}"
                 ) from None
         thread_count = resolve_native_threads(threads, pixels=height * width)
-        if channels == 1:
-            out = np.empty((height, width), dtype=np.float64)
-            self._call(out, inputs, values, thread_count, width, height)
-            return out
-        # Channels are bound once per request, not once per block: the
-        # kernels read and write whole planes of the (C, H, W) twins.
-        if planar is None:
-            planar = {}
-        twins = []
-        for name, array in zip(spec.images, inputs):
-            twin = planar.get(name)
-            if twin is None:
-                twin = planar[name] = _deinterleave(array)
-            twins.append(twin)
-        planes = np.empty((channels, height, width), dtype=np.float64)
-        for c in range(channels):
-            self._call(
-                planes[c],
-                [twin[c] for twin in twins],
-                values,
-                thread_count,
-                width,
-                height,
-            )
-        planar[self.output_name] = planes
-        return _interleave(planes)
-
-    def _bind_plane(self, array: np.ndarray) -> Tuple[np.ndarray, int]:
-        """One input plane as ``(buffer, leading stride in elements)``.
-
-        Shape-polymorphic kernels index every plane through a runtime
-        per-plane stride, so any row-strided ``float64`` view — a crop,
-        every other row of a larger frame — binds **zero-copy** as long
-        as its rows are element-contiguous and non-overlapping; each
-        avoided copy is tallied in :func:`noncontiguous_zero_copy_count`.
-        Baked-geometry kernels hard-code the width as the pitch and
-        still take the contiguous copy.
-        """
-        height, width = array.shape
-        if array.flags.c_contiguous:
-            return array, width
-        s0, s1 = array.strides
-        if (
-            self.spec.polymorphic
-            and s1 == 8
-            and s0 % 8 == 0
-            and s0 >= width * 8
-        ):
-            _note_zero_copy()
-            return array, s0 // 8
-        return np.ascontiguousarray(array), width
+        out = np.empty(expected, dtype=np.float64)
+        self._call(out, inputs, values, thread_count, width, height)
+        return out
 
     def _call(
         self,
@@ -377,21 +352,29 @@ class NativeBlock:
         width: int,
         height: int,
     ) -> None:
-        """Bind one output plane and its input planes and run the
-        compiled function on ``threads`` threads (1 when the library
-        has no OpenMP, or in a child forked from a threaded parent)."""
+        """Run the compiled function over ``out`` and ``inputs`` on
+        ``threads`` threads (1 when the library has no OpenMP, or in a
+        child forked from a threaded parent), once per channel."""
         global _team_started
+        spec = self.spec
         if not self.openmp or _serial_after_fork:
             threads = 1
         elif threads > 1:
             _team_started = True
         self.threads = threads
-        bound = [self._bind_plane(plane) for plane in inputs]
-        args = [out.ctypes.data_as(_DOUBLE_P)]
-        args += [buffer.ctypes.data_as(_DOUBLE_P) for buffer, _ in bound]
-        args += params
-        if self.spec.polymorphic:
-            args += [width, height]
-            args += [stride for _, stride in bound]
-        args.append(threads)
-        self._fn(*args)
+        bound, pitches = [out], []  # alive until the last call returns
+        for array in inputs:
+            pitch = _row_pitch(array, spec.polymorphic)
+            if pitch is None:
+                array, pitch = np.ascontiguousarray(array), width
+            elif not array.flags.c_contiguous:
+                _note_zero_copy()
+            bound.append(array)
+            pitches.append(pitch)
+        tail = list(params)
+        if spec.polymorphic:
+            tail += [width, height] + pitches
+        tail.append(threads)
+        bases = [array.ctypes.data for array in bound]
+        for offset in range(0, 8 * spec.channels, 8):
+            self._fn(*[base + offset for base in bases], *tail)

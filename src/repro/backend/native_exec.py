@@ -15,7 +15,7 @@ object per block, one linked library per partition) and driven via
 :mod:`repro.backend.native_lower` writes the kernels (tape → loop-nest
 IR → C text: classic, tile2d, hoisting; no compiler needed);
 :mod:`repro.backend.native_bind` calls them (:class:`NativeBlock`, the
-thread budget, planar twins); this module owns the plan objects, the
+thread budget, channels as a stride); this module owns the plan objects, the
 build, the memo getters, the tolerance policy and
 :func:`lowering_knobs`, and re-exports the others' public names.
 
@@ -28,7 +28,8 @@ overlapping whole blocks too competed for the same cores and measured
 slower (EXPERIMENTS.md), so ``workers`` is accepted and ignored.
 
 **Numerical contract.**  Sources compile with ``-ffp-contract=off`` so
-the compiler cannot fuse multiply-adds; every ALU op (`+ - * /`, the
+the compiler cannot fuse multiply-adds (``-fno-math-errno`` only lets it
+vectorize around ``sqrt``); every ALU op (`+ - * /`, the
 NumPy-exact ``repro_mod`` / ``repro_min`` / ``repro_max`` helpers),
 comparisons, selects, ``sqrt`` and ``rsqrt`` (``1/sqrt``; both
 IEEE-correctly rounded) are then **bit-identical** to the tape
@@ -51,7 +52,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
-from collections import Counter
+from collections import ChainMap
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +78,7 @@ from repro.backend.native_bind import (
     NATIVE_THREADS_ENV,
     NativeBlock,
     _prefer_passive_omp_wait,
+    as_bindable,
     noncontiguous_zero_copy_count,
     reset_noncontiguous_zero_copy,
     resolve_native_threads,
@@ -298,13 +300,9 @@ class NativePartitionPlan:
             for block_plan, native in blocks
             if native is not None and native.spec.hoisted
         }
-        #: How many native blocks bind each image — a request drops an
-        #: image's planar twin once its last reader has run.
-        self._twin_readers = Counter(
-            image
-            for _, native in blocks
-            if native is not None and native.spec.channels > 1
-            for image in native.spec.images
+        #: The images compiled kernels bind.
+        self._bound_images = frozenset().union(
+            *(native.spec.images for _, native in blocks if native)
         )
         #: The generated C source (``None`` when nothing was lowered).
         self.source = source
@@ -413,21 +411,19 @@ class NativePartitionPlan:
         """Every block in turn — ``self.blocks`` is aligned with
         ``self.plan.plans``, a valid serial schedule of ``plan.deps``."""
         env = dict(inputs)
-        # The request's (C, H, W) twins: made on first bind, dropped
-        # after the last block that binds them.
-        planar: Dict[str, np.ndarray] = {}
-        readers = Counter(self._twin_readers)
+        # Kernels index the caller's arrays in place.  An input they
+        # cannot is made contiguous here, once for every block that
+        # reads it; the tape and the caller keep the array passed in.
+        bound = ChainMap({}, env)
+        for name in self._bound_images.intersection(inputs):
+            array = as_bindable(inputs[name], self.polymorphic)
+            if array is not inputs[name]:
+                bound[name] = array
         for block_plan, native in self.blocks:
             if native is None:
                 env[block_plan.output_name] = block_plan.execute(env, params)
-                continue
-            env[native.output_name] = native.execute(
-                env, params, threads, planar
-            )
-            readers.subtract(native.spec.images)
-            for image in native.spec.images + (native.output_name,):
-                if readers[image] <= 0:
-                    planar.pop(image, None)
+            else:
+                env[native.output_name] = native.execute(bound, params, threads)
         return env
 
     def _verified_first_pass(
@@ -489,7 +485,9 @@ class NativeBlockPlan:
 
 
 def _native_flags(cc: str) -> Tuple[str, ...]:
-    flags = ["-ffp-contract=off"]
+    # -fno-math-errno: a ``sqrt`` that may set errno is control flow the
+    # vectorizer gives up on; sqrtpd is correctly rounded like the call.
+    flags = ["-ffp-contract=off", "-fno-math-errno"]
     if openmp_available(cc):
         flags.append("-fopenmp")
     # Extra deployment/CI flags (e.g. -fsanitize=address,undefined);

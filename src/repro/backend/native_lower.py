@@ -43,6 +43,10 @@ and the tape interpreter; the graph, partition and tape are untouched.
 I/O stays float64; per-pixel slots, literals and libm calls run in
 single precision (twice the SIMD lanes) under a wider pinned tolerance.
 
+**Channels.**  A block over ``C``-channel images lowers once: every
+global ``Load`` and the ``out`` ``Store`` carry the pixel stride ``C``
+and the binder calls the kernel per channel at ``base + c``.
+
 **Shape polymorphism.**  With ``polymorphic=True`` ``width`` / ``height``
 are runtime ``const int`` parameters instead of baked literals: every
 extent in the tape's grid keys is checked against the block's iteration
@@ -370,10 +374,16 @@ class _Signature:
         height: int,
         polymorphic: bool,
         f32: bool,
+        channels: int = 1,
     ):
         used: set = set()
         self.width = width
         self.height = height
+        #: Elements between two pixels of a bound plane: the block's
+        #: channel count.  Every global ``Load`` / ``Store`` carries it
+        #: as its stride (tile scratch stays dense); pitches and
+        #: indices keep counting pixels.
+        self.channels = channels
         self.polymorphic = polymorphic
         #: Float32 fast path: slots, literals and libm calls go single
         #: precision (loads/stores convert implicitly on assignment).
@@ -578,15 +588,20 @@ class _Body:
             yr = self.coord(resolve_key(yi, height, mode))
         if staged:
             buffer, sx0, sy0, pitch = staged
-            index = _row_major(
-                sub(paren(yr), ident(sy0)),
-                num(pitch),
-                sub(paren(xr), ident(sx0)),
+            load = Load(
+                buffer,
+                _row_major(
+                    sub(paren(yr), ident(sy0)),
+                    num(pitch),
+                    sub(paren(xr), ident(sx0)),
+                ),
             )
         else:
-            buffer = sig.img_ids[image]
-            index = _row_major(yr, sig.pitches.get(image, sig.W), xr)
-        load = Load(buffer, index)
+            load = Load(
+                sig.img_ids[image],
+                _row_major(yr, sig.pitches.get(image, sig.W), xr),
+                sig.channels,
+            )
         if not self.interior and boundary.mode is BoundaryMode.CONSTANT:
             oob = self.mask(
                 ("ormask", ("oob", xi, width), ("oob", yi, height))
@@ -751,13 +766,16 @@ def _pixel_fns(
     return functions, None
 
 
-def _store_of(buffer: str, index: tuple, halo: str, inner: str, formals):
-    """``store(interior)`` for one sweep: ``buffer[index]`` computed by
-    the ``halo`` or the ``inner`` per-pixel function, which is passed
-    its formals' own names and the pixel coordinate."""
+def _store_of(
+    buffer: str, index: tuple, halo: str, inner: str, formals, stride: int = 1
+):
+    """``store(interior)`` for one sweep: ``buffer[index]`` (pixels
+    ``stride`` apart) computed by the ``halo`` or the ``inner``
+    per-pixel function, which is passed its formals' own names and the
+    pixel coordinate."""
     actuals = tuple(formal.name for formal in formals + _XY)
     return lambda interior: Store(
-        buffer, index, inner if interior else halo, actuals
+        buffer, index, inner if interior else halo, actuals, stride
     )
 
 
@@ -833,7 +851,7 @@ def _lower_block(
     space = kernel.space
     width, height, channels = space.width, space.height, space.channels
     images, params, _ = _tape_reads(plan.tape, {})
-    sig = _Signature(images, params, width, height, polymorphic, f32)
+    sig = _Signature(images, params, width, height, polymorphic, f32, channels)
     W, H = sig.W, sig.H
     formals = sig.formals(images, params)
     names = (f"{fn_name}_halo", f"{fn_name}_interior")
@@ -860,7 +878,13 @@ def _lower_block(
         if xhi < width:
             right_lo = paren(max_of(xhi_sym, num(0)))
     rows = _row_sweep(
-        _store_of("out", add(mul(ident("y"), W), ident("x")), *names, formals),
+        _store_of(
+            "out",
+            add(mul(ident("y"), W), ident("x")),
+            *names,
+            formals,
+            channels,
+        ),
         (num(0), W),
         ((num(0), left_hi), (num(xlo), xhi_sym), (right_lo, W))
         if band
@@ -1374,7 +1398,7 @@ def _lower_block_tile2d(
     images, params, _ = _tape_reads(
         [i for tape in tapes for i in tape], produced
     )
-    sig = _Signature(images, params, width, height, polymorphic, f32)
+    sig = _Signature(images, params, width, height, polymorphic, f32, channels)
     W, H = sig.W, sig.H
     x, y, t, n_tx = ident("x"), ident("y"), ident("t"), ident("n_tx")
     x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
@@ -1437,7 +1461,9 @@ def _lower_block_tile2d(
         )
         functions += stage_fns
         if final:
-            store = _store_of("out", add(mul(y, W), x), *names, formals)
+            store = _store_of(
+                "out", add(mul(y, W), x), *names, formals, channels
+            )
             sweeps += sweep(
                 band, ("ila", "il", "iha", "ih"), (x0, x1), (y0, y1), store
             )

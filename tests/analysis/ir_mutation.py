@@ -8,7 +8,7 @@ a stand-in block carrying the edited tree.
 import copy
 from types import SimpleNamespace
 
-from repro.backend.loopnest import add, ident, num, paren
+from repro.backend.loopnest import Load, Store, add, ident, num, paren
 
 
 def shifted(axis, offset):
@@ -37,6 +37,25 @@ def find_nodes(tree, kind, **fields):
         for item in tree:
             found.extend(find_nodes(item, kind, **fields))
     return found
+
+
+def channel_stride_defects(spec):
+    """(label, node, wrong node) edits of a multi-channel block's tree:
+    one global ``Load`` and the ``out`` ``Store`` stepping one element
+    per pixel (the next channel's values, not the next pixel's), and a
+    ``Load`` stepping ``C + 1`` (off the end of the bound image)."""
+    channels = spec.channels
+    load = find_nodes(spec.ir, Load, stride=channels)[0]
+    store = find_nodes(spec.ir, Store, buffer="out")[0]
+    return [
+        ("load-without-channel-stride", load, load._replace(stride=1)),
+        ("store-without-channel-stride", store, store._replace(stride=1)),
+        (
+            "stride-past-the-channels",
+            load,
+            load._replace(stride=channels + 1),
+        ),
+    ]
 
 
 def with_ir(native, ir):

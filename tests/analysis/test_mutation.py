@@ -115,16 +115,17 @@ def test_verifier_catches_injected_mutations(app):
 # structural verifier.
 
 
-def _native_defects(width):
+def _native_defects(spec):
     """(label, subtree, wrong subtree) edits of a block's loop-nest IR,
     keyed by what each seeds.  Every edit that actually matches a
     block's tree must trip the sanitizer (the pristine tree verifies
     clean)."""
-    from analysis.ir_mutation import shifted
+    from analysis.ir_mutation import channel_stride_defects, shifted
 
     from repro.backend.loopnest import Formal, ident, mul, num
 
-    return [
+    width = spec.width
+    return (channel_stride_defects(spec) if spec.channels > 1 else []) + [
         # Off-by-one halo index: the interior body reaches one pixel past
         # the margin the flank loops guarantee.
         ("off-by-one-halo-index", shifted("x", 1), shifted("x", 2)),
@@ -171,7 +172,7 @@ def test_native_sanitizer_catches_seeded_defects():
             assert not verify_native_blocks([native]), (
                 f"{app}/{native.output_name}: pristine tree flagged"
             )
-            for label, old, new in _native_defects(native.spec.width):
+            for label, old, new in _native_defects(native.spec):
                 mutated = replace_subtree(pristine, old, new)
                 if mutated == pristine:
                     continue

@@ -9,6 +9,7 @@ every fresh native plan is sanitizer-verified.
 import pytest
 
 from analysis.ir_mutation import (
+    channel_stride_defects,
     find_nodes,
     replace_subtree,
     shifted,
@@ -27,7 +28,9 @@ from repro.backend.loopnest import (
     Formal,
     Guard,
     IntDecl,
+    Load,
     ScratchDecl,
+    Store,
     add,
     ident,
     min_of,
@@ -220,6 +223,50 @@ class TestTile2DSeededDefects:
             harris, loop, loop._replace(lo=ident("y0"), hi=ident("y1"))
         )
         assert "NAT004" in _codes(harris, ir)
+
+
+@needs_cc
+class TestChannelStride:
+    """A multi-channel block's planes are bound as ``base + c`` of an
+    ``(H, W, C)`` image: every global access must step ``C``, and tile
+    scratch must stay dense."""
+
+    @pytest.fixture(scope="class", params=["auto", "off"])
+    def night(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_TILE2D", request.param)
+            _, nplan = _native_plan("Night", polymorphic=True)
+        natives = [n for _p, n in nplan.blocks if n is not None]
+        assert all(n.spec.channels == 3 for n in natives)
+        assert any(n.spec.tile2d for n in natives) == (request.param == "auto")
+        return natives
+
+    def test_honest_blocks_are_clean(self, night):
+        assert verify_native_blocks(night) == []
+
+    def test_every_wrong_stride_is_nat002(self, night):
+        for native in night:
+            for label, old, new in channel_stride_defects(native.spec):
+                ir = _mutated(native, old, new)
+                assert "NAT002" in _codes(native, ir), label
+
+    def test_strided_scratch_is_caught(self, night):
+        tiled = [n for n in night if n.spec.tile2d is not None]
+        for native in tiled:
+            (fill, *_) = find_nodes(native.spec.ir, Store, buffer="scr_0")
+            ir = _mutated(native, fill, fill._replace(stride=3))
+            assert "NAT004" in _codes(native, ir)
+            (read, *_) = find_nodes(native.spec.ir, Load, buffer="scr_0")
+            ir = _mutated(native, read, read._replace(stride=3))
+            assert "NAT002" in _codes(native, ir)
+
+    def test_single_channel_blocks_carry_no_stride(self):
+        _, nplan = _native_plan("Harris")
+        for _p, native in nplan.blocks:
+            assert "* 1]" not in native.spec.source
+            store = find_nodes(native.spec.ir, Store, buffer="out")[0]
+            ir = _mutated(native, store, store._replace(stride=3))
+            assert "NAT002" in _codes(native, ir)
 
 
 class TestEntryPoints:

@@ -295,6 +295,31 @@ class TestTolerancePolicy:
             native_exec.LIBM_ATOL,
         )
 
+    @needs_cc
+    def test_sqrt_is_bit_identical_off_its_domain(self):
+        """``-fno-math-errno`` turns the ``sqrt`` call into ``sqrtpd``:
+        still the tape's bits, NaN signs included, on negative, NaN,
+        infinite, zero and subnormal inputs (plain and reciprocal)."""
+        from repro import lazy
+
+        width, height = 24, 16  # wide enough for full SIMD iterations
+        trace = lazy.Trace("roots", width, height)
+        src = trace.source("src")
+        lazy.sqrt(src).checkpoint("root", "rooted")
+        lazy.rsqrt(src).checkpoint("inverse", "inverted")
+        graph = trace.graph(("rooted", "inverted"))
+        specials = [-1.0, np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5]
+        data = np.random.default_rng(7).uniform(0.0, 9.0, (height, width))
+        data.flat[:: 3] = np.resize(specials, data.flat[::3].shape)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tape = run(graph, {"src": data}, options=ExecutionOptions(engine="tape"))
+            native = run(
+                graph, {"src": data}, options=ExecutionOptions(engine="native")
+            )
+        for name in ("rooted", "inverted"):
+            assert np.isnan(native[name]).any() and np.isinf(native[name]).any()
+            assert native[name].tobytes() == tape[name].tobytes(), name
+
     def test_assert_native_equiv_raises_on_divergence(self):
         a = np.zeros((4, 4))
         b = np.full((4, 4), 1e-6)

@@ -11,10 +11,12 @@ test is one of the three things that keep the printer honest (see
 in every ``pipeline-<digest>.so`` cache name.  Regenerate the file only
 for a deliberate change of the emitted C.
 
-One such change since: window-invariant hoisting (PR 17) gave the 16
+Two such changes since.  Window-invariant hoisting (PR 17) gave the 16
 Enhance digests with tile2d on (``auto`` and ``16x32``) an extra
-``gmean_w0`` stage; the other 128 — every ``off`` digest and every other
-app — are still PR 14's.
+``gmean_w0`` stage.  Channels as a stride (PR 23) scaled every global
+subscript of the 24 Night digests — the one multi-channel app — by its
+channel count (``in_input[(...) * 3]``).  The other 104 — every
+single-channel app but tiled Enhance — are still PR 14's.
 """
 
 import hashlib
