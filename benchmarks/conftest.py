@@ -1,13 +1,16 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures of the parked report emitters.
 
-Benchmarks both *measure* (pytest-benchmark timings of the compiler
-machinery itself) and *regenerate* the paper's evaluation artifacts.
-Rendered reports are written to ``benchmarks/output/`` so the
-reproduced tables and figure data survive the run.
+The repository's benchmark is ``benchmarks/ledger/`` (see
+``BENCHMARK.json``).  The three ``test_bench_*.py`` files beside this
+one measure what no ledger workload does yet; they *emit* a report into
+the gitignored ``benchmarks/output/`` and assert correctness only —
+no wall-clock floor (EXPERIMENTS.md, "One harness, one artifact",
+records how far their readings spread on one host).
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,48 +19,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.setrecursionlimit(20000)
 
-OUTPUT_DIR = Path(__file__).parent / "output"
-
 
 @pytest.fixture(scope="session")
 def output_dir() -> Path:
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    return OUTPUT_DIR
-
-
-@pytest.fixture(scope="session")
-def matrix_results():
-    """The full evaluation matrix at paper geometry (500 runs each)."""
-    from repro.eval.runner import run_matrix
-
-    return run_matrix(runs=500)
-
-
-def write_report(output_dir: Path, name: str, text: str) -> None:
-    (output_dir / name).write_text(text + "\n")
-
-
-def machine_info() -> dict:
-    """The host cache hierarchy, for stamping into BENCH artifacts so a
-    recorded speedup can be read against the machine that produced it."""
-    from repro.model.hardware import detect_cpu_caches
-
-    caches = detect_cpu_caches()
-    return {
-        "cpu_caches": {
-            "l1d_bytes": caches.l1d_bytes,
-            "l2_bytes": caches.l2_bytes,
-            "l3_bytes": caches.l3_bytes,
-            "line_bytes": caches.line_bytes,
-            "source": caches.source,
-        },
-        "cpu_caches_pretty": caches.describe(),
-    }
+    path = Path(__file__).parent / "output"
+    path.mkdir(exist_ok=True)
+    return path
 
 
 def write_bench_json(output_dir: Path, name: str, report: dict) -> None:
-    """Write a ``BENCH_*.json`` artifact with the machine key stamped in."""
-    import json
+    """Write a ``BENCH_*.json`` report with the host cache hierarchy
+    stamped in, so a reading can be read against its machine."""
+    from repro.model.hardware import detect_cpu_caches
 
-    report = {"machine": machine_info(), **report}
+    report = {"machine": detect_cpu_caches().describe(), **report}
     (output_dir / name).write_text(json.dumps(report, indent=2) + "\n")

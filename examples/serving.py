@@ -22,7 +22,7 @@ from repro.apps import APPLICATIONS
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 from repro.serve import ServingRuntime
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 WIDTH, HEIGHT = 96, 64

@@ -236,17 +236,10 @@ def _lint_native(graph, partition) -> List[Diagnostic]:
 
 def _fuse(graph, gpu, version, config):
     """The fused partition plus the engine result (None for baseline)."""
-    from repro.eval.runner import partition_for
-    from repro.fusion.greedy_fusion import greedy_fusion
-    from repro.fusion.mincut_fusion import mincut_fusion
-    from repro.graph.partition import Partition
+    from repro.fusion import FUSERS, partition_for
     from repro.model.benefit import estimate_graph
 
-    if version == "baseline":
-        return Partition.singletons(graph), None
-    traced = {"optimized": mincut_fusion, "greedy": greedy_fusion}
-    engine = traced.get(version)
-    if engine is not None:
-        result = engine(estimate_graph(graph, gpu, config))
+    if version in ("optimized", "greedy"):  # the engines with a trace
+        result = FUSERS[version](estimate_graph(graph, gpu, config))
         return result.partition, result
     return partition_for(graph, gpu, version, config), None

@@ -22,6 +22,8 @@ the default image geometry used in the paper.  The registry
 from dataclasses import dataclass
 from typing import Callable, Dict
 
+import numpy as np
+
 from repro.dsl.pipeline import Pipeline
 
 from repro.apps import (
@@ -49,6 +51,19 @@ class AppSpec:
     def pipeline(self) -> Pipeline:
         """Build at the paper's default geometry."""
         return self.build(self.width, self.height)
+
+
+def request_inputs(
+    spec: AppSpec, width: int, height: int, seed: int
+) -> Dict[str, np.ndarray]:
+    """Deterministic random input arrays for one request of ``spec`` at
+    ``width`` x ``height`` (multi-channel apps get ``(H, W, C)``)."""
+    rng = np.random.default_rng(seed)
+    shape = (height, width) + ((spec.channels,) if spec.channels > 1 else ())
+    return {
+        name: rng.uniform(0.0, 255.0, size=shape)
+        for name in spec.build(width, height).build().pipeline_inputs()
+    }
 
 
 #: The paper's applications at their evaluation geometries: 2048x2048
@@ -81,6 +96,7 @@ __all__ = [
     "enhancement",
     "harris",
     "night",
+    "request_inputs",
     "shitomasi",
     "sobel",
     "unsharp",

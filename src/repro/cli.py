@@ -22,27 +22,28 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.apps import ALL_APPS, APPLICATIONS
+from repro.apps import ALL_APPS, APPLICATIONS, request_inputs
 from repro.backend.codegen_cuda import generate_cuda_pipeline
 from repro.backend.engines import ENGINE_NAMES
 from repro.backend.launch import simulate_partition
-from repro.eval.report import render_figure6, render_table1, render_table2
-from repro.eval.runner import DEFAULT_GPUS, partition_for, run_matrix
-from repro.fusion.basic_fusion import basic_fusion
-from repro.fusion.coalesce import coalesced_fusion
-from repro.fusion.exhaustive import exhaustive_fusion
-from repro.fusion.greedy_fusion import greedy_fusion
-from repro.fusion.mincut_fusion import mincut_fusion
+from repro.eval.figures import figure3_trace, figure4_example
+from repro.eval.report import (
+    render_figure3,
+    render_figure4,
+    render_figure6,
+    render_table1,
+    render_table2,
+)
+from repro.eval.runner import DEFAULT_GPUS, run_matrix
+from repro.fusion import FUSERS, partition_for
 from repro.graph.partition import Partition
 from repro.model.benefit import BenefitConfig, estimate_graph
 from repro.model.hardware import KNOWN_GPUS
 
+#: ``--engine`` names: the fusion versions, min-cut under its own name.
 ENGINES = {
-    "mincut": mincut_fusion,
-    "coalesced": coalesced_fusion,
-    "basic": basic_fusion,
-    "greedy": greedy_fusion,
-    "exhaustive": exhaustive_fusion,
+    ("mincut" if version == "optimized" else version): fuser
+    for version, fuser in FUSERS.items()
 }
 
 
@@ -112,7 +113,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     if args.engine == "none":
         partition = Partition.singletons(graph)
     else:
-        partition = partition_for(graph, gpu, _engine_to_version(args.engine))
+        partition = ENGINES[args.engine](estimate_graph(graph, gpu)).partition
     if args.target == "c":
         from repro.backend.native_lower import lower_partition_source
 
@@ -137,11 +138,6 @@ def cmd_roofline(args: argparse.Namespace) -> int:
     optimized = partition_for(graph, gpu, "optimized")
     print(render_roofline_report(graph, baseline, optimized, gpu))
     return 0
-
-
-def _engine_to_version(engine: str) -> str:
-    return {"mincut": "optimized", "basic": "basic", "greedy": "greedy",
-            "exhaustive": "exhaustive", "coalesced": "coalesced"}[engine]
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
@@ -220,17 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure3(args: argparse.Namespace) -> int:
     """Print the Fig. 3 Harris walk-through."""
-    from repro.eval.figures import figure3_trace
-
-    result = figure3_trace()
-    print("edge weights (paper: 328/328/256 + 7x epsilon):")
-    print(result.weighted.describe_edges())
-    print()
-    print("trace:")
-    for event in result.trace:
-        print("  " + event.describe())
-    print()
-    print(result.partition.describe())
+    print(render_figure3(figure3_trace()))
     return 0
 
 
@@ -249,7 +235,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.api import ExecutionOptions, run
-    from repro.serve.bench import request_inputs
     from repro.serve.registry import DEFAULT_APP_PARAMS
 
     spec = _resolve_app(args.app)
@@ -316,7 +301,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_registry,
         faultinject,
     )
-    from repro.serve.bench import request_inputs
 
     names = args.apps or sorted(APPLICATIONS)
     for name in names:
@@ -448,38 +432,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Benchmark cached serving against per-request recompilation."""
-    import json
-
-    from repro.serve.bench import run_serving_benchmark
-
-    from repro.envknobs import serve_procs_env
-
-    report = run_serving_benchmark(
-        apps=args.apps or list(APPLICATIONS),
-        requests_per_app=args.requests_per_app,
-        width=args.width,
-        height=args.height,
-        client_threads=args.clients,
-        scheduler_workers=args.workers,
-        engine=args.exec_engine,
-        processes=(
-            serve_procs_env()
-            if args.processes is None
-            else args.processes
-        ),
-        cache_keying=args.cache_keying,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if report["bit_identical"] else 1
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static-analysis passes; exit 1 on any error diagnostic.
 
@@ -603,15 +555,7 @@ def cmd_tiling(args: argparse.Namespace) -> int:
 
 def cmd_figure4(args: argparse.Namespace) -> int:
     """Print the Fig. 4 border-fusion worked example."""
-    from repro.eval.figures import figure4_example
-
-    fig4 = figure4_example()
-    print("intermediate window (paper: 82 98 93 / 66 61 51 / 43 34 32):")
-    print(fig4.intermediate_center.astype(int))
-    print(f"interior fused value (paper: 992): {fig4.interior_value:.0f}")
-    print(f"staged clamp border  (paper: 763): {fig4.staged_border_value:.0f}")
-    print(f"fused + index exchange           : {fig4.fused_border_value:.0f}")
-    print(f"fused naive (incorrect)          : {fig4.naive_border_value:.0f}")
+    print(render_figure4(figure4_example()))
     return 0
 
 
@@ -694,35 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     artifact.add_argument("--out", default="artifact")
     artifact.add_argument("--runs", type=int, default=500)
 
-    def add_serve_flags(p):
-        p.add_argument("--apps", nargs="*", default=None,
-                       help="pipelines to serve (default: the six "
-                            "paper apps)")
-        p.add_argument("--width", type=int, default=96)
-        p.add_argument("--height", type=int, default=64)
-        p.add_argument("--workers", type=int, default=2,
-                       help="scheduler worker threads")
-        p.add_argument("--clients", type=int, default=8,
-                       help="concurrent client threads")
-        p.add_argument("--processes", type=int, default=None,
-                       help="worker processes for sharded serving "
-                            "(default: REPRO_SERVE_PROCS or 1; >1 "
-                            "serves through a ShardedRuntime)")
-        p.add_argument("--exec-engine", default="tape",
-                       choices=ENGINE_NAMES,
-                       help="execution engine serving requests; "
-                            "'native' compiles block tapes to C and "
-                            "falls back to 'tape' without a compiler")
-        p.add_argument("--cache-keying", default="shape",
-                       choices=("shape", "structure"),
-                       help="plan-cache identity: 'shape' keys on exact "
-                            "input shapes (one entry per resolution); "
-                            "'structure' keys on pipeline structure + "
-                            "dtypes and serves every resolution from "
-                            "one shape-polymorphic native plan "
-                            "(requires --exec-engine native, "
-                            "single-process)")
-
     lint = sub.add_parser(
         "lint", help="run the static-analysis passes over applications "
                      "(exit 1 on any error diagnostic)"
@@ -772,7 +687,33 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-threshold", type=int, default=None,
                        help="consecutive failures tripping the "
                             "per-pipeline circuit breaker")
-    add_serve_flags(serve)
+    serve.add_argument("--apps", nargs="*", default=None,
+                       help="pipelines to serve (default: the six "
+                            "paper apps)")
+    serve.add_argument("--width", type=int, default=96)
+    serve.add_argument("--height", type=int, default=64)
+    serve.add_argument("--workers", type=int, default=2,
+                       help="scheduler worker threads")
+    serve.add_argument("--clients", type=int, default=8,
+                       help="concurrent client threads")
+    serve.add_argument("--processes", type=int, default=None,
+                       help="worker processes for sharded serving "
+                            "(default: REPRO_SERVE_PROCS or 1; >1 "
+                            "serves through a ShardedRuntime)")
+    serve.add_argument("--exec-engine", default="tape",
+                       choices=ENGINE_NAMES,
+                       help="execution engine serving requests; "
+                            "'native' compiles block tapes to C and "
+                            "falls back to 'tape' without a compiler")
+    serve.add_argument("--cache-keying", default="shape",
+                       choices=("shape", "structure"),
+                       help="plan-cache identity: 'shape' keys on exact "
+                            "input shapes (one entry per resolution); "
+                            "'structure' keys on pipeline structure + "
+                            "dtypes and serves every resolution from "
+                            "one shape-polymorphic native plan "
+                            "(requires --exec-engine native, "
+                            "single-process)")
     add_model_flags(serve)
 
     run_cmd = sub.add_parser(
@@ -806,15 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--json", action="store_true",
                          help="print the digests as JSON")
     add_model_flags(run_cmd)
-
-    serve_bench = sub.add_parser(
-        "serve-bench", help="benchmark cached serving vs per-request "
-                            "recompilation (JSON report)"
-    )
-    serve_bench.add_argument("--requests-per-app", type=int, default=20)
-    serve_bench.add_argument("--out", default=None,
-                             help="also write the report to a file")
-    add_serve_flags(serve_bench)
 
     tiling = sub.add_parser(
         "tiling", help="the native engine's 2D-tiling model choices "
@@ -850,7 +782,6 @@ COMMANDS = {
     "artifact": cmd_artifact,
     "run": cmd_run,
     "serve": cmd_serve,
-    "serve-bench": cmd_serve_bench,
     "tiling": cmd_tiling,
 }
 

@@ -10,7 +10,11 @@
 * :mod:`repro.eval.figures` — Fig. 3 (Harris fusion trace), Fig. 4
   (border-fusion worked example), Fig. 6 (execution-time
   distributions),
-* :mod:`repro.eval.report` — text rendering.
+* :mod:`repro.eval.report` — text rendering, one renderer per report,
+* :mod:`repro.eval.sweeps` / :mod:`repro.eval.ablations` — parameter
+  sweeps and the ablation reports around the tables,
+* :mod:`repro.eval.artifact` — the one builder that writes all of the
+  above (``python -m repro artifact``; tracked under ``docs/artifact/``).
 """
 
 from repro.eval.runner import (

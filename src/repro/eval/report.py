@@ -1,16 +1,19 @@
 """Text rendering of the evaluation output.
 
 Formats the reproduced tables in the paper's row/column layout, with
-optional side-by-side paper values, and the Fig. 6 data as per-GPU
-blocks of box-plot statistics.
+optional side-by-side paper values, the Fig. 6 data as per-GPU blocks
+of box-plot statistics, and the Fig. 3 / Fig. 4 worked examples.  Each
+report has exactly one renderer: the CLI prints what the artifact
+writes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from repro.eval.figures import figure6_data
+from repro.eval.figures import Figure4Result, figure6_data
 from repro.eval.runner import AppResult, ResultKey
+from repro.fusion import FusionResult
 from repro.eval.tables import (
     APP_ORDER,
     GPU_ORDER,
@@ -71,6 +74,13 @@ def render_table2(
         if include_paper and label in PAPER_TABLE2:
             paper = PAPER_TABLE2[label]
             lines.append(_format_row("  (paper)", (paper[a] for a in apps)))
+    if include_paper:
+        lines += ["", "deviation vs paper:"]
+        for label, per_app in computed.items():
+            deltas = ", ".join(
+                f"{a} {per_app[a] - PAPER_TABLE2[label][a]:+.3f}" for a in apps
+            )
+            lines.append(f"  {label}: {deltas}")
     return "\n".join(lines)
 
 
@@ -95,3 +105,26 @@ def render_figure6(
                     f"  {app:<10} {version:<10} {stats[key].describe()}"
                 )
     return "\n".join(lines)
+
+
+def render_figure3(result: FusionResult) -> str:
+    """The Fig. 3 Harris walk-through: edge weights, trace, partition."""
+    lines = ["FIGURE 3: KERNEL FUSION APPLIED TO THE HARRIS CORNER DETECTOR",
+             "", "edge weights (paper: 328, 328, 256, epsilon elsewhere):",
+             result.weighted.describe_edges(), "", "recursive min-cut trace:"]
+    lines.extend("  " + event.describe() for event in result.trace)
+    lines += ["", "final partition:", result.partition.describe()]
+    return "\n".join(lines)
+
+
+def render_figure4(fig4: Figure4Result) -> str:
+    """The Fig. 4 border-fusion worked example on the paper's matrix."""
+    return "\n".join([
+        "FIGURE 4: LOCAL-TO-LOCAL FUSION ON THE PAPER'S 5x5 MATRIX",
+        "",
+        f"intermediate window:\n{fig4.intermediate_center.astype(int)}",
+        f"interior fused value (paper: 992): {fig4.interior_value:.0f}",
+        f"staged clamp border  (paper: 763): {fig4.staged_border_value:.0f}",
+        f"fused + index exchange           : {fig4.fused_border_value:.0f}",
+        f"fused naive (Fig. 4b, incorrect) : {fig4.naive_border_value:.0f}",
+    ])

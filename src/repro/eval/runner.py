@@ -19,15 +19,12 @@ from typing import Dict, Iterable, Tuple
 import numpy as np
 
 from repro.api import ExecutionOptions, run
-from repro.apps import APPLICATIONS, AppSpec
+from repro.apps import APPLICATIONS, AppSpec, request_inputs
 from repro.backend.launch import PipelineTiming, simulate_partition, simulate_runs
 from repro.backend.numpy_exec import Arrays
-from repro.fusion.basic_fusion import basic_fusion
-from repro.fusion.greedy_fusion import greedy_fusion
-from repro.fusion.mincut_fusion import mincut_fusion
-from repro.graph.dag import KernelGraph
+from repro.fusion import partition_for
 from repro.graph.partition import Partition
-from repro.model.benefit import BenefitConfig, estimate_graph
+from repro.model.benefit import BenefitConfig
 from repro.model.hardware import GTX680, GTX745, K20C, GpuSpec
 
 #: The paper's evaluation versions, in table order.
@@ -57,33 +54,6 @@ class AppResult:
     @property
     def launches(self) -> int:
         return self.timing.launches
-
-
-def partition_for(
-    graph: KernelGraph,
-    gpu: GpuSpec,
-    version: str,
-    config: BenefitConfig | None = None,
-) -> Partition:
-    """Compute the fusion partition of one version."""
-    if version == "baseline":
-        return Partition.singletons(graph)
-    weighted = estimate_graph(graph, gpu, config)
-    if version == "basic":
-        return basic_fusion(weighted).partition
-    if version == "optimized":
-        return mincut_fusion(weighted).partition
-    if version == "greedy":
-        return greedy_fusion(weighted).partition
-    if version == "exhaustive":
-        from repro.fusion.exhaustive import exhaustive_fusion
-
-        return exhaustive_fusion(weighted).partition
-    if version == "coalesced":
-        from repro.fusion.coalesce import coalesced_fusion
-
-        return coalesced_fusion(weighted).partition
-    raise ValueError(f"unknown version {version!r}")
 
 
 def _seed(app: str, gpu: str, version: str) -> int:
@@ -138,17 +108,11 @@ def execute_configuration(
     """
     graph = spec.build(width, height).build()
     partition = partition_for(graph, gpu, version, config)
-    rng = np.random.default_rng(_seed(spec.name, gpu.name, version) ^ seed)
-    shape = (height, width)
-    if spec.channels > 1:
-        shape = shape + (spec.channels,)
-    inputs = {
-        name: rng.uniform(0.0, 255.0, size=shape)
-        for name in graph.pipeline_inputs()
-    }
     return run(
         graph,
-        inputs,
+        request_inputs(
+            spec, width, height, _seed(spec.name, gpu.name, version) ^ seed
+        ),
         params,
         options=ExecutionOptions(
             engine=engine,

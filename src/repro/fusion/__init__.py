@@ -16,7 +16,12 @@ Three engines, matching the paper's evaluation matrix:
 partition block; :mod:`repro.fusion.border` implements the
 interior/halo/exterior analysis and the index-exchange method that makes
 local-to-local fusion border-correct (Section IV).
+
+:data:`FUSERS` is the fuse stage's one table, version name → engine;
+:func:`partition_for` is the stage itself.
 """
+
+from typing import Callable, Dict
 
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.coalesce import coalesce_partition, coalesced_fusion
@@ -33,8 +38,39 @@ from repro.fusion.fuser import FusedKernel, fuse_block, fuse_partition
 from repro.fusion.greedy_fusion import greedy_fusion
 from repro.fusion.mincut_fusion import FusionResult, TraceEvent, mincut_fusion
 from repro.fusion.scenarios import classify_edge_scenario
+from repro.graph.dag import KernelGraph
+from repro.graph.partition import Partition
+from repro.model.benefit import BenefitConfig, WeightedGraph, estimate_graph
+from repro.model.hardware import GpuSpec
+
+#: Fusion version → the engine that partitions a weighted graph.
+#: ``baseline`` (no fusion) is the one version that is not an engine.
+FUSERS: Dict[str, Callable[[WeightedGraph], FusionResult]] = {
+    "basic": basic_fusion,
+    "optimized": mincut_fusion,
+    "greedy": greedy_fusion,
+    "exhaustive": exhaustive_fusion,
+    "coalesced": coalesced_fusion,
+}
+
+
+def partition_for(
+    graph: KernelGraph,
+    gpu: GpuSpec,
+    version: str,
+    config: BenefitConfig | None = None,
+) -> Partition:
+    """The fusion partition of one version (``baseline`` or a
+    :data:`FUSERS` name) under ``gpu``'s benefit model."""
+    if version == "baseline":
+        return Partition.singletons(graph)
+    if version not in FUSERS:
+        raise ValueError(f"unknown version {version!r}")
+    return FUSERS[version](estimate_graph(graph, gpu, config)).partition
+
 
 __all__ = [
+    "FUSERS",
     "FusedKernel",
     "FusionResult",
     "Region",
@@ -55,4 +91,5 @@ __all__ = [
     "interior_width",
     "mincut_fusion",
     "optimality_gap",
+    "partition_for",
 ]

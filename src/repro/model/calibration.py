@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.apps import APPLICATIONS
-from repro.eval.runner import partition_for
 from repro.eval.tables import GPU_ORDER, PAPER_TABLE1
+from repro.fusion import partition_for
 from repro.model.hardware import GTX680, GTX745, K20C, GpuSpec
 
 #: Knobs the optimizer may move, with physical bounds.

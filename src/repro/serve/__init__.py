@@ -30,9 +30,10 @@ paper's analysis implies:
 * :mod:`~repro.serve.sharding` — :class:`ShardedRuntime`, N worker
   processes each hosting a full ServingRuntime, routed by plan
   signature over a consistent-hash ring, with dead-worker detection,
-  sibling retry, and respawn;
-* :mod:`~repro.serve.bench` — the throughput benchmark backing
-  ``python -m repro serve-bench`` (single-process and sharded).
+  sibling retry, and respawn.
+
+Throughput and latency of the layer are measured by the perf ledger's
+``serve_mixed`` workload (``benchmarks/ledger/``).
 """
 
 from repro.serve.errors import (

@@ -58,6 +58,7 @@ from repro.backend import cpu_exec, engines, native_exec
 from repro.backend.numpy_exec import ExecutionError
 from repro.backend.plan import PartitionPlan, forget_plans, plan_for_partition
 from repro.envknobs import validate_mode
+from repro.fusion import partition_for
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
 from repro.model.benefit import BenefitConfig
@@ -513,16 +514,13 @@ def build_plan(
             timings["fuse_ms"] = 0.0
     if partition is None:
 
-        def fuse() -> Partition:
-            # Imported here: repro.eval.runner imports repro.api, which
-            # imports this module.
-            from repro.eval.runner import partition_for
-
-            return partition_for(
+        partition = timed(
+            "fuse",
+            "fuse_ms",
+            lambda: partition_for(
                 graph, fusion.gpu, fusion.version, fusion.benefit_config
-            )
-
-        partition = timed("fuse", "fuse_ms", fuse)
+            ),
+        )
     plan = native_plan = None
     if engine != "recursive":
         plan = timed(

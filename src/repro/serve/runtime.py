@@ -291,14 +291,11 @@ class ServingRuntime:
         """
         from repro.analysis.lint import lint_app
 
-        version = self.fusion.version
-        if version not in ("baseline", "basic", "optimized", "greedy"):
-            version = "optimized"
         return {
             name: lint_app(
                 self.registry.get(name),
                 gpu=self.gpu,
-                version=version,
+                version=self.fusion.version,
                 native=native,
             )
             for name in self.registry.names()
@@ -547,21 +544,25 @@ class ServingRuntime:
         assert last_error is not None
         raise last_error
 
-    def _plan_key(self, payload: Dict[str, Any], engine: str) -> tuple:
-        """The cache key of one request on one ladder rung.
+    def _structure_keyed(self, payload: Dict[str, Any], engine: str) -> bool:
+        """Whether one request on one ladder rung gets a structure-keyed
+        entry — which is also whether its plan is built polymorphic.
 
         Structure keying applies to fused native plans only.  Tape and
         recursive plans are shape-specialized — sharing them across
         geometries would compute the wrong image — and an explicit
         partition's block signature names kernels of one geometry.
         """
-        graph = payload["graph"]
-        partition = payload["partition"]
-        structure_keyed = (
+        return (
             self.cache_keying == "structure"
             and engine == "native"
-            and partition is None
+            and payload["partition"] is None
         )
+
+    def _plan_key(self, payload: Dict[str, Any], engine: str) -> tuple:
+        """The cache key of one request on one ladder rung."""
+        graph = payload["graph"]
+        structure_keyed = self._structure_keyed(payload, engine)
         return plan_key(
             graph.structure_signature()
             if structure_keyed
@@ -570,7 +571,7 @@ class ServingRuntime:
             engine,
             payload["fusion"],
             keying="structure" if structure_keyed else "shape",
-            partition=partition,
+            partition=payload["partition"],
         )
 
     def _lookup_plan(
@@ -666,7 +667,7 @@ class ServingRuntime:
             partition=request.payload["partition"],
             fusion=request.payload["fusion"],
             engine=engine,
-            polymorphic=self.cache_keying == "structure",
+            polymorphic=self._structure_keyed(request.payload, engine),
             stage=partial(self._build_stage, engine),
         )
         for label, value in entry.timings_ms.items():

@@ -39,6 +39,9 @@ class TestSimulatePartition:
         assert timing.total_ms == pytest.approx(
             timing.kernel_time_ms + timing.launch_overhead_ms
         )
+        assert timing.kernel_time_ms == pytest.approx(
+            sum(kernel.time_ms for kernel in timing.kernels)
+        )
 
     def test_describe_lists_kernels(self, graph):
         timing = simulate_partition(graph, Partition.singletons(graph), GTX680)

@@ -45,7 +45,7 @@ from repro.backend.numpy_exec import ExecutionError
 from repro.backend.plan import clear_plan_caches, plan_for_partition
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 from helpers import ToolchainSpy as Spy
@@ -278,7 +278,7 @@ import sys
 import numpy as np
 from repro.apps import APPLICATIONS
 from repro.api import ExecutionOptions, run
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 inputs = request_inputs(APPLICATIONS["Harris"], 96, 64, seed=1)
 graph = APPLICATIONS["Harris"].build(96, 64).build()
 env = run(graph, inputs, options=ExecutionOptions(engine="native"))

@@ -25,7 +25,7 @@ from repro.backend import plan as tape
 from repro.backend.cpu_exec import compiler_available
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.plancache import DEFAULT_CAPACITY, PROCESS_CACHE
 from repro.serve.registry import default_registry
 

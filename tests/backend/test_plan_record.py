@@ -28,7 +28,6 @@ import pytest
 import repro.analysis.native_check as native_check
 import repro.analysis.verifier as verifier
 import repro.api as api
-import repro.eval.runner as runner
 import repro.serve.runtime as serve_runtime
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
@@ -54,7 +53,7 @@ from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 from repro.serve import ServingRuntime, default_registry
 from repro.serve import plancache
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.plancache import PROCESS_CACHE, FusionSettings, plan_key
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
@@ -113,7 +112,7 @@ class Checks:
 
     def __init__(self, monkeypatch):
         self._calls = [
-            self._count(monkeypatch, runner, "partition_for"),
+            self._count(monkeypatch, plancache, "partition_for"),
             self._count(monkeypatch, verifier, "verify_partition_plan"),
             self._count(monkeypatch, native_check, "verify_native_blocks"),
             self._count(monkeypatch, tape.PartitionPlan, "execute"),
@@ -548,7 +547,7 @@ import sys
 import numpy as np
 from repro.apps import APPLICATIONS
 from repro.api import ExecutionOptions, run
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 inputs = request_inputs(APPLICATIONS["Sobel"], 96, 64, seed=3)
 graph = APPLICATIONS["Sobel"].build(96, 64).build()
 options = ExecutionOptions(engine="native", validate="strict")

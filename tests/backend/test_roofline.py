@@ -4,6 +4,7 @@ import pytest
 
 from helpers import image, point_kernel
 
+from repro.apps import APPLICATIONS
 from repro.apps.night import build_pipeline as build_night
 from repro.apps.sobel import build_pipeline as build_sobel
 from repro.apps.unsharp import build_pipeline as build_unsharp
@@ -67,6 +68,30 @@ class TestPipelineRoofline:
         # baseline launch (same work over far less traffic).
         assert len(optimized) == 1
         assert optimized[0].intensity > max(p.intensity for p in baseline)
+
+    def test_paper_apps_sit_where_section_vc_says(self):
+        # What roofline.txt characterizes, at paper geometry on GTX680.
+        balance = device_balance(GTX680)
+        intensities = {}
+        for name, spec in APPLICATIONS.items():
+            graph = spec.pipeline().build()
+            points = pipeline_roofline(
+                graph, Partition.singletons(graph), GTX680
+            )
+            intensities[name] = [p.intensity for p in points]
+        # Night: every kernel deep in the compute-bound region — why
+        # fusion cannot help it.
+        assert all(i > 2.0 * balance for i in intensities["Night"])
+        # The detection / filtering apps sit near or below the knee,
+        # most of their launches memory-bound.
+        for app in ("Sobel", "Unsharp", "Harris", "ShiTomasi"):
+            assert max(intensities[app]) < 1.5 * balance, app
+            below = sum(1 for i in intensities[app] if i <= balance)
+            assert below >= len(intensities[app]) / 2, app
+        # Enhancement is mixed: an SFU-heavy producer above the knee
+        # feeding memory-bound point stages (Eq. 5: fusion still pays).
+        assert max(intensities["Enhance"]) > 2.0 * balance
+        assert min(intensities["Enhance"]) < balance
 
     def test_report_contains_both_sections(self, gpu):
         graph = build_unsharp().build()

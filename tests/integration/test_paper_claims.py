@@ -27,6 +27,9 @@ class TestTable2Shape:
         optimized = t2["optimized/baseline"]
         assert optimized["Unsharp"] == max(optimized.values())
         assert optimized["Unsharp"] > 2.0
+        # The published ordering of the other rows holds too.
+        assert optimized["Unsharp"] > optimized["Enhance"]
+        assert optimized["Enhance"] > optimized["Harris"] > optimized["Night"]
 
     def test_night_gains_nothing(self, t2):
         # Compute-bound: at most a couple of percent (paper: <= 1.02).
@@ -74,9 +77,19 @@ class TestTable1Shape:
             row = t1["optimized/baseline"][gpu]
             assert row["Unsharp"] == max(row.values()), gpu
             assert row["Night"] == pytest.approx(1.0, abs=0.08), gpu
+            assert row["Unsharp"] > 2.0, gpu  # Fig. 6: under half the time
             basic_row = t1["basic/baseline"][gpu]
             assert basic_row["Sobel"] == pytest.approx(1.0, abs=0.03), gpu
             assert basic_row["Unsharp"] == pytest.approx(1.0, abs=0.03), gpu
+            # The optimized engine's edge over basic concentrates on the
+            # two applications the prior work rejects.
+            gap = t1["optimized/basic"][gpu]
+            assert gap["Sobel"] > 1.1 and gap["Unsharp"] > 1.5, gpu
+            assert gap["Night"] == pytest.approx(1.0, abs=0.05), gpu
+            for engine_row in (row, basic_row):
+                assert 1.0 < engine_row["Harris"] < 1.6, gpu
+                assert 1.0 < engine_row["ShiTomasi"] < 1.6, gpu
+                assert engine_row["Enhance"] > 1.3, gpu
 
 
 class TestFigure6Shape:
@@ -99,3 +112,7 @@ class TestFigure6Shape:
         assert results[("Harris", "GTX680", "optimized")].launches == 6
         assert results[("Unsharp", "GTX680", "optimized")].launches == 1
         assert results[("Night", "GTX680", "optimized")].launches == 2
+        for (app, gpu, version), result in results.items():
+            if version == "optimized":
+                unfused = results[(app, gpu, "baseline")]
+                assert 1 <= result.launches <= unfused.launches, (app, gpu)

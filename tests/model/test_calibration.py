@@ -66,6 +66,12 @@ class TestCalibrate:
         assert result.loss_after <= result.loss_before + 1e-12
         assert result.evaluations <= 45
 
+    def test_default_knobs_fit_table1_noticeably_better(self):
+        # The fit calibration.txt records (four knobs, 150 evaluations).
+        result = calibrate(max_evaluations=150)
+        assert result.loss_after <= result.loss_before
+        assert result.improvement > 0.15
+
     def test_knobs_stay_in_bounds(self):
         result = calibrate(
             knob_names=("dram_efficiency",), max_evaluations=25

@@ -26,7 +26,7 @@ from repro.serve import (
     fault_injection,
 )
 from repro.serve import faultinject
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.resilience import BreakerBoard, ladder_from
 
 WIDTH, HEIGHT = 32, 24

@@ -24,7 +24,7 @@ from repro.api import ExecutionOptions, run
 from repro.eval.runner import partition_for
 from repro.model.hardware import KNOWN_GPUS
 from repro.serve import ServingRuntime
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 needs_cc = pytest.mark.skipif(

@@ -23,7 +23,7 @@ from repro.serve import (
     ServingRuntime,
     default_registry,
 )
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 from helpers import chain_pipeline, random_image

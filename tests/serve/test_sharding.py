@@ -42,7 +42,7 @@ from repro.serve import (
     pack_arrays,
     unpack_arrays,
 )
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 WIDTH, HEIGHT = 48, 32
@@ -166,9 +166,9 @@ class TestHashRing:
 
 
 class TestShardedRuntime:
-    def test_all_apps_bit_identical_across_two_processes(self):
-        names = sorted(APPLICATIONS)
-        with ShardedRuntime(names, processes=2) as runtime:
+    @staticmethod
+    def _assert_served_bit_identically(names, processes):
+        with ShardedRuntime(names, processes=processes) as runtime:
             for seed, name in enumerate(names):
                 inputs = request_inputs(
                     APPLICATIONS[name], WIDTH, HEIGHT, seed=seed
@@ -181,6 +181,12 @@ class TestShardedRuntime:
                         name,
                         key,
                     )
+
+    def test_all_apps_bit_identical_across_two_processes(self):
+        self._assert_served_bit_identically(sorted(APPLICATIONS), 2)
+
+    def test_four_processes_stay_bit_identical(self):
+        self._assert_served_bit_identically(["Sobel", "Harris", "Night"], 4)
 
     def test_repeat_traffic_hits_per_worker_plan_cache(self):
         with ShardedRuntime(["Sobel", "Harris"], processes=2) as runtime:

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionOptions, run
-from repro.apps import APPLICATIONS
+from repro.apps import ALL_APPS, APPLICATIONS, request_inputs
 from repro.backend import native_exec
 from repro.backend.native_exec import native_available
-from repro.serve.bench import run_serving_benchmark
+from repro.graph.partition import Partition
 from repro.serve.plancache import (
     CACHE_KEYINGS,
     FusionSettings,
@@ -32,7 +32,7 @@ from repro.serve.plancache import (
     inputs_structure,
     plan_key,
 )
-from repro.serve.registry import default_registry
+from repro.serve.registry import DEFAULT_APP_PARAMS, default_registry
 from repro.serve.runtime import ServingRuntime
 
 needs_cc = pytest.mark.skipif(
@@ -44,16 +44,24 @@ RESOLUTIONS = [(64, 48), (48, 32), (80, 60), (96, 64)]
 
 
 def _inputs(app_name, width, height, salt=0):
-    spec = APPLICATIONS[app_name]
-    graph = spec.build(width, height).build()
-    shape = (height, width)
-    if spec.channels > 1:
-        shape = shape + (spec.channels,)
-    rng = np.random.default_rng(zlib.crc32(app_name.encode()) + salt)
-    return {
-        name: rng.uniform(0.0, 255.0, size=shape)
-        for name in graph.pipeline_inputs()
-    }
+    seed = zlib.crc32(app_name.encode()) + salt
+    return request_inputs(APPLICATIONS[app_name], width, height, seed)
+
+
+@pytest.fixture
+def native_builds(monkeypatch):
+    """The ``polymorphic`` flag of every native partition build."""
+    builds = []
+    real_build = native_exec._build_native_partition
+
+    def counting_build(graph, partition, naive_borders, polymorphic=False):
+        builds.append(polymorphic)
+        return real_build(graph, partition, naive_borders, polymorphic)
+
+    monkeypatch.setattr(
+        native_exec, "_build_native_partition", counting_build
+    )
+    return builds
 
 
 # -- key machinery ---------------------------------------------------------
@@ -147,16 +155,6 @@ def test_structure_keying_downgrades_with_the_engine(monkeypatch):
         assert snapshot["plan_cache"]["keying"] == "shape"
 
 
-def test_sharded_benchmark_rejects_structure_keying():
-    with pytest.raises(ValueError, match="single-process"):
-        run_serving_benchmark(
-            apps=["Sobel"],
-            requests_per_app=1,
-            processes=2,
-            cache_keying="structure",
-        )
-
-
 # -- mixed-resolution replay ----------------------------------------------
 
 
@@ -176,19 +174,8 @@ def _replay(runtime, app_name, repeats=3):
 
 @needs_cc
 def test_structure_keyed_replay_compiles_once_and_serves_all_shapes(
-    monkeypatch,
+    native_builds,
 ):
-    builds = []
-    real_build = native_exec._build_native_partition
-
-    def counting_build(graph, partition, naive_borders, polymorphic=False):
-        builds.append((graph.structure_signature(), polymorphic))
-        return real_build(graph, partition, naive_borders, polymorphic)
-
-    monkeypatch.setattr(
-        native_exec, "_build_native_partition", counting_build
-    )
-
     app_name = "Harris"
     registry = default_registry(apps={app_name})
     with ServingRuntime(
@@ -206,8 +193,7 @@ def test_structure_keyed_replay_compiles_once_and_serves_all_shapes(
     assert stats["hit_rate"] >= 0.9
 
     # The native artifact compiled exactly once, polymorphically.
-    assert len(builds) == 1
-    assert builds[0][1] is True
+    assert native_builds == [True]
 
     # Every served result is bit-identical to direct native execution.
     options = ExecutionOptions(engine="native")
@@ -224,7 +210,7 @@ def test_structure_keyed_replay_compiles_once_and_serves_all_shapes(
 
 
 @needs_cc
-def test_shape_keyed_replay_misses_once_per_resolution():
+def test_shape_keyed_replay_misses_once_per_resolution(native_builds):
     app_name = "Harris"
     registry = default_registry(apps={app_name})
     with ServingRuntime(
@@ -241,6 +227,8 @@ def test_shape_keyed_replay_misses_once_per_resolution():
     # rest are shape misses — the traffic structure keying absorbs.
     assert stats["miss_structure"] == 1
     assert stats["miss_shape"] == len(RESOLUTIONS) - 1
+    # ...and each of them paid for a shape-specialized native compile.
+    assert native_builds == [False] * len(RESOLUTIONS)
 
 
 @needs_cc
@@ -265,3 +253,36 @@ def test_structure_keyed_lazy_graphs_share_the_cache_entry():
         stats = runtime.metrics_snapshot()["plan_cache"]
     assert stats["misses"] == 1
     assert stats["hits"] == 2 * len(RESOLUTIONS) - 1
+
+
+@needs_cc
+def test_explicit_partition_is_shape_keyed_and_built_specialized():
+    """An explicit partition never gets a structure key, so its plan
+    must not be built polymorphic either: DoG's global ``peak`` block
+    falls back to the tape, which a polymorphic build refuses — the
+    request then degraded to the tape engine on a structure-keyed
+    runtime only.  Key and build share one predicate."""
+    spec, params = ALL_APPS["DoG"], DEFAULT_APP_PARAMS["DoG"]
+    graph = spec.build(64, 48).build()
+    inputs = request_inputs(spec, 64, 48, seed=0)
+    singletons = Partition.singletons(graph)
+    registry = default_registry(include_extensions=True, apps={"DoG"})
+    with ServingRuntime(
+        registry, engine="native", cache_keying="structure"
+    ) as runtime:
+        served = runtime.execute_graph(graph, inputs, params, singletons)
+        snapshot = runtime.metrics_snapshot()
+    counters = snapshot["counters"]
+    assert counters["engine_native_executions"] == 1
+    assert counters["native_blocks_fallback"] == 1
+    assert not [name for name in counters if name.startswith("degraded_to_")]
+    assert snapshot["plan_cache"]["miss_structure"] == 1
+    reference = run(
+        graph,
+        inputs,
+        params,
+        options=ExecutionOptions(engine="native", partition=singletons),
+    )
+    assert set(served) == set(reference)
+    for name in reference:
+        assert np.array_equal(reference[name], served[name]), name

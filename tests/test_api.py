@@ -16,7 +16,7 @@ from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.model.hardware import GTX680
 from repro.serve import ServingRuntime, faultinject
-from repro.serve.bench import request_inputs
+from repro.apps import request_inputs
 from repro.serve.registry import DEFAULT_APP_PARAMS
 from repro.serve.resilience import DEGRADATION_LADDER, ladder_from
 

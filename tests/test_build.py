@@ -23,13 +23,13 @@ from helpers import count_calls
 import repro.analysis.native_check as native_check
 import repro.analysis.verifier as verifier
 import repro.api as api
-import repro.eval.runner as runner
 import repro.serve.runtime as serve_runtime
 from repro.api import ExecutionOptions, run
-from repro.apps import APPLICATIONS
+from repro.apps import APPLICATIONS, request_inputs
 from repro.backend import engines, native_exec
 from repro.backend import plan as tape
 from repro.backend.cpu_exec import compiler_available
+from repro.fusion import partition_for
 from repro.graph.partition import Partition
 from repro.model.hardware import GTX680
 from repro.serve import (
@@ -38,7 +38,7 @@ from repro.serve import (
     default_registry,
     fault_injection,
 )
-from repro.serve.bench import request_inputs
+from repro.serve import plancache
 from repro.serve.plancache import PROCESS_CACHE
 
 WIDTH, HEIGHT = 32, 24
@@ -90,7 +90,7 @@ def test_both_doors_build_the_same_plan(
     inputs = _inputs("Harris")
     shaping = {"naive_borders": naive_borders}
     if mode == "explicit":
-        shaping["partition"] = runner.partition_for(graph, GTX680, "basic")
+        shaping["partition"] = partition_for(graph, GTX680, "basic")
     elif mode == "staged":
         shaping["fuse"] = False
     direct_builds, served_builds = _count_builds(monkeypatch)
@@ -123,7 +123,7 @@ def test_both_doors_build_the_same_plan(
 
 
 def test_identical_fresh_graph_does_not_fuse_again(monkeypatch):
-    fusions = count_calls(monkeypatch, runner, "partition_for")
+    fusions = count_calls(monkeypatch, plancache, "partition_for")
     inputs = _inputs()
     first = run(_graph(), inputs)
     assert len(fusions) == 1
@@ -177,7 +177,7 @@ def test_lowering_knob_change_replans_a_fresh_graph(
 
 @needs_cc
 def test_cache_resets_empty_the_process_cache(monkeypatch):
-    fusions = count_calls(monkeypatch, runner, "partition_for")
+    fusions = count_calls(monkeypatch, plancache, "partition_for")
     plans = _count_tape_plans(monkeypatch)
     natives = count_calls(monkeypatch, native_exec, "_build_native_partition")
     options = ExecutionOptions(engine="native")
