@@ -1342,16 +1342,12 @@ def verify_native_blocks(blocks) -> List[Diagnostic]:
 
 
 def verify_native_plan(plan) -> List[Diagnostic]:
-    """Check a ``NativePartitionPlan`` or ``NativeBlockPlan``.
+    """Check a ``NativePartitionPlan``.
 
     Tape-fallback blocks carry no native code and are skipped; a fully
     fallen-back plan therefore verifies vacuously (the tape interpreter
     indexes through NumPy, whose bounds are checked dynamically).
     """
-    blocks = getattr(plan, "blocks", None)
-    if blocks is not None:  # partition plan
-        return verify_native_blocks(
-            native for _plan, native in blocks if native is not None
-        )
-    native = getattr(plan, "native", None)
-    return verify_native_blocks([native] if native is not None else [])
+    return verify_native_blocks(
+        native for _plan, native in plan.blocks if native is not None
+    )

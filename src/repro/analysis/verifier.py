@@ -33,7 +33,7 @@ the serving runtime marks the cached entries it verified.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -51,7 +51,7 @@ from repro.backend.plan import (
 )
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.graph.dag import KernelGraph
-from repro.graph.partition import PartitionBlock
+from repro.graph.partition import Partition, PartitionBlock
 from repro.ir.expr import SFU_ARITY
 
 #: Every opcode the tape executor dispatches on.
@@ -450,15 +450,9 @@ def verify_block_plan(
                             image=image,
                         )
                     )
-        if plan.kind == "kernel":
-            reference = compile_kernel(plan.destination)
-        else:
-            reference = compile_block(
-                graph,
-                block,
-                naive_borders=plan.naive_borders,
-                apply_reduction=False,
-            )
+        reference = compile_block(
+            graph, block, naive_borders=plan.naive_borders
+        )
         found.extend(_diff_tapes(plan, reference, label))
     elif plan.kind == "kernel":
         found.extend(_diff_tapes(plan, compile_kernel(plan.destination), label))
@@ -466,44 +460,45 @@ def verify_block_plan(
 
 
 def verify_partition_plan(
-    plan: PartitionPlan,
-    graph: Optional[KernelGraph] = None,
+    plan: PartitionPlan, graph: KernelGraph
 ) -> List[Diagnostic]:
     """All static invariants of a compiled partition plan.
 
-    ``graph`` is the graph the caller *intends* to execute; when given,
-    its structural signature must match the plan's own graph
-    (``PLAN003``) — the check the serving plan cache runs on insert.
+    ``graph`` is the graph the caller *intends* to execute — the plan
+    keeps only names, so the partition is rebuilt over it from the
+    plan's block signature — and its structural signature must be the
+    one the plan was compiled for (``PLAN003``, the check the serving
+    plan cache runs on insert).
     """
     found: List[Diagnostic] = []
-    own = plan.graph
-
-    if graph is not None and (
-        graph.structural_signature() != own.structural_signature()
-    ):
+    if graph.structural_signature() != plan.graph_signature:
         found.append(
             diag(
                 "PLAN003",
                 "plan was compiled for a structurally different graph",
-                plan_signature=own.structural_signature(),
+                plan_signature=plan.graph_signature,
                 graph_signature=graph.structural_signature(),
             )
         )
 
-    covered = {v for b in plan.partition for v in b.vertices}
-    if covered != set(own.kernel_names):
+    covered = {name for names in plan.partition_signature for name in names}
+    if covered != set(graph.kernel_names):
         found.append(
             diag(
                 "PLAN003",
                 "partition does not cover the graph: "
-                f"{sorted(set(own.kernel_names) ^ covered)} mismatched",
-                missing=sorted(set(own.kernel_names) - covered),
-                extra=sorted(covered - set(own.kernel_names)),
+                f"{sorted(set(graph.kernel_names) ^ covered)} mismatched",
+                missing=sorted(set(graph.kernel_names) - covered),
+                extra=sorted(covered - set(graph.kernel_names)),
             )
         )
         return found
 
-    schedule = block_schedule(own, plan.partition)
+    partition = Partition(
+        graph,
+        [PartitionBlock(graph, names) for names in plan.partition_signature],
+    )
+    schedule = block_schedule(graph, partition)
     if len(schedule) != len(plan.plans) or len(plan.deps) != len(plan.plans):
         found.append(
             diag(
@@ -528,7 +523,7 @@ def verify_partition_plan(
         }
         expected_deps.append(deps)
         for name in block.vertices:
-            producer_block[own.kernel(name).output.name] = index
+            producer_block[graph.kernel(name).output.name] = index
 
     outputs_seen: dict = {}
     for index, (block, block_plan) in enumerate(zip(schedule, plan.plans)):
@@ -558,10 +553,10 @@ def verify_partition_plan(
                 )
             )
         outputs_seen[label] = index
-        found.extend(verify_block_plan(block_plan, graph=own, block=block))
+        found.extend(verify_block_plan(block_plan, graph=graph, block=block))
 
     produced = set(outputs_seen)
-    missing = set(own.external_outputs) - produced
+    missing = set(graph.external_outputs) - produced
     if missing:
         found.append(
             diag(
@@ -572,14 +567,3 @@ def verify_partition_plan(
             )
         )
     return found
-
-
-def verify_plan(
-    plan,
-    graph: Optional[KernelGraph] = None,
-    block: Optional[PartitionBlock] = None,
-) -> List[Diagnostic]:
-    """Dispatch on plan type (convenience for callers holding either)."""
-    if isinstance(plan, PartitionPlan):
-        return verify_partition_plan(plan, graph=graph)
-    return verify_block_plan(plan, graph=graph, block=block)

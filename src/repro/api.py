@@ -6,9 +6,10 @@
 ...           options=ExecutionOptions(engine="native"))  # compiled C
 >>> env = run("Harris", {"src": image})                   # by app name
 
-:func:`run` and :func:`run_block` are the only ways to execute a
-pipeline.  :class:`ExecutionOptions` carries everything that shapes a
-call: the execution engine, intra-request parallelism, an optional
+:func:`run` is the one way to execute a pipeline, and :func:`run_block`
+runs one block through it.  :class:`ExecutionOptions` carries
+everything that shapes a call: the execution engine, intra-request
+parallelism, an optional
 :class:`~repro.serve.runtime.ServingRuntime` to route through, a
 per-call validation level, the fusion configuration (version / GPU
 model / benefit constants) or an explicit
@@ -27,14 +28,20 @@ a direct call uses the process-wide cache, a serving runtime its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
 from repro.backend import engines
-from repro.backend.numpy_exec import Arrays, ExecutionError, Params
+from repro.backend.numpy_exec import (
+    Arrays,
+    ExecutionError,
+    Params,
+    _execute_block_recursive,
+)
+from repro.backend.plan import memo
 from repro.envknobs import VALIDATE_MODES, validate_override
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
@@ -217,21 +224,52 @@ def run_block(
     options: ExecutionOptions | None = None,
     call_counter: Dict[str, int] | None = None,
 ) -> np.ndarray:
-    """Run one partition block with fused-kernel semantics.
+    """Run one partition block with fused-kernel semantics; returns
+    the destination's image.
+
+    A fused block is a kernel whose signature is the block's external
+    inputs and its destination's output (Listing 1b), so this is
+    :func:`run` on the block's own kernels as a one-block partition:
+    engine, runtime, validation, resilience, the plan cache and the plan
+    record apply exactly as they do to a pipeline.  The block's graph is
+    memoized on ``graph``.
 
     ``call_counter`` (when given) is filled with per-kernel
-    re-evaluation counts and forces the recursive engine — the counts
+    re-evaluation counts by the recursive block walk — the counts
     instrument *its* evaluation order (the tape engine deduplicates
     producer evaluations by grid).
     """
     opts = options or ExecutionOptions()
-    naive = bool(opts.naive_borders)
-    with validate_override(opts.validate):
-        if call_counter is not None:
-            plan = engines.ORACLE.plan_block(graph, block, naive)
-            return plan.execute(arrays, params, call_counter=call_counter)
-        plan = engines.resolve(opts.engine).plan_block(graph, block, naive)
-        return plan.execute(arrays, params)
+    if call_counter is not None:
+        naive = bool(opts.naive_borders)
+        return _execute_block_recursive(
+            graph, block, arrays, params, naive, call_counter=call_counter
+        )
+    own, partition, output = memo(
+        graph, ("block", block.signature()), lambda: _block_graph(graph, block)
+    )
+    inputs = {
+        name: arrays[name] for name in own.pipeline_inputs() if name in arrays
+    }
+    env = run(own, inputs, params, options=replace(opts, partition=partition))
+    return env[output]
+
+
+def _block_graph(graph: KernelGraph, block: PartitionBlock) -> tuple:
+    """``(graph, partition, image)``: ``block`` as a pipeline of its own,
+    that pipeline's one-block partition, and the destination's image.
+    Legality is the parent's: a member output read outside the block is
+    a second destination."""
+    destinations = block.destination_kernels()
+    if len(destinations) != 1:
+        raise ExecutionError(
+            f"block {sorted(block.vertices)} has no unique destination"
+        )
+    own = KernelGraph(
+        [graph.kernel(name) for name in block.ordered_vertices()]
+    )
+    partition = Partition(own, [PartitionBlock(own, own.kernel_names)])
+    return own, partition, graph.kernel(destinations[0]).output.name
 
 
 #: The registry bare names resolve against — built once, so an entry's

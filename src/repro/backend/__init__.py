@@ -2,8 +2,9 @@
 
 Three engines execute a fused partition, and bit-identity between them
 is the repo's form of the paper's claim; :mod:`repro.backend.engines`
-is the one table naming them, fastest first, and
-:func:`repro.api.run` / :func:`repro.api.run_block` the one way in.
+is the one table naming them, fastest first, and :func:`repro.api.run`
+the one way in (:func:`repro.api.run_block` runs one block through it
+as a one-block partition of the block's own kernels).
 
 * :mod:`repro.backend.native_exec` — ``"native"``, the fast path: block
   tapes lowered to tiled, optionally OpenMP-parallel C kernels,
@@ -41,7 +42,6 @@ from repro.backend.roofline import (
 from repro.backend.cpu_exec import clear_compile_cache, compiler_available
 from repro.backend.launch import PipelineTiming, simulate_partition, simulate_runs
 from repro.backend.native_exec import (
-    NativeBlockPlan,
     NativeLoweringError,
     NativePartitionPlan,
     NativeVerificationError,
@@ -49,7 +49,6 @@ from repro.backend.native_exec import (
     lower_block_source,
     lower_partition_source,
     native_available,
-    native_plan_for_block,
     native_plan_for_partition,
 )
 from repro.backend.memsim import KernelCostBreakdown, estimate_kernel_time
@@ -66,7 +65,6 @@ from repro.backend.plan import (
     clear_plan_caches,
     compile_block,
     compile_kernel,
-    plan_for_block,
     plan_for_partition,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "BlockPlan",
     "ExecutionError",
     "GridStore",
-    "NativeBlockPlan",
     "NativeLoweringError",
     "NativePartitionPlan",
     "NativeVerificationError",
@@ -100,10 +97,8 @@ __all__ = [
     "lower_block_source",
     "lower_partition_source",
     "native_available",
-    "native_plan_for_block",
     "native_plan_for_partition",
     "pipeline_roofline",
-    "plan_for_block",
     "plan_for_partition",
     "recursion_headroom",
     "simulate_partition",

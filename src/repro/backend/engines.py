@@ -4,7 +4,7 @@ One ordered tuple, fastest first.  Its order *is* the degradation
 ladder: an engine that is unavailable on this host, or that fails under
 a resilience policy, hands the request to the entry after it — every
 entry computes the same result, so that costs time, never correctness.
-:func:`repro.api.run` / :func:`repro.api.run_block`,
+:func:`repro.api.run` (and through it :func:`repro.api.run_block`),
 :class:`repro.serve.runtime.ServingRuntime` and
 :func:`repro.serve.resilience.ladder_from` all read this object.
 """
@@ -12,16 +12,14 @@ entry computes the same result, so that costs time, never correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Tuple
 
 from repro.backend import native_exec
 from repro.backend.numpy_exec import (
     ExecutionError,
-    _execute_block_recursive,
     _execute_partitioned_recursive,
 )
-from repro.backend.plan import plan_for_block, plan_for_partition
+from repro.backend.plan import plan_for_partition
 from repro.envknobs import choice_env
 
 
@@ -33,30 +31,27 @@ class UnknownEngineError(ExecutionError, ValueError):
 
 @dataclass(frozen=True)
 class Engine:
-    """One entry: ``plan_partition(graph, partition, naive_borders)`` and
-    ``plan_block(graph, block, naive_borders)`` build objects whose
-    ``.execute(arrays, params, ...)`` runs them."""
+    """One entry: ``plan_partition(graph, partition, naive_borders)``
+    builds an object whose ``.execute(inputs, params, workers)`` runs
+    it."""
 
     name: str
     available: Callable[[], bool]
     plan_partition: Callable[..., Any]
-    plan_block: Callable[..., Any]
 
 
 @dataclass(frozen=True)
 class _Walk:
-    """A recursive oracle walk in plan clothing (nothing is compiled:
+    """The recursive oracle walk in plan clothing (nothing is compiled:
     the walk interprets the graph on every call)."""
 
-    walk: Callable[..., Any]
     graph: Any
-    part: Any  # the Partition or PartitionBlock walked
+    partition: Any
     naive_borders: bool = False
 
-    def execute(self, arrays, params=None, workers=None, **instrumentation):
-        return self.walk(
-            self.graph, self.part, arrays, params, self.naive_borders,
-            **instrumentation,
+    def execute(self, inputs, params=None, workers=None):
+        return _execute_partitioned_recursive(
+            self.graph, self.partition, inputs, params, self.naive_borders
         )
 
 
@@ -68,21 +63,14 @@ ENGINES: Tuple[Engine, ...] = (
         # compiler-less host by patching ``native_exec.native_available``.
         lambda: native_exec.native_available(),
         native_exec.native_plan_for_partition,
-        native_exec.native_plan_for_block,
     ),
-    Engine("tape", lambda: True, plan_for_partition, plan_for_block),
-    Engine(
-        "recursive",
-        lambda: True,
-        partial(_Walk, _execute_partitioned_recursive),
-        partial(_Walk, _execute_block_recursive),
-    ),
+    Engine("tape", lambda: True, plan_for_partition),
+    Engine("recursive", lambda: True, _Walk),
 )
 
 ENGINE_NAMES: Tuple[str, ...] = tuple(engine.name for engine in ENGINES)
 
-#: The reference every differential test compares against — and the
-#: only engine whose evaluation order ``call_counter`` instruments.
+#: The reference every differential test compares against.
 ORACLE: Engine = ENGINES[-1]
 
 #: Default engine; override per call (``ExecutionOptions.engine``) or

@@ -15,9 +15,11 @@ object per block, one linked library per partition) and driven via
 :mod:`repro.backend.native_lower` writes the kernels (tape → loop-nest
 IR → C text: classic, tile2d, hoisting; no compiler needed);
 :mod:`repro.backend.native_bind` calls them (:class:`NativeBlock`, the
-thread budget, channels as a stride); this module owns the plan objects, the
-build, the memo getters, the tolerance policy and
-:func:`lowering_knobs`, and re-exports the others' public names.
+thread budget, channels as a stride); this module owns the plan object
+(:class:`NativePartitionPlan` — one block alone is a one-block
+partition, :func:`repro.api.run_block`), its build and memo getter, the
+tolerance policy and :func:`lowering_knobs`, and re-exports the others'
+public names.
 
 **One schedule.**  A plan runs its blocks one after another in the tape
 plan's schedule order, each compiled call on the caller's whole share
@@ -89,8 +91,6 @@ from repro.backend.native_lower import (
     NativeLoweringError,
     _BlockSpec,
     _PREAMBLE,
-    _block_fn_name,
-    _lower_block,
     _lower_partition,
     lower_block_source,
     lower_partition_source,
@@ -102,11 +102,10 @@ from repro.backend.plan import (
     PartitionPlan,
     forget_plans,
     memo,
-    plan_for_block,
     plan_for_partition,
 )
 from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition, PartitionBlock
+from repro.graph.partition import Partition
 
 __all__ = [
     "F32_ATOL",
@@ -115,7 +114,6 @@ __all__ = [
     "NATIVE_THREADS_ENV",
     "NATIVE_TILE2D_ENV",
     "NativeBlock",
-    "NativeBlockPlan",
     "NativeLoweringError",
     "NativePartitionPlan",
     "NativeVerificationError",
@@ -126,7 +124,6 @@ __all__ = [
     "lower_partition_source",
     "lowering_knobs",
     "native_available",
-    "native_plan_for_block",
     "native_plan_for_partition",
     "noncontiguous_zero_copy_count",
     "reset_noncontiguous_zero_copy",
@@ -254,7 +251,8 @@ class NativePartitionPlan:
     every block) run the tape interpreter.  Under
     ``REPRO_VALIDATE=strict`` the first execution is differentially
     verified against the tape under the pinned tolerance policy
-    (:func:`tolerance_for`).
+    (:func:`tolerance_for`).  Like the tape plan it holds, it never
+    refers to the graph whose memo holds it.
     """
 
     def __init__(
@@ -268,8 +266,6 @@ class NativePartitionPlan:
         polymorphic: bool = False,
     ):
         self.plan = plan
-        self.graph = plan.graph
-        self.partition = plan.partition
         self.blocks = blocks
         #: Wall-clock spent lowering + compiling (0 when fully cached).
         self.compile_ms = compile_ms
@@ -443,42 +439,6 @@ class NativePartitionPlan:
         return result
 
 
-class NativeBlockPlan:
-    """A single block under ``run_block`` semantics, native first.
-
-    The native counterpart of
-    :func:`repro.backend.plan.plan_for_block`'s result: runs the
-    compiled loop nest when one exists, the tape otherwise, with the
-    same strict-mode first-execution differential verification as
-    :class:`NativePartitionPlan`.
-    """
-
-    def __init__(self, plan: BlockPlan, native: Optional[NativeBlock]):
-        self.plan = plan
-        self.native = native
-        self.output_name = plan.output_name
-        self.tolerance = tolerance_for([plan])
-        self._verify = _VerifyOnce()
-
-    def execute(
-        self, arrays: Arrays, params: Params | None = None
-    ) -> np.ndarray:
-        """Run the block over bound arrays; returns the output array."""
-        params = params or {}
-        if self.native is None:
-            return self.plan.execute(arrays, params)
-        result = self.native.execute(arrays, params)
-        self._verify.run(
-            lambda: assert_native_equiv(
-                self.plan.execute(arrays, params),
-                result,
-                self.tolerance,
-                context=self.output_name,
-            )
-        )
-        return result
-
-
 # ---------------------------------------------------------------------------
 # Plan construction + caches
 # ---------------------------------------------------------------------------
@@ -614,49 +574,7 @@ def native_plan_for_partition(
     )
 
 
-def _build_native_block(
-    graph: KernelGraph, block: PartitionBlock, block_plan: BlockPlan
-) -> NativeBlockPlan:
-    try:
-        spec = _lower_block(
-            block_plan, _block_fn_name(0, block_plan), graph=graph, block=block
-        )
-    except NativeLoweringError:
-        spec = None
-    library, _, _, openmp = _compile_specs([spec])
-    native = None
-    if spec is not None and library is not None:
-        native = NativeBlock(
-            block_plan, spec, getattr(library, spec.fn_name), openmp
-        )
-    if native is not None and validate_mode() == "strict":
-        _sanitize_natives([native])
-    return NativeBlockPlan(block_plan, native)
-
-
-def native_plan_for_block(
-    graph: KernelGraph,
-    block: PartitionBlock,
-    naive_borders: bool = False,
-) -> NativeBlockPlan:
-    """The (cached) native plan of one block (``run_block``
-    semantics: the destination body is never reduced)."""
-
-    def build() -> NativeBlockPlan:
-        fault_check("native.compile")
-        return _build_native_block(
-            graph, block, plan_for_block(graph, block, naive_borders)
-        )
-
-    return memo(
-        graph,
-        ("native-block", block.signature(), bool(naive_borders))
-        + lowering_knobs(),
-        build,
-    )
-
-
 def clear_native_caches() -> None:
     """Drop every memoized native plan (tests, knob changes) and empty
     the process-wide plan cache; tape plans and grid stores stay."""
-    forget_plans(lambda key: key[0].startswith("native"))
+    forget_plans(lambda key: key[0] == "native")

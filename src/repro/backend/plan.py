@@ -454,9 +454,9 @@ def _release_schedule(tape: List[Instr], root: int) -> Tuple[Tuple[int, ...], ..
 class BlockPlan:
     """A compiled partition block: instruction tape + metadata.
 
-    ``apply_reduction`` distinguishes the two call sites of the
-    reference engine: ``execute_kernel`` reduces global operators,
-    ``run_block`` evaluates the destination body as-is.
+    ``apply_reduction`` says whether a global destination is reduced:
+    a singleton block has ``execute_kernel`` semantics (it is), a fused
+    block evaluates its destination body as-is.
     """
 
     def __init__(
@@ -633,14 +633,10 @@ def compile_block(
     block: PartitionBlock,
     naive_borders: bool = False,
     store: GridStore | None = None,
-    apply_reduction: bool = False,
 ) -> BlockPlan:
-    """Compile a partition block (``run_block`` semantics).
-
-    Singleton blocks with ``apply_reduction=True`` get ``execute_kernel``
-    semantics instead — the behaviour of ``run``.
-    """
-    if len(block) == 1 and apply_reduction:
+    """Compile a partition block; a singleton block is its kernel
+    (``execute_kernel`` semantics: global operators are reduced)."""
+    if len(block) == 1:
         (name,) = block.vertices
         return compile_kernel(graph.kernel(name), store)
     producer_of = {
@@ -683,7 +679,12 @@ def _op_histogram(tape: List[Instr]) -> Dict[str, int]:
 
 class PartitionPlan:
     """A fully compiled partition: one :class:`BlockPlan` per block plus
-    the inter-block dependence structure for parallel scheduling."""
+    the inter-block dependence structure for parallel scheduling.
+
+    The plan keeps the names of what it was compiled from, not the
+    objects: it lives in its graph's memo, so a reference back would
+    make graph and plan a cycle only the collector frees.
+    """
 
     def __init__(
         self,
@@ -692,8 +693,11 @@ class PartitionPlan:
         naive_borders: bool = False,
         store: GridStore | None = None,
     ):
-        self.graph = graph
-        self.partition = partition
+        #: :meth:`Partition.signature` — the block member names, in
+        #: partition order.
+        self.partition_signature = partition.signature()
+        #: :meth:`KernelGraph.structural_signature` of the graph compiled.
+        self.graph_signature = graph.structural_signature()
         self.store = store or GridStore()
         #: Whether the static plan verifier passed this plan (see
         #: :meth:`ensure_verified`), and the wall-clock it took.
@@ -706,11 +710,7 @@ class PartitionPlan:
         self.deps: List[Set[int]] = []
         for index, block in enumerate(schedule):
             plan = compile_block(
-                graph,
-                block,
-                naive_borders=naive_borders,
-                store=self.store,
-                apply_reduction=True,
+                graph, block, naive_borders=naive_borders, store=self.store
             )
             deps = {
                 producer_block[image]
@@ -764,17 +764,26 @@ class PartitionPlan:
             ).hexdigest()
         return self._tape_digest
 
-    def ensure_verified(self) -> None:
-        """Run the static plan verifier unless this plan already passed
-        it — strict mode's "verified before first use", paid once per
+    def ensure_verified(self, graph: KernelGraph) -> None:
+        """Run the static plan verifier against ``graph`` (the one this
+        plan was compiled from) unless this plan already passed it —
+        strict mode's "verified before first use", paid once per
         artifact.  Raises
         :class:`repro.analysis.verifier.PlanVerificationError`.
         """
-        if not self.verified:
-            started = time.perf_counter()
-            _verify(self, self.graph)
-            self.verify_ms = (time.perf_counter() - started) * 1e3
-            self.verified = True
+        if self.verified:
+            return
+        # Imported here: the verifier sits above this module (it
+        # recompiles reference tapes through :func:`compile_block`).
+        from repro.analysis.verifier import enforce, verify_partition_plan
+
+        started = time.perf_counter()
+        enforce(
+            verify_partition_plan(self, graph=graph),
+            context=f"graph {self.graph_signature[:12]}",
+        )
+        self.verify_ms = (time.perf_counter() - started) * 1e3
+        self.verified = True
 
 
 def run_block_dag(
@@ -845,11 +854,14 @@ def resolve_workers(workers: int | None = None) -> int:
 # A graph owns what is compiled from it: ``graph.__dict__["_plan_memo"]``
 # (kept where ``KernelGraph._signature_cache`` is) is one table — the
 # interned grids under ``("grids",)``, each tape and native plan under
-# ``(kind, partition/block shape, ...)`` — and one lock, all collected
-# with the graph.  The lock being the graph's, a plan is compiled once
-# however many threads race to it while cold builds of different graphs
-# overlap; it is re-entrant because a native build fetches its tape plan,
-# and a tape build the grids, from the same memo.
+# ``("tape" | "native", partition shape, ...)``, the graph of a block
+# run on its own (:func:`repro.api.run_block`) under ``("block",
+# members)`` — and one lock.  Nothing in the table refers back to the
+# graph, so it is all freed with the graph by reference counting.  The
+# lock being the graph's, a plan is compiled once however many threads
+# race to it while cold builds of different graphs overlap; it is
+# re-entrant because a native build fetches its tape plan, and a tape
+# build the grids, from the same memo.
 
 #: The graphs carrying a memo — weakly, only so the resets can reach
 #: them.  The lock guards membership, never a build.
@@ -901,21 +913,6 @@ def forget_plans(
         PROCESS_CACHE.clear()
 
 
-def _verify(plan, graph: KernelGraph, block=None) -> None:
-    """Run the static plan verifier on ``plan``; raises
-    :class:`repro.analysis.verifier.PlanVerificationError` on failure.
-
-    Imported lazily: the verifier sits above this module (it recompiles
-    reference tapes through :func:`compile_block`).
-    """
-    from repro.analysis.verifier import enforce, verify_plan
-
-    enforce(
-        verify_plan(plan, graph=graph, block=block),
-        context=f"graph {graph.structural_signature()[:12]}",
-    )
-
-
 def plan_for_partition(
     graph: KernelGraph,
     partition: Partition,
@@ -942,37 +939,11 @@ def plan_for_partition(
         if proved_digest is not None:
             plan.verified = plan.tape_digest() == proved_digest
         if validate_mode() == "strict":
-            plan.ensure_verified()
+            plan.ensure_verified(graph)
         return plan
 
     return memo(
         graph, ("tape", partition.signature(), bool(naive_borders)), build
-    )
-
-
-def plan_for_block(
-    graph: KernelGraph,
-    block: PartitionBlock,
-    naive_borders: bool = False,
-) -> BlockPlan:
-    """The (cached) compiled plan of one block (``run_block``
-    semantics: the destination body is never reduced)."""
-
-    def build() -> BlockPlan:
-        fault_check("plan.compile")
-        plan = compile_block(
-            graph,
-            block,
-            naive_borders=naive_borders,
-            store=memo(graph, ("grids",), GridStore),
-            apply_reduction=False,
-        )
-        if validate_mode() == "strict":
-            _verify(plan, graph, block)
-        return plan
-
-    return memo(
-        graph, ("tape-block", block.signature(), bool(naive_borders)), build
     )
 
 

@@ -126,43 +126,6 @@ class FusedKernel(Kernel):
         """The original kernels, in topological order."""
         return [self.source_graph.kernel(n) for n in self.member_names]
 
-    def plan(self, naive_borders: bool = False):
-        """The compiled instruction-tape plan of this fused kernel.
-
-        Compilation is cached per (graph, block, border mode) — see
-        :func:`repro.backend.plan.plan_for_block` — so repeated
-        executions reuse the flattened tape and its interned grids.
-        """
-        from repro.backend.plan import plan_for_block
-
-        return plan_for_block(
-            self.source_graph, self.block, naive_borders=naive_borders
-        )
-
-    def execute(
-        self,
-        arrays,
-        params=None,
-        naive_borders: bool = False,
-        engine: str | None = None,
-    ):
-        """Execute the fused kernel over bound arrays.
-
-        Routes through :func:`repro.api.run_block`, so the ``engine``
-        switch (tape by default) applies.
-        """
-        from repro.api import ExecutionOptions, run_block
-
-        return run_block(
-            self.source_graph,
-            self.block,
-            arrays,
-            params,
-            options=ExecutionOptions(
-                engine=engine, naive_borders=naive_borders
-            ),
-        )
-
     def __repr__(self) -> str:
         return (
             f"FusedKernel({'+'.join(self.member_names)}, "

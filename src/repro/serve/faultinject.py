@@ -12,8 +12,8 @@ knob, fires at named **sites** instrumented throughout the stack:
 site                      instrumented where
 ========================  ====================================================
 ``fuse``                  partitioning a graph (runtime / ``repro.api``)
-``plan.compile``          tape compilation (:func:`repro.backend.plan.
-                          plan_for_partition` / ``plan_for_block`` miss)
+``plan.compile``          tape compilation (a :func:`repro.backend.plan.
+                          plan_for_partition` miss)
 ``native.compile``        native-plan build (:mod:`repro.backend.native_exec`)
 ``cc.compile``            the C compiler invocation (:mod:`repro.backend.
                           cpu_exec`)

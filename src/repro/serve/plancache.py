@@ -615,7 +615,7 @@ def validate_plan(entry: CachedPlan, stage: Stage = call_stage) -> None:
         entry.timings_ms["native_verify_ms"] = native_plan.verify_ms
     if plan is not None:
         if not plan.verified:
-            stage("verify", plan.ensure_verified)
+            stage("verify", lambda: plan.ensure_verified(entry.graph))
             caught_up = True
         entry.timings_ms["verify_ms"] = plan.verify_ms
     if caught_up and entry.record is not None:

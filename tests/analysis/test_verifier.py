@@ -181,7 +181,7 @@ class TestVerifyPartitionPlan:
         plan = plan_for_partition(graph, partition)
         dependent = next(i for i, d in enumerate(plan.deps) if d)
         plan.deps[dependent] = set()
-        found = verify_partition_plan(plan)
+        found = verify_partition_plan(plan, graph=graph)
         assert "PLAN001" in codes(found)
         clear_plan_caches()
 

@@ -25,13 +25,14 @@ tests run everywhere.
 """
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import chain_pipeline, random_image
 
-from repro.api import ExecutionOptions, run
+from repro.api import ExecutionOptions, run, run_block
 from repro.apps import ALL_APPS, APPLICATIONS
 from repro.backend import native_exec, native_lower
 from repro.backend.native_exec import (
@@ -41,13 +42,12 @@ from repro.backend.native_exec import (
     lower_block_source,
     lower_partition_source,
     native_available,
-    native_plan_for_block,
     native_plan_for_partition,
     resolve_native_threads,
     tolerance_for,
 )
 from repro.backend.numpy_exec import block_schedule
-from repro.backend.plan import plan_for_block
+from repro.backend.plan import plan_for_partition
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
@@ -131,6 +131,19 @@ def _partitions_for(graph, app_name):
         )
         partitions[f"random{seed}"] = _random_partition(graph, rng)
     return partitions
+
+
+NATIVE = ExecutionOptions(engine="native")
+TAPE = ExecutionOptions(engine="tape")
+
+
+def _alone(graph, block, **kwargs):
+    """``(block plan, native block)`` of ``block`` — the whole of
+    ``graph`` — compiled as a one-block partition, which is what
+    ``run_block`` runs."""
+    partition = Partition(graph, [block])
+    (pair,) = native_plan_for_partition(graph, partition, **kwargs).blocks
+    return pair
 
 
 def _assert_env_equiv(native, expected, tolerance, context):
@@ -218,22 +231,25 @@ class TestBoundaryAndThreads:
         graph = chain_pipeline(("l", "l", "l"), 12, 10, boundary=mode).build()
         data = {"img0": random_image(12, 10, seed=21)}
         block = PartitionBlock(graph, {"k0", "k1", "k2"})
-        nplan = native_plan_for_block(graph, block)
-        assert nplan.native is not None
-        assert nplan.tolerance is None
-        tape = plan_for_block(graph, block).execute(dict(data), {})
-        np.testing.assert_array_equal(nplan.execute(data), tape)
+        block_plan, native = _alone(graph, block)
+        assert native is not None
+        assert tolerance_for([block_plan]) is None
+        np.testing.assert_array_equal(
+            run_block(graph, block, data, options=NATIVE),
+            run_block(graph, block, data, options=TAPE),
+        )
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: str(m))
     def test_naive_borders_block(self, mode):
         graph = chain_pipeline(("l", "l"), 10, 9, boundary=mode).build()
         data = {"img0": random_image(10, 9, seed=22)}
         block = PartitionBlock(graph, {"k0", "k1"})
-        nplan = native_plan_for_block(graph, block, naive_borders=True)
-        tape = plan_for_block(graph, block, naive_borders=True).execute(
-            dict(data), {}
+        assert _alone(graph, block, naive_borders=True)[1] is not None
+        naive = {"naive_borders": True}
+        np.testing.assert_array_equal(
+            run_block(graph, block, data, options=replace(NATIVE, **naive)),
+            run_block(graph, block, data, options=replace(TAPE, **naive)),
         )
-        np.testing.assert_array_equal(nplan.execute(data), tape)
 
     def test_threaded_rows_bit_identical(self, monkeypatch):
         # Row tiles are independent: OpenMP scheduling must not change
@@ -282,14 +298,12 @@ class TestTolerancePolicy:
     def test_exact_tape_demands_bit_equality(self):
         graph = chain_pipeline(("l", "l"), 8, 8).build()
         block = PartitionBlock(graph, {"k0", "k1"})
-        assert tolerance_for([plan_for_block(graph, block)]) is None
+        plan = plan_for_partition(graph, Partition(graph, [block]))
+        assert tolerance_for(plan.plans) is None
 
     def test_transcendental_tape_gets_libm_tolerance(self):
         graph, _ = _build("Enhance")  # gamma curve: pow/exp territory
-        plans = [
-            plan_for_block(graph, block)
-            for block in Partition.singletons(graph).blocks
-        ]
+        plans = plan_for_partition(graph, Partition.singletons(graph)).plans
         assert tolerance_for(plans) == (
             native_exec.LIBM_RTOL,
             native_exec.LIBM_ATOL,
@@ -371,13 +385,14 @@ class TestFallbacks:
         # geometry; a float32 request transparently reruns the tape.
         graph = chain_pipeline(("l", "l"), 10, 8).build()
         block = PartitionBlock(graph, {"k0", "k1"})
-        nplan = native_plan_for_block(graph, block)
-        assert nplan.native is not None
+        assert _alone(graph, block)[1] is not None
         data32 = {
             "img0": random_image(10, 8, seed=32).astype(np.float32)
         }
-        tape = plan_for_block(graph, block).execute(dict(data32), {})
-        np.testing.assert_array_equal(nplan.execute(data32), tape)
+        np.testing.assert_array_equal(
+            run_block(graph, block, data32, options=NATIVE),
+            run_block(graph, block, data32, options=TAPE),
+        )
 
     @needs_cc
     def test_strict_mode_verifies_first_execution(self, monkeypatch):
@@ -417,21 +432,27 @@ class TestNativePlanCaching:
         # The compile flags are an input of the build like any other:
         # toggling them in-process must yield a new plan and a new .so
         # for an already-planned graph, not the cached plan.
+        from repro.apps import request_inputs
         from repro.backend.cpu_exec import CACHE_ENV, compile_cache_stats
+        from repro.serve.plancache import PROCESS_CACHE
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
         graph = APPLICATIONS["Sobel"].build(96, 64).build()
+        inputs = request_inputs(APPLICATIONS["Sobel"], 96, 64, seed=0)
         partition = partition_for(graph, GTX680, "optimized")
         block = block_schedule(graph, partition)[0]
         plan_a = native_plan_for_partition(graph, partition)
-        block_a = native_plan_for_block(graph, block)
+        block_a = run_block(graph, block, inputs, options=NATIVE)
+        misses = PROCESS_CACHE.stats()["misses"]
         libraries = compile_cache_stats()["libraries"]
         monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O1")
         plan_b = native_plan_for_partition(graph, partition)
         assert plan_b is not plan_a
         assert compile_cache_stats()["libraries"] == libraries + 1
-        assert native_plan_for_block(graph, block) is not block_a
+        block_b = run_block(graph, block, inputs, options=NATIVE)
+        assert PROCESS_CACHE.stats()["misses"] == misses + 1
+        np.testing.assert_array_equal(block_b, block_a)
         monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
         assert native_plan_for_partition(graph, partition) is plan_a
 
@@ -440,7 +461,8 @@ class TestLoweredSource:
     def test_source_is_inspectable_without_compiler(self):
         graph = chain_pipeline(("l", "l"), 8, 8).build()
         block = PartitionBlock(graph, {"k0", "k1"})
-        source = lower_block_source(plan_for_block(graph, block))
+        plan = plan_for_partition(graph, Partition(graph, [block]))
+        source = lower_block_source(plan.plans[0])
         assert "repro_block" in source
         assert "-ffp-contract=off" in source  # contract documented
         assert "idx_clamp" in source
@@ -475,40 +497,44 @@ class TestTile2DEquivalence:
     def test_matrix_bit_identical(self, monkeypatch, mode, setting, threads):
         graph, block = self._chain(mode)
         data = {"img0": random_image(44, 30, seed=31)}
-        tape = plan_for_block(graph, block).execute(dict(data), {})
+        tape = run_block(graph, block, data, options=TAPE)
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
         monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-        nplan = native_plan_for_block(graph, block)
-        assert nplan.native is not None
-        assert nplan.tolerance is None  # convolution chain: exact
-        np.testing.assert_array_equal(nplan.execute(dict(data)), tape)
+        block_plan, native = _alone(graph, block)
+        assert native is not None
+        assert tolerance_for([block_plan]) is None  # convolution: exact
+        np.testing.assert_array_equal(
+            run_block(graph, block, data, options=NATIVE), tape
+        )
 
     def test_knob_selects_the_lowering(self, monkeypatch):
         graph, block = self._chain()
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", "4x32")
-        explicit = native_plan_for_block(graph, block)
-        assert explicit.native.spec.tile2d == (4, 32)
+        _, explicit = _alone(graph, block)
+        assert explicit.spec.tile2d == (4, 32)
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", "off")
-        classic = native_plan_for_block(graph, block)
-        assert classic.native.spec.tile2d is None
+        _, classic = _alone(graph, block)
+        assert classic.spec.tile2d is None
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", "auto")
-        auto = native_plan_for_block(graph, block)
-        assert auto.native.spec.tile2d is not None  # model picked a shape
+        _, auto = _alone(graph, block)
+        assert auto.spec.tile2d is not None  # model picked a shape
 
     def test_f32_fast_path_stays_within_pinned_tolerance(self, monkeypatch):
         graph, block = self._chain()
         data = {"img0": random_image(44, 30, seed=32)}
-        reference = native_plan_for_block(graph, block).execute(
-            dict(data), {}
-        )
+        reference = run_block(graph, block, data, options=NATIVE)
         monkeypatch.setenv("REPRO_NATIVE_F32", "on")
-        fplan = native_plan_for_block(graph, block)
-        assert fplan.native is not None
-        assert fplan.native.spec.f32
-        assert fplan.tolerance is not None  # f32 compute is never exact
-        rtol, atol = fplan.tolerance
+        block_plan, native = _alone(graph, block)
+        assert native is not None
+        assert native.spec.f32
+        tolerance = tolerance_for([block_plan])
+        assert tolerance is not None  # f32 compute is never exact
+        rtol, atol = tolerance
         np.testing.assert_allclose(
-            fplan.execute(dict(data), {}), reference, rtol=rtol, atol=atol
+            run_block(graph, block, data, options=NATIVE),
+            reference,
+            rtol=rtol,
+            atol=atol,
         )
 
     def test_polymorphic_tile2d_single_source_serves_four_geometries(self):

@@ -19,7 +19,9 @@ LOWER = "repro.backend.native_lower"
 BIND = "repro.backend.native_bind"
 BUILD = "repro.backend.native_exec"
 
-#: ``native_exec.__all__`` as it stood before the split.
+#: ``native_exec.__all__`` as it stood before the split, less the block
+#: plan family (``NativeBlockPlan``, ``native_plan_for_block``), deleted
+#: since: ``run_block`` runs a block as a one-block partition.
 EXPORTED_BEFORE_THE_SPLIT = {
     "F32_ATOL",
     "F32_RTOL",
@@ -27,7 +29,6 @@ EXPORTED_BEFORE_THE_SPLIT = {
     "NATIVE_THREADS_ENV",
     "NATIVE_TILE2D_ENV",
     "NativeBlock",
-    "NativeBlockPlan",
     "NativeLoweringError",
     "NativePartitionPlan",
     "NativeVerificationError",
@@ -38,7 +39,6 @@ EXPORTED_BEFORE_THE_SPLIT = {
     "lower_partition_source",
     "lowering_knobs",
     "native_available",
-    "native_plan_for_block",
     "native_plan_for_partition",
     "noncontiguous_zero_copy_count",
     "reset_noncontiguous_zero_copy",

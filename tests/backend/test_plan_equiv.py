@@ -21,7 +21,6 @@ from repro.apps import APPLICATIONS
 from repro.backend.numpy_exec import ExecutionError, block_schedule
 from repro.backend.plan import (
     clear_plan_caches,
-    plan_for_block,
     plan_for_partition,
     resolve_workers,
 )
@@ -32,6 +31,7 @@ from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.ir.expr import Const
 from repro.model.hardware import GTX680
+from repro.serve.plancache import PROCESS_CACHE
 
 #: Runtime parameter bindings covering every app's ``Param`` reads.
 APP_PARAMS = {"gamma": 0.8, "threshold": 100.0}
@@ -282,19 +282,28 @@ class TestPlanCachingAndInterning:
         second = plan_for_partition(graph, partition)
         assert first is second
 
-    def test_block_plan_is_cached(self):
-        graph = chain_pipeline(("l", "l"), 8, 8).build()
-        block = PartitionBlock(graph, {"k0", "k1"})
-        assert plan_for_block(graph, block) is plan_for_block(graph, block)
-        assert plan_for_block(graph, block) is not plan_for_block(
-            graph, block, naive_borders=True
+    def test_repeated_run_block_is_a_process_cache_hit(self):
+        graph = chain_pipeline(("p", "l", "l"), 8, 8).build()
+        block = PartitionBlock(graph, {"k1", "k2"})
+        data = {"img1": random_image(8, 8, seed=4)}
+        first = run_block(graph, block, data)
+        stats = PROCESS_CACHE.stats()
+        again = run_block(graph, block, dict(data))
+        after = PROCESS_CACHE.stats()
+        assert (after["hits"], after["misses"]) == (
+            stats["hits"] + 1, stats["misses"]
         )
+        np.testing.assert_array_equal(again, first)
+        run_block(
+            graph, block, data, options=ExecutionOptions(naive_borders=True)
+        )
+        assert PROCESS_CACHE.stats()["misses"] == stats["misses"] + 1
 
     def test_grids_interned_across_runs(self):
         clear_plan_caches()
         graph = chain_pipeline(("l", "l"), 10, 8).build()
         block = PartitionBlock(graph, {"k0", "k1"})
-        plan = plan_for_block(graph, block)
+        plan = plan_for_partition(graph, Partition(graph, [block])).plans[0]
         data = {"img0": random_image(10, 8, seed=7)}
         plan.execute(data)
         materialized = plan.store.materialized
@@ -360,7 +369,7 @@ class TestPlanCachingAndInterning:
         )
         graph = pipe.build()
         block = PartitionBlock(graph, {"k0", "k1", "k2"})
-        plan = plan_for_block(graph, block)
+        plan = plan_for_partition(graph, Partition(graph, [block])).plans[0]
         assert plan.stats.producer_cache_hits >= 1
         data = {"src": random_image(8, 8, seed=9)}
         recursive = run_block(

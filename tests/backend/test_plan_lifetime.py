@@ -1,10 +1,11 @@
 """A graph owns its plans: the per-graph memo in ``backend/plan.py``.
 
 Pins the lifetime and the locking of what is compiled from a graph —
-plans die with their graph (so the plan cache's capacity bounds memory),
-the lock is per graph (so cold builds of different pipelines overlap
-while racing builds of one still happen once), and the two resets drop
-exactly what they say.
+plans die with their graph, by reference counting alone (so the plan
+cache's capacity bounds memory with the cyclic collector off), the lock
+is per graph (so cold builds of different pipelines overlap while racing
+builds of one still happen once), and the two resets drop exactly what
+they say.
 """
 
 import gc
@@ -12,13 +13,14 @@ import subprocess
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 from helpers import count_calls
 
 import repro.analysis.native_check as native_check
 import repro.analysis.verifier as verifier
-from repro.api import ExecutionOptions, run
+from repro.api import ExecutionOptions, run, run_block
 from repro.apps import APPLICATIONS
 from repro.backend import native_exec
 from repro.backend import plan as tape
@@ -69,20 +71,39 @@ def _race(target, count=THREADS):
 # -- (a) the plan cache's capacity bounds the graphs alive ------------------
 
 
+def _graphs_alive_after(engine, geometries):
+    """Run Sobel at ``geometries`` widths through ``run`` with the cyclic
+    collector off; how many of the graphs built are still alive."""
+    spec = APPLICATIONS["Sobel"]
+    options = ExecutionOptions(engine=engine, validate="standard")
+    graphs = []
+    gc.disable()
+    try:
+        for index in range(geometries):
+            width = 16 + index
+            graph = spec.build(width, 12).build()
+            graphs.append(weakref.ref(graph))
+            run(graph, request_inputs(spec, width, 12, seed=0), options=options)
+            del graph
+        return sum(ref() is not None for ref in graphs)
+    finally:
+        gc.enable()
+
+
 def test_evicted_plans_release_their_graphs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))  # 200 plan records
-    spec = APPLICATIONS["Sobel"]
-    options = ExecutionOptions(engine="tape", validate="standard")
-    graphs = []
-    for index in range(200):
-        width = 16 + index
-        graph = spec.build(width, 12).build()
-        graphs.append(weakref.ref(graph))
-        run(graph, request_inputs(spec, width, 12, seed=0), options=options)
-        del graph
+    alive = _graphs_alive_after("tape", 200)
     assert len(PROCESS_CACHE) == DEFAULT_CAPACITY
-    gc.collect()
-    assert sum(ref() is not None for ref in graphs) <= DEFAULT_CAPACITY
+    assert alive <= DEFAULT_CAPACITY
+
+
+@needs_cc
+def test_evicted_native_plans_release_their_graphs(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    monkeypatch.setattr(PROCESS_CACHE, "capacity", 2)  # 6 compiles, not 200
+    alive = _graphs_alive_after("native", 6)
+    assert len(PROCESS_CACHE) == 2
+    assert alive <= 2
 
 
 def test_registry_pins_only_its_most_recent_geometries():
@@ -103,10 +124,9 @@ def test_dropped_graph_is_collected_with_its_plans():
     graph, partition = _fused()
     plan = tape.plan_for_partition(graph, partition)
     native = native_exec.native_plan_for_partition(graph, partition)
-    block = native_exec.native_plan_for_block(graph, partition.blocks[0])
     assert native.plan is plan
-    refs = [weakref.ref(obj) for obj in (graph, plan, plan.store, native, block)]
-    del graph, partition, plan, native, block
+    refs = [weakref.ref(obj) for obj in (graph, plan, plan.store, native)]
+    del graph, partition, plan, native
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
 
@@ -164,6 +184,25 @@ def test_racing_threads_build_each_plan_once(monkeypatch, mode):
     assert len(sanitizes) == (1 if strict and plans[0].native_block_count else 0)
 
 
+@needs_cc
+def test_strict_run_block_verifies_and_sanitizes_once(monkeypatch):
+    monkeypatch.setenv("REPRO_VALIDATE", "strict")
+    graph, partition = _fused("Harris")
+    block = max(partition.blocks, key=len)
+    env = run(graph, request_inputs(APPLICATIONS["Harris"], 32, 24, seed=0))
+    tapes = count_calls(monkeypatch, tape, "PartitionPlan")
+    natives = count_calls(monkeypatch, native_exec, "_build_native_partition")
+    verifies = count_calls(monkeypatch, verifier, "verify_partition_plan")
+    sanitizes = count_calls(monkeypatch, native_check, "verify_native_blocks")
+    options = ExecutionOptions(engine="native")
+
+    outputs = _race(lambda index: run_block(graph, block, env, options=options))
+    assert all(np.array_equal(out, outputs[0]) for out in outputs)
+    assert (len(tapes), len(natives)) == (1, 1)
+    assert natives[0].native_block_count == 1
+    assert (len(verifies), len(sanitizes)) == (1, 1)
+
+
 # -- (e) the two resets drop what they say ----------------------------------
 
 
@@ -171,18 +210,15 @@ def test_native_reset_keeps_tape_plans_and_grids():
     graph, partition = _fused()
     plan = tape.plan_for_partition(graph, partition)
     native = native_exec.native_plan_for_partition(graph, partition)
-    block = native_exec.native_plan_for_block(graph, partition.blocks[0])
     run(graph, request_inputs(APPLICATIONS["Sobel"], 32, 24, seed=0))
     assert len(PROCESS_CACHE) == 1
 
     native_exec.clear_native_caches()
     assert len(PROCESS_CACHE) == 0
     assert tape.plan_for_partition(graph, partition) is plan
-    assert tape.plan_for_block(graph, partition.blocks[0]) is block.plan
     rebuilt = native_exec.native_plan_for_partition(graph, partition)
     assert rebuilt is not native
     assert rebuilt.plan is plan
-    assert native_exec.native_plan_for_block(graph, partition.blocks[0]) is not block
 
 
 def test_plan_reset_drops_everything():

@@ -1,8 +1,8 @@
 """The canonical execution API: ``repro.api.run`` and its options.
 
-Pins the contract: ``run`` / ``run_block`` are the only way in, they
-drive every entry of the engine table bit-identically, and the table's
-order is the degradation ladder.
+Pins the contract: ``run`` is the one way in — ``run_block`` is a
+one-block request through it — every entry of the engine table computes
+the same bits, and the table's order is the degradation ladder.
 """
 
 import numpy as np
@@ -82,8 +82,14 @@ class TestRun:
             np.testing.assert_array_equal(env[image], value)
         block = max(partition.blocks, key=len)
         np.testing.assert_array_equal(
-            engine.plan_block(graph, block, False).execute(expected),
-            engines.ORACLE.plan_block(graph, block, False).execute(expected),
+            run_block(
+                graph, block, expected,
+                options=ExecutionOptions(engine=engine.name),
+            ),
+            run_block(
+                graph, block, expected,
+                options=ExecutionOptions(engine=engines.ORACLE.name),
+            ),
         )
 
     def test_unavailable_native_resolves_to_tape_on_every_surface(
@@ -187,6 +193,69 @@ class TestRunBlock:
         counter = {}
         run_block(graph, block, inputs, call_counter=counter)
         assert counter  # the recursive walk filled it
+
+    def test_block_whose_member_output_leaves_it_is_rejected(self):
+        graph = chain_pipeline(("l", "l", "l"), width=16, height=12).build()
+        block = PartitionBlock(graph, {"k0", "k2"})  # k1 reads k0's output
+        inputs = {"img0": random_image(16, 12, seed=3)}
+        with pytest.raises(ExecutionError, match="no unique destination"):
+            run_block(graph, block, inputs)
+
+    @staticmethod
+    def _harris_block():
+        """Harris, its widest fused block, and every image it reads."""
+        graph = APPLICATIONS["Harris"].build(WIDTH, HEIGHT).build()
+        block = max(partition_for(graph, GTX680, "optimized"), key=len)
+        return graph, block, run(graph, _app_inputs("Harris"))
+
+    def test_runtime_serves_the_block(self):
+        graph, block, env = self._harris_block()
+        expected = run_block(graph, block, env)
+        with ServingRuntime(engine="tape", workers=1) as runtime:
+            served = run_block(
+                graph, block, env, options=ExecutionOptions(runtime=runtime)
+            )
+            counters = runtime.metrics_snapshot()["counters"]
+        assert counters.get("requests_completed") == 1
+        np.testing.assert_array_equal(served, expected)
+
+    def test_resilience_degrades_a_faulted_native_build(self):
+        from repro.serve import ResiliencePolicy
+
+        graph, block, env = self._harris_block()
+        tape = run_block(
+            graph, block, env, options=ExecutionOptions(engine="tape")
+        )
+        options = ExecutionOptions(
+            engine="native", resilience=ResiliencePolicy()
+        )
+        faultinject.clear()
+        try:
+            with faultinject.fault_injection(
+                "native.compile", "error", times=None
+            ):
+                served = run_block(graph, block, env, options=options)
+        finally:
+            faultinject.clear()
+        np.testing.assert_array_equal(served, tape)
+
+    @pytest.mark.parametrize("engine", engines.ENGINE_NAMES)
+    def test_global_operator_block_is_reduced(self, engine):
+        from repro.apps import ALL_APPS
+
+        graph = ALL_APPS["DoG"].build(40, 30).build()
+        inputs = request_inputs(ALL_APPS["DoG"], 40, 30, seed=2)
+        params = {"tau": 4.0}
+        staged = run(
+            graph, inputs, params,
+            options=ExecutionOptions(engine="recursive", fuse=False),
+        )
+        peak = run_block(
+            graph, PartitionBlock(graph, {"peak"}), staged, params,
+            options=ExecutionOptions(engine=engine),
+        )
+        assert peak.shape == (1, 1)
+        np.testing.assert_array_equal(peak, staged["peak"])
 
 
 class TestOptionsValidation:
