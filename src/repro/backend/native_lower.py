@@ -435,8 +435,11 @@ class _Signature:
             out += [Formal("const int", self.stride_ids[n]) for n in images]
         return tuple(out)
 
-    def pixel_fn(self, name: str, formals: tuple, body: tuple) -> Func:
-        return Func(name, f"static inline {self.ctype}", formals + _XY, body)
+    def pixel_fn(
+        self, name: str, formals: tuple, body: tuple, inline: bool = True
+    ) -> Func:
+        linkage = "inline" if inline else "__attribute__((noinline))"
+        return Func(name, f"static {linkage} {self.ctype}", formals + _XY, body)
 
     def driver_fn(self, name: str, formals: tuple, body: tuple) -> Func:
         return Func(
@@ -748,22 +751,24 @@ def _pixel_fns(
 
     ``full_plane_too=False`` skips an interior spanning the whole plane
     (a stencil-free tile2d stage: both bodies would be the same code).
+
+    A halo body with an interior twin runs only on the O(perimeter)
+    border pixels, so it is an out-of-line call: inlined, the compiler
+    vectorizes its gathers into every flank loop, ~30 % of ``cc`` time
+    spent on a small share of the pixels.  A body without a twin is the only
+    body its loop runs and stays inline, as does every interior body.
     """
-    functions = [
-        sig.pixel_fn(
-            halo, formals, _build_tape_body(tape, root, False, sig, scratch)
-        )
-    ]
+    halo_body = _build_tape_body(tape, root, False, sig, scratch)
     xlo, xhi, ylo, yhi = band = _interior_bounds(tape, sig.width, sig.height)
     full_plane = band == (0, sig.width, 0, sig.height)
     if xlo < xhi and ylo < yhi and (full_plane_too or not full_plane):
-        functions.append(
+        return [
+            sig.pixel_fn(halo, formals, halo_body, inline=False),
             sig.pixel_fn(
                 inner, formals, _build_tape_body(tape, root, True, sig, scratch)
-            )
-        )
-        return functions, band
-    return functions, None
+            ),
+        ], band
+    return [sig.pixel_fn(halo, formals, halo_body)], None
 
 
 def _store_of(

@@ -16,6 +16,7 @@ Correctness (bit-identity) is asserted unconditionally; these tests
 make no timing claims, so they hold on one core.
 """
 
+import ctypes
 import threading
 import time
 
@@ -24,6 +25,7 @@ import pytest
 
 from helpers import chain_pipeline, image, local_kernel, random_image
 
+from repro.backend.cpu_exec import _find_compiler, load_shared_library
 from repro.backend.native_exec import (
     native_available,
     native_plan_for_partition,
@@ -54,53 +56,65 @@ def _fan_graph(branches=4, stages=2, width=96, height=64):
     return pipe.build()
 
 
+#: Raises ``flags[0]``, then spins until ``flags[1]`` is set or
+#: ``seconds`` pass; returns whether it was set.
+_SPIN_SOURCE = """\
+#include <time.h>
+int repro_spin_until_set(volatile int *flags, double seconds) {
+    struct timespec start, now;
+    clock_gettime(CLOCK_MONOTONIC, &start);
+    flags[0] = 1;
+    while (!flags[1]) {
+        clock_gettime(CLOCK_MONOTONIC, &now);
+        if ((now.tv_sec - start.tv_sec)
+                + 1e-9 * (now.tv_nsec - start.tv_nsec) > seconds)
+            return 0;
+    }
+    return 1;
+}
+"""
+
+
 @needs_cc
 class TestGilRelease:
-    def test_python_thread_progresses_during_native_call(self):
-        # A counting thread only advances while the main thread is
-        # inside the compiled kernel if the ctypes call released the
-        # GIL.  Work is sized so the single fused C call dominates:
-        # keep the chain shallow (fused locals inline producers, so
-        # depth is exponential in lowered-expression size) and the
-        # image large.
-        graph = chain_pipeline(("l", "l", "l"), 1280, 960).build()
-        data = {"img0": random_image(1280, 960, seed=31)}
+    def test_python_thread_runs_during_a_library_call(self):
+        # A handshake, not a rate: a Python thread waits until the C
+        # call has started, then answers it.  Were the GIL held for the
+        # call, the thread could not run until it returned, so the call
+        # would time out and return 0 — deterministically, on any core
+        # count.
+        library, _, _ = load_shared_library(_SPIN_SOURCE, _find_compiler())
+        spin = library.repro_spin_until_set
+        spin.argtypes = (ctypes.POINTER(ctypes.c_int), ctypes.c_double)
+        spin.restype = ctypes.c_int
+        flags = (ctypes.c_int * 2)()
+
+        def answer():
+            deadline = time.monotonic() + 5.0
+            while not flags[0] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            flags[1] = 1
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        assert spin(flags, 5.0) == 1, (
+            "no Python thread ran during the call: the GIL appears held"
+        )
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_native_blocks_bind_functions_of_a_cdll(self):
+        # ``ctypes.CDLL`` functions drop the GIL for the call, the ones
+        # of ``ctypes.PyDLL`` keep it: a block is the former.
+        graph = chain_pipeline(("l", "l"), 48, 32).build()
         partition = Partition(
             graph, [PartitionBlock(graph, set(graph.kernel_names))]
         )
         plan = native_plan_for_partition(graph, partition)
-        assert all(native is not None for _, native in plan.blocks)
-        plan.execute(dict(data), {})  # warm: exclude one-time costs
-
-        progress = {"ticks": 0}
-        stop = threading.Event()
-
-        def count():
-            while not stop.is_set():
-                progress["ticks"] += 1
-
-        thread = threading.Thread(target=count, daemon=True)
-        thread.start()
-        time.sleep(0.05)  # let the counter reach steady state
-        before = progress["ticks"]
-        started = time.perf_counter()
-        plan.execute(dict(data), {})
-        elapsed = time.perf_counter() - started
-        after = progress["ticks"]
-        stop.set()
-        thread.join(timeout=5.0)
-
-        # Holding the GIL across the C call would freeze the counter
-        # for essentially the whole execute (a handful of ticks at
-        # most, from the Python prologue).  Released, the counter runs
-        # throughout; demand a rate far above the frozen regime while
-        # staying far below a free thread's (~1e6/s was measured).
-        assert elapsed > 0
-        rate = (after - before) / elapsed
-        assert rate > 10_000, (
-            f"counter advanced {after - before} ticks in {elapsed:.3f}s "
-            "during a native call — the GIL appears to be held"
-        )
+        natives = [native for _, native in plan.blocks]
+        assert natives and all(native is not None for native in natives)
+        for native in natives:
+            assert native._fn._flags_ == ctypes.CDLL._func_flags_
 
 
 @needs_cc
