@@ -51,11 +51,15 @@ fallbacks away from its plan geometry (the tape is shape-specialized).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import hashlib
+import re
 import threading
 import time
 from collections import ChainMap
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,11 +74,13 @@ from repro.envknobs import (
 
 from repro.backend.cpu_exec import (
     LibraryBuild,
+    _cache_dir,
     _find_compiler,
     available_cores,
     compiler_available,
     load_kernel_library,
     openmp_available,
+    read_cache_bytes,
 )
 from repro.backend.native_bind import (
     NATIVE_THREADS_ENV,
@@ -91,7 +97,10 @@ from repro.backend.native_lower import (
     NativeLoweringError,
     _BlockSpec,
     _PREAMBLE,
+    _Signature,
+    _block_fn_name,
     _lower_partition,
+    _tape_reads,
     lower_block_source,
     lower_partition_source,
     tile2d_report,  # unused here: benchmarks/ledger imports it from this module
@@ -106,6 +115,7 @@ from repro.backend.plan import (
 )
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition
+from repro.model.hardware import detect_cpu_caches
 
 __all__ = [
     "F32_ATOL",
@@ -117,6 +127,7 @@ __all__ = [
     "NativeLoweringError",
     "NativePartitionPlan",
     "NativeVerificationError",
+    "RecordedLibrary",
     "assert_native_equiv",
     "available_cores",
     "clear_native_caches",
@@ -130,6 +141,7 @@ __all__ = [
     "resolve_native_threads",
     "sharing_cores",
     "tolerance_for",
+    "toolchain_digest",
 ]
 
 
@@ -281,6 +293,10 @@ class NativePartitionPlan:
         #: The loaded ``pipeline-<digest>.so`` (``None`` when nothing
         #: was compiled) — its stem is the library's source digest.
         self.library_path = build.path if build is not None else None
+        #: Whether the library was bound from a plan record's manifest
+        #: instead of lowered, and why one offered to the build was not.
+        self.from_record = False
+        self.unbound: Optional[str] = None
         #: Kernel objects the build ran ``cc -c`` for / found in the
         #: object cache — 0 / 0 when the library itself was a hit.
         self.objects_compiled = build.objects_compiled if build else 0
@@ -317,6 +333,20 @@ class NativePartitionPlan:
     def fallback_block_count(self) -> int:
         """Blocks executing through the tape interpreter."""
         return sum(1 for _, native in self.blocks if native is None)
+
+    @functools.cached_property
+    def library_sha256(self) -> Optional[str]:
+        """SHA-256 of the library's bytes, read once (``None`` when they
+        cannot be read)."""
+        with contextlib.suppress(OSError):
+            return hashlib.sha256(self.library_path.read_bytes()).hexdigest()
+
+    def bindings(self) -> Optional[list]:
+        """The manifest a plan record keeps: one entry per block, ``None``
+        while a block runs on the tape."""
+        if self.fallback_block_count:
+            return None
+        return [_manifest_entry(native.spec) for _, native in self.blocks]
 
     @property
     def threads(self) -> int:
@@ -530,13 +560,93 @@ def lowering_knobs() -> tuple:
     return (native_tile2d_env(), native_f32_enabled(), native_cflags_env())
 
 
+def toolchain_digest() -> Optional[str]:
+    """SHA-256 over what the C text and the library name depend on
+    beside the plan key and the code: compiler, flags (``-fopenmp``
+    included) and the host caches (``None`` without a compiler)."""
+    cc = _find_compiler()
+    payload = cc and repr((cc, _native_flags(cc), detect_cpu_caches()))
+    return payload and hashlib.sha256(payload.encode()).hexdigest()
+
+
+class RecordedLibrary(NamedTuple):
+    """A library a plan record holds ``sanitized`` for, and its manifest
+    when the record's tape and toolchain are this build's."""
+
+    stem: str
+    sha256: Optional[str]
+    bindings: Optional[list]
+
+
+def _manifest_entry(spec: _BlockSpec) -> dict:
+    """A block's manifest entry: the argument order and channels of its
+    function, and the tile shape and hoisting notes it reports."""
+    return dict(
+        images=list(spec.images), params=list(spec.params), channels=spec.channels,
+        tile2d=spec.tile2d and list(spec.tile2d), hoisted=list(spec.hoisted),
+    )
+
+
+class _Unbound(Exception):
+    """Why a recorded library cannot be bound."""
+
+
+_LIBRARY_STEM = re.compile(r"pipeline-[0-9a-f]{24}")
+
+
+def _bind_recorded(
+    plan: PartitionPlan, recorded: RecordedLibrary, polymorphic: bool
+) -> NativePartitionPlan:
+    """``plan``'s blocks bound on the recorded library, without lowering:
+    raises :class:`_Unbound` unless the stem names a ``pipeline-<24 hex>``
+    library of the cache directory whose bytes are the recorded ones, the
+    manifest is what the tape's blocks would write and each symbol resolves."""
+    started = time.perf_counter()
+    name = f"{recorded.stem}.so"
+    data = _LIBRARY_STEM.fullmatch(str(recorded.stem)) and read_cache_bytes(name)
+    if not data or hashlib.sha256(data).hexdigest() != recorded.sha256:
+        raise _Unbound("library bytes")
+    _prefer_passive_omp_wait()
+    openmp, f32 = openmp_available(), native_f32_enabled()
+    blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
+    try:
+        library = ctypes.CDLL(str(_cache_dir() / name))
+        if len(recorded.bindings) != len(plan.plans):
+            raise ValueError("one entry per block")
+        for index, (block_plan, entry) in enumerate(zip(plan.plans, recorded.bindings)):
+            images, params, _ = _tape_reads(block_plan.tape, {})
+            space = block_plan.destination.space
+            spec = _BlockSpec(
+                _block_fn_name(index, block_plan), (), images, params,
+                _Signature(images, params, space.width, space.height,
+                           polymorphic, f32, space.channels),
+                space.channels, entry["tile2d"] and tuple(entry["tile2d"]),
+                tuple(entry["hoisted"]),
+            )
+            if _manifest_entry(spec) != entry:
+                raise ValueError("the manifest does not fit the tape")
+            fn = getattr(library, spec.fn_name)
+            blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
+    except OSError:  # the dlopen
+        raise _Unbound("library bytes") from None
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise _Unbound("bindings") from None
+    native_plan = NativePartitionPlan(
+        plan, blocks, (time.perf_counter() - started) * 1e3,
+        LibraryBuild(_cache_dir() / name, True), {}, None, polymorphic,
+    )
+    native_plan.library_sha256 = recorded.sha256  # read once, above
+    native_plan.sanitized = native_plan.from_record = True
+    return native_plan
+
+
 def native_plan_for_partition(
     graph: KernelGraph,
     partition: Partition,
     naive_borders: bool = False,
     *,
     polymorphic: bool = False,
-    proved_library: Optional[str] = None,
+    recorded: Optional[RecordedLibrary] = None,
 ) -> NativePartitionPlan:
     """The (cached) native plan of a partition.
 
@@ -545,23 +655,27 @@ def native_plan_for_partition(
     so a cache *miss* here usually still skips the C compiler.
     ``polymorphic=True`` compiles runtime-geometry kernels whose source
     — and therefore whose ``.so`` artifact — is shared by every
-    resolution of the structure.  ``proved_library`` is the
-    ``pipeline-<digest>`` stem a persisted plan record says the
-    sanitizer already passed: a build whose generated source reproduces
-    it is marked sanitized without running NAT001–004 again.
+    resolution of the structure.  ``recorded`` is the library a plan
+    record says the sanitizer already passed: bound from its manifest
+    without lowering when it checks out (``from_record``, else
+    ``unbound`` says why), else taken as sanitized when the lowered
+    source reproduces its stem.
     """
 
     def build() -> NativePartitionPlan:
         fault_check("native.compile")
-        native_plan = _build_native_partition(
-            graph,
-            partition,
-            plan_for_partition(graph, partition, naive_borders),
-            polymorphic,
-        )
+        plan = plan_for_partition(graph, partition, naive_borders)
+        unbound = None
+        if recorded is not None and recorded.bindings is not None:
+            try:
+                return _bind_recorded(plan, recorded, polymorphic)
+            except _Unbound as err:
+                unbound = str(err)
+        native_plan = _build_native_partition(graph, partition, plan, polymorphic)
+        native_plan.unbound = unbound
         library = native_plan.library_path
-        if library is not None and library.stem == proved_library:
-            native_plan.sanitized = True
+        if recorded is not None and library is not None:
+            native_plan.sanitized = library.stem == recorded.stem
         if validate_mode() == "strict":
             native_plan.ensure_sanitized()
         return native_plan

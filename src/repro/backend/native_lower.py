@@ -699,7 +699,7 @@ def _build_tape_body(
 
 class _BlockSpec:
     """The lowered form of one block: loop-nest IR, its C text, and the
-    call signature."""
+    call signature (only that when bound from a plan record)."""
 
     def __init__(
         self,
@@ -717,7 +717,7 @@ class _BlockSpec:
         #: what the sanitizer proves.
         self.ir = ir
         #: The C text of ``ir`` — what the compiler reads.
-        self.source = block_text(ir)
+        self.source = block_text(ir) if ir else None
         self.images = images
         self.params = params
         self.width = sig.width

@@ -23,14 +23,15 @@ exactly once.
 What a build decided and proved **outlives the process**: beside the
 ``.so`` in the compile cache directory, :func:`build_plan` keeps one
 small JSON *plan record* per key (:class:`_PlanRecord`) — the
-partition, and strict mode's three verdicts (plan verifier, native
+partition, strict mode's three verdicts (plan verifier, native
 sanitizer, first-run differential), each bound to the digest it was
-proved on.  A miss after a restart still compiles the tape and lowers it
-to C, because that is what recomputes the digests; where they equal the
-recorded ones the min-cut and the proofs are not run again
-(:attr:`CachedPlan.restored` says what was taken over).  "Verified and
-sanitized before first use, once" therefore means once per *artifact*,
-not once per process; anything about the record that does not check out
+proved on, and how to call the library.  A miss after a restart still
+compiles the tape, which recomputes its digest; where it equals the
+recorded one the min-cut and the proofs are not run again and the
+sanitized library is bound, not lowered to C
+(:attr:`CachedPlan.restored`).  "Verified and sanitized before first
+use, once" therefore means once per *artifact*, not once per process;
+anything about the record that does not check out
 (:attr:`CachedPlan.record_rejected`) costs exactly the work it would
 have saved, and ``cpu_exec.clear_compile_cache()`` or a fresh
 ``REPRO_CC_CACHE`` forces every proof to be made again.
@@ -257,16 +258,17 @@ class CachedPlan:
     @property
     def restored(self) -> Tuple[str, ...]:
         """What the plan record supplied to this build — a subset of
-        ``("partition", "verified", "sanitized", "differential")``,
-        empty on a full build."""
+        ``("partition", "verified", "sanitized", "differential",
+        "library")``, empty on a full build."""
         return tuple(self.record.restored) if self.record else ()
 
     @property
     def record_rejected(self) -> Optional[str]:
         """Why (part of) the plan record found was not used:
         ``"unreadable"``, ``"fingerprint"``, ``"partition"``, ``"tape
-        digest"``, ``"source digest"`` or ``"library bytes"`` — ``None``
-        when there was none or all of it applied."""
+        digest"``, ``"toolchain"``, ``"source digest"``, ``"library
+        bytes"`` or ``"bindings"`` — ``None`` when there was none or all
+        of it applied."""
         return self.record.rejected if self.record else None
 
     @property
@@ -277,7 +279,7 @@ class CachedPlan:
 
 
 #: Layout version of a plan record's JSON; any other is ignored.
-RECORD_FORMAT = 1
+RECORD_FORMAT = 2
 
 
 @lru_cache(maxsize=None)
@@ -300,32 +302,25 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _file_sha256(path: Optional[Path]) -> Optional[str]:
-    if path is None:
-        return None
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
-
-
 class _PlanRecord:
     """One key's persisted plan record, through the life of its entry.
 
     ``plan-<sha256(key, code fingerprint)[:24]>.json`` in the compile
-    cache directory holds the partition and up to three verdicts, each
-    bound to the digest it was proved on::
+    cache directory holds the partition, up to three verdicts, each
+    bound to the digest it was proved on, and how to call the library::
 
-        {"format": 1, "fingerprint": "<code_fingerprint()>",
+        {"format": 2, "fingerprint": "<code_fingerprint()>",
          "partition": [["k1", "k2"], ["k3"]],
          "tape": "<PartitionPlan.tape_digest()>" | null,
          "library": "pipeline-<source digest>" | null,
          "library_sha256": "<sha256 of the .so bytes>" | null,
+         "toolchain": "<native_exec.toolchain_digest()>" | null,
+         "bindings": [<NativePartitionPlan.bindings() entry>, ...] | null,
          "verified": bool, "sanitized": bool, "differential": bool}
 
-    :func:`build_plan` reads it once, applies a verdict only where the
-    digest it just recomputed equals the recorded one, and writes the
-    file back whenever the entry holds a verdict the file lacks.
+    :func:`build_plan` reads it once, applies a verdict (and the
+    manifest) only where the digests it just recomputed equal the
+    recorded ones, and writes the file back when the entry holds more.
     """
 
     def __init__(self, key: tuple) -> None:
@@ -392,13 +387,27 @@ class _PlanRecord:
         """The digest the record binds ``verdict`` to, if it holds it."""
         return self.offered.get(bound_to) if self.offered.get(verdict) else None
 
+    def library(self, plan: PartitionPlan) -> Optional[native_exec.RecordedLibrary]:
+        """The library the record holds ``sanitized`` for, with its manifest
+        when the record's tape is ``plan``'s and its toolchain this host's."""
+        offered, stem = self.offered, self.proved("sanitized", "library")
+        if not stem:
+            return None
+        bindings = offered.get("bindings")
+        if offered.get("tape") != plan.tape_digest():
+            bindings = None
+        elif offered.get("toolchain") != native_exec.toolchain_digest():
+            self.reject("toolchain")
+            bindings = None
+        return native_exec.RecordedLibrary(stem, offered.get("library_sha256"), bindings)
+
     def settle(self, entry: "CachedPlan") -> None:
         """After the build stages: note which verdicts the recomputed
         digests let the record supply, and settle the differential."""
         started = time.perf_counter()
         offered, plan, native = self.offered, entry.plan, entry.native_plan
         library = native.library_path if native is not None else None
-        self.library_sha256 = _file_sha256(library)
+        self.library_sha256 = library and native.library_sha256
         same_tape = plan is not None and offered.get("tape") == plan.tape_digest()
         same_source = (
             library is not None and offered.get("library") == library.stem
@@ -413,6 +422,9 @@ class _PlanRecord:
             self.reject("source digest")
         elif same_source and not same_bytes:
             self.reject("library bytes")
+        if native is not None and native.unbound:
+            # Last: a library missing under another name is the digest's fault.
+            self.reject(native.unbound)
         if offered.get("verified") and same_tape:
             self.restored.append("verified")
         if offered.get("sanitized") and same_source:
@@ -420,6 +432,8 @@ class _PlanRecord:
         if offered.get("differential") and same_tape and same_bytes:
             native.settle_differential()
             self.restored.append("differential")
+        if native is not None and native.from_record:
+            self.restored.append("library")
         self.ms += (time.perf_counter() - started) * 1e3
 
     def sync(self, entry: "CachedPlan") -> None:
@@ -434,6 +448,8 @@ class _PlanRecord:
             "tape": plan.tape_digest() if plan is not None else None,
             "library": library.stem if library is not None else None,
             "library_sha256": self.library_sha256,
+            "toolchain": library and native_exec.toolchain_digest(),
+            "bindings": library and native.bindings(),
             "verified": plan is not None and plan.verified,
             "sanitized": library is not None and native.sanitized,
             "differential": (
@@ -491,12 +507,13 @@ def build_plan(
     ``key`` (the entry's :func:`plan_key`) names the persisted plan
     record consulted inside those stages — this function is its only
     reader and writer.  The record replaces the ``fuse`` stage with its
-    partition; the tape is still compiled and lowered to C, which
-    *recomputes* the digests, and a recorded verdict (verifier,
-    sanitizer, first-run differential) is taken over only where its
-    digest equals the recomputed one.  No record, or one that is
-    unreadable, from other code, or bound to other digests: that part of
-    the build runs as if there were none, and the record is rewritten.
+    partition and, when tape, toolchain and bytes check out, the C
+    lowering with a library bound from its manifest; the tape is still
+    compiled, which *recomputes* its digest, and a recorded verdict is
+    taken over only where its digest equals the recomputed one.  No
+    record, or one that is unreadable, from other code, or bound to
+    other digests: that part of the build runs as if there were none,
+    and the record is rewritten.
     """
     timings: Dict[str, float] = {}
     naive_borders = fusion.naive_borders
@@ -541,8 +558,7 @@ def build_plan(
                 partition,
                 naive_borders,
                 polymorphic=polymorphic,
-                proved_library=record
-                and record.proved("sanitized", "library"),
+                recorded=record and record.library(plan),
             )
             if polymorphic and built.fallback_block_count:
                 # A structure-keyed entry serves every geometry through

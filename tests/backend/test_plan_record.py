@@ -11,6 +11,7 @@ when one does not, everything when the record cannot be trusted — and
 never a verdict that was not established.
 """
 
+import dataclasses
 import errno
 import gc
 import json
@@ -28,6 +29,7 @@ import pytest
 import repro.analysis.native_check as native_check
 import repro.analysis.verifier as verifier
 import repro.api as api
+import repro.model.hardware as hardware
 import repro.serve.runtime as serve_runtime
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
@@ -58,7 +60,7 @@ from repro.serve.plancache import PROCESS_CACHE, FusionSettings, plan_key
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 from analysis.ir_mutation import with_ir
-from helpers import ToolchainSpy, image, local_kernel, point_kernel
+from helpers import ToolchainSpy, count_calls, image, local_kernel, point_kernel
 
 pytestmark = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler on PATH"
@@ -66,7 +68,7 @@ pytestmark = pytest.mark.skipif(
 
 APPS = sorted(APPLICATIONS)
 WIDTH, HEIGHT = 96, 64
-EVERYTHING = ("partition", "verified", "sanitized", "differential")
+EVERYTHING = ("partition", "verified", "sanitized", "differential", "library")
 SRC = str(Path(native_exec.__file__).parents[2])
 
 
@@ -222,6 +224,20 @@ def verdicts(record):
     )
 
 
+def read_spy(monkeypatch, suffix):
+    """Every path ending in ``suffix`` whose bytes are read from now on."""
+    paths = []
+    real = Path.read_bytes
+
+    def reading(self):
+        if self.name.endswith(suffix):
+            paths.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", reading)
+    return paths
+
+
 # -- (a) a warm restart re-decides and re-proves nothing --------------------
 
 
@@ -241,11 +257,18 @@ def test_restart_restores_everything(
 
     restart()
     spy = ToolchainSpy(monkeypatch)
+    lowerings = count_calls(monkeypatch, native_exec, "_lower_partition")
+    library_reads = read_spy(monkeypatch, ".so")
     second = request()
     assert checks.take() == (0, 0, 0, 0)
     assert len(spy.loads) == 1 and not spy.commands
+    # Bound from the manifest: no C text, and the .so is read (and
+    # hashed) once for the restore check and the differential.
+    assert not lowerings and len(library_reads) == 1
     entry = builds[-1]
     assert entry.restored == EVERYTHING and entry.record_rejected is None
+    assert entry.native_plan.source is None
+    assert entry.native_plan.library_path.stem == record["library"]
     timings = entry.timings_ms
     assert timings["fuse_ms"] == 0.0
     assert timings["verify_ms"] == timings["native_verify_ms"] == 0.0
@@ -254,6 +277,7 @@ def test_restart_restores_everything(
     assert not entry.native_plan.differential_pending
     assert_same(first, second)
     assert len(records(cache_dir)) == 1
+    assert only_record(cache_dir)[1] == record  # nothing to rewrite
 
 
 # -- (b) a record only carries what was established -------------------------
@@ -302,9 +326,9 @@ def test_strict_hit_on_a_standard_entry_updates_the_record(
 # -- (c) every way a record can be wrong ends in the full build -------------
 
 
-def _recorded(cache_dir, checks, app="Sobel"):
+def _recorded(cache_dir, checks, app="Sobel", door=direct_door):
     """A first strict request and the record it left."""
-    request = direct_door(app)
+    request = door(app)
     first = request()
     assert checks.take() == (1, 1, 1, 1)
     path, record = only_record(cache_dir)
@@ -405,6 +429,119 @@ def test_record_of_a_missing_library_is_harmless(cache_dir, checks, builds):
     _assert_healed(cache_dir, checks, builds, request, first)
 
 
+# -- (c') a library the record cannot bind is lowered, never misbound -------
+
+
+def _other_cpu_caches(monkeypatch, cache_dir, record):
+    # Same sizes, so the same tiles and the same source: only the
+    # toolchain digest tells this host from the recorded one.
+    caches = dataclasses.replace(hardware.detect_cpu_caches(), source="calibrated")
+    monkeypatch.setattr(hardware, "_detected_cpu_caches", caches)
+
+
+def _other_compiler_path(monkeypatch, cache_dir, record):
+    # The same compiler found under another path.
+    tools = cache_dir.parent / "bin"
+    tools.mkdir()
+    (tools / "cc").symlink_to(cpu_exec._find_compiler())
+    monkeypatch.setenv("PATH", f"{tools}{os.pathsep}{os.environ['PATH']}")
+
+
+def _stem_outside_the_cache(monkeypatch, cache_dir, record):
+    # A loadable library where the stem points, should anything follow it.
+    library = cache_dir / f"{record['library']}.so"
+    shutil.copy(library, cache_dir.parent / "x.so")
+    record["library"] = "../x"
+
+
+def _missing_block(monkeypatch, cache_dir, record):
+    record["bindings"].pop()
+
+
+def _extra_block(monkeypatch, cache_dir, record):
+    record["bindings"].append(record["bindings"][0])
+
+
+def _image_the_tape_does_not_read(monkeypatch, cache_dir, record):
+    record["bindings"][0]["images"] = ["nowhere"]
+
+
+def _other_library_bytes(monkeypatch, cache_dir, record):
+    library = cache_dir / f"{record['library']}.so"
+    other = cache_dir / "other.so"
+    other.write_bytes(library.read_bytes() + b"\0" * 8)
+    os.replace(other, library)
+
+
+def _deleted_library(monkeypatch, cache_dir, record):
+    (cache_dir / f"{record['library']}.so").unlink()
+
+
+@DOORS
+@pytest.mark.parametrize(
+    "tamper, reason, rerun",
+    [
+        pytest.param(_other_cpu_caches, "toolchain", (0, 0, 0, 0), id="cpu_caches"),
+        pytest.param(
+            _other_compiler_path, "toolchain", (0, 0, 1, 1), id="compiler_path"
+        ),
+        pytest.param(
+            _stem_outside_the_cache, "source digest", (0, 0, 1, 1),
+            id="outside_stem",
+        ),
+        pytest.param(_missing_block, "bindings", (0, 0, 0, 0), id="missing_block"),
+        pytest.param(_extra_block, "bindings", (0, 0, 0, 0), id="extra_block"),
+        pytest.param(
+            _image_the_tape_does_not_read, "bindings", (0, 0, 0, 0),
+            id="foreign_image",
+        ),
+        pytest.param(
+            _other_library_bytes, "library bytes", (0, 0, 0, 1), id="other_bytes"
+        ),
+        # Relinked from the cached objects: the differential reruns only
+        # if the linker wrote other bytes.
+        pytest.param(_deleted_library, "library bytes", None, id="deleted_library"),
+    ],
+)
+def test_tampered_record_is_lowered_never_misbound(
+    cache_dir, monkeypatch, checks, builds, door, tamper, reason, rerun
+):
+    request, first, path, record = _recorded(cache_dir, checks, door=door)
+    tamper(monkeypatch, cache_dir, record)
+    path.write_text(json.dumps(record))
+    spy = ToolchainSpy(monkeypatch)
+    library_reads = read_spy(monkeypatch, ".so")
+    lowerings = count_calls(monkeypatch, native_exec, "_lower_partition")
+    assert_same(first, request())
+    assert len(lowerings) == 1
+    entry = builds[-1]
+    assert entry.record_rejected == reason
+    assert "library" not in entry.restored
+    counts = checks.take()
+    assert rerun is None or counts == rerun
+    opened = [Path(p) for p in spy.loads] + library_reads
+    assert opened
+    assert all(p.resolve().parent == cache_dir.resolve() for p in opened)
+    _assert_healed(cache_dir, checks, builds, request, first)
+
+
+def test_a_restored_library_is_used_for_the_lru(
+    cache_dir, monkeypatch, checks, builds
+):
+    request, _, path, record = _recorded(cache_dir, checks)
+    library = cache_dir / f"{record['library']}.so"
+    for artifact in cache_dir.iterdir():
+        os.utime(artifact, (1, 1))
+    request()
+    assert builds[-1].restored == EVERYTHING
+    # Room for the library, its source and the record only: every other
+    # artifact is older, so it goes first.
+    kept = (library, library.with_suffix(".c"), path)
+    monkeypatch.setenv(CACHE_MAX_ENV, str(sum(p.stat().st_size for p in kept)))
+    assert evict_stale_artifacts() > 0
+    assert library.exists() and path.exists()
+
+
 def test_other_code_fingerprint_never_meets_the_record(
     cache_dir, monkeypatch, checks, builds
 ):
@@ -448,7 +585,7 @@ def test_partition_the_graph_rejects_is_decided_again(
     assert_same(first, request())
     # The min-cut runs; the digests still reproduce, so the proofs hold.
     assert checks.take() == (1, 0, 0, 0)
-    assert builds[-1].restored == ("verified", "sanitized", "differential")
+    assert builds[-1].restored == EVERYTHING[1:]
     assert builds[-1].record_rejected == "partition"
     _assert_healed(cache_dir, checks, builds, request, first)
 
