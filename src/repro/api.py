@@ -175,7 +175,10 @@ def run(
     through a serving runtime, otherwise against the default registry
     at the geometry inferred from ``inputs``.  Returns the environment
     mapping surviving image names to arrays — identical, bit for bit,
-    on every engine.
+    on every engine, except that a native plan calling a libm function
+    other than ``sqrt`` / ``rsqrt`` (Enhance's ``exp`` / ``log`` /
+    ``pow``) agrees with the tape only within the pinned 1e-12 of
+    :func:`repro.backend.native_exec.tolerance_for`.
     """
     opts = options or ExecutionOptions()
     runtime = opts.runtime

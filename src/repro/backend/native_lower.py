@@ -942,8 +942,7 @@ def _stage_tape(kernel) -> Tuple[list, int]:
     external) lands as a plain ``gather`` with raw shifted coordinates,
     ready for scratch redirection at lowering."""
     compiler = _TapeCompiler(None, {}, False)
-    gx, gy = _iteration_grids(kernel)
-    root = compiler.expr(kernel.body, kernel, gx, gy, {})
+    root = compiler.body(kernel, *_iteration_grids(kernel))
     return compiler.tape, root
 
 

@@ -38,14 +38,14 @@ environment knob; the default is the serial fallback.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,18 +69,7 @@ from repro.dsl.boundary import BoundaryMode, BoundarySpec, resolve_array
 from repro.dsl.kernel import Kernel, ReductionKind
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
-from repro.ir.expr import (
-    BinOp,
-    Call,
-    Cast,
-    Cmp,
-    Const,
-    Expr,
-    InputAt,
-    Param,
-    Select,
-    UnOp,
-)
+from repro.ir.signature import canonical_digest
 
 #: Environment knob selecting the number of parallel block workers.
 WORKERS_ENV = "REPRO_EXEC_WORKERS"
@@ -246,8 +235,7 @@ class GridStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Instr:
+class Instr(NamedTuple):
     """One SSA tape instruction.
 
     ``args`` are input slot indices; ``aux`` holds immediates (operator
@@ -267,17 +255,20 @@ class PlanStats:
     instructions: int = 0
     member_evaluations: int = 0
     producer_cache_hits: int = 0
-    by_op: Dict[str, int] = field(default_factory=dict)
 
 
 class _TapeCompiler:
     """Flattens one block (or one kernel) into an instruction tape.
 
-    The compilation walk mirrors the recursive engine step for step —
+    The compilation mirrors the recursive engine step for step —
     per-member expression evaluation, static shifts, two-stage index
     exchange against the intermediate image's space, CONSTANT-mode mask
     substitution — but every step lands in a value-numbered slot
-    instead of an eager NumPy value.
+    instead of an eager NumPy value.  A member is evaluated as one
+    forward loop over its kernel's
+    :attr:`~repro.dsl.kernel.Kernel.body_signature` — the descriptors
+    the graph's structural signature already computed, value numbered
+    and operands first — so the ``Expr`` tree is not walked again.
     """
 
     def __init__(
@@ -312,101 +303,49 @@ class _TapeCompiler:
         if slot is not None:
             self.producer_cache_hits += 1
             return slot
-        kernel = self.graph.kernel(name)
-        slot = self.expr(kernel.body, kernel, gx, gy, {})
+        slot = self.body(self.graph.kernel(name), gx, gy)
         self._members[key] = slot
         return slot
 
-    # -- expression compilation -------------------------------------------
+    # -- kernel bodies ----------------------------------------------------
 
-    def expr(
-        self,
-        node: Expr,
-        kernel: Kernel,
-        gx: tuple,
-        gy: tuple,
-        memo: Dict[Expr, int],
-    ) -> int:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        slot = self._compile_node(node, kernel, gx, gy, memo)
-        memo[node] = slot
-        return slot
+    def body(self, kernel: Kernel, gx: tuple, gy: tuple) -> int:
+        """Compile ``kernel``'s body over the grids ``gx`` / ``gy``;
+        returns the slot of its value (the last descriptor's)."""
+        slots: List[int] = []
+        emitted, tape = self._slots, self.tape
+        for descriptor in kernel.body_signature:
+            tag = descriptor[0]
+            if tag == "input":
+                _, image, dx, dy = descriptor
+                slots.append(self._read(kernel, image, dx, dy, gx, gy))
+                continue
+            # The tag and its immediates, then operand slots.
+            split = 1 if tag == "select" else 2
+            args = tuple([slots[ref] for ref in descriptor[split:]])
+            key = descriptor[:split] + args
+            slot = emitted.get(key)
+            if slot is None:
+                slot = emitted[key] = len(tape)
+                tape.append(Instr(tag, args, descriptor[1:split]))
+            slots.append(slot)
+        return slots[-1]
 
-    def _compile_node(
-        self,
-        node: Expr,
-        kernel: Kernel,
-        gx: tuple,
-        gy: tuple,
-        memo: Dict[Expr, int],
+    def _read(
+        self, kernel: Kernel, image: str, dx: int, dy: int, gx: tuple, gy: tuple
     ) -> int:
-        if isinstance(node, Const):
-            return self._emit(("const", node.value), "const", (), (node.value,))
-        if isinstance(node, Param):
-            return self._emit(("param", node.name), "param", (), (node.name,))
-        if isinstance(node, InputAt):
-            return self._compile_read(node, kernel, gx, gy)
-        if isinstance(node, BinOp):
-            lhs = self.expr(node.lhs, kernel, gx, gy, memo)
-            rhs = self.expr(node.rhs, kernel, gx, gy, memo)
-            return self._emit(
-                ("bin", node.op, lhs, rhs), "bin", (lhs, rhs), (node.op,)
-            )
-        if isinstance(node, UnOp):
-            operand = self.expr(node.operand, kernel, gx, gy, memo)
-            return self._emit(
-                ("un", node.op, operand), "un", (operand,), (node.op,)
-            )
-        if isinstance(node, Cmp):
-            lhs = self.expr(node.lhs, kernel, gx, gy, memo)
-            rhs = self.expr(node.rhs, kernel, gx, gy, memo)
-            return self._emit(
-                ("cmp", node.op, lhs, rhs), "cmp", (lhs, rhs), (node.op,)
-            )
-        if isinstance(node, Select):
-            cond = self.expr(node.cond, kernel, gx, gy, memo)
-            if_true = self.expr(node.if_true, kernel, gx, gy, memo)
-            if_false = self.expr(node.if_false, kernel, gx, gy, memo)
-            return self._emit(
-                ("select", cond, if_true, if_false),
-                "select",
-                (cond, if_true, if_false),
-            )
-        if isinstance(node, Call):
-            args = tuple(self.expr(a, kernel, gx, gy, memo) for a in node.args)
-            return self._emit(
-                ("call", node.fn) + args, "call", args, (node.fn,)
-            )
-        if isinstance(node, Cast):
-            operand = self.expr(node.operand, kernel, gx, gy, memo)
-            return self._emit(
-                ("cast", node.dtype, operand), "cast", (operand,), (node.dtype,)
-            )
-        raise ExecutionError(f"cannot evaluate node {type(node).__name__}")
-
-    def _compile_read(
-        self, node: InputAt, kernel: Kernel, gx: tuple, gy: tuple
-    ) -> int:
-        boundary = kernel.accessor_for(node.image).boundary
-        xi = shift_key(gx, node.dx)
-        yi = shift_key(gy, node.dy)
-        producer = self.producer_of.get(node.image)
+        accessor = kernel.accessor_for(image)
+        boundary = accessor.boundary
+        xi = shift_key(gx, dx)
+        yi = shift_key(gy, dy)
+        producer = self.producer_of.get(image)
         if producer is None:
             # External image: boundary resolution happens at execution
             # time against the bound array's actual shape (matching
             # :func:`repro.backend.numpy_exec.gather`), interned per
             # (grid, extent, mode).
-            key = (
-                "gather",
-                node.image,
-                xi,
-                yi,
-                boundary.mode.value,
-                boundary.constant,
-            )
-            return self._emit(key, "gather", (), (node.image, xi, yi, boundary))
+            key = ("gather", image, xi, yi, boundary.mode.value, boundary.constant)
+            return self._emit(key, "gather", (), (image, xi, yi, boundary))
         if self.naive_borders:
             # Single-stage composition (Fig. 4b): raw coordinates flow
             # into the producer, no index exchange.
@@ -414,7 +353,7 @@ class _TapeCompiler:
         # Two-stage resolution: exchange the intermediate coordinates
         # against the intermediate image's bounds under the *consumer's*
         # boundary mode, then evaluate the producer at the valid grid.
-        space = kernel.accessor_for(node.image).image.space
+        space = accessor.image.space
         xr = resolve_key(xi, space.width, boundary.mode)
         yr = resolve_key(yi, space.height, boundary.mode)
         slot = self.member(producer, xr, yr)
@@ -482,7 +421,12 @@ class BlockPlan:
         # and diff against it.
         self.naive_borders = naive_borders
         self.kind = kind
-        self._release = _release_schedule(tape, root)
+
+    @cached_property
+    def _release(self) -> Tuple[Tuple[int, ...], ...]:
+        # Computed on first use: a block bound to a native library never
+        # runs its tape.
+        return _release_schedule(self.tape, self.root)
 
     def execute(self, arrays: Arrays, params: Params | None = None) -> np.ndarray:
         """Run the tape over bound arrays; returns the output array."""
@@ -608,14 +552,11 @@ def compile_kernel(
     """Compile a single kernel (``execute_kernel`` semantics: global
     operators are reduced and broadcast)."""
     compiler = _TapeCompiler(None, {}, naive_borders=False)
-    gx, gy = _iteration_grids(kernel)
-    with recursion_headroom():
-        root = compiler.expr(kernel.body, kernel, gx, gy, {})
+    root = compiler.body(kernel, *_iteration_grids(kernel))
     stats = PlanStats(
         instructions=len(compiler.tape),
         member_evaluations=1,
         producer_cache_hits=0,
-        by_op=_op_histogram(compiler.tape),
     )
     return BlockPlan(
         kernel,
@@ -656,7 +597,6 @@ def compile_block(
         instructions=len(compiler.tape),
         member_evaluations=len(compiler._members),
         producer_cache_hits=compiler.producer_cache_hits,
-        by_op=_op_histogram(compiler.tape),
     )
     return BlockPlan(
         destination,
@@ -670,11 +610,15 @@ def compile_block(
     )
 
 
-def _op_histogram(tape: List[Instr]) -> Dict[str, int]:
-    histogram: Dict[str, int] = {}
-    for instr in tape:
-        histogram[instr.op] = histogram.get(instr.op, 0) + 1
-    return histogram
+def _plain_gather(instr: Instr) -> tuple:
+    """A gather as plain values: its boundary enters as ``(mode,
+    constant)``."""
+    image, xi, yi, boundary = instr.aux
+    return (
+        instr.op,
+        instr.args,
+        (image, xi, yi, (boundary.mode.value, boundary.constant)),
+    )
 
 
 class PartitionPlan:
@@ -745,23 +689,25 @@ class PartitionPlan:
         (:mod:`repro.serve.plancache`) binds the ``verified`` verdict to
         it: same digest, same proof."""
         if self._tape_digest is None:
-            # ``repr`` of plain tuples: the ``Instr`` dataclass repr is
-            # three times slower and says nothing more.
-            payload = [
-                (
-                    plan.output_name,
-                    plan.kind,
-                    plan.root,
-                    plan.apply_reduction,
-                    plan.naive_borders,
-                    sorted(deps),
-                    [(instr.op, instr.args, instr.aux) for instr in plan.tape],
-                )
-                for plan, deps in zip(self.plans, self.deps)
-            ]
-            self._tape_digest = hashlib.sha256(
-                repr(payload).encode()
-            ).hexdigest()
+            self._tape_digest = canonical_digest(
+                [
+                    (
+                        plan.output_name,
+                        plan.kind,
+                        plan.root,
+                        plan.apply_reduction,
+                        plan.naive_borders,
+                        sorted(deps),
+                        [
+                            _plain_gather(instr)
+                            if instr.op == "gather"
+                            else tuple(instr)
+                            for instr in plan.tape
+                        ],
+                    )
+                    for plan, deps in zip(self.plans, self.deps)
+                ]
+            )
         return self._tape_digest
 
     def ensure_verified(self, graph: KernelGraph) -> None:

@@ -45,6 +45,11 @@ class BoundarySpec:
     mode: BoundaryMode = BoundaryMode.CLAMP
     constant: float = 0.0
 
+    def __post_init__(self) -> None:
+        # A NumPy scalar fill is kept as the float it stands for, so it
+        # enters tapes and digests as one.
+        object.__setattr__(self, "constant", float(self.constant))
+
     def __str__(self) -> str:
         if self.mode is BoundaryMode.CONSTANT:
             return f"constant({self.constant})"

@@ -17,7 +17,7 @@ from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.image import Image, IterationSpace
 from repro.ir.expr import Expr, InputAt
 from repro.ir.cost import OpCounts, count_ops
-from repro.ir.signature import expr_signature
+from repro.ir.signature import ExprSig, expr_signature
 from repro.ir.traversal import inputs_of, params_of, reads_extent
 from repro.ir.validate import validate
 
@@ -268,6 +268,17 @@ class Kernel:
             self._param_names_cache = cached
         return cached
 
+    @property
+    def body_signature(self) -> ExprSig:
+        """:func:`~repro.ir.signature.expr_signature` of the body, walked
+        once (bodies are immutable): the body half of both structural
+        signatures, and what the tape compiler
+        (:mod:`repro.backend.plan`) evaluates a member from."""
+        cached = getattr(self, "_body_signature_cache", None)
+        if cached is None:
+            cached = self._body_signature_cache = expr_signature(self.body)
+        return cached
+
     def structural_signature(self) -> tuple:
         """A hashable signature of everything execution depends on.
 
@@ -296,7 +307,7 @@ class Kernel:
                 self.granularity,
                 tuple(self.block_shape),
                 self.force_no_shared_memory,
-                expr_signature(self.body),
+                self.body_signature,
             )
             self._signature_cache = cached
         return cached
@@ -330,7 +341,7 @@ class Kernel:
                 self.granularity,
                 tuple(self.block_shape),
                 self.force_no_shared_memory,
-                expr_signature(self.body),
+                self.body_signature,
             )
             self._structure_cache = cached
         return cached

@@ -12,7 +12,6 @@ pipeline); the legality analysis needs both.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -24,6 +23,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+from repro.ir.signature import canonical_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsl.kernel import Kernel
@@ -207,7 +208,10 @@ class KernelGraph:
         which plan caches key separately).  Two graphs built separately
         by the same pipeline code hash identically, which is what lets
         the serving runtime's plan cache (:mod:`repro.serve.plancache`)
-        reuse compiled plans across requests and sessions.
+        reuse compiled plans across requests and sessions: the digest is
+        :func:`~repro.ir.signature.canonical_digest`, so it does not
+        depend on how names were built, on object sharing or on the
+        process's hash seed.
         """
         cached = getattr(self, "_signature_cache", None)
         if cached is None:
@@ -219,7 +223,7 @@ class KernelGraph:
                 tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
                 tuple(sorted(self._external_outputs)),
             )
-            cached = hashlib.sha256(repr(payload).encode()).hexdigest()
+            cached = canonical_digest(payload)
             self._signature_cache = cached
         return cached
 
@@ -243,7 +247,7 @@ class KernelGraph:
                 tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
                 tuple(sorted(self._external_outputs)),
             )
-            cached = hashlib.sha256(repr(payload).encode()).hexdigest()
+            cached = canonical_digest(payload)
             self._structure_sig_cache = cached
         return cached
 

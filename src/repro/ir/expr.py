@@ -15,6 +15,7 @@ Operation cost classes mirror the paper's hardware model (Section II-C):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Tuple
 
 #: Binary operators executed on the ALUs.
@@ -145,6 +146,14 @@ class InputAt(Expr):
     image: str
     dx: int = 0
     dy: int = 0
+
+    def __post_init__(self) -> None:
+        # Offsets index coordinate grids: a NumPy integer is kept as the
+        # int it stands for, so it keys, lowers and verifies like one.
+        for axis in ("dx", "dy"):
+            value = getattr(self, axis)
+            if type(value) is not int and isinstance(value, Integral):
+                object.__setattr__(self, axis, int(value))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InputAt({self.image!r}, {self.dx}, {self.dy})"

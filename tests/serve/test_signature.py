@@ -6,16 +6,32 @@ execution — a mask constant, a geometry, a boundary mode, an extra
 kernel — must change the signature (so it misses).
 """
 
+import enum
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.dsl.boundary import BoundaryMode
+import repro
+from repro.api import ExecutionOptions, run
+from repro.backend.native_exec import native_available
+from repro.backend.plan import clear_plan_caches, plan_for_partition
+from repro.dsl.boundary import BoundaryMode, BoundarySpec
+from repro.dsl.kernel import Kernel
 from repro.dsl.mask import Mask
+from repro.eval.runner import partition_for
+from repro.graph.dag import KernelGraph
 from repro.ir import expr_signature
 from repro.ir.expr import BinOp, Const, Param
+from repro.ir.signature import canonical_digest
+from repro.model.hardware import GTX680
 from repro.serve import FusionSettings, inputs_signature, plan_key
 
-from helpers import BLUR3, EDGE3, chain_pipeline, diamond_pipeline
+from helpers import BLUR3, EDGE3, chain_pipeline, diamond_pipeline, image
 
 
 class TestExprSignature:
@@ -133,3 +149,124 @@ class TestPlanKey:
         a = {"x": np.zeros((4, 4)), "y": np.ones((4, 4))}
         b = {"y": np.ones((4, 4)), "x": np.zeros((4, 4))}
         assert inputs_signature(a) == inputs_signature(b)
+
+
+def _digests(graph):
+    """Both graph signatures and the tape digest of the default fusion."""
+    plan = plan_for_partition(graph, partition_for(graph, GTX680, "optimized"))
+    return (
+        graph.structural_signature(),
+        graph.structure_signature(),
+        plan.tape_digest(),
+    )
+
+
+def _blur_then_point(name=str, number=float, offset=int, shared=True):
+    """src -> blur (local, CONSTANT border) -> mid -> point -> out, with
+    every name passed through ``name``, every constant through ``number``
+    and every read offset through ``offset``; the point kernel's body
+    shares one subtree three times, or builds three equal copies."""
+    src, mid, out = (image(name(text), 12, 10) for text in ("src", "mid", "out"))
+
+    def blur(a):
+        return a(offset(-1), offset(0)) * Const(number(0.25)) + a(
+            offset(1), offset(1)
+        ) * Const(number(0.75))
+
+    def scale(a):
+        if shared:
+            term = a(offset(1), offset(0)) * Const(number(2.0))
+            return term + term * term
+        return a(offset(1), offset(0)) * Const(number(2.0)) + (
+            a(offset(1), offset(0)) * Const(number(2.0))
+        ) * (a(offset(1), offset(0)) * Const(number(2.0)))
+
+    border = BoundarySpec(BoundaryMode.CONSTANT, number(1.5))
+    return KernelGraph(
+        [
+            Kernel.from_function(name("blur"), [src], mid, blur, boundary=border),
+            Kernel.from_function(name("scale"), [mid], out, scale),
+        ]
+    )
+
+
+class TestCanonicalDigest:
+    """The graph signatures and the tape digest hash canonical bytes, not
+    ``repr``: equal structure, equal digests, however it was built."""
+
+    def test_runtime_built_names_digest_like_literals(self):
+        def joined(text):
+            return "".join(list(text))
+
+        assert joined("blur") is not sys.intern("blur")  # not interned
+        assert _digests(_blur_then_point(name=joined)) == _digests(
+            _blur_then_point()
+        )
+
+    def test_shared_and_copied_subtrees_digest_alike(self):
+        shared = _blur_then_point(shared=True)
+        copied = _blur_then_point(shared=False)
+        assert _digests(shared) == _digests(copied)
+        partition = partition_for(shared, GTX680, "optimized")
+        tapes = [
+            [block.tape for block in plan_for_partition(graph, partition).plans]
+            for graph in (shared, copied)
+        ]
+        assert tapes[0] == tapes[1]
+
+    def test_digests_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "import json\n"
+            "from repro.apps import APPLICATIONS\n"
+            "from repro.backend.plan import plan_for_partition\n"
+            "from repro.eval.runner import partition_for\n"
+            "from repro.model.hardware import GTX680\n"
+            "graphs = [APPLICATIONS[app].build(96, 64).build()"
+            " for app in ('Harris', 'Night')]\n"
+            "print(json.dumps([[g.structural_signature(), g.structure_signature(),"
+            " plan_for_partition(g, partition_for(g, GTX680, 'optimized'))"
+            ".tape_digest()] for g in graphs]))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        readings = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            process = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            readings.append(json.loads(process.stdout))
+        from repro.apps import APPLICATIONS
+
+        here = [
+            list(_digests(APPLICATIONS[app].build(96, 64).build()))
+            for app in ("Harris", "Night")
+        ]
+        assert readings[0] == readings[1] == here
+
+    def test_numpy_scalar_constants_and_offsets_key_and_run(self):
+        plain = _blur_then_point()
+        scalars = _blur_then_point(number=np.float64, offset=np.int64)
+        assert _digests(scalars) == _digests(plain)
+        inputs = {"src": np.random.default_rng(5).uniform(0, 255, (10, 12))}
+        clear_plan_caches()
+        expected = run(plain, inputs, options=ExecutionOptions(engine="recursive"))
+        engines = ["recursive", "tape"] + (["native"] if native_available() else [])
+        for engine in engines:
+            clear_plan_caches()  # the scalar graph's own build, not a hit
+            got = run(scalars, inputs, options=ExecutionOptions(engine=engine))
+            np.testing.assert_array_equal(got["out"], expected["out"])
+
+    def test_payloads_marshal_rejects_are_coerced_not_raised(self):
+        class Tag(enum.Enum):
+            A = "a"
+
+        class Name(str):
+            pass
+
+        odd = (Name("k"), Tag.A, [np.float64(0.5)], object)
+        plain = ("k", repr(Tag.A), [0.5], repr(object))
+        assert canonical_digest(odd) == canonical_digest(plain)
