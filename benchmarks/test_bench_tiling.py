@@ -5,20 +5,18 @@ halo-extended tiles whose fused-chain intermediates live in stack
 scratch sized by the cost model (:mod:`repro.model.tiling`) against the
 host cache hierarchy.  This bench measures what the model only prices:
 
-* **before/after roofline** — the classic row-tiled lowering vs the 2D
-  overlapped tiles on the depth-3 local chain at 2048x2048, with the
-  achieved bandwidth against the minimal one-read-one-write traffic;
-* **tile sweep vs model pick** — a measured sweep over tile shapes,
-  recording how far the model's ``auto`` choice lands from the sweep
-  best (``model_over_best``);
-* **six-app bit-identity** — every paper app, tile2d vs the tape
+* **tile sweep vs model pick** — a measured sweep over tile shapes on
+  the depth-3 local chain at 2048x2048, with the achieved bandwidth
+  against the minimal one-read-one-write traffic, recording how far the
+  model's ``auto`` choice lands from the sweep best
+  (``model_over_best``);
+* **six-app bit-identity** — every paper app, native vs the tape
   engine, exact f64 equality under the default knobs.
 
-Emits ``BENCH_tiling.json`` into ``benchmarks/output/``.  The two
-ratios are readings, not floors: on the reference container they spread
-0.9x-10x and 1.01-1.51 across six runs (EXPERIMENTS.md); ROADMAP item 1
-turns them into ledger metrics with a measured bound.  Bit-identity is
-asserted.
+Emits ``BENCH_tiling.json`` into ``benchmarks/output/``.  The ratio is
+a reading, not a floor: on the reference container it spread 1.01-1.51
+across six runs (EXPERIMENTS.md); ROADMAP item 1 turns it into a ledger
+metric with a measured bound.  Bit-identity is asserted.
 """
 
 import os
@@ -97,27 +95,20 @@ def test_bench_tiling(output_dir):
     block = PartitionBlock(graph, set(graph.kernel_names))
     partition = Partition(graph, [block])
 
-    # --- before/after roofline ----------------------------------------
-    classic_s, classic_tile = _timed_plan(graph, partition, data, "off")
+    # --- measured tile sweep vs the model pick ------------------------
     auto_s, auto_tile = _timed_plan(graph, partition, data, "auto")
-    assert classic_tile is None and auto_tile is not None
+    assert auto_tile is not None
     # Minimal traffic: the input plane in, the output plane out; every
     # chain intermediate stays in cache-resident scratch.
     min_bytes = 2 * SIZE * SIZE * 8
-    speedup = classic_s / auto_s
     roofline = {
         "depth": DEPTH,
         "size": SIZE,
-        "classic_s": classic_s,
         "tile2d_s": auto_s,
-        "speedup": speedup,
         "min_traffic_bytes": min_bytes,
-        "classic_gbs": min_bytes / classic_s / 1e9,
         "tile2d_gbs": min_bytes / auto_s / 1e9,
         "tile": list(auto_tile),
     }
-
-    # --- measured tile sweep vs the model pick ------------------------
     model_shape = f"{auto_tile[0]}x{auto_tile[1]}"
     sweep = {}
     for knob in (*SWEEP, model_shape):
@@ -143,26 +134,12 @@ def test_bench_tiling(output_dir):
             for name in app_graph.pipeline_inputs()
         }
         app_partition = partition_for(app_graph, GTX680, "optimized")
-        old = os.environ.get("REPRO_NATIVE_TILE2D")
-        os.environ["REPRO_NATIVE_TILE2D"] = "off"
-        try:
-            classic_plan = native_plan_for_partition(app_graph, app_partition)
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_NATIVE_TILE2D", None)
-            else:
-                os.environ["REPRO_NATIVE_TILE2D"] = old
         nplan = native_plan_for_partition(app_graph, app_partition)
         native_env = nplan.execute(dict(inputs), APP_PARAMS)
-        # The headline claim: the tiling transform moves work into
-        # scratch without changing a single bit of the f64 result.
-        classic_env = classic_plan.execute(dict(inputs), APP_PARAMS)
-        for name in classic_env:
-            assert np.array_equal(classic_env[name], native_env[name]), (
-                f"{app_name}/{name}: tile2d changed bits vs classic"
-            )
-        # And against the tape engine, under the pinned policy (some
-        # apps pin a tiny tolerance for libm-scheduling differences).
+        # The headline claim: staging moves work into scratch without
+        # changing the result — against the tape engine, under the
+        # pinned policy (some apps pin a tiny tolerance for
+        # libm-scheduling differences).
         tape_env = run(
             app_graph, inputs, APP_PARAMS,
             options=ExecutionOptions(engine="tape", partition=app_partition),
@@ -185,7 +162,6 @@ def test_bench_tiling(output_dir):
                 if n is not None and n.spec.tile2d is not None
             ),
             "native_blocks": nplan.native_block_count,
-            "bit_identical_vs_classic": True,
             "tape_tolerance": (
                 "bit-identical"
                 if nplan.tolerance is None

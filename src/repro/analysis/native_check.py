@@ -43,15 +43,15 @@ Diagnostics:
   (missing bodies/driver, a perturbed tile/row loop, a store outside
   the recognized pattern).
 
-Two lowering families are recognized.  The **classic** row-tiled form
-(one halo/interior body pair, a tile/row driver) is proven purely in
-the affine domain.  The **2D overlapped-tiling** form
-(``REPRO_NATIVE_TILE2D``) adds per-tile scratch buffers filled by
-per-stage bodies; every clip, clamp and split bound of its driver is an
-``IntDecl`` whose *expression* is matched against the canonical
-grid/region/fill shape (the safety argument is a meta-theorem over
-that shape: clipped regions can never exceed the compile-time scratch
-extents), and every scratch subscript inside a body is checked against
+One driver shape is recognized, the lowering's one tile driver: a
+tile grid (2D, or a row band with x untiled), per-tile scratch buffers
+filled by per-stage bodies (none for a block that materializes
+nothing), then the destination's halo/interior sweep.  Every clip,
+clamp and split bound of the driver is an ``IntDecl`` whose
+*expression* is matched against the canonical grid/region/fill shape
+(the safety argument is a meta-theorem over that shape: clipped
+regions can never exceed the compile-time scratch extents), and every
+scratch subscript inside a body is checked against
 the driver's recovered **margin ledger** — a consumer with halo margins
 ``(Lc, Rc, Tc, Bc)`` may read a producer at x-offset ``d`` only when
 ``Lp >= Lc - d`` and ``Rp >= Rc + d`` (and the y analogue), which is
@@ -193,20 +193,6 @@ def _iv_join(a: _Iv, b: _Iv) -> _Iv:
 
 
 _BOOL_IV = _Iv((_ZERO,), (_aff_const(1),))
-
-
-def _iv_empty(iv: _Iv) -> bool:
-    """Provably no integer satisfies the interval (``hi <= lo - 1``).
-
-    Degenerate flank loops of margin-free blocks (``for (int x = 0;
-    x < 0; ++x)``) never execute their store, so a store under a
-    provably-empty range is vacuously safe.
-    """
-    return any(
-        _prove_le(hi, _aff_add(lo, _aff_const(-1)))
-        for lo in iv.los
-        for hi in iv.his
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +440,8 @@ class _ScratchCtx:
     raw: bool
 
 
-class _Tile2DShapeError(Exception):
-    """Internal bail-out: the tile2d driver deviated from the template."""
+class _DriverShapeError(Exception):
+    """Internal bail-out: the tile driver deviated from the template."""
 
 
 class _Checker:
@@ -621,7 +607,7 @@ class _Checker:
         fn: Func,
         x_iv: _Iv,
         y_iv: _Iv,
-        scratch: Optional[_ScratchCtx] = None,
+        scratch: _ScratchCtx,
     ) -> None:
         env: Dict[str, _Iv] = {"x": x_iv, "y": y_iv}
         symbols: Dict[str, tuple] = {}
@@ -650,7 +636,7 @@ class _Checker:
         load: Load,
         symbols: Dict[str, tuple],
         env: Dict[str, _Iv],
-        scratch: Optional[_ScratchCtx],
+        scratch: _ScratchCtx,
         path: str,
     ) -> None:
         """Prove one scratch-buffer read against the margin ledger.
@@ -675,9 +661,6 @@ class _Checker:
                 buffer=buffer,
             )
 
-        if scratch is None:
-            fail("NAT002", "appears outside any tile2d scratch context")
-            return
         if load.stride != 1:
             fail(
                 "NAT002",
@@ -795,16 +778,15 @@ class _Checker:
         has_interior: bool,
         split: Optional[Tuple[_Iv, Tuple[tuple, tuple]]] = None,
     ) -> Optional[Tuple[_Iv, _Iv]]:
-        """The guard / x-loop / store walk over the body of a row loop
-        whose ``y`` is proven inside the plane — the classic driver's
-        and the tile2d destination's alike.
+        """The guard / x-loop / store walk over the destination's row
+        loop, whose ``y`` is proven inside the plane.
 
         Proves every ``out`` store in-plane for the x-range of its loop
         (evaluated under ``env``) and the y-range of its guard branch,
         and returns the proven ``(x_iv, y_iv)`` of the interior body's
-        call site.  ``split`` is the tile2d destination's template-proven
-        ``(interior x_iv, (lo, hi) loop bounds)``: the interior body may
-        then only be called from exactly that segment.
+        call site.  ``split`` is the template-proven ``(interior x_iv,
+        (lo, hi) loop bounds)`` of the three-segment split: the interior
+        body may only be called from exactly that segment.
         """
         path = self.fn_name
         halo, interior = f"{path}_halo", f"{path}_interior"
@@ -861,8 +843,6 @@ class _Checker:
                             "NAT004", "store outside any x loop", where
                         )
                         x_iv = self.full_x
-                    if _iv_empty(x_iv) or _iv_empty(y_iv):
-                        continue  # loop provably never executes this store
                     self.check_index(
                         stmt.index,
                         {"x": x_iv, "y": y_iv},
@@ -871,9 +851,7 @@ class _Checker:
                         stmt.stride,
                     )
                     if stmt.callee == interior:
-                        if split is None:
-                            interior_env = (x_iv, y_iv)
-                        elif bounds == split[1]:
+                        if split is not None and bounds == split[1]:
                             interior_env = (split[0], y_iv)
                         else:
                             self.emit(
@@ -907,64 +885,11 @@ class _Checker:
             )
         return interior_env
 
-    def check_driver(self, driver: Func, has_interior: bool):
-        """The classic driver: ``for t`` over row tiles, ``y_end``
-        clamped to the plane height, ``for y`` over the tile's rows."""
-        path = self.fn_name
-        tile_loop = next(
-            (
-                stmt
-                for stmt in driver.body
-                if _loops_over(stmt, "t", ("num", 0), ("id", "n_tiles"))
-            ),
-            None,
-        )
-        y_end = row_loop = tile = None
-        for stmt in tile_loop.body if tile_loop is not None else ():
-            if type(stmt) is IntDecl and stmt.name == "y_end":
-                y_end = stmt
-            elif type(stmt) is For and stmt.var == "y":
-                row_loop = stmt
-        if y_end is not None:
-            # y_end = (t + 1) * T < height ? (t + 1) * T : height
-            pick = _as_pick(strip_parens(y_end.expr), "<")
-            if (
-                pick is not None
-                and pick[0][:3] == ("bin", "*", ("bin", "+", ("id", "t"), ("num", 1)))
-                and pick[0][3][0] == "num"
-                and self.point(pick[1]) == self.height_aff
-            ):
-                tile = pick[0][3][1]
-            else:
-                self.emit(
-                    "NAT004",
-                    "tile bound does not clamp y_end to the plane "
-                    f"height: {expr_text(y_end.expr)!r}",
-                    path,
-                )
-        if row_loop is not None and not _loops_over(
-            row_loop, "y", ("bin", "*", ("id", "t"), ("num", tile)), ("id", "y_end")
-        ):
-            self.emit(
-                "NAT004",
-                "row loop tile stride disagrees with the clamped y_end "
-                f"tile: y = {expr_text(row_loop.lo)!r}",
-                path,
-            )
-        if row_loop is None or tile is None:
-            self.emit(
-                "NAT004",
-                "driver is missing the expected tile/row loop nest",
-                path,
-            )
-            return None
-        return self.check_sweep(row_loop.body, {}, has_interior)
-
-    # -- 2D overlapped-tiling driver ---------------------------------------
+    # -- the tile driver ---------------------------------------------------
 
     def malformed(self, why: str) -> None:
-        self.emit("NAT004", f"tile2d driver: {why}", self.fn_name)
-        raise _Tile2DShapeError
+        self.emit("NAT004", f"tile driver: {why}", self.fn_name)
+        raise _DriverShapeError
 
     def _scope(self, stmts: tuple):
         """One straight-line scope by name: its int decls (parens
@@ -1064,8 +989,8 @@ class _Checker:
                 "region-relative index from its own stage body"
             )
 
-    def check_tile2d_driver(self, driver: Func, has_interior: bool):
-        """Template-verify the tile2d driver; recover the margin ledger.
+    def check_tile_driver(self, driver: Func, has_interior: bool):
+        """Template-verify the tile driver; recover the margin ledger.
 
         Returns ``(producers, interior_env, stage_envs)`` on success —
         ``producers`` maps stage index to ``(L, R, T, B, pitch)``,
@@ -1073,41 +998,58 @@ class _Checker:
         body's call sites (``None`` when no interior body is called),
         and ``stage_envs`` maps each split-fill stage to the proven
         ``(x_iv, y_iv)`` of its clamp-free ``_s{k}i`` call sites.
-        Emits NAT004 and raises :class:`_Tile2DShapeError` on any
+        Emits NAT004 and raises :class:`_DriverShapeError` on any
         structural deviation: the scratch-safety argument is a
         meta-theorem over this exact shape, so an unrecognized driver
         cannot be proven safe.
         """
         W, H = self.width_aff, self.height_aff
         x0, y0, x1, y1 = (("id", name) for name in ("x0", "y0", "x1", "y1"))
+        t, n_tx = ("id", "t"), ("id", "n_tx")
 
-        # Tile grid: n_tx = ceil(width / tw), origin/clip decls.  The
-        # grid template proves x0 in [0, width - 1] and x1 in [0, width]
-        # ((n_tx - 1) * tw <= width - 1 whenever width >= 1).
+        # Tile grid.  A 2D grid is n_tx = ceil(width / tw) by
+        # n_ty = ceil(height / th) tiles; its template proves x0 in
+        # [0, width - 1] and x1 in [0, width] ((n_tx - 1) * tw <= width
+        # - 1 whenever width >= 1).  A row band leaves x untiled
+        # (x0 = 0, x1 = width) over ceil(height / th) tiles of th rows.
         top, _, outer = self._scope(driver.body)
-        tile_w = self._tile_count(top.get("n_tx"), W)
-        tile_h = self._tile_count(top.get("n_ty"), H)
-        if tile_w is None or tile_h is None:
-            self.malformed(
-                "n_tx / n_ty do not divide the plane into ceil(W/tw) x "
-                "ceil(H/th) tiles"
-            )
-        tiles = ("bin", "*", ("id", "n_tx"), ("id", "n_ty"))
+        if "n_tx" in top:
+            tile_w = self._tile_count(top.get("n_tx"), W)
+            tile_h = self._tile_count(top.get("n_ty"), H)
+            if tile_w is None or tile_h is None:
+                self.malformed(
+                    "n_tx / n_ty do not divide the plane into ceil(W/tw) x "
+                    "ceil(H/th) tiles"
+                )
+            tiles = ("bin", "*", n_tx, ("id", "n_ty"))
+            x_origin = ("bin", "*", ("bin", "%", t, n_tx), ("num", tile_w))
+            y_origin = ("bin", "*", ("bin", "/", t, n_tx), ("num", tile_h))
+        else:
+            tile_w, tile_h = None, self._tile_count(top.get("n_tiles"), H)
+            if tile_h is None:
+                self.malformed(
+                    "n_tiles does not divide the plane into ceil(H/th) "
+                    "row bands"
+                )
+            tiles = top["n_tiles"]
+            x_origin, y_origin = ("num", 0), ("bin", "*", t, ("num", tile_h))
         if top.get("n_tiles") != tiles or len(outer) != 1 or not _loops_over(
             outer[0], "t", ("num", 0), ("id", "n_tiles")
         ):
-            self.malformed("expected one tile loop over n_tx * n_ty tiles")
+            self.malformed("expected one tile loop over the n_tiles tiles")
         decls, scratch, loops = self._scope(outer[0].body)
-        t, n_tx = ("id", "t"), ("id", "n_tx")
-        for axis, op, tile, extent in (
-            ("x", "%", tile_w, W),
-            ("y", "/", tile_h, H),
-        ):
-            origin = ("bin", "*", ("bin", op, t, n_tx), ("num", tile))
-            if decls.get(f"{axis}0") != origin:
-                self.malformed(f"{axis}0 stride disagrees with the tile grid")
-            if self._margin(decls.get(f"{axis}1"), "+", f"{axis}0", extent) != tile:
-                self.malformed(f"{axis}1 is not clamped to the plane extent")
+        if decls.get("x0") != x_origin or decls.get("y0") != y_origin:
+            self.malformed("x0 / y0 stride disagrees with the tile grid")
+        if tile_w is None:
+            x1_ok = "x1" in decls and self.point(decls["x1"]) == W
+        else:
+            x1_ok = self._margin(decls.get("x1"), "+", "x0", W) == tile_w
+        if not x1_ok:
+            self.malformed("x1 is not the tile's end clamped to the plane width")
+        if self._margin(decls.get("y1"), "+", "y0", H) != tile_h:
+            self.malformed("y1 is not clamped to the plane height")
+        if scratch and tile_w is None:
+            self.malformed("a row band materializes no scratch")
         env: Dict[str, _Iv] = {
             "x0": self.full_x,
             "y0": self.full_y,
@@ -1149,8 +1091,6 @@ class _Checker:
                     buffer=f"scr_{stage}",
                 )
             producers[stage] = margins + (pitch,)
-        if not producers:
-            self.malformed("no scratch stage declarations")
         if len(loops) != len(producers) + 1:
             self.malformed(
                 "expected one fill loop per scratch stage and one "
@@ -1221,14 +1161,25 @@ class _Checker:
         interior_env = self.check_sweep(dest.body, env, has_interior, split)
         return producers, interior_env, stage_envs
 
-    def run_tile2d(self, driver: Func) -> List[Diagnostic]:
+    # -- entry -------------------------------------------------------------
+
+    def run(self) -> List[Diagnostic]:
         functions, fn_name = self.functions, self.fn_name
         interior = functions.get(f"{fn_name}_interior")
+        driver = functions.get(fn_name)
+        if f"{fn_name}_halo" not in functions or driver is None:
+            self.emit(
+                "NAT004",
+                f"block lacks the expected {fn_name!r} halo/driver functions",
+                fn_name,
+            )
+            return self.diagnostics
+        self.check_pointers()
         try:
-            producers, interior_env, stage_envs = self.check_tile2d_driver(
+            producers, interior_env, stage_envs = self.check_tile_driver(
                 driver, has_interior=interior is not None
             )
-        except _Tile2DShapeError:
+        except _DriverShapeError:
             return self.diagnostics
         full_x, full_y = self.full_x, self.full_y
         for stage in sorted(producers):
@@ -1289,40 +1240,6 @@ class _Checker:
                 interior,
                 *(interior_env or (full_x, full_y)),
                 _ScratchCtx(dest, producers, raw=True),
-            )
-        return self.diagnostics
-
-    # -- entry -------------------------------------------------------------
-
-    def run(self) -> List[Diagnostic]:
-        halo = self.functions.get(f"{self.fn_name}_halo")
-        interior = self.functions.get(f"{self.fn_name}_interior")
-        driver = self.functions.get(self.fn_name)
-        if halo is None or driver is None:
-            self.emit(
-                "NAT004",
-                f"block lacks the expected {self.fn_name!r} "
-                "halo/driver functions",
-                self.fn_name,
-            )
-            return self.diagnostics
-        self.check_pointers()
-        if any(
-            type(stmt) is IntDecl and stmt.name == "n_tx"
-            for stmt in driver.body
-        ):
-            return self.run_tile2d(driver)
-        interior_env = self.check_driver(driver, interior is not None)
-        # The halo body must be safe for every pixel of the plane: it
-        # runs in the flanks, the non-interior rows, and — polymorphic —
-        # wherever the runtime geometry shrinks the interior away.
-        self.check_body(halo, self.full_x, self.full_y)
-        if interior is not None:
-            # A driver too malformed to locate the interior call site
-            # (reported as NAT004 above) leaves the full plane, the
-            # widest sound assumption.
-            self.check_body(
-                interior, *(interior_env or (self.full_x, self.full_y))
             )
         return self.diagnostics
 

@@ -78,8 +78,12 @@ class ExecutionOptions:
     runtime:
         A :class:`~repro.serve.runtime.ServingRuntime` to route the
         call through — its own plan cache, scheduler, and the
-        serving resilience layer apply; the options' own engine/fusion
-        fields are ignored in favour of the runtime's configuration.  A
+        serving resilience layer apply.  The runtime serves the call
+        on its own engine, workers, validation and resilience, so an
+        explicit ``workers``, ``validate`` or ``resilience``, or an
+        ``engine`` other than the one the runtime was asked for, raises
+        :class:`ExecutionError` instead of being ignored.  The fusion
+        fields give way to the runtime's fusion configuration.  A
         :class:`~repro.serve.sharding.ShardedRuntime` also works for
         *named* pipelines (requests fan out over its worker
         processes); ad-hoc graph execution needs the single-process
@@ -182,6 +186,8 @@ def run(
     """
     opts = options or ExecutionOptions()
     runtime = opts.runtime
+    if runtime is not None:
+        _refuse_what_the_runtime_ignores(opts)
     if isinstance(pipeline, str):
         if runtime is not None:
             return runtime.execute(pipeline, inputs, params)
@@ -216,6 +222,25 @@ def run(
             except Exception:
                 if rung is rungs[-1]:
                     raise
+
+
+def _refuse_what_the_runtime_ignores(opts: ExecutionOptions) -> None:
+    """Raise naming the first field a routed call would drop: the
+    runtime serves on the engine it was asked for, with its own
+    workers, validation level and resilience policy."""
+    runtime = opts.runtime
+    engine = getattr(runtime, "requested_engine", runtime.engine)
+    if opts.engine is not None and opts.engine != engine:
+        raise ExecutionError(
+            f"ExecutionOptions.engine={opts.engine!r} cannot apply through "
+            f"a runtime that serves {engine!r}"
+        )
+    for field in ("workers", "validate", "resilience"):
+        if getattr(opts, field) is not None:
+            raise ExecutionError(
+                f"ExecutionOptions.{field} cannot apply through a runtime, "
+                "which uses its own; leave it unset"
+            )
 
 
 def run_block(

@@ -189,10 +189,7 @@ class For(NamedTuple):
     """``for (int var = lo; var < hi; ++var)`` over ``body``.
 
     ``pragma`` is ``"simd"``, ``"parallel"`` or ``None``.  A loop whose
-    body is one :class:`Store` prints without braces.  ``indent`` shifts
-    the statement and its subtree by that many columns — cosmetic, kept
-    so the printed bytes (and the ``.so`` content hashes) are the ones
-    the engine has always emitted.
+    body is one :class:`Store` prints without braces.
     """
 
     var: str
@@ -200,7 +197,6 @@ class For(NamedTuple):
     hi: Expr
     body: tuple
     pragma: Optional[str] = None
-    indent: int = 0
 
 
 class Guard(NamedTuple):
@@ -211,7 +207,6 @@ class Guard(NamedTuple):
     hi: Expr
     then: tuple
     orelse: tuple
-    indent: int = 0
 
 
 class Formal(NamedTuple):
@@ -325,8 +320,6 @@ def _emit(node, column: int, out: list) -> None:
             f"{node.callee}({', '.join(node.actuals)});"
         )
     elif kind is For:
-        column += node.indent
-        pad = " " * column
         if node.pragma is not None:
             out.append(_PRAGMAS[node.pragma])
         braces = not (len(node.body) == 1 and type(node.body[0]) is Store)
@@ -341,8 +334,6 @@ def _emit(node, column: int, out: list) -> None:
         if braces:
             out.append(pad + "}")
     elif kind is Guard:
-        column += node.indent
-        pad = " " * column
         var = node.var
         out.append(
             f"{pad}if ({var} >= {expr_text(node.lo, _OPERAND)} && "

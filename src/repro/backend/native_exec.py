@@ -13,7 +13,8 @@ object per block, one linked library per partition) and driven via
 
 **Three modules, imports pointing one way.**
 :mod:`repro.backend.native_lower` writes the kernels (tape → loop-nest
-IR → C text: classic, tile2d, hoisting; no compiler needed);
+IR → C text: one tile driver over a block's stages, hoisting; no
+compiler needed);
 :mod:`repro.backend.native_bind` calls them (:class:`NativeBlock`, the
 thread budget, channels as a stride); this module owns the plan object
 (:class:`NativePartitionPlan` — one block alone is a one-block
@@ -25,7 +26,7 @@ public names.
 plan's schedule order, each compiled call on the caller's whole share
 of the cores (:func:`resolve_native_threads`).  The locality the paper
 fuses for lives *inside* a kernel, and that is where the engine
-parallelises (OpenMP teams over row tiles and overlapped 2D tiles);
+parallelises (OpenMP teams over row bands and overlapped 2D tiles);
 overlapping whole blocks too competed for the same cores and measured
 slower (EXPERIMENTS.md), so ``workers`` is accepted and ignored.
 

@@ -1,10 +1,10 @@
 """Lowering: block tapes → loop-nest IR → C text.
 
-Each :class:`~repro.backend.plan.BlockPlan` tape lowers to **one C
-function** — a single row-tiled loop nest whose per-pixel SSA slots
-become ``const double`` register temporaries (the degenerate, tightest
-form of per-tile scratch).  This module only *writes* kernels — no
-compiler, no :mod:`ctypes`; :mod:`repro.backend.native_exec` has the map.
+Each :class:`~repro.backend.plan.BlockPlan` lowers to **one C
+function**: a tile loop nest over a list of stages, whose per-pixel SSA
+slots become ``const double`` register temporaries.  This module only
+*writes* kernels — no compiler, no :mod:`ctypes`;
+:mod:`repro.backend.native_exec` has the map.
 
 **Tape → loop nest → C.**  The lowerings here are *builders* of the
 small structured IR in :mod:`repro.backend.loopnest`; its printer turns
@@ -17,27 +17,29 @@ The loop nest follows the paper's region analysis (Section IV-B): an
 provably the identity (direct loads, no branches), and a **halo** body
 that replays the tape's index exchange exactly — ``idx_clamp`` /
 ``idx_mirror`` / ``idx_repeat`` resolvers and CONSTANT-mode masks are
-bit-compatible with :func:`repro.dsl.boundary.resolve_array`.  Rows are
-processed in tiles (:data:`TILE_ROWS` rows each) and tiles are the
-OpenMP work units (compiled in only when the toolchain supports
+bit-compatible with :func:`repro.dsl.boundary.resolve_array`.  Tiles
+are the OpenMP work units (compiled in only when the toolchain supports
 ``-fopenmp``).  Every innermost x-loop carries ``#pragma omp simd`` so
 the compiler vectorizes without reassociating (per-lane IEEE semantics
 keep the bit-identity contract).
 
-**2D overlapped tiling** (``REPRO_NATIVE_TILE2D``, default ``auto``).
-The fused tape recomputes every producer per consumer pixel — a
-depth-3 chain of 3×3 stencils evaluates the first stage ~49 times per
-output pixel.  Eligible fused local chains instead compute each
-non-destination stage **once** per pixel of a halo-extended tile into
-stack scratch (:func:`_lower_block_tile2d`, the CPU analogue of the
-paper's shared-memory overlapped tiling, Section IV), the tile shape
-from the cost model in :mod:`repro.model.tiling` or an explicit ``HxW``;
-ineligible chains (single kernels, reductions, MIRROR/REPEAT internal
-edges, margins past the cap) silently keep the classic row-tiled form.
-Before staging, :func:`_hoist_window_invariants` splits a libm call or
-division one kernel applies at several taps of an image into a point
-stage of its own.  Both are **bit-identical** to the classic lowering
-and the tape interpreter; the graph, partition and tape are untouched.
+**One tile driver, a list of stages** (:func:`_lower_stages`).  The
+fused tape recomputes every producer per consumer pixel — a depth-3
+chain of 3×3 stencils evaluates the first stage ~49 times per output
+pixel.  A fused local chain instead *materializes* each
+non-destination stage **once** per pixel of a halo-extended 2D tile
+into stack scratch (the CPU analogue of the paper's shared-memory
+overlapped tiling, Section IV), the tile shape from the cost model in
+:mod:`repro.model.tiling` or ``REPRO_NATIVE_TILE2D``'s explicit
+``HxW``.  A block with nothing to materialize — a single kernel, or a
+chain that cannot be staged (naive borders, MIRROR/REPEAT internal
+edges, margins past the cap, no tile fits) — is the same driver with
+one stage holding the fused tape, swept in *row bands*
+(:data:`TILE_ROWS` rows, x untiled).  Before staging,
+:func:`_hoist_window_invariants` splits a libm call or division one
+kernel applies at several taps of an image into a point stage of its
+own.  Every form is **bit-identical** to the tape interpreter; the
+graph, partition and tape are untouched.
 
 **Float32 fast path** (``REPRO_NATIVE_F32=on``, default off).  Plane
 I/O stays float64; per-pixel slots, literals and libm calls run in
@@ -106,9 +108,9 @@ from repro.graph.partition import Partition, PartitionBlock
 from repro.ir.expr import BinOp, Call, Expr, InputAt
 from repro.ir.traversal import children, rebuild, shift_offsets, walk
 
-#: Rows per parallel tile of the classic lowering (the OpenMP work
-#: unit) — large enough to amortize scheduling, small enough to
-#: load-balance tall images across threads.
+#: Rows per parallel tile of a row band (the OpenMP work unit) — large
+#: enough to amortize scheduling, small enough to load-balance tall
+#: images across threads.
 TILE_ROWS = 64
 
 
@@ -724,11 +726,11 @@ class _BlockSpec:
         self.height = sig.height
         self.channels = channels
         self.polymorphic = sig.polymorphic
-        #: The (tile_h, tile_w) of a 2D overlapped-tiling lowering, or
-        #: ``None`` for the classic row-tiled form.
+        #: The (tile_h, tile_w) of a block that materializes stages, or
+        #: ``None`` for the row band of one that materializes nothing.
         self.tile2d = tile2d
-        #: Window-invariant hoisting decisions of the tile2d lowering
-        #: (see :func:`_hoist_window_invariants`); empty for classic.
+        #: Window-invariant hoisting decisions of a materializing block
+        #: (see :func:`_hoist_window_invariants`); empty for a row band.
         self.hoisted = hoisted
         #: Whether the per-pixel arithmetic runs in single precision
         #: (``REPRO_NATIVE_F32``); plane I/O stays float64 either way.
@@ -784,41 +786,6 @@ def _store_of(
     )
 
 
-def _row_sweep(
-    store,
-    full: Tuple[tuple, tuple],
-    segments: Optional[Tuple[tuple, tuple, tuple]] = None,
-    guard: Tuple[tuple, ...] = (),
-    indent: int = 0,
-) -> tuple:
-    """The x-loops of one row of a sweep — the one three-segment split.
-
-    ``store(interior)`` builds the per-pixel :class:`Store`.  Without
-    ``segments`` the row is one halo loop over ``full``.  With them,
-    rows inside ``guard`` split into halo / interior / halo loops over
-    the three ``(lo, hi)`` segments and every other row takes the full
-    halo loop.
-    """
-
-    def xloop(bounds, interior=False, shift=0):
-        lo, hi = bounds
-        return For("x", lo, hi, (store(interior),), "simd", shift)
-
-    if segments is None:
-        return (xloop(full, shift=indent),)
-    left, middle, right = segments
-    return (
-        Guard(
-            "y",
-            guard[0],
-            guard[1],
-            (xloop(left), xloop(middle, True), xloop(right)),
-            (xloop(full, shift=-indent),),
-            indent,
-        ),
-    )
-
-
 def _lower_block(
     plan: BlockPlan,
     fn_name: str,
@@ -829,14 +796,18 @@ def _lower_block(
     """Lower one block tape to loop-nest IR (raises
     :class:`NativeLoweringError` when the tape has no lowering).
 
+    A block lowers to a list of stages swept by one tile driver
+    (:func:`_lower_stages`).  When the graph and partition block are
+    known, a fused local chain materializes every non-destination stage
+    into per-tile scratch (:func:`_tile2d_stages`, the tile from
+    :func:`_tile_shape`).  A block with nothing to materialize — a
+    single kernel, or a chain those refuse — is one stage holding its
+    fused tape, swept in row bands.
+
     With ``polymorphic=True`` the geometry becomes two runtime ``const
     int`` parameters and the emitted source carries no baked extents —
     byte-identical across resolutions of the same structure, so the
-    content-hash ``.so`` cache dedupes the compile.  When the graph and
-    partition block are known and ``REPRO_NATIVE_TILE2D`` is not
-    ``off``, eligible fused chains take the 2D overlapped-tiling
-    lowering instead; any ineligibility silently keeps the classic
-    row-tiled form.
+    content-hash ``.so`` cache dedupes the compile.
     """
     kernel = plan.destination
     if plan.apply_reduction and kernel.reduction is not None:
@@ -845,93 +816,29 @@ def _lower_block(
             f"({plan.destination.reduction.value}) has no native lowering"
         )
     f32 = native_f32_enabled()
-    setting = native_tile2d_env()
-    if setting != "off" and graph is not None and block is not None:
+    stages = ([plan.tape], [plan.root], [], {}, None, ())
+    if graph is not None and block is not None:
         try:
-            return _lower_block_tile2d(
-                plan, graph, block, fn_name, setting, polymorphic, f32
+            _, tapes, roots, margins, produced, footprints, hoisted = (
+                _tile2d_stages(plan, graph, block)
             )
+            tile = _tile_shape(footprints, native_tile2d_env(), f32)
+            stages = (tapes, roots, margins, produced, tile, hoisted)
         except NativeLoweringError:
-            pass  # ineligible chain: classic row-tiled lowering below
-    space = kernel.space
-    width, height, channels = space.width, space.height, space.channels
-    images, params, _ = _tape_reads(plan.tape, {})
-    sig = _Signature(images, params, width, height, polymorphic, f32, channels)
-    W, H = sig.W, sig.H
-    formals = sig.formals(images, params)
-    names = (f"{fn_name}_halo", f"{fn_name}_interior")
-    functions, band = _pixel_fns(sig, *names, formals, plan.tape, plan.root)
-    xlo, xhi, ylo, yhi = band or (0, 0, 0, 0)
-
-    # The interior margins are static (offset intervals of the grid
-    # keys), so the upper bounds are expressible off the runtime
-    # extents.  When the runtime image is smaller than the margins the
-    # interior loop is simply empty and the flanking halo loops overlap
-    # — both compute the (always-correct) halo body, so the overlap is
-    # benign.
-    xhi_sym = sig.margin_hi(xhi, "x")
-    left_hi, right_lo = num(xlo), xhi_sym
-    if polymorphic:
-        # A runtime geometry smaller than the baked halo margins must
-        # not let the flanking loops index past the plane: clamp the
-        # left flank's bound to the runtime width, and the right
-        # flank's start to zero.  At any geometry at least as wide as
-        # the margins the clamps are identities, so behaviour (and the
-        # differential check) is unchanged.
-        if xlo > 0:
-            left_hi = paren(min_of(num(xlo), W))
-        if xhi < width:
-            right_lo = paren(max_of(xhi_sym, num(0)))
-    rows = _row_sweep(
-        _store_of(
-            "out",
-            add(mul(ident("y"), W), ident("x")),
-            *names,
-            formals,
-            channels,
-        ),
-        (num(0), W),
-        ((num(0), left_hi), (num(xlo), xhi_sym), (right_lo, W))
-        if band
-        else None,
-        (num(ylo), sig.margin_hi(yhi, "y")),
-        indent=4,
-    )
-    tile = num(TILE_ROWS)
-    tile_end = mul(paren(add(ident("t"), num(1))), tile)
-    driver = (
-        IntDecl(
-            "n_tiles",
-            paren(binop("/", paren(add(H, num(TILE_ROWS - 1))), tile))
-            if polymorphic
-            else num((height + TILE_ROWS - 1) // TILE_ROWS),
-        ),
-        For(
-            "t",
-            num(0),
-            ident("n_tiles"),
-            (
-                IntDecl("y_end", min_of(tile_end, H)),
-                For("y", mul(ident("t"), tile), ident("y_end"), rows),
-            ),
-            "parallel",
-        ),
-    )
-    functions.append(sig.driver_fn(fn_name, formals, driver))
-    return _BlockSpec(
-        fn_name, tuple(functions), images, params, sig, channels
-    )
+            pass  # nothing to materialize: the row band over the fused tape
+    return _lower_stages(kernel.space, fn_name, *stages, polymorphic, f32)
 
 
 #: Stage margins beyond this gain nothing from overlapped tiling — the
-#: halo would dominate every candidate tile — so such chains keep the
-#: classic row-tiled lowering.
+#: halo would dominate every candidate tile — so such chains materialize
+#: nothing and lower as the row band.
 _TILE2D_MAX_MARGIN = 32
 
 #: Internal (producer→consumer) boundary modes whose per-tile scratch
 #: reads resolve through ``idx_clamp`` with a margin-ledger containment
 #: proof.  MIRROR/REPEAT on an internal edge would fold far-side values
-#: into the halo ring, which a tile cannot see — classic fallback.
+#: into the halo ring, which a tile cannot see, so such a chain
+#: materializes nothing.
 _TILE2D_INTERNAL_MODES = frozenset(
     {BoundaryMode.CLAMP, BoundaryMode.UNDEFINED, BoundaryMode.CONSTANT}
 )
@@ -969,9 +876,9 @@ def _stage_margins(
                 continue
             if boundary.mode not in _TILE2D_INTERNAL_MODES:
                 raise NativeLoweringError(
-                    f"tile2d: internal boundary mode "
-                    f"{boundary.mode.value!r} folds far-side values into "
-                    "the halo; keeping the classic lowering"
+                    f"internal boundary mode {boundary.mode.value!r} "
+                    "folds far-side values into the halo, which a tile "
+                    "cannot see"
                 )
             xlo, xhi = _offsets(xi)
             ylo, yhi = _offsets(yi)
@@ -1190,21 +1097,22 @@ def _hoist_window_invariants(
 
 
 def _tile2d_stages(plan, graph, block, hoist: bool = True):
-    """The eligibility front-half of the tile2d lowering.
+    """The stages a block materializes.
 
     Returns the ordered chain members (after window-invariant hoisting,
     :func:`_hoist_window_invariants`), their per-stage tapes and roots,
     the halo-margin ledger, the produced-name index, the cost-model
     :class:`~repro.model.tiling.StageFootprint` list, and the hoisting
-    notes.  Raises :class:`NativeLoweringError` for every ineligible
-    block shape, so both the lowering and the ``repro tiling`` report
-    agree on what keeps the classic form.
+    notes.  Raises :class:`NativeLoweringError` with the reason a block
+    materializes nothing, so both the lowering and the ``repro tiling``
+    report agree on which blocks are row bands.
     """
     from repro.model.tiling import StageFootprint
 
     if plan.naive_borders:
         raise NativeLoweringError(
-            "tile2d: naive-borders composition keeps the classic lowering"
+            "naive-borders composition resolves borders once for the "
+            "whole block, not per stage"
         )
     members = [graph.kernel(name) for name in block.ordered_vertices()]
     hoisted: Tuple[dict, ...] = ()
@@ -1215,20 +1123,20 @@ def _tile2d_stages(plan, graph, block, hoist: bool = True):
             f"{note['image']}: {note['declined']}" for note in hoisted
         )
         raise NativeLoweringError(
-            "tile2d: single-kernel blocks have no intermediates to tile"
+            "single-kernel blocks have no intermediates to tile"
             + (f" (hoisting declined for {declined})" if declined else "")
         )
     dest = plan.destination
     if members[-1].name != dest.name:
         raise NativeLoweringError(
-            "tile2d: destination is not the chain's topological sink"
+            "destination is not the chain's topological sink"
         )
     space = dest.space
     width, height, channels = space.width, space.height, space.channels
     for member in members:
         if member.reduction is not None:
             raise NativeLoweringError(
-                f"tile2d: member {member.name!r} is a global operator"
+                f"member {member.name!r} is a global operator"
             )
         for member_space in (member.space, member.output.space):
             shape = (
@@ -1238,7 +1146,7 @@ def _tile2d_stages(plan, graph, block, hoist: bool = True):
             )
             if shape != (width, height, channels):
                 raise NativeLoweringError(
-                    "tile2d: member geometries are not uniform"
+                    "member geometries are not uniform"
                 )
     produced = {
         member.output.name: index
@@ -1257,7 +1165,7 @@ def _tile2d_stages(plan, graph, block, hoist: bool = True):
             # cap: the unsplit chain may still tile.
             return _tile2d_stages(plan, graph, block, hoist=False)
         raise NativeLoweringError(
-            f"tile2d: stage margins exceed {_TILE2D_MAX_MARGIN}"
+            f"stage margins exceed {_TILE2D_MAX_MARGIN}"
         )
     n = len(members)
     footprints = [
@@ -1279,22 +1187,23 @@ def tile2d_report(
     graph: KernelGraph,
     partition: Partition,
     caches=None,
+    naive_borders: bool = False,
 ) -> List[dict]:
-    """Per-block tile2d eligibility and model choices, without lowering.
+    """Per-block tiling decisions and model choices, without lowering.
 
     For each partition block: the block's output name, its member
     kernels, and either the cost model's :class:`TileChoice` (as a
     dict, with the ranked runner-up count) or the
-    :class:`NativeLoweringError` reason the block keeps the classic
-    row-tiled form.  A tiled block that window-invariant hoisting
-    touched also lists its ``hoisted`` notes — each extra stage with
-    its halo margin and recompute factor at the chosen tile, each
-    declined group with the reason.  Used by ``repro tiling``; needs no
-    C compiler.
+    :class:`NativeLoweringError` reason the block materializes nothing
+    and lowers as the row band (``row_band_reason``).  A tiled block
+    that window-invariant hoisting touched also lists its ``hoisted``
+    notes — each extra stage with its halo margin and recompute factor
+    at the chosen tile, each declined group with the reason.  Used by
+    ``repro tiling``; needs no C compiler.
     """
     from repro.model.tiling import sweep_tiles
 
-    plan = plan_for_partition(graph, partition, naive_borders=False)
+    plan = plan_for_partition(graph, partition, naive_borders=naive_borders)
     schedule = block_schedule(graph, partition)
     report = []
     for block_plan, part_block in zip(plan.plans, schedule):
@@ -1308,9 +1217,7 @@ def tile2d_report(
             )
             ranked = sweep_tiles(footprints, caches=caches)
             if not ranked:
-                raise NativeLoweringError(
-                    "tile2d: no candidate tile shape fits the scratch caps"
-                )
+                raise NativeLoweringError(_NO_TILE_FITS)
             best = ranked[0]
             entry["choice"] = {
                 "tile": [best.height, best.width],
@@ -1335,67 +1242,77 @@ def tile2d_report(
                     for note in hoisted
                 ]
         except NativeLoweringError as err:
-            entry["classic_reason"] = str(err)
+            entry["row_band_reason"] = str(err)
         report.append(entry)
     return report
 
 
-def _lower_block_tile2d(
-    plan: BlockPlan,
-    graph: KernelGraph,
-    block: PartitionBlock,
-    fn_name: str,
-    setting: "str | Tuple[int, int]",
-    polymorphic: bool,
-    f32: bool,
-) -> _BlockSpec:
-    """Lower a fused local chain as 2D overlapped tiles.
+_NO_TILE_FITS = "no candidate tile shape fits the scratch caps"
 
-    The plane is partitioned into (tile_h × tile_w) tiles; within each
-    tile every non-destination stage is computed **once** per pixel of
-    its halo-extended region into a small stack scratch buffer (instead
-    of the fused tape's per-pixel producer recomputation), and the
-    destination stage reads producers from scratch.  Stage values are
-    pure functions of the (resolved) coordinate computed by the same
-    ``-ffp-contract=off`` expression sequences the fused tape inlines,
-    so the output is bit-identical to the classic lowering.
 
-    Tile shape comes from :func:`repro.model.tiling.choose_tile`
-    (``REPRO_NATIVE_TILE2D=auto``) or the knob's explicit ``HxW``; the
+def _tile_shape(
+    footprints, setting: "str | Tuple[int, int]", f32: bool
+) -> Tuple[int, int]:
+    """The (tile_h, tile_w) a materializing chain takes: the cost
+    model's pick from :func:`repro.model.tiling.choose_tile`
+    (``REPRO_NATIVE_TILE2D=auto``) or the knob's explicit ``HxW``.  The
     model is geometry-free, so polymorphic sources stay byte-identical
-    across resolutions.  Raises :class:`NativeLoweringError` for every
-    ineligible shape — the caller falls back to the classic form.
-    """
-    from repro.model.tiling import (
-        STACK_SCRATCH_CAP,
-        choose_tile,
-        scratch_bytes,
-    )
+    across resolutions.  Raises :class:`NativeLoweringError` when no
+    shape fits the scratch caps."""
+    from repro.model.tiling import STACK_SCRATCH_CAP, choose_tile, scratch_bytes
 
-    members, tapes, roots, margins, produced, footprints, hoisted = (
-        _tile2d_stages(plan, graph, block)
-    )
-    space = plan.destination.space
-    width, height, channels = space.width, space.height, space.channels
-
-    # -- tile shape (model pick or the knob's explicit HxW) ---------------
-    n = len(members)
     bpe = 4 if f32 else 8
     if setting == "auto":
         choice = choose_tile(footprints, bytes_per_element=bpe)
         if choice is None:
-            raise NativeLoweringError(
-                "tile2d: no candidate tile shape fits the scratch caps"
-            )
-        tile_h, tile_w = choice.height, choice.width
-    else:
-        tile_h, tile_w = setting
-        need = scratch_bytes(footprints, tile_h, tile_w, bpe)
-        if need > STACK_SCRATCH_CAP:
-            raise NativeLoweringError(
-                f"tile2d: explicit {tile_h}x{tile_w} tile needs {need} "
-                f"bytes of stack scratch (cap {STACK_SCRATCH_CAP})"
-            )
+            raise NativeLoweringError(_NO_TILE_FITS)
+        return choice.height, choice.width
+    tile_h, tile_w = setting
+    need = scratch_bytes(footprints, tile_h, tile_w, bpe)
+    if need > STACK_SCRATCH_CAP:
+        raise NativeLoweringError(
+            f"explicit {tile_h}x{tile_w} tile needs {need} bytes of stack "
+            f"scratch (cap {STACK_SCRATCH_CAP})"
+        )
+    return tile_h, tile_w
+
+
+def _lower_stages(
+    space,
+    fn_name: str,
+    tapes: List[list],
+    roots: List[int],
+    margins: List[List[int]],
+    produced: Dict[str, int],
+    tile: Optional[Tuple[int, int]],
+    hoisted: Tuple[dict, ...],
+    polymorphic: bool,
+    f32: bool,
+) -> _BlockSpec:
+    """The one tile driver: lower a list of stages over ``space``.
+
+    Within each tile every stage but the last is computed **once** per
+    pixel of its halo-extended region (``margins``) into a small stack
+    scratch buffer, and the last stage — the destination — reads its
+    producers (``produced``: image name -> stage index) from scratch
+    instead of recomputing them per pixel as the fused tape does: the
+    CPU analogue of the paper's shared-memory overlapped tiling
+    (Section IV).  Stage values are pure functions of the (resolved)
+    coordinate computed by the same ``-ffp-contract=off`` expression
+    sequences the fused tape inlines, so the output is bit-identical
+    to it.
+
+    ``tile`` is the (tile_h, tile_w) of a 2D grid, or ``None`` for the
+    row band of a block that materializes nothing: x untiled
+    (``x0 = 0``, ``x1 = W``), :data:`TILE_ROWS` rows per tile.  With
+    nothing resident there is nothing for a narrower tile to keep in
+    cache, so the row band keeps the plain row-major loop order.
+    ``hoisted`` is carried to the spec as the hoisting record.
+    """
+    width, height, channels = space.width, space.height, space.channels
+    n = len(tapes)
+
+    tile_h, tile_w = tile or (0, 0)  # a row band has no scratch to size
     pitch = [tile_w + m[0] + m[1] for m in margins[: n - 1]]
     rows = [tile_h + m[2] + m[3] for m in margins[: n - 1]]
 
@@ -1408,28 +1325,39 @@ def _lower_block_tile2d(
     x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
 
     def sweep(band, names, region, rows_of, store) -> list:
-        """One stage's sweep of ``region`` x ``rows_of``.  A stage with
-        an interior ``band`` is driven by the three-segment split: its
-        four ``names`` decls clamp the band to the region, so the
-        clamp-free body only runs where every resolver is the identity
-        — bit-identical values, no per-read clamping in interior tiles.
+        """One stage's sweep of ``region`` x ``rows_of``, ``store(interior)``
+        building the per-pixel :class:`Store`.  A stage with an interior
+        ``band`` is driven by the three-segment split: its four
+        ``names`` decls clamp the band to the region, and rows inside
+        the band's y-range split into halo / interior / halo x-loops, so
+        the clamp-free body only runs where every resolver is the
+        identity — bit-identical values, no per-read clamping in
+        interior tiles.  Every other row is one halo x-loop.
         """
-        lo, hi = region
+
+        def xloop(lo, hi, interior=False):
+            return For("x", lo, hi, (store(interior),), "simd")
+
         if band is None:
-            return [For("y", *rows_of, _row_sweep(store, region))]
-        a, l, ha, h = names
-        rows = _row_sweep(
-            store,
-            region,
-            ((lo, ident(l)), (ident(l), ident(h)), (ident(h), hi)),
-            (num(band[2]), sig.margin_hi(band[3], "y")),
+            return [For("y", *rows_of, (xloop(*region),))]
+        (lo, hi), (a, l, ha, h) = region, names
+        split = Guard(
+            "y",
+            num(band[2]),
+            sig.margin_hi(band[3], "y"),
+            (
+                xloop(lo, ident(l)),
+                xloop(ident(l), ident(h), True),
+                xloop(ident(h), hi),
+            ),
+            (xloop(lo, hi),),
         )
         return [
             IntDecl(a, max_of(num(band[0]), lo)),
             IntDecl(l, min_of(ident(a), hi)),
             IntDecl(ha, min_of(sig.margin_hi(band[1], "x"), hi)),
             IntDecl(h, max_of(ident(ha), ident(l))),
-            For("y", *rows_of, rows),
+            For("y", *rows_of, (split,)),
         ]
 
     # Per stage: its per-pixel functions, its scratch region (decls
@@ -1444,10 +1372,9 @@ def _lower_block_tile2d(
         )
         formals = sig.formals(stage_images, stage_params, producers)
         scratch = {
-            members[j].output.name: (
-                f"scr_{j}", f"sx0_{j}", f"sy0_{j}", pitch[j]
-            )
-            for j in producers
+            image: (f"scr_{j}", f"sx0_{j}", f"sy0_{j}", pitch[j])
+            for image, j in produced.items()
+            if j in producers
         }
         names = (
             (f"{fn_name}_halo", f"{fn_name}_interior")
@@ -1495,19 +1422,40 @@ def _lower_block_tile2d(
         )
 
     # -- driver: tile grid, per-tile scratch regions, stage sweeps --------
-    tile = [
-        IntDecl("x0", mul(paren(binop("%", t, n_tx)), num(tile_w))),
-        IntDecl("y0", mul(paren(binop("/", t, n_tx)), num(tile_h))),
-        IntDecl("x1", min_of(add(x0, num(tile_w)), W)),
-        IntDecl("y1", min_of(add(y0, num(tile_h)), H)),
-        *regions,
-        *sweeps,
-    ]
-    driver = (
-        IntDecl("n_tx", binop("/", paren(add(W, num(tile_w - 1))), num(tile_w))),
-        IntDecl("n_ty", binop("/", paren(add(H, num(tile_h - 1))), num(tile_h))),
-        IntDecl("n_tiles", mul(n_tx, ident("n_ty"))),
-        For("t", num(0), ident("n_tiles"), tuple(tile), "parallel"),
+    if tile is None:
+        rows_per_tile = num(TILE_ROWS)
+        grid = (
+            IntDecl(
+                "n_tiles",
+                binop("/", paren(add(H, num(TILE_ROWS - 1))), rows_per_tile),
+            ),
+        )
+        origin = (
+            IntDecl("x0", num(0)),
+            IntDecl("y0", mul(t, rows_per_tile)),
+            IntDecl("x1", W),
+            IntDecl("y1", min_of(add(y0, rows_per_tile), H)),
+        )
+    else:
+        grid = (
+            IntDecl("n_tx", binop("/", paren(add(W, num(tile_w - 1))), num(tile_w))),
+            IntDecl("n_ty", binop("/", paren(add(H, num(tile_h - 1))), num(tile_h))),
+            IntDecl("n_tiles", mul(n_tx, ident("n_ty"))),
+        )
+        origin = (
+            IntDecl("x0", mul(paren(binop("%", t, n_tx)), num(tile_w))),
+            IntDecl("y0", mul(paren(binop("/", t, n_tx)), num(tile_h))),
+            IntDecl("x1", min_of(add(x0, num(tile_w)), W)),
+            IntDecl("y1", min_of(add(y0, num(tile_h)), H)),
+        )
+    driver = grid + (
+        For(
+            "t",
+            num(0),
+            ident("n_tiles"),
+            origin + tuple(regions) + tuple(sweeps),
+            "parallel",
+        ),
     )
     functions.append(sig.driver_fn(fn_name, sig.formals(images, params), driver))
     return _BlockSpec(
@@ -1517,7 +1465,7 @@ def _lower_block_tile2d(
         params,
         sig,
         channels,
-        tile2d=(tile_h, tile_w),
+        tile2d=tile,
         hoisted=hoisted,
     )
 
@@ -1531,9 +1479,9 @@ def lower_block_source(
 ) -> str:
     """The standalone C source of one lowered block (inspection/tests).
 
-    Passing the owning ``graph`` and ``block`` makes the 2D
-    overlapped-tiling lowering reachable (it needs the member kernels,
-    not just the fused tape).
+    Passing the owning ``graph`` and ``block`` lets the block materialize
+    its stages (that needs the member kernels, not just the fused tape);
+    without them it is the row band over the fused tape.
     """
     spec = _lower_block(plan, fn_name, polymorphic, graph=graph, block=block)
     return _PREAMBLE + "\n" + spec.source

@@ -483,7 +483,8 @@ def cmd_tiling(args: argparse.Namespace) -> int:
     Prints the host cache hierarchy the model sizes scratch against
     (detected from sysfs, or micro-calibrated with ``--calibrate``) and,
     for each application, every fused block's model-chosen tile shape —
-    or the reason the block keeps the classic row-tiled lowering.
+    or the reason the block materializes nothing and lowers as the row
+    band over its fused tape.
     Needs no C compiler: this reads the model, not the emitted code.
     The last line is the on-disk compile cache those blocks are built
     into — libraries, the per-block kernel objects they link, and the
@@ -541,8 +542,8 @@ def cmd_tiling(args: argparse.Namespace) -> int:
                         print(f"    not hoisted ({where}): {note['declined']}")
             else:
                 print(
-                    f"  {entry['output']:<16} classic: "
-                    f"{entry['classic_reason']}  [{kernels}]"
+                    f"  {entry['output']:<16} row band, nothing "
+                    f"materialized: {entry['row_band_reason']}  [{kernels}]"
                 )
     print(
         f"\ncompile cache {cache['dir']}: {cache['libraries']} libraries "

@@ -162,16 +162,17 @@ def validate_mode() -> str:
     return mode
 
 
-#: Environment knob: 2D overlapped tiling in the native engine.
-#: ``auto`` (the default) lets :mod:`repro.model.tiling` choose the tile
-#: shape from the detected cache hierarchy, ``off`` keeps the classic
-#: row-tiled lowering, and an explicit ``HxW`` (e.g. ``64x128``) pins
-#: the tile to ``H`` rows by ``W`` columns.
+#: Environment knob: the tile of a native block that materializes
+#: stages (2D overlapped tiling).  ``auto`` (the default) lets
+#: :mod:`repro.model.tiling` choose the shape from the detected cache
+#: hierarchy, and an explicit ``HxW`` (e.g. ``64x128``) pins it to ``H``
+#: rows by ``W`` columns.  A block that materializes nothing is a row
+#: band whatever the knob says.
 NATIVE_TILE2D_ENV = "REPRO_NATIVE_TILE2D"
 
 
 def native_tile2d_env() -> "str | tuple[int, int]":
-    """The ``REPRO_NATIVE_TILE2D`` setting: ``"auto"``, ``"off"`` or ``(h, w)``.
+    """The ``REPRO_NATIVE_TILE2D`` setting: ``"auto"`` or ``(h, w)``.
 
     Blank/unset yields ``"auto"``.  An explicit shape must be two
     positive integers joined by ``x`` (case-insensitive), e.g.
@@ -182,7 +183,7 @@ def native_tile2d_env() -> "str | tuple[int, int]":
     if raw is None:
         return "auto"
     lowered = raw.lower()
-    if lowered in ("auto", "off"):
+    if lowered == "auto":
         return lowered
     parts = lowered.split("x")
     if len(parts) == 2:
@@ -193,8 +194,8 @@ def native_tile2d_env() -> "str | tuple[int, int]":
         if height >= 1 and width >= 1:
             return (height, width)
     raise EnvKnobError(
-        f"invalid {NATIVE_TILE2D_ENV}={raw!r}: expected 'auto', 'off' or "
-        "an explicit HxW tile shape of two positive integers (e.g. 64x128)"
+        f"invalid {NATIVE_TILE2D_ENV}={raw!r}: expected 'auto' or an "
+        "explicit HxW tile shape of two positive integers (e.g. 64x128)"
     )
 
 

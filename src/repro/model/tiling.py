@@ -220,9 +220,10 @@ def choose_tile(
 ) -> Optional[TileChoice]:
     """The model's pick, or ``None`` when no candidate fits the caps.
 
-    ``None`` tells the native lowering to keep the classic row-tiled
-    form: a chain whose margins blow every candidate past the scratch
-    cap gains nothing from overlapped tiling anyway.
+    ``None`` tells the native lowering to materialize nothing and
+    sweep the block's fused tape in row bands: a chain whose margins
+    blow every candidate past the scratch cap gains nothing from
+    overlapped tiling anyway.
     """
     ranked = sweep_tiles(stages, caches, bytes_per_element, candidates)
     return ranked[0] if ranked else None

@@ -8,6 +8,8 @@ every fresh native plan is sanitizer-verified.
 
 import pytest
 
+from helpers import row_band_everywhere
+
 from analysis.ir_mutation import (
     channel_stride_defects,
     find_nodes,
@@ -36,7 +38,6 @@ from repro.backend.loopnest import (
     min_of,
     mul,
     num,
-    paren,
 )
 from repro.backend.native_exec import (
     native_available,
@@ -89,8 +90,8 @@ class TestHonestEmitterIsClean:
 
     def test_zero_margin_blocks_verify(self):
         # Harris fuses its response into a block whose margins are zero:
-        # the emitted flank loops are degenerate (`for (x = 0; x < 0;)`)
-        # and must be recognized as provably store-free, not flagged.
+        # its split's flank loops run over zero columns and must verify
+        # as in-plane, not be flagged.
         _, nplan = _native_plan("Harris")
         assert verify_native_plan(nplan) == []
 
@@ -106,23 +107,16 @@ class TestSeededDefects:
         return _first_native(nplan)
 
     @pytest.fixture(scope="class")
-    def sobel_classic(self):
-        # The classic row-tiled driver, for the defects specific to its
-        # grammar (the plan cache keys on the knob, so no collisions).
+    def row_band(self):
+        # Harris's first block is a single kernel: a row band, the tile
+        # driver with nothing materialized, for the defects specific to
+        # its grid (x untiled, 64-row tiles).
         if not native_available():
             pytest.skip("requires a C compiler on PATH")
-        import os
-
-        old = os.environ.get("REPRO_NATIVE_TILE2D")
-        os.environ["REPRO_NATIVE_TILE2D"] = "off"
-        try:
-            _, nplan = _native_plan("Sobel")
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_NATIVE_TILE2D", None)
-            else:
-                os.environ["REPRO_NATIVE_TILE2D"] = old
-        return _first_native(nplan)
+        _, nplan = _native_plan("Harris")
+        native = _first_native(nplan)
+        assert native.spec.tile2d is None
+        return native
 
     def test_out_of_plane_halo_read_is_caught(self, sobel):
         ir = _mutated(sobel, shifted("x", 1), shifted("x", 2))
@@ -136,19 +130,28 @@ class TestSeededDefects:
         )
         assert _codes(sobel, ir) == {"NAT003"}
 
-    def test_unclamped_y_end_is_caught_without_crashing(self, sobel_classic):
-        tile_end = mul(paren(add(ident("t"), num(1))), num(64))
+    def test_row_band_is_clean(self, row_band):
+        assert _codes(row_band) == set()
+
+    def test_unclamped_y1_is_caught_without_crashing(self, row_band):
+        y1 = add(ident("y0"), num(64))
         ir = _mutated(
-            sobel_classic,
-            IntDecl("y_end", min_of(tile_end, num(48))),
-            IntDecl("y_end", tile_end),
+            row_band,
+            IntDecl("y1", min_of(y1, num(48))),
+            IntDecl("y1", y1),
         )
         # the driver clamp proof fails loudly
-        assert "NAT004" in _codes(sobel_classic, ir)
+        assert "NAT004" in _codes(row_band, ir)
 
-    def test_classic_out_of_plane_read_is_caught(self, sobel_classic):
-        ir = _mutated(sobel_classic, shifted("x", 1), shifted("x", 2))
-        assert _codes(sobel_classic, ir) & {"NAT001", "NAT002"}
+    def test_row_band_out_of_plane_read_is_caught(self, row_band):
+        ir = _mutated(row_band, shifted("x", 1), shifted("x", 2))
+        assert _codes(row_band, ir) & {"NAT001", "NAT002"}
+
+    def test_row_band_past_the_plane_width_is_caught(self, row_band):
+        ir = _mutated(
+            row_band, IntDecl("x1", num(64)), IntDecl("x1", num(65))
+        )
+        assert "NAT004" in _codes(row_band, ir)
 
     def test_transposed_store_index_is_caught(self, sobel):
         ir = _mutated(
@@ -173,14 +176,14 @@ class TestTile2DSeededDefects:
     @pytest.fixture(scope="class")
     def harris(self):
         # Harris fuses a depth>=2 chain with nonzero stage margins, so
-        # its tile2d block exercises the margin ledger.
+        # its first block with scratch exercises the margin ledger.
         if not native_available():
             pytest.skip("requires a C compiler on PATH")
         _, nplan = _native_plan("Harris")
         native = next(
             n
             for _p, n in nplan.blocks
-            if n is not None and n.spec.tile2d is not None
+            if n is not None and find_nodes(n.spec.ir, ScratchDecl)
         )
         return native
 
@@ -233,8 +236,9 @@ class TestChannelStride:
 
     @pytest.fixture(scope="class", params=["auto", "off"])
     def night(self, request):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NATIVE_TILE2D", request.param)
+        # ``off``: staging off, every block the row band over its fused
+        # tape (no knob value says that; the margin cap forces it).
+        with row_band_everywhere(request.param == "off"):
             _, nplan = _native_plan("Night", polymorphic=True)
         natives = [n for _p, n in nplan.blocks if n is not None]
         assert all(n.spec.channels == 3 for n in natives)
@@ -251,7 +255,7 @@ class TestChannelStride:
                 assert "NAT002" in _codes(native, ir), label
 
     def test_strided_scratch_is_caught(self, night):
-        tiled = [n for n in night if n.spec.tile2d is not None]
+        tiled = [n for n in night if find_nodes(n.spec.ir, ScratchDecl)]
         for native in tiled:
             (fill, *_) = find_nodes(native.spec.ir, Store, buffer="scr_0")
             ir = _mutated(native, fill, fill._replace(stride=3))

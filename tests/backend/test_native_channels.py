@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import BLUR3, EDGE3
+from helpers import BLUR3, EDGE3, row_band_everywhere
 
 from repro import lazy
 from repro.api import ExecutionOptions, run
@@ -39,9 +39,10 @@ NATIVE = ExecutionOptions(engine="native")
 TAPE = ExecutionOptions(engine="tape")
 HEIGHT, WIDTH = 37, 53
 
-#: ``REPRO_NATIVE_TILE2D``: the classic row-tiled lowering, the model's
-#: tile, and a forced tile that leaves partial tiles on both axes.
-LOWERINGS = {"classic": "off", "tile2d": "auto", "forced": "8x16"}
+#: ``REPRO_NATIVE_TILE2D``: the model's tile, and a forced tile that
+#: leaves partial tiles on both axes; ``classic`` lowers every block as
+#: the row band over its fused tape.
+LOWERINGS = {"classic": "auto", "tile2d": "auto", "forced": "8x16"}
 
 
 def _image(channels=3, seed=0, height=HEIGHT, width=WIDTH):
@@ -130,7 +131,10 @@ def test_every_lowering_matches_the_tape(
     graph, partition = build()
     inputs = {source: _image(channels, seed=channels)}
     before = inputs[source].copy()
-    plan = native_plan_for_partition(graph, partition, polymorphic=polymorphic)
+    with row_band_everywhere(lowering == "classic"):
+        plan = native_plan_for_partition(
+            graph, partition, polymorphic=polymorphic
+        )
     assert plan.fallback_block_count == 0, plan.fallback_reasons
     natives = [native for _plan, native in plan.blocks]
     assert all(native.spec.channels == channels for native in natives)

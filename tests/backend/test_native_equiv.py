@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import chain_pipeline, random_image
+from helpers import chain_pipeline, random_image, row_band_everywhere
 
 from repro.api import ExecutionOptions, run, run_block
 from repro.apps import ALL_APPS, APPLICATIONS
@@ -49,8 +49,10 @@ from repro.backend.native_exec import (
 from repro.backend.numpy_exec import block_schedule
 from repro.backend.plan import plan_for_partition
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
+from repro.envknobs import EnvKnobError
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
+from repro.lazy.apps import lazy_trace
 from repro.model.hardware import GTX680
 
 needs_cc = pytest.mark.skipif(
@@ -482,6 +484,9 @@ class TestTile2DEquivalence:
     the tape oracle across tile shapes, boundary modes, and thread
     counts — bit-identity everywhere the f64 contract demands it."""
 
+    #: ``REPRO_NATIVE_TILE2D`` values, and ``off``: staging off, the
+    #: chain lowered as the row band over its fused tape (no knob value
+    #: says that; :func:`row_band_everywhere` forces it).
     TILE_SETTINGS = ("off", "auto", "4x32", "8x64")
 
     def _chain(self, mode=None, width=44, height=30):
@@ -498,26 +503,31 @@ class TestTile2DEquivalence:
         graph, block = self._chain(mode)
         data = {"img0": random_image(44, 30, seed=31)}
         tape = run_block(graph, block, data, options=TAPE)
-        monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
+        if setting != "off":
+            monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
         monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-        block_plan, native = _alone(graph, block)
-        assert native is not None
-        assert tolerance_for([block_plan]) is None  # convolution: exact
-        np.testing.assert_array_equal(
-            run_block(graph, block, data, options=NATIVE), tape
-        )
+        with row_band_everywhere(setting == "off"):
+            block_plan, native = _alone(graph, block)
+            assert native is not None
+            if setting == "off":
+                assert native.spec.tile2d is None
+            assert tolerance_for([block_plan]) is None  # convolution: exact
+            np.testing.assert_array_equal(
+                run_block(graph, block, data, options=NATIVE), tape
+            )
 
     def test_knob_selects_the_lowering(self, monkeypatch):
         graph, block = self._chain()
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", "4x32")
         _, explicit = _alone(graph, block)
         assert explicit.spec.tile2d == (4, 32)
-        monkeypatch.setenv("REPRO_NATIVE_TILE2D", "off")
-        _, classic = _alone(graph, block)
-        assert classic.spec.tile2d is None
         monkeypatch.setenv("REPRO_NATIVE_TILE2D", "auto")
         _, auto = _alone(graph, block)
         assert auto.spec.tile2d is not None  # model picked a shape
+        # No value turns staging off: a chain that can be staged is.
+        monkeypatch.setenv("REPRO_NATIVE_TILE2D", "off")
+        with pytest.raises(EnvKnobError, match="REPRO_NATIVE_TILE2D"):
+            _alone(graph, block)
 
     def test_f32_fast_path_stays_within_pinned_tolerance(self, monkeypatch):
         graph, block = self._chain()
@@ -578,3 +588,41 @@ class TestTile2DEquivalence:
         dense = nplan.execute({"img0": np.ascontiguousarray(view)}, {})
         for name in dense:
             np.testing.assert_array_equal(served[name], dense[name])
+
+
+#: The twelve app variants (six apps, hand-built and lazy) and one
+#: naive-borders variant.
+REPORT_VARIANTS = [
+    (app, origin, False)
+    for app in sorted(APPLICATIONS)
+    for origin in ("hand", "lazy")
+] + [("Harris", "hand", True)]
+
+
+@pytest.mark.parametrize(
+    "app, origin, naive",
+    REPORT_VARIANTS,
+    ids=[f"{a}-{o}" + ("-naive" * n) for a, o, n in REPORT_VARIANTS],
+)
+def test_tiling_report_says_what_the_lowering_does(app, origin, naive):
+    """Each ``repro tiling`` entry's tile is the lowered block's
+    ``spec.tile2d``, ``None`` for a row band (which says why it
+    materializes nothing)."""
+    graph = (
+        APPLICATIONS[app].build(96, 64).build()
+        if origin == "hand"
+        else lazy_trace(app, 96, 64).graph()
+    )
+    partition = partition_for(graph, GTX680, "optimized")
+    plan = plan_for_partition(graph, partition, naive)
+    specs, _ = native_lower._lower_partition(graph, partition, plan)
+    report = native_lower.tile2d_report(graph, partition, naive_borders=naive)
+    assert len(report) == len(specs)
+    for entry, spec in zip(report, specs):
+        if spec is None:
+            continue  # left to the tape (a global operator)
+        tile = entry["choice"]["tile"] if "choice" in entry else None
+        assert tile == (spec.tile2d and list(spec.tile2d)), entry["output"]
+        assert ("row_band_reason" in entry) == (spec.tile2d is None)
+    if naive:
+        assert all("row_band_reason" in entry for entry in report)

@@ -3,7 +3,7 @@ byte, the text the pre-IR emitter wrote.
 
 ``golden_native_sources.json`` holds ``sha256`` of the native source of
 six apps x {hand-built, lazy} x {baked, polymorphic} x
-``REPRO_NATIVE_TILE2D`` in {auto, off, 16x32} at 96x64 and 1024x1024,
+``REPRO_NATIVE_TILE2D`` in {auto, 16x32} at 96x64 and 1024x1024,
 recorded from the last commit whose *text-parsing* sanitizer accepted
 that text (PR 14, cba1d07).  The sanitizer now proves the tree, so this
 test is one of the three things that keep the printer honest (see
@@ -11,7 +11,7 @@ test is one of the three things that keep the printer honest (see
 in every ``pipeline-<digest>.so`` cache name.  Regenerate the file only
 for a deliberate change of the emitted C.
 
-Three such changes since.  Window-invariant hoisting (PR 17) gave the 16
+Four such changes since.  Window-invariant hoisting gave the 16
 Enhance digests with tile2d on (``auto`` and ``16x32``) an extra
 ``gmean_w0`` stage.  Channels as a stride (PR 23) scaled every global
 subscript of the 24 Night digests — the one multi-channel app — by its
@@ -21,7 +21,12 @@ all 144: a halo body with a clamp-free interior twin is printed
 the compiler stops inlining and vectorizing border gathers into the
 flank loops, which run only O(perimeter) pixels — about 30 % less
 ``cc`` time for the same bits (``test_native_linkage.py`` pins the
-rule).
+rule).  One tile driver for every block dropped the ``off`` setting
+(144 -> 96 digests) and moved the 48 Harris, ShiTomasi
+and Night digests: their single-kernel blocks left the classic row-tiled
+driver for the tile driver's row band (``x0 = 0``, ``x1 = W``, 64-row
+tiles, the interior split as clamped decls).  The 48 Sobel, Unsharp and
+Enhance digests, whose every block materializes stages, did not move.
 """
 
 import hashlib
@@ -80,7 +85,7 @@ def test_lowered_source_matches_golden(
     }
     for origin, graph in graphs.items():
         partition = partition_for(graph, GTX680, "optimized")
-        for setting in ("auto", "off", "16x32"):
+        for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
             for polymorphic in (False, True):
                 key = (

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import row_band_everywhere
+
 from analysis.ir_mutation import find_nodes, replace_subtree, shifted, with_ir
 
 from repro.analysis.native_check import verify_native_blocks
@@ -94,10 +96,11 @@ def _window_graph(map_name, combiner, mode, k, chain, width, height):
     return graph, Partition(graph, [block])
 
 
-def _plan(graph, partition, monkeypatch, tile2d="auto", hoist=True):
-    """A fresh native plan under one lowering; ``hoist=False`` turns the
-    rewrite into the identity (the un-hoisted tile2d lowering)."""
-    monkeypatch.setenv("REPRO_NATIVE_TILE2D", tile2d)
+def _plan(graph, partition, monkeypatch, row_band=False, hoist=True):
+    """A fresh native plan under one lowering: ``row_band=True`` stages
+    nothing (the row band over the fused tape), ``hoist=False`` turns
+    the rewrite into the identity (the un-hoisted tile2d lowering)."""
+    monkeypatch.setenv("REPRO_NATIVE_TILE2D", "auto")
     if not hoist:
         monkeypatch.setattr(
             native_lower,
@@ -106,7 +109,8 @@ def _plan(graph, partition, monkeypatch, tile2d="auto", hoist=True):
         )
     native_exec.clear_native_caches()
     try:
-        return native_plan_for_partition(graph, partition)
+        with row_band_everywhere(row_band):
+            return native_plan_for_partition(graph, partition)
     finally:
         monkeypatch.undo()
 
@@ -138,7 +142,7 @@ def test_hoisted_lowering_equals_the_unhoisted_one(
     }
     with pytest.MonkeyPatch.context() as patch:
         hoisted = _plan(graph, partition, patch)
-        classic = _plan(graph, partition, patch, tile2d="off")
+        row_band = _plan(graph, partition, patch, row_band=True)
         unhoisted = _plan(graph, partition, patch, hoist=False)
     assert hoisted.fallback_block_count == 0
     (spec,) = [native.spec for _plan_, native in hoisted.blocks]
@@ -158,13 +162,13 @@ def test_hoisted_lowering_equals_the_unhoisted_one(
     else:
         # Declined, with the reason where decisions are reported: on
         # the plan when the block is tiled anyway, in the report's
-        # classic reason when the block had nothing else to tile.
+        # row-band reason when the block had nothing else to tile.
         if chain:
             (note,) = hoisted.hoisted[output]
             reason = note["declined"]
         else:
             assert spec.tile2d is None
-            reason = report["classic_reason"]
+            reason = report["row_band_reason"]
         assert (
             mode.value in reason if mode is not BoundaryMode.CONSTANT
             else "f(constant)" in reason
@@ -175,7 +179,7 @@ def test_hoisted_lowering_equals_the_unhoisted_one(
     env = hoisted.execute(inputs)
     tape = hoisted.plan.execute(dict(inputs))
     assert_native_equiv(tape[output], env[output], hoisted.tolerance)
-    for other in (classic, unhoisted):
+    for other in (row_band, unhoisted):
         assert np.array_equal(other.execute(inputs)[output], env[output])
 
 
@@ -208,9 +212,9 @@ class TestEnhance:
         )
         assert other.source == plan.source
 
-    def test_nothing_is_hoisted_without_tile2d(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_TILE2D", "off")
-        plan = _enhance_plan()
+    def test_nothing_is_hoisted_without_tile2d(self):
+        with row_band_everywhere():
+            plan = _enhance_plan()
         assert plan.hoisted == {}
         assert plan.source.count("log(") == 18  # nine taps x two bodies
 
@@ -261,7 +265,7 @@ class TestSanitizerProvesTheHoistedStage:
 def test_a_stage_past_the_margin_cap_keeps_the_unsplit_tiles(monkeypatch):
     """Hoisting widens one stage's halo by the window radius; when that
     alone tips a chain over the margin cap, the chain is tiled unsplit
-    rather than dropped to the classic lowering."""
+    rather than dropped to the row band."""
     pipe = Pipeline("capped")
     src, mid, out = (Image.create(name, 40, 30) for name in ("src", "mid", "out"))
     pipe.add(

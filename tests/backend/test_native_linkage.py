@@ -12,7 +12,7 @@ its loop runs and stays inline.
 
 The test walks the loop-nest IR of the golden matrix (six apps x
 {hand-built, lazy} x {baked, polymorphic} x ``REPRO_NATIVE_TILE2D`` in
-{auto, off, 16x32} at 96x64 and 1024x1024), once in double and once
+{auto, 16x32} at 96x64 and 1024x1024), once in double and once
 under ``REPRO_NATIVE_F32``; no compiler is needed.
 """
 
@@ -40,7 +40,7 @@ def _linkage(fn) -> str:
 
 def _twin(name: str) -> str:
     """The clamp-free twin of a halo body: ``_halo`` -> ``_interior``
-    (classic, tile2d destination), ``_s<k>`` -> ``_s<k>i`` (fills)."""
+    (the destination), ``_s<k>`` -> ``_s<k>i`` (fills)."""
     if name.endswith("_halo"):
         return name[: -len("_halo")] + "_interior"
     return name + "i"
@@ -123,7 +123,7 @@ def test_halo_bodies_are_calls_and_interiors_inline(
     for graph in graphs.values():
         partition = partition_for(graph, GTX680, "optimized")
         plan = plan_for_partition(graph, partition, False)
-        for setting in ("auto", "off", "16x32"):
+        for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
             for polymorphic in (False, True):
                 specs, _ = native_lower._lower_partition(

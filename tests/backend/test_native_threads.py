@@ -11,6 +11,8 @@ and nothing is reduced, so every count computes the same bits.
 import numpy as np
 import pytest
 
+from helpers import row_band_everywhere
+
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
 from repro.backend import native_bind, native_exec
@@ -100,16 +102,18 @@ class TestShare:
 
 
 @needs_cc
-@pytest.mark.parametrize("tile2d", ["off", "auto"], ids=["classic", "tile2d"])
+@pytest.mark.parametrize("lowering", ["classic", "tile2d"])
 @pytest.mark.parametrize("app", sorted(APPLICATIONS))
-def test_every_thread_count_computes_the_same_bits(app, tile2d, monkeypatch):
+def test_every_thread_count_computes_the_same_bits(app, lowering, monkeypatch):
     """Six apps x {1, 2, 3, unset} threads x {classic, tile2d} at 1024^2,
-    97x61 and 1xN: bit-identical to one thread."""
-    monkeypatch.setenv("REPRO_NATIVE_TILE2D", tile2d)
+    97x61 and 1xN: bit-identical to one thread.  ``classic`` lowers
+    every block as the row band over its fused tape, ``tile2d`` lets the
+    fused chains materialize their stages."""
     monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
     graph = APPLICATIONS[app].build(97, 61).build()
     partition = partition_for(graph, GTX680, "optimized")
-    plan = native_plan_for_partition(graph, partition, polymorphic=True)
+    with row_band_everywhere(lowering == "classic"):
+        plan = native_plan_for_partition(graph, partition, polymorphic=True)
     assert plan.fallback_block_count == 0
     params = DEFAULT_APP_PARAMS.get(app)
     # Plan geometry first: strict mode checks that run against the tape.

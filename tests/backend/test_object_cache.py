@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import row_band_everywhere
+
 import repro.analysis.native_check as native_check
 from repro.apps import APPLICATIONS
 from repro.backend import cpu_exec, native_exec, native_lower
@@ -171,13 +173,19 @@ def differential_dirs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("polymorphic", [False, True], ids=["baked", "poly"])
-@pytest.mark.parametrize("tile2d", ["off", "auto"], ids=["classic", "tile2d"])
+@pytest.mark.parametrize("lowering", ["classic", "tile2d"])
 @pytest.mark.parametrize("app", APPS)
 def test_differential_against_the_single_translation_unit(
-    differential_dirs, monkeypatch, app, tile2d, polymorphic
+    differential_dirs, monkeypatch, app, lowering, polymorphic
 ):
+    """``classic`` lowers every block as the row band over its fused
+    tape, ``tile2d`` lets the fused chains materialize their stages."""
     objects_dir, whole_dir = differential_dirs
-    monkeypatch.setenv("REPRO_NATIVE_TILE2D", tile2d)
+    with row_band_everywhere(lowering == "classic"):
+        _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic)
+
+
+def _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic):
     monkeypatch.setenv("REPRO_VALIDATE", "strict")
     clear_native_caches()
     width, height = BIG

@@ -160,9 +160,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "host caches:" in out and "L1d=" in out
         # Sobel's single fused block tiles; Harris's single-kernel
-        # gradient blocks report why they keep the classic form.
+        # gradient blocks report why they are row bands.
         assert "tile " in out and "scratch " in out
-        assert "single-kernel blocks have no intermediates" in out
+        assert (
+            "row band, nothing materialized: single-kernel blocks have no "
+            "intermediates" in out
+        )
         assert " kernel objects (" in out and " plan records (" in out
 
     def test_tiling_json(self, capsys):

@@ -11,9 +11,11 @@ from __future__ import annotations
 import ctypes
 import subprocess
 import threading
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from repro.api import ExecutionOptions
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
@@ -170,6 +172,32 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@contextmanager
+def row_band_everywhere(enabled: bool = True):
+    """Lower every native block as the row band over its fused tape
+    (a no-op unless ``enabled``).
+
+    No ``REPRO_NATIVE_TILE2D`` value turns staging off, so this sets the
+    stage-margin cap below zero: every chain is refused and
+    materializes nothing, the form a single-kernel block always takes.
+    Plan keys do not see the cap, so the in-process plan caches are
+    emptied on entry and on exit.
+    """
+    from repro.backend import native_lower
+    from repro.backend.native_exec import clear_native_caches
+
+    if not enabled:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native_lower, "_TILE2D_MAX_MARGIN", -1)
+        clear_native_caches()
+        try:
+            yield
+        finally:
+            clear_native_caches()
 
 
 class ToolchainSpy:

@@ -74,7 +74,8 @@ class TestChoice:
 
     def test_huge_margins_yield_none(self):
         # Margins so large no candidate fits the stack cap: the lowering
-        # must keep the classic form rather than blow the worker stacks.
+        # must materialize nothing (a row band) rather than blow the
+        # worker stacks.
         stages = [
             StageFootprint("s", left=700, right=700, top=700, bottom=700)
         ]

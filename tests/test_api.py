@@ -289,3 +289,49 @@ class TestOptionsValidation:
         assert validate_mode() == "off"
         run(graph, inputs, options=ExecutionOptions(validate="strict"))
         assert validate_mode() == "off"  # the scope did not leak
+
+
+class TestRuntimeRouting:
+    """A routed call is served on the runtime's own engine, workers,
+    validation and resilience: an option that would be dropped raises,
+    naming the field, instead of going silently unapplied."""
+
+    @staticmethod
+    def _call(runtime, **fields):
+        graph = chain_pipeline(("l", "p"), width=16, height=12).build()
+        inputs = {"img0": random_image(16, 12, seed=4)}
+        options = ExecutionOptions(runtime=runtime, **fields)
+        return run(graph, inputs, options=options)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("engine", "native"),
+            ("workers", 2),
+            ("validate", "strict"),
+            ("resilience", "policy"),
+        ],
+    )
+    def test_an_option_the_runtime_would_ignore_raises(self, field, value):
+        from repro.serve import ResiliencePolicy
+
+        if value == "policy":
+            value = ResiliencePolicy()
+        with ServingRuntime(engine="tape", workers=1) as runtime:
+            with pytest.raises(ExecutionError, match=f"ExecutionOptions.{field}"):
+                self._call(runtime, **{field: value})
+            with pytest.raises(ExecutionError, match=f"ExecutionOptions.{field}"):
+                run("Sobel", _app_inputs("Sobel"), options=ExecutionOptions(
+                    runtime=runtime, **{field: value}
+                ))
+            assert runtime.metrics_snapshot()["counters"].get(
+                "requests_completed", 0
+            ) == 0
+
+    def test_the_runtime_engine_by_name_is_accepted(self):
+        direct = self._call(None)
+        with ServingRuntime(engine="tape", workers=1) as runtime:
+            routed = self._call(runtime, engine="tape")
+        assert sorted(routed) == sorted(direct)
+        for name, array in direct.items():
+            np.testing.assert_array_equal(routed[name], array)

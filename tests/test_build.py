@@ -151,7 +151,7 @@ def test_named_calls_plan_once(monkeypatch):
 @pytest.mark.parametrize(
     "knob, value",
     [
-        ("REPRO_NATIVE_TILE2D", "off"),
+        ("REPRO_NATIVE_TILE2D", "8x16"),
         ("REPRO_NATIVE_F32", "on"),
         ("REPRO_NATIVE_CFLAGS", "-DREPRO_TEST_BUILD_KEY=1"),
     ],

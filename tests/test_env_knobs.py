@@ -325,16 +325,12 @@ class TestNativeTile2DKnob:
         monkeypatch.setenv(NATIVE_TILE2D_ENV, "   ")
         assert native_tile2d_env() == "auto"
 
-    def test_auto_and_off_parse_case_insensitively(self, monkeypatch):
+    def test_auto_parses_case_insensitively(self, monkeypatch):
         from repro.envknobs import NATIVE_TILE2D_ENV, native_tile2d_env
 
-        for raw, expected in (
-            ("auto", "auto"),
-            ("OFF", "off"),
-            ("Auto", "auto"),
-        ):
+        for raw in ("auto", "AUTO", "Auto"):
             monkeypatch.setenv(NATIVE_TILE2D_ENV, raw)
-            assert native_tile2d_env() == expected
+            assert native_tile2d_env() == "auto"
 
     def test_explicit_shape_parses(self, monkeypatch):
         from repro.envknobs import NATIVE_TILE2D_ENV, native_tile2d_env
@@ -345,7 +341,8 @@ class TestNativeTile2DKnob:
         assert native_tile2d_env() == (8, 32)
 
     @pytest.mark.parametrize(
-        "raw", ["64", "64x", "x128", "0x32", "8x-1", "8x32x2", "tall", "8*32"]
+        "raw",
+        ["64", "64x", "x128", "0x32", "8x-1", "8x32x2", "tall", "8*32", "off"],
     )
     def test_garbage_names_the_variable(self, monkeypatch, raw):
         from repro.envknobs import NATIVE_TILE2D_ENV, native_tile2d_env
