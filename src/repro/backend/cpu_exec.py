@@ -55,6 +55,7 @@ import ctypes
 import hashlib
 import itertools
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -65,6 +66,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -354,6 +356,15 @@ def _digest_of(source: str, cc: str, flags: Sequence[str]) -> str:
     ).hexdigest()[:24]
 
 
+def _link_libraries(units: Iterable[str]) -> Tuple[str, ...]:
+    """The libraries on a link line, after the objects: libm, and glibc's
+    libmvec first when a unit names one of its routines (an x86-64
+    vector-ABI ``_ZGV`` symbol — only the libmvec support unit does)."""
+    if any("_ZGV" in text for text in units):
+        return ("-lmvec", "-lm")
+    return ("-lm",)
+
+
 def _scratch_tag() -> str:
     # pid, thread id and a counter: concurrent builders — across
     # processes *or* threads — never collide, and the pid tells
@@ -472,7 +483,7 @@ def build_shared_library(
                 compiled = sum(job.result() for job in jobs)
                 result = subprocess.run(
                     [cc, "-shared", *flags, "-o", str(scratch),
-                     *map(str, objects), "-lm"],
+                     *map(str, objects), *_link_libraries(kernels)],
                     capture_output=True, text=True,
                 )
                 if result.returncode == 0:
@@ -579,3 +590,81 @@ def openmp_available(cc: str | None = None) -> bool:
                 cached = False
             _openmp_probe[compiler] = cached
         return cached
+
+
+#: ``(compiler path, routines)`` -> what the probe found, and the probe
+#: itself keyed by the compiler binary: a hit is one dict lookup (the
+#: plan-record check asks on every request), a new path to a probed
+#: binary is one ``realpath``.
+_libmvec_found: Dict[Tuple[str, Tuple[str, ...]], FrozenSet[str]] = {}
+_libmvec_probe: Dict[Tuple[str, Tuple[str, ...]], FrozenSet[str]] = {}
+_libmvec_probe_lock = threading.Lock()
+
+
+def _glibc_x86_64() -> bool:
+    """Whether this is an x86-64 glibc host: libmvec is glibc's, and the
+    ``_ZGVb`` routine names are the x86-64 vector ABI's."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    return libc.startswith("glibc") and platform.machine() in ("x86_64", "AMD64")
+
+
+def libmvec_variants(routines: Sequence[str], cc: str | None = None) -> FrozenSet[str]:
+    """The glibc libmvec routines among ``routines`` (vector-ABI names
+    such as ``_ZGVbN2v_exp``) that a library linked with ``-lmvec``
+    resolves when it loads on this host (probed once per compiler binary
+    — the same one found under another path is not probed again — and
+    routine list, cached).
+
+    The probe links one library that references each routine weakly and
+    loads it; it is built in a directory of its own, so the compile cache
+    never sees it.  Off x86-64 glibc, without a compiler, or when the
+    link or the load fails the answer is empty, and the lowering keeps
+    its scalar libm calls.
+    """
+    compiler = cc or _find_compiler()
+    if compiler is None:
+        return frozenset()
+    key = (compiler, tuple(routines))
+    found = _libmvec_found.get(key)
+    if found is None:
+        with _libmvec_probe_lock:
+            binary = (os.path.realpath(compiler), key[1])
+            found = _libmvec_probe.get(binary)
+            if found is None:
+                found = frozenset()
+                if key[1] and _glibc_x86_64():
+                    found = _probe_libmvec(compiler, key[1])
+                _libmvec_probe[binary] = found
+            _libmvec_found[key] = found
+    return found
+
+
+def _probe_libmvec(cc: str, routines: Tuple[str, ...]) -> FrozenSet[str]:
+    source = "".join(
+        f"extern void {name}(void) __attribute__((weak));\n" for name in routines
+    ) + "void repro_libmvec_probe(unsigned char *found) {\n" + "".join(
+        f"    found[{i}] = {name} != 0;\n" for i, name in enumerate(routines)
+    ) + "}\n"
+    with tempfile.TemporaryDirectory(prefix="repro-libmvec-") as scratch:
+        c_file, library = Path(scratch) / "probe.c", Path(scratch) / "probe.so"
+        c_file.write_text(source)
+        try:
+            # Weak references alone would not make an --as-needed link
+            # keep libmvec.
+            linked = subprocess.run(
+                [cc, "-shared", "-fPIC", "-o", str(library), str(c_file),
+                 "-Wl,--no-as-needed", "-lmvec", "-lm"],
+                capture_output=True, text=True,
+            )
+            if linked.returncode != 0:
+                return frozenset()
+            found = (ctypes.c_ubyte * len(routines))()
+            probe = ctypes.CDLL(str(library)).repro_libmvec_probe
+            probe.argtypes, probe.restype = [ctypes.POINTER(ctypes.c_ubyte)], None
+            probe(found)
+        except OSError:
+            return frozenset()
+    return frozenset(name for name, hit in zip(routines, found) if hit)

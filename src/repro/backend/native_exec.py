@@ -37,7 +37,10 @@ NumPy-exact ``repro_mod`` / ``repro_min`` / ``repro_max`` helpers),
 comparisons, selects, ``sqrt`` and ``rsqrt`` (``1/sqrt``; both
 IEEE-correctly rounded) are then **bit-identical** to the tape
 interpreter.  Remaining libm calls (``exp``, ``tan``, ``pow``, …) may
-differ from NumPy by a couple of ulp, so plans whose tapes use them
+differ from NumPy by a couple of ulp — they run through glibc's libmvec
+where :func:`~repro.backend.cpu_exec.libmvec_variants` finds it, one
+implementation per call (:data:`VECTOR_CALLS`), so the bits do not
+depend on tiling, hoisting or threads — so plans whose tapes use them
 carry an explicit tolerance instead — :func:`tolerance_for` pins the
 policy (:data:`F32_RTOL`/:data:`F32_ATOL` under ``REPRO_NATIVE_F32``),
 and ``REPRO_VALIDATE=strict`` differentially verifies a plan's first
@@ -60,7 +63,16 @@ import re
 import threading
 import time
 from collections import ChainMap
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -79,6 +91,7 @@ from repro.backend.cpu_exec import (
     _find_compiler,
     available_cores,
     compiler_available,
+    libmvec_variants,
     load_kernel_library,
     openmp_available,
     read_cache_bytes,
@@ -95,15 +108,17 @@ from repro.backend.native_bind import (
 )
 from repro.backend.native_lower import (
     EXACT_CALLS,
+    LIBMVEC_ROUTINES,
+    VECTOR_CALLS,
     NativeLoweringError,
     _BlockSpec,
     _PREAMBLE,
     _Signature,
     _block_fn_name,
+    _lower_block,
     _lower_partition,
     _tape_reads,
-    lower_block_source,
-    lower_partition_source,
+    libmvec_support,
     tile2d_report,  # unused here: benchmarks/ledger imports it from this module
 )
 from repro.backend.numpy_exec import Arrays, ExecutionError, Params, fault_check
@@ -115,7 +130,7 @@ from repro.backend.plan import (
     plan_for_partition,
 )
 from repro.graph.dag import KernelGraph
-from repro.graph.partition import Partition
+from repro.graph.partition import Partition, PartitionBlock
 from repro.model.hardware import detect_cpu_caches
 
 __all__ = [
@@ -478,6 +493,8 @@ class NativePartitionPlan:
 def _native_flags(cc: str) -> Tuple[str, ...]:
     # -fno-math-errno: a ``sqrt`` that may set errno is control flow the
     # vectorizer gives up on; sqrtpd is correctly rounded like the call.
+    # (The libmvec wrappers are declared ``const``: they vectorize
+    # without it.)
     flags = ["-ffp-contract=off", "-fno-math-errno"]
     if openmp_available(cc):
         flags.append("-fopenmp")
@@ -503,15 +520,49 @@ def _sanitize_natives(natives: Sequence[NativeBlock]) -> float:
     return (time.perf_counter() - started) * 1e3
 
 
+_ROUTINES = tuple(LIBMVEC_ROUTINES.values())
+
+
+def _libmvec(cc: Optional[str]) -> FrozenSet[str]:
+    """The libm names of :data:`LIBMVEC_ROUTINES` whose libmvec routine
+    links and loads with ``cc`` (:func:`libmvec_variants`)."""
+    return _libm_names(libmvec_variants(_ROUTINES, cc) if cc else frozenset())
+
+
+@functools.lru_cache(maxsize=None)
+def _libm_names(found: FrozenSet[str]) -> FrozenSet[str]:
+    # Cached: the plan-record check reads the probe on every request.
+    return frozenset(
+        name for name, routine in LIBMVEC_ROUTINES.items() if routine in found
+    )
+
+
+def _vector_for(plans: Sequence[BlockPlan], cc: Optional[str]) -> FrozenSet[str]:
+    """What the lowering of ``plans`` may vectorize: :func:`_libmvec`,
+    probed only when a tape calls one of :data:`VECTOR_CALLS`."""
+    calls = {i.aux[0] for plan in plans for i in plan.tape if i.op == "call"}
+    return _libmvec(cc) if calls & VECTOR_CALLS.keys() else frozenset()
+
+
+def _support_unit(
+    specs: Sequence[Optional[_BlockSpec]], vector: FrozenSet[str]
+) -> Optional[str]:
+    """The libmvec support unit, when a lowered block calls a wrapper."""
+    if any(spec is not None and spec.wrapped for spec in specs):
+        return libmvec_support(vector)
+    return None
+
+
 def _compile_specs(
-    specs: List[Optional[_BlockSpec]],
+    specs: List[Optional[_BlockSpec]], vector: FrozenSet[str]
 ) -> Tuple[Optional[ctypes.CDLL], Optional[str], Optional[LibraryBuild], bool]:
     """``(library, source, build, openmp)`` of the lowered specs: every
     block is its own translation unit (the text
     :func:`lower_block_source` returns) and its own entry of the object
-    cache; ``source`` — all of them under one preamble — names the
-    library.  ``openmp`` says whether the library's ``threads`` argument
-    is live."""
+    cache, and so is the libmvec support unit of ``vector`` when a block
+    calls a wrapper; ``source`` — all of them as one translation unit,
+    :func:`lower_partition_source` — names the library.  ``openmp`` says
+    whether the library's ``threads`` argument is live."""
     lowered = [spec for spec in specs if spec is not None]
     if not lowered:
         return None, None, None, False
@@ -520,6 +571,10 @@ def _compile_specs(
         return None, None, None, False
     source = _PREAMBLE + "\n" + "\n".join(spec.source for spec in lowered)
     kernels = [_PREAMBLE + "\n" + spec.source for spec in lowered]
+    support = _support_unit(lowered, vector)
+    if support is not None:
+        source += "\n" + support
+        kernels.append(support)
     flags = _native_flags(cc)
     _prefer_passive_omp_wait()
     library, build = load_kernel_library(source, kernels, cc, flags)
@@ -533,8 +588,9 @@ def _build_native_partition(
     polymorphic: bool = False,
 ) -> NativePartitionPlan:
     started = time.perf_counter()
-    specs, reasons = _lower_partition(graph, partition, plan, polymorphic)
-    library, source, build, openmp = _compile_specs(specs)
+    vector = _vector_for(plan.plans, _find_compiler())
+    specs, reasons = _lower_partition(graph, partition, plan, polymorphic, vector)
+    library, source, build, openmp = _compile_specs(specs, vector)
     blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
     for block_plan, spec in zip(plan.plans, specs):
         if spec is None or library is None:
@@ -552,6 +608,54 @@ def _build_native_partition(
     )
 
 
+def lower_block_source(
+    plan: BlockPlan,
+    fn_name: str = "repro_block",
+    polymorphic: bool = False,
+    graph: Optional[KernelGraph] = None,
+    block: Optional[PartitionBlock] = None,
+) -> str:
+    """The C translation unit of one lowered block, as the build compiles
+    it (inspection/tests; no library is built).
+
+    Passing the owning ``graph`` and ``block`` lets the block materialize
+    its stages (that needs the member kernels, not just the fused tape);
+    without them it is the row band over the fused tape.
+    """
+    vector = _vector_for([plan], _find_compiler())
+    spec = _lower_block(
+        plan, fn_name, polymorphic, graph=graph, block=block, vector=vector
+    )
+    return _PREAMBLE + "\n" + spec.source
+
+
+def lower_partition_source(
+    graph: KernelGraph, partition: Partition, naive_borders: bool = False
+) -> str:
+    """The C the native engine runs for ``partition`` as one translation
+    unit: one function per block in schedule order under one preamble,
+    then the libmvec support unit when a block calls a wrapper — the
+    library's ``source`` (no library is built).
+
+    A block the engine leaves to the tape (no lowering, e.g. a global
+    reduction) appears as a one-line comment carrying the reason.
+    """
+    plan = plan_for_partition(graph, partition, naive_borders)
+    vector = _vector_for(plan.plans, _find_compiler())
+    specs, reasons = _lower_partition(graph, partition, plan, vector=vector)
+    parts = [_PREAMBLE]
+    for index, (block_plan, spec) in enumerate(zip(plan.plans, specs)):
+        name = block_plan.output_name
+        parts.append(
+            spec.source
+            if spec is not None
+            else f"/* block {index} ({name}) runs on the tape engine: "
+            f"{reasons[name]} */\n"
+        )
+    support = _support_unit(specs, vector)
+    return "\n".join(parts + ([support] if support is not None else []))
+
+
 def lowering_knobs() -> tuple:
     """The knobs lowering and compiling read from the environment
     (``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``,
@@ -564,9 +668,12 @@ def lowering_knobs() -> tuple:
 def toolchain_digest() -> Optional[str]:
     """SHA-256 over what the C text and the library name depend on
     beside the plan key and the code: compiler, flags (``-fopenmp``
-    included) and the host caches (``None`` without a compiler)."""
+    included), the host caches and the libmvec routines the probe found
+    (``None`` without a compiler)."""
     cc = _find_compiler()
-    payload = cc and repr((cc, _native_flags(cc), detect_cpu_caches()))
+    payload = cc and repr(
+        (cc, _native_flags(cc), detect_cpu_caches(), sorted(_libmvec(cc)))
+    )
     return payload and hashlib.sha256(payload.encode()).hexdigest()
 
 

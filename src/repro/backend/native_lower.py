@@ -45,6 +45,15 @@ graph, partition and tape are untouched.
 I/O stays float64; per-pixel slots, literals and libm calls run in
 single precision (twice the SIMD lanes) under a wider pinned tolerance.
 
+**Vector libm, one implementation per call.**  A libm call with a
+libmvec variant on the host (``vector``, which the build probes) lowers
+to ``repro_<fn>``, declared ``simd`` and ``const`` above the blocks that
+call it; :func:`libmvec_support` writes the support unit whose vector
+clones and scalar body evaluate that one SSE routine, so the ``omp
+simd`` loops vectorize and lanes, scalar tails and halo bodies agree bit
+for bit.  Without the variant the call stays scalar libm, and a block
+without such a call prints exactly as before.
+
 **Channels.**  A block over ``C``-channel images lowers once: every
 global ``Load`` and the ``out`` ``Store`` carry the pixel stride ``C``
 and the binder calls the kernel per channel at ``base + c``.
@@ -62,7 +71,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,8 +135,30 @@ class NativeLoweringError(ExecutionError):
 #: IEEE 754 requires correctly-rounded sqrt and division, so ``sqrt``
 #: and ``rsqrt`` (``1.0 / sqrt``) carry no tolerance.  Every other libm
 #: function (exp, log, trig, pow, atan2) is only guaranteed to within a
-#: few ulp of NumPy's implementation.
+#: few ulp of NumPy's implementation — glibc's scalar libm, or libmvec's
+#: vector routine (≤ 4 ulp) where the host has one (:data:`VECTOR_CALLS`).
 EXACT_CALLS = frozenset({"sqrt", "rsqrt"})
+
+#: The tape calls glibc's libmvec vectorizes, with their arity.  Each is
+#: the libm function of that name (``f`` suffix in single precision);
+#: where the host has its libmvec variant (``vector``, probed by the
+#: build) a kernel calls ``repro_<libm name>`` instead, whose vector
+#: clones and scalar body all evaluate that one SSE routine
+#: (:func:`libmvec_support`): the ``#pragma omp simd`` loops vectorize,
+#: and a value's bits do not depend on whether a vector lane, a loop's
+#: scalar tail or an out-of-line halo body computed it.
+VECTOR_CALLS = {
+    "exp": 1, "log": 1, "sin": 1, "cos": 1, "tan": 1, "tanh": 1,
+    "pow": 2, "atan2": 2,
+}
+
+#: libm name -> its SSE routine in the x86-64 vector ABI (``b``: 128-bit
+#: vectors, 2 double or 4 float lanes; one ``v`` per vector argument).
+LIBMVEC_ROUTINES = {
+    name + suffix: f"_ZGVbN{lanes}{'v' * arity}_{name}{suffix}"
+    for name, arity in VECTOR_CALLS.items()
+    for suffix, lanes in (("", 2), ("f", 4))
+}
 
 
 _PREAMBLE = """\
@@ -239,6 +270,102 @@ _CALL_C_F32 = {
     "pow": "powf({}, {})",
     "atan2": "atan2f({}, {})",
 }
+
+#: The wider clones gcc calls when the flags enable their ISA: x86-64
+#: vector-ABI letter, the macro that says the ISA is on, 128-bit chunks.
+_WIDE_CLONES = (("c", "__AVX__", 2), ("d", "__AVX2__", 2), ("e", "__AVX512F__", 4))
+
+_SUPPORT_HEAD = """\
+/* libmvec support: one implementation per call.  Every repro_<fn> a
+ * kernel calls evaluates glibc's libmvec SSE routine for <fn>: its
+ * vector clones on whole vectors (a wider clone, compiled only where
+ * the flags enable its ISA, on each 128-bit chunk) and its scalar body
+ * on lane 0 of a broadcast.  Defined under assembler names, so this
+ * text also compiles after the kernels' simd declarations in one
+ * translation unit. */
+typedef double repro_v2d __attribute__((vector_size(16)));
+typedef double repro_v4d __attribute__((vector_size(32)));
+typedef double repro_v8d __attribute__((vector_size(64)));
+typedef float repro_v4f __attribute__((vector_size(16)));
+typedef float repro_v8f __attribute__((vector_size(32)));
+typedef float repro_v16f __attribute__((vector_size(64)));
+#define repro_hidden __attribute__((visibility("hidden")))
+#define repro_wide1(W, V, n, clone, sse) repro_hidden W clone(W a) { \\
+    union { W w; V v[n]; } r, x = {a}; \\
+    for (int i = 0; i < n; i++) r.v[i] = sse(x.v[i]); \\
+    return r.w; }
+#define repro_wide2(W, V, n, clone, sse) repro_hidden W clone(W a, W b) { \\
+    union { W w; V v[n]; } r, x = {a}, y = {b}; \\
+    for (int i = 0; i < n; i++) r.v[i] = sse(x.v[i], y.v[i]); \\
+    return r.w; }
+"""
+
+
+def _libm_signature(name: str) -> Tuple[str, int, int, str]:
+    """``(ctype, arity, SSE lanes, vector type suffix)`` of a libm name
+    in :data:`LIBMVEC_ROUTINES`."""
+    f32 = name not in VECTOR_CALLS
+    arity = VECTOR_CALLS[name[:-1] if f32 else name]
+    return ("float", arity, 4, "f") if f32 else ("double", arity, 2, "d")
+
+
+def libmvec_support(vector) -> str:
+    """The support unit defining ``repro_<fn>`` — scalar body and vector
+    clones — for every libm name in ``vector`` (the routines this host
+    links and loads): one shared object, linked into every library whose
+    kernels call one."""
+    heads, bodies = [], []
+    wide: Dict[str, List[str]] = {macro: [] for _, macro, _ in _WIDE_CLONES}
+    for name in sorted(vector):
+        routine = LIBMVEC_ROUTINES[name]
+        ctype, arity, lanes, letter = _libm_signature(name)
+        sse = f"repro_v{lanes}{letter}"
+        names = "ab"[:arity]
+        clone = f"{routine[:-len(name)]}repro_{name}"
+        heads.append(f"{sse} {routine}({', '.join([sse] * arity)});")
+        broadcast = " ".join(
+            f"{sse} v{v} = {{{', '.join([v] * lanes)}}};" for v in names
+        )
+        bodies += [
+            f"{ctype} repro_{name}_lane({', '.join([ctype] * arity)}) "
+            f'__asm__("repro_{name}");',
+            f"repro_hidden {ctype} repro_{name}_lane("
+            f"{', '.join(f'{ctype} {v}' for v in names)}) {{ {broadcast} "
+            f"return {routine}({', '.join(f'v{v}' for v in names)})[0]; }}",
+            f"repro_hidden {sse} {clone}("
+            f"{', '.join(f'{sse} {v}' for v in names)}) "
+            f"{{ return {routine}({', '.join(names)}); }}",
+        ]
+        for abi, macro, chunks in _WIDE_CLONES:
+            width = f"repro_v{lanes * chunks}{letter}"
+            wide_clone = clone.replace(
+                f"_ZGVbN{lanes}", f"_ZGV{abi}N{lanes * chunks}"
+            )
+            wide[macro].append(
+                f"repro_wide{arity}({width}, {sse}, {chunks}, "
+                f"{wide_clone}, {routine})"
+            )
+    lines = [_SUPPORT_HEAD.rstrip("\n"), *heads, *bodies]
+    for macro, defs in wide.items():
+        lines += [f"#ifdef {macro}", *defs, "#endif"]
+    return "\n".join(lines) + "\n"
+
+
+def _wrapper_decls(wrapped: Sequence[str]) -> str:
+    """The kernel-side declarations of the ``repro_<fn>`` a block calls:
+    ``simd`` (so gcc calls the vector clones the support unit defines)
+    and ``const`` (so vectorizing them needs no ``-fno-math-errno``)."""
+    if not wrapped:
+        return ""
+    lines = ["/* libm through libmvec: defined by the support unit. */"]
+    for name in wrapped:
+        ctype, arity, _, _ = _libm_signature(name)
+        lines.append(
+            f"{ctype} repro_{name}({', '.join([ctype] * arity)}) "
+            '__attribute__((simd("notinbranch"), const));'
+        )
+    return "\n".join(lines) + "\n\n"
+
 
 _RESOLVER_C = {
     "clamp": "idx_clamp",
@@ -377,6 +504,7 @@ class _Signature:
         polymorphic: bool,
         f32: bool,
         channels: int = 1,
+        vector: FrozenSet[str] = frozenset(),
     ):
         used: set = set()
         self.width = width
@@ -391,6 +519,10 @@ class _Signature:
         #: precision (loads/stores convert implicitly on assignment).
         self.f32 = f32
         self.ctype = "float" if f32 else "double"
+        #: The libm names with a libmvec variant on this host, and those
+        #: the block's bodies call through their ``repro_<fn>`` wrapper.
+        self.vector = vector
+        self.wrapped: set = set()
         #: The plane extents as index expressions, chosen once per
         #: block: literals when the geometry is baked, the runtime
         #: formals otherwise.
@@ -670,6 +802,10 @@ def _build_tape_body(
                 raise NativeLoweringError(
                     f"call {aux[0]!r} has no native lowering"
                 )
+            libm = aux[0] + ("f" if f32 else "")
+            if aux[0] in VECTOR_CALLS and libm in sig.vector:
+                sig.wrapped.add(libm)
+                template = f"repro_{template}"
             expr = template.format(*(f"s{slot}" for slot in args))
         elif op == "cast":
             if aux[0] == "float64":
@@ -718,8 +854,12 @@ class _BlockSpec:
         #: The block's functions as :mod:`repro.backend.loopnest` trees —
         #: what the sanitizer proves.
         self.ir = ir
-        #: The C text of ``ir`` — what the compiler reads.
-        self.source = block_text(ir) if ir else None
+        #: The ``repro_<fn>`` libm wrappers the block calls (see
+        #: :func:`libmvec_support`).
+        self.wrapped = tuple(sorted(sig.wrapped))
+        #: The C text of ``ir`` under the declarations of its wrappers —
+        #: what the compiler reads.
+        self.source = _wrapper_decls(self.wrapped) + block_text(ir) if ir else None
         self.images = images
         self.params = params
         self.width = sig.width
@@ -792,6 +932,7 @@ def _lower_block(
     polymorphic: bool = False,
     graph: Optional[KernelGraph] = None,
     block: Optional[PartitionBlock] = None,
+    vector: FrozenSet[str] = frozenset(),
 ) -> _BlockSpec:
     """Lower one block tape to loop-nest IR (raises
     :class:`NativeLoweringError` when the tape has no lowering).
@@ -807,7 +948,9 @@ def _lower_block(
     With ``polymorphic=True`` the geometry becomes two runtime ``const
     int`` parameters and the emitted source carries no baked extents —
     byte-identical across resolutions of the same structure, so the
-    content-hash ``.so`` cache dedupes the compile.
+    content-hash ``.so`` cache dedupes the compile.  ``vector`` names the
+    libm functions whose libmvec variant the build links (see
+    :data:`VECTOR_CALLS`); calls of the others stay scalar libm.
     """
     kernel = plan.destination
     if plan.apply_reduction and kernel.reduction is not None:
@@ -826,7 +969,7 @@ def _lower_block(
             stages = (tapes, roots, margins, produced, tile, hoisted)
         except NativeLoweringError:
             pass  # nothing to materialize: the row band over the fused tape
-    return _lower_stages(kernel.space, fn_name, *stages, polymorphic, f32)
+    return _lower_stages(kernel.space, fn_name, *stages, polymorphic, f32, vector)
 
 
 #: Stage margins beyond this gain nothing from overlapped tiling — the
@@ -1288,6 +1431,7 @@ def _lower_stages(
     hoisted: Tuple[dict, ...],
     polymorphic: bool,
     f32: bool,
+    vector: FrozenSet[str],
 ) -> _BlockSpec:
     """The one tile driver: lower a list of stages over ``space``.
 
@@ -1307,7 +1451,8 @@ def _lower_stages(
     (``x0 = 0``, ``x1 = W``), :data:`TILE_ROWS` rows per tile.  With
     nothing resident there is nothing for a narrower tile to keep in
     cache, so the row band keeps the plain row-major loop order.
-    ``hoisted`` is carried to the spec as the hoisting record.
+    ``hoisted`` is carried to the spec as the hoisting record, and
+    ``vector`` is :func:`_lower_block`'s.
     """
     width, height, channels = space.width, space.height, space.channels
     n = len(tapes)
@@ -1319,7 +1464,9 @@ def _lower_stages(
     images, params, _ = _tape_reads(
         [i for tape in tapes for i in tape], produced
     )
-    sig = _Signature(images, params, width, height, polymorphic, f32, channels)
+    sig = _Signature(
+        images, params, width, height, polymorphic, f32, channels, vector
+    )
     W, H = sig.W, sig.H
     x, y, t, n_tx = ident("x"), ident("y"), ident("t"), ident("n_tx")
     x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
@@ -1470,23 +1617,6 @@ def _lower_stages(
     )
 
 
-def lower_block_source(
-    plan: BlockPlan,
-    fn_name: str = "repro_block",
-    polymorphic: bool = False,
-    graph: Optional[KernelGraph] = None,
-    block: Optional[PartitionBlock] = None,
-) -> str:
-    """The standalone C source of one lowered block (inspection/tests).
-
-    Passing the owning ``graph`` and ``block`` lets the block materialize
-    its stages (that needs the member kernels, not just the fused tape);
-    without them it is the row band over the fused tape.
-    """
-    spec = _lower_block(plan, fn_name, polymorphic, graph=graph, block=block)
-    return _PREAMBLE + "\n" + spec.source
-
-
 def _block_fn_name(index: int, plan: BlockPlan) -> str:
     return f"repro_block_{index}_" + re.sub(
         r"[^0-9A-Za-z_]", "_", plan.output_name
@@ -1498,10 +1628,12 @@ def _lower_partition(
     partition: Partition,
     plan: PartitionPlan,
     polymorphic: bool = False,
+    vector: FrozenSet[str] = frozenset(),
 ) -> Tuple[List[Optional[_BlockSpec]], Dict[str, str]]:
     """Lower every block of ``plan``: one spec per block in schedule
     order (``None`` where the block has no lowering and stays on the
-    tape), plus the reasons, keyed by block output name."""
+    tape), plus the reasons, keyed by block output name.  ``vector`` is
+    :func:`_lower_block`'s."""
     specs: List[Optional[_BlockSpec]] = []
     reasons: Dict[str, str] = {}
     # ``block_schedule`` orders partition blocks exactly as the tape
@@ -1517,32 +1649,10 @@ def _lower_partition(
                     polymorphic,
                     graph=graph,
                     block=block,
+                    vector=vector,
                 )
             )
         except NativeLoweringError as err:
             specs.append(None)
             reasons[block_plan.output_name] = str(err)
     return specs, reasons
-
-
-def lower_partition_source(
-    graph: KernelGraph, partition: Partition, naive_borders: bool = False
-) -> str:
-    """The C the native engine runs for ``partition``: one function per
-    block in schedule order, under one preamble — no compiler needed.
-
-    A block the engine leaves to the tape (no lowering, e.g. a global
-    reduction) appears as a one-line comment carrying the reason.
-    """
-    plan = plan_for_partition(graph, partition, naive_borders)
-    specs, reasons = _lower_partition(graph, partition, plan)
-    parts = [_PREAMBLE]
-    for index, (block_plan, spec) in enumerate(zip(plan.plans, specs)):
-        name = block_plan.output_name
-        parts.append(
-            spec.source
-            if spec is not None
-            else f"/* block {index} ({name}) runs on the tape engine: "
-            f"{reasons[name]} */\n"
-        )
-    return "\n".join(parts)

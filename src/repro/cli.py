@@ -115,7 +115,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     else:
         partition = ENGINES[args.engine](estimate_graph(graph, gpu)).partition
     if args.target == "c":
-        from repro.backend.native_lower import lower_partition_source
+        from repro.backend.native_exec import lower_partition_source
 
         print(lower_partition_source(graph, partition))
     elif args.target == "opencl":

@@ -24,7 +24,7 @@ from typing import List
 from repro.apps import APPLICATIONS
 from repro.backend.codegen_cuda import generate_cuda_pipeline
 from repro.backend.codegen_opencl import generate_opencl_pipeline
-from repro.backend.native_lower import lower_partition_source
+from repro.backend.native_exec import lower_partition_source
 from repro.eval.ablations import REPORTS, calibration
 from repro.eval.ascii_chart import render_figure6_chart
 from repro.eval.figures import figure3_trace, figure4_example, figure6_data

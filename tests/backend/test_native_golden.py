@@ -27,6 +27,11 @@ and Night digests: their single-kernel blocks left the classic row-tiled
 driver for the tile driver's row band (``x0 = 0``, ``x1 = W``, 64-row
 tiles, the interior split as clamped decls).  The 48 Sobel, Unsharp and
 Enhance digests, whose every block materializes stages, did not move.
+Vector libm moved the 16 Enhance digests, the one app with libm calls
+besides ``sqrt``: its ``exp`` / ``log`` / ``pow`` became calls of the
+``repro_<fn>`` libmvec wrappers, declared ``simd`` above the block, and
+the source ends with the support unit that defines them (lowered here as
+on a host with every variant, whatever this host's probe finds).
 """
 
 import hashlib
@@ -36,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.backend import native_lower
+from repro.backend import native_exec, native_lower
 from repro.backend.native_exec import (
     native_available,
     native_plan_for_partition,
@@ -53,15 +58,32 @@ GOLDEN = json.loads(
 )
 
 
-def _partition_source(graph, partition, polymorphic):
-    """``NativePartitionPlan.source`` without needing a compiler."""
+#: Every libmvec variant, as on an x86-64 glibc >= 2.35 host: the digests
+#: do not depend on what this host's probe finds.
+VECTOR = frozenset(native_lower.LIBMVEC_ROUTINES)
+
+
+#: Enhance's digests before its libm calls had wrappers: what a host
+#: whose libmvec probe finds nothing still compiles, byte for byte.
+SCALAR_ENHANCE = {
+    "96x64/baked": "4fc05287a63f93c2fc247f9aef2a252d083807debe7aa8353fa65d9eaebdbfbc",
+    "1024x1024/baked": "ed5f3cab064a6df3cfaa424291569cdf458c881a11a2928ae7a4a1d50af1e1ab",
+    "poly": "6380c3be3d464dfc4a2876d395dfd6ad3061acf29532f8ad3f6a7748b5c95b95",
+}
+
+
+def _partition_source(graph, partition, polymorphic, vector=VECTOR):
+    """``NativePartitionPlan.source`` without needing a compiler, as on a
+    host whose libmvec probe found ``vector``."""
     plan = plan_for_partition(graph, partition, False)
     specs, _ = native_lower._lower_partition(
-        graph, partition, plan, polymorphic
+        graph, partition, plan, polymorphic, vector
     )
-    return native_lower._PREAMBLE + "\n" + "\n".join(
+    source = native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs if spec is not None
     )
+    support = native_exec._support_unit(specs, vector)
+    return source if support is None else source + "\n" + support
 
 
 @pytest.fixture
@@ -95,6 +117,27 @@ def test_lowered_source_matches_golden(
                 source = _partition_source(graph, partition, polymorphic)
                 digest = hashlib.sha256(source.encode()).hexdigest()
                 assert digest == GOLDEN[key], key
+
+
+@pytest.mark.parametrize("geometry", [(96, 64), (1024, 1024)], ids=str)
+def test_without_libmvec_enhance_lowers_as_before(
+    geometry, default_caches, monkeypatch
+):
+    width, height = geometry
+    for graph in (
+        APPLICATIONS["Enhance"].build(width, height).build(),
+        lazy_trace("Enhance", width, height).graph(),
+    ):
+        partition = partition_for(graph, GTX680, "optimized")
+        for setting in ("auto", "16x32"):
+            monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
+            for polymorphic in (False, True):
+                source = _partition_source(
+                    graph, partition, polymorphic, frozenset()
+                )
+                key = "poly" if polymorphic else f"{width}x{height}/baked"
+                digest = hashlib.sha256(source.encode()).hexdigest()
+                assert digest == SCALAR_ENHANCE[key], (key, setting)
 
 
 @pytest.mark.skipif(

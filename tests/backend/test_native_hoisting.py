@@ -10,6 +10,8 @@ hoisted lowering is ``array_equal`` to the un-hoisted one, not merely
 within tolerance.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +185,13 @@ def test_hoisted_lowering_equals_the_unhoisted_one(
         assert np.array_equal(other.execute(inputs)[output], env[output])
 
 
+def _calls(source, fn):
+    """Calls of libm's ``fn`` in a plan's kernels: through the emitted
+    ``repro_<fn>`` libmvec wrapper, or ``fn`` itself on a host without
+    its variant (the declarations and the support unit pass no slot)."""
+    return len(re.findall(rf"\b(?:repro_)?{fn}\(s\d", source))
+
+
 def _enhance_plan(width=64, height=48, polymorphic=False):
     graph = APPLICATIONS["Enhance"].build(width, height).build()
     partition = partition_for(graph, GTX680, "optimized")
@@ -193,8 +202,8 @@ class TestEnhance:
     def test_one_log_per_pixel_not_nine(self):
         plan = _enhance_plan()
         # One stage body holds the log; the parent emitted nine per body.
-        assert plan.source.count("log(") == 1
-        assert plan.source.count("exp(") == 2  # halo + interior of gmean
+        assert _calls(plan.source, "log") == 1
+        assert _calls(plan.source, "exp") == 2  # halo + interior of gmean
         (note,) = plan.hoisted["enhanced"]
         assert note == {
             "kernel": "gmean", "image": "input", "taps": 9, "stage": "gmean_w0",
@@ -204,7 +213,7 @@ class TestEnhance:
         graph = lazy_trace("Enhance", 64, 48).graph()
         partition = partition_for(graph, GTX680, "optimized")
         plan = native_plan_for_partition(graph, partition, polymorphic=True)
-        assert plan.source.count("log(") == 1
+        assert _calls(plan.source, "log") == 1
         # Geometry-free: the polymorphic C is the same text at any size.
         bigger = lazy_trace("Enhance", 200, 120).graph()
         other = native_plan_for_partition(
@@ -216,7 +225,7 @@ class TestEnhance:
         with row_band_everywhere():
             plan = _enhance_plan()
         assert plan.hoisted == {}
-        assert plan.source.count("log(") == 18  # nine taps x two bodies
+        assert _calls(plan.source, "log") == 18  # nine taps x two bodies
 
     def test_no_other_app_is_touched(self):
         for app in sorted(APPLICATIONS):

@@ -525,6 +525,34 @@ def test_tampered_record_is_lowered_never_misbound(
     _assert_healed(cache_dir, checks, builds, request, first)
 
 
+@DOORS
+def test_a_record_written_with_libmvec_is_rejected_without_it(
+    cache_dir, monkeypatch, checks, builds, door
+):
+    if not native_exec._libmvec(cpu_exec._find_compiler()):
+        pytest.skip("no libmvec on this host")
+    request, first, _, record = _recorded(cache_dir, checks, "Enhance", door)
+    # The same compiler and flags, but the probe finds no variant now.
+    monkeypatch.setattr(
+        native_exec, "libmvec_variants", lambda routines, cc=None: frozenset()
+    )
+    second = request()
+    entry = builds[-1]
+    assert entry.record_rejected == "toolchain"
+    assert "library" not in entry.restored
+    assert checks.take()[2:] == (1, 1)  # a new library: sanitized, compared
+    library = entry.native_plan.library_path
+    assert library.stem != record["library"]
+    assert "_ZGV" not in entry.native_plan.source
+    for name, value in first.items():
+        native_exec.assert_native_equiv(
+            value, second[name], entry.native_plan.tolerance, name
+        )
+    restart()
+    assert_same(second, request())
+    assert builds[-1].restored == EVERYTHING
+
+
 def test_a_restored_library_is_used_for_the_lru(
     cache_dir, monkeypatch, checks, builds
 ):
