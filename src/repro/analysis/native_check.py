@@ -1266,5 +1266,5 @@ def verify_native_plan(plan) -> List[Diagnostic]:
     indexes through NumPy, whose bounds are checked dynamically).
     """
     return verify_native_blocks(
-        native for _plan, native in plan.blocks if native is not None
+        native for native in plan.natives if native is not None
     )

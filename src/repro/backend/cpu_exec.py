@@ -71,6 +71,7 @@ from typing import (
     Iterator,
     List,
     NamedTuple,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -248,10 +249,11 @@ def evict_stale_artifacts(keep: Path | Iterable[Path] | None = None) -> int:
     return evicted
 
 
-def read_cache_bytes(name: str) -> bytes | None:
-    """The artifact ``name`` of the cache directory, its LRU clock
-    refreshed — ``None`` when it is not there."""
-    path = _cache_dir() / name
+def read_cache_bytes(name: str, cache: Optional[Path] = None) -> bytes | None:
+    """The artifact ``name`` of the cache directory (``cache``, when the
+    caller resolved it), its LRU clock refreshed — ``None`` when it is
+    not there."""
+    path = (cache or _cache_dir()) / name
     try:
         data = path.read_bytes()
     except OSError:
@@ -263,12 +265,13 @@ def read_cache_bytes(name: str) -> bytes | None:
     return data
 
 
-def write_cache_text(name: str, text: str) -> bool:
-    """Put the small text artifact ``name`` into the cache directory,
-    atomically (scratch name + ``os.replace``, like every artifact
-    there).  A cache that cannot be written — read-only, full — costs
-    the artifact, not the request: returns ``False``."""
-    cache = _cache_dir()
+def write_cache_text(name: str, text: str, cache: Optional[Path] = None) -> bool:
+    """Put the small text artifact ``name`` into the cache directory
+    (``cache``, when the caller resolved it), atomically (scratch name +
+    ``os.replace``, like every artifact there).  A cache that cannot be
+    written — read-only, full — costs the artifact, not the request:
+    returns ``False``."""
+    cache = cache or _cache_dir()
     stem, suffix = os.path.splitext(name)
     scratch = cache / f"{stem}.{_scratch_tag()}{suffix}"
     try:

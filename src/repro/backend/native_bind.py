@@ -45,7 +45,7 @@ from repro.envknobs import int_env, raw_env
 from repro.backend.cpu_exec import available_cores
 from repro.backend.native_lower import _BlockSpec
 from repro.backend.numpy_exec import Arrays, ExecutionError, Params, _array_for
-from repro.backend.plan import BlockPlan
+from repro.backend.plan import BlockPlan, PartitionPlan
 
 #: Environment knob: OpenMP threads for the row-tiled loop nests.
 NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
@@ -215,15 +215,23 @@ class NativeBlock:
 
     ``execute`` drives the compiled loop nest on zero-copy ``float64``
     buffers, once per channel; inputs that do not match the compiled
-    geometry or dtype transparently fall back to the tape plan.
+    geometry or dtype transparently fall back to the tape plan — block
+    ``index`` of ``tape``, compiled on that first fallback if nothing
+    compiled it before.
     """
 
     def __init__(
-        self, plan: BlockPlan, spec: _BlockSpec, fn, openmp: bool = True
+        self,
+        tape: PartitionPlan,
+        index: int,
+        spec: _BlockSpec,
+        fn,
+        openmp: bool = True,
     ) -> None:
-        self.plan = plan
+        self._tape = tape
+        self._index = index
         self.spec = spec
-        self.output_name = plan.output_name
+        self.output_name = tape.schedule[index].output_name
         #: Whether the library was compiled with ``-fopenmp``; without
         #: it the ``threads`` argument is dead and every call is serial.
         self.openmp = openmp
@@ -241,6 +249,11 @@ class NativeBlock:
             + [ctypes.c_int]
             * ((3 + len(spec.images)) if spec.polymorphic else 1)
         )
+
+    @property
+    def plan(self) -> BlockPlan:
+        """The block's tape — compiled when first asked for."""
+        return self._tape.plans[self._index]
 
     def execute(
         self,

@@ -63,6 +63,7 @@ import re
 import threading
 import time
 from collections import ChainMap
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -87,7 +88,6 @@ from repro.envknobs import (
 
 from repro.backend.cpu_exec import (
     LibraryBuild,
-    _cache_dir,
     _find_compiler,
     available_cores,
     compiler_available,
@@ -117,7 +117,6 @@ from repro.backend.native_lower import (
     _block_fn_name,
     _lower_block,
     _lower_partition,
-    _tape_reads,
     libmvec_support,
     tile2d_report,  # unused here: benchmarks/ledger imports it from this module
 )
@@ -286,7 +285,7 @@ class NativePartitionPlan:
     def __init__(
         self,
         plan: PartitionPlan,
-        blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]],
+        natives: List[Optional[NativeBlock]],
         compile_ms: float,
         build: Optional[LibraryBuild],
         fallback_reasons: Dict[str, str],
@@ -294,7 +293,9 @@ class NativePartitionPlan:
         polymorphic: bool = False,
     ):
         self.plan = plan
-        self.blocks = blocks
+        #: One entry per block of ``plan.schedule``: its compiled
+        #: function, or ``None`` where the block runs on the tape.
+        self.natives = natives
         #: Wall-clock spent lowering + compiling (0 when fully cached).
         self.compile_ms = compile_ms
         #: Wall-clock the static native-codegen sanitizer spent proving
@@ -324,31 +325,46 @@ class NativePartitionPlan:
         #: (``stage``, ``kernel``, ``image``, ``taps``) or per group it
         #: left in place (``kernel``, ``image``, ``declined``).
         self.hoisted: Dict[str, Tuple[dict, ...]] = {
-            block_plan.output_name: native.spec.hoisted
-            for block_plan, native in blocks
+            native.output_name: native.spec.hoisted
+            for native in natives
             if native is not None and native.spec.hoisted
         }
         #: The images compiled kernels bind.
         self._bound_images = frozenset().union(
-            *(native.spec.images for _, native in blocks if native)
+            *(native.spec.images for native in natives if native)
         )
         #: The generated C source (``None`` when nothing was lowered).
         self.source = source
         #: Whether the compiled kernels take runtime width/height — one
         #: artifact then serves every resolution of this structure.
         self.polymorphic = polymorphic
-        self.tolerance = tolerance_for([plan for plan, _ in blocks])
         self._verify = _VerifyOnce()
+
+    @property
+    def blocks(self) -> List[Tuple[BlockPlan, Optional[NativeBlock]]]:
+        """Each block's tape beside its compiled function (``None`` where
+        it runs on the tape) — the tapes compile if nothing has yet.
+
+        The package reads :attr:`natives`; this view stays for the
+        benchmark ledger and the tests, which inspect tape and function
+        side by side."""
+        return list(zip(self.plan.plans, self.natives))
+
+    @functools.cached_property
+    def tolerance(self) -> Optional[Tuple[float, float]]:
+        """:func:`tolerance_for` this plan's tapes — read by the
+        differential only, so a restored plan compiles no tape for it."""
+        return tolerance_for(self.plan.plans)
 
     @property
     def native_block_count(self) -> int:
         """Blocks running compiled code (the rest use the tape)."""
-        return sum(1 for _, native in self.blocks if native is not None)
+        return sum(1 for native in self.natives if native is not None)
 
     @property
     def fallback_block_count(self) -> int:
         """Blocks executing through the tape interpreter."""
-        return sum(1 for _, native in self.blocks if native is None)
+        return sum(1 for native in self.natives if native is None)
 
     @functools.cached_property
     def library_sha256(self) -> Optional[str]:
@@ -362,7 +378,7 @@ class NativePartitionPlan:
         while a block runs on the tape."""
         if self.fallback_block_count:
             return None
-        return [_manifest_entry(native.spec) for _, native in self.blocks]
+        return [_manifest_entry(native.spec) for native in self.natives]
 
     @property
     def threads(self) -> int:
@@ -370,7 +386,7 @@ class NativePartitionPlan:
         *effective* count: 1 when the toolchain has no OpenMP, whatever
         was asked for."""
         return max(
-            (native.threads for _, native in self.blocks if native), default=1
+            (native.threads for native in self.natives if native), default=1
         )
 
     def execute(
@@ -390,7 +406,7 @@ class NativePartitionPlan:
         """
         params = params or {}
         at_plan_geometry = self._at_plan_geometry(inputs)
-        if self.polymorphic and not at_plan_geometry and self.blocks:
+        if self.polymorphic and not at_plan_geometry and self.natives:
             if self.fallback_block_count:
                 raise ExecutionError(
                     "shape-polymorphic plan has tape-fallback blocks "
@@ -433,15 +449,15 @@ class NativePartitionPlan:
         if self.sanitized:
             return
         self.verify_ms = _sanitize_natives(
-            [native for _plan, native in self.blocks if native is not None]
+            [native for native in self.natives if native is not None]
         )
         self.sanitized = True
 
     def _at_plan_geometry(self, inputs: Arrays) -> bool:
         """Whether the bound arrays match the geometry planned for."""
-        if not self.polymorphic or not self.blocks:
+        if not self.polymorphic or not self.natives:
             return True
-        space = self.blocks[0][0].destination.space
+        space = self.plan.schedule[0].space
         expected = (space.height, space.width)
         return all(
             np.shape(a)[:2] == expected for a in inputs.values()
@@ -450,8 +466,8 @@ class NativePartitionPlan:
     def _execute_blocks(
         self, inputs: Arrays, params: Params, threads: int | None = None
     ) -> Arrays:
-        """Every block in turn — ``self.blocks`` is aligned with
-        ``self.plan.plans``, a valid serial schedule of ``plan.deps``."""
+        """Every block in turn — ``self.natives`` is aligned with
+        ``self.plan.schedule``, a valid serial schedule of ``plan.deps``."""
         env = dict(inputs)
         # Kernels index the caller's arrays in place.  An input they
         # cannot is made contiguous here, once for every block that
@@ -461,9 +477,10 @@ class NativePartitionPlan:
             array = as_bindable(inputs[name], self.polymorphic)
             if array is not inputs[name]:
                 bound[name] = array
-        for block_plan, native in self.blocks:
+        for index, native in enumerate(self.natives):
             if native is None:
-                env[block_plan.output_name] = block_plan.execute(env, params)
+                tape = self.plan.plans[index]
+                env[tape.output_name] = tape.execute(env, params)
             else:
                 env[native.output_name] = native.execute(bound, params, threads)
         return env
@@ -475,10 +492,10 @@ class NativePartitionPlan:
         under :attr:`tolerance`."""
         result = self._execute_blocks(inputs, params, threads)
         expected = self.plan.execute(dict(inputs), params)
-        for block_plan, native in self.blocks:
+        for native in self.natives:
             if native is None:
                 continue  # the tape verified against itself is vacuous
-            name = block_plan.output_name
+            name = native.output_name
             assert_native_equiv(
                 expected[name], result[name], self.tolerance, context=name
             )
@@ -591,20 +608,20 @@ def _build_native_partition(
     vector = _vector_for(plan.plans, _find_compiler())
     specs, reasons = _lower_partition(graph, partition, plan, polymorphic, vector)
     library, source, build, openmp = _compile_specs(specs, vector)
-    blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
-    for block_plan, spec in zip(plan.plans, specs):
+    natives: List[Optional[NativeBlock]] = []
+    for index, spec in enumerate(specs):
         if spec is None or library is None:
             if spec is not None:
                 reasons.setdefault(
-                    block_plan.output_name, "no C compiler on PATH"
+                    plan.schedule[index].output_name, "no C compiler on PATH"
                 )
-            blocks.append((block_plan, None))
+            natives.append(None)
             continue
         fn = getattr(library, spec.fn_name)
-        blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
+        natives.append(NativeBlock(plan, index, spec, fn, openmp))
     compile_ms = (time.perf_counter() - started) * 1e3
     return NativePartitionPlan(
-        plan, blocks, compile_ms, build, reasons, source, polymorphic
+        plan, natives, compile_ms, build, reasons, source, polymorphic
     )
 
 
@@ -678,12 +695,14 @@ def toolchain_digest() -> Optional[str]:
 
 
 class RecordedLibrary(NamedTuple):
-    """A library a plan record holds ``sanitized`` for, and its manifest
-    when the record's tape and toolchain are this build's."""
+    """A library a plan record holds ``sanitized`` for, the cache
+    directory it is in, and its manifest when the record's tape identity
+    and toolchain are this build's."""
 
     stem: str
     sha256: Optional[str]
     bindings: Optional[list]
+    directory: Path
 
 
 def _manifest_entry(spec: _BlockSpec) -> dict:
@@ -705,43 +724,54 @@ _LIBRARY_STEM = re.compile(r"pipeline-[0-9a-f]{24}")
 def _bind_recorded(
     plan: PartitionPlan, recorded: RecordedLibrary, polymorphic: bool
 ) -> NativePartitionPlan:
-    """``plan``'s blocks bound on the recorded library, without lowering:
-    raises :class:`_Unbound` unless the stem names a ``pipeline-<24 hex>``
-    library of the cache directory whose bytes are the recorded ones, the
-    manifest is what the tape's blocks would write and each symbol resolves."""
+    """``plan``'s blocks bound on the recorded library from the schedule
+    and the manifest, without a tape or a lowering: raises
+    :class:`_Unbound` unless the stem names a ``pipeline-<24 hex>``
+    library of the cache directory whose bytes are the recorded ones,
+    each entry names the block's own function and exactly the images
+    and parameters its members read, and each symbol resolves."""
     started = time.perf_counter()
-    name = f"{recorded.stem}.so"
-    data = _LIBRARY_STEM.fullmatch(str(recorded.stem)) and read_cache_bytes(name)
+    path = recorded.directory / f"{recorded.stem}.so"
+    data = _LIBRARY_STEM.fullmatch(str(recorded.stem)) and read_cache_bytes(
+        path.name, recorded.directory
+    )
     if not data or hashlib.sha256(data).hexdigest() != recorded.sha256:
         raise _Unbound("library bytes")
     _prefer_passive_omp_wait()
     openmp, f32 = openmp_available(), native_f32_enabled()
-    blocks: List[Tuple[BlockPlan, Optional[NativeBlock]]] = []
+    natives: List[Optional[NativeBlock]] = []
     try:
-        library = ctypes.CDLL(str(_cache_dir() / name))
-        if len(recorded.bindings) != len(plan.plans):
+        library = ctypes.CDLL(str(path))
+        if len(recorded.bindings) != len(plan.schedule):
             raise ValueError("one entry per block")
-        for index, (block_plan, entry) in enumerate(zip(plan.plans, recorded.bindings)):
-            images, params, _ = _tape_reads(block_plan.tape, {})
-            space = block_plan.destination.space
+        for index, (facts, entry) in enumerate(
+            zip(plan.schedule, recorded.bindings)
+        ):
+            # Exactly what the block reads, in the order a lowered block
+            # takes them — never the manifest's own lists: a function
+            # bound with fewer arguments than it was compiled with would
+            # read shifted planes and params.
+            images = tuple(sorted(facts.inputs))
+            params = tuple(sorted(facts.params))
+            space = facts.space
             spec = _BlockSpec(
-                _block_fn_name(index, block_plan), (), images, params,
+                _block_fn_name(index, facts.output_name), (), images, params,
                 _Signature(images, params, space.width, space.height,
                            polymorphic, f32, space.channels),
                 space.channels, entry["tile2d"] and tuple(entry["tile2d"]),
                 tuple(entry["hoisted"]),
             )
             if _manifest_entry(spec) != entry:
-                raise ValueError("the manifest does not fit the tape")
+                raise ValueError("the manifest does not fit the block")
             fn = getattr(library, spec.fn_name)
-            blocks.append((block_plan, NativeBlock(block_plan, spec, fn, openmp)))
+            natives.append(NativeBlock(plan, index, spec, fn, openmp))
     except OSError:  # the dlopen
         raise _Unbound("library bytes") from None
     except (AttributeError, KeyError, TypeError, ValueError):
         raise _Unbound("bindings") from None
     native_plan = NativePartitionPlan(
-        plan, blocks, (time.perf_counter() - started) * 1e3,
-        LibraryBuild(_cache_dir() / name, True), {}, None, polymorphic,
+        plan, natives, (time.perf_counter() - started) * 1e3,
+        LibraryBuild(path, True), {}, None, polymorphic,
     )
     native_plan.library_sha256 = recorded.sha256  # read once, above
     native_plan.sanitized = native_plan.from_record = True

@@ -1617,10 +1617,8 @@ def _lower_stages(
     )
 
 
-def _block_fn_name(index: int, plan: BlockPlan) -> str:
-    return f"repro_block_{index}_" + re.sub(
-        r"[^0-9A-Za-z_]", "_", plan.output_name
-    )
+def _block_fn_name(index: int, output_name: str) -> str:
+    return f"repro_block_{index}_" + re.sub(r"[^0-9A-Za-z_]", "_", output_name)
 
 
 def _lower_partition(
@@ -1645,7 +1643,7 @@ def _lower_partition(
             specs.append(
                 _lower_block(
                     block_plan,
-                    _block_fn_name(index, block_plan),
+                    _block_fn_name(index, block_plan.output_name),
                     polymorphic,
                     graph=graph,
                     block=block,

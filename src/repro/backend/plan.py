@@ -38,6 +38,7 @@ environment knob; the default is the serial fallback.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 import weakref
@@ -45,7 +46,7 @@ from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from repro.backend.numpy_exec import (
     recursion_headroom,
 )
 from repro.dsl.boundary import BoundaryMode, BoundarySpec, resolve_array
+from repro.dsl.image import IterationSpace
 from repro.dsl.kernel import Kernel, ReductionKind
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
@@ -569,6 +571,16 @@ def compile_kernel(
     )
 
 
+def _destination(graph: KernelGraph, block: PartitionBlock) -> Kernel:
+    """The one kernel whose output leaves a fused ``block``."""
+    destinations = block.destination_kernels()
+    if len(destinations) != 1:
+        raise ExecutionError(
+            f"block {sorted(block.vertices)} has no unique destination"
+        )
+    return graph.kernel(destinations[0])
+
+
 def compile_block(
     graph: KernelGraph,
     block: PartitionBlock,
@@ -583,16 +595,11 @@ def compile_block(
     producer_of = {
         graph.kernel(name).output.name: name for name in block.vertices
     }
-    destinations = block.destination_kernels()
-    if len(destinations) != 1:
-        raise ExecutionError(
-            f"block {sorted(block.vertices)} has no unique destination"
-        )
-    destination = graph.kernel(destinations[0])
+    destination = _destination(graph, block)
     compiler = _TapeCompiler(graph, producer_of, naive_borders)
     gx, gy = _iteration_grids(destination)
     with recursion_headroom():
-        root = compiler.member(destinations[0], gx, gy)
+        root = compiler.member(destination.name, gx, gy)
     stats = PlanStats(
         instructions=len(compiler.tape),
         member_evaluations=len(compiler._members),
@@ -621,13 +628,32 @@ def _plain_gather(instr: Instr) -> tuple:
     )
 
 
-class PartitionPlan:
-    """A fully compiled partition: one :class:`BlockPlan` per block plus
-    the inter-block dependence structure for parallel scheduling.
+class BlockFacts(NamedTuple):
+    """What the schedule says about one block before its tape exists:
+    its members, the image it writes and the space it writes it over,
+    the images it reads from outside and every parameter a member
+    reads."""
 
-    The plan keeps the names of what it was compiled from, not the
-    objects: it lives in its graph's memo, so a reference back would
-    make graph and plan a cycle only the collector frees.
+    members: Tuple[str, ...]
+    output_name: str
+    space: IterationSpace
+    inputs: Tuple[str, ...]
+    params: FrozenSet[str]
+
+
+class PartitionPlan:
+    """A partition's blocks in schedule order, each compiled to a
+    :class:`BlockPlan` tape, plus the inter-block dependence structure
+    for parallel scheduling.
+
+    The schedule facts (:attr:`schedule`, :attr:`deps`) are computed
+    at once; the tapes (:attr:`plans`) on first access, under the
+    graph's memo lock — a plan whose verdicts a persisted plan record
+    supplies and whose blocks run a recorded library may never need
+    them.  The plan keeps the names of what it was compiled from and
+    its graph only weakly: it lives in its graph's memo, so a
+    reference back would make graph and plan a cycle only the
+    collector frees.
     """
 
     def __init__(
@@ -642,29 +668,101 @@ class PartitionPlan:
         self.partition_signature = partition.signature()
         #: :meth:`KernelGraph.structural_signature` of the graph compiled.
         self.graph_signature = graph.structural_signature()
+        self.naive_borders = naive_borders
         self.store = store or GridStore()
         #: Whether the static plan verifier passed this plan (see
         #: :meth:`ensure_verified`), and the wall-clock it took.
         self.verified = False
         self.verify_ms = 0.0
+        #: The :meth:`tape_digest` whose verifier verdict a persisted
+        #: plan record supplies (:meth:`take_verdict`), or ``None``.
+        self.proved_digest: Optional[str] = None
         self._tape_digest: Optional[str] = None
-        schedule = block_schedule(graph, partition)
+        self._graph = weakref.ref(graph)
+        self._plans: Optional[List[BlockPlan]] = None
         producer_block: Dict[str, int] = {}
-        self.plans: List[BlockPlan] = []
+        self.schedule: List[BlockFacts] = []
         self.deps: List[Set[int]] = []
-        for index, block in enumerate(schedule):
-            plan = compile_block(
-                graph, block, naive_borders=naive_borders, store=self.store
+        for index, block in enumerate(block_schedule(graph, partition)):
+            members = block.signature()
+            destination = (
+                graph.kernel(members[0])
+                if len(members) == 1
+                else _destination(graph, block)
             )
-            deps = {
-                producer_block[image]
-                for image in block.external_input_images()
-                if image in producer_block
-            }
-            for name in block.vertices:
+            inputs = block.external_input_images()
+            self.schedule.append(
+                BlockFacts(
+                    members,
+                    destination.output.name,
+                    destination.space,
+                    inputs,
+                    frozenset().union(
+                        *(graph.kernel(name).param_names for name in members)
+                    ),
+                )
+            )
+            self.deps.append(
+                {producer_block[i] for i in inputs if i in producer_block}
+            )
+            for name in members:
                 producer_block[graph.kernel(name).output.name] = index
-            self.plans.append(plan)
-            self.deps.append(deps)
+
+    @property
+    def plans(self) -> List[BlockPlan]:
+        """One compiled tape per block, aligned with :attr:`schedule` —
+        compiled on first access, once however many threads ask.  Tapes
+        a recorded verdict does not cover (:meth:`take_verdict`) are
+        verified under strict mode before any thread sees them."""
+        plans = self._plans
+        if plans is None:
+            graph = self._graph()
+            if graph is None:
+                raise ExecutionError(
+                    "the graph of this plan is gone: its tapes cannot be compiled"
+                )
+            with _memo_state(graph)[1]:
+                if self._plans is None:
+                    compiled = [
+                        compile_block(
+                            graph,
+                            PartitionBlock(graph, facts.members),
+                            naive_borders=self.naive_borders,
+                            store=self.store,
+                        )
+                        for facts in self.schedule
+                    ]
+                    if self.proved_digest is not None and self.verified:
+                        self._check_verdict(graph, compiled)
+                    self._plans = compiled
+                plans = self._plans
+        return plans
+
+    def _check_verdict(self, graph: KernelGraph, compiled: List[BlockPlan]) -> None:
+        """Hold the recorded verdict to the tapes just ``compiled``: one
+        with another digest is void, and strict mode verifies them."""
+        digest = self._digest_of(compiled)
+        if digest == self.proved_digest:
+            self._tape_digest = digest
+            return
+        self.verified = False
+        if validate_mode() == "strict":
+            candidate = copy.copy(self)
+            candidate._plans = compiled
+            candidate.ensure_verified(graph)
+            self.verified, self.verify_ms = True, candidate.verify_ms
+
+    def take_verdict(self, digest: str) -> None:
+        """Take over a persisted plan record's verifier verdict for the
+        tapes whose :meth:`tape_digest` is ``digest``: tapes compiled
+        already are checked now, the others when they compile."""
+        self.proved_digest = digest
+        self.verified = self._plans is None or self.tape_digest() == digest
+
+    def known_digest(self) -> Optional[str]:
+        """:meth:`tape_digest` where the tapes are compiled, else the
+        digest a recorded verdict binds them to — never a compile."""
+        return self.tape_digest() if self._plans is not None else self.proved_digest
 
     def execute(
         self,
@@ -675,7 +773,7 @@ class PartitionPlan:
         """Run every block; returns the surviving-image environment."""
         return run_block_dag(
             self.deps,
-            [plan.output_name for plan in self.plans],
+            [facts.output_name for facts in self.schedule],
             lambda index, env, params: self.plans[index].execute(env, params),
             dict(inputs),
             params or {},
@@ -685,30 +783,35 @@ class PartitionPlan:
     def tape_digest(self) -> str:
         """SHA-256 over everything the static verifier reads off the
         compiled plan — per block its output, kind, root, flags,
-        dependences and the tape itself.  A persisted plan record
-        (:mod:`repro.serve.plancache`) binds the ``verified`` verdict to
-        it: same digest, same proof."""
+        dependences and the tape itself.  It is a function of the graph's
+        structural signature, the partition and ``naive_borders`` (and
+        the code), which is why a persisted plan record
+        (:mod:`repro.serve.plancache`) can name the tape by those
+        instead and compile it only when something runs it."""
         if self._tape_digest is None:
-            self._tape_digest = canonical_digest(
-                [
-                    (
-                        plan.output_name,
-                        plan.kind,
-                        plan.root,
-                        plan.apply_reduction,
-                        plan.naive_borders,
-                        sorted(deps),
-                        [
-                            _plain_gather(instr)
-                            if instr.op == "gather"
-                            else tuple(instr)
-                            for instr in plan.tape
-                        ],
-                    )
-                    for plan, deps in zip(self.plans, self.deps)
-                ]
-            )
+            self._tape_digest = self._digest_of(self.plans)
         return self._tape_digest
+
+    def _digest_of(self, plans: List[BlockPlan]) -> str:
+        return canonical_digest(
+            [
+                (
+                    plan.output_name,
+                    plan.kind,
+                    plan.root,
+                    plan.apply_reduction,
+                    plan.naive_borders,
+                    sorted(deps),
+                    [
+                        _plain_gather(instr)
+                        if instr.op == "gather"
+                        else tuple(instr)
+                        for instr in plan.tape
+                    ],
+                )
+                for plan, deps in zip(plans, self.deps)
+            ]
+        )
 
     def ensure_verified(self, graph: KernelGraph) -> None:
         """Run the static plan verifier against ``graph`` (the one this
@@ -815,9 +918,8 @@ _memo_graphs: "weakref.WeakSet[KernelGraph]" = weakref.WeakSet()
 _memo_graphs_lock = threading.Lock()
 
 
-def memo(graph: KernelGraph, key: tuple, build: Callable[[], object]):
-    """What ``graph`` memoizes under ``key``; a miss stores ``build()``,
-    called under the graph's lock."""
+def _memo_state(graph: KernelGraph) -> Tuple[dict, threading.RLock]:
+    """``graph``'s memo table and lock, made on first use."""
     state = graph.__dict__.get("_plan_memo")
     if state is None:
         with _memo_graphs_lock:
@@ -825,7 +927,13 @@ def memo(graph: KernelGraph, key: tuple, build: Callable[[], object]):
                 "_plan_memo", ({}, threading.RLock())
             )
             _memo_graphs.add(graph)
-    table, lock = state
+    return state
+
+
+def memo(graph: KernelGraph, key: tuple, build: Callable[[], object]):
+    """What ``graph`` memoizes under ``key``; a miss stores ``build()``,
+    called under the graph's lock."""
+    table, lock = _memo_state(graph)
     with lock:
         value = table.get(key)
         if value is None:
@@ -869,9 +977,11 @@ def plan_for_partition(
     """The (cached) compiled plan of a partition.
 
     ``proved_digest`` is the :meth:`PartitionPlan.tape_digest` a
-    persisted plan record says the verifier already passed: a freshly
-    compiled plan that reproduces it is marked verified without running
-    the verifier again; any other digest changes nothing.
+    persisted plan record says the verifier already passed, for a plan
+    whose tape identity the record is bound to: a plan built now takes
+    that verdict over (:meth:`PartitionPlan.take_verdict`) and compiles
+    its tapes on first need instead of here; tapes that turn out to
+    have another digest are not covered by it.
     """
 
     def build() -> PartitionPlan:
@@ -882,8 +992,10 @@ def plan_for_partition(
             naive_borders,
             store=memo(graph, ("grids",), GridStore),
         )
-        if proved_digest is not None:
-            plan.verified = plan.tape_digest() == proved_digest
+        if proved_digest is None:
+            plan.plans  # a build no record vouches for compiles now
+        else:
+            plan.take_verdict(proved_digest)
         if validate_mode() == "strict":
             plan.ensure_verified(graph)
         return plan

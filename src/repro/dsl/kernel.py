@@ -18,7 +18,7 @@ from repro.dsl.image import Image, IterationSpace
 from repro.ir.expr import Expr, InputAt
 from repro.ir.cost import OpCounts, count_ops
 from repro.ir.signature import ExprSig, expr_signature
-from repro.ir.traversal import inputs_of, params_of, reads_extent
+from repro.ir.traversal import inputs_of, reads_extent
 from repro.ir.validate import validate
 
 
@@ -261,10 +261,12 @@ class Kernel:
 
     @property
     def param_names(self) -> Set[str]:
-        """Runtime scalar parameters referenced by the body."""
+        """Runtime scalar parameters referenced by the body — read off
+        the value-numbered :attr:`body_signature`, where each appears
+        once however often the tree repeats it."""
         cached = getattr(self, "_param_names_cache", None)
         if cached is None:
-            cached = params_of(self.body)
+            cached = {node[1] for node in self.body_signature if node[0] == "param"}
             self._param_names_cache = cached
         return cached
 

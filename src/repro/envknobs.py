@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -269,7 +270,11 @@ def dir_env(name: str, default: Path) -> Path:
     if raw is None:
         return default
     path = Path(raw)
-    if path.exists() and not path.is_dir():
+    try:
+        mode = os.stat(path).st_mode  # one stat: this is on every cache read
+    except (OSError, ValueError):
+        return path  # not there (yet): the cache makes it on first use
+    if not stat.S_ISDIR(mode):
         raise EnvKnobError(
             f"invalid {name}={raw!r}: path exists and is not a directory"
         )

@@ -25,13 +25,20 @@ What a build decided and proved **outlives the process**: beside the
 small JSON *plan record* per key (:class:`_PlanRecord`) — the
 partition, strict mode's three verdicts (plan verifier, native
 sanitizer, first-run differential), each bound to the digest it was
-proved on, and how to call the library.  A miss after a restart still
-compiles the tape, which recomputes its digest; where it equals the
-recorded one the min-cut and the proofs are not run again and the
-sanitized library is bound, not lowered to C
-(:attr:`CachedPlan.restored`).  "Verified and sanitized before first
-use, once" therefore means once per *artifact*, not once per process;
-anything about the record that does not check out
+proved on, and how to call the library.  The verifier's verdict is
+bound to the *tape identity* — the key, the graph's structural
+signature, the partition and ``naive_borders`` — which names the tape
+without compiling it: a tape is a function of those and of the code,
+and the code is in the record's name.  The tapes' own digest rides
+along, and tapes a build does compile are held to it.  A miss after a
+restart whose identity, toolchain and library bytes check out
+therefore runs no min-cut, no proof, no C lowering and no tape
+compile: the sanitized library is bound from the manifest and the
+schedule (:attr:`CachedPlan.restored`), and a tape compiles only when
+something needs it — a runtime fallback, a differential the record
+does not hold, a ladder step.  "Verified and sanitized before first use, once"
+therefore means once per *artifact*, not once per process; anything
+about the record that does not check out
 (:attr:`CachedPlan.record_rejected`) costs exactly the work it would
 have saved, and ``cpu_exec.clear_compile_cache()`` or a fresh
 ``REPRO_CC_CACHE`` forces every proof to be made again.
@@ -48,7 +55,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -62,6 +69,7 @@ from repro.envknobs import validate_mode
 from repro.fusion import partition_for
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
+from repro.ir.signature import canonical_digest
 from repro.model.benefit import BenefitConfig
 from repro.model.hardware import KNOWN_GPUS, GpuSpec
 
@@ -302,6 +310,21 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
+def tape_identity(
+    key: tuple, graph: KernelGraph, partition: Partition, naive_borders: bool
+) -> str:
+    """The name of the tapes a build of ``key`` runs, computed without
+    compiling them: the canonical digest of the key, the graph's
+    structural signature (every kernel and image shape, so a
+    structure-keyed key at another geometry names other tapes), the
+    partition and ``naive_borders`` — what
+    :meth:`PartitionPlan.tape_digest` is a function of, besides the code
+    a plan record's name carries."""
+    return canonical_digest(
+        (key, graph.structural_signature(), partition.signature(), naive_borders)
+    )
+
+
 class _PlanRecord:
     """One key's persisted plan record, through the life of its entry.
 
@@ -311,7 +334,8 @@ class _PlanRecord:
 
         {"format": 2, "fingerprint": "<code_fingerprint()>",
          "partition": [["k1", "k2"], ["k3"]],
-         "tape": "<PartitionPlan.tape_digest()>" | null,
+         "tape": "<tape_identity()>" | null,
+         "tape_digest": "<PartitionPlan.tape_digest()>" | null,
          "library": "pipeline-<source digest>" | null,
          "library_sha256": "<sha256 of the .so bytes>" | null,
          "toolchain": "<native_exec.toolchain_digest()>" | null,
@@ -319,8 +343,10 @@ class _PlanRecord:
          "verified": bool, "sanitized": bool, "differential": bool}
 
     :func:`build_plan` reads it once, applies a verdict (and the
-    manifest) only where the digests it just recomputed equal the
-    recorded ones, and writes the file back when the entry holds more.
+    manifest) only where the digests this build has equal the recorded
+    ones, and writes the file back when the entry holds more.  The
+    cache directory and the toolchain digest are resolved once per
+    record, that is once per build.
     """
 
     def __init__(self, key: tuple) -> None:
@@ -328,7 +354,11 @@ class _PlanRecord:
         name = hashlib.sha256(
             f"{key!r}\0{fingerprint}".encode()
         ).hexdigest()[:24]
+        self.key = key
         self.name = f"plan-{name}.json"
+        self.directory = cpu_exec._cache_dir()
+        #: This build's tape identity (:meth:`identify`).
+        self.tape: Optional[str] = None
         #: The accepted file content ({} when absent or rejected), and
         #: what this process knows the file to hold now.
         self.offered: Dict[str, Any] = {}
@@ -346,7 +376,7 @@ class _PlanRecord:
         self.ms += (time.perf_counter() - started) * 1e3
 
     def _read(self, fingerprint: str) -> None:
-        raw = cpu_exec.read_cache_bytes(self.name)
+        raw = cpu_exec.read_cache_bytes(self.name, self.directory)
         if raw is None:
             return  # no record: a full build, nothing rejected
         try:
@@ -383,32 +413,59 @@ class _PlanRecord:
         self.restored.append("partition")
         return partition
 
+    def identify(
+        self, graph: KernelGraph, partition: Partition, naive_borders: bool
+    ) -> None:
+        """Name the tape this build runs without compiling it
+        (:func:`tape_identity`)."""
+        started = time.perf_counter()
+        self.tape = tape_identity(self.key, graph, partition, naive_borders)
+        self.ms += (time.perf_counter() - started) * 1e3
+
+    @property
+    def same_tape(self) -> bool:
+        """Whether the record is bound to this build's tape identity."""
+        return self.tape is not None and self.offered.get("tape") == self.tape
+
     def proved(self, verdict: str, bound_to: str) -> Optional[str]:
         """The digest the record binds ``verdict`` to, if it holds it."""
         return self.offered.get(bound_to) if self.offered.get(verdict) else None
 
-    def library(self, plan: PartitionPlan) -> Optional[native_exec.RecordedLibrary]:
-        """The library the record holds ``sanitized`` for, with its manifest
-        when the record's tape is ``plan``'s and its toolchain this host's."""
+    @cached_property
+    def toolchain(self) -> Optional[str]:
+        """:func:`native_exec.toolchain_digest`, once per build."""
+        return native_exec.toolchain_digest()
+
+    def library(self) -> Optional[native_exec.RecordedLibrary]:
+        """The library the record holds ``sanitized`` for, with its
+        manifest when the record is bound to this build's tape identity
+        and its toolchain is this host's."""
         offered, stem = self.offered, self.proved("sanitized", "library")
         if not stem:
             return None
         bindings = offered.get("bindings")
-        if offered.get("tape") != plan.tape_digest():
+        if not self.same_tape:
             bindings = None
-        elif offered.get("toolchain") != native_exec.toolchain_digest():
+        elif offered.get("toolchain") != self.toolchain:
             self.reject("toolchain")
             bindings = None
-        return native_exec.RecordedLibrary(stem, offered.get("library_sha256"), bindings)
+        return native_exec.RecordedLibrary(
+            stem, offered.get("library_sha256"), bindings, self.directory
+        )
 
     def settle(self, entry: "CachedPlan") -> None:
-        """After the build stages: note which verdicts the recomputed
+        """After the build stages: note which verdicts this build's
         digests let the record supply, and settle the differential."""
         started = time.perf_counter()
         offered, plan, native = self.offered, entry.plan, entry.native_plan
         library = native.library_path if native is not None else None
         self.library_sha256 = library and native.library_sha256
-        same_tape = plan is not None and offered.get("tape") == plan.tape_digest()
+        # The identity, and the digest of any tapes this build compiled.
+        same_tape = (
+            plan is not None
+            and self.same_tape
+            and plan.known_digest() == offered.get("tape_digest")
+        )
         same_source = (
             library is not None and offered.get("library") == library.stem
         )
@@ -445,10 +502,11 @@ class _PlanRecord:
             "format": RECORD_FORMAT,
             "fingerprint": code_fingerprint(),
             "partition": [list(block) for block in entry.partition.signature()],
-            "tape": plan.tape_digest() if plan is not None else None,
+            "tape": self.tape if plan is not None else None,
+            "tape_digest": plan.known_digest() if plan is not None else None,
             "library": library.stem if library is not None else None,
             "library_sha256": self.library_sha256,
-            "toolchain": library and native_exec.toolchain_digest(),
+            "toolchain": library and self.toolchain,
             "bindings": library and native.bindings(),
             "verified": plan is not None and plan.verified,
             "sanitized": library is not None and native.sanitized,
@@ -459,7 +517,7 @@ class _PlanRecord:
             ),
         }
         if current != self.saved and cpu_exec.write_cache_text(
-            self.name, json.dumps(current)
+            self.name, json.dumps(current), self.directory
         ):
             self.saved = current
             self.writes += 1
@@ -507,13 +565,19 @@ def build_plan(
     ``key`` (the entry's :func:`plan_key`) names the persisted plan
     record consulted inside those stages — this function is its only
     reader and writer.  The record replaces the ``fuse`` stage with its
-    partition and, when tape, toolchain and bytes check out, the C
-    lowering with a library bound from its manifest; the tape is still
-    compiled, which *recomputes* its digest, and a recorded verdict is
-    taken over only where its digest equals the recomputed one.  No
-    record, or one that is unreadable, from other code, or bound to
-    other digests: that part of the build runs as if there were none,
-    and the record is rewritten.
+    partition; a recorded verdict is taken over only where the digest
+    it is bound to is this build's — the tape identity
+    (:func:`tape_identity`, computed from the key and the graph, no tape
+    needed) and the digest of any tapes this build compiles, the
+    library's source digest, its bytes.  Where the
+    identity, toolchain and bytes check out, a library is bound from
+    the manifest and the schedule instead of lowered to C, and with
+    ``verified`` taken over no tape is compiled in any stage: it
+    compiles when a fallback, a pending differential or a ladder step
+    first needs it.  Every other build compiles its tapes in the
+    ``plan`` stage.  No record, or one that is unreadable, from other
+    code, or bound to other digests: that part of the build runs as if
+    there were none, and the record is rewritten.
     """
     timings: Dict[str, float] = {}
     naive_borders = fusion.naive_borders
@@ -540,6 +604,8 @@ def build_plan(
         )
     plan = native_plan = None
     if engine != "recursive":
+        if record is not None:
+            record.identify(graph, partition, naive_borders)
         plan = timed(
             "plan",
             "plan_ms",
@@ -547,7 +613,9 @@ def build_plan(
                 graph,
                 partition,
                 naive_borders,
-                proved_digest=record and record.proved("verified", "tape"),
+                proved_digest=record.proved("verified", "tape_digest")
+                if record is not None and record.same_tape
+                else None,
             ),
         )
     if engine == "native":
@@ -558,7 +626,7 @@ def build_plan(
                 partition,
                 naive_borders,
                 polymorphic=polymorphic,
-                recorded=record and record.library(plan),
+                recorded=record and record.library(),
             )
             if polymorphic and built.fallback_block_count:
                 # A structure-keyed entry serves every geometry through

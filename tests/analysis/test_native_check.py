@@ -280,10 +280,10 @@ class TestEntryPoints:
     @needs_cc
     def test_partition_plan_skips_tape_fallbacks(self):
         _, nplan = _native_plan("Sobel")
-        # Simulate a mixed plan: the verifier must iterate pairs and
-        # skip None natives rather than crash on them.
+        # Simulate a mixed plan: the verifier must iterate the natives
+        # and skip None (a tape-fallback block) rather than crash on it.
         class _Mixed:
-            blocks = [(None, None)] + list(nplan.blocks)
+            natives = [None] + list(nplan.natives)
 
         assert verify_native_plan(_Mixed()) == []
 

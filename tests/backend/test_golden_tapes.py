@@ -8,9 +8,11 @@ each under the default fusion and under all-singleton blocks at 96x64.
 The digests were recorded from the compiler that walked each kernel's
 ``Expr`` tree recursively; the compiler now reads the body off the
 kernel's value-numbered signature and must write the same tapes.  A
-persisted plan record binds its ``verified`` verdict to the tape digest,
-so a tape that moved silently would make "same digest, same proof" a
-statement about some other tape.
+persisted plan record binds its ``verified`` verdict to the tape
+identity (key, structural signature, partition, ``naive_borders``) and
+compiles no tape to check it, so a tape that moved silently under the
+same code would make "same identity, same proof" a statement about some
+other tape (``tests/serve/test_tape_identity.py`` draws the premise).
 
 Under ``REPRO_VALIDATE=strict`` (CI runs this file so) every plan is
 also verified when it is compiled, the recompile diff (``TAPE008``)

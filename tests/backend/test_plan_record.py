@@ -6,9 +6,10 @@ sanitizer, first-run differential — each bound to the digest it was
 proved on.  These tests count the decision (``partition_for``) and the
 three proofs (``verify_partition_plan``, ``verify_native_blocks``, the
 differential's ``PartitionPlan.execute``) to pin what a restart re-does:
-nothing when the recomputed digests match, exactly the affected checks
-when one does not, everything when the record cannot be trusted — and
-never a verdict that was not established.
+nothing when this build's digests match — not even a tape compile —
+exactly the affected checks when one does not, everything when the
+record cannot be trusted — and never a verdict that was not
+established.
 """
 
 import dataclasses
@@ -53,7 +54,13 @@ from repro.backend.plan import clear_plan_caches
 from repro.dsl.pipeline import Pipeline
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
-from repro.serve import ServingRuntime, default_registry
+from repro.serve import (
+    ResiliencePolicy,
+    RetryPolicy,
+    ServingRuntime,
+    default_registry,
+    fault_injection,
+)
 from repro.serve import plancache
 from repro.apps import request_inputs
 from repro.serve.plancache import PROCESS_CACHE, FusionSettings, plan_key
@@ -258,13 +265,15 @@ def test_restart_restores_everything(
     restart()
     spy = ToolchainSpy(monkeypatch)
     lowerings = count_calls(monkeypatch, native_exec, "_lower_partition")
+    compiles = count_calls(monkeypatch, tape, "compile_block")
     library_reads = read_spy(monkeypatch, ".so")
     second = request()
     assert checks.take() == (0, 0, 0, 0)
     assert len(spy.loads) == 1 and not spy.commands
-    # Bound from the manifest: no C text, and the .so is read (and
-    # hashed) once for the restore check and the differential.
-    assert not lowerings and len(library_reads) == 1
+    # Bound from the manifest and the schedule: no C text, no tape, and
+    # the .so is read (and hashed) once for the restore check and the
+    # differential.
+    assert not lowerings and not compiles and len(library_reads) == 1
     entry = builds[-1]
     assert entry.restored == EVERYTHING and entry.record_rejected is None
     assert entry.native_plan.source is None
@@ -278,6 +287,139 @@ def test_restart_restores_everything(
     assert_same(first, second)
     assert len(records(cache_dir)) == 1
     assert only_record(cache_dir)[1] == record  # nothing to rewrite
+
+
+# -- (a') a restored entry compiles a tape only when something needs it ----
+
+
+def test_a_cold_build_compiles_each_tape_once(cache_dir, monkeypatch, builds):
+    compiles = count_calls(monkeypatch, tape, "compile_block")
+    direct_door("Harris")()
+    assert builds[-1].restored == ()
+    assert len(compiles) == len(builds[-1].native_plan.natives) > 1
+
+
+def test_float32_inputs_on_a_restored_plan_run_the_tape(
+    cache_dir, monkeypatch, checks, builds
+):
+    inputs = {
+        name: array.astype(np.float32)
+        for name, array in _inputs("Sobel").items()
+    }
+
+    def request(engine="native"):
+        graph = APPLICATIONS["Sobel"].build(WIDTH, HEIGHT).build()
+        return run(graph, inputs, options=ExecutionOptions(engine=engine))
+
+    first = request()
+    assert checks.take() == (1, 1, 1, 1)
+    restart()
+    compiles = count_calls(monkeypatch, tape, "compile_block")
+    second = request()
+    entry = builds[-1]
+    assert entry.restored == EVERYTHING
+    # NativeBlock's runtime fallback compiled the tapes, once ...
+    blocks = len(entry.native_plan.natives)
+    assert len(compiles) == blocks
+    assert_same(first, request())
+    assert len(compiles) == blocks
+    # ... and their bits are the answer.
+    assert_same(request("tape"), second)
+
+
+def test_a_record_without_the_differential_compiles_the_tape_to_run_it(
+    cache_dir, monkeypatch, checks, builds
+):
+    request, first, path, record = _recorded(cache_dir, checks)
+    record["differential"] = False
+    path.write_text(json.dumps(record))
+    compiles = count_calls(monkeypatch, tape, "compile_block")
+    assert_same(first, request())
+    assert checks.take() == (0, 0, 0, 1)
+    entry = builds[-1]
+    assert entry.restored == ("partition", "verified", "sanitized", "library")
+    assert entry.record_rejected is None
+    assert len(compiles) == len(entry.native_plan.natives)
+    assert verdicts(json.loads(path.read_text())) == (True, True, True)
+
+
+def test_a_ladder_step_off_a_restored_native_entry_still_serves(
+    cache_dir, monkeypatch, builds
+):
+    inputs = _inputs("Sobel")
+    registry = default_registry(apps={"Sobel"})
+    with ServingRuntime(registry, engine="tape", workers=1) as runtime:
+        reference = runtime.execute("Sobel", inputs)
+    serving_door("Sobel")()
+    restart()
+    policy = ResiliencePolicy(
+        retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0),
+        sleep=lambda _s: None,
+    )
+    with ServingRuntime(
+        registry, engine="native", workers=1, resilience=policy
+    ) as runtime:
+        assert_same(reference, runtime.execute("Sobel", inputs))
+        assert builds[-1].restored == EVERYTHING
+        compiles = count_calls(monkeypatch, tape, "compile_block")
+        # The restored entry fails to execute and is quarantined; its
+        # rebuild fails in the native compile, so the request steps down
+        # to the tape, whose plan is the one the record proved.
+        with fault_injection("execute", "error", times=1), fault_injection(
+            "native.compile", "error", times=None
+        ):
+            served = runtime.execute("Sobel", inputs)
+        counters = runtime.metrics_snapshot()["counters"]
+    assert counters["degraded_to_tape"] == 1
+    assert builds[-1].engine == "tape" and builds[-1].verified
+    assert compiles
+    assert_same(reference, served)
+
+
+def test_a_record_copied_under_another_key_is_rejected(
+    cache_dir, monkeypatch, checks, builds
+):
+    inputs = {"src": np.random.default_rng(5).uniform(0, 255, (24, 32))}
+    options = ExecutionOptions(engine="native")
+    run(_two_kernels(2.0), inputs, options=options)
+    path, record = only_record(cache_dir)
+    restart()
+    three = run(_two_kernels(3.0), inputs, options=options)
+    (other,) = set(records(cache_dir)) - {path}
+    other.write_bytes(path.read_bytes())
+    restart()
+    checks.take()
+    spy = ToolchainSpy(monkeypatch)
+    assert_same(three, run(_two_kernels(3.0), inputs, options=options))
+    entry = builds[-1]
+    assert entry.record_rejected == "tape digest"
+    assert "verified" not in entry.restored and "library" not in entry.restored
+    assert checks.take() == (0, 1, 1, 1)
+    assert entry.native_plan.library_path.stem != record["library"]
+    assert spy.loads and all(record["library"] not in str(p) for p in spy.loads)
+
+
+def test_a_record_copied_under_another_dtype_is_rejected(
+    cache_dir, checks, builds
+):
+    # Same graph, same partition: only the key tells the two apart.
+    _, _, path, _ = _recorded(cache_dir, checks)
+    inputs = {
+        name: array.astype(np.float32)
+        for name, array in _inputs("Sobel").items()
+    }
+    graph = APPLICATIONS["Sobel"].build(WIDTH, HEIGHT).build()
+    options = ExecutionOptions(engine="native")
+    single = run(graph, inputs, options=options)
+    (other,) = set(records(cache_dir)) - {path}
+    other.write_bytes(path.read_bytes())
+    restart()
+    checks.take()
+    graph = APPLICATIONS["Sobel"].build(WIDTH, HEIGHT).build()
+    assert_same(single, run(graph, inputs, options=options))
+    assert builds[-1].record_rejected == "tape digest"
+    assert builds[-1].restored == ("partition", "sanitized")
+    assert checks.take() == (0, 1, 0, 1)
 
 
 # -- (b) a record only carries what was established -------------------------
@@ -522,6 +664,40 @@ def test_tampered_record_is_lowered_never_misbound(
     opened = [Path(p) for p in spy.loads] + library_reads
     assert opened
     assert all(p.resolve().parent == cache_dir.resolve() for p in opened)
+    _assert_healed(cache_dir, checks, builds, request, first)
+
+
+def _dropped_image(record):
+    record["bindings"][0]["images"] = []
+
+
+def _dropped_param(record):
+    record["bindings"][0]["params"] = []
+
+
+@DOORS
+@pytest.mark.parametrize(
+    "tamper", [_dropped_image, _dropped_param], ids=["dropped_image", "dropped_param"]
+)
+def test_a_manifest_that_drops_a_read_is_lowered_never_misbound(
+    cache_dir, monkeypatch, checks, builds, door, tamper
+):
+    # Bound as recorded, the function would take fewer arguments than it
+    # was compiled with.  Enhance's block reads an image and a param.
+    request, first, path, record = _recorded(cache_dir, checks, "Enhance", door)
+    tamper(record)
+    path.write_text(json.dumps(record))
+    lowerings = count_calls(monkeypatch, native_exec, "_lower_partition")
+    assert_same(first, request())
+    assert len(lowerings) == 1
+    entry = builds[-1]
+    assert entry.record_rejected == "bindings"
+    assert "library" not in entry.restored
+    assert checks.take() == (0, 0, 0, 0)
+    assert [
+        (native.spec.images, native.spec.params)
+        for native in entry.native_plan.natives
+    ] == [(("input",), ("gamma",))]
     _assert_healed(cache_dir, checks, builds, request, first)
 
 
@@ -802,19 +978,23 @@ def test_sanitizer_failure_is_never_recorded(cache_dir, monkeypatch, checks):
     assert verdicts(only_record(cache_dir)[1]) == (True, True, True)
 
 
-def _flip_first_const(plan):
-    """``plan`` with one tape constant changed (TAPE008 for the verifier,
-    another digest for the record)."""
-    block = plan.plans[0]
+def _flipped(block):
+    """``block`` with its first tape constant changed."""
     index, instr = next(
         (i, instr) for i, instr in enumerate(block.tape) if instr.op == "const"
     )
     mutated = list(block.tape)
     mutated[index] = tape.Instr("const", instr.args, (instr.aux[0] + 1.0,))
-    plan.plans[0] = tape.BlockPlan(
+    return tape.BlockPlan(
         block.destination, mutated, block.root, block.store,
         block.apply_reduction, block.stats, block.naive_borders, block.kind,
     )
+
+
+def _flip_first_const(plan):
+    """``plan`` with one tape constant changed (TAPE008 for the verifier,
+    another digest for the record)."""
+    plan.plans[0] = _flipped(plan.plans[0])
 
 
 def test_verifier_failure_is_never_recorded(cache_dir, monkeypatch, checks):
@@ -865,6 +1045,46 @@ def test_recorded_verdict_does_not_cover_a_mutated_tape(
     with pytest.raises(verifier.PlanVerificationError, match="TAPE008"):
         request()
     assert json.loads(path.read_text()) == record
+
+
+def test_a_tape_compiled_on_first_need_is_held_to_the_recorded_digest(
+    cache_dir, monkeypatch, checks
+):
+    # The restored plan compiles its tapes for the differential the
+    # record does not hold; a compiler that now writes other tapes does
+    # not inherit the verdict the record proved on the old ones.
+    request, _, path, record = _recorded(cache_dir, checks)
+    record["differential"] = False
+    path.write_text(json.dumps(record))
+    compile_block = tape.compile_block
+    monkeypatch.setattr(
+        tape, "compile_block", lambda *a, **k: _flipped(compile_block(*a, **k))
+    )
+    with pytest.raises(verifier.PlanVerificationError, match="TAPE008"):
+        request()
+    assert checks.take()[1] == 1
+    assert json.loads(path.read_text()) == record
+
+
+def test_a_recorded_tape_digest_the_tapes_do_not_have_is_verified_again(
+    cache_dir, checks, builds
+):
+    request, first, path, record = _recorded(cache_dir, checks)
+    digest = record["tape_digest"]
+    record["differential"] = False
+    record["tape_digest"] = "0" * 64
+    path.write_text(json.dumps(record))
+    assert_same(first, request())
+    # The identity still binds the restore; the tapes compiled for the
+    # differential are verified, since no verdict covers their digest.
+    assert checks.take() == (0, 1, 0, 1)
+    assert builds[-1].restored == (
+        "partition", "verified", "sanitized", "library"
+    )
+    healed = json.loads(path.read_text())
+    assert healed["tape_digest"] == digest
+    assert verdicts(healed) == (True, True, True)
+    _assert_healed(cache_dir, checks, builds, request, first)
 
 
 @DOORS
@@ -1017,6 +1237,30 @@ def test_entry_is_freed_without_the_cycle_collector(cache_dir):
         alive = weakref.ref(entry)
         del entry
         assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_restored_entry_is_freed_without_the_cycle_collector(cache_dir):
+    # Its tape plan compiles lazily from a graph it holds only weakly.
+    direct_door("Sobel")()
+    restart()
+    graph = APPLICATIONS["Sobel"].build(WIDTH, HEIGHT).build()
+    key = plan_key(
+        graph.structural_signature(), _inputs("Sobel"), "native",
+        FusionSettings(),
+    )
+    gc.disable()
+    try:
+        entry = plancache.build_plan(
+            graph, key=key, fusion=FusionSettings(), engine="native"
+        )
+        assert entry.restored == EVERYTHING
+        alive = [weakref.ref(entry), weakref.ref(entry.plan)]
+        del entry
+        assert alive[0]() is None
+        del graph
+        assert alive[1]() is None
     finally:
         gc.enable()
 

@@ -10,6 +10,7 @@ results stay bit-identical to a serial run.
 """
 
 import shutil
+import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -94,6 +95,46 @@ class TestPlanCacheConcurrency:
                 for future in [pool.submit(fetch) for _ in range(THREADS)]
             ]
         assert all(plan is plans[0] for plan in plans)
+
+    def test_racing_first_uses_compile_each_tape_once(self, monkeypatch):
+        # A plan whose record vouched for it compiles its tapes on first
+        # need; threads that need them at once share one compile.
+        from repro.backend import plan as tape
+
+        graph = chain_pipeline(("l", "p", "l"), 20, 14).build()
+        partition = Partition.singletons(graph)
+        compiled = []
+        real = tape.compile_block
+
+        def compiling(*args, **kwargs):
+            compiled.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tape, "compile_block", compiling)
+        plan = tape.PartitionPlan(graph, partition)
+        assert not compiled
+        barrier = threading.Barrier(THREADS)
+        inputs = {"img0": random_image(20, 14, seed=1)}
+
+        def first_use():
+            barrier.wait()
+            return plan.plans, plan.execute(inputs, None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more threads than cores, switching often
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                results = [
+                    future.result(timeout=60)
+                    for future in [pool.submit(first_use) for _ in range(THREADS)]
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(compiled) == len(partition)
+        assert all(plans is results[0][0] for plans, _ in results)
+        for _, env in results[1:]:
+            for name, value in results[0][1].items():
+                assert np.array_equal(env[name], value)
 
     def test_concurrent_reuse_is_bit_identical_to_serial(self):
         clear_plan_caches()

@@ -193,3 +193,34 @@ class TestDerivedHeaders:
         for kernel in map(graph.kernel, graph.kernel_names):
             assert kernel.window_size >= 1 and kernel.pattern
         assert max(walks.values()) <= 1, walks
+
+
+def _app_graphs():
+    """Every paper app, hand-built and lazy-recorded, plus the
+    hand-built extensions (DoG, Canny)."""
+    from repro.apps import ALL_APPS, APPLICATIONS
+    from repro.lazy.apps import lazy_trace
+
+    for app in sorted(ALL_APPS):
+        yield f"{app}/hand", ALL_APPS[app].build(48, 32).build()
+        if app in APPLICATIONS:
+            yield f"{app}/lazy", lazy_trace(app, 48, 32).graph()
+
+
+def test_param_names_read_off_the_signature_match_the_tree_walk():
+    from repro.ir.traversal import params_of
+
+    seen = []
+    for variant, graph in _app_graphs():
+        for kernel in graph.kernels():
+            assert kernel.param_names == params_of(kernel.body), (
+                variant,
+                kernel.name,
+            )
+            seen.append(variant)
+    assert len(set(seen)) == 14
+    assert any(
+        kernel.param_names
+        for _, graph in _app_graphs()
+        for kernel in graph.kernels()
+    )
