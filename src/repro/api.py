@@ -55,6 +55,7 @@ from repro.serve.plancache import (
     validate_plan,
 )
 from repro.serve.registry import default_registry
+from repro.serve.runtime import ServingRuntime
 
 __all__ = ["ExecutionOptions", "run", "run_block"]
 
@@ -82,13 +83,9 @@ class ExecutionOptions:
         on its own engine, workers, validation and resilience, so an
         explicit ``workers``, ``validate`` or ``resilience``, or an
         ``engine`` other than the one the runtime was asked for, raises
-        :class:`ExecutionError` instead of being ignored.  The fusion
-        fields give way to the runtime's fusion configuration.  A
-        :class:`~repro.serve.sharding.ShardedRuntime` also works for
-        *named* pipelines (requests fan out over its worker
-        processes); ad-hoc graph execution needs the single-process
-        runtime, since unregistered graphs do not cross process
-        boundaries.
+        :class:`ExecutionError` instead of being ignored, and so does a
+        ``runtime`` that is not a ``ServingRuntime``.  The fusion
+        fields give way to the runtime's fusion configuration.
     validate:
         Per-call validation level (``"off"`` / ``"standard"`` /
         ``"strict"``) scoped over the call via
@@ -120,7 +117,7 @@ class ExecutionOptions:
 
     engine: Optional[str] = None
     workers: Optional[int] = None
-    runtime: Optional[Any] = None
+    runtime: Optional[ServingRuntime] = None
     validate: Optional[str] = None
     fuse: bool = True
     partition: Optional[Partition] = None
@@ -225,11 +222,17 @@ def run(
 
 
 def _refuse_what_the_runtime_ignores(opts: ExecutionOptions) -> None:
-    """Raise naming the first field a routed call would drop: the
-    runtime serves on the engine it was asked for, with its own
-    workers, validation level and resilience policy."""
+    """Raise on a runtime that is not a ``ServingRuntime``, or naming
+    the first field a routed call would drop: the runtime serves on the
+    engine it was asked for, with its own workers, validation level and
+    resilience policy."""
     runtime = opts.runtime
-    engine = getattr(runtime, "requested_engine", runtime.engine)
+    if not isinstance(runtime, ServingRuntime):
+        raise ExecutionError(
+            f"ExecutionOptions.runtime must be a ServingRuntime, not a "
+            f"{type(runtime).__name__}"
+        )
+    engine = runtime.requested_engine
     if opts.engine is not None and opts.engine != engine:
         raise ExecutionError(
             f"ExecutionOptions.engine={opts.engine!r} cannot apply through "

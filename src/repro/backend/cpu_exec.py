@@ -35,9 +35,9 @@ The directory is the only store — nothing is remembered in memory, so an
 emptied directory means every kernel is compiled again.  It is keyed
 purely by content and written atomically (scratch file + ``os.replace``;
 a scratch file whose writer died is swept by the next build), so it is
-shared **across processes**: the sharded serving tier
-(:mod:`repro.serve.sharding`) points every worker at one directory and
-only the first worker to need a kernel pays the compiler.
+shared **across processes**: any two processes pointed at one directory
+share its artifacts, and only the first to need a kernel pays the
+compiler.
 
 **GIL release.**  Every compiled entry point is loaded through
 :class:`ctypes.CDLL`, which — unlike ``ctypes.PyDLL`` — releases the

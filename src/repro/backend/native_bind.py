@@ -67,9 +67,9 @@ _SIDE_BY_SIDE: "contextvars.ContextVar[int]" = contextvars.ContextVar(
 @contextmanager
 def sharing_cores(callers: int) -> Iterator[None]:
     """Scope in which the caller runs ``callers`` native executions at
-    once — a serving runtime's scheduler workers, times its sibling
-    shard processes — so each takes ``1/callers`` of the cores instead
-    of oversubscribing them.  Nested scopes compound."""
+    once — a serving runtime's scheduler workers — so each takes
+    ``1/callers`` of the cores instead of oversubscribing them.  Nested
+    scopes compound."""
     token = _SIDE_BY_SIDE.set(_SIDE_BY_SIDE.get() * max(1, int(callers)))
     try:
         yield

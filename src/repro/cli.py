@@ -285,9 +285,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     the plan cache, scheduler, metrics, and resilience layers in one
     command.  ``--faults`` arms deterministic fault injection
     (``REPRO_FAULTS`` grammar) so the retry / breaker / degradation
-    machinery is observable from the shell.  ``--processes N`` (or
-    ``REPRO_SERVE_PROCS``) with ``N > 1`` serves the stream through a
-    sharded multi-process runtime instead — same results, every core.
+    machinery is observable from the shell.
     """
     import json
     from concurrent.futures import ThreadPoolExecutor
@@ -341,33 +339,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             names[i % len(names)] for i in range(args.requests)
         )
     ]
-    from repro.envknobs import serve_procs_env
-
-    processes = (
-        serve_procs_env() if args.processes is None else args.processes
-    )
-    if processes > 1:
-        from repro.serve import ShardedRuntime
-
-        if args.cache_keying != "shape":
-            print("error: --cache-keying structure is single-process "
-                  "(sharded routing is keyed by shape-specialized plan "
-                  "signature)", file=sys.stderr)
-            return 2
-        runtime_cm = ShardedRuntime.from_options(
-            options,
-            names,
-            processes=processes,
-            worker_threads=args.workers,
-        )
-    else:
-        runtime_cm = ServingRuntime.from_options(
-            options,
-            registry=registry,
-            workers=args.workers,
-            cache_keying=args.cache_keying,
-        )
-    with runtime_cm as runtime:
+    with ServingRuntime.from_options(
+        options,
+        registry=registry,
+        workers=args.workers,
+        cache_keying=args.cache_keying,
+    ) as runtime:
         with ThreadPoolExecutor(max_workers=args.clients) as clients:
             futures = [
                 clients.submit(runtime.execute, name, inputs)
@@ -385,15 +362,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"served {args.requests} requests over {len(names)} pipelines "
           f"({args.width}x{args.height}, version={args.version}, "
           f"engine={engine['active']})")
-    if processes > 1:
-        shards = snapshot.get("shards", {})
-        alive = sum(1 for view in shards.values() if view.get("alive"))
-        counters = snapshot["counters"]
-        print(f"shards: {alive}/{processes} alive, "
-              f"{counters.get('worker_deaths', 0)} deaths, "
-              f"{counters.get('workers_respawned', 0)} respawns, "
-              f"{counters.get('requests_retried_on_sibling', 0)} "
-              f"sibling retries")
     if engine["active"] != engine["requested"]:
         print(f"note: engine {engine['requested']!r} unavailable "
               f"(no C compiler); served with {engine['active']!r}")
@@ -697,10 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduler worker threads")
     serve.add_argument("--clients", type=int, default=8,
                        help="concurrent client threads")
-    serve.add_argument("--processes", type=int, default=None,
-                       help="worker processes for sharded serving "
-                            "(default: REPRO_SERVE_PROCS or 1; >1 "
-                            "serves through a ShardedRuntime)")
     serve.add_argument("--exec-engine", default="tape",
                        choices=ENGINE_NAMES,
                        help="execution engine serving requests; "

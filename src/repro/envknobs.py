@@ -4,7 +4,7 @@ Every runtime tunable that can arrive through the environment —
 ``REPRO_EXEC_WORKERS``, ``REPRO_EXEC_ENGINE``, ``REPRO_CC_CACHE``,
 ``REPRO_CC_CACHE_MAX``, ``REPRO_NATIVE_THREADS``,
 ``REPRO_NATIVE_TILE2D``, ``REPRO_NATIVE_F32``, ``REPRO_NATIVE_CFLAGS``,
-``REPRO_VALIDATE``, ``REPRO_SERVE_PROCS``, ``REPRO_FAULTS`` — funnels
+``REPRO_VALIDATE``, ``REPRO_FAULTS`` — funnels
 through the helpers here, so a typo in a deployment manifest fails with
 one clear message naming the variable and the accepted values instead
 of a bare ``int()`` traceback deep inside an executor.
@@ -224,21 +224,6 @@ def native_cflags_env() -> tuple:
     """The extra native compile flags, split on whitespace (may be empty)."""
     raw = raw_env(NATIVE_CFLAGS_ENV)
     return tuple(raw.split()) if raw else ()
-
-
-#: Environment knob: worker processes of the sharded serving tier
-#: (``repro serve --processes`` / :class:`repro.serve.sharding.
-#: ShardedRuntime`); 1 means the single-process runtime.
-SERVE_PROCS_ENV = "REPRO_SERVE_PROCS"
-
-
-def serve_procs_env(default: int = 1) -> int:
-    """The ``REPRO_SERVE_PROCS`` worker-process count (>= 1).
-
-    Blank/unset yields ``default``; anything that is not an integer of
-    at least 1 raises :class:`EnvKnobError` naming the variable.
-    """
-    return int_env(SERVE_PROCS_ENV, default=default, minimum=1)
 
 
 #: Environment knob injecting deterministic faults at named sites

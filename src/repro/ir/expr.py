@@ -246,7 +246,7 @@ def _hash_once(cls: type) -> None:
     so the value is computed once and parked in the instance ``__dict__``
     (which ``__eq__``, ``__repr__`` and ``dataclasses.fields`` never
     look at).  String hashes are salted per process, so the cached value
-    is dropped on pickling — a spawn-started shard hashes afresh.
+    is dropped on pickling — an unpickling process hashes afresh.
     """
     generated = cls.__hash__
 

@@ -24,13 +24,7 @@ paper's analysis implies:
   named sites (``REPRO_FAULTS`` + programmatic API) so every
   degradation path is testable in CI;
 * :mod:`~repro.serve.runtime` — :class:`ServingRuntime`, composing the
-  above; results are bit-identical to direct execution;
-* :mod:`~repro.serve.transport` — pooled ``multiprocessing.shared_memory``
-  segments carrying image planes zero-copy between processes;
-* :mod:`~repro.serve.sharding` — :class:`ShardedRuntime`, N worker
-  processes each hosting a full ServingRuntime, routed by plan
-  signature over a consistent-hash ring, with dead-worker detection,
-  sibling retry, and respawn.
+  above; results are bit-identical to direct execution.
 
 Throughput and latency of the layer are measured by the perf ledger's
 ``serve_mixed`` workload (``benchmarks/ledger/``).
@@ -41,22 +35,13 @@ from repro.serve.errors import (
     DeadlineExceeded,
     PlanBuildError,
     QueueFull,
-    RemoteServeError,
     RuntimeClosed,
     SchedulerClosed,
     ServeError,
     StageTimeout,
-    WorkerDied,
 )
 from repro.serve.faultinject import FaultInjected, FaultRule, fault_injection
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    StateGauge,
-    merge_snapshots,
-)
+from repro.serve.metrics import Counter, Gauge, Histogram, Metrics, StateGauge
 from repro.serve.plancache import (
     CachedPlan,
     FusionSettings,
@@ -77,7 +62,6 @@ from repro.serve.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
     RetryPolicy,
-    ShardPolicy,
     StageTimeouts,
 )
 from repro.serve.runtime import ServingRuntime
@@ -85,13 +69,6 @@ from repro.serve.scheduler import (
     RequestScheduler,
     ResponseHandle,
     ServeRequest,
-)
-from repro.serve.sharding import HashRing, ShardedRuntime
-from repro.serve.transport import (
-    SegmentPool,
-    attach_segment,
-    pack_arrays,
-    unpack_arrays,
 )
 
 __all__ = [
@@ -107,7 +84,6 @@ __all__ = [
     "FaultRule",
     "FusionSettings",
     "Gauge",
-    "HashRing",
     "Histogram",
     "Metrics",
     "PipelineEntry",
@@ -116,29 +92,20 @@ __all__ = [
     "PlanCache",
     "QueueFull",
     "RegistryError",
-    "RemoteServeError",
     "RequestScheduler",
     "ResiliencePolicy",
     "ResponseHandle",
     "RetryPolicy",
     "RuntimeClosed",
     "SchedulerClosed",
-    "SegmentPool",
     "ServeError",
     "ServeRequest",
     "ServingRuntime",
-    "ShardPolicy",
-    "ShardedRuntime",
     "StageTimeout",
     "StageTimeouts",
     "StateGauge",
-    "WorkerDied",
-    "attach_segment",
     "default_registry",
     "fault_injection",
     "inputs_signature",
-    "merge_snapshots",
-    "pack_arrays",
     "plan_key",
-    "unpack_arrays",
 ]

@@ -15,14 +15,7 @@ type instead of parsing ``RuntimeError`` strings:
   configured per-stage budget;
 * :class:`PlanBuildError` — fusing/compiling a plan failed; carries
   the failing ``stage`` and ``engine`` so the resilience layer can
-  route the retry down the degradation ladder;
-* :class:`WorkerDied` — a sharded-serving worker process died while a
-  request was in flight; the dispatcher retries on a sibling shard
-  (:mod:`repro.serve.sharding`), so callers only ever see this when
-  every candidate shard is gone;
-* :class:`RemoteServeError` — a failure raised *inside* a worker
-  process, re-raised parent-side with the original type's name
-  (exception objects do not cross the pipe; their identity does).
+  route the retry down the degradation ladder.
 
 :class:`ServeError` deliberately subclasses :class:`RuntimeError`:
 every exception here used to *be* a bare ``RuntimeError``, and callers
@@ -36,12 +29,10 @@ __all__ = [
     "DeadlineExceeded",
     "PlanBuildError",
     "QueueFull",
-    "RemoteServeError",
     "RuntimeClosed",
     "SchedulerClosed",
     "ServeError",
     "StageTimeout",
-    "WorkerDied",
 ]
 
 
@@ -81,33 +72,6 @@ class StageTimeout(DeadlineExceeded):
         super().__init__(f"stage {stage!r} exceeded its {timeout_s:g}s budget")
         self.stage = stage
         self.timeout_s = timeout_s
-
-
-class WorkerDied(ServeError):
-    """A sharded-serving worker process died with a request in flight.
-
-    ``worker_id`` names the shard whose process disappeared.  The
-    sharded dispatcher treats this as retriable (sibling shards serve
-    the request while the worker respawns); it reaches callers only
-    when no live shard remains.
-    """
-
-    def __init__(self, worker_id: int, message: str | None = None):
-        super().__init__(message or f"shard worker {worker_id} died")
-        self.worker_id = worker_id
-
-
-class RemoteServeError(ServeError):
-    """A worker-side failure, re-raised in the parent process.
-
-    ``error_type`` is the class name of the original exception (the
-    object itself stays in the worker — arbitrary exceptions do not
-    round-trip a pipe reliably); the message is preserved verbatim.
-    """
-
-    def __init__(self, error_type: str, message: str):
-        super().__init__(f"{error_type}: {message}")
-        self.error_type = error_type
 
 
 class PlanBuildError(ServeError):

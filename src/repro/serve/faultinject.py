@@ -21,18 +21,7 @@ site                      instrumented where
 ``execute``               plan execution (runtime worker / ``repro.api``)
 ``cache.hit``             a plan-cache hit — ``corrupt`` poisons the served
                           entry, exercising quarantine-and-rebuild
-``worker.kill``           sharded-serving dispatch (:mod:`repro.serve.
-                          sharding`) — an ``error`` rule SIGKILLs the target
-                          worker process instead of raising, exercising
-                          death detection, sibling retry, and respawn
 ========================  ====================================================
-
-``worker.kill`` is checked **parent-side** (the dispatcher kills the
-worker it was about to use, then proceeds so detection and recovery
-run).  Firing it in the worker would re-arm in every respawned
-process — a fresh process re-reads ``REPRO_FAULTS`` — and kill the
-fleet in a loop; one parent-held registry keeps the rule's ``*count``
-exact.
 
 Three **actions**: ``error`` raises :class:`FaultInjected`, ``slow``
 sleeps ``delay_s`` (tripping per-stage timeouts), ``corrupt`` marks a
@@ -60,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.envknobs import FAULTS_ENV, EnvKnobError, faults_env
@@ -77,7 +66,6 @@ __all__ = [
     "parse_spec",
     "refresh_from_env",
     "stats",
-    "take",
     "take_corruption",
 ]
 
@@ -90,7 +78,6 @@ FAULT_SITES = (
     "verify",
     "execute",
     "cache.hit",
-    "worker.kill",
 )
 
 #: The supported actions.
@@ -242,20 +229,6 @@ class FaultRegistry:
             return False
         return self._fire(site, ("corrupt",)) is not None
 
-    def take(self, site: str) -> bool:
-        """True when an armed ``error`` rule fires at ``site``.
-
-        The boolean form of :meth:`check` for sites whose failure is an
-        *act* rather than an exception — ``worker.kill``'s caller kills
-        a process instead of raising.  ``slow`` rules still sleep.
-        """
-        if not self.armed:
-            return False
-        rule = self._fire(site, ("slow",))
-        if rule is not None:
-            time.sleep(rule.delay_s)
-        return self._fire(site, ("error",)) is not None
-
     def stats(self) -> Dict[str, int]:
         """Fired-fault counts per site (the injection ledger)."""
         with self._lock:
@@ -354,15 +327,6 @@ def check(site: str) -> None:
 def take_corruption(site: str = "cache.hit") -> bool:
     """Instrumentation hook for ``corrupt`` rules (plan-cache hits)."""
     return _REGISTRY.take_corruption(site)
-
-
-def take(site: str) -> bool:
-    """Instrumentation hook returning whether an ``error`` rule fired.
-
-    Used by sites whose injected failure is an action the caller
-    performs (``worker.kill``) rather than an exception to raise.
-    """
-    return _REGISTRY.take(site)
 
 
 def refresh_from_env() -> None:

@@ -16,7 +16,7 @@ lifetime.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = [
     "Counter",
@@ -24,7 +24,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "StateGauge",
-    "merge_snapshots",
 ]
 
 
@@ -245,63 +244,3 @@ class Metrics:
                 for name in sorted(histograms)
             },
         }
-
-
-#: State-gauge merge order: the fleet view reports the most degraded
-#: state any shard is in (breaker semantics: one open breaker matters).
-_STATE_RANK = {"": 0, "closed": 0, "half_open": 1, "open": 2}
-
-
-def merge_snapshots(snapshots: Sequence[Dict[str, Dict]]) -> Dict[str, Dict]:
-    """Aggregate per-process :meth:`Metrics.snapshot` dicts into one.
-
-    The fleet-wide view of sharded serving: counters and gauges sum,
-    state gauges report the most degraded state (transitions summed),
-    histograms merge their exact accumulators — ``count``/``sum`` add,
-    ``min``/``max`` extremize, ``mean`` is recomputed.  Percentiles are
-    **count-weighted averages** of the per-shard reservoir percentiles:
-    each shard only keeps its own recent samples, so the merged pXX is
-    an approximation, clearly good enough for a dashboard and clearly
-    not a re-ranked global quantile.
-    """
-    merged: Dict[str, Dict] = {
-        "counters": {},
-        "gauges": {},
-        "states": {},
-        "histograms": {},
-    }
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            merged["gauges"][name] = merged["gauges"].get(name, 0.0) + value
-        for name, state in snapshot.get("states", {}).items():
-            seen = merged["states"].get(name)
-            if seen is None:
-                merged["states"][name] = dict(state)
-            else:
-                seen["transitions"] += state.get("transitions", 0)
-                if _STATE_RANK.get(state.get("state", ""), 0) > _STATE_RANK.get(
-                    seen.get("state", ""), 0
-                ):
-                    seen["state"] = state["state"]
-        for name, hist in snapshot.get("histograms", {}).items():
-            seen = merged["histograms"].get(name)
-            if seen is None:
-                merged["histograms"][name] = dict(hist)
-                continue
-            count, more = seen["count"], hist["count"]
-            total = count + more
-            for q in ("p50", "p95", "p99"):
-                if total:
-                    seen[q] = (seen[q] * count + hist[q] * more) / total
-            seen["count"] = total
-            seen["sum"] += hist["sum"]
-            seen["mean"] = (seen["sum"] / total) if total else 0.0
-            if more:
-                seen["min"] = min(seen["min"], hist["min"]) if count else hist["min"]
-                seen["max"] = max(seen["max"], hist["max"]) if count else hist["max"]
-    return {
-        section: {name: values[name] for name in sorted(values)}
-        for section, values in merged.items()
-    }

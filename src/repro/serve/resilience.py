@@ -18,11 +18,7 @@ holds the *policy* objects that decide what happens next; the
   ``native → tape → recursive``, with half-open probing to recover;
 * :class:`ResiliencePolicy` — the bundle the runtime (and
   :func:`repro.api.run`) consumes, with injectable ``clock`` and
-  ``sleep`` so every path is deterministic under test;
-* :class:`ShardPolicy` — the process-level layer on top: how the
-  sharded runtime (:mod:`repro.serve.sharding`) reacts when a whole
-  worker *process* dies — sibling-shard retries for in-flight
-  requests and automatic respawn of the dead worker.
+  ``sleep`` so every path is deterministic under test.
 
 All three engines compute bit-identical results (the native engine
 under its pinned tolerance policy), so degradation trades *throughput*
@@ -47,7 +43,6 @@ __all__ = [
     "DEGRADATION_LADDER",
     "ResiliencePolicy",
     "RetryPolicy",
-    "ShardPolicy",
     "StageTimeouts",
     "ladder_from",
 ]
@@ -365,28 +360,3 @@ class ResiliencePolicy:
             quarantine=False,
             degradation=False,
         )
-
-
-@dataclass(frozen=True)
-class ShardPolicy:
-    """Failure policy of the multi-process tier (one level above
-    :class:`ResiliencePolicy`, whose ladder runs *inside* each worker).
-
-    ``sibling_retries`` bounds how many further shards — walking the
-    consistent-hash ring clockwise from the request's primary — an
-    in-flight request tries after its worker dies (each sibling owns a
-    cold plan cache for that key, so the retry pays a compile, not a
-    failure).  ``respawn`` restores dead workers in the background;
-    ``respawn_timeout_s`` bounds the replacement's startup handshake.
-    The dataclass must stay picklable: it rides in the worker config.
-    """
-
-    sibling_retries: int = 2
-    respawn: bool = True
-    respawn_timeout_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.sibling_retries < 0:
-            raise ValueError("sibling_retries must be >= 0")
-        if self.respawn_timeout_s <= 0:
-            raise ValueError("respawn_timeout_s must be > 0")

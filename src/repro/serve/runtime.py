@@ -92,19 +92,6 @@ from repro.serve.scheduler import (
 __all__ = ["ServingRuntime"]
 
 
-def options_kwargs(options: Any, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """The runtime constructor keywords an
-    :class:`repro.api.ExecutionOptions` stands for, under ``overrides``."""
-    kwargs: Dict[str, Any] = {
-        "fusion": options.fusion_settings(),
-        "engine": engines.requested(options.engine),
-        "intra_workers": options.workers,
-    }
-    if options.resilience is not None:
-        kwargs["resilience"] = options.resilience
-    return {**kwargs, **overrides}
-
-
 class ServingRuntime:
     """A long-lived, thread-safe, fault-tolerant pipeline service.
 
@@ -205,12 +192,6 @@ class ServingRuntime:
             cache_keying if self.engine == self.requested_engine else "shape"
         )
         self.intra_workers = intra_workers
-        #: How many requests this runtime's host executes side by side:
-        #: its scheduler workers — times the shard count, which a
-        #: :class:`~repro.serve.sharding.ShardedRuntime` worker process
-        #: multiplies in.  Each compiled call takes that share of the
-        #: cores (:func:`repro.backend.native_exec.sharing_cores`).
-        self.side_by_side = workers
         self.cache = PlanCache(capacity=cache_capacity)
         self.metrics = metrics or Metrics()
         self.resilience = resilience or ResiliencePolicy()
@@ -274,7 +255,15 @@ class ServingRuntime:
         knobs (scheduler workers, queue bound, cache capacity)
         pass through ``overrides``.
         """
-        return cls(registry, **options_kwargs(options, overrides))
+        kwargs: Dict[str, Any] = {
+            "fusion": options.fusion_settings(),
+            "engine": engines.requested(options.engine),
+            "intra_workers": options.workers,
+        }
+        if options.resilience is not None:
+            kwargs["resilience"] = options.resilience
+        kwargs.update(overrides)
+        return cls(registry, **kwargs)
 
     def lint_registered(
         self, *, native: bool = False
@@ -628,9 +617,10 @@ class ServingRuntime:
         self, entry: CachedPlan, request: ServeRequest
     ) -> Arrays:
         def execute() -> Arrays:
-            # Scoped inside the stage: a budgeted stage runs on a side
-            # thread, which does not inherit this one's context.
-            with native_exec.sharing_cores(self.side_by_side):
+            # Each scheduler worker's compiled call takes its share of
+            # the cores.  Scoped inside the stage: a budgeted stage runs
+            # on a side thread, which does not inherit this context.
+            with native_exec.sharing_cores(self.scheduler.workers):
                 return entry.executor.execute(
                     request.payload["inputs"],
                     request.payload["params"],
@@ -717,7 +707,7 @@ class ServingRuntime:
         if self.engine != "native" or not openmp_available():
             return 1
         return native_exec.resolve_native_threads(
-            side_by_side=self.side_by_side
+            side_by_side=self.scheduler.workers
         )
 
     def metrics_snapshot(self) -> Dict[str, Any]:

@@ -126,6 +126,7 @@ class RequestScheduler:
         if max_queue < 1:
             raise ValueError("queue bound must be >= 1")
         self._handler = handler
+        self.workers = workers
         self.max_queue = max_queue
         self._pending: Deque[ServeRequest] = deque()
         self._cond = threading.Condition()

@@ -28,7 +28,7 @@ from repro.backend.native_exec import (
 )
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
-from repro.serve import ServingRuntime, ShardedRuntime
+from repro.serve import ServingRuntime
 from repro.serve.plancache import PROCESS_CACHE
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
@@ -317,20 +317,3 @@ def test_a_forked_child_of_a_threaded_parent_runs_serial():
         process.join(5)
         if process.is_alive():
             process.kill()
-
-
-@needs_cc
-def test_shards_share_the_machine(monkeypatch):
-    """Each shard hosts a full runtime, but the fleet's schedulers run
-    side by side: a shard's compiled calls get
-    ``cores / (shards x workers)``, not ``cores / workers``."""
-    monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-    expected = max(1, available_cores() // (2 * 1))
-    if not openmp_available():
-        expected = 1
-    with ShardedRuntime(
-        ["Sobel"], processes=2, engine="native", worker_threads=1
-    ) as fleet:
-        snapshot = fleet.metrics_snapshot()
-    for view in snapshot["shards"].values():
-        assert view["worker"]["scheduler"]["native_threads"] == expected

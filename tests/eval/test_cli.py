@@ -148,13 +148,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "992" in out and "763" in out
 
-    def test_serve_rejects_sharded_structure_keying(self, capsys):
-        # Sharded routing is keyed by shape-specialized plan signature.
-        assert main(["serve", "--requests", "1", "--processes", "2",
-                     "--exec-engine", "native",
-                     "--cache-keying", "structure"]) == 2
-        assert "single-process" in capsys.readouterr().err
-
     def test_tiling(self, capsys):
         assert main(["tiling"]) == 0
         out = capsys.readouterr().out

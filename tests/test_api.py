@@ -328,6 +328,15 @@ class TestRuntimeRouting:
                 "requests_completed", 0
             ) == 0
 
+    def test_a_runtime_that_is_not_a_serving_runtime_is_refused(self):
+        refused = "ExecutionOptions.runtime must be a ServingRuntime, not a object"
+        with pytest.raises(ExecutionError, match=refused):
+            self._call(object())
+        with pytest.raises(ExecutionError, match=refused):
+            run("Sobel", _app_inputs("Sobel"), options=ExecutionOptions(
+                runtime=object()
+            ))
+
     def test_the_runtime_engine_by_name_is_accepted(self):
         direct = self._call(None)
         with ServingRuntime(engine="tape", workers=1) as runtime:

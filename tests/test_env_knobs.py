@@ -263,35 +263,6 @@ class TestFaultsKnob:
             faultinject.clear()
 
 
-class TestServeProcsKnob:
-    def test_default_is_single_process(self, monkeypatch):
-        from repro.envknobs import SERVE_PROCS_ENV, serve_procs_env
-
-        monkeypatch.delenv(SERVE_PROCS_ENV, raising=False)
-        assert serve_procs_env() == 1
-        assert serve_procs_env(default=4) == 4
-
-    def test_valid_process_count_parsed(self, monkeypatch):
-        from repro.envknobs import SERVE_PROCS_ENV, serve_procs_env
-
-        monkeypatch.setenv(SERVE_PROCS_ENV, " 4 ")
-        assert serve_procs_env() == 4
-
-    def test_rejects_zero_naming_variable(self, monkeypatch):
-        from repro.envknobs import SERVE_PROCS_ENV, serve_procs_env
-
-        monkeypatch.setenv(SERVE_PROCS_ENV, "0")
-        with pytest.raises(EnvKnobError, match="REPRO_SERVE_PROCS"):
-            serve_procs_env()
-
-    def test_rejects_garbage_naming_variable(self, monkeypatch):
-        from repro.envknobs import SERVE_PROCS_ENV, serve_procs_env
-
-        monkeypatch.setenv(SERVE_PROCS_ENV, "all-cores")
-        with pytest.raises(EnvKnobError, match="REPRO_SERVE_PROCS"):
-            serve_procs_env()
-
-
 class TestValidateOverride:
     def test_override_scopes_and_restores(self, monkeypatch):
         from repro.envknobs import validate_override

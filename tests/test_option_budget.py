@@ -1,8 +1,8 @@
 """Meta-test: the option budget.
 
-ROADMAP has tracked four counts by hand since PR 16 — environment
-variables, ``ExecutionOptions`` fields, and the two runtime
-constructors' keywords.  A rise fails here, so it has to be argued in
+ROADMAP has tracked these counts by hand since PR 16 — environment
+variables, ``ExecutionOptions`` fields, and the serving runtime's
+constructor keywords.  A rise fails here, so it has to be argued in
 the diff that edits the number; a fall should lower the number too.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.api import ExecutionOptions
-from repro.serve import ServingRuntime, ShardedRuntime
+from repro.serve import ServingRuntime
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -35,16 +35,15 @@ def keywords(cls):
 @pytest.mark.parametrize(
     "what, names, budget",
     [
-        ("REPRO_* environment variables", env_knobs(), 11),
+        ("REPRO_* environment variables", env_knobs(), 10),
         (
             "ExecutionOptions fields",
             [f.name for f in dataclasses.fields(ExecutionOptions)],
             11,
         ),
         ("ServingRuntime keywords", keywords(ServingRuntime), 11),
-        ("ShardedRuntime keywords", keywords(ShardedRuntime), 13),
     ],
-    ids=["env", "options", "serving", "sharded"],
+    ids=["env", "options", "serving"],
 )
 def test_option_budget(what, names, budget):
     assert len(names) <= budget, (
