@@ -15,7 +15,7 @@ geometry only scales array sizes, not findings), then runs
    compiled instruction tapes of that partition,
 5. with ``native=True`` (``repro lint --native``), the **native-codegen
    sanitizer** (:mod:`repro.analysis.native_check`) over the loop
-   nests lowered for that partition, specialized *and* shape-polymorphic.
+   nests lowered for that partition.
 
 The report's error gate covers the diagnostics only; trace events are
 explanatory context (a cut is a decision, not a defect).
@@ -122,9 +122,8 @@ def lint_app(
     checked and whose trace the report keeps.  ``verify_plans=False``
     skips tape compilation/verification (pipeline + fusion passes only).
     ``native=True`` additionally lowers the partition through the native
-    C backend — both specialized and shape-polymorphic — and runs the
-    codegen sanitizer over the emitted source (``NAT0xx``); it needs a
-    working C toolchain.
+    C backend and runs the codegen sanitizer over the emitted source
+    (``NAT0xx``); it needs a working C toolchain.
     """
     from repro.apps import ALL_APPS
     from repro.lazy.lint import lint_trace
@@ -215,8 +214,7 @@ def _lint_native(graph, partition) -> List[Diagnostic]:
 
     The plans are built under a ``standard`` validation override so that
     strict mode's build-time enforcement cannot raise before the lint
-    report collects the findings; the sanitizer then runs explicitly
-    over both lowerings (baked extents and runtime-geometry formals).
+    report collects the findings; the sanitizer then runs explicitly.
     Blocks that fell back to the tape interpreter carry no native code
     and verify vacuously.
     """
@@ -224,14 +222,9 @@ def _lint_native(graph, partition) -> List[Diagnostic]:
     from repro.backend.native_exec import native_plan_for_partition
     from repro.envknobs import validate_override
 
-    diagnostics: List[Diagnostic] = []
     with validate_override("standard"):
-        for polymorphic in (False, True):
-            plan = native_plan_for_partition(
-                graph, partition, polymorphic=polymorphic
-            )
-            diagnostics.extend(verify_native_plan(plan))
-    return diagnostics
+        plan = native_plan_for_partition(graph, partition)
+    return verify_native_plan(plan)
 
 
 def _fuse(graph, gpu, version, config):

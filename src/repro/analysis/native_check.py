@@ -15,9 +15,7 @@ from (``NativeBlock.spec.ir``) — never the text — and for every
 
 * the pixel index is in the canonical row-major form ``Y * width + X``,
 * ``0 <= X <= width - 1`` and ``0 <= Y <= height - 1`` hold for all
-  iterations, under the symbolic assumption ``width >= 1, height >= 1``
-  for shape-polymorphic plans (runtime geometry formals) or the baked
-  numeric extents for specialized plans, and
+  iterations at the block's numeric extents, and
 * its pixel stride is the block's channel count ``C`` (1 on tile
   scratch).
 
@@ -25,9 +23,9 @@ Every buffer the driver is called with is one channel of a ``float64``
 ``(height, width, C)`` image: the binder passes ``base + c`` for
 ``c < C`` (see :meth:`_Checker.check_pointers`), so the componentwise
 proof at stride ``C`` is exactly the allocation bound.  The proofs run
-in an affine-interval domain (``a*width + b*height + c`` bounds with
-min/max forms for the runtime clamp ternaries), so no compiler or
-execution is needed — ``repro lint --native`` works on hosts without a
+in an interval domain over the block's numeric extents (sets of integer
+bounds, so the runtime clamp ternaries keep both candidates), so no
+compiler or execution is needed — ``repro lint --native`` works on hosts without a
 toolchain.
 
 Diagnostics:
@@ -56,10 +54,7 @@ the driver's recovered **margin ledger** — a consumer with halo margins
 ``(Lc, Rc, Tc, Bc)`` may read a producer at x-offset ``d`` only when
 ``Lp >= Lc - d`` and ``Rp >= Rc + d`` (and the y analogue), which is
 exactly the containment invariant the builder's reverse-topological
-ledger establishes.  Shape-polymorphic blocks carry per-image runtime
-pitch formals (``st_*``); an input subscript may use its own pitch in
-place of ``width`` because the runtime binder only passes pitches
-``>= width``.
+ledger establishes.
 
 **What is trusted.**  The sanitizer reads the tree, the compiler reads
 the text printed from it, so the printer joins the trusted base.  Three
@@ -97,72 +92,44 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Affine bounds: a*width + b*height + c under width >= 1, height >= 1
+# Interval bounds over the integers
 # ---------------------------------------------------------------------------
-
-Aff = Tuple[int, int, int]  # (width coeff, height coeff, constant)
-
-_ZERO: Aff = (0, 0, 0)
-_WIDTH: Aff = (1, 0, 0)
-_HEIGHT: Aff = (0, 1, 0)
-
-
-def _aff_const(c: int) -> Aff:
-    return (0, 0, c)
-
-
-def _aff_add(a: Aff, b: Aff) -> Aff:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _aff_neg(a: Aff) -> Aff:
-    return (-a[0], -a[1], -a[2])
-
-
-def _aff_scale(a: Aff, k: int) -> Aff:
-    return (a[0] * k, a[1] * k, a[2] * k)
-
-
-def _prove_le(a: Aff, b: Aff) -> bool:
-    """``a <= b`` for every ``width >= 1, height >= 1``."""
-    dw, dh, dc = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    return dw >= 0 and dh >= 0 and (dw + dh + dc) >= 0
 
 
 @dataclass(frozen=True)
 class _Iv:
     """An abstract integer: ``max(los) <= value <= min(his)``.
 
-    Each side is a *set* of affine bounds (so the runtime clamp
+    Each side is a *set* of integer bounds (so the runtime clamp
     ternaries ``(a < b ? a : b)`` keep both candidates); an empty side
     is unbounded.  A bound is proven by any one member.
     """
 
-    los: Tuple[Aff, ...] = ()
-    his: Tuple[Aff, ...] = ()
+    los: Tuple[int, ...] = ()
+    his: Tuple[int, ...] = ()
 
-    def ge_proven(self, bound: Aff) -> bool:
-        return any(_prove_le(bound, m) for m in self.los)
+    def ge_proven(self, bound: int) -> bool:
+        return any(bound <= m for m in self.los)
 
-    def le_proven(self, bound: Aff) -> bool:
-        return any(_prove_le(m, bound) for m in self.his)
+    def le_proven(self, bound: int) -> bool:
+        return any(m <= bound for m in self.his)
 
 
-def _iv_point(a: Aff) -> _Iv:
+def _iv_point(a: int) -> _Iv:
     return _Iv((a,), (a,))
 
 
 def _iv_add(a: _Iv, b: _Iv) -> _Iv:
     return _Iv(
-        tuple(_aff_add(x, y) for x in a.los for y in b.los),
-        tuple(_aff_add(x, y) for x in a.his for y in b.his),
+        tuple(x + y for x in a.los for y in b.los),
+        tuple(x + y for x in a.his for y in b.his),
     )
 
 
 def _iv_neg(a: _Iv) -> _Iv:
     return _Iv(
-        tuple(_aff_neg(m) for m in a.his),
-        tuple(_aff_neg(m) for m in a.los),
+        tuple(-m for m in a.his),
+        tuple(-m for m in a.los),
     )
 
 
@@ -170,8 +137,8 @@ def _iv_scale(a: _Iv, k: int) -> _Iv:
     if k < 0:
         return _iv_scale(_iv_neg(a), -k)
     return _Iv(
-        tuple(_aff_scale(m, k) for m in a.los),
-        tuple(_aff_scale(m, k) for m in a.his),
+        tuple(m * k for m in a.los),
+        tuple(m * k for m in a.his),
     )
 
 
@@ -180,19 +147,19 @@ def _iv_join(a: _Iv, b: _Iv) -> _Iv:
     los = tuple(
         m
         for m in a.los + b.los
-        if any(_prove_le(m, n) for n in a.los)
-        and any(_prove_le(m, n) for n in b.los)
+        if any(m <= n for n in a.los)
+        and any(m <= n for n in b.los)
     )
     his = tuple(
         m
         for m in a.his + b.his
-        if any(_prove_le(n, m) for n in a.his)
-        and any(_prove_le(n, m) for n in b.his)
+        if any(n <= m for n in a.his)
+        and any(n <= m for n in b.his)
     )
     return _Iv(los, his)
 
 
-_BOOL_IV = _Iv((_ZERO,), (_aff_const(1),))
+_BOOL_IV = _Iv((0,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -248,50 +215,35 @@ _RESOLVER_FNS = ("idx_clamp", "idx_mirror", "idx_repeat")
 
 
 class _Eval:
-    """Evaluates index ASTs to affine intervals.
+    """Evaluates index ASTs to integer intervals.  Sources carry
+    numeric extents, so an identifier has no exact value."""
 
-    ``polymorphic`` decides whether the ``width``/``height`` identifiers
-    are the symbolic plane extents; specialized sources carry numeric
-    extents instead, and the symbols are unknown.
-    """
-
-    def __init__(self, polymorphic: bool):
-        self.polymorphic = polymorphic
-
-    def point(self, node: tuple) -> Optional[Aff]:
-        """The exact affine value of a node, or ``None``."""
+    def point(self, node: tuple) -> Optional[int]:
+        """The exact value of a node, or ``None``."""
         kind = node[0]
         if kind == "num":
-            return _aff_const(node[1])
+            return node[1]
         if kind == "id":
-            if self.polymorphic and node[1] == "width":
-                return _WIDTH
-            if self.polymorphic and node[1] == "height":
-                return _HEIGHT
             return None
         if kind == "neg":
             inner = self.point(node[1])
-            return None if inner is None else _aff_neg(inner)
+            return None if inner is None else -inner
         if kind == "bin" and node[1] in ("+", "-"):
             a, b = self.point(node[2]), self.point(node[3])
             if a is None or b is None:
                 return None
-            return _aff_add(a, b if node[1] == "+" else _aff_neg(b))
+            return a + b if node[1] == "+" else a - b
         if kind == "bin" and node[1] == "*":
             a, b = self.point(node[2]), self.point(node[3])
             if a is None or b is None:
                 return None
-            if a[0] == a[1] == 0:
-                return _aff_scale(b, a[2])
-            if b[0] == b[1] == 0:
-                return _aff_scale(a, b[2])
-            return None
+            return a * b
         return None
 
     def interval(self, node: tuple, env: Dict[str, _Iv]) -> Optional[_Iv]:
         kind = node[0]
         if kind == "num":
-            return _iv_point(_aff_const(node[1]))
+            return _iv_point(node[1])
         if kind == "id":
             bound = env.get(node[1])
             if bound is not None:
@@ -314,10 +266,10 @@ class _Eval:
             if op == "*":
                 ka = self.point(node[2])
                 kb = self.point(node[3])
-                if ka is not None and ka[0] == ka[1] == 0:
-                    return _iv_scale(b, ka[2])
-                if kb is not None and kb[0] == kb[1] == 0:
-                    return _iv_scale(a, kb[2])
+                if ka is not None:
+                    return _iv_scale(b, ka)
+                if kb is not None:
+                    return _iv_scale(a, kb)
                 return None
             return None  # / and % never index in honest emissions
         if kind in ("cmp", "log"):
@@ -331,7 +283,7 @@ class _Eval:
                 if extent is None:
                     return None
                 return _Iv(
-                    (_ZERO,), (_aff_add(extent, _aff_const(-1)),)
+                    (0,), (extent - 1,)
                 )
             return None
         return None
@@ -353,7 +305,7 @@ class _Eval:
         ):
             extent = self.point(cond[3][3])
             if extent is not None:
-                return _Iv((_ZERO,), (_aff_add(extent, _aff_const(-1)),))
+                return _Iv((0,), (extent - 1,))
         # Runtime clamps: (a < b ? a : b) == min, (a > b ? a : b) == max.
         if cond[0] == "cmp" and cond[1] in ("<", "<=", ">", ">="):
             lhs, rhs = cond[2], cond[3]
@@ -380,16 +332,16 @@ class _Eval:
             los = tuple(
                 m
                 for m in a.los + b.los
-                if any(_prove_le(m, n) for n in a.los)
-                and any(_prove_le(m, n) for n in b.los)
+                if any(m <= n for n in a.los)
+                and any(m <= n for n in b.los)
             )
             return _Iv(los, his)
         los = a.los + b.los
         his = tuple(
             m
             for m in a.his + b.his
-            if any(_prove_le(n, m) for n in a.his)
-            and any(_prove_le(n, m) for n in b.his)
+            if any(n <= m for n in a.his)
+            and any(n <= m for n in b.his)
         )
         return _Iv(los, his)
 
@@ -449,22 +401,19 @@ class _Checker:
         spec = block.spec
         self.fn_name = spec.fn_name
         self.functions: Dict[str, Func] = {fn.name: fn for fn in spec.ir}
-        self.polymorphic = polymorphic = spec.polymorphic
         self.images = tuple(spec.images)
         self.channels = spec.channels
         self.output_name = block.output_name
-        self.evaluator = _Eval(polymorphic)
+        self.evaluator = _Eval()
         self.point = self.evaluator.point
-        self.width_aff = _WIDTH if polymorphic else _aff_const(spec.width)
-        self.height_aff = _HEIGHT if polymorphic else _aff_const(spec.height)
-        self.width_token = (
-            ("id", "width") if polymorphic else ("num", spec.width)
-        )
-        self.width_limit = _aff_add(self.width_aff, _aff_const(-1))
-        self.height_limit = _aff_add(self.height_aff, _aff_const(-1))
+        self.width = spec.width
+        self.height = spec.height
+        self.width_token = ("num", spec.width)
+        self.width_limit = spec.width - 1
+        self.height_limit = spec.height - 1
         #: Every pixel of the plane: the widest sound assumption.
-        self.full_x = _Iv((_ZERO,), (self.width_limit,))
-        self.full_y = _Iv((_ZERO,), (self.height_limit,))
+        self.full_x = _Iv((0,), (self.width_limit,))
+        self.full_y = _Iv((0,), (self.height_limit,))
         self.diagnostics: List[Diagnostic] = []
 
     def emit(self, code: str, message: str, path: str, **details) -> None:
@@ -486,8 +435,7 @@ class _Checker:
         driver once per channel ``c < C`` with every pointer advanced to
         ``base + c`` of a ``(height, width, C)`` image, so ``H*W*C - c``
         elements lie behind it and a stride-``C`` access at a proven
-        in-plane pixel — at most ``(H*W - 1) * C`` — stays inside, as
-        does a row pitch ``>= width`` pixels of a strided view."""
+        in-plane pixel — at most ``(H*W - 1) * C`` — stays inside."""
         if self.output_name is not None and self.output_name in self.images:
             self.emit(
                 "NAT003",
@@ -512,27 +460,11 @@ class _Checker:
 
     # -- index proofs ------------------------------------------------------
 
-    def _pitch_tokens(self, buffer: Optional[str]) -> Tuple[tuple, ...]:
-        """Row-pitch tokens acceptable in ``Y * pitch + X`` for a buffer.
-
-        Every buffer accepts the plane width.  Shape-polymorphic inputs
-        additionally accept their own runtime stride formal
-        (``in_foo`` pairs with ``st_foo``): the binder only ever passes
-        a pitch ``>= width``, so proving ``X <= width - 1`` and
-        ``Y <= height - 1`` componentwise still bounds the subscript by
-        the bound buffer's allocation.
-        """
-        tokens = (self.width_token,)
-        if self.polymorphic and buffer is not None and buffer.startswith("in_"):
-            tokens += (("id", "st_" + buffer[3:]),)
-        return tokens
-
     def check_index(
         self,
         index: tuple,
         env: Dict[str, _Iv],
         path: str,
-        buffer: Optional[str] = None,
         stride: int = 1,
     ) -> None:
         def fail(code: str, what: str, **details) -> None:
@@ -555,7 +487,7 @@ class _Checker:
         if not (
             ast[:2] == ("bin", "+")
             and ast[2][:2] == ("bin", "*")
-            and ast[2][3] in self._pitch_tokens(buffer)
+            and ast[2][3] == self.width_token
         ):
             fail(
                 "NAT002",
@@ -564,8 +496,8 @@ class _Checker:
             )
             return
         checks = (
-            ("x", ast[3], self.width_aff, self.width_limit),
-            ("y", ast[2][2], self.height_aff, self.height_limit),
+            ("x", ast[3], self.width, self.width_limit),
+            ("y", ast[2][2], self.height, self.height_limit),
         )
         for axis, node, extent, limit in checks:
             interval = self.evaluator.interval(node, env)
@@ -577,8 +509,8 @@ class _Checker:
                     axis=axis,
                 )
                 continue
-            below = any(_prove_le(m, _aff_const(-1)) for m in interval.his)
-            above = any(_prove_le(extent, m) for m in interval.los)
+            below = any(m <= -1 for m in interval.his)
+            above = any(extent <= m for m in interval.los)
             if below or above:
                 fail(
                     "NAT001",
@@ -587,7 +519,7 @@ class _Checker:
                     axis=axis,
                 )
                 continue
-            if not interval.ge_proven(_ZERO):
+            if not interval.ge_proven(0):
                 fail(
                     "NAT002",
                     f"{axis}-component of index {{index}} cannot be "
@@ -628,7 +560,7 @@ class _Checker:
                         )
                     else:
                         self.check_index(
-                            part.index, env, where, part.buffer, part.stride
+                            part.index, env, where, part.stride
                         )
 
     def check_scratch_index(
@@ -697,8 +629,8 @@ class _Checker:
             )
             return
         components = (
-            ("x", ast[3][2], self.width_aff, lp - lc, rp - rc),
-            ("y", ast[2][2][2], self.height_aff, tp - tc, bp - bc),
+            ("x", ast[3][2], self.width, lp - lc, rp - rc),
+            ("y", ast[2][2][2], self.height, tp - tc, bp - bc),
         )
         for axis, node, extent, lo_slack, hi_slack in components:
             if node[0] == "id" and node[1] in symbols:
@@ -758,9 +690,9 @@ class _Checker:
                     )
                     continue
                 interval = self.evaluator.interval(inner, env)
-                limit = _aff_add(extent, _aff_const(-1))
+                limit = extent - 1
                 if interval is None or not (
-                    interval.ge_proven(_ZERO)
+                    interval.ge_proven(0)
                     and interval.le_proven(limit)
                 ):
                     fail(
@@ -806,12 +738,12 @@ class _Checker:
                             f"{expr_text(stmt.hi)!r}",
                             path,
                         )
-                        upper = self.height_aff
+                        upper = self.height
                     # The row loop proves y in [0, height - 1]; the
                     # guard narrows it for the branch it encloses.
                     inside = _Iv(
-                        (_aff_const(stmt.lo[1]),),
-                        self.full_y.his + (_aff_add(upper, _aff_const(-1)),),
+                        (stmt.lo[1],),
+                        self.full_y.his + (upper - 1,),
                     )
                     walk(stmt.then, x_iv, inside, bounds)
                     walk(stmt.orelse, x_iv, self.full_y, bounds)
@@ -831,7 +763,7 @@ class _Checker:
                         inner = _Iv(
                             init.los,
                             tuple(
-                                _aff_add(m, _aff_const(-1)) for m in bound.his
+                                m - 1 for m in bound.his
                             ),
                         )
                     walk(stmt.body, inner, y_iv, (lo, hi))
@@ -844,11 +776,7 @@ class _Checker:
                         )
                         x_iv = self.full_x
                     self.check_index(
-                        stmt.index,
-                        {"x": x_iv, "y": y_iv},
-                        where,
-                        "out",
-                        stmt.stride,
+                        stmt.index, {"x": x_iv, "y": y_iv}, where, stmt.stride
                     )
                     if stmt.callee == interior:
                         if split is not None and bounds == split[1]:
@@ -913,7 +841,7 @@ class _Checker:
         return decls, scratch, loops
 
     def _margin(
-        self, expr: Optional[tuple], op: str, origin: str, limit: Aff
+        self, expr: Optional[tuple], op: str, origin: str, limit: int
     ) -> Optional[int]:
         """The margin ``m >= 0`` of one clipped region bound:
         ``origin - m > 0 ? origin - m : 0`` (``op`` ``-``, ``limit``
@@ -930,7 +858,7 @@ class _Checker:
             return pick[0][3][1]
         return None
 
-    def _tile_count(self, expr: Optional[tuple], extent: Aff) -> Optional[int]:
+    def _tile_count(self, expr: Optional[tuple], extent: int) -> Optional[int]:
         """The tile size ``t`` of ``(E + (t - 1)) / t``."""
         if (
             expr is not None
@@ -945,7 +873,7 @@ class _Checker:
 
     def _split_proof(
         self, decls: Dict[str, tuple], names, lo: tuple, hi: tuple
-    ) -> Tuple[Aff, Aff]:
+    ) -> Tuple[int, int]:
         """The three-segment split decls over the region ``[lo, hi)``::
 
             a = max(xlo, lo);  l = min(a, hi)
@@ -953,7 +881,7 @@ class _Checker:
 
         A nonempty ``[l, h)`` forces ``l = a >= xlo`` and
         ``h = ha <= xhi`` (otherwise ``l = h = hi``), so the interior
-        segment runs only inside ``[xlo, xhi)``.  Returns the affine
+        segment runs only inside ``[xlo, xhi)``.  Returns
         ``(xlo, xhi)``.
         """
         a, l, ha, h = names
@@ -1003,7 +931,7 @@ class _Checker:
         meta-theorem over this exact shape, so an unrecognized driver
         cannot be proven safe.
         """
-        W, H = self.width_aff, self.height_aff
+        W, H = self.width, self.height
         x0, y0, x1, y1 = (("id", name) for name in ("x0", "y0", "x1", "y1"))
         t, n_tx = ("id", "t"), ("id", "n_tx")
 
@@ -1053,8 +981,8 @@ class _Checker:
         env: Dict[str, _Iv] = {
             "x0": self.full_x,
             "y0": self.full_y,
-            "x1": _Iv((_ZERO,), (W,)),
-            "y1": _Iv((_ZERO,), (H,)),
+            "x1": _Iv((0,), (W,)),
+            "y1": _Iv((0,), (H,)),
         }
 
         # Scratch regions: one decl block per stage, clipped to the
@@ -1068,9 +996,9 @@ class _Checker:
             if decl is None:
                 self.malformed("scratch stages are not contiguously numbered")
             margins = (
-                self._margin(decls.get(f"sx0_{stage}"), "-", "x0", _ZERO),
+                self._margin(decls.get(f"sx0_{stage}"), "-", "x0", 0),
                 self._margin(decls.get(f"sx1_{stage}"), "+", "x1", W),
-                self._margin(decls.get(f"sy0_{stage}"), "-", "y0", _ZERO),
+                self._margin(decls.get(f"sy0_{stage}"), "-", "y0", 0),
                 self._margin(decls.get(f"sy1_{stage}"), "+", "y1", H),
             )
             if None in margins:
@@ -1137,10 +1065,10 @@ class _Checker:
             # [fxlo, fxhi) and, by the guard, y in [fylo, fyhi) — the
             # band where raw reads must be proven in-plane.
             stage_envs[stage] = (
-                _Iv((fxlo,), (_aff_add(fxhi, _aff_const(-1)), self.width_limit)),
+                _Iv((fxlo,), (fxhi - 1, self.width_limit)),
                 _Iv(
-                    (_aff_const(guard.lo[1]),),
-                    (_aff_add(fyhi, _aff_const(-1)), self.height_limit),
+                    (guard.lo[1],),
+                    (fyhi - 1, self.height_limit),
                 ),
             )
 
@@ -1153,11 +1081,11 @@ class _Checker:
         if "ila" in decls:
             xlo, xhi = self._split_proof(decls, ("ila", "il", "iha", "ih"), x0, x1)
             split = (
-                _Iv((xlo,), (_aff_add(xhi, _aff_const(-1)), self.width_limit)),
+                _Iv((xlo,), (xhi - 1, self.width_limit)),
                 (("id", "il"), ("id", "ih")),
             )
             for name in ("ila", "il", "iha", "ih"):
-                env[name] = _Iv((_ZERO,), (W,))
+                env[name] = _Iv((0,), (W,))
         interior_env = self.check_sweep(dest.body, env, has_interior, split)
         return producers, interior_env, stage_envs
 

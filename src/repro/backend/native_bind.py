@@ -20,13 +20,11 @@ once per channel on the caller's own ``(H, W, C)`` arrays and one fresh
 kernel's global accesses step ``C`` elements per pixel
 (:mod:`repro.backend.loopnest`), so nothing is transposed in or out.
 
-**Strided views.**  Shape-polymorphic kernels infer ``(height, width)``
-from the bound arrays per call and take one row pitch (in pixels) per
-input, so row-strided ``float64`` views (crops, row subsampling — of a
-plane or of an interleaved frame) bind zero-copy
-(:func:`noncontiguous_zero_copy_count` tallies them).  What no kernel
-can index in place — negative or sub-pixel strides, a row pitch under
-baked geometry — is copied by :func:`as_bindable`.
+**Strided views.**  A kernel's geometry is baked: its row pitch is its
+width.  A ``float64`` view it cannot index in place — a crop, every
+other row, reversed or sliced channels — is copied by
+:func:`as_bindable`, once per request however many blocks read it, and
+computes the same bits as its contiguous copy.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import os
-import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
 import numpy as np
 
@@ -137,74 +134,19 @@ def _prefer_passive_omp_wait() -> None:
         os.environ.setdefault("OMP_WAIT_POLICY", "passive")
 
 
-# -- zero-copy metric for row-strided polymorphic inputs -------------------
-
-_metrics_lock = threading.Lock()
-_noncontiguous_zero_copy = 0
-
-
-def _note_zero_copy() -> None:
-    global _noncontiguous_zero_copy
-    with _metrics_lock:
-        _noncontiguous_zero_copy += 1
-
-
-def noncontiguous_zero_copy_count() -> int:
-    """How many non-contiguous input planes ran without a copy.
-
-    Shape-polymorphic kernels take a per-plane leading stride, so any
-    row-strided ``float64`` view (a crop, every other row, a
-    sub-sampled plane) binds zero-copy; this process-wide counter
-    tallies each such avoided ``ascontiguousarray`` copy.
-    """
-    with _metrics_lock:
-        return _noncontiguous_zero_copy
-
-
-def reset_noncontiguous_zero_copy() -> None:
-    """Reset the zero-copy counter (tests, benchmark sections)."""
-    global _noncontiguous_zero_copy
-    with _metrics_lock:
-        _noncontiguous_zero_copy = 0
-
-
 class _RuntimeFallback(Exception):
     """Bound arrays do not fit the compiled geometry; use the tape."""
 
 
-def _row_pitch(array: np.ndarray, polymorphic: bool) -> Optional[int]:
-    """The row pitch, in pixels, at which a kernel indexes the
-    ``float64`` image ``array`` (``(H, W)`` or ``(H, W, C)``) in place,
-    or ``None`` when it cannot.
-
-    A C-contiguous image always binds.  Shape-polymorphic kernels take
-    a runtime pitch per input, so a view also binds when its pixels are
-    dense and its rows lie a whole, non-overlapping number of pixels
-    apart; baked-geometry kernels hard-code the width as the pitch.
-    """
-    width = array.shape[1]
-    if array.flags.c_contiguous:
-        return width
-    pixel = 8 * (array.shape[2] if array.ndim == 3 else 1)
-    row, dense = array.strides[0], array.strides[1:]
-    if (
-        polymorphic
-        and dense == ((pixel, 8) if array.ndim == 3 else (8,))
-        and row % pixel == 0
-        and row >= width * pixel
-    ):
-        return row // pixel
-    return None
-
-
-def as_bindable(array, polymorphic: bool):
+def as_bindable(array):
     """``array`` itself, unless it is a ``float64`` image no kernel can
-    index in place: then a contiguous copy (one whole-image pass)."""
+    index in place — any view that is not C-contiguous: then a
+    contiguous copy (one whole-image pass)."""
     if (
         isinstance(array, np.ndarray)
         and array.dtype == np.float64
         and array.ndim in (2, 3)
-        and _row_pitch(array, polymorphic) is None
+        and not array.flags.c_contiguous
     ):
         return np.ascontiguousarray(array)
     return array
@@ -244,10 +186,7 @@ class NativeBlock:
             # at ``base + c`` by integer arithmetic.
             [ctypes.c_void_p] * (1 + len(spec.images))
             + [ctypes.c_double] * len(spec.params)
-            # width, height, one row pitch per input, threads — or
-            # just threads when the geometry is baked.
-            + [ctypes.c_int]
-            * ((3 + len(spec.images)) if spec.polymorphic else 1)
+            + [ctypes.c_int]  # threads
         )
 
     @property
@@ -265,61 +204,11 @@ class NativeBlock:
         arrays do not fit the compiled geometry/dtype.
 
         ``threads`` is :func:`resolve_native_threads`' argument.
-
-        A shape-polymorphic block can only fall back at its *plan*
-        geometry — the tape's grid keys are shape-specialized, so a
-        fallback at a foreign geometry would compute the wrong image
-        and raises instead.
         """
         try:
             return self._execute_native(arrays, params, threads)
-        except _RuntimeFallback as fallback:
-            if self.spec.polymorphic and not self._fits_plan_geometry(
-                arrays
-            ):
-                raise ExecutionError(
-                    f"shape-polymorphic block {self.output_name!r} "
-                    f"cannot fall back to the tape away from its plan "
-                    f"geometry ({self.spec.height}x{self.spec.width}): "
-                    f"{fallback.args[0]}"
-                ) from None
+        except _RuntimeFallback:
             return self.plan.execute(arrays, params)
-
-    def _fits_plan_geometry(self, arrays: Arrays) -> bool:
-        spec = self.spec
-        expected = (
-            (spec.height, spec.width, spec.channels)
-            if spec.channels > 1
-            else (spec.height, spec.width)
-        )
-        return all(
-            np.shape(_array_for(name, arrays)) == expected
-            for name in spec.images
-        )
-
-    def _geometry(self, arrays: Arrays) -> Tuple[int, int]:
-        """The runtime ``(height, width)`` of a polymorphic call.
-
-        Inferred from the bound arrays, which must agree on one
-        geometry (and carry the compiled channel count); an imageless
-        block (pure generator) keeps its plan geometry.
-        """
-        spec = self.spec
-        geometry: Optional[Tuple[int, int]] = None
-        for name in spec.images:
-            shape = np.shape(_array_for(name, arrays))
-            if len(shape) not in (2, 3) or (
-                len(shape) == 3 and shape[2] != spec.channels
-            ):
-                raise _RuntimeFallback(name)
-            if geometry is None:
-                geometry = shape[:2]
-            elif shape[:2] != geometry:
-                raise _RuntimeFallback(name)
-        return geometry if geometry is not None else (
-            spec.height,
-            spec.width,
-        )
 
     def _execute_native(
         self,
@@ -330,10 +219,7 @@ class NativeBlock:
         params = params or {}
         spec = self.spec
         channels = spec.channels
-        if spec.polymorphic:
-            height, width = self._geometry(arrays)
-        else:
-            height, width = spec.height, spec.width
+        height, width = spec.height, spec.width
         expected = (
             (height, width, channels) if channels > 1 else (height, width)
         )
@@ -353,7 +239,7 @@ class NativeBlock:
                 ) from None
         thread_count = resolve_native_threads(threads, pixels=height * width)
         out = np.empty(expected, dtype=np.float64)
-        self._call(out, inputs, values, thread_count, width, height)
+        self._call(out, inputs, values, thread_count)
         return out
 
     def _call(
@@ -362,8 +248,6 @@ class NativeBlock:
         inputs: List[np.ndarray],
         params: List[float],
         threads: int,
-        width: int,
-        height: int,
     ) -> None:
         """Run the compiled function over ``out`` and ``inputs`` on
         ``threads`` threads (1 when the library has no OpenMP, or in a
@@ -375,19 +259,9 @@ class NativeBlock:
         elif threads > 1:
             _team_started = True
         self.threads = threads
-        bound, pitches = [out], []  # alive until the last call returns
-        for array in inputs:
-            pitch = _row_pitch(array, spec.polymorphic)
-            if pitch is None:
-                array, pitch = np.ascontiguousarray(array), width
-            elif not array.flags.c_contiguous:
-                _note_zero_copy()
-            bound.append(array)
-            pitches.append(pitch)
-        tail = list(params)
-        if spec.polymorphic:
-            tail += [width, height] + pitches
-        tail.append(threads)
+        # Alive until the last call returns.
+        bound = [out] + [np.ascontiguousarray(array) for array in inputs]
+        tail = [*params, threads]
         bases = [array.ctypes.data for array in bound]
         for offset in range(0, 8 * spec.channels, 8):
             self._fn(*[base + offset for base in bases], *tail)

@@ -49,8 +49,7 @@ execution against the float64 tape interpreter.
 **Fallbacks.**  The engine degrades block by block to the tape
 interpreter: no C compiler on PATH, a block without a lowering (global
 reductions, exotic casts), or — at call time — bound arrays that do not
-fit the compiled kernel.  A shape-polymorphic plan refuses to run tape
-fallbacks away from its plan geometry (the tape is shape-specialized).
+fit the compiled kernel (another geometry, another dtype).
 """
 
 from __future__ import annotations
@@ -101,8 +100,6 @@ from repro.backend.native_bind import (
     NativeBlock,
     _prefer_passive_omp_wait,
     as_bindable,
-    noncontiguous_zero_copy_count,
-    reset_noncontiguous_zero_copy,
     resolve_native_threads,
     sharing_cores,
 )
@@ -151,8 +148,6 @@ __all__ = [
     "lowering_knobs",
     "native_available",
     "native_plan_for_partition",
-    "noncontiguous_zero_copy_count",
-    "reset_noncontiguous_zero_copy",
     "resolve_native_threads",
     "sharing_cores",
     "tolerance_for",
@@ -290,7 +285,6 @@ class NativePartitionPlan:
         build: Optional[LibraryBuild],
         fallback_reasons: Dict[str, str],
         source: str | None,
-        polymorphic: bool = False,
     ):
         self.plan = plan
         #: One entry per block of ``plan.schedule``: its compiled
@@ -335,9 +329,6 @@ class NativePartitionPlan:
         )
         #: The generated C source (``None`` when nothing was lowered).
         self.source = source
-        #: Whether the compiled kernels take runtime width/height — one
-        #: artifact then serves every resolution of this structure.
-        self.polymorphic = polymorphic
         self._verify = _VerifyOnce()
 
     @property
@@ -405,24 +396,11 @@ class NativePartitionPlan:
         else this caller's share of the cores.
         """
         params = params or {}
-        at_plan_geometry = self._at_plan_geometry(inputs)
-        if self.polymorphic and not at_plan_geometry and self.natives:
-            if self.fallback_block_count:
-                raise ExecutionError(
-                    "shape-polymorphic plan has tape-fallback blocks "
-                    f"({sorted(self.fallback_reasons)}) and cannot run "
-                    "away from its plan geometry"
-                )
-        if at_plan_geometry:
-            # Differential verification compares against the tape plan,
-            # which is shape-specialized — it only makes sense at the
-            # plan geometry; polymorphic executions at other geometries
-            # leave verification pending for a matching call.
-            result = self._verify.run(
-                lambda: self._verified_first_pass(inputs, params, threads)
-            )
-            if result is not None:
-                return result
+        result = self._verify.run(
+            lambda: self._verified_first_pass(inputs, params, threads)
+        )
+        if result is not None:
+            return result
         return self._execute_blocks(inputs, params, threads)
 
     @property
@@ -453,16 +431,6 @@ class NativePartitionPlan:
         )
         self.sanitized = True
 
-    def _at_plan_geometry(self, inputs: Arrays) -> bool:
-        """Whether the bound arrays match the geometry planned for."""
-        if not self.polymorphic or not self.natives:
-            return True
-        space = self.plan.schedule[0].space
-        expected = (space.height, space.width)
-        return all(
-            np.shape(a)[:2] == expected for a in inputs.values()
-        )
-
     def _execute_blocks(
         self, inputs: Arrays, params: Params, threads: int | None = None
     ) -> Arrays:
@@ -474,7 +442,7 @@ class NativePartitionPlan:
         # reads it; the tape and the caller keep the array passed in.
         bound = ChainMap({}, env)
         for name in self._bound_images.intersection(inputs):
-            array = as_bindable(inputs[name], self.polymorphic)
+            array = as_bindable(inputs[name])
             if array is not inputs[name]:
                 bound[name] = array
         for index, native in enumerate(self.natives):
@@ -602,11 +570,10 @@ def _build_native_partition(
     graph: KernelGraph,
     partition: Partition,
     plan: PartitionPlan,
-    polymorphic: bool = False,
 ) -> NativePartitionPlan:
     started = time.perf_counter()
     vector = _vector_for(plan.plans, _find_compiler())
-    specs, reasons = _lower_partition(graph, partition, plan, polymorphic, vector)
+    specs, reasons = _lower_partition(graph, partition, plan, vector)
     library, source, build, openmp = _compile_specs(specs, vector)
     natives: List[Optional[NativeBlock]] = []
     for index, spec in enumerate(specs):
@@ -620,15 +587,12 @@ def _build_native_partition(
         fn = getattr(library, spec.fn_name)
         natives.append(NativeBlock(plan, index, spec, fn, openmp))
     compile_ms = (time.perf_counter() - started) * 1e3
-    return NativePartitionPlan(
-        plan, natives, compile_ms, build, reasons, source, polymorphic
-    )
+    return NativePartitionPlan(plan, natives, compile_ms, build, reasons, source)
 
 
 def lower_block_source(
     plan: BlockPlan,
     fn_name: str = "repro_block",
-    polymorphic: bool = False,
     graph: Optional[KernelGraph] = None,
     block: Optional[PartitionBlock] = None,
 ) -> str:
@@ -640,9 +604,7 @@ def lower_block_source(
     without them it is the row band over the fused tape.
     """
     vector = _vector_for([plan], _find_compiler())
-    spec = _lower_block(
-        plan, fn_name, polymorphic, graph=graph, block=block, vector=vector
-    )
+    spec = _lower_block(plan, fn_name, graph=graph, block=block, vector=vector)
     return _PREAMBLE + "\n" + spec.source
 
 
@@ -722,7 +684,7 @@ _LIBRARY_STEM = re.compile(r"pipeline-[0-9a-f]{24}")
 
 
 def _bind_recorded(
-    plan: PartitionPlan, recorded: RecordedLibrary, polymorphic: bool
+    plan: PartitionPlan, recorded: RecordedLibrary
 ) -> NativePartitionPlan:
     """``plan``'s blocks bound on the recorded library from the schedule
     and the manifest, without a tape or a lowering: raises
@@ -757,7 +719,7 @@ def _bind_recorded(
             spec = _BlockSpec(
                 _block_fn_name(index, facts.output_name), (), images, params,
                 _Signature(images, params, space.width, space.height,
-                           polymorphic, f32, space.channels),
+                           f32, space.channels),
                 space.channels, entry["tile2d"] and tuple(entry["tile2d"]),
                 tuple(entry["hoisted"]),
             )
@@ -771,7 +733,7 @@ def _bind_recorded(
         raise _Unbound("bindings") from None
     native_plan = NativePartitionPlan(
         plan, natives, (time.perf_counter() - started) * 1e3,
-        LibraryBuild(path, True), {}, None, polymorphic,
+        LibraryBuild(path, True), {}, None,
     )
     native_plan.library_sha256 = recorded.sha256  # read once, above
     native_plan.sanitized = native_plan.from_record = True
@@ -783,7 +745,6 @@ def native_plan_for_partition(
     partition: Partition,
     naive_borders: bool = False,
     *,
-    polymorphic: bool = False,
     recorded: Optional[RecordedLibrary] = None,
 ) -> NativePartitionPlan:
     """The (cached) native plan of a partition.
@@ -791,13 +752,10 @@ def native_plan_for_partition(
     Memoized on the graph beside its tape plan.  The underlying
     ``.so`` additionally lives in the cross-process content-hash cache,
     so a cache *miss* here usually still skips the C compiler.
-    ``polymorphic=True`` compiles runtime-geometry kernels whose source
-    — and therefore whose ``.so`` artifact — is shared by every
-    resolution of the structure.  ``recorded`` is the library a plan
-    record says the sanitizer already passed: bound from its manifest
-    without lowering when it checks out (``from_record``, else
-    ``unbound`` says why), else taken as sanitized when the lowered
-    source reproduces its stem.
+    ``recorded`` is the library a plan record says the sanitizer
+    already passed: bound from its manifest without lowering when it
+    checks out (``from_record``, else ``unbound`` says why), else taken
+    as sanitized when the lowered source reproduces its stem.
     """
 
     def build() -> NativePartitionPlan:
@@ -806,10 +764,10 @@ def native_plan_for_partition(
         unbound = None
         if recorded is not None and recorded.bindings is not None:
             try:
-                return _bind_recorded(plan, recorded, polymorphic)
+                return _bind_recorded(plan, recorded)
             except _Unbound as err:
                 unbound = str(err)
-        native_plan = _build_native_partition(graph, partition, plan, polymorphic)
+        native_plan = _build_native_partition(graph, partition, plan)
         native_plan.unbound = unbound
         library = native_plan.library_path
         if recorded is not None and library is not None:
@@ -820,8 +778,7 @@ def native_plan_for_partition(
 
     return memo(
         graph,
-        ("native", partition.signature(), bool(naive_borders), polymorphic)
-        + lowering_knobs(),
+        ("native", partition.signature(), bool(naive_borders)) + lowering_knobs(),
         build,
     )
 

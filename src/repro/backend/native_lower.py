@@ -58,13 +58,12 @@ without such a call prints exactly as before.
 global ``Load`` and the ``out`` ``Store`` carry the pixel stride ``C``
 and the binder calls the kernel per channel at ``base + c``.
 
-**Shape polymorphism.**  With ``polymorphic=True`` ``width`` / ``height``
-are runtime ``const int`` parameters instead of baked literals: every
-extent in the tape's grid keys is checked against the block's iteration
-space and replaced by the matching symbol.  The C source is then
-**byte-identical across resolutions** of one block structure, so the
-content-hash ``.so`` cache compiles each structure once.  Blocks whose
-tapes mix image geometries have no polymorphic lowering.
+**One geometry.**  Every extent is a literal: a kernel is lowered,
+proved and compiled at the geometry of its plan and binds planes of
+exactly that geometry.  A runtime ``width`` / ``height`` form was
+measured and dropped: ``cc`` takes longer on kernels whose extents it
+cannot see, and a first request waits for ``cc`` (EXPERIMENTS.md, "One
+geometry mode").
 """
 
 from __future__ import annotations
@@ -490,9 +489,8 @@ class _Signature:
 
     The per-pixel bodies, the tile2d stage bodies and the driver all
     take the same families of arguments in the same order: input
-    planes, params, scratch triplets, then (when polymorphic) the
-    runtime geometry and one leading stride per plane.  Call sites pass
-    the formals' own names.
+    planes, params, then scratch triplets.  Call sites pass the formals'
+    own names.
     """
 
     def __init__(
@@ -501,7 +499,6 @@ class _Signature:
         params: Sequence[str],
         width: int,
         height: int,
-        polymorphic: bool,
         f32: bool,
         channels: int = 1,
         vector: FrozenSet[str] = frozenset(),
@@ -514,7 +511,6 @@ class _Signature:
         #: as its stride (tile scratch stays dense); pitches and
         #: indices keep counting pixels.
         self.channels = channels
-        self.polymorphic = polymorphic
         #: Float32 fast path: slots, literals and libm calls go single
         #: precision (loads/stores convert implicitly on assignment).
         self.f32 = f32
@@ -523,32 +519,8 @@ class _Signature:
         #: the block's bodies call through their ``repro_<fn>`` wrapper.
         self.vector = vector
         self.wrapped: set = set()
-        #: The plane extents as index expressions, chosen once per
-        #: block: literals when the geometry is baked, the runtime
-        #: formals otherwise.
-        self.W = ident("width") if polymorphic else num(width)
-        self.H = ident("height") if polymorphic else num(height)
         self.img_ids = {n: _identifier("in", n, used) for n in images}
         self.param_ids = {n: _identifier("p", n, used) for n in params}
-        self.stride_ids = (
-            {n: _identifier("st", n, used) for n in images}
-            if polymorphic
-            else {}
-        )
-        #: Per-image row pitch: the width, or — polymorphic — the
-        #: plane's runtime leading-stride formal, so row-strided views
-        #: bind zero-copy.
-        self.pitches = {n: ident(s) for n, s in self.stride_ids.items()}
-
-    def margin_hi(self, hi: int, axis: str) -> tuple:
-        """An upper interior bound: a literal when the geometry is
-        baked, a static margin off the runtime extent otherwise."""
-        if not self.polymorphic:
-            return num(hi)
-        extent, sym = (
-            (self.width, self.W) if axis == "x" else (self.height, self.H)
-        )
-        return sym if hi >= extent else paren(sub(sym, num(extent - hi)))
 
     def formals(
         self,
@@ -564,9 +536,6 @@ class _Signature:
                 Formal("const int", f"sx0_{j}"),
                 Formal("const int", f"sy0_{j}"),
             ]
-        if self.polymorphic:
-            out += [Formal("const int", "width"), Formal("const int", "height")]
-            out += [Formal("const int", self.stride_ids[n]) for n in images]
         return tuple(out)
 
     def pixel_fn(
@@ -612,27 +581,6 @@ class _Body:
         self._oobs: Dict[tuple, str] = {}
         self._counter = 0
 
-    def extent(self, axis: str, n: int) -> tuple:
-        """The index expression for an extent baked into a grid/mask key.
-
-        In polymorphic mode the key's extent must equal the block's
-        iteration-space extent on that axis — that is what makes the
-        substitution by the runtime ``width`` / ``height`` parameter
-        sound for every uniform geometry.  Mixed-geometry tapes have no
-        polymorphic lowering.
-        """
-        sig = self.sig
-        if not sig.polymorphic:
-            return num(n)
-        expected = sig.width if axis == "x" else sig.height
-        if n != expected:
-            raise NativeLoweringError(
-                f"{axis}-axis extent {n} differs from the iteration "
-                f"space ({expected}); shape-polymorphic lowering needs "
-                "a uniform geometry"
-            )
-        return sig.W if axis == "x" else sig.H
-
     def _temp(self, expr: tuple) -> tuple:
         name = f"c{self._counter}"
         self._counter += 1
@@ -661,7 +609,7 @@ class _Body:
                 out = parent
             else:
                 _, _, n, mode = key
-                n_sym = self.extent(_axis_of(key), n)
+                n_sym = num(n)
                 if mode == "constant":
                     raw = self._temp(parent)
                     out = self._temp(
@@ -687,9 +635,8 @@ class _Body:
         if cached is not None:
             return cached
         _, parent, n = key
-        n_sym = self.extent(_axis_of(parent), n)
         raw = self._temp(self.coord(parent))
-        out = self._temp(self._outside(raw, n_sym))[1]
+        out = self._temp(self._outside(raw, num(n)))[1]
         self._oobs[key] = out
         return out
 
@@ -703,11 +650,6 @@ class _Body:
         """The :class:`Slot` parts of one gather."""
         sig = self.sig
         width, height = sig.width, sig.height
-        # ``resolve_key``'s identity collapse (an un-shifted base grid
-        # inside ``[0, n)``) is shape-relative at uniform geometry, so
-        # deciding it against the plan geometry is valid for every
-        # geometry a polymorphic block can run at.
-        #
         # A per-tile materialized intermediate resolves every
         # non-interior read through ``idx_clamp``: for CLAMP/UNDEFINED
         # that is the two-stage index exchange verbatim, and for
@@ -736,7 +678,7 @@ class _Body:
         else:
             load = Load(
                 sig.img_ids[image],
-                _row_major(yr, sig.pitches.get(image, sig.W), xr),
+                _row_major(yr, num(width), xr),
                 sig.channels,
             )
         if not self.interior and boundary.mode is BoundaryMode.CONSTANT:
@@ -865,7 +807,6 @@ class _BlockSpec:
         self.width = sig.width
         self.height = sig.height
         self.channels = channels
-        self.polymorphic = sig.polymorphic
         #: The (tile_h, tile_w) of a block that materializes stages, or
         #: ``None`` for the row band of one that materializes nothing.
         self.tile2d = tile2d
@@ -929,7 +870,6 @@ def _store_of(
 def _lower_block(
     plan: BlockPlan,
     fn_name: str,
-    polymorphic: bool = False,
     graph: Optional[KernelGraph] = None,
     block: Optional[PartitionBlock] = None,
     vector: FrozenSet[str] = frozenset(),
@@ -943,13 +883,7 @@ def _lower_block(
     into per-tile scratch (:func:`_tile2d_stages`, the tile from
     :func:`_tile_shape`).  A block with nothing to materialize — a
     single kernel, or a chain those refuse — is one stage holding its
-    fused tape, swept in row bands.
-
-    With ``polymorphic=True`` the geometry becomes two runtime ``const
-    int`` parameters and the emitted source carries no baked extents —
-    byte-identical across resolutions of the same structure, so the
-    content-hash ``.so`` cache dedupes the compile.  ``vector`` names the
-    libm functions whose libmvec variant the build links (see
+    fused tape, swept in row bands.  ``vector`` names the libm functions whose libmvec variant the build links (see
     :data:`VECTOR_CALLS`); calls of the others stay scalar libm.
     """
     kernel = plan.destination
@@ -969,7 +903,7 @@ def _lower_block(
             stages = (tapes, roots, margins, produced, tile, hoisted)
         except NativeLoweringError:
             pass  # nothing to materialize: the row band over the fused tape
-    return _lower_stages(kernel.space, fn_name, *stages, polymorphic, f32, vector)
+    return _lower_stages(kernel.space, fn_name, *stages, f32, vector)
 
 
 #: Stage margins beyond this gain nothing from overlapped tiling — the
@@ -1211,8 +1145,7 @@ def _hoist_window_invariants(
     halo-extended tile (~1.13x at 32x32) instead of once per tap.
 
     The graph, the partition and the tape are not touched; the rewrite
-    is geometry-free, so polymorphic sources stay byte-identical across
-    resolutions.  Groups it must leave in place (MIRROR/REPEAT, a
+    is geometry-free.  Groups it must leave in place (MIRROR/REPEAT, a
     CONSTANT border whose ``f(constant)`` is not exact) are noted with
     the reason.
     """
@@ -1399,8 +1332,7 @@ def _tile_shape(
     """The (tile_h, tile_w) a materializing chain takes: the cost
     model's pick from :func:`repro.model.tiling.choose_tile`
     (``REPRO_NATIVE_TILE2D=auto``) or the knob's explicit ``HxW``.  The
-    model is geometry-free, so polymorphic sources stay byte-identical
-    across resolutions.  Raises :class:`NativeLoweringError` when no
+    model is geometry-free.  Raises :class:`NativeLoweringError` when no
     shape fits the scratch caps."""
     from repro.model.tiling import STACK_SCRATCH_CAP, choose_tile, scratch_bytes
 
@@ -1429,7 +1361,6 @@ def _lower_stages(
     produced: Dict[str, int],
     tile: Optional[Tuple[int, int]],
     hoisted: Tuple[dict, ...],
-    polymorphic: bool,
     f32: bool,
     vector: FrozenSet[str],
 ) -> _BlockSpec:
@@ -1464,10 +1395,8 @@ def _lower_stages(
     images, params, _ = _tape_reads(
         [i for tape in tapes for i in tape], produced
     )
-    sig = _Signature(
-        images, params, width, height, polymorphic, f32, channels, vector
-    )
-    W, H = sig.W, sig.H
+    sig = _Signature(images, params, width, height, f32, channels, vector)
+    W, H = num(width), num(height)
     x, y, t, n_tx = ident("x"), ident("y"), ident("t"), ident("n_tx")
     x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
 
@@ -1491,7 +1420,7 @@ def _lower_stages(
         split = Guard(
             "y",
             num(band[2]),
-            sig.margin_hi(band[3], "y"),
+            num(band[3]),
             (
                 xloop(lo, ident(l)),
                 xloop(ident(l), ident(h), True),
@@ -1502,7 +1431,7 @@ def _lower_stages(
         return [
             IntDecl(a, max_of(num(band[0]), lo)),
             IntDecl(l, min_of(ident(a), hi)),
-            IntDecl(ha, min_of(sig.margin_hi(band[1], "x"), hi)),
+            IntDecl(ha, min_of(num(band[1]), hi)),
             IntDecl(h, max_of(ident(ha), ident(l))),
             For("y", *rows_of, (split,)),
         ]
@@ -1625,7 +1554,6 @@ def _lower_partition(
     graph: KernelGraph,
     partition: Partition,
     plan: PartitionPlan,
-    polymorphic: bool = False,
     vector: FrozenSet[str] = frozenset(),
 ) -> Tuple[List[Optional[_BlockSpec]], Dict[str, str]]:
     """Lower every block of ``plan``: one spec per block in schedule
@@ -1644,7 +1572,6 @@ def _lower_partition(
                 _lower_block(
                     block_plan,
                     _block_fn_name(index, block_plan.output_name),
-                    polymorphic,
                     graph=graph,
                     block=block,
                     vector=vector,

@@ -303,11 +303,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     names = args.apps or sorted(APPLICATIONS)
     for name in names:
         _resolve_app(name)
-    if args.cache_keying == "structure" and args.exec_engine != "native":
-        print("error: --cache-keying structure requires --exec-engine "
-              "native (only shape-polymorphic native plans serve "
-              "foreign geometries)", file=sys.stderr)
-        return 2
     registry = default_registry(include_extensions=True, apps=set(names))
     resilience = None
     if args.retries is not None or args.breaker_threshold is not None:
@@ -343,7 +338,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         options,
         registry=registry,
         workers=args.workers,
-        cache_keying=args.cache_keying,
     ) as runtime:
         with ThreadPoolExecutor(max_workers=args.clients) as clients:
             futures = [
@@ -373,8 +367,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"(hit rate {cache['hit_rate']:.3f}, "
           f"{cache['coalesced']} coalesced; "
           f"{cache['miss_structure']} structure + "
-          f"{cache['miss_shape']} shape misses, "
-          f"keying={cache.get('keying', 'shape')})")
+          f"{cache['miss_shape']} shape misses)")
     print(f"latency ms: p50={latency.get('p50', 0.0):.2f} "
           f"p95={latency.get('p95', 0.0):.2f} "
           f"p99={latency.get('p99', 0.0):.2f}")
@@ -625,9 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the diagnostic-code catalog and exit")
     lint.add_argument("--native", action="store_true",
                       help="lower the partition through the native C "
-                      "backend (specialized and shape-polymorphic) and "
-                      "run the codegen sanitizer (NAT0xx) over the "
-                      "emitted source; needs a C toolchain")
+                      "backend and run the codegen sanitizer (NAT0xx) "
+                      "over the emitted source; needs a C toolchain")
     lint.add_argument("--no-plans", action="store_true",
                       help="skip tape compilation/verification")
     lint.add_argument("--lazy", action="store_true",
@@ -670,15 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution engine serving requests; "
                             "'native' compiles block tapes to C and "
                             "falls back to 'tape' without a compiler")
-    serve.add_argument("--cache-keying", default="shape",
-                       choices=("shape", "structure"),
-                       help="plan-cache identity: 'shape' keys on exact "
-                            "input shapes (one entry per resolution); "
-                            "'structure' keys on pipeline structure + "
-                            "dtypes and serves every resolution from "
-                            "one shape-polymorphic native plan "
-                            "(requires --exec-engine native, "
-                            "single-process)")
     add_model_flags(serve)
 
     run_cmd = sub.add_parser(

@@ -39,9 +39,8 @@ def _image_structure(image: Image) -> tuple:
 
     The width/height are deliberately elided — this is the image half of
     :meth:`Kernel.structure_signature`, under which every resolution of
-    the same pipeline structure signs identically (the key of the
-    serving runtime's structure-keyed plan cache, served by
-    shape-polymorphic native plans)."""
+    the same pipeline structure signs identically (the plan cache's
+    structure/shape miss split)."""
     space = image.space
     return (image.name, space.channels, image.bytes_per_pixel)
 
@@ -321,9 +320,7 @@ class Kernel:
         the same construction code run at different resolutions — have
         equal structure signatures; channels, element sizes, bodies,
         boundaries, and headers still distinguish.  This is the kernel
-        half of :meth:`repro.graph.dag.KernelGraph.structure_signature`,
-        the structure-keyed plan-cache identity served by
-        shape-polymorphic native plans.
+        half of :meth:`repro.graph.dag.KernelGraph.structure_signature`.
         """
         cached = getattr(self, "_structure_cache", None)
         if cached is None:

@@ -233,9 +233,9 @@ class KernelGraph:
         Two graphs built by the same pipeline code at *different
         resolutions* hash identically here (while any change to kernel
         bodies, boundaries, channels, edges, or outputs still misses) —
-        the identity under which the serving runtime's structure-keyed
-        plan cache shares one shape-polymorphic native plan across every
-        geometry of a pipeline.
+        the identity under which the plan cache tells a *shape* miss (a
+        known pipeline at a new geometry, compiled at that geometry)
+        from a *structure* miss.
         """
         cached = getattr(self, "_structure_sig_cache", None)
         if cached is None:

@@ -142,8 +142,7 @@ class Trace:
 
     All arrays of a trace share one iteration space (``width`` x
     ``height`` x ``channels``) — the paper's fusion legality demands
-    header-compatible spaces anyway, and a uniform geometry is what
-    makes the lowered plans shape-polymorphic under the native engine.
+    header-compatible spaces anyway.
     """
 
     def __init__(

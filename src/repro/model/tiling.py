@@ -19,9 +19,8 @@ cost keyed to the cache level the total working set ``ws`` fits in
 
 The model is deliberately **geometry-free**: tile shape depends only on
 the stage margins, weights, element width, and the host cache spec —
-never on the plane size — so a shape-polymorphic lowering emits
-byte-identical C for every resolution and the structure-keyed plan
-cache stays coherent.
+never on the plane size — so a pipeline's blocks take the same tile at
+every resolution.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ one-shot: build, fuse, plan, run, discard.  :mod:`repro.serve` turns
 that into a service with the compile-once/run-many cost model the
 paper's analysis implies:
 
-* :mod:`~repro.serve.registry` — named, shape-polymorphic pipelines
+* :mod:`~repro.serve.registry` — named, geometry-generic pipelines
   (the six paper apps pre-registered);
 * :mod:`~repro.serve.plancache` — LRU cache of fused partitions +
   compiled tapes keyed on structural signature, geometry, engine, and

@@ -63,7 +63,6 @@ import numpy as np
 
 import repro
 from repro.backend import cpu_exec, engines, native_exec
-from repro.backend.numpy_exec import ExecutionError
 from repro.backend.plan import PartitionPlan, forget_plans, plan_for_partition
 from repro.envknobs import validate_mode
 from repro.fusion import partition_for
@@ -74,7 +73,6 @@ from repro.model.benefit import BenefitConfig
 from repro.model.hardware import KNOWN_GPUS, GpuSpec
 
 __all__ = [
-    "CACHE_KEYINGS",
     "CachedPlan",
     "FusionSettings",
     "PROCESS_CACHE",
@@ -83,18 +81,9 @@ __all__ = [
     "build_plan",
     "code_fingerprint",
     "inputs_signature",
-    "inputs_structure",
     "plan_key",
     "validate_plan",
 ]
-
-#: The two plan-cache keying modes: ``"shape"`` keys on exact input
-#: shapes + dtypes (every entry is shape-specialized), ``"structure"``
-#: keys on dtypes only — shapes are passed at call time to a
-#: shape-polymorphic native plan, so mixed-resolution traffic over one
-#: pipeline structure shares a single entry.
-CACHE_KEYINGS = ("shape", "structure")
-
 
 @dataclass(frozen=True)
 class FusionSettings:
@@ -142,46 +131,22 @@ def inputs_signature(inputs: Dict[str, np.ndarray]) -> tuple:
     )
 
 
-def inputs_structure(inputs: Dict[str, np.ndarray]) -> tuple:
-    """Shape-agnostic (name, dtype) pairs — the structure-keyed flavour
-    of :func:`inputs_signature` (shapes are carried by the request and
-    bound at call time by the shape-polymorphic plan)."""
-    return tuple(
-        (name, np.asarray(inputs[name]).dtype.str)
-        for name in sorted(inputs)
-    )
-
-
 def plan_key(
     graph_signature: str,
     inputs: Dict[str, np.ndarray],
     engine: str,
     fusion: FusionSettings,
-    keying: str = "shape",
     partition: Partition | None = None,
 ) -> tuple:
     """The full cache key of one (pipeline, request, config): every
-    input of :func:`build_plan`.
-
-    ``keying="shape"`` (the default) keys on exact input shapes;
-    ``keying="structure"`` elides them, so every resolution of one
-    pipeline structure maps to the same entry.  An explicit
-    ``partition`` replaces the fusion configuration — its block
-    structure is the plan identity, only ``naive_borders`` still
-    matters.  The native lowering knobs ride along on every key
+    input of :func:`build_plan`, exact input shapes included: a native
+    plan is compiled at one geometry.  An explicit ``partition``
+    replaces the fusion configuration — its block structure is the plan
+    identity, only ``naive_borders`` still matters.  The native lowering
+    knobs ride along on every key
     (:func:`repro.backend.native_exec.lowering_knobs`): a key is
     computed before the engine that will serve it is known to build.
     """
-    if keying not in CACHE_KEYINGS:
-        raise ValueError(
-            f"unknown cache keying {keying!r}; expected one of "
-            f"{CACHE_KEYINGS}"
-        )
-    signature = (
-        inputs_structure(inputs)
-        if keying == "structure"
-        else inputs_signature(inputs)
-    )
     decision = (
         fusion.key()
         if partition is None
@@ -189,7 +154,7 @@ def plan_key(
     )
     return (
         graph_signature,
-        signature,
+        inputs_signature(inputs),
         engine,
         decision,
         native_exec.lowering_knobs(),
@@ -200,13 +165,13 @@ def _structure_of(key: tuple, structure_key: Optional[str]) -> tuple:
     """The shape-agnostic projection of a cache key.
 
     Used to split miss accounting: a missing key whose projection was
-    seen before is a *shape* miss (same pipeline structure, new
-    geometry) — exactly the misses structure keying eliminates.  The
-    input triples drop their shape element; ``structure_key`` (the
-    graph's :meth:`~repro.graph.dag.KernelGraph.structure_signature`)
-    replaces the graph half when the caller provides it — a shape-keyed
-    key's own graph signature bakes in the geometry, so it cannot
-    identify the structure by itself.  Keys that are not a
+    seen before is a *shape* miss (a known pipeline at a new geometry,
+    which compiles a plan of its own).  The input triples drop their
+    shape element; ``structure_key`` (the graph's
+    :meth:`~repro.graph.dag.KernelGraph.structure_signature`) replaces
+    the graph half when the caller provides it — a key's own graph
+    signature bakes in the geometry, so it cannot identify the
+    structure by itself.  Keys that are not a
     :func:`plan_key` tuple (the cache accepts arbitrary hashable keys)
     project to themselves: each distinct key is its own structure, so
     every miss on them is a structure miss.
@@ -214,10 +179,7 @@ def _structure_of(key: tuple, structure_key: Optional[str]) -> tuple:
     if not (isinstance(key, tuple) and len(key) == 5):
         return (structure_key,) if structure_key is not None else (key,)
     graph_signature, signature = key[:2]
-    shapeless = tuple(
-        (entry[0], entry[-1]) if len(entry) == 3 else entry
-        for entry in signature
-    )
+    shapeless = tuple((name, dtype) for name, _shape, dtype in signature)
     return (structure_key or graph_signature, shapeless) + key[2:]
 
 
@@ -315,8 +277,7 @@ def tape_identity(
 ) -> str:
     """The name of the tapes a build of ``key`` runs, computed without
     compiling them: the canonical digest of the key, the graph's
-    structural signature (every kernel and image shape, so a
-    structure-keyed key at another geometry names other tapes), the
+    structural signature (every kernel and image shape), the
     partition and ``naive_borders`` — what
     :meth:`PartitionPlan.tape_digest` is a function of, besides the code
     a plan record's name carries."""
@@ -543,7 +504,6 @@ def build_plan(
     partition: Partition | None = None,
     fusion: FusionSettings,
     engine: str,
-    polymorphic: bool = False,
     stage: Stage = call_stage,
 ) -> CachedPlan:
     """Build what one request executes — the only place in ``src/``
@@ -554,11 +514,10 @@ def build_plan(
     ``naive_borders``).  ``engine`` is a name from the engine table:
     ``recursive`` deliberately skips tape compilation — its failure
     domain must not include the tape compiler — and ``native`` compiles
-    on top of the tape plan (``polymorphic`` selects runtime-geometry
-    kernels, which a structure-keyed entry needs).  Everything the two
-    doors differ in is ``stage(name, fn)``, called once per stage that
-    runs with ``name`` in ``fuse`` / ``plan`` / ``compile`` /
-    ``sanitize`` / ``verify``: latency budgets, fault sites and
+    on top of the tape plan.  Everything the two doors differ in is
+    ``stage(name, fn)``, called once per stage that runs with ``name``
+    in ``fuse`` / ``plan`` / ``compile`` / ``sanitize`` / ``verify``:
+    latency budgets, fault sites and
     :class:`~repro.serve.errors.PlanBuildError` wrapping for serving, a
     plain call for direct execution.
 
@@ -619,29 +578,16 @@ def build_plan(
             ),
         )
     if engine == "native":
-
-        def compile_native() -> native_exec.NativePartitionPlan:
-            built = native_exec.native_plan_for_partition(
+        native_plan = timed(
+            "compile",
+            "native_compile_ms",
+            lambda: native_exec.native_plan_for_partition(
                 graph,
                 partition,
                 naive_borders,
-                polymorphic=polymorphic,
                 recorded=record and record.library(),
-            )
-            if polymorphic and built.fallback_block_count:
-                # A structure-keyed entry serves every geometry through
-                # its polymorphic native blocks; a tape-fallback block
-                # is shape-specialized and would poison foreign-
-                # geometry requests.  Refuse the build — the resilience
-                # ladder serves the request through a shape-keyed tape
-                # plan instead.
-                raise ExecutionError(
-                    "structure-keyed caching needs a fully native plan; "
-                    f"fallback blocks: {built.fallback_reasons}"
-                )
-            return built
-
-        native_plan = timed("compile", "native_compile_ms", compile_native)
+            ),
+        )
     executor = native_plan if native_plan is not None else plan
     if executor is None:
         # No build stage above: the engine's plan is the walk itself.
@@ -737,8 +683,7 @@ class PlanCache:
         #: combination — unavoidable compiles — while ``miss_shape``
         #: counts misses whose structure was already seen (a new
         #: geometry of a known pipeline, or an evicted/quarantined
-        #: entry).  Structure-keyed caching turns shape misses into
-        #: hits; the split makes that gain directly observable.
+        #: entry).
         self.miss_structure = 0
         self.miss_shape = 0
         self._seen_structures: set = set()

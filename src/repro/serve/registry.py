@@ -1,8 +1,8 @@
-"""The pipeline registry: named, shape-polymorphic pipeline builders.
+"""The pipeline registry: named, geometry-generic pipeline builders.
 
 A serving process registers each pipeline **once** under a stable name
-and thereafter addresses it by name per request.  Builders are shape
-polymorphic (``build(width, height) -> Pipeline``), matching the
+and thereafter addresses it by name per request.  Builders are
+geometry-generic (``build(width, height) -> Pipeline``), matching the
 application modules (:mod:`repro.apps`): a request's geometry is
 inferred from the arrays it binds, so one registered pipeline serves
 any image size, and each distinct geometry compiles exactly one plan

@@ -68,7 +68,6 @@ from repro.serve.errors import (
 )
 from repro.serve.metrics import Metrics
 from repro.serve.plancache import (
-    CACHE_KEYINGS,
     CachedPlan,
     FusionSettings,
     PlanCache,
@@ -131,17 +130,6 @@ class ServingRuntime:
         Defaults to an enabled policy;
         ``ResiliencePolicy.disabled()`` restores the fail-fast
         behaviour of earlier revisions.
-    cache_keying:
-        ``"shape"`` (default) keys the plan cache on exact input
-        shapes — one entry per resolution.  ``"structure"`` keys on the
-        graph's shape-agnostic structure signature + input dtypes only
-        and serves every resolution of a pipeline from **one**
-        shape-polymorphic native plan (compiled once; shapes bound at
-        call time), so mixed-resolution traffic stops missing per
-        shape.  Structure keying needs the native engine; it downgrades
-        to ``"shape"`` alongside an engine downgrade on hosts without a
-        C compiler, and degraded (tape/recursive) ladder rungs always
-        use shape-specialized keys — their plans are not polymorphic.
     """
 
     def __init__(
@@ -156,7 +144,6 @@ class ServingRuntime:
         engine: str = "tape",
         resilience: ResiliencePolicy | None = None,
         metrics: Metrics | None = None,
-        cache_keying: str = "shape",
         register_lint: bool = False,
     ):
         self.registry = registry if registry is not None else default_registry()
@@ -169,28 +156,10 @@ class ServingRuntime:
         self.gpu: GpuSpec = self.fusion.gpu
         #: The engine the caller asked for, before availability checks.
         self.requested_engine = engines.requested(engine)
-        if cache_keying not in CACHE_KEYINGS:
-            raise ValueError(
-                f"unknown cache keying {cache_keying!r}; expected one of "
-                f"{CACHE_KEYINGS}"
-            )
-        if cache_keying == "structure" and self.requested_engine != "native":
-            raise ValueError(
-                "structure-keyed plan caching requires engine='native' "
-                "(only shape-polymorphic native plans execute at "
-                "geometries other than the one they were built at)"
-            )
-        #: The keying mode the caller asked for, before availability.
-        self.requested_cache_keying = cache_keying
         #: The engine serving requests: the requested one, or — when
         #: this host cannot run it — the next in the table, instead of
         #: failing every request (visible in ``metrics_snapshot()``).
         self.engine = engines.resolve(self.requested_engine).name
-        # Structure keying rides on polymorphic native plans; without
-        # them every entry is shape-specialized.
-        self.cache_keying = (
-            cache_keying if self.engine == self.requested_engine else "shape"
-        )
         self.intra_workers = intra_workers
         self.cache = PlanCache(capacity=cache_capacity)
         self.metrics = metrics or Metrics()
@@ -533,33 +502,13 @@ class ServingRuntime:
         assert last_error is not None
         raise last_error
 
-    def _structure_keyed(self, payload: Dict[str, Any], engine: str) -> bool:
-        """Whether one request on one ladder rung gets a structure-keyed
-        entry — which is also whether its plan is built polymorphic.
-
-        Structure keying applies to fused native plans only.  Tape and
-        recursive plans are shape-specialized — sharing them across
-        geometries would compute the wrong image — and an explicit
-        partition's block signature names kernels of one geometry.
-        """
-        return (
-            self.cache_keying == "structure"
-            and engine == "native"
-            and payload["partition"] is None
-        )
-
     def _plan_key(self, payload: Dict[str, Any], engine: str) -> tuple:
         """The cache key of one request on one ladder rung."""
-        graph = payload["graph"]
-        structure_keyed = self._structure_keyed(payload, engine)
         return plan_key(
-            graph.structure_signature()
-            if structure_keyed
-            else graph.structural_signature(),
+            payload["graph"].structural_signature(),
             payload["inputs"],
             engine,
             payload["fusion"],
-            keying="structure" if structure_keyed else "shape",
             partition=payload["partition"],
         )
 
@@ -657,7 +606,6 @@ class ServingRuntime:
             partition=request.payload["partition"],
             fusion=request.payload["fusion"],
             engine=engine,
-            polymorphic=self._structure_keyed(request.payload, engine),
             stage=partial(self._build_stage, engine),
         )
         for label, value in entry.timings_ms.items():
@@ -714,7 +662,6 @@ class ServingRuntime:
         """Instruments + plan-cache stats + scheduler state, one dict."""
         snapshot = self.metrics.snapshot()
         snapshot["plan_cache"] = self.cache.stats()
-        snapshot["plan_cache"]["keying"] = self.cache_keying
         snapshot["engine"] = {
             "requested": self.requested_engine,
             "active": self.engine,

@@ -1,7 +1,7 @@
 """Native-codegen sanitizer: the NAT diagnostics over the loop-nest IR.
 
-Proves the honest lowerings clean (specialized and shape-polymorphic,
-including the degenerate zero-margin flank loops), pins each NAT family
+Proves the honest lowerings clean (including the degenerate zero-margin
+flank loops), pins each NAT family
 on defects seeded as tree edits, and checks the strict-mode wiring:
 every fresh native plan is sanitizer-verified.
 """
@@ -54,13 +54,11 @@ needs_cc = pytest.mark.skipif(
 GPU = KNOWN_GPUS["GTX680"]
 
 
-def _native_plan(app, width=64, height=48, polymorphic=False):
+def _native_plan(app, width=64, height=48):
     graph = APPLICATIONS[app].build(width, height).build()
     partition = partition_for(graph, GPU, "optimized")
     with validate_override("standard"):
-        return graph, native_plan_for_partition(
-            graph, partition, polymorphic=polymorphic
-        )
+        return graph, native_plan_for_partition(graph, partition)
 
 
 def _first_native(nplan):
@@ -83,9 +81,8 @@ def _mutated(native, old, new):
 @needs_cc
 class TestHonestEmitterIsClean:
     @pytest.mark.parametrize("app", sorted(APPLICATIONS))
-    @pytest.mark.parametrize("polymorphic", [False, True])
-    def test_every_app_verifies(self, app, polymorphic):
-        _, nplan = _native_plan(app, polymorphic=polymorphic)
+    def test_every_app_verifies(self, app):
+        _, nplan = _native_plan(app)
         assert verify_native_plan(nplan) == []
 
     def test_zero_margin_blocks_verify(self):
@@ -239,7 +236,7 @@ class TestChannelStride:
         # ``off``: staging off, every block the row band over its fused
         # tape (no knob value says that; the margin cap forces it).
         with row_band_everywhere(request.param == "off"):
-            _, nplan = _native_plan("Night", polymorphic=True)
+            _, nplan = _native_plan("Night")
         natives = [n for _p, n in nplan.blocks if n is not None]
         assert all(n.spec.channels == 3 for n in natives)
         assert any(n.spec.tile2d for n in natives) == (request.param == "auto")

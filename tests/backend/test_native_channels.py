@@ -24,8 +24,6 @@ from repro.backend.native_exec import (
     assert_native_equiv,
     native_available,
     native_plan_for_partition,
-    noncontiguous_zero_copy_count,
-    reset_noncontiguous_zero_copy,
 )
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
@@ -118,12 +116,9 @@ def _assert_fresh_images(env, produced, inputs):
 
 
 @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
-@pytest.mark.parametrize("polymorphic", [False, True], ids=["baked", "poly"])
 @pytest.mark.parametrize("lowering", sorted(LOWERINGS))
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
-def test_every_lowering_matches_the_tape(
-    program, lowering, polymorphic, f32, monkeypatch
-):
+def test_every_lowering_matches_the_tape(program, lowering, f32, monkeypatch):
     build, source, channels = PROGRAMS[program]
     monkeypatch.setenv("REPRO_NATIVE_TILE2D", LOWERINGS[lowering])
     if f32:
@@ -132,9 +127,7 @@ def test_every_lowering_matches_the_tape(
     inputs = {source: _image(channels, seed=channels)}
     before = inputs[source].copy()
     with row_band_everywhere(lowering == "classic"):
-        plan = native_plan_for_partition(
-            graph, partition, polymorphic=polymorphic
-        )
+        plan = native_plan_for_partition(graph, partition)
     assert plan.fallback_block_count == 0, plan.fallback_reasons
     natives = [native for _plan, native in plan.blocks]
     assert all(native.spec.channels == channels for native in natives)
@@ -181,32 +174,31 @@ def test_contiguous_inputs_are_never_copied(copies):
         assert copies == []
 
 
-def test_a_cropped_frame_binds_in_place_under_a_polymorphic_plan(copies):
-    """Rows of a crop lie a whole number of pixels apart: a polymorphic
-    kernel takes that pitch at run time, both blocks index the frame."""
+def test_a_cropped_frame_is_copied_once_and_keeps_its_bits(copies):
+    """Rows of a crop lie further apart than a baked kernel's width: the
+    request copies the window once for both blocks that read it, and
+    computes the bits of the dense window."""
     graph, partition = _program(3)
-    plan = native_plan_for_partition(graph, partition, polymorphic=True)
+    plan = native_plan_for_partition(graph, partition)
     frame = _image(height=HEIGHT + 8, width=WIDTH + 9, seed=3)
     window = frame[3 : 3 + HEIGHT, 5 : 5 + WIDTH]
     assert not window.flags.c_contiguous
     dense = plan.execute({"src": np.array(window)}, {})
-    reset_noncontiguous_zero_copy()
+    del copies[:]
     before = frame.copy()
     env = plan.execute({"src": window}, {})
-    assert copies == []
-    assert noncontiguous_zero_copy_count() == 2  # one per reading block
+    assert copies == [(HEIGHT, WIDTH, 3)]
     assert np.array_equal(frame, before)
     for name in ("sharp", "out"):
         assert np.array_equal(env[name], dense[name]), name
 
 
-@pytest.mark.parametrize("polymorphic", [False, True], ids=["baked", "poly"])
-def test_an_unbindable_view_is_copied_once_for_every_block(copies, polymorphic):
+def test_an_unbindable_view_is_copied_once_for_every_block(copies):
     """Reversed channels step backwards through memory: no kernel can
     index that, so the request copies it — once, though two blocks read
     it — and hands the caller's own array back."""
     graph, partition = _program(3)
-    plan = native_plan_for_partition(graph, partition, polymorphic=polymorphic)
+    plan = native_plan_for_partition(graph, partition)
     assert sum("src" in native.spec.images for _p, native in plan.blocks) == 2
     view = _image(seed=4)[..., ::-1]
     dense = plan.execute({"src": np.array(view)}, {})
@@ -296,7 +288,7 @@ def test_two_threads_on_one_plan_agree():
     """Nothing about a request lives on the plan: two requests on it at
     once each get their own results."""
     graph, partition = _program(3)
-    plan = native_plan_for_partition(graph, partition, polymorphic=True)
+    plan = native_plan_for_partition(graph, partition)
     frames = [_image(seed=8), _image(seed=9)[..., ::-1]]
     expected = [plan.execute({"src": frame}, {}) for frame in frames]
     results, errors = {}, []

@@ -2,8 +2,8 @@
 byte, the text the pre-IR emitter wrote.
 
 ``golden_native_sources.json`` holds ``sha256`` of the native source of
-six apps x {hand-built, lazy} x {baked, polymorphic} x
-``REPRO_NATIVE_TILE2D`` in {auto, 16x32} at 96x64 and 1024x1024,
+six apps x {hand-built, lazy} x ``REPRO_NATIVE_TILE2D`` in
+{auto, 16x32} at 96x64 and 1024x1024,
 recorded from the last commit whose *text-parsing* sanitizer accepted
 that text (PR 14, cba1d07).  The sanitizer now proves the tree, so this
 test is one of the three things that keep the printer honest (see
@@ -32,6 +32,8 @@ besides ``sqrt``: its ``exp`` / ``log`` / ``pow`` became calls of the
 ``repro_<fn>`` libmvec wrappers, declared ``simd`` above the block, and
 the source ends with the support unit that defines them (lowered here as
 on a host with every variant, whatever this host's probe finds).
+One geometry mode dropped the 48 runtime-geometry (``width`` /
+``height`` formal) digests, 96 -> 48; the 48 baked ones did not move.
 """
 
 import hashlib
@@ -68,17 +70,14 @@ VECTOR = frozenset(native_lower.LIBMVEC_ROUTINES)
 SCALAR_ENHANCE = {
     "96x64/baked": "4fc05287a63f93c2fc247f9aef2a252d083807debe7aa8353fa65d9eaebdbfbc",
     "1024x1024/baked": "ed5f3cab064a6df3cfaa424291569cdf458c881a11a2928ae7a4a1d50af1e1ab",
-    "poly": "6380c3be3d464dfc4a2876d395dfd6ad3061acf29532f8ad3f6a7748b5c95b95",
 }
 
 
-def _partition_source(graph, partition, polymorphic, vector=VECTOR):
+def _partition_source(graph, partition, vector=VECTOR):
     """``NativePartitionPlan.source`` without needing a compiler, as on a
     host whose libmvec probe found ``vector``."""
     plan = plan_for_partition(graph, partition, False)
-    specs, _ = native_lower._lower_partition(
-        graph, partition, plan, polymorphic, vector
-    )
+    specs, _ = native_lower._lower_partition(graph, partition, plan, vector)
     source = native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs if spec is not None
     )
@@ -109,14 +108,10 @@ def test_lowered_source_matches_golden(
         partition = partition_for(graph, GTX680, "optimized")
         for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
-            for polymorphic in (False, True):
-                key = (
-                    f"{app}/{origin}/{width}x{height}/"
-                    f"{'poly' if polymorphic else 'baked'}/{setting}"
-                )
-                source = _partition_source(graph, partition, polymorphic)
-                digest = hashlib.sha256(source.encode()).hexdigest()
-                assert digest == GOLDEN[key], key
+            key = f"{app}/{origin}/{width}x{height}/baked/{setting}"
+            source = _partition_source(graph, partition)
+            digest = hashlib.sha256(source.encode()).hexdigest()
+            assert digest == GOLDEN[key], key
 
 
 @pytest.mark.parametrize("geometry", [(96, 64), (1024, 1024)], ids=str)
@@ -131,13 +126,10 @@ def test_without_libmvec_enhance_lowers_as_before(
         partition = partition_for(graph, GTX680, "optimized")
         for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
-            for polymorphic in (False, True):
-                source = _partition_source(
-                    graph, partition, polymorphic, frozenset()
-                )
-                key = "poly" if polymorphic else f"{width}x{height}/baked"
-                digest = hashlib.sha256(source.encode()).hexdigest()
-                assert digest == SCALAR_ENHANCE[key], (key, setting)
+            source = _partition_source(graph, partition, frozenset())
+            key = f"{width}x{height}/baked"
+            digest = hashlib.sha256(source.encode()).hexdigest()
+            assert digest == SCALAR_ENHANCE[key], (key, setting)
 
 
 @pytest.mark.skipif(
@@ -148,4 +140,4 @@ def test_plan_source_is_the_hashed_text():
     partition = partition_for(graph, GTX680, "optimized")
     with validate_override("standard"):
         plan = native_plan_for_partition(graph, partition)
-    assert plan.source == _partition_source(graph, partition, False)
+    assert plan.source == _partition_source(graph, partition)

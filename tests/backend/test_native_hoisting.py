@@ -192,10 +192,10 @@ def _calls(source, fn):
     return len(re.findall(rf"\b(?:repro_)?{fn}\(s\d", source))
 
 
-def _enhance_plan(width=64, height=48, polymorphic=False):
+def _enhance_plan(width=64, height=48):
     graph = APPLICATIONS["Enhance"].build(width, height).build()
     partition = partition_for(graph, GTX680, "optimized")
-    return native_plan_for_partition(graph, partition, polymorphic=polymorphic)
+    return native_plan_for_partition(graph, partition)
 
 
 class TestEnhance:
@@ -209,17 +209,18 @@ class TestEnhance:
             "kernel": "gmean", "image": "input", "taps": 9, "stage": "gmean_w0",
         }
 
-    def test_lazy_and_polymorphic_sources_get_it(self):
+    def test_lazy_sources_get_it_at_any_size(self):
         graph = lazy_trace("Enhance", 64, 48).graph()
         partition = partition_for(graph, GTX680, "optimized")
-        plan = native_plan_for_partition(graph, partition, polymorphic=True)
+        plan = native_plan_for_partition(graph, partition)
         assert _calls(plan.source, "log") == 1
-        # Geometry-free: the polymorphic C is the same text at any size.
+        # Geometry-free: the same decision at another size.
         bigger = lazy_trace("Enhance", 200, 120).graph()
         other = native_plan_for_partition(
-            bigger, partition_for(bigger, GTX680, "optimized"), polymorphic=True
+            bigger, partition_for(bigger, GTX680, "optimized")
         )
-        assert other.source == plan.source
+        assert _calls(other.source, "log") == 1
+        assert other.hoisted == plan.hoisted
 
     def test_nothing_is_hoisted_without_tile2d(self):
         with row_band_everywhere():

@@ -40,8 +40,6 @@ EXPORTED_BEFORE_THE_SPLIT = {
     "lowering_knobs",
     "native_available",
     "native_plan_for_partition",
-    "noncontiguous_zero_copy_count",
-    "reset_noncontiguous_zero_copy",
     "resolve_native_threads",
     "sharing_cores",
     "tolerance_for",

@@ -6,8 +6,8 @@ Every libm call the native lowering emits (``exp``, ``log``, ``sin``,
 glibc's libmvec SSE routine, where the host has it.  So the
 ``#pragma omp simd`` loops vectorize, and a pixel's bits do not depend
 on whether a vector lane, a loop's scalar tail or an out-of-line halo
-body computed it: not on the tile shape, hoisting, baked or polymorphic
-geometry, or the thread count.  Where the probe finds no variant the
+body computed it: not on the tile shape, hoisting or the thread
+count.  Where the probe finds no variant the
 call stays scalar libm, and the C is what it was before wrappers.
 """
 
@@ -99,7 +99,7 @@ def _inputs(width, height):
     return {"src": np.random.default_rng(width * height).uniform(0.0, 255.0, (height, width))}
 
 
-def _build(graph, partition, monkeypatch, tile="auto", hoist=True, polymorphic=False):
+def _build(graph, partition, monkeypatch, tile="auto", hoist=True):
     """A fresh native plan under one lowering."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_NATIVE_TILE2D", tile)
@@ -110,7 +110,7 @@ def _build(graph, partition, monkeypatch, tile="auto", hoist=True, polymorphic=F
                 lambda members, graph: (members, ()),
             )
         clear_native_caches()
-        plan = native_plan_for_partition(graph, partition, polymorphic=polymorphic)
+        plan = native_plan_for_partition(graph, partition)
     clear_native_caches()
     return plan
 
@@ -155,22 +155,21 @@ def test_one_implementation_per_call(size, f32, monkeypatch):
     reference = None
     for tile in ("auto", "8x16", "16x32"):
         for hoist in (True, False):
-            for polymorphic in (False, True):
-                plan = _build(graph, partition, monkeypatch, tile, hoist, polymorphic)
-                assert plan.fallback_block_count == 0
-                assert (hoist and width * height > 1) <= bool(plan.hoisted)
-                for threads in ("1", "2"):
-                    monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-                    out = plan.execute(dict(inputs))["scaled"]
-                    if reference is None:
-                        reference = out
-                        tape = plan.plan.execute(dict(inputs))["scaled"]
-                        assert plan.tolerance == (
-                            (F32_RTOL, F32_ATOL) if f32 else (LIBM_RTOL, LIBM_ATOL)
-                        )
-                        assert_native_equiv(tape, out, plan.tolerance)
-                    config = (tile, hoist, polymorphic, threads)
-                    assert np.array_equal(out, reference), config
+            plan = _build(graph, partition, monkeypatch, tile, hoist)
+            assert plan.fallback_block_count == 0
+            assert (hoist and width * height > 1) <= bool(plan.hoisted)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
+                out = plan.execute(dict(inputs))["scaled"]
+                if reference is None:
+                    reference = out
+                    tape = plan.plan.execute(dict(inputs))["scaled"]
+                    assert plan.tolerance == (
+                        (F32_RTOL, F32_ATOL) if f32 else (LIBM_RTOL, LIBM_ATOL)
+                    )
+                    assert_native_equiv(tape, out, plan.tolerance)
+                config = (tile, hoist, threads)
+                assert np.array_equal(out, reference), config
 
 
 @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
@@ -239,7 +238,7 @@ def test_without_libmvec_the_c_is_the_scalar_one(monkeypatch, tmp_path):
     partition = partition_for(graph, GTX680, "optimized")
     plan = native_plan_for_partition(graph, partition)
     specs, _ = native_lower._lower_partition(
-        graph, partition, plan.plan, False, frozenset()
+        graph, partition, plan.plan, frozenset()
     )
     assert plan.source == native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs

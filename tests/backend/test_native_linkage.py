@@ -11,8 +11,8 @@ tile2d stage, a baked plane smaller than its margins) is the only body
 its loop runs and stays inline.
 
 The test walks the loop-nest IR of the golden matrix (six apps x
-{hand-built, lazy} x {baked, polymorphic} x ``REPRO_NATIVE_TILE2D`` in
-{auto, 16x32} at 96x64 and 1024x1024), once in double and once
+{hand-built, lazy} x ``REPRO_NATIVE_TILE2D`` in {auto, 16x32} at 96x64
+and 1024x1024), once in double and once
 under ``REPRO_NATIVE_F32``; no compiler is needed.
 """
 
@@ -125,17 +125,14 @@ def test_halo_bodies_are_calls_and_interiors_inline(
         plan = plan_for_partition(graph, partition, False)
         for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
-            for polymorphic in (False, True):
-                specs, _ = native_lower._lower_partition(
-                    graph, partition, plan, polymorphic
-                )
-                for spec in specs:
-                    if spec is None:
-                        continue
-                    assert spec.f32 is f32
-                    spec_calls, spec_stores = _check_spec(spec)
-                    calls += spec_calls
-                    border_stores += spec_stores
+            specs, _ = native_lower._lower_partition(graph, partition, plan)
+            for spec in specs:
+                if spec is None:
+                    continue
+                assert spec.f32 is f32
+                spec_calls, spec_stores = _check_spec(spec)
+                calls += spec_calls
+                border_stores += spec_stores
     # Every app has a stencil, so the matrix is never vacuous.
     assert calls > 0 and border_stores > 0
 

@@ -3,8 +3,9 @@
 With ``REPRO_NATIVE_THREADS`` unset a compiled call takes the caller's
 share of the cores — all of them under ``api.run`` (whatever its
 block-level ``workers``: native blocks run one at a time), ``cores /
-workers`` under a serving runtime, ``cores / (shards x workers)`` in a
-shard — and an explicit count wins everywhere.  Tiles are independent
+workers`` under a serving runtime, ``cores / (runtimes x workers)``
+for nested :func:`sharing_cores` scopes — and an explicit count wins
+everywhere.  Tiles are independent
 and nothing is reduced, so every count computes the same bits.
 """
 
@@ -68,7 +69,7 @@ class TestShare:
         assert resolve_native_threads(side_by_side=16) == 1
         with sharing_cores(2):
             assert resolve_native_threads() == 2
-            with sharing_cores(2):  # a shard's workers inside a fleet
+            with sharing_cores(2):  # nested scopes compound
                 assert resolve_native_threads() == 1
             # An explicit side-by-side count is taken as given.
             assert resolve_native_threads(side_by_side=1) == 4
@@ -110,14 +111,13 @@ def test_every_thread_count_computes_the_same_bits(app, lowering, monkeypatch):
     every block as the row band over its fused tape, ``tile2d`` lets the
     fused chains materialize their stages."""
     monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
-    graph = APPLICATIONS[app].build(97, 61).build()
-    partition = partition_for(graph, GTX680, "optimized")
-    with row_band_everywhere(lowering == "classic"):
-        plan = native_plan_for_partition(graph, partition, polymorphic=True)
-    assert plan.fallback_block_count == 0
     params = DEFAULT_APP_PARAMS.get(app)
-    # Plan geometry first: strict mode checks that run against the tape.
     for height, width in ((61, 97), (1024, 1024), (1, 300)):
+        graph = APPLICATIONS[app].build(width, height).build()
+        partition = partition_for(graph, GTX680, "optimized")
+        with row_band_everywhere(lowering == "classic"):
+            plan = native_plan_for_partition(graph, partition)
+        assert plan.fallback_block_count == 0
         inputs = {"input": _image(app, height, width)}
         serial = plan.execute(inputs, params, threads=1)
         assert plan.threads == 1

@@ -1,16 +1,16 @@
 """Native engine parallelism: the GIL-release contract and ``workers=``.
 
-Two properties the sharded serving tier leans on:
+Two properties a serving runtime leans on:
 
 * compiled entry points load through ``ctypes.CDLL``, which drops the
   GIL for the duration of each C call — a Python thread makes real
-  progress while a native kernel runs (this is what lets one worker
-  process overlap native execution with scheduling);
+  progress while a native kernel runs (this is what lets a runtime's
+  scheduler threads overlap native execution with scheduling);
 * ``NativePartitionPlan.execute(..., workers=N)`` accepts the engine
   table's block-overlap argument and computes the same bits for every
   ``N`` — the native engine runs its blocks one at a time and
   parallelises inside each kernel; the threads the first property
-  serves are the serving tier's schedulers.
+  serves are a runtime's schedulers.
 
 Correctness (bit-identity) is asserted unconditionally; these tests
 make no timing claims, so they hold on one core.

@@ -70,14 +70,12 @@ def cache_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _plan(app, width=WIDTH, height=HEIGHT, polymorphic=False):
+def _plan(app, width=WIDTH, height=HEIGHT):
     """The native plan of ``app``'s default fused partition, built from
     a fresh graph object (so no per-graph plan cache answers)."""
     graph = APPLICATIONS[app].build(width, height).build()
     partition = partition_for(graph, GTX680, "optimized")
-    return native_plan_for_partition(
-        graph, partition, polymorphic=polymorphic
-    )
+    return native_plan_for_partition(graph, partition)
 
 
 def _units(app):
@@ -168,24 +166,23 @@ BIG = (512, 256)
 @pytest.fixture(scope="module")
 def differential_dirs(tmp_path_factory):
     """One object-path and one whole-TU cache for the whole matrix, so
-    the 24 cases share kernels the way a serving process would."""
+    the 12 cases share kernels the way a serving process would."""
     return tmp_path_factory.mktemp("objects"), tmp_path_factory.mktemp("whole")
 
 
-@pytest.mark.parametrize("polymorphic", [False, True], ids=["baked", "poly"])
 @pytest.mark.parametrize("lowering", ["classic", "tile2d"])
 @pytest.mark.parametrize("app", APPS)
 def test_differential_against_the_single_translation_unit(
-    differential_dirs, monkeypatch, app, lowering, polymorphic
+    differential_dirs, monkeypatch, app, lowering
 ):
     """``classic`` lowers every block as the row band over its fused
     tape, ``tile2d`` lets the fused chains materialize their stages."""
     objects_dir, whole_dir = differential_dirs
     with row_band_everywhere(lowering == "classic"):
-        _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic)
+        _differential(objects_dir, whole_dir, monkeypatch, app)
 
 
-def _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic):
+def _differential(objects_dir, whole_dir, monkeypatch, app):
     monkeypatch.setenv("REPRO_VALIDATE", "strict")
     clear_native_caches()
     width, height = BIG
@@ -207,7 +204,7 @@ def _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic):
     )
 
     monkeypatch.setenv(CACHE_ENV, str(objects_dir))
-    plan = _plan(app, width, height, polymorphic)
+    plan = _plan(app, width, height)
     assert plan.native_block_count == len(plan.blocks)
     outputs = {}
     for threads in ("1", None):
@@ -230,7 +227,7 @@ def _differential(objects_dir, whole_dir, monkeypatch, app, polymorphic):
             source, (source,), cc, flags
         ),
     )
-    whole = _plan(app, width, height, polymorphic)
+    whole = _plan(app, width, height)
     assert whole.source == plan.source
     assert whole.objects_compiled + whole.objects_reused == 1
     expected = whole.execute(dict(inputs), params)
@@ -279,7 +276,7 @@ def test_concurrent_builders_compile_each_object_once(cache_dir, monkeypatch):
     assert not list(cache_dir.glob("*.partial.*"))
 
 
-# -- (f) processes racing on one directory (the sharded tier's case) --------
+# -- (f) processes racing on one directory (two servers on one cache) ------
 
 _RACER = """
 import sys

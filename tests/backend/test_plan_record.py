@@ -820,38 +820,6 @@ def test_changed_constant_is_another_key(cache_dir, checks, builds):
     assert checks.take() == (0, 0, 0, 0)
 
 
-# -- (d) a structure-keyed entry at another geometry ------------------------
-
-
-def test_polymorphic_restart_at_another_geometry(
-    cache_dir, checks, builds
-):
-    def request(width, height):
-        registry = default_registry(apps={"Sobel"})
-        with ServingRuntime(
-            registry, engine="native", workers=1, cache_keying="structure"
-        ) as runtime:
-            return runtime.execute("Sobel", _inputs("Sobel", width, height))
-
-    request(WIDTH, HEIGHT)
-    assert checks.take() == (1, 1, 1, 1)
-    path, record = only_record(cache_dir)
-    restart()
-    # Same key, same polymorphic source; another tape.
-    request(64, 48)
-    assert checks.take() == (0, 1, 0, 1)
-    assert builds[-1].restored == ("partition", "sanitized")
-    assert builds[-1].record_rejected == "tape digest"
-    (same_path, rewritten) = only_record(cache_dir)
-    assert same_path == path
-    assert rewritten["library"] == record["library"]
-    assert rewritten["tape"] != record["tape"]
-    assert verdicts(rewritten) == (True, True, True)
-    restart()
-    request(64, 48)
-    assert checks.take() == (0, 0, 0, 0)
-
-
 # -- (e) explicit partitions have records of their own ----------------------
 
 

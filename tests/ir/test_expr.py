@@ -158,9 +158,9 @@ class TestCachedHash:
             assert "_hash" in vars(node)
 
     def test_cached_hash_does_not_cross_a_process_boundary(self):
-        # String hashes are salted per process and spawn-started shards
-        # unpickle graphs: a node pickled with its hash cached must still
-        # find itself in a dict of the process that unpickles it.
+        # String hashes are salted per process: a node pickled with its
+        # hash cached must still find itself in a dict of another
+        # process that unpickles it.
         import os
         import pickle
         import subprocess

@@ -83,7 +83,7 @@ class TestChoice:
 
     def test_choice_is_geometry_free(self):
         # The model must not see the plane size: the same stages give
-        # the same shape, keeping polymorphic sources byte-identical.
+        # the same shape at every resolution.
         first = choose_tile(_chain(), caches=CACHES)
         second = choose_tile(_chain(), caches=CACHES)
         assert (first.height, first.width) == (second.height, second.width)

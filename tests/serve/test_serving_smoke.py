@@ -125,7 +125,7 @@ class TestServingSmoke:
         assert snap["fusion"]["version"] == "optimized"
         assert snap["scheduler"]["max_queue"] >= 1
 
-    def test_shape_polymorphic_serving(self):
+    def test_geometry_generic_serving(self):
         spec = APPLICATIONS["Sobel"]
         with ServingRuntime() as runtime:
             small = runtime.execute(

@@ -41,7 +41,7 @@ def keywords(cls):
             [f.name for f in dataclasses.fields(ExecutionOptions)],
             11,
         ),
-        ("ServingRuntime keywords", keywords(ServingRuntime), 11),
+        ("ServingRuntime keywords", keywords(ServingRuntime), 10),
     ],
     ids=["env", "options", "serving"],
 )
