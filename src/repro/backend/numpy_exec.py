@@ -31,8 +31,7 @@ engines and the order they degrade in lives in
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from repro.ir.expr import (
     Select,
     UnOp,
 )
+from repro.ir.traversal import recursion_headroom
 
 Arrays = Dict[str, np.ndarray]
 Params = Dict[str, float]
@@ -107,24 +107,6 @@ def fault_check(site: str) -> None:
     faults = sys.modules.get("repro.serve.faultinject")
     if faults is not None and faults.armed():
         faults.check(site)
-
-
-@contextmanager
-def recursion_headroom(limit: int = 20000) -> Iterator[None]:
-    """Scoped recursion-limit raise for deeply fused recursive walks.
-
-    Restores the prior limit on exit; a no-op when the current limit
-    already suffices, so nesting is cheap.
-    """
-    prior = sys.getrecursionlimit()
-    if prior >= limit:
-        yield
-        return
-    sys.setrecursionlimit(limit)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(prior)
 
 
 def _array_for(image_name: str, arrays: Arrays) -> np.ndarray:
@@ -370,16 +352,25 @@ def _execute_block_recursive(
 
 def block_schedule(graph: KernelGraph, partition: Partition) -> List[PartitionBlock]:
     """Blocks in dependence order (a block runs after its producers)."""
-    pending = list(partition.blocks)
+    return [block for block, _inputs in scheduled_blocks(graph, partition)]
+
+
+def scheduled_blocks(
+    graph: KernelGraph, partition: Partition
+) -> List[Tuple[PartitionBlock, Tuple[str, ...]]]:
+    """:func:`block_schedule`, each block with the external input images
+    the ordering read off it (:meth:`PartitionBlock.external_input_images`,
+    computed once per block)."""
+    pending = [(block, block.external_input_images()) for block in partition.blocks]
     available = set(graph.pipeline_inputs())
-    ordered: List[PartitionBlock] = []
+    ordered: List[Tuple[PartitionBlock, Tuple[str, ...]]] = []
     while pending:
         progressed = False
-        for block in list(pending):
-            external = set(block.external_input_images())
-            if external <= available:
-                ordered.append(block)
-                pending.remove(block)
+        for item in list(pending):
+            block, external = item
+            if available.issuperset(external):
+                ordered.append(item)
+                pending.remove(item)
                 for name in block.vertices:
                     available.add(graph.kernel(name).output.name)
                 progressed = True

@@ -62,9 +62,9 @@ from repro.backend.numpy_exec import (
     _apply_mask,
     _array_for,
     _broadcast_output,
-    block_schedule,
     fault_check,
     recursion_headroom,
+    scheduled_blocks,
 )
 from repro.dsl.boundary import BoundaryMode, BoundarySpec, resolve_array
 from repro.dsl.image import IterationSpace
@@ -683,30 +683,28 @@ class PartitionPlan:
         producer_block: Dict[str, int] = {}
         self.schedule: List[BlockFacts] = []
         self.deps: List[Set[int]] = []
-        for index, block in enumerate(block_schedule(graph, partition)):
+        # One pass: the inputs are the ones the ordering read off each
+        # block, and each member kernel is looked up once.
+        for index, (block, inputs) in enumerate(scheduled_blocks(graph, partition)):
             members = block.signature()
+            kernels = [graph.kernel(name) for name in members]
             destination = (
-                graph.kernel(members[0])
-                if len(members) == 1
-                else _destination(graph, block)
+                kernels[0] if len(kernels) == 1 else _destination(graph, block)
             )
-            inputs = block.external_input_images()
             self.schedule.append(
                 BlockFacts(
                     members,
                     destination.output.name,
                     destination.space,
                     inputs,
-                    frozenset().union(
-                        *(graph.kernel(name).param_names for name in members)
-                    ),
+                    frozenset().union(*(kernel.param_names for kernel in kernels)),
                 )
             )
             self.deps.append(
                 {producer_block[i] for i in inputs if i in producer_block}
             )
-            for name in members:
-                producer_block[graph.kernel(name).output.name] = index
+            for kernel in kernels:
+                producer_block[kernel.output.name] = index
 
     @property
     def plans(self) -> List[BlockPlan]:

@@ -155,6 +155,7 @@ class Kernel:
         self.force_no_shared_memory = force_no_shared_memory
 
         seen: Set[str] = set()
+        names = []
         for accessor in self.accessors:
             if accessor.image.name in seen:
                 raise ValueError(
@@ -170,6 +171,8 @@ class Kernel:
                     f"its own output {output.name!r}"
                 )
             seen.add(accessor.image.name)
+            names.append(accessor.image.name)
+        self._input_names: Tuple[str, ...] = tuple(names)
         #: What :meth:`reads` returns: the one walk of the body this
         #: kernel pays.
         self._reads_cache = inputs_of(body)
@@ -199,7 +202,9 @@ class Kernel:
 
     @property
     def input_names(self) -> Tuple[str, ...]:
-        return tuple(a.image.name for a in self.accessors)
+        """Names of the images read, in accessor order (built once, by
+        the constructor)."""
+        return self._input_names
 
     def accessor_for(self, image_name: str) -> Accessor:
         """The accessor reading ``image_name`` (KeyError if absent)."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -122,9 +123,11 @@ class KernelGraph:
         # Sink outputs are always external: nothing else observes them.
         consumed = {e.image for e in self._edges}
         sinks = {k.output.name for k in self._kernels.values()} - consumed
-        self._external_outputs: Set[str] = declared | sinks
+        self._external_outputs: FrozenSet[str] = frozenset(declared | sinks)
 
         self._topo_order = self._topological_sort()
+        #: Image name -> the kernels reading it (:meth:`consumers_of`).
+        self._readers: Dict[str, Tuple[str, ...]] | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -140,7 +143,7 @@ class KernelGraph:
     @property
     def kernel_names(self) -> Tuple[str, ...]:
         """Kernel names in topological order."""
-        return tuple(self._topo_order)
+        return self._topo_order
 
     def kernel(self, name: str) -> "Kernel":
         return self._kernels[name]
@@ -164,20 +167,31 @@ class KernelGraph:
         return any(e.src == src and e.dst == dst for e in self._edges)
 
     @property
-    def external_outputs(self) -> Set[str]:
+    def external_outputs(self) -> FrozenSet[str]:
         """Image names whose contents must survive the pipeline."""
-        return set(self._external_outputs)
+        return self._external_outputs
 
     def producer_of(self, image_name: str) -> str | None:
         """The kernel producing ``image_name``; None for pipeline inputs."""
         return self._producer_of_image.get(image_name)
 
     def consumers_of(self, image_name: str) -> Tuple[str, ...]:
-        """Kernels reading ``image_name`` (by name, topological order)."""
-        readers = {
-            k.name for k in self._kernels.values() if image_name in k.input_names
-        }
-        return tuple(name for name in self._topo_order if name in readers)
+        """Kernels reading ``image_name`` (by name, topological order).
+
+        A lookup in the graph's image → readers index, which the first
+        call builds in one pass over the kernels' ``input_names`` and
+        every later call shares (the structure is immutable).
+        """
+        readers = self._readers
+        if readers is None:
+            index: Dict[str, List[str]] = {}
+            for name in self._topo_order:
+                for image in self._kernels[name].input_names:
+                    index.setdefault(image, []).append(name)
+            readers = self._readers = {
+                image: tuple(names) for image, names in index.items()
+            }
+        return readers.get(image_name, ())
 
     def pipeline_inputs(self) -> Tuple[str, ...]:
         """Image names read by some kernel but produced by none."""
@@ -276,6 +290,7 @@ class KernelGraph:
         new._producer_of_image = self._producer_of_image
         new._external_outputs = self._external_outputs
         new._topo_order = self._topo_order
+        new._readers = self._readers
         new_edges = []
         for e in self._edges:
             if e.key not in weights:
@@ -292,7 +307,7 @@ class KernelGraph:
 
     # -- structure ----------------------------------------------------------
 
-    def _topological_sort(self) -> List[str]:
+    def _topological_sort(self) -> Tuple[str, ...]:
         """Kahn's algorithm; raises :class:`GraphError` on cycles.
 
         Ties are broken by kernel insertion order so that the whole
@@ -323,7 +338,7 @@ class KernelGraph:
         if len(order) != len(self._kernels):
             stuck = sorted(set(self._kernels) - set(order))
             raise GraphError(f"dependence cycle involving {stuck}")
-        return order
+        return tuple(order)
 
     def induced_edges(self, vertices: Set[str]) -> Tuple[Edge, ...]:
         """Edges with both endpoints inside ``vertices``."""

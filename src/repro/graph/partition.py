@@ -26,6 +26,8 @@ class PartitionBlock:
             raise GraphError(f"unknown kernels in block: {sorted(unknown)}")
         self.graph = graph
         self.vertices = names
+        self._ordered: Tuple[str, ...] | None = None
+        self._signature: Tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -54,8 +56,14 @@ class PartitionBlock:
         return sum(e.weight or 0.0 for e in self.edges)
 
     def ordered_vertices(self) -> Tuple[str, ...]:
-        """Block members in the graph's topological order."""
-        return tuple(n for n in self.graph.kernel_names if n in self.vertices)
+        """Block members in the graph's topological order (found once)."""
+        ordered = self._ordered
+        if ordered is None:
+            vertices = self.vertices
+            ordered = self._ordered = tuple(
+                n for n in self.graph.kernel_names if n in vertices
+            )
+        return ordered
 
     def source_kernels(self) -> Tuple[str, ...]:
         """Members with no producer inside the block (the ``k_s`` role)."""
@@ -84,11 +92,12 @@ class PartitionBlock:
 
     def external_input_images(self) -> Tuple[str, ...]:
         """Images read inside the block but produced outside it."""
-        produced = {self.graph.kernel(n).output.name for n in self.vertices}
+        kernels = [self.graph.kernel(name) for name in self.ordered_vertices()]
+        produced = {kernel.output.name for kernel in kernels}
         seen: Set[str] = set()
         ordered: List[str] = []
-        for name in self.ordered_vertices():
-            for image in self.graph.kernel(name).input_names:
+        for kernel in kernels:
+            for image in kernel.input_names:
                 if image not in produced and image not in seen:
                     seen.add(image)
                     ordered.append(image)
@@ -113,9 +122,12 @@ class PartitionBlock:
         """The block's members as a canonical sorted tuple.
 
         Hashable and independent of graph object identity; plan caches
-        key compiled block tapes on it.
+        key compiled block tapes on it (sorted once).
         """
-        return tuple(sorted(self.vertices))
+        signature = self._signature
+        if signature is None:
+            signature = self._signature = tuple(sorted(self.vertices))
+        return signature
 
     def __repr__(self) -> str:
         return f"PartitionBlock({sorted(self.vertices)})"

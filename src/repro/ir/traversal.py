@@ -12,6 +12,8 @@ The fusion engine relies on two primitives defined here:
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Set, Tuple
 
 from repro.ir.expr import (
@@ -28,6 +30,24 @@ from repro.ir.expr import (
 )
 
 Offset = Tuple[int, int]
+
+
+@contextmanager
+def recursion_headroom(limit: int = 20000) -> Iterator[None]:
+    """Scoped recursion-limit raise for deeply fused recursive walks.
+
+    Restores the prior limit on exit; a no-op when the current limit
+    already suffices, so nesting is cheap.
+    """
+    prior = sys.getrecursionlimit()
+    if prior >= limit:
+        yield
+        return
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(prior)
 
 
 def children(expr: Expr) -> Tuple[Expr, ...]:

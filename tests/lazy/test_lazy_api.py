@@ -11,12 +11,17 @@ unchanged (engines, params, validation all apply).
 import numpy as np
 import pytest
 
+import repro.dsl.kernel as kernel_module
+import repro.lazy.trace as trace_module
 from repro import lazy
 from repro.api import ExecutionOptions
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.mask import Domain
 from repro.ir.expr import BinOp, Cmp, Const, InputAt, Param, Select, UnOp
 from repro.lazy import LazyError, Trace
+from repro.lazy.apps import LAZY_BUILDERS, lazy_trace
+
+from helpers import count_calls
 
 
 def _image(width=9, height=7, seed=0, channels=1):
@@ -341,3 +346,15 @@ def test_source_domain_reaches_the_lowered_graph():
     graph = t.lower().build()
     declared = graph.declared_domains["input"]
     assert (declared.lo, declared.hi) == (0.0, 255.0)
+
+
+@pytest.mark.parametrize("app_name", sorted(LAZY_BUILDERS))
+def test_a_recorded_kernel_signs_its_body_once(app_name, monkeypatch):
+    # The CSE key's signature seeds the kernel's: recording, lowering
+    # and signing the graph walk each recorded body exactly once.
+    calls = count_calls(monkeypatch, trace_module, "expr_signature")
+    monkeypatch.setattr(kernel_module, "expr_signature", trace_module.expr_signature)
+    trace = lazy_trace(app_name, 24, 18)
+    graph = trace.graph()
+    graph.structural_signature()
+    assert len(calls) == len(graph.kernel_names)

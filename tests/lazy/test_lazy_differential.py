@@ -8,7 +8,7 @@ the hand-built pipeline —
 * identical :meth:`~repro.graph.dag.KernelGraph.structural_signature`
   (same kernels, same bodies, same geometry),
 * identical :meth:`~repro.graph.dag.KernelGraph.structure_signature`
-  (the shape-agnostic key structure-keyed plan caching uses),
+  (the shape-agnostic identity the plan cache's miss accounting uses),
 * bit-identical pixels under the tape engine, and under the native
   engine when a C compiler is present.
 

@@ -26,7 +26,18 @@ from repro.dsl.mask import Mask
 from repro.eval.runner import partition_for
 from repro.graph.dag import KernelGraph
 from repro.ir import expr_signature
-from repro.ir.expr import BinOp, Const, Param
+from repro.ir.expr import (
+    BinOp,
+    Call,
+    Cast,
+    Cmp,
+    Const,
+    Expr,
+    InputAt,
+    Param,
+    Select,
+    UnOp,
+)
 from repro.ir.signature import canonical_digest
 from repro.model.hardware import GTX680
 from repro.serve import FusionSettings, inputs_signature, plan_key
@@ -57,6 +68,83 @@ class TestExprSignature:
         )
         assert expr_signature(with_sharing) == expr_signature(without)
 
+
+
+def _deep_chain(depth):
+    """``in + c0 + c1 + ...``: one ``add`` per level, ``depth`` deep."""
+    node = InputAt("in")
+    for level in range(depth):
+        node = BinOp("add", node, Const(float(level % 7)))
+    return node
+
+
+def _wide_dag(width, levels):
+    """``levels`` rows of ``width`` nodes, each read by two nodes of the
+    next row, then folded by a ``max`` chain: every node is shared."""
+    row = [InputAt("in", dx, 0) for dx in range(width)]
+    for level in range(levels):
+        op = "mul" if level % 2 else "add"
+        row = [BinOp(op, row[i], row[(i + 1) % width]) for i in range(width)]
+    root = row[0]
+    for node in row[1:]:
+        root = BinOp("max", root, node)
+    return root
+
+
+class TestSignatureWalk:
+    """The walk's shape limits and its node coverage.  The digests were
+    computed by the iterative walk the recursive one replaced: a change
+    to either would move every plan key and every plan record name."""
+
+    def test_a_20000_deep_chain_signs(self):
+        limit = sys.getrecursionlimit()
+        signature = expr_signature(_deep_chain(20000))
+        assert sys.getrecursionlimit() == limit
+        assert len(signature) == 20008
+        assert canonical_digest(signature) == (
+            "925f3208dd63b3b6a5efdb2bc3aade271fe738a258fde3a59137252f2d3e3840"
+        )
+
+    def test_a_wide_shared_dag_signs(self):
+        signature = expr_signature(_wide_dag(64, 48))
+        assert len(signature) == 64 + 64 * 48 + 63
+        assert canonical_digest(signature) == (
+            "ce12070cfee56dd033c5a0eb10a643064b3652933fac53145fdf769a2af5a973"
+        )
+
+    def test_every_node_type(self):
+        x = InputAt("in", 1, -1)
+        gain = Param("gain")
+        angle = Call("atan2", (BinOp("mul", x, gain), UnOp("neg", x)))
+        picked = Select(
+            Cmp("gt", angle, Const(0.5)), Call("sqrt", (angle,)), UnOp("abs", x)
+        )
+        body = Cast("float32", BinOp("add", picked, gain))
+        assert expr_signature(body) == (
+            ("input", "in", 1, -1),
+            ("param", "gain"),
+            ("bin", "mul", 0, 1),
+            ("un", "neg", 0),
+            ("call", "atan2", 2, 3),
+            ("const", 0.5),
+            ("cmp", "gt", 4, 5),
+            ("call", "sqrt", 4),
+            ("un", "abs", 0),
+            ("select", 6, 7, 8),
+            ("bin", "add", 9, 1),
+            ("cast", "float32", 10),
+        )
+
+    def test_an_unknown_node_type_raises(self):
+        class Foreign(Expr):
+            pass
+
+        class Derived(Const):
+            pass
+
+        for node in (Foreign(), Derived(1.0)):
+            with pytest.raises(TypeError, match="cannot sign node"):
+                expr_signature(BinOp("add", Const(1.0), node))
 
 class TestGraphSignature:
     def test_separately_built_pipelines_sign_equal(self):
