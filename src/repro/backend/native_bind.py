@@ -10,9 +10,13 @@ dynamically; baking their shapes would change semantics).
 team: an explicit count or ``REPRO_NATIVE_THREADS`` exactly, else the
 caller's share of the cores — the affinity mask divided by the requests
 the caller runs side by side (:func:`sharing_cores`) — with small planes
-serial.  The team is the native engine's only parallelism: a request's
-blocks run one after another, each on the whole share.  Tiles are
-independent and nothing is reduced, so the count never changes a bit.
+serial.  A plane too small for the automatic share ever to exceed one
+thread (:func:`~repro.backend.native_lower.parallel_plane`) is lowered
+without a parallel region, so it runs serially under any count and its
+block reports 1.  The team is the native engine's only parallelism: a
+request's blocks run one after another, each on the whole share.  Tiles
+are independent and nothing is reduced, so the count never changes a
+bit.
 
 **Channels are a stride.**  A block over ``C``-channel images is called
 once per channel on the caller's own ``(H, W, C)`` arrays and one fresh
@@ -40,17 +44,12 @@ import numpy as np
 from repro.envknobs import int_env, raw_env
 
 from repro.backend.cpu_exec import available_cores
-from repro.backend.native_lower import _BlockSpec
+from repro.backend.native_lower import MIN_PIXELS_PER_THREAD, _BlockSpec
 from repro.backend.numpy_exec import Arrays, ExecutionError, Params, _array_for
 from repro.backend.plan import BlockPlan, PartitionPlan
 
 #: Environment knob: OpenMP threads for the row-tiled loop nests.
 NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
-
-#: Under the automatic thread share a plane gets one thread per this
-#: many pixels: below it waking a team (~0.05 ms) costs more than the
-#: rows it hands out (a 96x64 request is ~0.1 ms of work in total).
-MIN_PIXELS_PER_THREAD = 1 << 16
 
 
 #: How many native executions the surrounding caller runs side by side
@@ -87,7 +86,9 @@ def resolve_native_threads(
     running ``side_by_side`` (``None`` reads the :func:`sharing_cores`
     scope), and — given the plane size — at most one thread per
     :data:`MIN_PIXELS_PER_THREAD`.  Tiles are independent and nothing is
-    reduced, so every count computes the same bits.
+    reduced, so every count computes the same bits.  A block whose plane
+    is below :func:`~repro.backend.native_lower.parallel_plane` runs its
+    call on one thread whatever this returns (:class:`NativeBlock`).
     """
     if threads is None and raw_env(NATIVE_THREADS_ENV) is not None:
         threads = int_env(NATIVE_THREADS_ENV, default=1)
@@ -174,9 +175,11 @@ class NativeBlock:
         self._index = index
         self.spec = spec
         self.output_name = tape.schedule[index].output_name
-        #: Whether the library was compiled with ``-fopenmp``; without
-        #: it the ``threads`` argument is dead and every call is serial.
-        self.openmp = openmp
+        #: Whether a call can run a team: the library was compiled with
+        #: ``-fopenmp`` and the block's tile loop is a parallel region
+        #: (``spec.parallel``).  Otherwise the ``threads`` argument is
+        #: dead and every call is serial.
+        self.parallel = openmp and spec.parallel
         #: The effective thread count of the most recent call.
         self.threads = 1
         self._fn = fn
@@ -250,11 +253,11 @@ class NativeBlock:
         threads: int,
     ) -> None:
         """Run the compiled function over ``out`` and ``inputs`` on
-        ``threads`` threads (1 when the library has no OpenMP, or in a
+        ``threads`` threads (1 when the block cannot run a team, or in a
         child forked from a threaded parent), once per channel."""
         global _team_started
         spec = self.spec
-        if not self.openmp or _serial_after_fork:
+        if not self.parallel or _serial_after_fork:
             threads = 1
         elif threads > 1:
             _team_started = True

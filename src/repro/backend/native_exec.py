@@ -26,7 +26,8 @@ public names.
 plan's schedule order, each compiled call on the caller's whole share
 of the cores (:func:`resolve_native_threads`).  The locality the paper
 fuses for lives *inside* a kernel, and that is where the engine
-parallelises (OpenMP teams over row bands and overlapped 2D tiles);
+parallelises (OpenMP teams over row bands and overlapped 2D tiles, on
+planes large enough for a team: ``native_lower.parallel_plane``);
 overlapping whole blocks too competed for the same cores and measured
 slower (EXPERIMENTS.md), so ``workers`` is accepted and ignored.
 
@@ -374,7 +375,8 @@ class NativePartitionPlan:
     @property
     def threads(self) -> int:
         """The widest OpenMP team the most recent execution ran — the
-        *effective* count: 1 when the toolchain has no OpenMP, whatever
+        *effective* count: 1 when the toolchain has no OpenMP or no
+        block's plane can split (:attr:`NativeBlock.parallel`), whatever
         was asked for."""
         return max(
             (native.threads for native in self.natives if native), default=1
@@ -547,7 +549,7 @@ def _compile_specs(
     cache, and so is the libmvec support unit of ``vector`` when a block
     calls a wrapper; ``source`` — all of them as one translation unit,
     :func:`lower_partition_source` — names the library.  ``openmp`` says
-    whether the library's ``threads`` argument is live."""
+    whether the library was built with ``-fopenmp``."""
     lowered = [spec for spec in specs if spec is not None]
     if not lowered:
         return None, None, None, False

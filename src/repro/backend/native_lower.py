@@ -18,10 +18,12 @@ provably the identity (direct loads, no branches), and a **halo** body
 that replays the tape's index exchange exactly — ``idx_clamp`` /
 ``idx_mirror`` / ``idx_repeat`` resolvers and CONSTANT-mode masks are
 bit-compatible with :func:`repro.dsl.boundary.resolve_array`.  Tiles
-are the OpenMP work units (compiled in only when the toolchain supports
-``-fopenmp``).  Every innermost x-loop carries ``#pragma omp simd`` so
-the compiler vectorizes without reassociating (per-lane IEEE semantics
-keep the bit-identity contract).
+are the OpenMP work units of a plane large enough for a team
+(:func:`parallel_plane`; the region is compiled in only when the
+toolchain supports ``-fopenmp``); a smaller plane's tile loop has no
+parallel region at all.  Every innermost x-loop carries ``#pragma omp
+simd`` so the compiler vectorizes without reassociating (per-lane IEEE
+semantics keep the bit-identity contract).
 
 **One tile driver, a list of stages** (:func:`_lower_stages`).  The
 fused tape recomputes every producer per consumer pixel — a depth-3
@@ -116,10 +118,25 @@ from repro.graph.partition import Partition, PartitionBlock
 from repro.ir.expr import BinOp, Call, Expr, InputAt
 from repro.ir.traversal import children, rebuild, shift_offsets, walk
 
-#: Rows per parallel tile of a row band (the OpenMP work unit) — large
-#: enough to amortize scheduling, small enough to load-balance tall
-#: images across threads.
+#: Rows per tile of a row band (the OpenMP work unit) — large enough to
+#: amortize scheduling, small enough to load-balance tall images across
+#: threads.
 TILE_ROWS = 64
+
+#: Under the automatic thread share a plane gets one thread per this
+#: many pixels: below it waking a team (~0.05 ms) costs more than the
+#: rows it hands out (a 96x64 request is ~0.1 ms of work in total).  It
+#: also gates codegen (:func:`parallel_plane`).
+MIN_PIXELS_PER_THREAD = 1 << 16
+
+
+def parallel_plane(pixels: int) -> bool:
+    """Whether a plane of ``pixels`` pixels is lowered with a parallel
+    tile loop: it is the smallest plane whose automatic thread share
+    (:func:`repro.backend.native_bind.resolve_native_threads`) can
+    exceed one.  A smaller plane would pay gcc's OpenMP outlining in
+    every object for a team it never runs."""
+    return pixels >= 2 * MIN_PIXELS_PER_THREAD
 
 
 class NativeLoweringError(ExecutionError):
@@ -816,6 +833,10 @@ class _BlockSpec:
         #: Whether the per-pixel arithmetic runs in single precision
         #: (``REPRO_NATIVE_F32``); plane I/O stays float64 either way.
         self.f32 = sig.f32
+        #: Whether the tile loop is an OpenMP parallel region — derived
+        #: from the baked geometry, so a block bound from a plan record
+        #: knows it without the text.
+        self.parallel = parallel_plane(sig.width * sig.height)
 
 
 def _pixel_fns(
@@ -1530,7 +1551,7 @@ def _lower_stages(
             num(0),
             ident("n_tiles"),
             origin + tuple(regions) + tuple(sweeps),
-            "parallel",
+            "parallel" if parallel_plane(width * height) else None,
         ),
     )
     functions.append(sig.driver_fn(fn_name, sig.formals(images, params), driver))

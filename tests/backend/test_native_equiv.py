@@ -35,6 +35,7 @@ from helpers import chain_pipeline, random_image, row_band_everywhere
 from repro.api import ExecutionOptions, run, run_block
 from repro.apps import ALL_APPS, APPLICATIONS
 from repro.backend import native_exec, native_lower
+from repro.backend.cpu_exec import openmp_available
 from repro.backend.native_exec import (
     EXACT_CALLS,
     NativeVerificationError,
@@ -255,20 +256,19 @@ class TestBoundaryAndThreads:
 
     def test_threaded_rows_bit_identical(self, monkeypatch):
         # Row tiles are independent: OpenMP scheduling must not change
-        # a single bit of the output.
-        graph = chain_pipeline(("l", "p", "l"), 64, 200).build()
-        data = {"img0": random_image(64, 200, seed=23)}
+        # a single bit of the output.  64x2100 is above the plane size
+        # below which the tile loop has no parallel region.
+        graph = chain_pipeline(("l", "p", "l"), 64, 2100).build()
+        data = {"img0": random_image(64, 2100, seed=23)}
         partition = Partition(
             graph, [PartitionBlock(graph, set(graph.kernel_names))]
         )
-        serial = native_plan_for_partition(graph, partition).execute(
-            dict(data), {}
-        )
+        plan = native_plan_for_partition(graph, partition)
+        serial = plan.execute(dict(data), {}, threads=1)
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
         assert resolve_native_threads() == 4
-        threaded = native_plan_for_partition(graph, partition).execute(
-            dict(data), {}
-        )
+        threaded = plan.execute(dict(data), {})
+        assert plan.threads == (4 if openmp_available() else 1)
         for name in serial:
             np.testing.assert_array_equal(threaded[name], serial[name])
 

@@ -5,8 +5,11 @@ share of the cores — all of them under ``api.run`` (whatever its
 block-level ``workers``: native blocks run one at a time), ``cores /
 workers`` under a serving runtime, ``cores / (runtimes x workers)``
 for nested :func:`sharing_cores` scopes — and an explicit count wins
-everywhere.  Tiles are independent
-and nothing is reduced, so every count computes the same bits.
+everywhere a team can run.  A plane below ``2 * MIN_PIXELS_PER_THREAD``
+pixels, where the automatic share is always one, lowers its tile loop
+without a parallel region and runs serially under any count.  Tiles are
+independent and nothing is reduced, so every count computes the same
+bits.
 """
 
 import numpy as np
@@ -22,11 +25,14 @@ from repro.backend.native_bind import MIN_PIXELS_PER_THREAD
 from repro.backend.native_exec import (
     NATIVE_THREADS_ENV,
     available_cores,
+    lower_partition_source,
     native_available,
     native_plan_for_partition,
     resolve_native_threads,
     sharing_cores,
 )
+from repro.backend.native_lower import parallel_plane
+from repro.backend.plan import plan_for_partition
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 from repro.serve import ServingRuntime
@@ -107,12 +113,15 @@ class TestShare:
 @pytest.mark.parametrize("app", sorted(APPLICATIONS))
 def test_every_thread_count_computes_the_same_bits(app, lowering, monkeypatch):
     """Six apps x {1, 2, 3, unset} threads x {classic, tile2d} at 1024^2,
-    97x61 and 1xN: bit-identical to one thread.  ``classic`` lowers
-    every block as the row band over its fused tape, ``tile2d`` lets the
-    fused chains materialize their stages."""
+    363x362, 97x61 and 1xN: bit-identical to one thread.  ``classic``
+    lowers every block as the row band over its fused tape, ``tile2d``
+    lets the fused chains materialize their stages.  363x362 is just
+    above the smallest plane with a parallel tile loop and leaves a
+    partial tile on both axes, so its seams run under a real team; the
+    two small planes run serially under every count."""
     monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
     params = DEFAULT_APP_PARAMS.get(app)
-    for height, width in ((61, 97), (1024, 1024), (1, 300)):
+    for height, width in ((61, 97), (362, 363), (1024, 1024), (1, 300)):
         graph = APPLICATIONS[app].build(width, height).build()
         partition = partition_for(graph, GTX680, "optimized")
         with row_band_everywhere(lowering == "classic"):
@@ -121,8 +130,11 @@ def test_every_thread_count_computes_the_same_bits(app, lowering, monkeypatch):
         inputs = {"input": _image(app, height, width)}
         serial = plan.execute(inputs, params, threads=1)
         assert plan.threads == 1
+        team = openmp_available() and parallel_plane(height * width)
         for threads in (2, 3, None):
             env = plan.execute(inputs, params, threads=threads)
+            if threads == 2:
+                assert plan.threads == (2 if team else 1), (height, width)
             for name, expected in serial.items():
                 assert np.array_equal(env[name], expected), (name, threads)
 
@@ -265,6 +277,74 @@ class TestWhoGetsTheCores:
         with sharing_cores(4):  # as if under a serving runtime
             entry.native_plan.execute(inputs, None, None, threads=3)
         assert set(seen) == {3}
+
+
+class TestParallelGate:
+    """One predicate decides both the C text and the team: a plane whose
+    automatic share can never exceed one thread compiles no parallel
+    region, so gcc does not outline a team that would never run."""
+
+    SMALL, GATE = (256, 511), (256, 512)  # 130 816 and 131 072 pixels
+
+    def _lowered(self, app, width, height):
+        graph = APPLICATIONS[app].build(width, height).build()
+        return graph, partition_for(graph, GTX680, "optimized")
+
+    def test_the_gate_is_where_the_automatic_share_exceeds_one(
+        self, four_cores
+    ):
+        small, gate = (w * h for w, h in (self.SMALL, self.GATE))
+        assert small < 2 * MIN_PIXELS_PER_THREAD == gate
+        for pixels in (1, 96 * 64, small, gate, 1024 * 1024):
+            assert parallel_plane(pixels) == (
+                resolve_native_threads(pixels=pixels) > 1
+            )
+
+    @pytest.mark.parametrize("app", sorted(APPLICATIONS))
+    def test_one_parallel_region_per_block_from_the_gate_on(self, app):
+        for (width, height), regions in ((self.SMALL, 0), (self.GATE, 1)):
+            graph, partition = self._lowered(app, width, height)
+            blocks = len(plan_for_partition(graph, partition).plans)
+            source = lower_partition_source(graph, partition)
+            assert "runs on the tape engine" not in source
+            assert source.count("#pragma omp parallel") == regions * blocks
+            assert source.count("#pragma omp simd") > 0
+
+    @needs_cc
+    def test_an_explicit_count_below_the_gate_runs_serial(self, monkeypatch):
+        monkeypatch.delenv(NATIVE_THREADS_ENV, raising=False)
+        graph, partition = self._lowered("Harris", 96, 64)
+        plan = native_plan_for_partition(graph, partition)
+        assert not any(native.parallel for native in plan.natives)
+        seen = _spy_on(plan)
+        plan.execute({"input": _image("Harris", 64, 96)}, threads=4)
+        assert seen and set(seen) == {1}
+        assert plan.threads == 1
+
+    @needs_cc
+    @pytest.mark.parametrize("geometry", [(96, 64), GATE], ids=str)
+    def test_a_restored_plan_derives_the_same_facts(self, geometry):
+        """The record's manifest has no ``parallel`` field: a plan bound
+        from it reads the fact off the baked geometry, as a fresh
+        build does."""
+        graph, partition = self._lowered("Harris", *geometry)
+        fresh = native_plan_for_partition(graph, partition)
+        recorded = native_exec.RecordedLibrary(
+            fresh.library_path.stem,
+            fresh.library_sha256,
+            fresh.bindings(),
+            fresh.library_path.parent,
+        )
+        restored = native_exec._bind_recorded(fresh.plan, recorded)
+        assert restored.from_record
+        facts = [native.parallel for native in fresh.natives]
+        assert [native.parallel for native in restored.natives] == facts
+        assert [
+            native.spec.parallel for native in restored.natives
+        ] == [native.spec.parallel for native in fresh.natives]
+        assert set(facts) == {
+            openmp_available() and parallel_plane(geometry[0] * geometry[1])
+        }
 
 
 @needs_cc
