@@ -50,6 +50,7 @@ _EXPORTS = {
     "explain_block": "repro.analysis.explain",
     "explain_dependences": "repro.analysis.explain",
     "explain_headers": "repro.analysis.explain",
+    "explain_structure": "repro.analysis.explain",
     "explain_resources": "repro.analysis.explain",
     # verifier
     "PlanVerificationError": "repro.analysis.verifier",

@@ -173,16 +173,15 @@ def explain_headers(
     return found
 
 
-def explain_block(
-    graph: KernelGraph,
-    vertices: Iterable[str],
-    gpu: GpuSpec,
-    c_mshared: float = 2.0,
+def explain_structure(
+    graph: KernelGraph, vertices: Iterable[str]
 ) -> List[Diagnostic]:
-    """Every legality violation of one candidate block.
+    """The target-independent half of ``IsLegal``: connectivity, headers
+    and external dependences — :func:`explain_block` without the device
+    (no Eq. 2 shared-memory budget, no device limit).
 
-    Empty for a legal block.  Singleton blocks are always legal —
-    they express "no fusion here", which needs no justification.
+    Empty for a block any target could fuse; singletons are always
+    legal.
     """
     vertex_list = list(vertices)
     if len(vertex_list) == 1:
@@ -198,5 +197,25 @@ def explain_block(
         )
     found.extend(explain_headers(graph, vertex_list))
     found.extend(explain_dependences(graph, vertex_list))
+    return found
+
+
+def explain_block(
+    graph: KernelGraph,
+    vertices: Iterable[str],
+    gpu: GpuSpec,
+    c_mshared: float = 2.0,
+) -> List[Diagnostic]:
+    """Every legality violation of one candidate block:
+    :func:`explain_structure`, then :func:`explain_resources` on
+    ``gpu``.
+
+    Empty for a legal block.  Singleton blocks are always legal —
+    they express "no fusion here", which needs no justification.
+    """
+    vertex_list = list(vertices)
+    if len(vertex_list) == 1:
+        return []
+    found = explain_structure(graph, vertex_list)
     found.extend(explain_resources(graph, vertex_list, gpu, c_mshared))
     return found

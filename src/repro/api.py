@@ -175,10 +175,13 @@ def run(
     names resolve against ``options.runtime``'s registry when routing
     through a serving runtime, otherwise against the default registry
     at the geometry inferred from ``inputs``.  Returns the environment
-    mapping surviving image names to arrays — identical, bit for bit,
-    on every engine, except that a native plan calling a libm function
-    other than ``sqrt`` / ``rsqrt`` (Enhance's ``exp`` / ``log`` /
-    ``pow``) agrees with the tape only within the pinned 1e-12 of
+    mapping image names to arrays: the inputs and the graph's external
+    outputs when the fusion model chose the partition, every block's
+    image too when the caller gave it (``partition=``, ``fuse=False``).
+    The arrays are identical, bit for bit, on every engine, except that
+    a native plan calling a libm function other than ``sqrt`` /
+    ``rsqrt`` (Enhance's ``exp`` / ``log`` / ``pow``) agrees with the
+    tape only within the pinned 1e-12 of
     :func:`repro.backend.native_exec.tolerance_for`.
     """
     opts = options or ExecutionOptions()
@@ -318,9 +321,10 @@ def _run_rung(
     engine: str,
 ) -> Arrays:
     """One request on one engine: key → :data:`PROCESS_CACHE` lookup →
-    :func:`build_plan` on a miss → execute.  An entry whose execute
-    raised is dropped, as serving's quarantine does, so it is never
-    served again."""
+    :func:`build_plan` on a miss → :meth:`CachedPlan.execute` (which
+    also re-fuses a hot entry).  An entry whose execute raised is
+    dropped, as serving's quarantine does, so it is never served
+    again."""
     key = plan_key(
         graph.structural_signature(), inputs, engine, fusion, partition=partition
     )
@@ -333,7 +337,7 @@ def _run_rung(
     if hit:
         validate_plan(entry)
     try:
-        return entry.executor.execute(inputs, params, workers)
+        return entry.execute(inputs, params, workers)
     except Exception:
         PROCESS_CACHE.quarantine(key)
         raise

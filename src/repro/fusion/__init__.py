@@ -25,7 +25,11 @@ from typing import Callable, Dict
 
 from repro.fusion.basic_fusion import basic_fusion
 from repro.fusion.coalesce import coalesce_partition, coalesced_fusion
-from repro.fusion.distribution import distribute, distribute_block
+from repro.fusion.distribution import (
+    distribute,
+    distribute_block,
+    maximal_partition,
+)
 from repro.fusion.exhaustive import exhaustive_fusion, optimality_gap
 from repro.fusion.border import (
     Region,
@@ -87,6 +91,7 @@ __all__ = [
     "fuse_partition",
     "fused_interior_width",
     "greedy_fusion",
+    "maximal_partition",
     "index_exchange",
     "interior_width",
     "mincut_fusion",

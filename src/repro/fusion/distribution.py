@@ -13,15 +13,24 @@ along its weighted minimum cut, recursively, until every piece
 satisfies the acceptance predicate — so the benefit lost to
 distribution is the minimum cut weight, exactly the dual of the fusion
 objective.
+
+A second use is the opposite direction: :func:`maximal_partition`
+distributes the *whole graph* under the target-independent half of
+``IsLegal`` (:func:`structural_predicate`) — the largest blocks any
+device could fuse, which a CPU, with no shared-memory budget to
+respect, may run faster than the partition the GPU model picks.
 """
 
 from __future__ import annotations
 
 from typing import Callable, FrozenSet, List
 
+from repro.analysis.explain import explain_structure
+from repro.graph.dag import KernelGraph
 from repro.graph.mincut import min_cut_partition
 from repro.graph.partition import Partition, PartitionBlock
-from repro.model.benefit import WeightedGraph
+from repro.model.benefit import BenefitConfig, WeightedGraph, estimate_graph
+from repro.model.hardware import GpuSpec
 from repro.model.occupancy import occupancy
 from repro.model.resources import (
     block_shared_bytes,
@@ -61,6 +70,18 @@ def legality_predicate(weighted: WeightedGraph) -> BlockPredicate:
 
     def accept(vertices: FrozenSet[str]) -> bool:
         return len(vertices) == 1 or weighted.is_legal_block(vertices)
+
+    return accept
+
+
+def structural_predicate(graph: KernelGraph) -> BlockPredicate:
+    """Accept blocks that are connected, header-compatible and free of
+    external dependences (:func:`~repro.analysis.explain.explain_structure`)
+    — ``IsLegal`` without Eq. 2's resource limits and without FUS010's
+    GPU benefit rule."""
+
+    def accept(vertices: FrozenSet[str]) -> bool:
+        return not explain_structure(graph, vertices)
 
     return accept
 
@@ -106,3 +127,18 @@ def distribute(
     for block in partition.blocks:
         blocks.extend(distribute_block(weighted, block, accept))
     return Partition(weighted.graph, blocks)
+
+
+def maximal_partition(
+    graph: KernelGraph, gpu: GpuSpec, config: BenefitConfig | None = None
+) -> Partition:
+    """The whole graph distributed until every block passes
+    :func:`structural_predicate`: the largest legal blocks, cut along
+    minimum cuts of the ``gpu`` model's benefit weights.  A partition of
+    ``graph`` itself (not of its weighted copy)."""
+    weighted = estimate_graph(graph, gpu, config)
+    whole = PartitionBlock(weighted.graph, graph.kernel_names)
+    blocks = distribute_block(weighted, whole, structural_predicate(graph))
+    return Partition(
+        graph, [PartitionBlock(graph, block.vertices) for block in blocks]
+    )

@@ -52,7 +52,6 @@ from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.backend import engines, native_exec
-from repro.backend.cpu_exec import openmp_available
 from repro.backend.numpy_exec import Arrays, Params
 from repro.backend.plan import resolve_workers
 from repro.graph.dag import KernelGraph
@@ -570,10 +569,10 @@ class ServingRuntime:
             # the cores.  Scoped inside the stage: a budgeted stage runs
             # on a side thread, which does not inherit this context.
             with native_exec.sharing_cores(self.scheduler.workers):
-                return entry.executor.execute(
+                return entry.execute(
                     request.payload["inputs"],
                     request.payload["params"],
-                    workers=self.intra_workers,
+                    self.intra_workers,
                 )
 
         return self._timed_stage("execute", execute)
@@ -649,14 +648,11 @@ class ServingRuntime:
     # -- observability -------------------------------------------------------
 
     def native_threads(self) -> int:
-        """The OpenMP team a compiled call gets in this runtime — its
-        *effective* size: 1 off the native engine or when the toolchain
-        has no OpenMP.  (Small planes run narrower.)"""
-        if self.engine != "native" or not openmp_available():
-            return 1
-        return native_exec.resolve_native_threads(
-            side_by_side=self.scheduler.workers
-        )
+        """The widest OpenMP team a cached native plan ran on its most
+        recent execute — the team that runs, not the share a large
+        plane would get: 1 off the native engine, without OpenMP, and
+        when every plane served is too small for a team."""
+        return self.cache.native_threads()
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Instruments + plan-cache stats + scheduler state, one dict."""
@@ -700,12 +696,15 @@ class ServingRuntime:
 
         New submits fail with :class:`RuntimeClosed` from the moment
         this is entered, *before* the scheduler starts draining — a
-        drain cannot race fresh work into the queue.
+        drain cannot race fresh work into the queue.  Then the plan
+        cache stops re-fusing (:meth:`PlanCache.close`): a hot build in
+        flight finishes, a queued one is dropped.
         """
         if self._closed:
             return
         self._closed = True
         self.scheduler.close(drain=drain, timeout=timeout)
+        self.cache.close()
         if self._timeout_pool is not None:
             self._timeout_pool.shutdown(wait=False)
 

@@ -189,6 +189,16 @@ class TestWhoGetsTheCores:
             ] == 4
         assert set(seen) == {4}
 
+    def test_a_plane_too_small_for_a_team_reports_one(self, four_cores):
+        """The snapshot reports the team that ran, not the share a large
+        plane would get."""
+        inputs = {"input": _image("Harris", 64, 96)}
+        with ServingRuntime(engine="native", workers=1) as runtime:
+            seen = self._serve(runtime, inputs)
+            snapshot = runtime.metrics_snapshot()
+        assert set(seen) == {1}
+        assert snapshot["scheduler"]["native_threads"] == 1
+
     def test_stage_budgets_keep_the_share(self, monkeypatch):
         """A budgeted execute stage runs on a side thread; the share
         must reach it."""

@@ -189,7 +189,11 @@ def test_strict_run_block_verifies_and_sanitizes_once(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "strict")
     graph, partition = _fused("Harris")
     block = max(partition.blocks, key=len)
-    env = run(graph, request_inputs(APPLICATIONS["Harris"], 32, 24, seed=0))
+    env = run(  # every image, the block's inputs among them
+        graph,
+        request_inputs(APPLICATIONS["Harris"], 32, 24, seed=0),
+        options=ExecutionOptions(fuse=False),
+    )
     tapes = count_calls(monkeypatch, tape, "PartitionPlan")
     natives = count_calls(monkeypatch, native_exec, "_build_native_partition")
     verifies = count_calls(monkeypatch, verifier, "verify_partition_plan")

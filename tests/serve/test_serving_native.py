@@ -21,7 +21,6 @@ from repro.backend.native_exec import (
     native_available,
 )
 from repro.api import ExecutionOptions, run
-from repro.eval.runner import partition_for
 from repro.model.hardware import KNOWN_GPUS
 from repro.serve import ServingRuntime
 from repro.apps import request_inputs
@@ -38,12 +37,11 @@ GPU = KNOWN_GPUS["GTX680"]
 def _direct_tape(name, inputs):
     spec = APPLICATIONS[name]
     graph = spec.build(WIDTH, HEIGHT).build()
-    partition = partition_for(graph, GPU, "optimized")
     return run(
         graph,
         inputs,
         DEFAULT_APP_PARAMS.get(name),
-        options=ExecutionOptions(partition=partition, engine="tape"),
+        options=ExecutionOptions(engine="tape", gpu=GPU),
     )
 
 

@@ -36,12 +36,11 @@ def _direct(name, inputs):
     """The reference: fuse and execute outside the serving stack."""
     spec = APPLICATIONS[name]
     graph = spec.build(WIDTH, HEIGHT).build()
-    partition = partition_for(graph, GPU, "optimized")
     return run(
         graph,
         inputs,
         DEFAULT_APP_PARAMS.get(name),
-        options=ExecutionOptions(partition=partition),
+        options=ExecutionOptions(gpu=GPU),
     )
 
 

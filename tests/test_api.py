@@ -5,6 +5,8 @@ one-block request through it — every entry of the engine table computes
 the same bits, and the table's order is the degradation ladder.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,9 @@ class TestRun:
                 "native.compile", "error", times=None
             ):
                 env = run(graph, inputs, options=native)
-                fused = run_block(graph, block, env, options=native)
+                # The block reads ``Ix``, which only a staged run returns.
+                images = run(graph, inputs, options=replace(native, fuse=False))
+                fused = run_block(graph, block, images, options=native)
                 with ServingRuntime(engine="native") as runtime:
                     served = runtime.execute("Harris", inputs)
                     serving = runtime.metrics_snapshot()["engine"]
@@ -120,7 +124,7 @@ class TestRun:
             np.testing.assert_array_equal(env[image], expected)
             np.testing.assert_array_equal(served[image], expected)
         np.testing.assert_array_equal(
-            fused, run_block(graph, block, env, options=tape)
+            fused, run_block(graph, block, images, options=tape)
         )
 
     def test_top_level_exports(self):
@@ -206,7 +210,8 @@ class TestRunBlock:
         """Harris, its widest fused block, and every image it reads."""
         graph = APPLICATIONS["Harris"].build(WIDTH, HEIGHT).build()
         block = max(partition_for(graph, GTX680, "optimized"), key=len)
-        return graph, block, run(graph, _app_inputs("Harris"))
+        staged = ExecutionOptions(fuse=False)
+        return graph, block, run(graph, _app_inputs("Harris"), options=staged)
 
     def test_runtime_serves_the_block(self):
         graph, block, env = self._harris_block()
