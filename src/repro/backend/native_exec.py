@@ -293,6 +293,11 @@ class NativePartitionPlan:
         self.natives = natives
         #: Wall-clock spent lowering + compiling (0 when fully cached).
         self.compile_ms = compile_ms
+        #: Wall-clock of the whole build when it ran ``cc`` for the
+        #: library (``None`` when the library came from the cache) —
+        #: set once on the memoized plan, so a cache entry rebuilt on it
+        #: is priced by the compile that was paid, not by the memo hit.
+        self.price_ms: Optional[float] = None
         #: Wall-clock the static native-codegen sanitizer spent proving
         #: index bounds and the alias contract (0 until it has run).
         self.verify_ms = 0.0
@@ -761,6 +766,7 @@ def native_plan_for_partition(
     """
 
     def build() -> NativePartitionPlan:
+        started = time.perf_counter()
         fault_check("native.compile")
         plan = plan_for_partition(graph, partition, naive_borders)
         unbound = None
@@ -776,6 +782,8 @@ def native_plan_for_partition(
             native_plan.sanitized = library.stem == recorded.stem
         if validate_mode() == "strict":
             native_plan.ensure_sanitized()
+        if library is not None and not native_plan.from_cache:
+            native_plan.price_ms = (time.perf_counter() - started) * 1e3
         return native_plan
 
     return memo(

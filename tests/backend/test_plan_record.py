@@ -544,6 +544,29 @@ def test_flipped_digest_voids_the_verdicts_bound_to_it(
     _assert_healed(cache_dir, checks, builds, request, first)
 
 
+@DOORS
+@pytest.mark.parametrize(
+    "value",
+    ["x", [1.0], {"ms": 1.0}, True, -1.0, float("nan"), float("inf")],
+    ids=["string", "list", "dict", "bool", "negative", "nan", "inf"],
+)
+def test_a_compile_ms_that_is_no_price_never_re_fuses(
+    cache_dir, checks, builds, door, value
+):
+    """The price is read from the record, not proved by a digest: one
+    that is not a finite, non-negative number is no price, and the
+    requests on the restored entry keep succeeding."""
+    request, first, path, record = _recorded(cache_dir, checks, door=door)
+    record["compile_ms"] = value
+    path.write_text(json.dumps(record))
+    for _ in range(3):
+        assert_same(first, request())
+    assert checks.take() == (0, 0, 0, 0)
+    assert builds[-1].restored == EVERYTHING
+    assert builds[-1].price_ms is None and builds[-1].tier == "cold"
+    assert json.loads(path.read_text())["compile_ms"] is None
+
+
 def test_other_library_bytes_void_the_differential(cache_dir, checks, builds):
     request, first, path, record = _recorded(cache_dir, checks)
     # A different valid library under the recorded name: the same code,

@@ -200,6 +200,15 @@ def row_band_everywhere(enabled: bool = True):
             clear_native_caches()
 
 
+def wait_for_hot_builds() -> None:
+    """Return once the hot-plan builder has run every job queued so far
+    (a job of a retired entry returns at once)."""
+    from repro.serve import plancache
+
+    if plancache._hot_pool is not None:
+        plancache._hot_pool.submit(lambda: None).result()
+
+
 class ToolchainSpy:
     """Every compiler invocation and every ``dlopen``, in order."""
 
