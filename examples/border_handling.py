@@ -20,7 +20,7 @@ from repro.dsl.image import Image
 from repro.dsl.kernel import Kernel
 from repro.dsl.mask import Mask
 from repro.dsl.pipeline import Pipeline
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.eval.figures import FIGURE4_INPUT, figure4_example
 from repro.graph.partition import PartitionBlock
 
@@ -68,7 +68,7 @@ def main() -> None:
         block = PartitionBlock(graph, {"conv1", "conv2"})
         naive = run_block(
             graph, block, {"src": data},
-            options=ExecutionOptions(naive_borders=True),
+            options=ExecutionOptions(fusion=FusionSettings(naive_borders=True)),
         )
         exchanged = run_block(graph, block, {"src": data})
         print(

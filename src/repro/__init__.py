@@ -35,14 +35,16 @@ Quickstart::
 
 Execution goes through the canonical API (:mod:`repro.api`)::
 
-    from repro import ExecutionOptions, run
+    from repro import ExecutionOptions, FusionSettings, run
 
     env = run(graph, {"input": image})                        # fuse + tape
     env = run(graph, {"input": image},
               options=ExecutionOptions(engine="native"))      # compiled C
+    env = run(graph, {"input": image},
+              options=ExecutionOptions(fusion=FusionSettings(gpu_name="K20c")))
 """
 
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.dsl import (
     Accessor,
     BoundaryMode,
@@ -74,6 +76,7 @@ __all__ = [
     "BoundarySpec",
     "Domain",
     "ExecutionOptions",
+    "FusionSettings",
     "GTX680",
     "GTX745",
     "GpuSpec",

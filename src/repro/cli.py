@@ -69,6 +69,19 @@ def _config(args: argparse.Namespace) -> BenefitConfig:
     )
 
 
+def _fusion(args: argparse.Namespace, naive_borders: bool = False):
+    """The :class:`~repro.serve.plancache.FusionSettings` the model flags
+    and ``--version`` name."""
+    from repro.serve.plancache import FusionSettings
+
+    return FusionSettings(
+        version=args.version,
+        gpu_name=_resolve_gpu(args.gpu).name,
+        benefit=_config(args),
+        naive_borders=naive_borders,
+    )
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     """List the applications (paper matrix + extensions)."""
     print(f"{'application':<12}{'kernels':>8}{'geometry':>14}{'set':>12}")
@@ -245,10 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=args.exec_workers,
         validate=args.validate,
         fuse=not args.no_fuse,
-        naive_borders=args.naive_borders,
-        fusion_version=args.version,
-        gpu=args.gpu,
-        benefit=_config(args),
+        fusion=_fusion(args, args.naive_borders),
     )
     env = run(graph, inputs, DEFAULT_APP_PARAMS.get(spec.name),
               options=options)
@@ -290,7 +300,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.api import ExecutionOptions
     from repro.serve import (
         BreakerConfig,
         ResiliencePolicy,
@@ -321,23 +330,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 times=rule.times,
                 every=rule.every,
             )
-    options = ExecutionOptions(
-        engine=args.exec_engine,
-        fusion_version=args.version,
-        gpu=_resolve_gpu(args.gpu),
-        benefit=_config(args),
-        resilience=resilience,
-    )
     workload = [
         (name, request_inputs(ALL_APPS[name], args.width, args.height, seed=i))
         for i, name in enumerate(
             names[i % len(names)] for i in range(args.requests)
         )
     ]
-    with ServingRuntime.from_options(
-        options,
-        registry=registry,
+    with ServingRuntime(
+        registry,
+        fusion=_fusion(args),
         workers=args.workers,
+        engine=args.exec_engine,
+        resilience=resilience,
     ) as runtime:
         with ThreadPoolExecutor(max_workers=args.clients) as clients:
             futures = [

@@ -27,7 +27,7 @@ from repro.dsl.kernel import Kernel
 from repro.dsl.pipeline import Pipeline
 from repro.eval.runner import AppResult, ResultKey
 from repro.eval.stats import BoxStats, box_stats
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.fusion.mincut_fusion import FusionResult, mincut_fusion
 from repro.graph.partition import PartitionBlock
 from repro.model.benefit import BenefitConfig, estimate_graph
@@ -110,7 +110,10 @@ def figure4_example() -> Figure4Result:
     block = PartitionBlock(graph, {"conv1", "conv2"})
     fused = run_block(graph, block, inputs)
     naive = run_block(
-        graph, block, inputs, options=ExecutionOptions(naive_borders=True)
+        graph,
+        block,
+        inputs,
+        options=ExecutionOptions(fusion=FusionSettings(naive_borders=True)),
     )
 
     intermediate = staged["intermediate"][1:4, 1:4]

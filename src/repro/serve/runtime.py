@@ -8,8 +8,10 @@ input arrays; the runtime
    (inferred from the bound arrays — one registered pipeline serves
    any image size),
 2. derives the plan-cache key from the graph's structural signature,
-   the input shapes/dtypes, the execution engine, and the fusion
-   configuration,
+   the input shapes/dtypes, the execution engine, the fusion
+   configuration and the native lowering triple the environment sets
+   at submit time (the build lowers with the key's, whenever a worker
+   runs it),
 3. enqueues the request in the bounded FIFO scheduler; a worker pops
    it, fetches (or builds, exactly once) the plan from the
    :class:`~repro.serve.plancache.PlanCache`, and runs the request on
@@ -47,16 +49,16 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.backend import engines, native_exec
 from repro.backend.numpy_exec import Arrays, Params
 from repro.backend.plan import resolve_workers
+from repro.envknobs import native_lowering
 from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition
-from repro.model.hardware import KNOWN_GPUS, GpuSpec
 from repro.serve import faultinject
 from repro.serve.errors import (
     BackpressureError,
@@ -99,14 +101,14 @@ class ServingRuntime:
         Named pipelines to serve; defaults to the six paper apps
         (:func:`repro.serve.registry.default_registry`).
     fusion:
-        Fusion configuration applied to every request (engine version,
-        GPU model, benefit constants).  Part of the plan-cache key.
+        The :class:`~repro.serve.plancache.FusionSettings` applied to
+        every request that names none of its own (fusion version, GPU
+        model, benefit constants, border handling).  Part of the
+        plan-cache key.
     workers:
         Scheduler worker threads — the request-level concurrency.
-    intra_workers:
-        Block-level parallelism *within* one request — tape plans only
-        (``None`` defers to ``REPRO_EXEC_WORKERS``); the native engine
-        parallelises inside each kernel.
+        Block-level parallelism within one request (tape plans only) is
+        ``REPRO_EXEC_WORKERS``'s.
     max_queue:
         Queue bound (backpressure).
     cache_capacity:
@@ -137,29 +139,20 @@ class ServingRuntime:
         *,
         fusion: FusionSettings | None = None,
         workers: int = 2,
-        intra_workers: int | None = None,
         max_queue: int = 128,
         cache_capacity: int = 64,
         engine: str = "tape",
         resilience: ResiliencePolicy | None = None,
         metrics: Metrics | None = None,
-        register_lint: bool = False,
     ):
         self.registry = registry if registry is not None else default_registry()
         self.fusion = fusion or FusionSettings()
-        if self.fusion.gpu_name not in KNOWN_GPUS:
-            known = ", ".join(sorted(KNOWN_GPUS))
-            raise ValueError(
-                f"unknown GPU {self.fusion.gpu_name!r}; known: {known}"
-            )
-        self.gpu: GpuSpec = self.fusion.gpu
         #: The engine the caller asked for, before availability checks.
         self.requested_engine = engines.requested(engine)
         #: The engine serving requests: the requested one, or — when
         #: this host cannot run it — the next in the table, instead of
         #: failing every request (visible in ``metrics_snapshot()``).
         self.engine = engines.resolve(self.requested_engine).name
-        self.intra_workers = intra_workers
         self.cache = PlanCache(capacity=cache_capacity)
         self.metrics = metrics or Metrics()
         self.resilience = resilience or ResiliencePolicy()
@@ -182,81 +175,10 @@ class ServingRuntime:
         # Pick up any REPRO_FAULTS rules armed since module import (the
         # registry makes this free when the spec is unchanged).
         faultinject.refresh_from_env()
-        #: Whether construction linted the registered pipelines.
-        self.register_lint = register_lint
-        if register_lint:
-            reports = self.lint_registered()
-            failing = {
-                name: report
-                for name, report in reports.items()
-                if not report.ok
-            }
-            if failing:
-                from repro.analysis.verifier import PlanVerificationError
-
-                diagnostics = [
-                    d
-                    for report in failing.values()
-                    for d in report.diagnostics
-                ]
-                raise PlanVerificationError(
-                    diagnostics,
-                    context="register-time lint of "
-                    + ", ".join(sorted(failing)),
-                )
         self._closed = False
         self.scheduler = RequestScheduler(
             self._handle_request, workers=workers, max_queue=max_queue
         )
-
-    @classmethod
-    def from_options(
-        cls,
-        options: Any,
-        registry: PipelineRegistry | None = None,
-        **overrides: Any,
-    ) -> "ServingRuntime":
-        """Build a runtime from :class:`repro.api.ExecutionOptions`.
-
-        The options contribute engine, fusion configuration,
-        intra-request workers, and the resilience policy; serving-only
-        knobs (scheduler workers, queue bound, cache capacity)
-        pass through ``overrides``.
-        """
-        kwargs: Dict[str, Any] = {
-            "fusion": options.fusion_settings(),
-            "engine": engines.requested(options.engine),
-            "intra_workers": options.workers,
-        }
-        if options.resilience is not None:
-            kwargs["resilience"] = options.resilience
-        kwargs.update(overrides)
-        return cls(registry, **kwargs)
-
-    def lint_registered(
-        self, *, native: bool = False
-    ) -> "Dict[str, Any]":
-        """Run the static-analysis stack over every registered pipeline.
-
-        Returns ``name -> LintReport`` (see
-        :func:`repro.analysis.lint.lint_app`); pipelines are linted at
-        the standard lint geometry with this runtime's GPU model and
-        fusion version.  ``native=True`` additionally sanitizes the
-        emitted native C (needs a toolchain).  Constructing the runtime
-        with ``register_lint=True`` runs this once and refuses to start
-        on any error-severity diagnostic.
-        """
-        from repro.analysis.lint import lint_app
-
-        return {
-            name: lint_app(
-                self.registry.get(name),
-                gpu=self.gpu,
-                version=self.fusion.version,
-                native=native,
-            )
-            for name in self.registry.names()
-        }
 
     # -- request admission -------------------------------------------------
 
@@ -285,6 +207,7 @@ class ServingRuntime:
             inputs,
             merged,
             partition=None,
+            fusion=None,
             deadline_s=deadline_s,
             block=block,
             queue_timeout=queue_timeout,
@@ -310,7 +233,7 @@ class ServingRuntime:
         params: Params | None = None,
         partition: Partition | None = None,
         *,
-        naive_borders: bool | None = None,
+        fusion: FusionSettings | None = None,
         deadline_s: float | None = None,
     ) -> Arrays:
         """Serve an unregistered graph through the runtime.
@@ -323,15 +246,17 @@ class ServingRuntime:
         still applies — the key is the graph's structural signature
         plus the partition's block signature, so repeated calls with
         structurally identical graphs reuse one compiled plan.
-        ``naive_borders`` overrides the runtime's border handling for
-        this call (part of the key).
+        ``fusion`` replaces the runtime's
+        :class:`~repro.serve.plancache.FusionSettings` for this call (part
+        of the key; with an explicit partition only its
+        ``naive_borders`` matters).
         """
         handle = self._submit_graph(
             graph,
             inputs,
             params,
             partition=partition,
-            naive_borders=naive_borders,
+            fusion=fusion,
             deadline_s=deadline_s,
         )
         return handle.result()
@@ -342,7 +267,7 @@ class ServingRuntime:
         inputs: Arrays,
         params: Params | None,
         partition: Partition | None,
-        naive_borders: bool | None = None,
+        fusion: FusionSettings | None,
         deadline_s: float | None = None,
         block: bool = True,
         queue_timeout: float | None = None,
@@ -351,15 +276,15 @@ class ServingRuntime:
             # Refuse immediately instead of racing the scheduler's own
             # shutdown flag — close() stops admissions synchronously.
             raise RuntimeClosed("runtime is closed")
-        fusion = self.fusion
-        if naive_borders not in (None, fusion.naive_borders):
-            fusion = replace(fusion, naive_borders=naive_borders)
+        # Resolved here, once: every ladder rung's key, and so the
+        # worker's build, lowers with what the environment said now.
         payload = {
             "graph": graph,
             "inputs": inputs,
             "params": params,
             "partition": partition,
-            "fusion": fusion,
+            "fusion": fusion or self.fusion,
+            "lowering": native_lowering(),
         }
         request = ServeRequest(
             key=self._plan_key(payload, self.engine),
@@ -509,6 +434,7 @@ class ServingRuntime:
             engine,
             payload["fusion"],
             partition=payload["partition"],
+            lowering=payload["lowering"],
         )
 
     def _lookup_plan(
@@ -570,9 +496,7 @@ class ServingRuntime:
             # on a side thread, which does not inherit this context.
             with native_exec.sharing_cores(self.scheduler.workers):
                 return entry.execute(
-                    request.payload["inputs"],
-                    request.payload["params"],
-                    self.intra_workers,
+                    request.payload["inputs"], request.payload["params"]
                 )
 
         return self._timed_stage("execute", execute)
@@ -666,7 +590,7 @@ class ServingRuntime:
             "queue_depth": self.scheduler.queue_depth,
             "inflight": self.scheduler.inflight,
             "max_queue": self.scheduler.max_queue,
-            "intra_workers": resolve_workers(self.intra_workers),
+            "exec_workers": resolve_workers(None),
             "native_threads": self.native_threads(),
         }
         snapshot["fusion"] = asdict(self.fusion)

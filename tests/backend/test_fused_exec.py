@@ -17,7 +17,7 @@ from helpers import (
     random_image,
 )
 
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.backend.numpy_exec import ExecutionError
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.graph.partition import Partition, PartitionBlock
@@ -118,7 +118,7 @@ class TestLocalFusion:
         block = PartitionBlock(graph, {"k0", "k1"})
         naive = run_block(
             graph, block, {"img0": data},
-            options=ExecutionOptions(naive_borders=True),
+            options=ExecutionOptions(fusion=FusionSettings(naive_borders=True)),
         )
         # Interior agrees...
         np.testing.assert_allclose(naive[2:-2, 2:-2],

@@ -32,7 +32,7 @@ import pytest
 
 from helpers import chain_pipeline, random_image, row_band_everywhere
 
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.apps import ALL_APPS, APPLICATIONS
 from repro.backend import native_exec, native_lower
 from repro.backend.cpu_exec import openmp_available
@@ -50,7 +50,7 @@ from repro.backend.native_exec import (
 from repro.backend.numpy_exec import block_schedule
 from repro.backend.plan import plan_for_partition
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
-from repro.envknobs import EnvKnobError
+from repro.envknobs import EnvKnobError, native_lowering
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.lazy.apps import lazy_trace
@@ -197,7 +197,9 @@ class TestSixAppNativeEquivalence:
             tape = run(
                 graph, inputs, APP_PARAMS,
                 options=ExecutionOptions(
-                    engine="tape", partition=partition, naive_borders=True
+                    engine="tape",
+                    partition=partition,
+                    fusion=FusionSettings(naive_borders=True),
                 ),
             )
             _assert_env_equiv(
@@ -248,7 +250,7 @@ class TestBoundaryAndThreads:
         data = {"img0": random_image(10, 9, seed=22)}
         block = PartitionBlock(graph, {"k0", "k1"})
         assert _alone(graph, block, naive_borders=True)[1] is not None
-        naive = {"naive_borders": True}
+        naive = {"fusion": FusionSettings(naive_borders=True)}
         np.testing.assert_array_equal(
             run_block(graph, block, data, options=replace(NATIVE, **naive)),
             run_block(graph, block, data, options=replace(TAPE, **naive)),
@@ -603,7 +605,9 @@ def test_tiling_report_says_what_the_lowering_does(app, origin, naive):
     )
     partition = partition_for(graph, GTX680, "optimized")
     plan = plan_for_partition(graph, partition, naive)
-    specs, _ = native_lower._lower_partition(graph, partition, plan)
+    specs, _ = native_lower._lower_partition(
+        graph, partition, plan, lowering=native_lowering()
+    )
     report = native_lower.tile2d_report(graph, partition, naive_borders=naive)
     assert len(report) == len(specs)
     for entry, spec in zip(report, specs):

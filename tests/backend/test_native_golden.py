@@ -56,7 +56,7 @@ from repro.backend.native_exec import (
     native_plan_for_partition,
 )
 from repro.backend.plan import plan_for_partition
-from repro.envknobs import validate_override
+from repro.envknobs import native_lowering, validate_override
 from repro.eval.runner import partition_for
 from repro.lazy.apps import lazy_trace
 from repro.model import hardware
@@ -84,7 +84,9 @@ def _partition_source(graph, partition, vector=VECTOR):
     """``NativePartitionPlan.source`` without needing a compiler, as on a
     host whose libmvec probe found ``vector``."""
     plan = plan_for_partition(graph, partition, False)
-    specs, _ = native_lower._lower_partition(graph, partition, plan, vector)
+    specs, _ = native_lower._lower_partition(
+        graph, partition, plan, vector, lowering=native_lowering()
+    )
     source = native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs if spec is not None
     )

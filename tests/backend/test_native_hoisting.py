@@ -107,7 +107,7 @@ def _plan(graph, partition, monkeypatch, row_band=False, hoist=True):
         monkeypatch.setattr(
             native_lower,
             "_hoist_window_invariants",
-            lambda members, graph: (members, ()),
+            lambda members, graph, f32: (members, ()),
         )
     native_exec.clear_native_caches()
     try:

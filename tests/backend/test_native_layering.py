@@ -37,7 +37,6 @@ EXPORTED_BEFORE_THE_SPLIT = {
     "clear_native_caches",
     "lower_block_source",
     "lower_partition_source",
-    "lowering_knobs",
     "native_available",
     "native_plan_for_partition",
     "resolve_native_threads",

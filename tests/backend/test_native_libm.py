@@ -39,7 +39,7 @@ from repro.dsl.image import Image
 from repro.dsl.kernel import Kernel
 from repro.dsl.mask import Domain
 from repro.dsl.pipeline import Pipeline
-from repro.envknobs import native_cflags_env
+from repro.envknobs import native_cflags_env, native_lowering
 from repro.eval.runner import partition_for
 from repro.graph.partition import Partition, PartitionBlock
 from repro.ir import ops
@@ -107,7 +107,7 @@ def _build(graph, partition, monkeypatch, tile="auto", hoist=True):
             patch.setattr(
                 native_lower,
                 "_hoist_window_invariants",
-                lambda members, graph: (members, ()),
+                lambda members, graph, f32: (members, ()),
             )
         clear_native_caches()
         plan = native_plan_for_partition(graph, partition)
@@ -238,7 +238,7 @@ def test_without_libmvec_the_c_is_the_scalar_one(monkeypatch, tmp_path):
     partition = partition_for(graph, GTX680, "optimized")
     plan = native_plan_for_partition(graph, partition)
     specs, _ = native_lower._lower_partition(
-        graph, partition, plan.plan, frozenset()
+        graph, partition, plan.plan, frozenset(), lowering=native_lowering()
     )
     assert plan.source == native_lower._PREAMBLE + "\n" + "\n".join(
         spec.source for spec in specs
@@ -270,11 +270,11 @@ def test_a_partial_report_keeps_exactly_those_calls_scalar(monkeypatch):
 
 def test_the_toolchain_digest_covers_the_report(monkeypatch):
     _report(monkeypatch, ())
-    none = toolchain_digest()
+    none = toolchain_digest(())
     _report(monkeypatch, native_lower.LIBMVEC_ROUTINES)
-    every = toolchain_digest()
+    every = toolchain_digest(())
     _report(monkeypatch, ("exp", "log"))
-    assert len({none, every, toolchain_digest()}) == 3
+    assert len({none, every, toolchain_digest(())}) == 3
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from repro.apps import APPLICATIONS
 from repro.backend import native_lower
 from repro.backend.loopnest import For, Guard, Store
 from repro.backend.plan import plan_for_partition
+from repro.envknobs import native_lowering
 from repro.eval.runner import partition_for
 from repro.lazy.apps import lazy_trace
 from repro.model import hardware
@@ -125,7 +126,9 @@ def test_halo_bodies_are_calls_and_interiors_inline(
         plan = plan_for_partition(graph, partition, False)
         for setting in ("auto", "16x32"):
             monkeypatch.setenv("REPRO_NATIVE_TILE2D", setting)
-            specs, _ = native_lower._lower_partition(graph, partition, plan)
+            specs, _ = native_lower._lower_partition(
+                graph, partition, plan, lowering=native_lowering()
+            )
             for spec in specs:
                 if spec is None:
                     continue
@@ -146,7 +149,9 @@ def test_a_stencil_free_tile2d_stage_keeps_its_one_body_inline(
     graph = APPLICATIONS["Enhance"].build(96, 64).build()
     partition = partition_for(graph, GTX680, "optimized")
     plan = plan_for_partition(graph, partition, False)
-    specs, _ = native_lower._lower_partition(graph, partition, plan)
+    specs, _ = native_lower._lower_partition(
+        graph, partition, plan, lowering=native_lowering()
+    )
     sole = [
         fn
         for spec in specs

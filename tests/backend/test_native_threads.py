@@ -345,7 +345,7 @@ class TestParallelGate:
             fresh.bindings(),
             fresh.library_path.parent,
         )
-        restored = native_exec._bind_recorded(fresh.plan, recorded)
+        restored = native_exec._bind_recorded(fresh.plan, recorded, False)
         assert restored.from_record
         facts = [native.parallel for native in fresh.natives]
         assert [native.parallel for native in restored.natives] == facts

@@ -45,6 +45,7 @@ from repro.backend.native_exec import (
 )
 from repro.backend.numpy_exec import ExecutionError
 from repro.backend.plan import clear_plan_caches, plan_for_partition
+from repro.envknobs import native_lowering
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 from repro.apps import request_inputs
@@ -84,7 +85,10 @@ def _units(app):
     graph = APPLICATIONS[app].build(WIDTH, HEIGHT).build()
     partition = partition_for(graph, GTX680, "optimized")
     specs, _ = native_lower._lower_partition(
-        graph, partition, plan_for_partition(graph, partition, False)
+        graph,
+        partition,
+        plan_for_partition(graph, partition, False),
+        lowering=native_lowering(),
     )
     texts = [spec.source for spec in specs if spec is not None]
     preamble = native_lower._PREAMBLE + "\n"
@@ -244,7 +248,7 @@ def _differential(objects_dir, whole_dir, monkeypatch, app):
 def test_concurrent_builders_compile_each_object_once(cache_dir, monkeypatch):
     units = {app: _units(app) for app in ("Harris", "ShiTomasi")}
     cc = _find_compiler()
-    flags = native_exec._native_flags(cc)
+    flags = native_exec._native_flags(cc, ())
     spy = Spy(monkeypatch)
     barrier = threading.Barrier(8)
 
@@ -320,10 +324,8 @@ def test_two_processes_racing_on_one_directory(cache_dir):
 def test_sanitizer_objects_never_mix_with_plain_ones(cache_dir, monkeypatch):
     source, kernels = _units("Night")
     cc = _find_compiler()
-    monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
-    plain = native_exec._native_flags(cc)
-    monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-fsanitize=address,undefined")
-    sanitized = native_exec._native_flags(cc)
+    plain = native_exec._native_flags(cc, ())
+    sanitized = native_exec._native_flags(cc, ("-fsanitize=address,undefined",))
     assert "-fsanitize=address,undefined" in sanitized
     spy = Spy(monkeypatch)
     build_shared_library(source, kernels, cc, plain)
@@ -352,7 +354,7 @@ def test_corrupt_object_is_recompiled_and_relinked_once(
 ):
     source, kernels = _units("Night")
     cc = _find_compiler()
-    flags = native_exec._native_flags(cc)
+    flags = native_exec._native_flags(cc, ())
     build_shared_library(source, kernels, cc, flags)
     for library in cache_dir.glob("pipeline-*.so"):
         library.unlink()
@@ -475,7 +477,7 @@ def test_eviction_never_drops_the_objects_of_a_link_in_progress(
 ):
     source, kernels = _units("Night")
     cc = _find_compiler()
-    flags = native_exec._native_flags(cc)
+    flags = native_exec._native_flags(cc, ())
     monkeypatch.setenv(CACHE_MAX_ENV, "1")
     real_run = subprocess.run
 
@@ -495,7 +497,7 @@ def test_eviction_never_drops_the_objects_of_a_link_in_progress(
 def test_object_hit_refreshes_its_lru_clock(cache_dir):
     source, kernels = _units("Night")
     cc = _find_compiler()
-    flags = native_exec._native_flags(cc)
+    flags = native_exec._native_flags(cc, ())
     build_shared_library(source, kernels, cc, flags)
     for path in cache_dir.glob("kernel-*.o"):
         os.utime(path, (1000.0, 1000.0))

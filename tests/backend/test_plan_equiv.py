@@ -16,7 +16,7 @@ import pytest
 
 from helpers import STAGED, chain_pipeline, image, local_kernel, random_image
 
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.apps import APPLICATIONS
 from repro.backend.numpy_exec import ExecutionError, block_schedule
 from repro.backend.plan import (
@@ -35,6 +35,7 @@ from repro.serve.plancache import PROCESS_CACHE
 
 #: Runtime parameter bindings covering every app's ``Param`` reads.
 APP_PARAMS = {"gamma": 0.8, "threshold": 100.0}
+NAIVE = FusionSettings(naive_borders=True)
 
 #: The six evaluation applications, at shrunk geometry (border-heavy).
 APP_GEOMETRY = {
@@ -147,13 +148,13 @@ class TestSixAppEquivalence:
             recursive = run(
                 graph, inputs, APP_PARAMS,
                 options=ExecutionOptions(
-                    engine="recursive", partition=partition, naive_borders=True
+                    engine="recursive", partition=partition, fusion=NAIVE
                 ),
             )
             tape = run(
                 graph, inputs, APP_PARAMS,
                 options=ExecutionOptions(
-                    engine="tape", partition=partition, naive_borders=True
+                    engine="tape", partition=partition, fusion=NAIVE
                 ),
             )
             for image, expected in recursive.items():
@@ -211,11 +212,11 @@ class TestBlockEquivalence:
         block = PartitionBlock(graph, {"k0", "k1"})
         recursive = run_block(
             graph, block, data,
-            options=ExecutionOptions(engine="recursive", naive_borders=True),
+            options=ExecutionOptions(engine="recursive", fusion=NAIVE),
         )
         tape = run_block(
             graph, block, data,
-            options=ExecutionOptions(engine="tape", naive_borders=True),
+            options=ExecutionOptions(engine="tape", fusion=NAIVE),
         )
         np.testing.assert_array_equal(tape, recursive)
 
@@ -295,7 +296,7 @@ class TestPlanCachingAndInterning:
         )
         np.testing.assert_array_equal(again, first)
         run_block(
-            graph, block, data, options=ExecutionOptions(naive_borders=True)
+            graph, block, data, options=ExecutionOptions(fusion=NAIVE)
         )
         assert PROCESS_CACHE.stats()["misses"] == stats["misses"] + 1
 

@@ -20,7 +20,7 @@ from repro.backend.native_exec import (
     LIBM_RTOL,
     native_available,
 )
-from repro.api import ExecutionOptions, run
+from repro.api import ExecutionOptions, FusionSettings, run
 from repro.model.hardware import KNOWN_GPUS
 from repro.serve import ServingRuntime
 from repro.apps import request_inputs
@@ -41,7 +41,9 @@ def _direct_tape(name, inputs):
         graph,
         inputs,
         DEFAULT_APP_PARAMS.get(name),
-        options=ExecutionOptions(engine="tape", gpu=GPU),
+        options=ExecutionOptions(
+            engine="tape", fusion=FusionSettings(gpu_name=GPU.name)
+        ),
     )
 
 

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.api import ExecutionOptions, run
+from repro.api import ExecutionOptions, FusionSettings, run
 from repro.apps import APPLICATIONS
 from repro.eval.runner import execute_configuration, partition_for
 from repro.model.hardware import KNOWN_GPUS
@@ -40,7 +40,7 @@ def _direct(name, inputs):
         graph,
         inputs,
         DEFAULT_APP_PARAMS.get(name),
-        options=ExecutionOptions(gpu=GPU),
+        options=ExecutionOptions(fusion=FusionSettings(gpu_name=GPU.name)),
     )
 
 

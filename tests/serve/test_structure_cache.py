@@ -39,10 +39,10 @@ def native_builds(monkeypatch):
     builds = []
     real_build = native_exec._build_native_partition
 
-    def counting_build(graph, partition, plan):
+    def counting_build(graph, partition, plan, lowering):
         space = graph.kernel(graph.kernel_names[0]).space
         builds.append((space.width, space.height))
-        return real_build(graph, partition, plan)
+        return real_build(graph, partition, plan, lowering)
 
     monkeypatch.setattr(
         native_exec, "_build_native_partition", counting_build

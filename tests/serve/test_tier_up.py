@@ -24,7 +24,7 @@ import pytest
 from helpers import chain_pipeline, wait_for_hot_builds
 
 from repro.analysis.explain import explain_structure
-from repro.api import ExecutionOptions, run
+from repro.api import ExecutionOptions, FusionSettings, run
 from repro.apps import APPLICATIONS, request_inputs
 from repro.backend import cpu_exec
 from repro.backend.cpu_exec import CACHE_ENV, compiler_available, openmp_available
@@ -221,7 +221,9 @@ class TestPrice:
         [
             ExecutionOptions(engine="tape"),
             ExecutionOptions(engine="native", fuse=False),
-            ExecutionOptions(engine="native", naive_borders=True),
+            ExecutionOptions(
+                engine="native", fusion=FusionSettings(naive_borders=True)
+            ),
         ],
         ids=["tape", "explicit", "naive_borders"],
     )

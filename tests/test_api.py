@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import ExecutionOptions, run, run_block
+from repro.api import ExecutionOptions, FusionSettings, run, run_block
 from repro.apps import APPLICATIONS
 from repro.backend import engines, native_exec
 from repro.backend.numpy_exec import ExecutionError
@@ -272,9 +272,13 @@ class TestOptionsValidation:
         with pytest.raises(ExecutionError, match="unknown validation level"):
             ExecutionOptions(validate="paranoid")
 
+    def test_unknown_fusion_version_rejected(self):
+        with pytest.raises(ExecutionError, match="unknown fusion version 'nonsense'"):
+            FusionSettings(version="nonsense")
+
     def test_unknown_gpu_rejected(self):
-        with pytest.raises(ExecutionError, match="unknown GPU"):
-            ExecutionOptions(gpu="H100")
+        with pytest.raises(ExecutionError, match="unknown GPU 'H100'; known: "):
+            ExecutionOptions(fusion=FusionSettings(gpu_name="H100"))
 
     def test_options_are_immutable(self):
         options = ExecutionOptions()
