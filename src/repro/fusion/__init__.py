@@ -18,7 +18,8 @@ interior/halo/exterior analysis and the index-exchange method that makes
 local-to-local fusion border-correct (Section IV).
 
 :data:`FUSERS` is the fuse stage's one table, version name → engine;
-:func:`partition_for` is the stage itself.
+:data:`VERSIONS` adds ``baseline`` (no fusion), and :func:`partition_for`
+is the stage itself.
 """
 
 from typing import Callable, Dict
@@ -57,6 +58,9 @@ FUSERS: Dict[str, Callable[[WeightedGraph], FusionResult]] = {
     "coalesced": coalesced_fusion,
 }
 
+#: Every fusion version :func:`partition_for` accepts.
+VERSIONS = ("baseline", *FUSERS)
+
 
 def partition_for(
     graph: KernelGraph,
@@ -66,10 +70,10 @@ def partition_for(
 ) -> Partition:
     """The fusion partition of one version (``baseline`` or a
     :data:`FUSERS` name) under ``gpu``'s benefit model."""
+    if version not in VERSIONS:
+        raise ValueError(f"unknown version {version!r}")
     if version == "baseline":
         return Partition.singletons(graph)
-    if version not in FUSERS:
-        raise ValueError(f"unknown version {version!r}")
     return FUSERS[version](estimate_graph(graph, gpu, config)).partition
 
 
@@ -79,6 +83,7 @@ __all__ = [
     "FusionResult",
     "Region",
     "TraceEvent",
+    "VERSIONS",
     "basic_fusion",
     "classify_coordinate",
     "classify_edge_scenario",
