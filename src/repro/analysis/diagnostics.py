@@ -135,7 +135,7 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "NAT001": (Severity.ERROR, "array index proven out of the plane's bounds"),
     "NAT002": (Severity.ERROR, "array index cannot be proven within the plane's bounds"),
     "NAT003": (Severity.ERROR, "restrict-qualified pointer arguments may alias"),
-    "NAT004": (Severity.ERROR, "lowered native block does not have the expected loop-nest shape"),
+    "NAT004": (Severity.ERROR, "lowered native block disagrees with its schedule (or the schedule is malformed)"),
 }
 
 

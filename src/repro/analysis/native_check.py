@@ -37,41 +37,49 @@ Diagnostics:
 * **NAT003** — ``restrict`` pointer arguments that may alias (the block
   output appearing among its inputs), or a pointer formal missing its
   ``restrict`` qualifier.
-* **NAT004** — the tree does not have the expected loop-nest shape
-  (missing bodies/driver, a perturbed tile/row loop, a store outside
-  the recognized pattern).
+* **NAT004** — the tree disagrees with its schedule (missing or extra
+  bodies, a driver that is not the schedule's canonical form) or the
+  schedule itself is malformed.
 
-One driver shape is recognized, the lowering's one tile driver: a
-tile grid (2D, or a row band with x untiled), per-tile scratch buffers
-filled by per-stage bodies (none for a block that materializes
-nothing), then the destination's halo/interior sweep.  Every clip,
-clamp and split bound of the driver is an ``IntDecl`` whose
-*expression* is matched against the canonical grid/region/fill shape
-(the safety argument is a meta-theorem over that shape: clipped
-regions can never exceed the compile-time scratch extents), and every
-scratch subscript inside a body is checked against
-the driver's recovered **margin ledger** — a consumer with halo margins
-``(Lc, Rc, Tc, Bc)`` may read a producer at x-offset ``d`` only when
-``Lp >= Lc - d`` and ``Rp >= Rc + d`` (and the y analogue), which is
-exactly the containment invariant the builder's reverse-topological
-ledger establishes.
+**The schedule is a certificate.**  Every lowered block carries the
+schedule its driver was printed from (``spec.schedule``: the tile or
+row band, each stage's ``(L, R, T, B)`` margins, interior band and
+whether it is materialized).  The checker trusts none of it: it writes
+the one canonical driver of that schedule itself — tile grid, per-tile
+scratch regions (the tile grown by the stage's margins and clipped to
+the plane, so never past the ``(th + T + B) x (tw + L + R)`` buffer),
+dense region-relative fills, three-segment splits whose middle segment
+alone calls a clamp-free body and stays inside the band — and requires
+the tree's driver to be exactly that (NAT004 otherwise; a scratch
+buffer smaller than its region is NAT001).  Then it proves what the
+canonical form leaves open from the certificate's values: every
+``out`` store in-plane, every interior body's raw reads in-plane over
+its band, and every scratch subscript against the **margin ledger** —
+a consumer with halo margins ``(Lc, Rc, Tc, Bc)`` may read a producer
+at x-offset ``d`` only when ``Lp >= Lc - d`` and ``Rp >= Rc + d`` (and
+the y analogue), exactly the containment invariant the builder's
+reverse-topological ledger establishes.  A certificate that lies about
+a margin, a band or the tile therefore fails one check or the other.
 
 **What is trusted.**  The sanitizer reads the tree, the compiler reads
-the text printed from it, so the printer joins the trusted base.  Three
-things pin it: the byte-identity golden test (the printed C of every
-app and lowering equals what the pre-IR emitter wrote, which the
-text-parsing sanitizer of that commit accepted), a ``cc``-evaluated
-property test that printed index expressions mean their trees, and the
-ASan/UBSan differential CI job.
+the text printed from it, so the printer joins the trusted base; the
+lowering does not — the sanitizer imports nothing of it, and builds its
+expected driver itself.  Three things pin the printer: the byte-identity
+golden test (the printed C of every app and lowering equals what the
+pre-IR emitter wrote, which the text-parsing sanitizer of that commit
+accepted), a ``cc``-evaluated property test that printed index
+expressions mean their trees, and the ASan/UBSan differential CI job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, diag
 from repro.backend.loopnest import (
+    TILE_ROWS,
     For,
     Func,
     Guard,
@@ -80,9 +88,18 @@ from repro.backend.loopnest import (
     ScratchDecl,
     Slot,
     Store,
+    add,
+    binop,
+    block_text,
     expr_text,
     formal_text,
+    ident,
+    max_of,
+    min_of,
+    mul,
+    num,
     strip_parens,
+    sub,
 )
 
 __all__ = [
@@ -353,28 +370,9 @@ class _Eval:
 # ---------------------------------------------------------------------------
 
 
-def _as_pick(expr: Optional[tuple], op: str) -> Optional[Tuple[tuple, tuple]]:
-    """``(a, b)`` when ``expr`` is exactly ``a op b ? a : b`` — the
-    runtime min (``<``) / max (``>``) every clip and split decl uses."""
-    if (
-        expr is not None
-        and expr[0] == "tern"
-        and expr[1][:2] == ("cmp", op)
-        and expr[1][2] == expr[2]
-        and expr[1][3] == expr[3]
-    ):
-        return expr[2], expr[3]
-    return None
-
-
-def _loops_over(stmt, var: str, lo: tuple, hi: tuple) -> bool:
-    """Whether ``stmt`` is ``for (int var = lo; var < hi; ++var)``."""
-    return (
-        type(stmt) is For
-        and stmt.var == var
-        and strip_parens(stmt.lo) == lo
-        and strip_parens(stmt.hi) == hi
-    )
+#: What an ``out`` store's index is compared as: the interval domain
+#: proves it in-plane instead (:meth:`_Checker.check_index`).
+_PROVEN = ("id", "<proven in-plane>")
 
 
 @dataclass(frozen=True)
@@ -383,17 +381,13 @@ class _ScratchCtx:
 
     ``consumer`` is the (L, R, T, B) halo margin of the body's own
     evaluation region (zero for the destination bodies); ``producers``
-    maps stage index to its driver-declared ``(L, R, T, B, pitch)``;
+    maps stage index to its certified ``(L, R, T, B, pitch)``;
     ``raw`` permits unresolved coordinates (the interior body only).
     """
 
     consumer: Tuple[int, int, int, int]
     producers: Dict[int, Tuple[int, int, int, int, int]]
     raw: bool
-
-
-class _DriverShapeError(Exception):
-    """Internal bail-out: the tile driver deviated from the template."""
 
 
 class _Checker:
@@ -414,6 +408,14 @@ class _Checker:
         #: Every pixel of the plane: the widest sound assumption.
         self.full_x = _Iv((0,), (self.width_limit,))
         self.full_y = _Iv((0,), (self.height_limit,))
+        #: The untrusted certificate: how the lowering says it swept.
+        self.schedule = spec.schedule
+        self.ctype = "float" if spec.f32 else "double"
+        #: Per materialized stage: its certified (L, R, T, B, pitch).
+        self.producers: Dict[int, Tuple[int, int, int, int, int]] = {}
+        #: The tree's scratch sizes, and its ``out`` stores so far.
+        self.scratch: Dict[str, int] = {}
+        self.stores = 0
         self.diagnostics: List[Diagnostic] = []
 
     def emit(self, code: str, message: str, path: str, **details) -> None:
@@ -607,7 +609,7 @@ class _Checker:
             return
         region = scratch.producers.get(producer)
         if region is None:
-            fail("NAT002", "names a stage the driver declares no scratch for")
+            fail("NAT002", "names a stage its schedule materializes no scratch for")
             return
         lp, rp, tp, bp, pitch = region
         lc, rc, tc, bc = scratch.consumer
@@ -701,399 +703,211 @@ class _Checker:
                         "in-plane for the interior iteration space",
                     )
 
-    # -- driver structure --------------------------------------------------
+    # -- the certificate ---------------------------------------------------
 
-    def check_sweep(
-        self,
-        rows: tuple,
-        env: Dict[str, _Iv],
-        has_interior: bool,
-        split: Optional[Tuple[_Iv, Tuple[tuple, tuple]]] = None,
-    ) -> Optional[Tuple[_Iv, _Iv]]:
-        """The guard / x-loop / store walk over the destination's row
-        loop, whose ``y`` is proven inside the plane.
+    def malformed_schedule(self) -> Optional[str]:
+        """Why the certificate describes no driver of the canonical form
+        (``None`` when it does)."""
+        try:
+            tile, stages = self.schedule.tile, self.schedule.stages
+            if not stages or [s.materialized for s in stages] != (
+                [True] * (len(stages) - 1) + [False]
+            ):
+                return "its stages are not fills followed by the destination"
+            if tuple(stages[-1].margins) != (0, 0, 0, 0):
+                return "the destination is computed over more than its tile"
+            if any(
+                len(stage.margins) != 4 or min(stage.margins) < 0
+                or (stage.band is not None and len(stage.band) != 4)
+                for stage in stages
+            ):
+                return "a stage's margins or band are not four bounds"
+            if tile is None and len(stages) > 1:
+                return "a row band materializes no stage"
+            if tile is not None and (len(tile) != 2 or min(tile) < 1):
+                return f"its tile {tile!r} is not a shape"
+        except (AttributeError, TypeError, ValueError):
+            return "it cannot be read"
+        return None
 
-        Proves every ``out`` store in-plane for the x-range of its loop
-        (evaluated under ``env``) and the y-range of its guard branch,
-        and returns the proven ``(x_iv, y_iv)`` of the interior body's
-        call site.  ``split`` is the template-proven ``(interior x_iv,
-        (lo, hi) loop bounds)`` of the three-segment split: the interior
-        body may only be called from exactly that segment.
-        """
-        path = self.fn_name
-        halo, interior = f"{path}_halo", f"{path}_interior"
-        interior_env: Optional[Tuple[_Iv, _Iv]] = None
-        stores = 0
+    def bodies(self, index: int, stage) -> Tuple[str, str]:
+        """The halo and interior body names of the schedule's stage."""
+        if stage.materialized:
+            return f"{self.fn_name}_s{index}", f"{self.fn_name}_s{index}i"
+        return f"{self.fn_name}_halo", f"{self.fn_name}_interior"
 
-        def walk(stmts, x_iv, y_iv, bounds) -> None:
-            nonlocal interior_env, stores
-            for stmt in stmts:
-                kind = type(stmt)
-                if kind is Guard and stmt.var == "y" and stmt.lo[0] == "num":
-                    upper = self.point(strip_parens(stmt.hi))
-                    if upper is None:
-                        self.emit(
-                            "NAT004",
-                            "unrecognized interior guard bound "
-                            f"{expr_text(stmt.hi)!r}",
-                            path,
-                        )
-                        upper = self.height
-                    # The row loop proves y in [0, height - 1]; the
-                    # guard narrows it for the branch it encloses.
-                    inside = _Iv(
-                        (stmt.lo[1],),
-                        self.full_y.his + (upper - 1,),
-                    )
-                    walk(stmt.then, x_iv, inside, bounds)
-                    walk(stmt.orelse, x_iv, self.full_y, bounds)
-                elif kind is For and stmt.var == "x":
-                    lo, hi = strip_parens(stmt.lo), strip_parens(stmt.hi)
-                    init = self.evaluator.interval(lo, env)
-                    bound = self.evaluator.interval(hi, env)
-                    if init is None or bound is None:
-                        self.emit(
-                            "NAT004",
-                            "unrecognized x-loop bounds: "
-                            f"{expr_text(stmt.lo)!r} .. {expr_text(stmt.hi)!r}",
-                            path,
-                        )
-                        inner = self.full_x
-                    else:
-                        inner = _Iv(
-                            init.los,
-                            tuple(
-                                m - 1 for m in bound.his
-                            ),
-                        )
-                    walk(stmt.body, inner, y_iv, (lo, hi))
-                elif kind is Store and stmt.buffer == "out":
-                    stores += 1
-                    where = f"{path}:store {stores}"
-                    if x_iv is None:
-                        self.emit(
-                            "NAT004", "store outside any x loop", where
-                        )
-                        x_iv = self.full_x
-                    self.check_index(
-                        stmt.index, {"x": x_iv, "y": y_iv}, where, stmt.stride
-                    )
-                    if stmt.callee == interior:
-                        if split is not None and bounds == split[1]:
-                            interior_env = (split[0], y_iv)
-                        else:
-                            self.emit(
-                                "NAT004",
-                                "the interior body is called outside the "
-                                "split's interior segment",
-                                where,
-                            )
-                    elif stmt.callee != halo:
-                        self.emit(
-                            "NAT004",
-                            f"store calls unknown body {stmt.callee!r}",
-                            where,
-                        )
-                else:
-                    self.emit(
-                        "NAT004",
-                        f"unrecognized {kind.__name__} in the row sweep",
-                        path,
-                    )
+    def arguments(self, callee: str) -> Tuple[str, ...]:
+        """What a store passes ``callee``: the names of its formals, each
+        bound to the driver's formal or local of that name — so no body
+        reads one scratch buffer through another's formal and pitch."""
+        fn = self.functions.get(callee)
+        return tuple(formal.name for formal in fn.formals) if fn else ()
 
-        walk(rows, None, self.full_y, None)
-        if stores == 0:
-            self.emit("NAT004", "driver stores no output pixels", path)
-        if has_interior and interior_env is None:
+    def canonical_driver(self) -> tuple:
+        """The driver body the certificate describes, in the one form
+        whose safety this checker argues — written here, not taken from
+        the lowering: a ``ceil(H/th)`` x ``ceil(W/tw)`` tile grid (x
+        untiled for a row band) with each tile's ``[x0, x1) x [y0, y1)``
+        clipped to the plane; per materialized stage ``k`` a region
+        ``[sx0_k, sx1_k) x [sy0_k, sy1_k)``, the tile grown by the
+        stage's margins and clipped to the plane, so at most
+        ``(th + T + B) x (tw + L + R)`` — the scratch size — filled at
+        the dense region-relative cell; and every stage with a band
+        swept in three segments whose middle one, the only call of the
+        clamp-free body, runs inside the band."""
+        schedule = self.schedule
+        W, H = num(self.width), num(self.height)
+        x, y, t, n_tx = ident("x"), ident("y"), ident("t"), ident("n_tx")
+        x0, y0, x1, y1 = ident("x0"), ident("y0"), ident("x1"), ident("y1")
+        rows, cols = schedule.tile or (TILE_ROWS, None)
+
+        def tiles(extent, size):
+            return binop("/", add(extent, num(size - 1)), num(size))
+
+        def sweep(k, stage, names, region, rows_of, buffer, index, stride):
+            halo, inner = self.bodies(k, stage)
+
+            def xloop(lo, hi, callee=halo):
+                store = Store(buffer, index, callee, self.arguments(callee), stride)
+                return For("x", lo, hi, (store,), "simd")
+
+            if stage.band is None:
+                return [For("y", *rows_of, (xloop(*region),))]
+            (lo, hi), (a, l, ha, h) = region, names
+            xlo, xhi, ylo, yhi = stage.band
+            segments = (
+                xloop(lo, ident(l)),
+                xloop(ident(l), ident(h), inner),
+                xloop(ident(h), hi),
+            )
+            split = Guard("y", num(ylo), num(yhi), segments, (xloop(lo, hi),))
+            return [
+                IntDecl(a, max_of(num(xlo), lo)),
+                IntDecl(l, min_of(ident(a), hi)),
+                IntDecl(ha, min_of(num(xhi), hi)),
+                IntDecl(h, max_of(ident(ha), ident(l))),
+                For("y", *rows_of, (split,)),
+            ]
+
+        if cols is None:
+            grid = (IntDecl("n_tiles", tiles(H, rows)),)
+            origin = (
+                IntDecl("x0", num(0)),
+                IntDecl("y0", mul(t, num(rows))),
+                IntDecl("x1", W),
+            )
+        else:
+            grid = (
+                IntDecl("n_tx", tiles(W, cols)),
+                IntDecl("n_ty", tiles(H, rows)),
+                IntDecl("n_tiles", mul(n_tx, ident("n_ty"))),
+            )
+            origin = (
+                IntDecl("x0", mul(binop("%", t, n_tx), num(cols))),
+                IntDecl("y0", mul(binop("/", t, n_tx), num(rows))),
+                IntDecl("x1", min_of(add(x0, num(cols)), W)),
+            )
+        body = [*origin, IntDecl("y1", min_of(add(y0, num(rows)), H))]
+        sweeps: list = []
+        for k, stage in enumerate(schedule.stages):
+            if not stage.materialized:
+                sweeps += sweep(
+                    k, stage, ("ila", "il", "iha", "ih"), (x0, x1), (y0, y1),
+                    "out", _PROVEN, self.channels,
+                )
+                continue
+            left, right, top, bottom = stage.margins
+            sx0, sx1, sy0, sy1 = (
+                ident(f"{name}_{k}") for name in ("sx0", "sx1", "sy0", "sy1")
+            )
+            pitch = cols + left + right
+            self.producers[k] = (left, right, top, bottom, pitch)
+            body += [
+                ScratchDecl(f"scr_{k}", self.ctype, (rows + top + bottom) * pitch),
+                IntDecl(sx0[1], max_of(sub(x0, num(left)), num(0))),
+                IntDecl(sx1[1], min_of(add(x1, num(right)), W)),
+                IntDecl(sy0[1], max_of(sub(y0, num(top)), num(0))),
+                IntDecl(sy1[1], min_of(add(y1, num(bottom)), H)),
+            ]
+            sweeps += sweep(
+                k, stage, tuple(f"{n}_{k}" for n in ("fla", "fl", "fha", "fh")),
+                (sx0, sx1), (sy0, sy1),
+                f"scr_{k}", add(mul(sub(y, sy0), num(pitch)), sub(x, sx0)), 1,
+            )
+        parallel = "parallel" if schedule.parallel else None
+        tile_loop = For("t", num(0), ident("n_tiles"), tuple(body + sweeps), parallel)
+        return grid + (tile_loop,)
+
+    def canonical(self, stmt):
+        """A tree statement as it is compared: parens stripped, and
+        every ``out`` store's index proven in-plane
+        (the canonical loops keep ``x`` and ``y`` inside the plane) and
+        then compared as :data:`_PROVEN`."""
+        kind = type(stmt)
+        if kind is IntDecl:
+            return IntDecl(stmt.name, strip_parens(stmt.expr))
+        if kind is For:
+            lo, hi = strip_parens(stmt.lo), strip_parens(stmt.hi)
+            return For(stmt.var, lo, hi, tuple(map(self.canonical, stmt.body)), stmt.pragma)
+        if kind is Guard:
+            return Guard(
+                stmt.var, strip_parens(stmt.lo), strip_parens(stmt.hi),
+                tuple(map(self.canonical, stmt.then)),
+                tuple(map(self.canonical, stmt.orelse)),
+            )
+        if kind is ScratchDecl:
+            self.scratch[stmt.name] = stmt.size
+        elif kind is Store and stmt.buffer == "out":
+            self.stores += 1
+            plane = {"x": self.full_x, "y": self.full_y}
+            where = f"{self.fn_name}:store {self.stores}"
+            self.check_index(stmt.index, plane, where, stmt.stride)
+            return stmt._replace(index=_PROVEN)
+        elif kind is Store:
+            return stmt._replace(index=strip_parens(stmt.index))
+        return stmt
+
+    def check_driver(self, driver: Func) -> None:
+        """The tree's driver is the certificate's canonical form (NAT004
+        where it is not), and each scratch buffer holds its region
+        (NAT001 where it is smaller)."""
+        tree = tuple(map(self.canonical, driver.body))
+        want = self.canonical_driver()
+        if tree != want:
+            got, expected = (
+                block_text((Func(driver.name, "void", (), body),)).splitlines()
+                for body in (tree, want)
+            )
+            line, has, says = next(
+                (number, a.strip(), b.strip())
+                for number, (a, b) in enumerate(
+                    zip_longest(got, expected, fillvalue=""), 1
+                )
+                if a != b
+            )
             self.emit(
                 "NAT004",
-                "an interior body is emitted but the driver never "
-                "calls it",
-                path,
+                f"the driver disagrees with its schedule at line {line}: "
+                f"the tree has {has!r} where the schedule has {says!r}",
+                self.fn_name,
             )
-        return interior_env
-
-    # -- the tile driver ---------------------------------------------------
-
-    def malformed(self, why: str) -> None:
-        self.emit("NAT004", f"tile driver: {why}", self.fn_name)
-        raise _DriverShapeError
-
-    def _scope(self, stmts: tuple):
-        """One straight-line scope by name: its int decls (parens
-        stripped), scratch decls, and loops in order."""
-        decls: Dict[str, tuple] = {}
-        scratch: Dict[str, ScratchDecl] = {}
-        loops: List[For] = []
-        for stmt in stmts:
-            kind = type(stmt)
-            if kind is IntDecl and stmt.name not in decls:
-                decls[stmt.name] = strip_parens(stmt.expr)
-            elif kind is ScratchDecl and stmt.name not in scratch:
-                scratch[stmt.name] = stmt
-            elif kind is For:
-                loops.append(stmt)
-            else:
-                self.malformed(
-                    f"unexpected or repeated {kind.__name__} "
-                    f"{getattr(stmt, 'name', '')!r}"
-                )
-        return decls, scratch, loops
-
-    def _margin(
-        self, expr: Optional[tuple], op: str, origin: str, limit: int
-    ) -> Optional[int]:
-        """The margin ``m >= 0`` of one clipped region bound:
-        ``origin - m > 0 ? origin - m : 0`` (``op`` ``-``, ``limit``
-        zero) or ``origin + m < E ? origin + m : E`` (``op`` ``+``,
-        ``limit`` the plane extent ``E``)."""
-        pick = _as_pick(expr, ">" if op == "-" else "<")
-        if (
-            pick is not None
-            and pick[0][:3] == ("bin", op, ("id", origin))
-            and pick[0][3][0] == "num"
-            and pick[0][3][1] >= 0
-            and self.point(pick[1]) == limit
-        ):
-            return pick[0][3][1]
-        return None
-
-    def _tile_count(self, expr: Optional[tuple], extent: int) -> Optional[int]:
-        """The tile size ``t`` of ``(E + (t - 1)) / t``."""
-        if (
-            expr is not None
-            and expr[:2] == ("bin", "/")
-            and expr[3][0] == "num"
-            and expr[2][:2] == ("bin", "+")
-            and expr[2][3] == ("num", expr[3][1] - 1)
-            and self.point(expr[2][2]) == extent
-        ):
-            return expr[3][1]
-        return None
-
-    def _split_proof(
-        self, decls: Dict[str, tuple], names, lo: tuple, hi: tuple
-    ) -> Tuple[int, int]:
-        """The three-segment split decls over the region ``[lo, hi)``::
-
-            a = max(xlo, lo);  l = min(a, hi)
-            ha = min(xhi, hi); h = max(ha, l)
-
-        A nonempty ``[l, h)`` forces ``l = a >= xlo`` and
-        ``h = ha <= xhi`` (otherwise ``l = h = hi``), so the interior
-        segment runs only inside ``[xlo, xhi)``.  Returns
-        ``(xlo, xhi)``.
-        """
-        a, l, ha, h = names
-        first = _as_pick(decls.get(a), ">")
-        xlo = self.point(first[0]) if first and first[1] == lo else None
-        if xlo is None:
-            self.malformed(f"mismatched {a} decl")
-        if _as_pick(decls.get(l), "<") != (("id", a), hi):
-            self.malformed(f"mismatched {l} decl")
-        third = _as_pick(decls.get(ha), "<")
-        xhi = self.point(third[0]) if third and third[1] == hi else None
-        if xhi is None:
-            self.malformed(f"mismatched {ha} decl")
-        if _as_pick(decls.get(h), ">") != (("id", ha), ("id", l)):
-            self.malformed(f"mismatched {h} decl")
-        return xlo, xhi
-
-    def _fill_loop(self, stmt, lo, hi, stage: int, suffix: str, cell) -> None:
-        """One fill x-loop: sweeps ``[lo, hi)`` and stores the canonical
-        region-relative cell from the stage's own body."""
-        if not _loops_over(stmt, "x", lo, hi):
-            self.malformed(f"scr_{stage} fill loop sweeps the wrong span")
-        store = stmt.body[0] if len(stmt.body) == 1 else None
-        if not (
-            type(store) is Store
-            and store.buffer == f"scr_{stage}"
-            and strip_parens(store.index) == cell
-            and store.stride == 1
-            and store.callee == f"{self.fn_name}_s{stage}{suffix}"
-        ):
-            self.malformed(
-                "fill store does not write the canonical, dense "
-                "region-relative index from its own stage body"
-            )
-
-    def check_tile_driver(self, driver: Func, has_interior: bool):
-        """Template-verify the tile driver; recover the margin ledger.
-
-        Returns ``(producers, interior_env, stage_envs)`` on success —
-        ``producers`` maps stage index to ``(L, R, T, B, pitch)``,
-        ``interior_env`` is the proven ``(x_iv, y_iv)`` of the interior
-        body's call sites (``None`` when no interior body is called),
-        and ``stage_envs`` maps each split-fill stage to the proven
-        ``(x_iv, y_iv)`` of its clamp-free ``_s{k}i`` call sites.
-        Emits NAT004 and raises :class:`_DriverShapeError` on any
-        structural deviation: the scratch-safety argument is a
-        meta-theorem over this exact shape, so an unrecognized driver
-        cannot be proven safe.
-        """
-        W, H = self.width, self.height
-        x0, y0, x1, y1 = (("id", name) for name in ("x0", "y0", "x1", "y1"))
-        t, n_tx = ("id", "t"), ("id", "n_tx")
-
-        # Tile grid.  A 2D grid is n_tx = ceil(width / tw) by
-        # n_ty = ceil(height / th) tiles; its template proves x0 in
-        # [0, width - 1] and x1 in [0, width] ((n_tx - 1) * tw <= width
-        # - 1 whenever width >= 1).  A row band leaves x untiled
-        # (x0 = 0, x1 = width) over ceil(height / th) tiles of th rows.
-        top, _, outer = self._scope(driver.body)
-        if "n_tx" in top:
-            tile_w = self._tile_count(top.get("n_tx"), W)
-            tile_h = self._tile_count(top.get("n_ty"), H)
-            if tile_w is None or tile_h is None:
-                self.malformed(
-                    "n_tx / n_ty do not divide the plane into ceil(W/tw) x "
-                    "ceil(H/th) tiles"
-                )
-            tiles = ("bin", "*", n_tx, ("id", "n_ty"))
-            x_origin = ("bin", "*", ("bin", "%", t, n_tx), ("num", tile_w))
-            y_origin = ("bin", "*", ("bin", "/", t, n_tx), ("num", tile_h))
-        else:
-            tile_w, tile_h = None, self._tile_count(top.get("n_tiles"), H)
-            if tile_h is None:
-                self.malformed(
-                    "n_tiles does not divide the plane into ceil(H/th) "
-                    "row bands"
-                )
-            tiles = top["n_tiles"]
-            x_origin, y_origin = ("num", 0), ("bin", "*", t, ("num", tile_h))
-        if top.get("n_tiles") != tiles or len(outer) != 1 or not _loops_over(
-            outer[0], "t", ("num", 0), ("id", "n_tiles")
-        ):
-            self.malformed("expected one tile loop over the n_tiles tiles")
-        decls, scratch, loops = self._scope(outer[0].body)
-        if decls.get("x0") != x_origin or decls.get("y0") != y_origin:
-            self.malformed("x0 / y0 stride disagrees with the tile grid")
-        if tile_w is None:
-            x1_ok = "x1" in decls and self.point(decls["x1"]) == W
-        else:
-            x1_ok = self._margin(decls.get("x1"), "+", "x0", W) == tile_w
-        if not x1_ok:
-            self.malformed("x1 is not the tile's end clamped to the plane width")
-        if self._margin(decls.get("y1"), "+", "y0", H) != tile_h:
-            self.malformed("y1 is not clamped to the plane height")
-        if scratch and tile_w is None:
-            self.malformed("a row band materializes no scratch")
-        env: Dict[str, _Iv] = {
-            "x0": self.full_x,
-            "y0": self.full_y,
-            "x1": _Iv((0,), (W,)),
-            "y1": _Iv((0,), (H,)),
-        }
-
-        # Scratch regions: one decl block per stage, clipped to the
-        # plane.  The clip template bounds each region by
-        # (th + T + B) x (tw + L + R), which the declared array extent
-        # must cover (NAT001 otherwise: the fill loop would overrun a
-        # stack buffer).
-        producers: Dict[int, Tuple[int, int, int, int, int]] = {}
-        for stage in range(len(scratch)):
-            decl = scratch.get(f"scr_{stage}")
-            if decl is None:
-                self.malformed("scratch stages are not contiguously numbered")
-            margins = (
-                self._margin(decls.get(f"sx0_{stage}"), "-", "x0", 0),
-                self._margin(decls.get(f"sx1_{stage}"), "+", "x1", W),
-                self._margin(decls.get(f"sy0_{stage}"), "-", "y0", 0),
-                self._margin(decls.get(f"sy1_{stage}"), "+", "y1", H),
-            )
-            if None in margins:
-                self.malformed(
-                    f"scr_{stage}'s region is not the tile grown by "
-                    "constant margins and clipped to the plane"
-                )
-            left, right, up, down = margins
-            pitch = tile_w + left + right
-            rows = tile_h + up + down
-            if decl.size != rows * pitch:
+        for decl in want[-1].body:
+            if type(decl) is not ScratchDecl:
+                continue
+            size = self.scratch.get(decl.name)
+            if size is not None and size < decl.size:
                 self.emit(
                     "NAT001",
-                    f"scratch buffer scr_{stage} declares {decl.size} "
-                    f"elements but its clipped fill region needs up to "
-                    f"{rows} x {pitch} = {rows * pitch}",
+                    f"scratch buffer {decl.name} declares {size} elements "
+                    f"but its clipped fill region needs up to {decl.size}",
                     self.fn_name,
-                    buffer=f"scr_{stage}",
+                    buffer=decl.name,
                 )
-            producers[stage] = margins + (pitch,)
-        if len(loops) != len(producers) + 1:
-            self.malformed(
-                "expected one fill loop per scratch stage and one "
-                "destination loop"
-            )
-
-        # Fill loops: the canonical region sweep per stage, in order.
-        # Safety is by template: x - sx0_k < sx1_k - sx0_k <= pitch and
-        # the row analogue, both consequences of the clip decls above.
-        # A stage with a clamp-free interior variant splits its sweep
-        # the way the destination loop does: the fl/fh clamps and the
-        # row guard confine the raw-read body (_s{k}i) to the proven
-        # in-plane band, recorded in ``stage_envs``.
-        stage_envs: Dict[int, Tuple[_Iv, _Iv]] = {}
-        for stage, loop in enumerate(loops[:-1]):
-            sx0, sx1, sy0, sy1 = (
-                ("id", f"{name}_{stage}") for name in ("sx0", "sx1", "sy0", "sy1")
-            )
-            if not _loops_over(loop, "y", sy0, sy1) or len(loop.body) != 1:
-                self.malformed(f"scr_{stage} fill row loop sweeps the wrong region")
-            cell = (
-                "bin",
-                "+",
-                ("bin", "*", ("bin", "-", ("id", "y"), sy0), ("num", producers[stage][4])),
-                ("bin", "-", ("id", "x"), sx0),
-            )
-            guard = loop.body[0]
-            if type(guard) is not Guard:
-                self._fill_loop(guard, sx0, sx1, stage, "", cell)
-                continue
-            names = tuple(f"{n}_{stage}" for n in ("fla", "fl", "fha", "fh"))
-            fxlo, fxhi = self._split_proof(decls, names, sx0, sx1)
-            fyhi = self.point(strip_parens(guard.hi))
-            if guard.var != "y" or guard.lo[0] != "num" or fyhi is None:
-                self.malformed("unrecognized fill guard bound")
-            fl, fh = ("id", names[1]), ("id", names[3])
-            spans = ((sx0, fl, ""), (fl, fh, "i"), (fh, sx1, ""))
-            if len(guard.then) != 3 or len(guard.orelse) != 1:
-                self.malformed(f"scr_{stage} fill is not a three-segment split")
-            for stmt, (lo, hi, suffix) in zip(guard.then, spans):
-                self._fill_loop(stmt, lo, hi, stage, suffix, cell)
-            self._fill_loop(guard.orelse[0], sx0, sx1, stage, "", cell)
-            # By the split proof the interior body runs only for x in
-            # [fxlo, fxhi) and, by the guard, y in [fylo, fyhi) — the
-            # band where raw reads must be proven in-plane.
-            stage_envs[stage] = (
-                _Iv((fxlo,), (fxhi - 1, self.width_limit)),
-                _Iv(
-                    (guard.lo[1],),
-                    (fyhi - 1, self.height_limit),
-                ),
-            )
-
-        # Destination loop: out[] stores through the halo/interior
-        # bodies, x ranges are tile-clipped identifiers from env.
-        dest = loops[-1]
-        if not _loops_over(dest, "y", y0, y1):
-            self.malformed("expected the destination row loop over [y0, y1)")
-        split = None
-        if "ila" in decls:
-            xlo, xhi = self._split_proof(decls, ("ila", "il", "iha", "ih"), x0, x1)
-            split = (
-                _Iv((xlo,), (xhi - 1, self.width_limit)),
-                (("id", "il"), ("id", "ih")),
-            )
-            for name in ("ila", "il", "iha", "ih"):
-                env[name] = _Iv((0,), (W,))
-        interior_env = self.check_sweep(dest.body, env, has_interior, split)
-        return producers, interior_env, stage_envs
 
     # -- entry -------------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
         functions, fn_name = self.functions, self.fn_name
-        interior = functions.get(f"{fn_name}_interior")
         driver = functions.get(fn_name)
         if f"{fn_name}_halo" not in functions or driver is None:
             self.emit(
@@ -1103,72 +917,30 @@ class _Checker:
             )
             return self.diagnostics
         self.check_pointers()
-        try:
-            producers, interior_env, stage_envs = self.check_tile_driver(
-                driver, has_interior=interior is not None
-            )
-        except _DriverShapeError:
+        why = self.malformed_schedule()
+        if why is not None:
+            self.emit("NAT004", f"the block's schedule is malformed: {why}", fn_name)
             return self.diagnostics
-        full_x, full_y = self.full_x, self.full_y
-        for stage in sorted(producers):
-            fn = functions.get(f"{fn_name}_s{stage}")
-            if fn is None:
-                self.emit(
-                    "NAT004",
-                    f"scratch buffer scr_{stage} has no stage body "
-                    f"{fn_name}_s{stage}",
-                    fn_name,
-                )
-                continue
-            consumer = producers[stage][:4]
-            self.check_body(
-                fn, full_x, full_y, _ScratchCtx(consumer, producers, raw=False)
-            )
-            ifn = functions.get(f"{fn_name}_s{stage}i")
-            envs = stage_envs.get(stage)
-            if envs is not None and ifn is None:
-                self.emit(
-                    "NAT004",
-                    f"the split fill calls {fn_name}_s{stage}i but "
-                    "no such stage body exists",
-                    fn_name,
-                )
-            elif ifn is not None and envs is None:
-                self.emit(
-                    "NAT004",
-                    f"stage interior body {fn_name}_s{stage}i is "
-                    "emitted but the driver never calls it",
-                    fn_name,
-                )
-            elif ifn is not None:
-                self.check_body(
-                    ifn, *envs, _ScratchCtx(consumer, producers, raw=True)
-                )
-        prefix = f"{fn_name}_s"
-        for name in functions:
-            if not name.startswith(prefix):
-                continue
-            stage = name[len(prefix):].removesuffix("i")
-            if stage.isdigit() and int(stage) not in producers:
-                self.emit(
-                    "NAT004",
-                    f"stage body {name!r} has no scratch buffer in the "
-                    "driver",
-                    fn_name,
-                )
-        dest = (0, 0, 0, 0)
-        self.check_body(
-            functions[f"{fn_name}_halo"],
-            full_x,
-            full_y,
-            _ScratchCtx(dest, producers, raw=False),
-        )
-        if interior is not None:
-            self.check_body(
-                interior,
-                *(interior_env or (full_x, full_y)),
-                _ScratchCtx(dest, producers, raw=True),
-            )
+        self.check_driver(driver)
+        # Every body of the schedule, proven against its margins; the
+        # clamp-free one over its band only, where the split calls it.
+        listed = {fn_name}
+        for k, stage in enumerate(self.schedule.stages):
+            halo, inner = self.bodies(k, stage)
+            bodies = [(halo, self.full_x, self.full_y, False)]
+            if stage.band is not None:
+                xlo, xhi, ylo, yhi = stage.band
+                x_iv = _Iv((xlo,), (xhi - 1, self.width_limit))
+                y_iv = _Iv((ylo,), (yhi - 1, self.height_limit))
+                bodies.append((inner, x_iv, y_iv, True))
+            for name, x_iv, y_iv, raw in bodies:
+                listed.add(name)
+                if name in functions:
+                    scratch = _ScratchCtx(tuple(stage.margins), self.producers, raw)
+                    self.check_body(functions[name], x_iv, y_iv, scratch)
+        for name in sorted(set(functions) ^ listed):
+            where = "not in the block's schedule" if name in functions else "missing"
+            self.emit("NAT004", f"function {name!r} is {where}", fn_name)
         return self.diagnostics
 
 

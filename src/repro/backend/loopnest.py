@@ -16,9 +16,9 @@ and then parsed back.
     ("paren", e)        redundant grouping; same value as ``e``
 
 **Statements** are deliberately low-level: every clip, clamp and split
-bound (``y_end``, ``sx0_k``, ``fla_k``, ``ila`` …) is an
-:class:`IntDecl` whose *expression* the sanitizer proves, never a
-higher-level node that would print its own clamps unseen.  Float
+bound (``y1``, ``sx0_k``, ``fla_k``, ``ila`` …) is an :class:`IntDecl`
+whose *expression* the sanitizer checks, never a higher-level node that
+would print its own clamps unseen.  Float
 arithmetic is opaque text (:class:`Slot` parts); the only structured
 thing inside it is a :class:`Load`.
 
@@ -27,6 +27,11 @@ counts *pixels*; ``stride`` is how many elements apart two pixels of the
 buffer lie — 1 for a dense plane or tile scratch, ``C`` for one channel
 of an interleaved ``(H, W, C)`` image, whose pointer the binder hands
 over already advanced to that channel.
+
+**The schedule** (:class:`Schedule`) is the decision a block's driver
+is printed from — tile or row band, each stage's margins and interior
+band.  It travels beside the tree, in the plan record without it, and
+the sanitizer takes it as a certificate to check the tree against.
 
 **The printer means the tree**: a child that binds looser than its
 parent is parenthesised, so a builder that forgets a ``paren`` can
@@ -45,9 +50,12 @@ __all__ = [
     "IntDecl",
     "Load",
     "Return",
+    "Schedule",
     "ScratchDecl",
     "Slot",
+    "Stage",
     "Store",
+    "TILE_ROWS",
     "block_text",
     "expr_text",
     "formal_text",
@@ -225,6 +233,73 @@ class Func(NamedTuple):
     formals: Tuple[Formal, ...]
     body: tuple
     unused: Tuple[str, ...] = ()
+
+
+# -- schedule ----------------------------------------------------------------
+
+#: Rows per tile of a row band (the OpenMP work unit) — large enough to
+#: amortize scheduling, small enough to load-balance tall images across
+#: threads.
+TILE_ROWS = 64
+
+
+class Stage(NamedTuple):
+    """One stage of a :class:`Schedule`.
+
+    ``margins`` ``(L, R, T, B)`` grow the tile into the region the stage
+    is computed over; ``band`` ``(xlo, xhi, ylo, yhi)`` is where its
+    clamp-free interior body runs (``None``: the halo body everywhere);
+    a ``materialized`` stage fills per-tile scratch ``scr_<k>``, the
+    last one writes ``out``.
+    """
+
+    name: str
+    margins: Tuple[int, int, int, int]
+    band: Optional[Tuple[int, int, int, int]]
+    materialized: bool
+
+
+class Schedule(NamedTuple):
+    """How one block is swept: the tile ``(th, tw)`` (``None``: a row
+    band of :data:`TILE_ROWS` rows, x untiled), its stages in order, the
+    window-invariant hoisting notes, and whether the tile loop is an
+    OpenMP parallel region.  The lowering prints its driver from it, the
+    plan record keeps it (:meth:`manifest`), and the sanitizer checks the
+    tree against it."""
+
+    tile: Optional[Tuple[int, int]]
+    stages: Tuple[Stage, ...]
+    hoisted: Tuple[dict, ...]
+    parallel: bool
+
+    @property
+    def grid(self) -> Tuple[int, Optional[int]]:
+        """Rows and columns of one tile (columns ``None``: x untiled)."""
+        return self.tile or (TILE_ROWS, None)
+
+    def manifest(self) -> dict:
+        """The schedule as JSON values."""
+        return {
+            "tile": self.tile and list(self.tile),
+            "stages": [
+                [s.name, list(s.margins), s.band and list(s.band), s.materialized]
+                for s in self.stages
+            ],
+            "hoisted": list(self.hoisted),
+            "parallel": self.parallel,
+        }
+
+    @classmethod
+    def from_manifest(cls, entry: dict) -> "Schedule":
+        """The schedule :meth:`manifest` wrote."""
+        stages = [
+            Stage(name, tuple(margins), band and tuple(band), materialized)
+            for name, margins, band, materialized in entry["stages"]
+        ]
+        tile = entry["tile"]
+        return cls(
+            tile and tuple(tile), tuple(stages), tuple(entry["hoisted"]), entry["parallel"]
+        )
 
 
 # -- printer -----------------------------------------------------------------

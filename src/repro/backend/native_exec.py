@@ -98,6 +98,7 @@ from repro.backend.cpu_exec import (
     openmp_available,
     read_cache_bytes,
 )
+from repro.backend.loopnest import Schedule
 from repro.backend.native_bind import (
     NATIVE_THREADS_ENV,
     NativeBlock,
@@ -118,6 +119,7 @@ from repro.backend.native_lower import (
     _lower_block,
     _lower_partition,
     libmvec_support,
+    parallel_plane,
     tile2d_report,  # unused here: benchmarks/ledger imports it from this module
 )
 from repro.backend.numpy_exec import Arrays, ExecutionError, Params, fault_check
@@ -325,13 +327,14 @@ class NativePartitionPlan:
         #: Per-output reasons for blocks that fell back to the tape.
         self.fallback_reasons = fallback_reasons
         #: Per-output window-invariant hoisting decisions of the tile2d
-        #: lowering: one dict per stage split out of a member kernel
-        #: (``stage``, ``kernel``, ``image``, ``taps``) or per group it
-        #: left in place (``kernel``, ``image``, ``declined``).
+        #: lowering, read off each block's schedule: one dict per stage
+        #: split out of a member kernel (``stage``, ``kernel``, ``image``,
+        #: ``taps``) or per group it left in place (``kernel``, ``image``,
+        #: ``declined``).
         self.hoisted: Dict[str, Tuple[dict, ...]] = {
-            native.output_name: native.spec.hoisted
+            native.output_name: native.spec.schedule.hoisted
             for native in natives
-            if native is not None and native.spec.hoisted
+            if native is not None and native.spec.schedule.hoisted
         }
         #: The images compiled kernels bind.
         self._bound_images = frozenset().union(
@@ -379,7 +382,7 @@ class NativePartitionPlan:
         while a block runs on the tape."""
         if self.fallback_block_count:
             return None
-        return [_manifest_entry(native.spec) for native in self.natives]
+        return [native.spec.manifest for native in self.natives]
 
     @property
     def threads(self) -> int:
@@ -676,15 +679,6 @@ class RecordedLibrary(NamedTuple):
     directory: Path
 
 
-def _manifest_entry(spec: _BlockSpec) -> dict:
-    """A block's manifest entry: the argument order and channels of its
-    function, and the tile shape and hoisting notes it reports."""
-    return dict(
-        images=list(spec.images), params=list(spec.params), channels=spec.channels,
-        tile2d=spec.tile2d and list(spec.tile2d), hoisted=list(spec.hoisted),
-    )
-
-
 class _Unbound(Exception):
     """Why a recorded library cannot be bound."""
 
@@ -726,14 +720,17 @@ def _bind_recorded(
             images = tuple(sorted(facts.inputs))
             params = tuple(sorted(facts.params))
             space = facts.space
+            schedule = Schedule.from_manifest(entry["schedule"])
+            # The geometry only: a bound block prints nothing, so its
+            # signature names no identifiers.
             spec = _BlockSpec(
                 _block_fn_name(index, facts.output_name), (), images, params,
-                _Signature(images, params, space.width, space.height,
-                           f32, space.channels),
-                space.channels, entry["tile2d"] and tuple(entry["tile2d"]),
-                tuple(entry["hoisted"]),
+                _Signature((), (), space.width, space.height, f32, space.channels),
+                schedule,
             )
-            if _manifest_entry(spec) != entry:
+            if spec.manifest != entry or schedule.parallel != (
+                parallel_plane(space.width * space.height)
+            ):
                 raise ValueError("the manifest does not fit the block")
             fn = getattr(library, spec.fn_name)
             natives.append(NativeBlock(plan, index, spec, fn, openmp))

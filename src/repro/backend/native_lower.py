@@ -25,10 +25,14 @@ parallel region at all.  Every innermost x-loop carries ``#pragma omp
 simd`` so the compiler vectorizes without reassociating (per-lane IEEE
 semantics keep the bit-identity contract).
 
-**One tile driver, a list of stages** (:func:`_lower_stages`).  The
-fused tape recomputes every producer per consumer pixel — a depth-3
-chain of 3×3 stencils evaluates the first stage ~49 times per output
-pixel.  A fused local chain instead *materializes* each
+**One schedule, one tile driver** (:func:`schedule_block`,
+:func:`_lower_stages`).  What a block sweeps is decided once, as one
+:class:`~repro.backend.loopnest.Schedule` — tile or row band, each
+stage's margins and interior band — which the driver is printed from,
+the plan record keeps, ``repro tiling`` reports and the sanitizer
+checks the tree against.  The fused tape recomputes every producer
+per consumer pixel — a depth-3 chain of 3×3 stencils evaluates the
+first stage ~49 times per output pixel.  A fused local chain instead *materializes* each
 non-destination stage **once** per pixel of a halo-extended 2D tile
 into stack scratch (the CPU analogue of the paper's shared-memory
 overlapped tiling, Section IV), the tile shape from the cost model in
@@ -70,9 +74,10 @@ geometry mode").
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,9 +91,12 @@ from repro.backend.loopnest import (
     IntDecl,
     Load,
     Return,
+    Schedule,
     ScratchDecl,
     Slot,
+    Stage,
     Store,
+    TILE_ROWS,
     add,
     binop,
     block_text,
@@ -117,11 +125,6 @@ from repro.graph.dag import KernelGraph
 from repro.graph.partition import Partition, PartitionBlock
 from repro.ir.expr import BinOp, Call, Expr, InputAt
 from repro.ir.traversal import children, rebuild, shift_offsets, walk
-
-#: Rows per tile of a row band (the OpenMP work unit) — large enough to
-#: amortize scheduling, small enough to load-balance tall images across
-#: threads.
-TILE_ROWS = 64
 
 #: Under the automatic thread share a plane gets one thread per this
 #: many pixels: below it waking a team (~0.05 ms) costs more than the
@@ -434,15 +437,19 @@ def _offsets(key: tuple) -> Tuple[int, int]:
     raise NativeLoweringError(f"grid key {key!r} has no native lowering")
 
 
-def _interior_bounds(
-    tape: Sequence, width: int, height: int
-) -> Tuple[int, int, int, int]:
-    """``(xlo, xhi, ylo, yhi)`` of the interior region (half-open).
+def _interior_band(
+    tape: Sequence, width: int, height: int, whole_plane: bool = True
+) -> Optional[Tuple[int, int, int, int]]:
+    """``(xlo, xhi, ylo, yhi)`` of the interior region (half-open), or
+    ``None`` when it is empty.
 
     A pixel is interior when every boundary resolver and out-of-bounds
     mask in the tape — including the runtime resolution of external
     gathers against the baked ``(width, height)`` geometry — is provably
     the identity there, so the interior body can load directly.
+    ``whole_plane=False`` also drops an interior spanning the whole
+    plane (a stencil-free tile2d stage: both bodies would be the same
+    code).
     """
     x_cons: List[Tuple[int, int]] = []
     y_cons: List[Tuple[int, int]] = []
@@ -478,7 +485,10 @@ def _interior_bounds(
     xhi = min([width] + [hi for _, hi in x_cons])
     ylo = max([0] + [lo for lo, _ in y_cons])
     yhi = min([height] + [hi for _, hi in y_cons])
-    return (xlo, max(xlo, xhi), ylo, max(ylo, yhi))
+    band = (xlo, xhi, ylo, yhi)
+    if xlo < xhi and ylo < yhi and (whole_plane or band != (0, width, 0, height)):
+        return band
+    return None
 
 
 def _tape_reads(
@@ -795,8 +805,9 @@ def _build_tape_body(
 
 
 class _BlockSpec:
-    """The lowered form of one block: loop-nest IR, its C text, and the
-    call signature (only that when bound from a plan record)."""
+    """The lowered form of one block: its schedule, loop-nest IR, its C
+    text, and the call signature (schedule and signature only when bound
+    from a plan record)."""
 
     def __init__(
         self,
@@ -805,11 +816,12 @@ class _BlockSpec:
         images: Tuple[str, ...],
         params: Tuple[str, ...],
         sig: _Signature,
-        channels: int,
-        tile2d: Optional[Tuple[int, int]] = None,
-        hoisted: Tuple[dict, ...] = (),
+        schedule: Schedule,
     ):
         self.fn_name = fn_name
+        #: How the block is swept — what the driver is printed from and
+        #: the certificate the sanitizer checks ``ir`` against.
+        self.schedule = schedule
         #: The block's functions as :mod:`repro.backend.loopnest` trees —
         #: what the sanitizer proves.
         self.ir = ir
@@ -823,20 +835,36 @@ class _BlockSpec:
         self.params = params
         self.width = sig.width
         self.height = sig.height
-        self.channels = channels
-        #: The (tile_h, tile_w) of a block that materializes stages, or
-        #: ``None`` for the row band of one that materializes nothing.
-        self.tile2d = tile2d
-        #: Window-invariant hoisting decisions of a materializing block
-        #: (see :func:`_hoist_window_invariants`); empty for a row band.
-        self.hoisted = hoisted
+        self.channels = sig.channels
         #: Whether the per-pixel arithmetic runs in single precision
         #: (``REPRO_NATIVE_F32``); plane I/O stays float64 either way.
         self.f32 = sig.f32
-        #: Whether the tile loop is an OpenMP parallel region — derived
-        #: from the baked geometry, so a block bound from a plan record
-        #: knows it without the text.
-        self.parallel = parallel_plane(sig.width * sig.height)
+
+    @property
+    def tile2d(self) -> Optional[Tuple[int, int]]:
+        """The (tile_h, tile_w) of a block that materializes stages, or
+        ``None`` for the row band of one that materializes nothing."""
+        return self.schedule.tile
+
+    @property
+    def hoisted(self) -> Tuple[dict, ...]:
+        """Window-invariant hoisting decisions of a materializing block
+        (see :func:`_hoist_window_invariants`); empty for a row band."""
+        return self.schedule.hoisted
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the tile loop is an OpenMP parallel region."""
+        return self.schedule.parallel
+
+    @functools.cached_property
+    def manifest(self) -> dict:
+        """The block's plan-record manifest entry, as JSON values: the
+        argument order and channels of its function, and its schedule."""
+        return dict(
+            images=list(self.images), params=list(self.params),
+            channels=self.channels, schedule=self.schedule.manifest(),
+        )
 
 
 def _pixel_fns(
@@ -846,15 +874,12 @@ def _pixel_fns(
     formals: Tuple[Formal, ...],
     tape: Sequence,
     root: int,
+    band: Optional[Tuple[int, int, int, int]],
     scratch: Optional[dict] = None,
-    full_plane_too: bool = True,
-) -> Tuple[List[Func], Optional[Tuple[int, int, int, int]]]:
+) -> List[Func]:
     """The per-pixel functions of one tape: the ``halo`` body that is
-    right everywhere and, when the tape has an interior, the clamp-free
-    ``inner`` body with its in-plane band ``(xlo, xhi, ylo, yhi)``.
-
-    ``full_plane_too=False`` skips an interior spanning the whole plane
-    (a stencil-free tile2d stage: both bodies would be the same code).
+    right everywhere and, when the stage has an interior ``band``, the
+    clamp-free ``inner`` body.
 
     A halo body with an interior twin runs only on the O(perimeter)
     border pixels, so it is an out-of-line call: inlined, the compiler
@@ -863,16 +888,14 @@ def _pixel_fns(
     body its loop runs and stays inline, as does every interior body.
     """
     halo_body = _build_tape_body(tape, root, False, sig, scratch)
-    xlo, xhi, ylo, yhi = band = _interior_bounds(tape, sig.width, sig.height)
-    full_plane = band == (0, sig.width, 0, sig.height)
-    if xlo < xhi and ylo < yhi and (full_plane_too or not full_plane):
-        return [
-            sig.pixel_fn(halo, formals, halo_body, inline=False),
-            sig.pixel_fn(
-                inner, formals, _build_tape_body(tape, root, True, sig, scratch)
-            ),
-        ], band
-    return [sig.pixel_fn(halo, formals, halo_body)], None
+    if band is None:
+        return [sig.pixel_fn(halo, formals, halo_body)]
+    return [
+        sig.pixel_fn(halo, formals, halo_body, inline=False),
+        sig.pixel_fn(
+            inner, formals, _build_tape_body(tape, root, True, sig, scratch)
+        ),
+    ]
 
 
 def _store_of(
@@ -898,17 +921,11 @@ def _lower_block(
     lowering: NativeLowering,
 ) -> _BlockSpec:
     """Lower one block tape to loop-nest IR (raises
-    :class:`NativeLoweringError` when the tape has no lowering).
-
-    A block lowers to a list of stages swept by one tile driver
-    (:func:`_lower_stages`).  When the graph and partition block are
-    known, a fused local chain materializes every non-destination stage
-    into per-tile scratch (:func:`_tile2d_stages`, the tile from
-    :func:`_tile_shape`).  A block with nothing to materialize — a
-    single kernel, or a chain those refuse — is one stage holding its
-    fused tape, swept in row bands.  ``vector`` names the libm functions
-    whose libmvec variant the build links (see :data:`VECTOR_CALLS`);
-    calls of the others stay scalar libm.  ``lowering`` is the request's
+    :class:`NativeLoweringError` when the tape has no lowering): the
+    driver of :func:`schedule_block`'s schedule, printed by
+    :func:`_lower_stages`.  ``vector`` names the libm functions whose
+    libmvec variant the build links (see :data:`VECTOR_CALLS`); calls of
+    the others stay scalar libm.  ``lowering`` is the request's
     ``(tile2d, f32, cflags)`` (:func:`repro.envknobs.native_lowering`).
     """
     kernel = plan.destination
@@ -917,18 +934,89 @@ def _lower_block(
             f"global operator {kernel.name!r} "
             f"({plan.destination.reduction.value}) has no native lowering"
         )
-    tile2d, f32 = lowering.tile2d, lowering.f32
-    stages = ([plan.tape], [plan.root], [], {}, None, ())
+    schedule, stages, _ = schedule_block(plan, graph, block, lowering)
+    return _lower_stages(
+        kernel.space, fn_name, stages, schedule, lowering.f32, vector
+    )
+
+
+class _Stages(NamedTuple):
+    """What a schedule's stages compute: one tape and root per stage, and
+    the images the materialized stages produce (name -> stage index)."""
+
+    tapes: List[list]
+    roots: List[int]
+    produced: Dict[str, int]
+
+
+def schedule_block(
+    plan: BlockPlan,
+    graph: Optional[KernelGraph],
+    block: Optional[PartitionBlock],
+    lowering: NativeLowering,
+) -> Tuple[Schedule, _Stages, Optional[str]]:
+    """A block's :class:`~repro.backend.loopnest.Schedule`, decided once
+    for the lowering and for ``repro tiling``; with the stages it sweeps
+    and, for a row band, the reason the block materializes nothing.
+
+    When the graph and partition block are known, a fused local chain
+    materializes every non-destination stage into per-tile scratch
+    (:func:`_tile2d_stages`, the tile from :func:`_tile_shape`).  A
+    block with nothing to materialize — a single kernel, or a chain
+    those refuse — is one stage holding its fused tape, swept in row
+    bands.
+    """
+    space = plan.destination.space
+
+    def staged(names, margins, tapes) -> Tuple[Stage, ...]:
+        last = len(tapes) - 1
+        return tuple(
+            Stage(
+                name,
+                tuple(margin),
+                _interior_band(
+                    tape, space.width, space.height, whole_plane=index == last
+                ),
+                index < last,
+            )
+            for index, (name, margin, tape) in enumerate(zip(names, margins, tapes))
+        )
+
+    tile = reason = None
     if graph is not None and block is not None:
         try:
-            _, tapes, roots, margins, produced, footprints, hoisted = (
-                _tile2d_stages(plan, graph, block, f32)
+            names, tapes, roots, margins, produced, hoisted = _tile2d_stages(
+                plan, graph, block, lowering.f32
             )
-            tile = _tile_shape(footprints, tile2d, f32)
-            stages = (tapes, roots, margins, produced, tile, hoisted)
-        except NativeLoweringError:
-            pass  # nothing to materialize: the row band over the fused tape
-    return _lower_stages(kernel.space, fn_name, *stages, f32, vector)
+            stages = staged(names, margins, tapes)
+            tile = _tile_shape(
+                _footprints(stages, tapes), lowering.tile2d, lowering.f32
+            )
+        except NativeLoweringError as err:
+            reason = str(err)
+    if tile is None:  # nothing to materialize: the row band over the fused tape
+        tapes, roots, produced, hoisted = [plan.tape], [plan.root], {}, ()
+        stages = staged([plan.destination.name], [(0, 0, 0, 0)], tapes)
+    schedule = Schedule(
+        tile, stages, hoisted, parallel_plane(space.width * space.height)
+    )
+    return schedule, _Stages(tapes, roots, produced), reason
+
+
+def _footprints(stages: Sequence[Stage], tapes: Sequence[list]) -> list:
+    """The tiling model's view of a schedule's stages: their margins, and
+    the tape length as the per-pixel weight."""
+    from repro.model.tiling import StageFootprint
+
+    return [
+        StageFootprint(
+            stage.name,
+            *stage.margins,
+            weight=float(len(tape)),
+            materialized=stage.materialized,
+        )
+        for stage, tape in zip(stages, tapes)
+    ]
 
 
 #: Stage margins beyond this gain nothing from overlapped tiling — the
@@ -1204,16 +1292,12 @@ def _hoist_window_invariants(
 def _tile2d_stages(plan, graph, block, f32: bool, hoist: bool = True):
     """The stages a block materializes.
 
-    Returns the ordered chain members (after window-invariant hoisting,
-    :func:`_hoist_window_invariants`), their per-stage tapes and roots,
-    the halo-margin ledger, the produced-name index, the cost-model
-    :class:`~repro.model.tiling.StageFootprint` list, and the hoisting
-    notes.  Raises :class:`NativeLoweringError` with the reason a block
-    materializes nothing, so both the lowering and the ``repro tiling``
-    report agree on which blocks are row bands.
+    Returns the names of the ordered chain members (after
+    window-invariant hoisting, :func:`_hoist_window_invariants`), their
+    per-stage tapes and roots, the halo-margin ledger, the produced-name
+    index, and the hoisting notes.  Raises :class:`NativeLoweringError`
+    with the reason a block materializes nothing.
     """
-    from repro.model.tiling import StageFootprint
-
     if plan.naive_borders:
         raise NativeLoweringError(
             "naive-borders composition resolves borders once for the "
@@ -1272,20 +1356,8 @@ def _tile2d_stages(plan, graph, block, f32: bool, hoist: bool = True):
         raise NativeLoweringError(
             f"stage margins exceed {_TILE2D_MAX_MARGIN}"
         )
-    n = len(members)
-    footprints = [
-        StageFootprint(
-            name=member.name,
-            left=margins[index][0],
-            right=margins[index][1],
-            top=margins[index][2],
-            bottom=margins[index][3],
-            weight=float(len(tapes[index])),
-            materialized=index < n - 1,
-        )
-        for index, member in enumerate(members)
-    ]
-    return members, tapes, roots, margins, produced, footprints, hoisted
+    names = [member.name for member in members]
+    return names, tapes, roots, margins, produced, hoisted
 
 
 def tile2d_report(
@@ -1294,63 +1366,65 @@ def tile2d_report(
     caches=None,
     naive_borders: bool = False,
 ) -> List[dict]:
-    """Per-block tiling decisions and model choices, without lowering.
+    """Per-block tiling decisions, as the lowering makes them, without
+    lowering: each block's :func:`schedule_block` under the environment's
+    :func:`repro.envknobs.native_lowering`.
 
     For each partition block: the block's output name, its member
-    kernels, and either the cost model's :class:`TileChoice` (as a
-    dict, with the ranked runner-up count) or the
-    :class:`NativeLoweringError` reason the block materializes nothing
-    and lowers as the row band (``row_band_reason``).  A tiled block
-    that window-invariant hoisting touched also lists its ``hoisted``
-    notes — each extra stage with its halo margin and recompute factor
-    at the chosen tile, each declined group with the reason.  Used by
-    ``repro tiling``; needs no C compiler.  The precision is the
-    environment's (:func:`repro.envknobs.native_lowering`).
+    kernels, and either the schedule's tile scored by the cost model
+    against ``caches`` (``choice``: the
+    :class:`~repro.model.tiling.TileChoice` fields, with the count of
+    candidate shapes that fit) or the :class:`NativeLoweringError`
+    reason the block materializes nothing and lowers as the row band
+    (``row_band_reason``).  A tiled block that window-invariant hoisting
+    touched also lists its ``hoisted`` notes — each extra stage with its
+    halo margin and recompute factor at the tile, each declined group
+    with the reason.  Used by ``repro tiling``; needs no C compiler.
     """
-    from repro.model.tiling import sweep_tiles
+    from repro.model.tiling import sweep_tiles, tile_cost
 
-    f32 = native_lowering().f32
+    lowering = native_lowering()
+    bpe = 4 if lowering.f32 else 8
     plan = plan_for_partition(graph, partition, naive_borders=naive_borders)
-    schedule = block_schedule(graph, partition)
     report = []
-    for block_plan, part_block in zip(plan.plans, schedule):
+    for block_plan, part_block in zip(plan.plans, block_schedule(graph, partition)):
         entry = {
             "output": block_plan.output_name,
             "kernels": list(part_block.ordered_vertices()),
         }
-        try:
-            *_, footprints, hoisted = _tile2d_stages(
-                block_plan, graph, part_block, f32
-            )
-            ranked = sweep_tiles(footprints, caches=caches)
-            if not ranked:
-                raise NativeLoweringError(_NO_TILE_FITS)
-            best = ranked[0]
-            entry["choice"] = {
-                "tile": [best.height, best.width],
-                "scratch_bytes": best.scratch_bytes,
-                "recompute": best.recompute,
-                "fits": best.fits,
-                "cost": best.cost,
-                "candidates": len(ranked),
-            }
-            if hoisted:
-                stages = {stage.name: stage for stage in footprints}
-                entry["hoisted"] = [
-                    {
-                        **note,
-                        "margin": list(stages[note["stage"]].margin),
-                        "recompute": stages[note["stage"]].recompute(
-                            best.height, best.width
-                        ),
-                    }
-                    if "stage" in note
-                    else note
-                    for note in hoisted
-                ]
-        except NativeLoweringError as err:
-            entry["row_band_reason"] = str(err)
         report.append(entry)
+        try:
+            schedule, stages, reason = schedule_block(
+                block_plan, graph, part_block, lowering
+            )
+        except NativeLoweringError as err:
+            reason, schedule = str(err), None
+        if schedule is None or schedule.tile is None:
+            entry["row_band_reason"] = reason
+            continue
+        footprints = _footprints(schedule.stages, stages.tapes)
+        tile_h, tile_w = schedule.tile
+        choice = tile_cost(footprints, tile_h, tile_w, caches, bpe)
+        entry["choice"] = {
+            "tile": [tile_h, tile_w],
+            "scratch_bytes": choice.scratch_bytes,
+            "recompute": choice.recompute,
+            "fits": choice.fits,
+            "cost": choice.cost,
+            "candidates": len(sweep_tiles(footprints, caches, bpe)),
+        }
+        if schedule.hoisted:
+            by_name = {stage.name: stage for stage in footprints}
+            entry["hoisted"] = [
+                {
+                    **note,
+                    "margin": list(by_name[note["stage"]].margin),
+                    "recompute": by_name[note["stage"]].recompute(tile_h, tile_w),
+                }
+                if "stage" in note
+                else note
+                for note in schedule.hoisted
+            ]
     return report
 
 
@@ -1386,42 +1460,36 @@ def _tile_shape(
 def _lower_stages(
     space,
     fn_name: str,
-    tapes: List[list],
-    roots: List[int],
-    margins: List[List[int]],
-    produced: Dict[str, int],
-    tile: Optional[Tuple[int, int]],
-    hoisted: Tuple[dict, ...],
+    stages: _Stages,
+    schedule: Schedule,
     f32: bool,
     vector: FrozenSet[str],
 ) -> _BlockSpec:
-    """The one tile driver: lower a list of stages over ``space``.
+    """The one tile driver: print ``schedule`` over ``space``.
 
-    Within each tile every stage but the last is computed **once** per
-    pixel of its halo-extended region (``margins``) into a small stack
+    Within each tile every materialized stage is computed **once** per
+    pixel of its halo-extended region (its margins) into a small stack
     scratch buffer, and the last stage — the destination — reads its
-    producers (``produced``: image name -> stage index) from scratch
-    instead of recomputing them per pixel as the fused tape does: the
-    CPU analogue of the paper's shared-memory overlapped tiling
-    (Section IV).  Stage values are pure functions of the (resolved)
-    coordinate computed by the same ``-ffp-contract=off`` expression
-    sequences the fused tape inlines, so the output is bit-identical
-    to it.
+    producers (``stages.produced``: image name -> stage index) from
+    scratch instead of recomputing them per pixel as the fused tape
+    does: the CPU analogue of the paper's shared-memory overlapped
+    tiling (Section IV).  Stage values are pure functions of the
+    (resolved) coordinate computed by the same ``-ffp-contract=off``
+    expression sequences the fused tape inlines, so the output is
+    bit-identical to it.
 
-    ``tile`` is the (tile_h, tile_w) of a 2D grid, or ``None`` for the
-    row band of a block that materializes nothing: x untiled
-    (``x0 = 0``, ``x1 = W``), :data:`TILE_ROWS` rows per tile.  With
-    nothing resident there is nothing for a narrower tile to keep in
-    cache, so the row band keeps the plain row-major loop order.
-    ``hoisted`` is carried to the spec as the hoisting record, and
-    ``vector`` is :func:`_lower_block`'s.
+    The tile grid is ``schedule.grid``: 2D tiles, or the row band of a
+    block that materializes nothing: x untiled (``x0 = 0``, ``x1 = W``),
+    :data:`TILE_ROWS` rows per tile.  With nothing resident there is
+    nothing for a narrower tile to keep in cache, so the row band keeps
+    the plain row-major loop order.  ``vector`` is
+    :func:`_lower_block`'s.
     """
     width, height, channels = space.width, space.height, space.channels
-    n = len(tapes)
-
-    tile_h, tile_w = tile or (0, 0)  # a row band has no scratch to size
-    pitch = [tile_w + m[0] + m[1] for m in margins[: n - 1]]
-    rows = [tile_h + m[2] + m[3] for m in margins[: n - 1]]
+    tapes, roots, produced = stages
+    tile_h, tile_w = schedule.grid
+    pitch = [tile_w + s.margins[0] + s.margins[1] for s in schedule.stages[:-1]]
+    rows = [tile_h + s.margins[2] + s.margins[3] for s in schedule.stages[:-1]]
 
     images, params, _ = _tape_reads(
         [i for tape in tapes for i in tape], produced
@@ -1472,8 +1540,7 @@ def _lower_stages(
     functions: List[Func] = []
     regions: list = []
     sweeps: list = []
-    for index in range(n):
-        final = index == n - 1
+    for index, stage in enumerate(schedule.stages):
         stage_images, stage_params, producers = _tape_reads(
             tapes[index], produced
         )
@@ -1484,29 +1551,22 @@ def _lower_stages(
             if j in producers
         }
         names = (
-            (f"{fn_name}_halo", f"{fn_name}_interior")
-            if final
-            else (f"{fn_name}_s{index}", f"{fn_name}_s{index}i")
+            (f"{fn_name}_s{index}", f"{fn_name}_s{index}i")
+            if stage.materialized
+            else (f"{fn_name}_halo", f"{fn_name}_interior")
         )
-        stage_fns, band = _pixel_fns(
-            sig,
-            *names,
-            formals,
-            tapes[index],
-            roots[index],
-            scratch,
-            full_plane_too=final,
+        functions += _pixel_fns(
+            sig, *names, formals, tapes[index], roots[index], stage.band, scratch
         )
-        functions += stage_fns
-        if final:
+        if not stage.materialized:
             store = _store_of(
                 "out", add(mul(y, W), x), *names, formals, channels
             )
             sweeps += sweep(
-                band, ("ila", "il", "iha", "ih"), (x0, x1), (y0, y1), store
+                stage.band, ("ila", "il", "iha", "ih"), (x0, x1), (y0, y1), store
             )
             continue
-        left, right, top, bottom = margins[index]
+        left, right, top, bottom = stage.margins
         sx0, sx1, sy0, sy1 = (
             ident(f"{name}_{index}") for name in ("sx0", "sx1", "sy0", "sy1")
         )
@@ -1521,7 +1581,7 @@ def _lower_stages(
             mul(paren(sub(y, sy0)), num(pitch[index])), paren(sub(x, sx0))
         )
         sweeps += sweep(
-            band,
+            stage.band,
             tuple(f"{name}_{index}" for name in ("fla", "fl", "fha", "fh")),
             (sx0, sx1),
             (sy0, sy1),
@@ -1529,12 +1589,12 @@ def _lower_stages(
         )
 
     # -- driver: tile grid, per-tile scratch regions, stage sweeps --------
-    if tile is None:
-        rows_per_tile = num(TILE_ROWS)
+    if schedule.tile is None:
+        rows_per_tile = num(tile_h)
         grid = (
             IntDecl(
                 "n_tiles",
-                binop("/", paren(add(H, num(TILE_ROWS - 1))), rows_per_tile),
+                binop("/", paren(add(H, num(tile_h - 1))), rows_per_tile),
             ),
         )
         origin = (
@@ -1561,20 +1621,11 @@ def _lower_stages(
             num(0),
             ident("n_tiles"),
             origin + tuple(regions) + tuple(sweeps),
-            "parallel" if parallel_plane(width * height) else None,
+            "parallel" if schedule.parallel else None,
         ),
     )
     functions.append(sig.driver_fn(fn_name, sig.formals(images, params), driver))
-    return _BlockSpec(
-        fn_name,
-        tuple(functions),
-        images,
-        params,
-        sig,
-        channels,
-        tile2d=tile,
-        hoisted=hoisted,
-    )
+    return _BlockSpec(fn_name, tuple(functions), images, params, sig, schedule)
 
 
 def _block_fn_name(index: int, output_name: str) -> str:

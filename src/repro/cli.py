@@ -443,14 +443,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_tiling(args: argparse.Namespace) -> int:
-    """Report the native engine's 2D-tiling model choices per block.
+    """Report the native engine's 2D-tiling decisions per block.
 
     Prints the host cache hierarchy the model sizes scratch against
     (detected from sysfs, or micro-calibrated with ``--calibrate``) and,
-    for each application, every fused block's model-chosen tile shape —
-    or the reason the block materializes nothing and lowers as the row
-    band over its fused tape.
-    Needs no C compiler: this reads the model, not the emitted code.
+    for each application, every fused block's tile shape as the lowering
+    picks it (the model's, or ``REPRO_NATIVE_TILE2D``'s ``HxW``) scored
+    against those caches — or the reason the block materializes nothing
+    and lowers as the row band over its fused tape.
+    Needs no C compiler: this reads the schedule, not the emitted code.
     The last line is the on-disk compile cache those blocks are built
     into — libraries, the per-block kernel objects they link, and the
     persisted plan records beside them.

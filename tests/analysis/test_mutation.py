@@ -147,8 +147,11 @@ def _native_defects(spec):
 
 def test_native_sanitizer_catches_seeded_defects():
     """The NAT family: every applicable defect seeded into the loop-nest
-    IR of every native block of every app is caught."""
-    from analysis.ir_mutation import replace_subtree, with_ir
+    IR of every native block of every app is caught; and every defect
+    seeded into a block's schedule — the certificate alone, the tree
+    alone, or a producer margin in both — is caught, with the code its
+    family names."""
+    from analysis.ir_mutation import replace_subtree, schedule_defects, with_ir
 
     from repro.analysis.native_check import verify_native_blocks
     from repro.backend.native_exec import native_plan_for_partition
@@ -159,13 +162,16 @@ def test_native_sanitizer_catches_seeded_defects():
     gpu = KNOWN_GPUS["GTX680"]
     total = 0
     caught = 0
+    schedule_mutants = 0
+    missed = []
     for app in sorted(APPLICATIONS):
         width, height = APP_GEOMETRY[app]
         graph = APPLICATIONS[app].build(width, height).build()
         partition = partition_for(graph, gpu, "optimized")
         with validate_override("standard"):
             nplan = native_plan_for_partition(graph, partition)
-        for _plan, native in nplan.blocks:
+        blocks = block_schedule(graph, partition)
+        for (block_plan, native), block in zip(nplan.blocks, blocks):
             if native is None:
                 continue
             pristine = native.spec.ir
@@ -181,8 +187,18 @@ def test_native_sanitizer_catches_seeded_defects():
                     caught += 1
                 else:  # pragma: no cover - failure detail
                     print(f"missed: {app}/{native.output_name} {label}")
+            defects = schedule_defects(native, block_plan, graph, block)
+            for label, mutant, codes in defects:
+                schedule_mutants += 1
+                found = {d.code for d in verify_native_blocks([mutant])}
+                if not found or (codes is not None and not found & codes):
+                    missed.append(f"{app}/{native.output_name} {label}: {found}")
+                elif label.startswith("both") and "NAT004" in found:
+                    missed.append(f"{app}/{native.output_name} {label}: NAT004")
     assert total >= 10, f"native defect seeding produced only {total} mutants"
     rate = caught / total
     assert rate >= 0.95, (
         f"sanitizer caught {caught}/{total} native defects ({rate:.0%})"
     )
+    assert schedule_mutants >= 50, schedule_mutants
+    assert not missed

@@ -15,6 +15,7 @@ from analysis.ir_mutation import (
     find_nodes,
     replace_subtree,
     shifted,
+    with_stage,
     with_ir,
 )
 
@@ -204,13 +205,31 @@ class TestTile2DSeededDefects:
 
     def test_widened_fill_guard_is_caught(self, harris):
         # The row guard of a split sweep (a stage fill's or the
-        # destination's) is what proves the clamp-free body in-plane;
-        # widening it to the full height must fail the raw row reads.
+        # destination's) confines the clamp-free body to its band.
+        # Widened in the tree alone it disagrees with the schedule;
+        # widened in the schedule too, the raw row reads fail.
         guards = find_nodes(harris.spec.ir, Guard, lo=num(1))
         if not guards:
             pytest.skip("no split sweep with a one-row margin in this block")
         ir = _mutated(harris, guards[0], guards[0]._replace(lo=num(0)))
-        assert "NAT002" in _codes(harris, ir)
+        assert _codes(harris, ir) == {"NAT004"}
+        schedule = harris.spec.schedule
+        index, band = next(
+            (index, stage.band)
+            for index, stage in enumerate(schedule.stages)
+            if stage.band and stage.band[2] == 1
+        )
+        widened = with_stage(schedule, index, band=band[:2] + (0, band[3]))
+        found = verify_native_blocks([with_ir(harris, ir, widened)])
+        assert "NAT002" in {d.code for d in found}
+
+    def test_swapped_store_arguments_are_nat004(self, harris):
+        # A body called with x and y swapped evaluates the transposed
+        # pixel: every store passes its body the body's own formals.
+        store = find_nodes(harris.spec.ir, Store, buffer="out")[0]
+        *rest, x, y = store.actuals
+        ir = _mutated(harris, store, store._replace(actuals=(*rest, y, x)))
+        assert "NAT004" in _codes(harris, ir)
 
     def test_shrunk_fill_sweep_is_caught(self, harris):
         # Sweeping only the un-extended tile instead of the halo region

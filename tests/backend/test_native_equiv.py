@@ -588,16 +588,32 @@ REPORT_VARIANTS = [
     for origin in ("hand", "lazy")
 ] + [("Harris", "hand", True)]
 
+#: ``REPRO_NATIVE_TILE2D``: the model's pick, an explicit shape, and one
+#: whose scratch is past the stack cap for any chain.
+REPORT_TILES = ("auto", "8x16", "512x512")
+
+REPORT_CASES = [
+    variant + (tile2d,) for tile2d in REPORT_TILES for variant in REPORT_VARIANTS
+]
+
 
 @pytest.mark.parametrize(
-    "app, origin, naive",
-    REPORT_VARIANTS,
-    ids=[f"{a}-{o}" + ("-naive" * n) for a, o, n in REPORT_VARIANTS],
+    "app, origin, naive, tile2d",
+    REPORT_CASES,
+    ids=[
+        f"{a}-{o}" + ("-naive" * n) + ("" if t == "auto" else f"-{t}")
+        for a, o, n, t in REPORT_CASES
+    ],
 )
-def test_tiling_report_says_what_the_lowering_does(app, origin, naive):
+def test_tiling_report_says_what_the_lowering_does(
+    app, origin, naive, tile2d, monkeypatch
+):
     """Each ``repro tiling`` entry's tile is the lowered block's
     ``spec.tile2d``, ``None`` for a row band (which says why it
-    materializes nothing)."""
+    materializes nothing): an explicit shape is reported as that shape,
+    one past the stack scratch cap as a row band with the lowering's
+    reason."""
+    monkeypatch.setenv("REPRO_NATIVE_TILE2D", tile2d)
     graph = (
         APPLICATIONS[app].build(96, 64).build()
         if origin == "hand"
@@ -616,5 +632,13 @@ def test_tiling_report_says_what_the_lowering_does(app, origin, naive):
         tile = entry["choice"]["tile"] if "choice" in entry else None
         assert tile == (spec.tile2d and list(spec.tile2d)), entry["output"]
         assert ("row_band_reason" in entry) == (spec.tile2d is None)
+    tiles = [entry["choice"]["tile"] for entry in report if "choice" in entry]
+    if tile2d == "8x16":
+        assert all(tile == [8, 16] for tile in tiles)
+        assert bool(tiles) != naive
+    if tile2d == "512x512":
+        reasons = [entry["row_band_reason"] for entry in report]
+        assert not tiles
+        assert any("explicit 512x512 tile" in r for r in reasons) != naive
     if naive:
         assert all("row_band_reason" in entry for entry in report)

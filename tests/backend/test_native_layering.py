@@ -1,4 +1,5 @@
-"""The native engine's three modules import one way.
+"""The native engine's three modules import one way, and its sanitizer
+imports none of them.
 
 ``native_lower`` (tape -> loop nest -> C text) <- ``native_bind``
 (compiled kernels on NumPy buffers) <- ``native_exec`` (plans, build,
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import native_check
 from repro.backend import native_bind, native_exec, native_lower
 
 LOWER = "repro.backend.native_lower"
@@ -79,8 +81,11 @@ def _imports(module) -> set:
             {"ctypes", "threading", "repro.backend.cpu_exec", BIND, BUILD},
         ),
         (native_bind, {BUILD}),
+        # The sanitizer checks the lowering's schedule as data; importing
+        # the lowering would make its driver template trusted.
+        (native_check, {LOWER, BIND, BUILD}),
     ],
-    ids=["lowering", "binding"],
+    ids=["lowering", "binding", "checker"],
 )
 def test_imports_point_one_way(module, forbidden):
     assert not _imports(module) & forbidden

@@ -334,9 +334,9 @@ class TestParallelGate:
     @needs_cc
     @pytest.mark.parametrize("geometry", [(96, 64), GATE], ids=str)
     def test_a_restored_plan_derives_the_same_facts(self, geometry):
-        """The record's manifest has no ``parallel`` field: a plan bound
-        from it reads the fact off the baked geometry, as a fresh
-        build does."""
+        """A plan bound from the record's manifest has the fresh
+        build's ``parallel`` facts: the schedule records the flag, and
+        the binding takes it only where the baked geometry gives it."""
         graph, partition = self._lowered("Harris", *geometry)
         fresh = native_plan_for_partition(graph, partition)
         recorded = native_exec.RecordedLibrary(

@@ -631,6 +631,11 @@ def _image_the_tape_does_not_read(monkeypatch, cache_dir, record):
     record["bindings"][0]["images"] = ["nowhere"]
 
 
+def _schedule_past_its_geometry(monkeypatch, cache_dir, record):
+    schedule = record["bindings"][0]["schedule"]
+    schedule["parallel"] = not schedule["parallel"]
+
+
 def _other_library_bytes(monkeypatch, cache_dir, record):
     library = cache_dir / f"{record['library']}.so"
     other = cache_dir / "other.so"
@@ -659,6 +664,10 @@ def _deleted_library(monkeypatch, cache_dir, record):
         pytest.param(
             _image_the_tape_does_not_read, "bindings", (0, 0, 0, 0),
             id="foreign_image",
+        ),
+        pytest.param(
+            _schedule_past_its_geometry, "bindings", (0, 0, 0, 0),
+            id="parallel_flipped",
         ),
         pytest.param(
             _other_library_bytes, "library bytes", (0, 0, 0, 1), id="other_bytes"
@@ -722,6 +731,30 @@ def test_a_manifest_that_drops_a_read_is_lowered_never_misbound(
         for native in entry.native_plan.natives
     ] == [(("input",), ("gamma",))]
     _assert_healed(cache_dir, checks, builds, request, first)
+
+
+@pytest.mark.parametrize("geometry", [(WIDTH, HEIGHT), (1024, 1024)], ids=str)
+def test_a_bound_plan_has_the_lowered_schedules(cache_dir, geometry):
+    """The manifest spells each block's schedule once: bound from its
+    JSON — no tape, no lowering — a plan has the lowered plan's
+    schedules, and so its hoisting notes."""
+    for app in APPS:
+        graph = APPLICATIONS[app].build(*geometry).build()
+        lowered = native_plan_for_partition(
+            graph, partition_for(graph, GTX680, "optimized")
+        )
+        recorded = native_exec.RecordedLibrary(
+            lowered.library_path.stem,
+            lowered.library_sha256,
+            json.loads(json.dumps(lowered.bindings())),
+            lowered.library_path.parent,
+        )
+        bound = native_exec._bind_recorded(lowered.plan, recorded, lowered.f32)
+        assert bound.from_record, app
+        assert [native.spec.schedule for native in bound.natives] == [
+            native.spec.schedule for native in lowered.natives
+        ], app
+        assert bound.hoisted == lowered.hoisted, app
 
 
 @DOORS
