@@ -38,6 +38,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from repro.backend import engines
+from repro.backend.cpu_exec import cache_directory
 from repro.backend.numpy_exec import (
     Arrays,
     ExecutionError,
@@ -162,6 +163,15 @@ def run(
     ``rsqrt`` (Enhance's ``exp`` / ``log`` / ``pow``) agrees with the
     tape only within the pinned 1e-12 of
     :func:`repro.backend.native_exec.tolerance_for`.
+
+    A cold ``engine="native"`` call may be answered by the tape: when
+    ``cc`` would run and the tape is predicted to answer first
+    (:func:`~repro.serve.plancache.native_strategy`), the call returns
+    the tape plan's result — the same bits, or for Enhance the same
+    within that 1e-12 — while the native plan compiles in the
+    background and serves the calls after it is ready.  The compile
+    cache directory (``REPRO_CC_CACHE``) is resolved once per call, and
+    that background build writes there.
     """
     opts = options or ExecutionOptions()
     runtime = opts.runtime
@@ -192,7 +202,7 @@ def run(
     # serving runtime's availability contract, for direct callers.
     degrade = getattr(opts.resilience, "degradation", False)
     rungs = engines.ladder_from(engine.name) if degrade else (engine,)
-    with validate_override(opts.validate):
+    with validate_override(opts.validate), cache_directory():
         for rung in rungs:
             try:
                 return _run_rung(
@@ -303,8 +313,9 @@ def _run_rung(
 ) -> Arrays:
     """One request on one engine: key (with the ``lowering`` the door
     resolved) → :data:`PROCESS_CACHE` lookup →
-    :func:`build_plan` on a miss → :meth:`CachedPlan.execute` (which
-    also re-fuses a hot entry).  An entry whose execute raised is
+    :func:`build_plan` on a miss, which may answer a native miss on the
+    tape (``tiering``) → :meth:`CachedPlan.execute` (which also
+    re-fuses a hot entry).  An entry whose execute raised is
     dropped, as serving's quarantine does, so it is never served
     again."""
     key = plan_key(
@@ -313,7 +324,8 @@ def _run_rung(
     entry, hit = PROCESS_CACHE.get_or_build(
         key,
         lambda: build_plan(
-            graph, key=key, partition=partition, fusion=fusion, engine=engine
+            graph, key=key, partition=partition, fusion=fusion, engine=engine,
+            tiering=True,
         ),
     )
     if hit:

@@ -121,8 +121,44 @@ CACHE_MAX_ENV = "REPRO_CC_CACHE_MAX"
 DEFAULT_CACHE_MAX: int | None = None
 
 
+#: The cache directory a request resolved at its door
+#: (:func:`cache_directory`); ``None`` outside a request.  A contextvar,
+#: so a background build running in a copy of its request's context
+#: compiles and records where that request would have, whatever
+#: ``REPRO_CC_CACHE`` says by the time it runs.
+CACHE_DIRECTORY: ContextVar[Optional[Path]] = ContextVar(
+    "repro_cc_cache_directory", default=None
+)
+
+
+#: ``REPRO_CC_CACHE`` at the last resolution -> the directory it named
+#: (one entry: both doors resolve it on every request).
+_cache_env: tuple[str | None, Path | None] = (None, None)
+
+
 def _cache_dir() -> Path:
-    return dir_env(CACHE_ENV, Path(tempfile.gettempdir()) / "repro-cc-cache")
+    global _cache_env
+    scoped = CACHE_DIRECTORY.get()
+    if scoped is not None:
+        return scoped
+    raw = os.environ.get(CACHE_ENV)
+    if _cache_env[1] is None or _cache_env[0] != raw:
+        default = Path(tempfile.gettempdir()) / "repro-cc-cache"
+        _cache_env = (raw, dir_env(CACHE_ENV, default))
+    return _cache_env[1]
+
+
+@contextmanager
+def cache_directory(path: Optional[Path] = None) -> Iterator[Path]:
+    """Scope ``path`` — by default the directory resolved now: the
+    enclosing scope's, else ``REPRO_CC_CACHE``'s — over the block: every
+    artifact the block (and any job queued from it) reads or writes is
+    in that one directory.  Both doors open one per request."""
+    token = CACHE_DIRECTORY.set(path or _cache_dir())
+    try:
+        yield CACHE_DIRECTORY.get()
+    finally:
+        CACHE_DIRECTORY.reset(token)
 
 
 def clear_compile_cache() -> None:
@@ -422,9 +458,29 @@ def _compile_object(
                 f"C compilation failed ({stem}.c):\n{result.stderr}\n"
                 "--- source ---\n" + text
             )
-        os.replace(scratch_source, cache / f"{stem}.c")
-        os.replace(scratch, object_path)
+        try:
+            os.replace(scratch_source, cache / f"{stem}.c")
+            os.replace(scratch, object_path)
+        except OSError:
+            # The directory was emptied under the build: leave no scratch.
+            scratch.unlink(missing_ok=True)
+            scratch_source.unlink(missing_ok=True)
+            raise
         return True
+
+
+def objects_to_compile(
+    source: str, kernels: Sequence[str], cc: str, extra_flags: Sequence[str] = ()
+) -> int:
+    """How many ``cc -c`` :func:`build_shared_library` would run for
+    these arguments now: 0 when the library is cached, else the kernel
+    objects missing from the cache (a stat each, nothing written)."""
+    flags = tuple(extra_flags)
+    cache = _cache_dir()
+    if (cache / f"pipeline-{_digest_of(source, cc, flags)}.so").exists():
+        return 0
+    digests = {_digest_of(text, cc, flags) for text in kernels}
+    return sum(not (cache / f"kernel-{d}.o").exists() for d in digests)
 
 
 class LibraryBuild(NamedTuple):

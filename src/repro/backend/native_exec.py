@@ -95,6 +95,7 @@ from repro.backend.cpu_exec import (
     compiler_available,
     libmvec_variants,
     load_kernel_library,
+    objects_to_compile,
     openmp_available,
     read_cache_bytes,
 )
@@ -135,8 +136,11 @@ from repro.graph.partition import Partition, PartitionBlock
 from repro.model.hardware import detect_cpu_caches
 
 __all__ = [
+    "COSTS",
+    "CompileCosts",
     "F32_ATOL",
     "F32_RTOL",
+    "LoweredPartition",
     "NATIVE_F32_ENV",
     "NATIVE_THREADS_ENV",
     "NATIVE_TILE2D_ENV",
@@ -149,6 +153,7 @@ __all__ = [
     "available_cores",
     "clear_native_caches",
     "lower_block_source",
+    "lower_native",
     "lower_partition_source",
     "native_available",
     "native_plan_for_partition",
@@ -552,48 +557,71 @@ def _support_unit(
     return None
 
 
-def _compile_specs(
-    specs: List[Optional[_BlockSpec]],
-    vector: FrozenSet[str],
-    cflags: Tuple[str, ...],
-) -> Tuple[Optional[ctypes.CDLL], Optional[str], Optional[LibraryBuild], bool]:
-    """``(library, source, build, openmp)`` of the lowered specs: every
-    block is its own translation unit (the text
-    :func:`lower_block_source` returns) and its own entry of the object
-    cache, and so is the libmvec support unit of ``vector`` when a block
-    calls a wrapper; ``source`` — all of them as one translation unit,
-    :func:`lower_partition_source` — names the library.  ``openmp`` says
-    whether the library was built with ``-fopenmp``."""
-    lowered = [spec for spec in specs if spec is not None]
-    if not lowered:
-        return None, None, None, False
+class LoweredPartition(NamedTuple):
+    """A partition lowered to C, not yet compiled: one spec per block in
+    schedule order (``None`` where the block stays on the tape) and the
+    reasons, plus — when a block lowered and a compiler exists — the
+    library's ``source`` (every unit as one translation unit: it names
+    the library), its ``kernels`` (one translation unit per block, and
+    the libmvec support unit when a block calls a wrapper), the compiler
+    and its flags.  A build that defers its compile hands this to the
+    one that compiles."""
+
+    specs: List[Optional[_BlockSpec]]
+    reasons: Dict[str, str]
+    source: Optional[str] = None
+    kernels: Tuple[str, ...] = ()
+    cc: Optional[str] = None
+    flags: Tuple[str, ...] = ()
+
+    def objects_to_compile(self) -> int:
+        """How many ``cc -c`` compiling it would run now: 0 when there
+        is nothing to compile or every object is in the cache."""
+        if self.source is None:
+            return 0
+        return objects_to_compile(self.source, self.kernels, self.cc, self.flags)
+
+
+def lower_native(
+    graph: KernelGraph,
+    partition: Partition,
+    plan: PartitionPlan,
+    lowering: NativeLowering,
+) -> LoweredPartition:
+    """Lower every block of ``plan`` to C under ``lowering``.  No
+    compiler runs, beside the toolchain probes (once per process)."""
     cc = _find_compiler()
-    if cc is None:
-        return None, None, None, False
+    vector = _vector_for(plan.plans, cc)
+    specs, reasons = _lower_partition(graph, partition, plan, vector, lowering=lowering)
+    lowered = [spec for spec in specs if spec is not None]
+    if not lowered or cc is None:
+        return LoweredPartition(specs, reasons)
     source = _PREAMBLE + "\n" + "\n".join(spec.source for spec in lowered)
     kernels = [_PREAMBLE + "\n" + spec.source for spec in lowered]
     support = _support_unit(lowered, vector)
     if support is not None:
         source += "\n" + support
         kernels.append(support)
-    flags = _native_flags(cc, cflags)
-    _prefer_passive_omp_wait()
-    library, build = load_kernel_library(source, kernels, cc, flags)
-    return library, source, build, "-fopenmp" in flags
+    flags = _native_flags(cc, lowering.cflags)
+    return LoweredPartition(specs, reasons, source, tuple(kernels), cc, flags)
 
 
 def _build_native_partition(
-    graph: KernelGraph,
-    partition: Partition,
-    plan: PartitionPlan,
-    lowering: NativeLowering,
+    plan: PartitionPlan, lowered: LoweredPartition, f32: bool
 ) -> NativePartitionPlan:
+    """Compile (or fetch) and load the library of ``lowered`` and bind
+    its blocks; a block without a library runs on the tape."""
     started = time.perf_counter()
-    vector = _vector_for(plan.plans, _find_compiler())
-    specs, reasons = _lower_partition(graph, partition, plan, vector, lowering=lowering)
-    library, source, build, openmp = _compile_specs(specs, vector, lowering.cflags)
+    library = build = None
+    if lowered.source is not None:
+        _prefer_passive_omp_wait()
+        library, build = load_kernel_library(
+            lowered.source, lowered.kernels, lowered.cc, lowered.flags
+        )
+    openmp = "-fopenmp" in lowered.flags
+    reasons = dict(lowered.reasons)
     natives: List[Optional[NativeBlock]] = []
-    for index, spec in enumerate(specs):
+    for index, spec in enumerate(lowered.specs):
         if spec is None or library is None:
             if spec is not None:
                 reasons.setdefault(
@@ -605,7 +633,7 @@ def _build_native_partition(
         natives.append(NativeBlock(plan, index, spec, fn, openmp))
     compile_ms = (time.perf_counter() - started) * 1e3
     return NativePartitionPlan(
-        plan, natives, compile_ms, build, reasons, source, lowering.f32
+        plan, natives, compile_ms, build, reasons, lowered.source, f32
     )
 
 
@@ -747,6 +775,63 @@ def _bind_recorded(
     return native_plan
 
 
+class CompileCosts:
+    """What this process has measured of the two waits a native miss
+    chooses between: one tape execute, at the tape's ms per
+    instruction-pixel (tape length × plane elements, summed over the
+    blocks), and one build that runs ``cc``, at a fixed ms per build
+    (spawning the compilers, the link, the ``dlopen``) plus ms per
+    object compiled.  The per-pixel and per-object costs are moving
+    averages of what the process observed; all three are seeded with a
+    reading of the six paper apps on the reference container (2 shared
+    vCPUs, gcc 12.2): 2–4 ns per instruction-pixel at 96×64 and 1024²,
+    and first builds of 190 ms for one object and 300–370 ms for six."""
+
+    #: Weight of the newest observation.
+    ALPHA = 0.25
+
+    def __init__(
+        self, tape_ms_per_ipx: float, build_ms: float, object_ms: float
+    ):
+        self.tape_ms_per_ipx = tape_ms_per_ipx
+        self.build_ms = build_ms
+        self.object_ms = object_ms
+
+    @staticmethod
+    def instruction_pixels(plan: PartitionPlan) -> int:
+        """Tape instructions × plane elements, summed over the blocks:
+        what one tape execute of ``plan`` works through."""
+        return sum(
+            len(block.tape) * facts.space.size
+            for block, facts in zip(plan.plans, plan.schedule)
+        )
+
+    def tape_ms(self, plan: PartitionPlan) -> float:
+        """The predicted wall time of one execute of ``plan``."""
+        return self.instruction_pixels(plan) * self.tape_ms_per_ipx
+
+    def compile_ms(self, objects: int) -> float:
+        """The predicted wall time of a build compiling ``objects``."""
+        return self.build_ms + objects * self.object_ms
+
+    def observe_tape(self, plan: PartitionPlan, ms: float) -> None:
+        """Book one tape execute of ``plan`` that took ``ms``."""
+        pixels = self.instruction_pixels(plan)
+        if pixels:
+            self.tape_ms_per_ipx += self.ALPHA * (ms / pixels - self.tape_ms_per_ipx)
+
+    def observe_compile(self, objects: int, ms: float) -> None:
+        """Book one build that compiled ``objects`` in ``ms``."""
+        if objects:
+            per_object = max(0.0, ms - self.build_ms) / objects
+            self.object_ms += self.ALPHA * (per_object - self.object_ms)
+
+
+#: The process's measurements (a race between two updates loses one
+#: observation, nothing else).
+COSTS = CompileCosts(tape_ms_per_ipx=3.5e-6, build_ms=150.0, object_ms=30.0)
+
+
 def native_plan_for_partition(
     graph: KernelGraph,
     partition: Partition,
@@ -754,7 +839,9 @@ def native_plan_for_partition(
     *,
     recorded: Optional[RecordedLibrary] = None,
     lowering: Optional[NativeLowering] = None,
-) -> NativePartitionPlan:
+    lowered: Optional[LoweredPartition] = None,
+    defer: Optional[Callable[[PartitionPlan, LoweredPartition], bool]] = None,
+) -> Optional[NativePartitionPlan]:
     """The (cached) native plan of a partition, lowered and compiled
     under ``lowering`` — the request's ``(tile2d, f32, cflags)``, by
     default :func:`repro.envknobs.native_lowering`.
@@ -767,11 +854,16 @@ def native_plan_for_partition(
     already passed: bound from its manifest without lowering when it
     checks out (``from_record``, else ``unbound`` says why), else taken
     as sanitized when the lowered source reproduces its stem.
+    ``lowered`` is this partition's :func:`lower_native` under
+    ``lowering``, when a build that deferred made it.  ``defer`` is
+    asked, once the partition is lowered, whether to stop before the
+    compile: when it says so, the result is ``None`` and nothing is
+    memoized.
     """
     if lowering is None:
         lowering = native_lowering()
 
-    def build() -> NativePartitionPlan:
+    def build() -> Optional[NativePartitionPlan]:
         started = time.perf_counter()
         fault_check("native.compile")
         plan = plan_for_partition(graph, partition, naive_borders)
@@ -781,7 +873,10 @@ def native_plan_for_partition(
                 return _bind_recorded(plan, recorded, lowering.f32)
             except _Unbound as err:
                 unbound = str(err)
-        native_plan = _build_native_partition(graph, partition, plan, lowering)
+        source = lowered or lower_native(graph, partition, plan, lowering)
+        if defer is not None and defer(plan, source):
+            return None
+        native_plan = _build_native_partition(plan, source, lowering.f32)
         native_plan.unbound = unbound
         library = native_plan.library_path
         if recorded is not None and library is not None:
@@ -790,6 +885,7 @@ def native_plan_for_partition(
             native_plan.ensure_sanitized()
         if library is not None and not native_plan.from_cache:
             native_plan.price_ms = (time.perf_counter() - started) * 1e3
+            COSTS.observe_compile(native_plan.objects_compiled, native_plan.price_ms)
         return native_plan
 
     return memo(

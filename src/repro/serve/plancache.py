@@ -54,6 +54,14 @@ through :func:`build_plan` on the maximal legal partition
 :data:`PROMOTION_TRIALS` live requests run both plans, and the hot plan
 is published only if its outputs are bit-identical and its median
 execute is faster.
+
+A plan that is best to run is not always best to wait for, so a cold
+**direct** native miss may be answered on the tape
+(:func:`native_strategy`): when ``cc`` would run and the tape is
+predicted to answer first, the entry serves its tape plan while the
+tier builder (:func:`tier_builder`) compiles the native plan in the
+request's cache directory and publishes it into the entry
+(:meth:`PlanCache.build_native`).  Serving builds block.
 """
 
 from __future__ import annotations
@@ -103,7 +111,9 @@ __all__ = [
     "code_fingerprint",
     "hot_builder",
     "inputs_signature",
+    "native_strategy",
     "plan_key",
+    "tier_builder",
     "validate_plan",
 ]
 
@@ -236,8 +246,15 @@ class CachedPlan:
     model chose: its :attr:`tier` goes ``cold`` → ``building`` (its
     executes have paid :attr:`price_ms`; the maximal partition is
     building, then on trial) → ``hot`` (published), ``kept_cold``
-    (unequal, slower, or the build failed) or ``same`` (the maximal
-    partition is the cold one).
+    (unequal, or the build failed) or ``same`` (the maximal partition
+    is the cold one).  A hot plan measured slower sends the entry back
+    to ``cold`` at twice the price, to be tried again.
+
+    A native entry the direct door answered on the tape
+    (:func:`native_strategy` said ``"tiered"``) serves its tape
+    :attr:`plan` until the background build publishes the native plan
+    (:meth:`publish_native`); until then :attr:`native_plan` and
+    :attr:`price_ms` are ``None``.
     """
 
     #: The key this entry is cached under (set by :class:`PlanCache`).
@@ -250,7 +267,9 @@ class CachedPlan:
     #: record: read + digests + write) and, under strict,
     #: ``native_verify_ms`` / ``verify_ms`` — the costs the cache
     #: amortizes across requests.  A stage the plan record supplied
-    #: reads 0.0.
+    #: reads 0.0.  A native entry adds ``native_ready_ms``: from its miss
+    #: until the native plan serves it (the build's end, or the
+    #: background publish of a tiered entry).
     timings_ms: Dict[str, float] = field(default_factory=dict)
     serves: int = 0
     #: Compiled-native execution plan
@@ -289,6 +308,11 @@ class CachedPlan:
     #: The cache holding this entry: it counts the tier-up events and
     #: owns the entry's hot build.
     cache: Optional["PlanCache"] = field(default=None, repr=False)
+    #: The C a tiered entry's background build compiles (lowered once,
+    #: at the miss); ``None`` otherwise, and once that build is queued.
+    deferred: Optional[native_exec.LoweredPartition] = field(
+        default=None, repr=False
+    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _live: bool = field(default=True, repr=False)
     _claimed: int = field(default=0, repr=False)
@@ -344,6 +368,10 @@ class CachedPlan:
                 self.cache.note("served_hot")
             elif self.price_ms is not None and self.tier == "cold":
                 self._account((time.perf_counter() - started) * 1e3)
+            elif self.engine == "native" and executor is self.plan:
+                native_exec.COSTS.observe_tape(
+                    executor, (time.perf_counter() - started) * 1e3
+                )
         if self.fusion is None:
             return env
         keep = self.graph.external_outputs
@@ -366,14 +394,15 @@ class CachedPlan:
             ):
                 return
             self.tier = "building"
+            if self.hot is not None:
+                return  # a hot plan measured slower goes on trial again
         self.cache.build_hot(self)
 
     def build_hot(self) -> None:
         """The builder's job: the maximal partition through the same
         :func:`build_plan` (sanitized and verified as a cold plan is),
-        put on trial unless the entry left its cache meanwhile.  A job
-        that starts once the interpreter is exiting does nothing."""
-        if not self._live or not threading.main_thread().is_alive():
+        put on trial unless the entry left its cache meanwhile."""
+        if not self._live:
             return
         fusion = self.fusion
         try:
@@ -433,29 +462,67 @@ class CachedPlan:
         return env
 
     def _settle(self, hot: "CachedPlan", trial: Tuple[bool, float, float]) -> None:
-        """Book one trial; the last one publishes or rejects."""
+        """Book one trial; the last of a round publishes or decides
+        against.
+
+        Unequal bits are final.  Slower is not — on shared cores three
+        trials can read a few per cent either way — so the entry goes
+        back to ``cold`` with the hot plan kept and twice the price: it
+        is tried again once its executes have paid that, and a plan that
+        stays slower costs O(log n) trials over n requests.  Each round
+        decides on the medians of every trial so far, so the evidence
+        grows with the rounds instead of each round being a fresh coin."""
         with self._lock:
             if self.hot is not hot or not self._live:
                 return
             self._trials.append(trial)
-            if len(self._trials) < PROMOTION_TRIALS:
+            if len(self._trials) % PROMOTION_TRIALS:
                 return
-            trials, self._trials = self._trials, []
+            trials = self._trials
+            self._claimed = 0
             if not all(equal for equal, _, _ in trials):
                 verdict = "hot_unequal"
+                self.tier, self.hot = "kept_cold", None
             elif statistics.median(t[2] for t in trials) >= statistics.median(
                 t[1] for t in trials
             ):
                 verdict = "hot_slower"
+                self.tier, self.executed_ms = "cold", 0.0
+                self.price_ms *= 2
             else:
                 verdict = "hot_published"
                 self.executor = hot.executor
                 self.tier = "hot"
-            if verdict != "hot_published":
-                self.tier, self.hot = "kept_cold", None
+            if verdict != "hot_slower":
+                self._trials = []
         self.cache.note(verdict)
-        if verdict != "hot_published":
+        if verdict == "hot_unequal":
             _forget_partition(self.graph, hot.partition)
+
+    def publish_native(self, built: "CachedPlan", missed_at: float) -> bool:
+        """The tiered build's last step: from the next request on, this
+        entry serves ``built``'s native plan — unless the entry left its
+        cache (returns ``False``).  The plan, its record and its re-fuse
+        price are in place before the one assignment to
+        :attr:`executor` that publishes it; the differential strict owes
+        runs on the first request it serves."""
+        record = built.record
+        with self._lock:
+            if not self._live:
+                return False
+            self.native_plan = built.native_plan
+            self.record = record
+            if self.fusion is not None and not self.fusion.naive_borders:
+                self.price_ms = record.compile_ms
+            self.timings_ms["native_compile_ms"] = built.timings_ms[
+                "native_compile_ms"
+            ]
+            self.timings_ms["native_ready_ms"] = (
+                time.perf_counter() - missed_at
+            ) * 1e3
+            self.executor = built.native_plan
+        _sync_record_on_differential(self)
+        return True
 
     def retire(self) -> None:
         """The entry left its cache: it publishes and builds nothing
@@ -478,25 +545,42 @@ def _forget_partition(graph: KernelGraph, partition: Partition) -> None:
 #: having, not worth slowing the requests for.
 BUILDER_NICE = 19
 
-_hot_pool: Optional[ThreadPoolExecutor] = None
-_hot_pool_guard = threading.Lock()
+#: The background builders by thread name: one thread each, created on
+#: first use, and again in a forked child (the parent's threads are not
+#: there).
+_builders: Dict[str, ThreadPoolExecutor] = {}
+_builders_guard = threading.Lock()
+
+
+def _builder(name: str, initializer: Callable[[], None]) -> ThreadPoolExecutor:
+    with _builders_guard:
+        pool = _builders.get(name)
+        if pool is None:
+            pool = _builders[name] = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=name, initializer=initializer
+            )
+        return pool
 
 
 def hot_builder() -> ThreadPoolExecutor:
     """The one background thread per process that builds hot plans
     (:meth:`CachedPlan.build_hot`), one job at a time, at the lowest CPU
-    priority (:data:`BUILDER_NICE`, on Linux).  Created on first use,
-    and again in a forked child (the parent's thread is not there).
-    At exit the running job finishes and the queued ones do nothing."""
-    global _hot_pool
-    with _hot_pool_guard:
-        if _hot_pool is None:
-            _hot_pool = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix="repro-hot-builder",
-                initializer=_lower_priority,
-            )
-        return _hot_pool
+    priority (:data:`BUILDER_NICE`, on Linux).  At exit the running job
+    finishes and the queued ones do nothing."""
+    return _builder("repro-hot-builder", _lower_priority)
+
+
+def tier_builder() -> ThreadPoolExecutor:
+    """The one background thread per process that builds the native
+    plans of tiered entries (:func:`native_strategy`), one job at a
+    time, at the process's own priority: requests are waiting on the
+    tape for it.  Never the hot builder, whose niceness every ``cc`` it
+    starts would inherit.  Its jobs compile on the compile pool, as a
+    request's build does: compiling in order on this thread instead
+    left the requests one more core but priced and published every
+    tiered plan later (EXPERIMENTS.md).  At exit the running job
+    finishes and the queued ones do nothing."""
+    return _builder("repro-tier-builder", _process_priority)
 
 
 def _lower_priority() -> None:
@@ -507,20 +591,46 @@ def _lower_priority() -> None:
             )
 
 
+def _process_priority() -> None:
+    # A thread starts at its creator's niceness; take the main thread's.
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):
+            os.setpriority(
+                os.PRIO_PROCESS,
+                threading.get_native_id(),
+                os.getpriority(os.PRIO_PROCESS, os.getpid()),
+            )
+
+
 def _after_fork_in_child() -> None:
-    global _hot_pool
-    _hot_pool = None
+    _builders.clear()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
+def _background(job: Callable[[], None]) -> None:
+    """Run one builder job, in a copy of its request's context (the
+    validation level and the cache directory resolved at the door).  A
+    job that starts once the interpreter is exiting, or whose cache
+    directory is gone, does nothing."""
+    if not threading.main_thread().is_alive() or not cpu_exec._cache_dir().is_dir():
+        return
+    job()
+
+
 def _hot_job(entry: CachedPlan) -> None:
-    """One builder job, in a copy of the paying request's context (its
-    validation level), as a :data:`~repro.backend.cpu_exec.BACKGROUND_BUILD`."""
+    """The hot builder's job, as a
+    :data:`~repro.backend.cpu_exec.BACKGROUND_BUILD`: it compiles on its
+    own niced thread."""
     cpu_exec.BACKGROUND_BUILD.set(True)
     entry.build_hot()
+
+
+#: The tiered builds queued or running, by (plan key, cache directory).
+_tier_jobs: Dict[tuple, Future] = {}
+_tier_guard = threading.Lock()
 
 
 #: Layout version of a plan record's JSON; any other is ignored.
@@ -779,6 +889,49 @@ def _price(value: Any) -> Optional[float]:
     return None
 
 
+def native_strategy(
+    plan: PartitionPlan, lowered: native_exec.LoweredPartition
+) -> str:
+    """How a direct-door native miss gets its first answer, decided once
+    per miss: ``"blocking"`` — compile, then execute natively, as every
+    other build does — or ``"tiered"`` — answer on the tape ``plan`` the
+    build holds anyway, and compile ``lowered`` in the background
+    (:meth:`PlanCache.build_native`).
+
+    The build asks only when its plan record bound no library and the
+    partition is lowered.  Tiered needs two more things: ``cc -c`` would
+    run (an object of ``lowered`` is not in the cache), and the tape is
+    predicted to answer first — always under strict, whose first native
+    execute runs the whole tape as its differential anyway; otherwise
+    when :data:`~repro.backend.native_exec.COSTS` predicts the tape
+    execute below the compile."""
+    objects = lowered.objects_to_compile()
+    if not objects:
+        return "blocking"
+    costs = native_exec.COSTS
+    if validate_mode() == "strict" or costs.tape_ms(plan) < costs.compile_ms(objects):
+        return "tiered"
+    return "blocking"
+
+
+def _sync_record_on_differential(entry: CachedPlan) -> None:
+    """Write ``entry``'s plan record again once its native plan's first
+    strict execute has passed the differential."""
+    record, native_plan = entry.record, entry.native_plan
+    if record is None or native_plan is None or not native_plan.differential_pending:
+        return
+    # Weakly: the plan must not keep its entry (and through it itself)
+    # alive in a cycle only the collector can free.
+    entry_ref = weakref.ref(entry)
+
+    def record_differential() -> None:
+        live = entry_ref()
+        if live is not None:
+            record.sync(live)
+
+    native_plan.on_differential_pass(record_differential)
+
+
 #: Runs one named build stage: ``stage(name, fn)`` returns ``fn()``.
 Stage = Callable[[str, Callable[[], Any]], Any]
 
@@ -798,6 +951,8 @@ def build_plan(
     engine: str,
     stage: Stage = call_stage,
     lowering: NativeLowering | None = None,
+    tiering: bool = False,
+    lowered: native_exec.LoweredPartition | None = None,
 ) -> CachedPlan:
     """Build what one request executes — the only place in ``src/``
     that runs fuse → tape plan → native compile → sanitize → verify.
@@ -843,7 +998,14 @@ def build_plan(
     native plan (:attr:`~repro.backend.native_exec.NativePartitionPlan.price_ms`,
     kept on the memoized plan, so an evicted entry rebuilt on it pays
     the same), else the one the record holds for this library.
+
+    ``tiering`` (the direct door's, with a key) lets :func:`native_strategy`
+    decide a native miss: a ``"tiered"`` entry executes on its tape plan
+    and carries the lowered C (:attr:`CachedPlan.deferred`) for the
+    background build its cache queues; that build passes it back as
+    ``lowered``, so nothing is lowered twice.
     """
+    started = time.perf_counter()
     timings: Dict[str, float] = {}
     chosen = partition is None
     naive_borders = fusion.naive_borders
@@ -884,7 +1046,15 @@ def build_plan(
                 else None,
             ),
         )
+    deferred = None
     if engine == "native":
+
+        def defer(plan: PartitionPlan, lowered: native_exec.LoweredPartition) -> bool:
+            nonlocal deferred
+            if native_strategy(plan, lowered) == "tiered":
+                deferred = lowered
+            return deferred is not None
+
         native_plan = timed(
             "compile",
             "native_compile_ms",
@@ -894,8 +1064,12 @@ def build_plan(
                 naive_borders,
                 recorded=record and record.library(),
                 lowering=lowering,
+                lowered=lowered,
+                defer=defer if tiering and record is not None else None,
             ),
         )
+        if native_plan is not None:
+            timings["native_ready_ms"] = (time.perf_counter() - started) * 1e3
     executor = native_plan if native_plan is not None else plan
     if executor is None:
         # No build stage above: the engine's plan is the walk itself.
@@ -913,6 +1087,7 @@ def build_plan(
         executor=executor,
         record=record,
         fusion=fusion if chosen else None,
+        deferred=deferred,
     )
     if record is not None:
         record.settle(entry)
@@ -927,17 +1102,7 @@ def build_plan(
     validate_plan(entry, stage)
     if record is not None:
         record.sync(entry)
-        if native_plan is not None and native_plan.differential_pending:
-            # Weakly: the plan must not keep its entry (and through it
-            # itself) alive in a cycle only the collector can free.
-            entry_ref = weakref.ref(entry)
-
-            def record_differential() -> None:
-                live = entry_ref()
-                if live is not None:
-                    record.sync(live)
-
-            native_plan.on_differential_pass(record_differential)
+        _sync_record_on_differential(entry)
         timings["record_ms"] = record.ms
     return entry
 
@@ -1016,6 +1181,12 @@ class PlanCache:
         self.hot_unequal = 0
         self.hot_slower = 0
         self.served_hot = 0
+        #: Tiering counters: native misses answered on the tape, native
+        #: plans their background builds published, and builds that
+        #: failed (the entry stays on the tape for its life here).
+        self.tape_first = 0
+        self.native_published = 0
+        self.native_failed = 0
         #: This cache's jobs on :func:`hot_builder`, queued or running.
         self._hot_jobs: set = set()
 
@@ -1084,6 +1255,7 @@ class PlanCache:
                         pending.entry.serves += 1
                     return pending.entry, True
                 continue  # builder failed silently? retry from scratch
+            missed_at = time.perf_counter()
             try:
                 entry = builder()
             except BaseException as err:
@@ -1104,6 +1276,8 @@ class PlanCache:
                 self._building.pop(key, None)
             pending.entry = entry
             pending.event.set()
+            if entry.deferred is not None:
+                self.build_native(entry, missed_at)
             return entry, False
 
     def quarantine(self, key: tuple) -> bool:
@@ -1175,7 +1349,9 @@ class PlanCache:
         the calling request's context."""
         context = contextvars.copy_context()
         try:
-            job = hot_builder().submit(context.run, _hot_job, entry)
+            job = hot_builder().submit(
+                context.run, _background, lambda: _hot_job(entry)
+            )
         except RuntimeError:  # the interpreter is exiting
             entry.tier = "kept_cold"
             return
@@ -1186,6 +1362,64 @@ class PlanCache:
     def _job_done(self, job: Future) -> None:
         with self._lock:
             self._hot_jobs.discard(job)
+
+    def build_native(self, entry: CachedPlan, missed_at: float) -> None:
+        """Queue a tiered entry's native build on :func:`tier_builder`,
+        in a copy of the calling request's context — unless one is
+        already queued or running for its key in the request's cache
+        directory (that build's record and library are what the next
+        miss binds).  The build runs to completion even if the entry
+        leaves the cache, and publishes only into its own live entry."""
+        lowered, entry.deferred = entry.deferred, None
+        self.note("tape_first")
+        slot = (entry.key, cpu_exec._cache_dir())
+        context = contextvars.copy_context()
+        with _tier_guard:
+            if slot in _tier_jobs:
+                return
+            try:
+                job = tier_builder().submit(
+                    context.run,
+                    _background,
+                    lambda: self._build_native(entry, lowered, missed_at),
+                )
+            except RuntimeError:  # the interpreter is exiting
+                return
+            _tier_jobs[slot] = job
+
+        def done(_job: Future) -> None:
+            with _tier_guard:
+                _tier_jobs.pop(slot, None)
+
+        job.add_done_callback(done)
+
+    def _build_native(
+        self,
+        entry: CachedPlan,
+        lowered: native_exec.LoweredPartition,
+        missed_at: float,
+    ) -> None:
+        """The tiered build: :func:`build_plan` on the entry's key and
+        partition, which reads the record the tape build wrote (no
+        re-fuse, no re-verify) and compiles ``lowered``."""
+        try:
+            built = build_plan(
+                entry.graph,
+                key=entry.key,
+                partition=entry.partition,
+                fusion=entry.fusion or FusionSettings(
+                    naive_borders=entry.plan.naive_borders
+                ),
+                engine="native",
+                lowered=lowered,
+            )
+        except Exception:
+            # A cache directory removed under the build is not its fault.
+            if cpu_exec._cache_dir().is_dir():
+                self.note("native_failed")
+            return
+        if entry.publish_native(built, missed_at):
+            self.note("native_published")
 
     def native_threads(self) -> int:
         """The widest OpenMP team a native plan of this cache ran on
@@ -1228,6 +1462,9 @@ class PlanCache:
                 "hot_unequal": self.hot_unequal,
                 "hot_slower": self.hot_slower,
                 "served_hot": self.served_hot,
+                "tape_first": self.tape_first,
+                "native_published": self.native_published,
+                "native_failed": self.native_failed,
             }
 
 

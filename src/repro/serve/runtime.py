@@ -45,6 +45,7 @@ the workers.
 
 from __future__ import annotations
 
+import contextvars
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,7 @@ from dataclasses import asdict
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.backend import engines, native_exec
+from repro.backend import cpu_exec, engines, native_exec
 from repro.backend.numpy_exec import Arrays, Params
 from repro.backend.plan import resolve_workers
 from repro.envknobs import native_lowering
@@ -277,7 +278,8 @@ class ServingRuntime:
             # shutdown flag — close() stops admissions synchronously.
             raise RuntimeClosed("runtime is closed")
         # Resolved here, once: every ladder rung's key, and so the
-        # worker's build, lowers with what the environment said now.
+        # worker's build, lowers with what the environment said now, and
+        # compiles into the cache directory it names now.
         payload = {
             "graph": graph,
             "inputs": inputs,
@@ -285,6 +287,7 @@ class ServingRuntime:
             "partition": partition,
             "fusion": fusion or self.fusion,
             "lowering": native_lowering(),
+            "cache_dir": cpu_exec._cache_dir(),
         }
         request = ServeRequest(
             key=self._plan_key(payload, self.engine),
@@ -324,7 +327,10 @@ class ServingRuntime:
             )
             return
         try:
-            env, engine = self._serve_request(request)
+            # The compile cache directory the request resolved at submit,
+            # for its build and any background build it queues.
+            with cpu_exec.cache_directory(request.payload["cache_dir"]):
+                env, engine = self._serve_request(request)
             finished = time.monotonic()
         except BaseException as err:
             self.metrics.counter("requests_failed").inc()
@@ -479,7 +485,8 @@ class ServingRuntime:
         budget = self.resilience.timeouts.budget_for(stage)
         if budget is None or self._timeout_pool is None:
             return guarded()
-        future = self._timeout_pool.submit(guarded)
+        # In a copy of this context: the stage sees the request's scopes.
+        future = self._timeout_pool.submit(contextvars.copy_context().run, guarded)
         try:
             return future.result(timeout=budget)
         except _FutureTimeout:
@@ -492,8 +499,7 @@ class ServingRuntime:
     ) -> Arrays:
         def execute() -> Arrays:
             # Each scheduler worker's compiled call takes its share of
-            # the cores.  Scoped inside the stage: a budgeted stage runs
-            # on a side thread, which does not inherit this context.
+            # the cores.
             with native_exec.sharing_cores(self.scheduler.workers):
                 return entry.execute(
                     request.payload["inputs"], request.payload["params"]

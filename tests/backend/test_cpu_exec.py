@@ -38,9 +38,12 @@ from repro.dsl.boundary import BoundaryMode, BoundarySpec
 from repro.dsl.pipeline import Pipeline
 from repro.graph.partition import Partition, PartitionBlock
 
-pytestmark = pytest.mark.skipif(
-    not compiler_available(), reason="no C compiler on PATH"
-)
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = [
+    pytest.mark.skipif(not compiler_available(), reason="no C compiler on PATH"),
+    pytest.mark.usefixtures("blocking_native"),
+]
 
 NATIVE = ExecutionOptions(engine="native")
 NATIVE_STAGED = ExecutionOptions(engine="native", fuse=False)

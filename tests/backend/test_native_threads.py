@@ -39,6 +39,10 @@ from repro.serve import ServingRuntime
 from repro.serve.plancache import PROCESS_CACHE
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = pytest.mark.usefixtures("blocking_native")
+
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="requires a C compiler on PATH"
 )

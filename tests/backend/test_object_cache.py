@@ -53,9 +53,12 @@ from repro.serve.registry import DEFAULT_APP_PARAMS
 
 from helpers import ToolchainSpy as Spy
 
-pytestmark = pytest.mark.skipif(
-    not compiler_available(), reason="no C compiler on PATH"
-)
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = [
+    pytest.mark.skipif(not compiler_available(), reason="no C compiler on PATH"),
+    pytest.mark.usefixtures("blocking_native"),
+]
 
 APPS = sorted(APPLICATIONS)
 WIDTH, HEIGHT = 96, 64
@@ -286,6 +289,9 @@ _RACER = """
 import sys
 import numpy as np
 from repro.apps import APPLICATIONS
+from repro.serve import plancache
+# Native from the first answer: these processes race on the native build.
+plancache.native_strategy = lambda plan, lowered: "blocking"
 from repro.api import ExecutionOptions, run
 from repro.apps import request_inputs
 inputs = request_inputs(APPLICATIONS["Harris"], 96, 64, seed=1)

@@ -33,6 +33,10 @@ from repro.serve.registry import default_registry
 
 THREADS = 8
 
+# A cold direct native request compiles before it answers: this suite's
+# subject is native plans' lifetimes, which a tiered first answer would defer.
+pytestmark = pytest.mark.usefixtures("blocking_native")
+
 needs_cc = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler on PATH"
 )

@@ -20,13 +20,17 @@ from repro.apps import APPLICATIONS, request_inputs
 from repro.backend.cpu_exec import CACHE_ENV, compiler_available
 from repro.backend.native_exec import clear_native_caches
 from repro.backend.plan import clear_plan_caches
+from repro.serve import plancache
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
 from helpers import count_calls
 
-pytestmark = pytest.mark.skipif(
-    not compiler_available(), reason="no C compiler on PATH"
-)
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = [
+    pytest.mark.skipif(not compiler_available(), reason="no C compiler on PATH"),
+    pytest.mark.usefixtures("blocking_native"),
+]
 
 APPS = sorted(APPLICATIONS)
 WIDTH, HEIGHT = 96, 64
@@ -53,6 +57,8 @@ def seed_dir(tmp_path_factory):
     seed = tmp_path_factory.mktemp("seed")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(CACHE_ENV, str(seed))
+        # Module-scoped: the function-scoped blocking pin is not in force.
+        patch.setattr(plancache, "native_strategy", lambda plan, lowered: "blocking")
         restart()
         for app in APPS:
             _request(app)

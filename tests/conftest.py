@@ -49,6 +49,16 @@ def _empty_process_plan_cache():
 
 
 @pytest.fixture
+def blocking_native(monkeypatch):
+    """Every direct native miss compiles before it answers, as serving's
+    do: a suite about native output or native internals must not be
+    answered on the tape while its plan compiles in the background."""
+    from repro.serve import plancache
+
+    monkeypatch.setattr(plancache, "native_strategy", lambda plan, lowered: "blocking")
+
+
+@pytest.fixture
 def gpu():
     """The paper's default evaluation device for single-GPU tests."""
     return GTX680

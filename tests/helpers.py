@@ -201,19 +201,43 @@ def row_band_everywhere(enabled: bool = True):
 
 
 def wait_for_hot_builds() -> None:
-    """Return once the hot-plan builder has run every job queued so far
-    (a job of a retired entry returns at once)."""
+    """Return once both background builders — the hot-plan builder and
+    the tiered native builder — have run every job queued so far (a job
+    of a retired entry returns at once)."""
     from repro.serve import plancache
 
-    if plancache._hot_pool is not None:
-        plancache._hot_pool.submit(lambda: None).result()
+    for pool in list(plancache._builders.values()):
+        pool.submit(lambda: None).result()
+
+
+@contextmanager
+def served_natively():
+    """Assert that a :class:`NativePartitionPlan` executed inside the
+    block: a cold direct native request may be answered on the tape
+    while its native plan compiles, and a native-vs-tape check must not
+    compare the tape with itself."""
+    from repro.backend.native_exec import NativePartitionPlan
+
+    calls = []
+    real = NativePartitionPlan.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NativePartitionPlan, "execute", counting)
+        yield calls
+    assert calls, "no native plan executed: the result came from the tape"
 
 
 class ToolchainSpy:
-    """Every compiler invocation and every ``dlopen``, in order."""
+    """Every compiler invocation and every ``dlopen``, in order, and the
+    thread (``threading.get_ident()``) that ran each command."""
 
     def __init__(self, monkeypatch):
         self.commands = []
+        self.threads = []
         self.loads = []
         self._lock = threading.Lock()
         real_run, real_cdll = subprocess.run, ctypes.CDLL
@@ -221,6 +245,7 @@ class ToolchainSpy:
         def run(command, *args, **kwargs):
             with self._lock:
                 self.commands.append(list(command))
+                self.threads.append(threading.get_ident())
             return real_run(command, *args, **kwargs)
 
         def cdll(path, *args, **kwargs):
@@ -241,4 +266,5 @@ class ToolchainSpy:
 
     def reset(self):
         self.commands.clear()
+        self.threads.clear()
         self.loads.clear()

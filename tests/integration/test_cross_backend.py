@@ -9,7 +9,7 @@ staged == fused (NumPy) and fused (NumPy) == fused (native).
 
 import pytest
 
-from helpers import random_image
+from helpers import random_image, served_natively
 
 from repro.api import ExecutionOptions, run
 from repro.apps import ALL_APPS
@@ -21,9 +21,12 @@ from repro.backend.native_exec import (
 from repro.eval.runner import partition_for
 from repro.model.hardware import GTX680
 
-pytestmark = pytest.mark.skipif(
-    not native_available(), reason="no C compiler on PATH"
-)
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = [
+    pytest.mark.skipif(not native_available(), reason="no C compiler on PATH"),
+    pytest.mark.usefixtures("blocking_native"),
+]
 
 #: App -> blocks the C lowering leaves to the tape (DoG ends in a
 #: global reduction: served through per-block fallback, not rejected).
@@ -47,10 +50,11 @@ def test_compiled_fused_pipeline_matches_reference(app_name):
     partition = partition_for(graph, GTX680, "optimized")
     plan = native_plan_for_partition(graph, partition)
     assert plan.fallback_block_count == COMPILABLE[app_name]
-    native = run(
-        graph, {"input": data}, PARAMS,
-        options=ExecutionOptions(engine="native", partition=partition),
-    )
+    with served_natively():
+        native = run(
+            graph, {"input": data}, PARAMS,
+            options=ExecutionOptions(engine="native", partition=partition),
+        )
 
     for output_name in graph.external_outputs:
         assert_native_equiv(

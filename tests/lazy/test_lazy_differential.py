@@ -22,10 +22,16 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers import served_natively
+
 from repro.api import ExecutionOptions, run
 from repro.apps import APPLICATIONS
 from repro.backend.native_exec import native_available
 from repro.lazy.apps import LAZY_BUILDERS, lazy_trace
+
+# A cold direct native request compiles before it answers: this suite's
+# subject is native output, which a tiered first answer would not be.
+pytestmark = pytest.mark.usefixtures("blocking_native")
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="requires a C compiler on PATH"
@@ -119,8 +125,9 @@ def test_bit_identical_under_native_engine(app_name):
     hand-built twin are interchangeable under the native engine too."""
     hand, lazy, inputs = _pair(app_name)
     options = ExecutionOptions(engine="native")
-    reference = run(hand, inputs, APP_PARAMS, options=options)
-    recorded = run(lazy, inputs, APP_PARAMS, options=options)
+    with served_natively():
+        reference = run(hand, inputs, APP_PARAMS, options=options)
+        recorded = run(lazy, inputs, APP_PARAMS, options=options)
     assert set(reference) == set(recorded)
     for name in reference:
         assert np.array_equal(reference[name], recorded[name]), name

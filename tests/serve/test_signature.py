@@ -335,7 +335,7 @@ class TestCanonicalDigest:
         ]
         assert readings[0] == readings[1] == here
 
-    def test_numpy_scalar_constants_and_offsets_key_and_run(self):
+    def test_numpy_scalar_constants_and_offsets_key_and_run(self, blocking_native):
         plain = _blur_then_point()
         scalars = _blur_then_point(number=np.float64, offset=np.int64)
         assert _digests(scalars) == _digests(plain)

@@ -39,10 +39,10 @@ def native_builds(monkeypatch):
     builds = []
     real_build = native_exec._build_native_partition
 
-    def counting_build(graph, partition, plan, lowering):
-        space = graph.kernel(graph.kernel_names[0]).space
+    def counting_build(plan, lowered, f32):
+        space = plan.schedule[0].space
         builds.append((space.width, space.height))
-        return real_build(graph, partition, plan, lowering)
+        return real_build(plan, lowered, f32)
 
     monkeypatch.setattr(
         native_exec, "_build_native_partition", counting_build

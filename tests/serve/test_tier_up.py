@@ -50,9 +50,12 @@ from repro.serve.plancache import (
 )
 from repro.serve.registry import DEFAULT_APP_PARAMS
 
-pytestmark = pytest.mark.skipif(
-    not compiler_available(), reason="no C compiler on PATH"
-)
+# A direct native miss compiles before it answers here: these tests are
+# about the native entry's life after its first request.
+pytestmark = [
+    pytest.mark.skipif(not compiler_available(), reason="no C compiler on PATH"),
+    pytest.mark.usefixtures("blocking_native"),
+]
 
 NATIVE = ExecutionOptions(engine="native")
 TIER_COUNTERS = ("hot_published", "hot_unequal", "hot_slower", "served_hot")
@@ -353,9 +356,14 @@ class TestPromotion:
         entry._claimed = PROMOTION_TRIALS - 1
         entry._trials = [(True, 0.0, 1e9)] * (PROMOTION_TRIALS - 1)
         before = PROCESS_CACHE.stats()
+        price = entry.price_ms
+        hot = entry.hot
         run(graph, inputs, options=NATIVE)
-        assert entry.tier == "kept_cold"
+        assert entry.executor is entry.native_plan
         assert _grown(before)["hot_slower"] == 1
+        # Not final: back to cold, the hot plan kept, the price doubled.
+        assert entry.tier == "cold" and entry.hot is hot
+        assert entry.price_ms == 2 * price and entry.executed_ms == 0.0
 
     def test_a_failing_build_keeps_cold(self, cache_dir, monkeypatch):
         graph, inputs = _request("Harris")
@@ -380,6 +388,107 @@ class TestPromotion:
             cache = runtime.metrics_snapshot()["plan_cache"]
         assert set(env) == {"input", "corners"}
         assert cache["hot_published"] == 1 and cache["served_hot"] == 1
+
+
+class _Plan:
+    """A stand-in executor."""
+
+    def execute(self, inputs, params=None, workers=None):
+        return dict(inputs)
+
+
+def _on_trial(price_ms=10.0):
+    """A native entry whose hot plan is on trial, with stand-in plans:
+    its trials are booked by hand, so no timing decides them."""
+    graph, _ = _request("Sobel")
+    cache = PlanCache()
+    cold = _Plan()
+    entry = plancache.CachedPlan(
+        key=None, graph=graph, partition=None, plan=None, engine="native",
+        executor=cold, fusion=FusionSettings(), price_ms=price_ms, cache=cache,
+        tier="building",
+    )
+    entry.hot = plancache.CachedPlan(
+        key=None, graph=graph, partition=maximal_partition(graph, GTX680),
+        plan=None, executor=_Plan(),
+    )
+
+    def no_rebuild(_entry):
+        raise AssertionError("a slower hot plan is tried again, not rebuilt")
+
+    cache.build_hot = no_rebuild
+    return entry, cache
+
+
+def _settle_trials(entry, cold_ms, hot_ms):
+    for _ in range(PROMOTION_TRIALS):
+        assert entry._claim()
+        entry._settle(entry.hot, (True, cold_ms, hot_ms))
+
+
+class TestSlowerIsNotFinal:
+    def test_slower_then_faster_publishes(self):
+        entry, cache = _on_trial(price_ms=10.0)
+        _settle_trials(entry, cold_ms=1.0, hot_ms=1.1)
+        assert entry.tier == "cold" and cache.hot_slower == 1
+        entry._account(20.0)
+        assert entry.tier == "building"
+        # The round decides on every trial so far: this one outweighs
+        # the first.
+        _settle_trials(entry, cold_ms=1.1, hot_ms=0.5)
+        assert entry.tier == "hot" and cache.hot_published == 1
+        assert entry.executor is entry.hot.executor
+
+    def test_slower_twice_re_trials_after_twice_and_four_times_the_price(self):
+        entry, cache = _on_trial(price_ms=10.0)
+        for price in (20.0, 40.0):
+            _settle_trials(entry, cold_ms=1.0, hot_ms=2.0)
+            assert entry.tier == "cold" and entry.price_ms == price
+            entry._account(price - 0.5)
+            assert entry.tier == "cold"
+            assert not entry._claim()
+            entry._account(0.5)
+            assert entry.tier == "building"
+        assert cache.hot_slower == 2 and cache.hot_published == 0
+
+    def test_a_round_as_slower_as_the_last_is_not_enough(self):
+        entry, cache = _on_trial(price_ms=10.0)
+        _settle_trials(entry, cold_ms=1.0, hot_ms=1.5)
+        entry._account(20.0)
+        _settle_trials(entry, cold_ms=1.5, hot_ms=1.0)
+        assert entry.tier == "cold" and cache.hot_slower == 2
+
+    def test_unequal_stays_final(self):
+        entry, cache = _on_trial()
+        for equal in [False] + [True] * (PROMOTION_TRIALS - 1):
+            assert entry._claim()
+            entry._settle(entry.hot, (equal, 2.0, 1.0))
+        assert entry.tier == "kept_cold" and entry.hot is None
+        assert cache.hot_unequal == 1
+        entry._account(1e9)
+        assert entry.tier == "kept_cold"
+
+
+def test_a_hot_build_compiles_where_its_request_resolved(cache_dir, tmp_path, monkeypatch):
+    """The build is queued in one cache directory and runs after
+    ``REPRO_CC_CACHE`` names another: it compiles where its request
+    resolved, and writes nothing in the other."""
+    graph, inputs = _request("Harris")
+    run(graph, inputs, options=NATIVE)
+    entry = _entry(graph)
+    go = threading.Event()
+    held = plancache.hot_builder().submit(go.wait, 60)
+    compiled = set(cache_dir.glob("kernel-*.o"))
+    entry.price_ms = 0.0
+    run(graph, inputs, options=NATIVE)  # pays: the build is queued
+    later = tmp_path / "later"
+    monkeypatch.setenv(CACHE_ENV, str(later))
+    go.set()
+    held.result()
+    wait_for_hot_builds()
+    assert entry.hot is not None
+    assert set(cache_dir.glob("kernel-*.o")) > compiled
+    assert not later.exists() or not list(later.glob("*.o"))
 
 
 def _assert_forgotten(graph, partition):

@@ -43,6 +43,10 @@ from repro.serve.plancache import PROCESS_CACHE
 
 WIDTH, HEIGHT = 32, 24
 
+# A cold direct native request compiles before it answers: this suite's
+# subject is the native build, which a tiered first answer would defer.
+pytestmark = pytest.mark.usefixtures("blocking_native")
+
 needs_cc = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler on PATH"
 )

@@ -1,0 +1,387 @@
+"""A cold native request is answered on the tape when ``cc`` would make
+it wait, and the native plan is published behind it by one assignment.
+
+The direct door (``api.run``) decides each native miss once, with
+``plancache.native_strategy``: ``"tiered"`` when ``cc -c`` would run and
+the tape is predicted to answer first (always under strict, which these
+tests run under), ``"blocking"`` otherwise.  A tiered entry serves its
+tape plan; the tier builder compiles the lowered C in the request's
+cache directory and publishes the native plan into the entry, whose
+first native execute then runs strict's differential.  Every test uses
+a fresh ``REPRO_CC_CACHE``, so nothing is compiled yet.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import ToolchainSpy, served_natively, wait_for_hot_builds
+
+from repro.api import ExecutionOptions, run
+from repro.apps import APPLICATIONS, request_inputs
+from repro.backend import native_exec
+from repro.backend.cpu_exec import CACHE_ENV, compiler_available
+from repro.backend.native_exec import (
+    NativePartitionPlan,
+    assert_native_equiv,
+    clear_native_caches,
+)
+from repro.backend.plan import PartitionPlan, clear_plan_caches
+from repro.serve import ServingRuntime, faultinject, plancache
+from repro.serve.plancache import PROCESS_CACHE
+from repro.serve.registry import DEFAULT_APP_PARAMS
+
+pytestmark = pytest.mark.skipif(
+    not compiler_available(), reason="no C compiler on PATH"
+)
+
+NATIVE = ExecutionOptions(engine="native")
+TAPE = ExecutionOptions(engine="tape")
+COUNTERS = ("tape_first", "native_published", "native_failed")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    directory = tmp_path / "cc"
+    monkeypatch.setenv(CACHE_ENV, str(directory))
+    clear_plan_caches()
+    # The toolchain probes (OpenMP, libmvec) run once per process, on
+    # whichever thread asks first; ask here, so that a test's first
+    # request does not.
+    native_exec.toolchain_digest(())
+    yield directory
+    wait_for_hot_builds()
+
+
+def _request(app, width=96, height=64, seed=0):
+    spec = APPLICATIONS[app]
+    return (
+        spec.build(width, height).build(),
+        request_inputs(spec, width, height, seed),
+        DEFAULT_APP_PARAMS.get(app),
+    )
+
+
+def _entry(graph):
+    (entry,) = [e for e in PROCESS_CACHE._entries.values() if e.graph is graph]
+    return entry
+
+
+def _grown(before):
+    after = PROCESS_CACHE.stats()
+    return {name: after[name] - before[name] for name in COUNTERS}
+
+
+class _HeldBuilder:
+    """Holds the tier builder's thread until ``release()``, so a test
+    can act between a tiered answer and its background build."""
+
+    def __init__(self):
+        started, self.go = threading.Event(), threading.Event()
+
+        def hold():
+            started.set()
+            self.go.wait(60)
+
+        self.job = plancache.tier_builder().submit(hold)
+        started.wait(60)
+
+    def release(self):
+        self.go.set()
+        self.job.result()
+
+
+def _assert_outputs_equal(graph, env, expected):
+    """Bit for bit: the apps these tests compare call no libm routine
+    but ``sqrt``."""
+    for name in graph.external_outputs:
+        assert_native_equiv(expected[name], env[name], None, context=name)
+
+
+# ---------------------------------------------------------------------------
+# The first answer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app", ["Harris", "Night", "Enhance"])
+def test_a_cold_native_request_runs_no_cc_on_its_thread(cache_dir, monkeypatch, app):
+    graph, inputs, params = _request(app)
+    spy = ToolchainSpy(monkeypatch)
+    before = PROCESS_CACHE.stats()
+    env = run(graph, inputs, params, options=NATIVE)
+    mine = threading.get_ident()
+    assert mine not in spy.threads
+    entry = _entry(graph)
+    assert isinstance(entry.executor, PartitionPlan)
+    assert entry.native_plan is None and entry.price_ms is None
+    assert _grown(before)["tape_first"] == 1
+    expected = run(_request(app)[0], inputs, params, options=TAPE)
+    for name in graph.external_outputs:
+        assert np.array_equal(env[name], expected[name])
+    wait_for_hot_builds()
+    assert spy.compiles and spy.links  # the background build ran cc
+    assert mine not in spy.threads
+
+
+def test_the_native_plan_is_published_and_runs_the_differential(cache_dir, monkeypatch):
+    graph, inputs, _ = _request("Harris")
+    before = PROCESS_CACHE.stats()
+    first = run(graph, inputs, options=NATIVE)
+    entry = _entry(graph)
+    wait_for_hot_builds()
+    assert _grown(before) == {"tape_first": 1, "native_published": 1, "native_failed": 0}
+    native = entry.executor
+    assert isinstance(native, NativePartitionPlan)
+    assert entry.native_plan is native
+    assert native.sanitized and native.differential_pending
+    assert entry.price_ms == native.price_ms > 0
+    ready = entry.timings_ms["native_ready_ms"]
+    assert ready >= entry.timings_ms["native_compile_ms"] > 0
+    differentials = []
+    real = NativePartitionPlan._verified_first_pass
+
+    def noting(self, *args, **kwargs):
+        differentials.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NativePartitionPlan, "_verified_first_pass", noting)
+    with served_natively():
+        second = run(graph, inputs, options=NATIVE)
+    assert differentials == [native] and not native.differential_pending
+    _assert_outputs_equal(graph, second, first)
+    # The record holds what the background build and the differential proved.
+    record = entry.record
+    assert record.saved["library"] == native.library_path.stem
+    assert record.saved["sanitized"] and record.saved["differential"]
+    assert native.library_path.parent == cache_dir
+
+
+def test_a_recorded_library_binds_blocking(cache_dir):
+    """``warm_restart``'s path: a miss whose record names a library that
+    binds is native from its first answer."""
+    graph, inputs, _ = _request("Sobel")
+    run(graph, inputs, options=NATIVE)
+    wait_for_hot_builds()
+    run(graph, inputs, options=NATIVE)  # the differential, recorded
+    clear_native_caches()
+    clear_plan_caches()
+    before = PROCESS_CACHE.stats()
+    graph, _, _ = _request("Sobel")
+    with served_natively():
+        run(graph, inputs, options=NATIVE)
+    entry = _entry(graph)
+    assert "library" in entry.restored
+    assert entry.executor is entry.native_plan
+    assert _grown(before)["tape_first"] == 0
+
+
+def test_objects_in_the_cache_compile_blocking(cache_dir):
+    """No record, but every object is in the cache: ``cc -c`` would not
+    run, so the miss links and answers natively."""
+    graph, inputs, _ = _request("Unsharp")
+    run(graph, inputs, options=NATIVE)
+    wait_for_hot_builds()
+    for path in list(cache_dir.glob("plan-*.json")) + list(cache_dir.glob("*.so")):
+        path.unlink()
+    clear_plan_caches()
+    before = PROCESS_CACHE.stats()
+    graph, _, _ = _request("Unsharp")
+    with served_natively():
+        run(graph, inputs, options=NATIVE)
+    assert isinstance(_entry(graph).executor, NativePartitionPlan)
+    assert _grown(before)["tape_first"] == 0
+
+
+@pytest.mark.parametrize("faster", ["tape", "cc"])
+def test_standard_mode_tiers_on_the_predicted_costs(cache_dir, monkeypatch, faster):
+    costs = native_exec.CompileCosts(
+        tape_ms_per_ipx=1e-9 if faster == "tape" else 1.0,
+        build_ms=100.0,
+        object_ms=100.0,
+    )
+    monkeypatch.setattr(native_exec, "COSTS", costs)
+    graph, inputs, _ = _request("Sobel")
+    run(graph, inputs, options=ExecutionOptions(engine="native", validate="standard"))
+    tiered = isinstance(_entry(graph).executor, PartitionPlan)
+    assert tiered == (faster == "tape")
+
+
+def test_the_process_measures_what_it_predicts_with(cache_dir, monkeypatch):
+    costs = native_exec.CompileCosts(tape_ms_per_ipx=1.0, build_ms=0.0, object_ms=1e9)
+    monkeypatch.setattr(native_exec, "COSTS", costs)
+    graph, inputs, _ = _request("Night")
+    run(graph, inputs, options=NATIVE)  # strict tiers whatever they say
+    assert costs.tape_ms_per_ipx < 1.0
+    wait_for_hot_builds()
+    assert costs.object_ms < 1e9
+
+
+# ---------------------------------------------------------------------------
+# Doors and builds that never tier
+# ---------------------------------------------------------------------------
+
+
+def test_serving_never_tiers(cache_dir):
+    _, inputs, _ = _request("Harris")
+    before = PROCESS_CACHE.stats()
+    with ServingRuntime(engine="native", workers=1) as runtime:
+        with served_natively():
+            runtime.execute("Harris", inputs)
+        (entry,) = runtime.cache._entries.values()
+        assert isinstance(entry.executor, NativePartitionPlan)
+        assert runtime.cache.stats()["tape_first"] == 0
+    assert _grown(before)["tape_first"] == 0
+
+
+def test_a_tape_request_never_tiers(cache_dir):
+    graph, inputs, _ = _request("Sobel")
+    before = PROCESS_CACHE.stats()
+    run(graph, inputs, options=TAPE)
+    assert _grown(before)["tape_first"] == 0
+    assert plancache.tier_builder()._work_queue.empty()
+
+
+# ---------------------------------------------------------------------------
+# The background build
+# ---------------------------------------------------------------------------
+
+
+def test_a_failed_background_build_fails_no_request(cache_dir):
+    graph, inputs, _ = _request("Sobel")
+    held = _HeldBuilder()
+    before = PROCESS_CACHE.stats()
+    first = run(graph, inputs, options=NATIVE)
+    rule = faultinject.inject("native.compile", times=1)
+    try:
+        held.release()
+        wait_for_hot_builds()
+    finally:
+        faultinject.remove(rule)
+    assert _grown(before) == {"tape_first": 1, "native_published": 0, "native_failed": 1}
+    entry = _entry(graph)
+    again = run(graph, inputs, options=NATIVE)
+    assert isinstance(entry.executor, PartitionPlan) and entry.native_plan is None
+    _assert_outputs_equal(graph, again, first)
+
+
+def test_one_build_per_key_and_directory(cache_dir):
+    """A second miss on the same key, while the first one's build is
+    queued, answers on the tape and queues nothing; the build publishes
+    into its own entry only."""
+    graph, inputs, _ = _request("Sobel")
+    held = _HeldBuilder()
+    before = PROCESS_CACHE.stats()
+    run(graph, inputs, options=NATIVE)
+    first = _entry(graph)
+    PROCESS_CACHE.clear()
+    run(graph, inputs, options=NATIVE)
+    second = _entry(graph)
+    assert plancache.tier_builder()._work_queue.qsize() == 1
+    held.release()
+    wait_for_hot_builds()
+    assert _grown(before) == {"tape_first": 2, "native_published": 0, "native_failed": 0}
+    assert isinstance(second.executor, PartitionPlan)
+    assert first.native_plan is None  # cleared: it published nothing
+    # Its record and library are what the next miss binds.
+    PROCESS_CACHE.clear()
+    run(_request("Sobel")[0], inputs, options=NATIVE)
+    assert _grown(before)["tape_first"] == 2
+
+
+def test_the_build_compiles_where_its_request_resolved(cache_dir, tmp_path, monkeypatch):
+    graph, inputs, _ = _request("Unsharp")
+    held = _HeldBuilder()
+    run(graph, inputs, options=NATIVE)
+    later = tmp_path / "later"
+    monkeypatch.setenv(CACHE_ENV, str(later))
+    held.release()
+    wait_for_hot_builds()
+    assert isinstance(_entry(graph).executor, NativePartitionPlan)
+    assert list(cache_dir.glob("kernel-*.o")) and list(cache_dir.glob("pipeline-*.so"))
+    assert not later.exists() or not list(later.iterdir())
+
+
+def test_a_build_whose_directory_is_gone_does_nothing(cache_dir):
+    graph, inputs, _ = _request("Sobel")
+    held = _HeldBuilder()
+    before = PROCESS_CACHE.stats()
+    run(graph, inputs, options=NATIVE)
+    for path in cache_dir.iterdir():
+        path.unlink()
+    cache_dir.rmdir()
+    held.release()
+    wait_for_hot_builds()
+    assert not cache_dir.exists()
+    assert _grown(before) == {"tape_first": 1, "native_published": 0, "native_failed": 0}
+
+
+def test_the_tier_builder_runs_at_the_process_priority(cache_dir, monkeypatch):
+    niceness = []
+    real_run = subprocess.run
+
+    def run_cc(command, *args, **kwargs):
+        niceness.append(os.getpriority(os.PRIO_PROCESS, threading.get_native_id()))
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", run_cc)
+    graph, inputs, _ = _request("Sobel")
+    run(graph, inputs, options=NATIVE)
+    wait_for_hot_builds()
+    assert niceness
+    assert set(niceness) == {os.getpriority(os.PRIO_PROCESS, os.getpid())}
+
+
+# ---------------------------------------------------------------------------
+# Exit
+# ---------------------------------------------------------------------------
+
+ONE_SHOT = """
+import sys
+from repro.api import ExecutionOptions, run
+from repro.apps import APPLICATIONS, request_inputs
+spec = APPLICATIONS["Harris"]
+graph = spec.build(96, 64).build()
+run(graph, request_inputs(spec, 96, 64, 0), options=ExecutionOptions(engine="native"))
+from repro.serve.plancache import PROCESS_CACHE
+print(PROCESS_CACHE.stats()["tape_first"])
+"""
+
+
+def _processes_naming(path):
+    found = []
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read()
+        except OSError:
+            continue
+        if str(path).encode() in command:
+            found.append(command)
+    return found
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_one_shot_cold_request_exits_clean(tmp_path):
+    cache = tmp_path / "cc"
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_VALIDATE="strict")
+    env[CACHE_ENV] = str(cache)
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_SHOT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    seconds = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]  # answered on the tape
+    assert seconds < 60
+    assert not _processes_naming(cache)
+    assert not list(cache.glob("*.partial.*"))
