@@ -312,7 +312,8 @@ def write_cache_text(name: str, text: str, cache: Optional[Path] = None) -> bool
     stem, suffix = os.path.splitext(name)
     scratch = cache / f"{stem}.{_scratch_tag()}{suffix}"
     try:
-        cache.mkdir(parents=True, exist_ok=True)
+        if not BUILDER_JOB.get():
+            cache.mkdir(parents=True, exist_ok=True)
         scratch.write_text(text)
         os.replace(scratch, cache / name)
     except OSError:
@@ -365,6 +366,12 @@ _compile_pool: ThreadPoolExecutor | None = None
 #: compilers inherit that thread's priority, and no pool thread is
 #: started from it (a thread inherits its creator's priority).
 BACKGROUND_BUILD: ContextVar[bool] = ContextVar("background_build", default=False)
+
+#: Set in every background builder job: the cache directory its request
+#: resolved is never created again — one removed under the job (a
+#: deployment emptying its cache) fails the build instead of coming
+#: back with the build's artifacts in it.
+BUILDER_JOB: ContextVar[bool] = ContextVar("builder_job", default=False)
 
 
 def _lock_for_digest(stem: str) -> threading.RLock:
@@ -526,7 +533,8 @@ def build_shared_library(
     stem = f"pipeline-{digest}"
     with _lock_for_digest(stem):
         cache = _cache_dir()
-        cache.mkdir(parents=True, exist_ok=True)
+        if not BUILDER_JOB.get():
+            cache.mkdir(parents=True, exist_ok=True)
         library_path = cache / f"{stem}.so"
         if library_path.exists():
             try:

@@ -121,9 +121,13 @@ def validate_override(mode: str | None) -> Iterator[None]:
 
     ``ExecutionOptions.validate`` routes through this so one call can
     ask for strict plan verification without mutating ``os.environ``;
-    ``None`` leaves the environment's level in force.
+    ``None`` scopes nothing: the enclosing scope's level, else the
+    environment's, stays in force.
     """
-    if mode is not None and mode not in VALIDATE_MODES:
+    if mode is None:
+        yield
+        return
+    if mode not in VALIDATE_MODES:
         raise EnvKnobError(
             f"invalid validate override {mode!r}: expected one of "
             f"{VALIDATE_MODES}"

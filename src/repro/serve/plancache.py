@@ -44,24 +44,18 @@ about the record that does not check out
 have saved, and ``cpu_exec.clear_compile_cache()`` or a fresh
 ``REPRO_CC_CACHE`` forces every proof to be made again.
 
-A plan that is best to compile first is not the one that is best to run
-for long, so a hot native entry **re-fuses** (:meth:`CachedPlan.execute`):
-once the wall time of its executes reaches its compile price — the
-wall time of the native build that ran ``cc``, kept in the plan
-record — the one background builder (:func:`hot_builder`) rebuilds it
-through :func:`build_plan` on the maximal legal partition
-(:func:`repro.fusion.distribution.maximal_partition`), the next
-:data:`PROMOTION_TRIALS` live requests run both plans, and the hot plan
-is published only if its outputs are bit-identical and its median
-execute is faster.
-
-A plan that is best to run is not always best to wait for, so a cold
-**direct** native miss may be answered on the tape
-(:func:`native_strategy`): when ``cc`` would run and the tape is
-predicted to answer first, the entry serves its tape plan while the
-tier builder (:func:`tier_builder`) compiles the native plan in the
-request's cache directory and publishes it into the entry
-(:meth:`PlanCache.build_native`).  Serving builds block.
+An entry's executor is not final: it holds at most one **candidate**
+(:class:`Candidate`), a plan that may take over, and one promotion path
+builds, tests and publishes it whatever its kind.  A cold **direct**
+native miss may be answered on the tape (:func:`native_strategy`) while
+its native plan builds: that candidate changes the engine, and strict's
+first-run differential is its proof, so it is published as soon as it
+is built.  A native entry whose executes have paid its compile price
+builds the maximal legal partition
+(:func:`repro.fusion.distribution.maximal_partition`): that candidate
+keeps the engine, and it is published only after a paired test on live
+requests (:meth:`CachedPlan.execute`).  The displaced plan is then the
+candidate, under the same test.
 """
 
 from __future__ import annotations
@@ -73,7 +67,6 @@ import json
 import math
 import os
 import platform
-import statistics
 import sys
 import threading
 import time
@@ -81,7 +74,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -102,18 +95,18 @@ from repro.model.hardware import KNOWN_GPUS, GpuSpec
 
 __all__ = [
     "CachedPlan",
+    "Candidate",
     "FusionSettings",
     "PROCESS_CACHE",
     "PROMOTION_TRIALS",
     "PlanCache",
     "RECORD_FORMAT",
     "build_plan",
+    "builder",
     "code_fingerprint",
-    "hot_builder",
     "inputs_signature",
     "native_strategy",
     "plan_key",
-    "tier_builder",
     "validate_plan",
 ]
 
@@ -227,8 +220,41 @@ def _structure_of(key: tuple, structure_key: Optional[str]) -> tuple:
     return (structure_key or graph_signature, shapeless) + key[2:]
 
 
-#: How many live requests run both plans before a hot plan is published.
-PROMOTION_TRIALS = 3
+#: The paired test a trial candidate passes to take over: each trial
+#: runs both plans on one live request and steps the candidate's walk
+#: +1 when it was faster, -1 otherwise (a tie goes to the plan serving).
+#: The walk publishes at ``+PROMOTION_TRIALS``, never falls below
+#: ``-PROMOTION_TRIALS`` and is kept between rounds; a round runs at most
+#: ``PROMOTION_TRIALS`` trials, and ends at the floor.
+PROMOTION_TRIALS = 8
+
+#: The clock trials and prices are measured on, in seconds.
+clock = time.perf_counter
+
+
+@dataclass(eq=False)
+class Candidate:
+    """A plan that may take over its entry's executor, and its proof.
+
+    ``"differential"``: the native plan of an entry answered on the tape,
+    published once built; strict's first execute of it runs the tape as
+    its differential.  ``"trial"``: the maximal partition on the same
+    engine, published once it wins the paired test; then the plan it
+    displaced is on trial, in a new :class:`Candidate` with the same
+    :attr:`plan`.  ``build`` makes :attr:`plan` on a builder thread
+    (``None``: nothing to try).
+    """
+
+    kind: str
+    build: Optional[Callable[[], Optional["CachedPlan"]]] = field(default=None, repr=False)
+    #: The built plan (``None`` while it builds).
+    plan: Optional["CachedPlan"] = field(default=None, repr=False)
+    walk: int = 0
+    #: Trial slots taken and trials booked in the round: no slot is
+    #: left once ``claimed`` reaches PROMOTION_TRIALS, and the round is
+    #: over once ``booked`` does.
+    claimed: int = 0
+    booked: int = 0
 
 
 @dataclass(eq=False)
@@ -241,20 +267,13 @@ class CachedPlan:
     compiler) and executes the recursive walk from ``graph`` +
     ``partition`` instead.
 
-    Both doors run a request through :meth:`execute`, which also does
-    the tier-up accounting of a native entry whose partition the fusion
-    model chose: its :attr:`tier` goes ``cold`` → ``building`` (its
-    executes have paid :attr:`price_ms`; the maximal partition is
-    building, then on trial) → ``hot`` (published), ``kept_cold``
-    (unequal, or the build failed) or ``same`` (the maximal partition
-    is the cold one).  A hot plan measured slower sends the entry back
-    to ``cold`` at twice the price, to be tried again.
-
-    A native entry the direct door answered on the tape
-    (:func:`native_strategy` said ``"tiered"``) serves its tape
-    :attr:`plan` until the background build publishes the native plan
-    (:meth:`publish_native`); until then :attr:`native_plan` and
-    :attr:`price_ms` are ``None``.
+    Both doors run a request through :meth:`execute`, which also runs
+    the promotion of a native entry: a :attr:`candidate` built, tested
+    and published (:meth:`_publish`) into :attr:`executor`.  A native
+    entry the direct door answered on the tape (:func:`native_strategy`
+    said ``"tiered"``) serves its tape :attr:`plan` until its
+    differential candidate is published; until then :attr:`native_plan`
+    and :attr:`price_ms` are ``None``.
     """
 
     #: The key this entry is cached under (set by :class:`PlanCache`).
@@ -283,9 +302,10 @@ class CachedPlan:
     #: ``native`` / ``recursive``) — also the third key component.
     engine: str = "tape"
     #: What serves a request on this entry — ``native_plan``, else
-    #: ``plan``, else the recursive engine's walk; all three share
-    #: ``.execute(inputs, params, workers=...)``.  Publishing a hot
-    #: plan is the one assignment to it after the build.
+    #: ``plan``, else the recursive engine's walk, or a published
+    #: candidate's plan; all share ``.execute(inputs, params,
+    #: workers=...)``.  A publish is the one assignment to it after the
+    #: build.
     executor: Optional[object] = None
     #: The persisted plan record of :attr:`key` (``None`` for an entry
     #: built without a key).
@@ -295,30 +315,21 @@ class CachedPlan:
     #: model-fused request returns its inputs and the graph's external
     #: outputs only, whichever plan served it.
     fusion: Optional[FusionSettings] = None
-    #: What the executes must add up to before the entry re-fuses: the
+    #: What the executes must add up to before the next round of trials
+    #: (the first one builds the maximal partition): the
     #: ``native_compile_ms`` of the build that ran ``cc`` (this one, or
-    #: the one the plan record names); ``None`` where it never re-fuses.
+    #: the one the plan record names), doubled after every round;
+    #: ``None`` where it never re-fuses.
     price_ms: Optional[float] = None
-    #: ``cold`` / ``building`` / ``hot`` / ``kept_cold`` / ``same``.
-    tier: str = "cold"
-    #: Wall-clock ms of this entry's cold executes.
+    #: Wall-clock ms of this entry's executes since its last round.
     executed_ms: float = 0.0
-    #: The maximal-partition build while on trial, and once published.
-    hot: Optional["CachedPlan"] = field(default=None, repr=False)
-    #: The cache holding this entry: it counts the tier-up events and
-    #: owns the entry's hot build.
+    #: The plan that may take over :attr:`executor`.
+    candidate: Optional[Candidate] = field(default=None, repr=False)
+    #: The cache holding this entry: it counts the promotion events and
+    #: owns the entry's candidate builds.
     cache: Optional["PlanCache"] = field(default=None, repr=False)
-    #: The C a tiered entry's background build compiles (lowered once,
-    #: at the miss); ``None`` otherwise, and once that build is queued.
-    deferred: Optional[native_exec.LoweredPartition] = field(
-        default=None, repr=False
-    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _live: bool = field(default=True, repr=False)
-    _claimed: int = field(default=0, repr=False)
-    _trials: List[Tuple[bool, float, float]] = field(
-        default_factory=list, repr=False
-    )
 
     @property
     def restored(self) -> Tuple[str, ...]:
@@ -351,27 +362,28 @@ class CachedPlan:
         """Serve one request on this entry — both doors' only call.
 
         Reads :attr:`executor` once, so a request runs on one complete
-        plan however a publish races it.  A cold entry adds the wall
-        time to :attr:`executed_ms` and, once that reaches
-        :attr:`price_ms`, hands the re-fuse to :func:`hot_builder`; the
-        next :data:`PROMOTION_TRIALS` requests after the build run both
-        plans on their own inputs and return the cold result.
+        plan however a publish races it.  While a trial candidate's
+        round is open, a request takes one of its slots: it runs both
+        plans and returns the serving plan's result.  Any other request
+        adds its wall time to :attr:`executed_ms`; the one that reaches
+        :attr:`price_ms` queues the maximal partition's build, or opens
+        the next round.
         """
-        executor = self.executor
-        hot = self.hot
-        if hot is not None and self.tier == "building" and self._claim():
-            env = self._trial(executor, hot, inputs, params, workers)
+        candidate = self.candidate
+        trial = self._claim(candidate) if candidate is not None else None
+        if trial is not None:
+            env = self._trial(candidate, *trial, inputs, params, workers)
         else:
-            started = time.perf_counter()
+            executor = self.executor
+            started = clock()
             env = executor.execute(inputs, params, workers)
-            if hot is not None and executor is hot.executor:
+            ms = (clock() - started) * 1e3
+            if self.price_ms is not None:
+                self._account(ms)
+            if self.engine == "native" and executor is self.plan:
+                native_exec.COSTS.observe_tape(executor, ms)
+            elif candidate is not None and executor is getattr(candidate.plan, "executor", None):
                 self.cache.note("served_hot")
-            elif self.price_ms is not None and self.tier == "cold":
-                self._account((time.perf_counter() - started) * 1e3)
-            elif self.engine == "native" and executor is self.plan:
-                native_exec.COSTS.observe_tape(
-                    executor, (time.perf_counter() - started) * 1e3
-                )
         if self.fusion is None:
             return env
         keep = self.graph.external_outputs
@@ -382,147 +394,163 @@ class CachedPlan:
         }
 
     def _account(self, ms: float) -> None:
-        """Add one cold execute; the one that pays the price enqueues
-        the re-fuse."""
+        """Add one execute; the one that pays the price queues the
+        maximal partition's build, or opens the next round of trials."""
         with self._lock:
             self.executed_ms += ms
+            candidate = self.candidate
             if (
-                self.tier != "cold"
-                or not self._live
+                not self._live
                 or self.cache is None
+                or self.price_ms is None
                 or self.executed_ms < self.price_ms
             ):
                 return
-            self.tier = "building"
-            if self.hot is not None:
-                return  # a hot plan measured slower goes on trial again
-        self.cache.build_hot(self)
-
-    def build_hot(self) -> None:
-        """The builder's job: the maximal partition through the same
-        :func:`build_plan` (sanitized and verified as a cold plan is),
-        put on trial unless the entry left its cache meanwhile."""
-        if not self._live:
-            return
-        fusion = self.fusion
-        try:
-            partition = maximal_partition(self.graph, fusion.gpu, fusion.benefit)
-            if partition.signature() == self.partition.signature():
-                self.tier = "same"
+            if candidate is not None:
+                if candidate.booked >= PROMOTION_TRIALS:  # the last round is over
+                    candidate.claimed = candidate.booked = 0
                 return
-            hot = build_plan(
-                self.graph,
-                partition=partition,
-                fusion=fusion,
-                engine=self.engine,
-                lowering=self.key[4],
-            )
-        except Exception:
-            self.tier = "kept_cold"
-            return
-        with self._lock:
-            live = self._live
-            if live:
-                self.hot = hot
-        if not live:
-            _forget_partition(self.graph, partition)
+            self.candidate = candidate = Candidate("trial", self._build_maximal)
+        self.cache.submit(self, candidate)
 
-    def _claim(self) -> bool:
-        """Take one of the :data:`PROMOTION_TRIALS` trial slots."""
-        with self._lock:
-            if self.tier != "building" or self._claimed >= PROMOTION_TRIALS:
-                return False
-            self._claimed += 1
-            return True
+    def _build_maximal(self) -> Optional["CachedPlan"]:
+        """A trial candidate's build: the maximal partition through the
+        same :func:`build_plan` (sanitized and verified as a cold plan
+        is) — ``None`` when it is the model's own partition."""
+        fusion = self.fusion
+        partition = maximal_partition(self.graph, fusion.gpu, fusion.benefit)
+        if partition.signature() == self.partition.signature():
+            return None
+        return build_plan(
+            self.graph,
+            partition=partition,
+            fusion=fusion,
+            engine=self.engine,
+            lowering=self.key[4],
+        )
 
-    def _trial(self, cold, hot, inputs, params, workers):
-        """Run both plans on one live request; the caller gets the cold
-        result.  The hot plan runs first, on inputs the cold one has not
-        just pulled into the caches, so a tie goes to the cold plan.  A
-        hot plan that raises is unequal."""
-        started = time.perf_counter()
-        try:
-            hot_env = hot.executor.execute(inputs, params, workers)
-        except Exception:
-            hot_env = None
-        hot_ms = (time.perf_counter() - started) * 1e3
-        started = time.perf_counter()
-        try:
-            env = cold.execute(inputs, params, workers)
-        except BaseException:
-            with self._lock:
-                self._claimed -= 1  # the slot is retried
-            raise
-        cold_ms = (time.perf_counter() - started) * 1e3
-        equal = hot_env is not None and all(
-            np.array_equal(env[name], hot_env[name])
+    def _on_trial(self, candidate: Candidate) -> object:
+        """The executor ``candidate`` puts on trial: its plan's, or the
+        one its plan displaced."""
+        maximal = candidate.plan.executor
+        return self.native_plan if self.executor is maximal else maximal
+
+    def _claim(self, candidate: Candidate) -> Optional[tuple]:
+        """Take a slot of a built trial candidate's open round: ``(slot,
+        serving executor, executor on trial)``, or ``None``."""
+        with self._lock:
+            if (
+                self.candidate is not candidate
+                or candidate.plan is None
+                or candidate.claimed >= PROMOTION_TRIALS
+            ):
+                return None
+            candidate.claimed += 1
+            return candidate.claimed - 1, self.executor, self._on_trial(candidate)
+
+    def _trial(self, candidate, slot, serving, on_trial, inputs, params, workers):
+        """Run both plans on one live request and book the pair; the
+        caller gets the serving plan's result.  The plan on trial runs
+        first in even slots.  One that raises is unequal; one that runs
+        its strict differential is not timed."""
+        pending = getattr(on_trial, "differential_pending", False)
+        timed = not (pending and validate_mode() == "strict")  # it runs the tape too
+        theirs = None
+        for executor in (on_trial, serving) if slot % 2 == 0 else (serving, on_trial):
+            started = clock()
+            if executor is on_trial:
+                with contextlib.suppress(Exception):
+                    theirs = on_trial.execute(inputs, params, workers)
+                their_s = clock() - started
+                continue
+            try:
+                env = serving.execute(inputs, params, workers)
+            except BaseException:
+                self._book(candidate, True, None)  # the slot is retried
+                raise
+            our_s = clock() - started
+        equal = theirs is not None and all(
+            np.array_equal(env[name], theirs[name])
             for name in self.graph.external_outputs
         )
-        self._settle(hot, (equal, cold_ms, hot_ms))
+        self._book(candidate, equal, their_s < our_s if timed else None)
         return env
 
-    def _settle(self, hot: "CachedPlan", trial: Tuple[bool, float, float]) -> None:
-        """Book one trial; the last of a round publishes or decides
-        against.
-
-        Unequal bits are final.  Slower is not — on shared cores three
-        trials can read a few per cent either way — so the entry goes
-        back to ``cold`` with the hot plan kept and twice the price: it
-        is tried again once its executes have paid that, and a plan that
-        stays slower costs O(log n) trials over n requests.  Each round
-        decides on the medians of every trial so far, so the evidence
-        grows with the rounds instead of each round being a fresh coin."""
+    def _book(self, candidate: Candidate, equal: bool, faster: Optional[bool]) -> None:
+        """Book one trial (``faster`` ``None``: untimed, its slot is
+        given back).  Unequal bits drop the candidate for good, and the
+        walk reaching :data:`PROMOTION_TRIALS` publishes it.  A round is
+        over after that many trials, or once the walk is at its floor,
+        where a loss adds nothing; the next round costs twice the
+        price."""
         with self._lock:
-            if self.hot is not hot or not self._live:
-                return
-            self._trials.append(trial)
-            if len(self._trials) % PROMOTION_TRIALS:
-                return
-            trials = self._trials
-            self._claimed = 0
-            if not all(equal for equal, _, _ in trials):
-                verdict = "hot_unequal"
-                self.tier, self.hot = "kept_cold", None
-            elif statistics.median(t[2] for t in trials) >= statistics.median(
-                t[1] for t in trials
+            if (
+                self.candidate is not candidate
+                or not self._live
+                or candidate.booked >= PROMOTION_TRIALS
             ):
-                verdict = "hot_slower"
-                self.tier, self.executed_ms = "cold", 0.0
-                self.price_ms *= 2
+                return  # the entry moved on, or the round ended under this trial
+            on_trial = self._on_trial(candidate)
+            if not equal:
+                verdict = "unequal"
+                self.candidate = self.price_ms = None
+            elif faster is None:
+                candidate.claimed -= 1
+                return
             else:
-                verdict = "hot_published"
-                self.executor = hot.executor
-                self.tier = "hot"
-            if verdict != "hot_slower":
-                self._trials = []
+                candidate.walk = max(candidate.walk + (1 if faster else -1), -PROMOTION_TRIALS)
+                candidate.booked += 1
+                if candidate.walk >= PROMOTION_TRIALS:
+                    verdict = "published"
+                    self._publish(candidate, on_trial)
+                elif candidate.booked < PROMOTION_TRIALS and candidate.walk > -PROMOTION_TRIALS:
+                    return
+                else:
+                    verdict = "slower"
+                    candidate.claimed = candidate.booked = PROMOTION_TRIALS
+                self.price_ms *= 2
+                self.executed_ms = 0.0
         self.cache.note(verdict)
-        if verdict == "hot_unequal":
-            _forget_partition(self.graph, hot.partition)
+        if verdict == "unequal" and on_trial is not self.native_plan:
+            _forget_partition(self.graph, candidate.plan.partition)
 
-    def publish_native(self, built: "CachedPlan", missed_at: float) -> bool:
-        """The tiered build's last step: from the next request on, this
-        entry serves ``built``'s native plan — unless the entry left its
-        cache (returns ``False``).  The plan, its record and its re-fuse
-        price are in place before the one assignment to
-        :attr:`executor` that publishes it; the differential strict owes
-        runs on the first request it serves."""
-        record = built.record
-        with self._lock:
-            if not self._live:
-                return False
-            self.native_plan = built.native_plan
-            self.record = record
+    def _publish(self, candidate: Candidate, executor: object) -> None:
+        """The one publish (lock held): from the next request on,
+        ``executor`` serves this entry.  A differential candidate's
+        native plan, record, price and timings are in place before the
+        one assignment to :attr:`executor`; a trial candidate leaves the
+        plan it displaced on trial, in a round that opens once paid."""
+        if candidate.kind == "differential":
+            built = candidate.plan
+            self.native_plan, self.record = built.native_plan, built.record
             if self.fusion is not None and not self.fusion.naive_borders:
-                self.price_ms = record.compile_ms
-            self.timings_ms["native_compile_ms"] = built.timings_ms[
-                "native_compile_ms"
-            ]
-            self.timings_ms["native_ready_ms"] = (
-                time.perf_counter() - missed_at
-            ) * 1e3
-            self.executor = built.native_plan
-        _sync_record_on_differential(self)
-        return True
+                self.price_ms = built.record.compile_ms
+            for name in ("native_compile_ms", "native_ready_ms"):
+                self.timings_ms[name] = built.timings_ms[name]
+            self.candidate = None
+        else:
+            closed = PROMOTION_TRIALS
+            self.candidate = Candidate("trial", plan=candidate.plan, claimed=closed, booked=closed)
+        self.executor = executor
+
+    def arrive(self, candidate: Candidate, built: Optional["CachedPlan"]) -> None:
+        """A builder job's end: publish a differential candidate, open a
+        trial candidate's first round, or — nothing built — drop it, and
+        with it the entry's promotion.  An entry that left its cache
+        gets nothing, and the graph forgets a trial build's plans."""
+        with self._lock:
+            live = self._live and self.candidate is candidate
+            if live and built is None:
+                self.candidate = self.price_ms = None
+            elif live:
+                candidate.plan = built
+                if candidate.kind == "differential":
+                    self._publish(candidate, built.native_plan)
+        if built is not None and not live and candidate.kind == "trial":
+            _forget_partition(self.graph, built.partition)
+        elif built is not None and live and candidate.kind == "differential":
+            self.cache.note("published")
+            _sync_record_on_differential(self)
 
     def retire(self) -> None:
         """The entry left its cache: it publishes and builds nothing
@@ -540,65 +568,54 @@ def _forget_partition(graph: KernelGraph, partition: Partition) -> None:
     )
 
 
-#: The niceness of the builder thread, and so of every ``cc`` it forks
-#: (a background build compiles on its own thread): a re-fuse is worth
-#: having, not worth slowing the requests for.
+#: The niceness of the trial builder's thread, and so of every ``cc``
+#: it forks: a re-fuse is worth having, not worth slowing the requests
+#: for.
 BUILDER_NICE = 19
 
-#: The background builders by thread name: one thread each, created on
-#: first use, and again in a forked child (the parent's threads are not
-#: there).
+#: The background builders by candidate kind: one thread each, created
+#: on first use, and again in a forked child (the parent's threads are
+#: not there).
 _builders: Dict[str, ThreadPoolExecutor] = {}
 _builders_guard = threading.Lock()
 
 
-def _builder(name: str, initializer: Callable[[], None]) -> ThreadPoolExecutor:
+def builder(kind: str) -> ThreadPoolExecutor:
+    """The one background thread per process that builds the candidates
+    of ``kind``, one job at a time; at exit the running job finishes and
+    the queued ones do nothing.
+
+    A ``"trial"`` builder runs at the lowest CPU priority
+    (:data:`BUILDER_NICE`, on Linux) and its jobs compile in order on
+    it, so every ``cc`` inherits that.  Requests wait on the tape for a
+    ``"differential"`` candidate: its builder runs at the process's own
+    priority and compiles on the compile pool, as a request's build
+    does (in order on the thread left the requests one more core but
+    published every native plan later, EXPERIMENTS.md).  Two threads,
+    because one that lowered its priority cannot raise it again without
+    ``CAP_SYS_NICE``."""
     with _builders_guard:
-        pool = _builders.get(name)
+        pool = _builders.get(kind)
         if pool is None:
-            pool = _builders[name] = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=name, initializer=initializer
+            pool = _builders[kind] = ThreadPoolExecutor(
+                max_workers=1,
+                thread_name_prefix=f"repro-{kind}-builder",
+                initializer=partial(_set_priority, kind == "trial"),
             )
         return pool
 
 
-def hot_builder() -> ThreadPoolExecutor:
-    """The one background thread per process that builds hot plans
-    (:meth:`CachedPlan.build_hot`), one job at a time, at the lowest CPU
-    priority (:data:`BUILDER_NICE`, on Linux).  At exit the running job
-    finishes and the queued ones do nothing."""
-    return _builder("repro-hot-builder", _lower_priority)
-
-
-def tier_builder() -> ThreadPoolExecutor:
-    """The one background thread per process that builds the native
-    plans of tiered entries (:func:`native_strategy`), one job at a
-    time, at the process's own priority: requests are waiting on the
-    tape for it.  Never the hot builder, whose niceness every ``cc`` it
-    starts would inherit.  Its jobs compile on the compile pool, as a
-    request's build does: compiling in order on this thread instead
-    left the requests one more core but priced and published every
-    tiered plan later (EXPERIMENTS.md).  At exit the running job
-    finishes and the queued ones do nothing."""
-    return _builder("repro-tier-builder", _process_priority)
-
-
-def _lower_priority() -> None:
-    if sys.platform.startswith("linux"):  # per thread there
-        with contextlib.suppress(OSError):
-            os.setpriority(
-                os.PRIO_PROCESS, threading.get_native_id(), BUILDER_NICE
-            )
-
-
-def _process_priority() -> None:
-    # A thread starts at its creator's niceness; take the main thread's.
+def _set_priority(lowest: bool) -> None:
+    # Per thread on Linux.  A thread starts at its creator's niceness,
+    # so the differential builder takes the main thread's.
     if sys.platform.startswith("linux"):
         with contextlib.suppress(OSError):
             os.setpriority(
                 os.PRIO_PROCESS,
                 threading.get_native_id(),
-                os.getpriority(os.PRIO_PROCESS, os.getpid()),
+                BUILDER_NICE
+                if lowest
+                else os.getpriority(os.PRIO_PROCESS, os.getpid()),
             )
 
 
@@ -610,27 +627,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _background(job: Callable[[], None]) -> None:
+def _background(job: Callable[..., None], *args: Any) -> None:
     """Run one builder job, in a copy of its request's context (the
     validation level and the cache directory resolved at the door).  A
     job that starts once the interpreter is exiting, or whose cache
     directory is gone, does nothing."""
     if not threading.main_thread().is_alive() or not cpu_exec._cache_dir().is_dir():
         return
-    job()
-
-
-def _hot_job(entry: CachedPlan) -> None:
-    """The hot builder's job, as a
-    :data:`~repro.backend.cpu_exec.BACKGROUND_BUILD`: it compiles on its
-    own niced thread."""
-    cpu_exec.BACKGROUND_BUILD.set(True)
-    entry.build_hot()
-
-
-#: The tiered builds queued or running, by (plan key, cache directory).
-_tier_jobs: Dict[tuple, Future] = {}
-_tier_guard = threading.Lock()
+    job(*args)
 
 
 #: Layout version of a plan record's JSON; any other is ignored.
@@ -895,8 +899,8 @@ def native_strategy(
     """How a direct-door native miss gets its first answer, decided once
     per miss: ``"blocking"`` — compile, then execute natively, as every
     other build does — or ``"tiered"`` — answer on the tape ``plan`` the
-    build holds anyway, and compile ``lowered`` in the background
-    (:meth:`PlanCache.build_native`).
+    build holds anyway, and compile ``lowered`` in the background as the
+    entry's differential :class:`Candidate`.
 
     The build asks only when its plan record bound no library and the
     partition is lowered.  Tiered needs two more things: ``cc -c`` would
@@ -1000,10 +1004,10 @@ def build_plan(
     the same), else the one the record holds for this library.
 
     ``tiering`` (the direct door's, with a key) lets :func:`native_strategy`
-    decide a native miss: a ``"tiered"`` entry executes on its tape plan
-    and carries the lowered C (:attr:`CachedPlan.deferred`) for the
-    background build its cache queues; that build passes it back as
-    ``lowered``, so nothing is lowered twice.
+    decide a native miss: a ``"tiered"`` entry executes on its tape plan,
+    and its differential :class:`Candidate` — queued by its cache — is
+    this function on the same key and partition, passed the lowered C
+    as ``lowered``, so nothing is lowered twice.
     """
     started = time.perf_counter()
     timings: Dict[str, float] = {}
@@ -1087,8 +1091,23 @@ def build_plan(
         executor=executor,
         record=record,
         fusion=fusion if chosen else None,
-        deferred=deferred,
     )
+    if deferred is not None:
+
+        def build_native() -> CachedPlan:
+            built = build_plan(
+                graph,
+                key=key,
+                partition=partition,
+                fusion=fusion,
+                engine="native",
+                lowered=deferred,
+            )
+            ready_ms = (time.perf_counter() - started) * 1e3
+            built.timings_ms["native_ready_ms"] = ready_ms
+            return built
+
+        entry.candidate = Candidate("differential", build_native)
     if record is not None:
         record.settle(entry)
     price = record.compile_ms if record is not None else None
@@ -1132,9 +1151,9 @@ def validate_plan(entry: CachedPlan, stage: Stage = call_stage) -> None:
         entry.timings_ms["verify_ms"] = plan.verify_ms
     if caught_up and entry.record is not None:
         entry.record.sync(entry)
-    hot = entry.hot
-    if hot is not None:
-        validate_plan(hot, stage)
+    candidate = entry.candidate
+    if candidate is not None and candidate.plan is not None:
+        validate_plan(candidate.plan, stage)
 
 
 class _InFlight:
@@ -1175,20 +1194,17 @@ class PlanCache:
         self.coalesced = 0
         self.evictions = 0
         self.quarantined = 0
-        #: Tier-up counters (:meth:`note`): hot plans published, hot
-        #: plans kept out as unequal / as slower, requests served hot.
-        self.hot_published = 0
-        self.hot_unequal = 0
-        self.hot_slower = 0
-        self.served_hot = 0
-        #: Tiering counters: native misses answered on the tape, native
-        #: plans their background builds published, and builds that
-        #: failed (the entry stays on the tape for its life here).
-        self.tape_first = 0
-        self.native_published = 0
-        self.native_failed = 0
-        #: This cache's jobs on :func:`hot_builder`, queued or running.
-        self._hot_jobs: set = set()
+        #: Promotion counters (:meth:`note`), both candidate kinds:
+        #: native misses answered on the tape while their native plan
+        #: builds, candidates published (a demotion is one too), builds
+        #: that failed, trial candidates dropped as unequal, rounds of
+        #: trials that ended without a publish, and requests the maximal
+        #: partition's plan served.
+        self.tape_first = self.published = self.failed = 0
+        self.unequal = self.slower = self.served_hot = 0
+        #: The one job table: each entry's candidate build, queued or
+        #: running.
+        self._jobs: Dict[CachedPlan, Future] = {}
 
     def _note_miss(self, key: tuple, structure_key: Optional[str]) -> None:
         """Classify one miss (lock held)."""
@@ -1255,7 +1271,6 @@ class PlanCache:
                         pending.entry.serves += 1
                     return pending.entry, True
                 continue  # builder failed silently? retry from scratch
-            missed_at = time.perf_counter()
             try:
                 entry = builder()
             except BaseException as err:
@@ -1276,8 +1291,8 @@ class PlanCache:
                 self._building.pop(key, None)
             pending.entry = entry
             pending.event.set()
-            if entry.deferred is not None:
-                self.build_native(entry, missed_at)
+            if entry.candidate is not None:
+                self.submit(entry, entry.candidate)
             return entry, False
 
     def quarantine(self, key: tuple) -> bool:
@@ -1289,8 +1304,8 @@ class PlanCache:
         also forgets the tape and native plans of the entry's partition
         (its grid store and other partitions stay), so the rebuild
         constructs new plan objects and loads the ``.so`` again; so does
-        the hot plan's partition, and a hot build still in flight
-        publishes nothing into it.  The
+        its candidate's partition, and a candidate build queued or in
+        flight publishes nothing into it (:meth:`_drop`).  The
         doors do not tell a bad plan from a bad request: an execute that
         failed on an unbound parameter costs the same tape compile,
         lowering and ``dlopen``.  Returns whether an entry was actually
@@ -1301,125 +1316,92 @@ class PlanCache:
             if removed is None:
                 return False
             self.quarantined += 1
-        # Before reading ``hot``: a build finishing later sees the entry
-        # retired and forgets its own plans.
-        removed.retire()
-        # Outside the cache lock: this waits for the graph's own lock,
-        # which a build in flight on that graph holds.
+        self._drop(removed)
         _forget_partition(removed.graph, removed.partition)
-        hot = removed.hot
-        if hot is not None:
-            _forget_partition(removed.graph, hot.partition)
         return True
 
     def clear(self) -> None:
-        """Empty the cache.  No entry it held re-fuses any more: their
-        hot plans are forgotten, and a hot build still in flight
-        publishes nothing and forgets its own."""
+        """Empty the cache, dropping each entry (:meth:`_drop`)."""
         with self._lock:
             entries = list(self._entries.values())
             self._entries.clear()
         for entry in entries:
-            entry.retire()
-            hot = entry.hot
-            if hot is not None:
-                _forget_partition(entry.graph, hot.partition)
+            self._drop(entry)
+
+    def _drop(self, entry: CachedPlan) -> None:
+        """``entry`` left the cache: it publishes nothing from now on,
+        its queued candidate build is dropped (one in flight finishes and
+        forgets its own plans), and the graph forgets its candidate's."""
+        # Before reading the candidate: a build finishing later sees the
+        # entry retired.
+        entry.retire()
+        with self._lock:
+            job = self._jobs.get(entry)
+        if job is not None:
+            job.cancel()
+        candidate = entry.candidate
+        if candidate is not None and candidate.plan is not None:
+            # Outside the cache lock: this waits for the graph's own
+            # lock, which a build in flight on that graph holds.
+            _forget_partition(entry.graph, candidate.plan.partition)
 
     def close(self) -> None:
-        """Stop re-fusing for good (the entries stay): no entry builds
-        or publishes a hot plan any more, and when this returns the
-        build in flight, if it is this cache's, has finished — nothing
-        of it is left half-written in the compile cache."""
+        """Stop promoting for good (the entries stay): no entry builds
+        or publishes a candidate any more, and when this returns the
+        builds in flight, if they are this cache's, have finished —
+        nothing of them is left half-written in the compile cache."""
         with self._lock:
             entries = list(self._entries.values())
+            jobs = list(self._jobs.values())
         for entry in entries:
             entry.retire()
-        with self._lock:
-            jobs = list(self._hot_jobs)
         # A queued job is dropped; the one running is waited for.
         wait([job for job in jobs if not job.cancel()])
 
     def note(self, counter: str) -> None:
-        """Count one tier-up event (a counter name of :meth:`stats`)."""
+        """Count one promotion event (a counter name of :meth:`stats`)."""
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def build_hot(self, entry: CachedPlan) -> None:
-        """Queue ``entry``'s re-fuse on :func:`hot_builder`, in a copy of
-        the calling request's context."""
+    def submit(self, entry: CachedPlan, candidate: Candidate) -> None:
+        """Queue ``candidate``'s build — both kinds' one submit path: on
+        the :func:`builder` of its kind, in a copy of the calling
+        request's context, in this cache's job table."""
+        if candidate.kind == "differential":
+            self.note("tape_first")
         context = contextvars.copy_context()
         try:
-            job = hot_builder().submit(
-                context.run, _background, lambda: _hot_job(entry)
+            job = builder(candidate.kind).submit(
+                context.run, _background, self._build, entry, candidate
             )
         except RuntimeError:  # the interpreter is exiting
-            entry.tier = "kept_cold"
             return
         with self._lock:
-            self._hot_jobs.add(job)
-        job.add_done_callback(self._job_done)
-
-    def _job_done(self, job: Future) -> None:
-        with self._lock:
-            self._hot_jobs.discard(job)
-
-    def build_native(self, entry: CachedPlan, missed_at: float) -> None:
-        """Queue a tiered entry's native build on :func:`tier_builder`,
-        in a copy of the calling request's context — unless one is
-        already queued or running for its key in the request's cache
-        directory (that build's record and library are what the next
-        miss binds).  The build runs to completion even if the entry
-        leaves the cache, and publishes only into its own live entry."""
-        lowered, entry.deferred = entry.deferred, None
-        self.note("tape_first")
-        slot = (entry.key, cpu_exec._cache_dir())
-        context = contextvars.copy_context()
-        with _tier_guard:
-            if slot in _tier_jobs:
-                return
-            try:
-                job = tier_builder().submit(
-                    context.run,
-                    _background,
-                    lambda: self._build_native(entry, lowered, missed_at),
-                )
-            except RuntimeError:  # the interpreter is exiting
-                return
-            _tier_jobs[slot] = job
+            self._jobs[entry] = job
 
         def done(_job: Future) -> None:
-            with _tier_guard:
-                _tier_jobs.pop(slot, None)
+            with self._lock:
+                if self._jobs.get(entry) is job:
+                    del self._jobs[entry]
 
         job.add_done_callback(done)
 
-    def _build_native(
-        self,
-        entry: CachedPlan,
-        lowered: native_exec.LoweredPartition,
-        missed_at: float,
-    ) -> None:
-        """The tiered build: :func:`build_plan` on the entry's key and
-        partition, which reads the record the tape build wrote (no
-        re-fuse, no re-verify) and compiles ``lowered``."""
-        try:
-            built = build_plan(
-                entry.graph,
-                key=entry.key,
-                partition=entry.partition,
-                fusion=entry.fusion or FusionSettings(
-                    naive_borders=entry.plan.naive_borders
-                ),
-                engine="native",
-                lowered=lowered,
-            )
-        except Exception:
-            # A cache directory removed under the build is not its fault.
-            if cpu_exec._cache_dir().is_dir():
-                self.note("native_failed")
+    def _build(self, entry: CachedPlan, candidate: Candidate) -> None:
+        """A builder job: ``candidate``'s build, handed to its entry
+        (:meth:`CachedPlan.arrive`) unless the entry left the cache.  A
+        build that raises counts as ``failed`` — unless its cache
+        directory was removed under it, which is not its fault."""
+        cpu_exec.BUILDER_JOB.set(True)
+        cpu_exec.BACKGROUND_BUILD.set(candidate.kind == "trial")
+        if not entry._live:
             return
-        if entry.publish_native(built, missed_at):
-            self.note("native_published")
+        try:
+            built = candidate.build()
+        except Exception:
+            if cpu_exec._cache_dir().is_dir():
+                self.note("failed")
+            built = None
+        entry.arrive(candidate, built)
 
     def native_threads(self) -> int:
         """The widest OpenMP team a native plan of this cache ran on
@@ -1458,13 +1440,12 @@ class PlanCache:
                 "evictions": self.evictions,
                 "quarantined": self.quarantined,
                 "hit_rate": self.hit_rate,
-                "hot_published": self.hot_published,
-                "hot_unequal": self.hot_unequal,
-                "hot_slower": self.hot_slower,
-                "served_hot": self.served_hot,
                 "tape_first": self.tape_first,
-                "native_published": self.native_published,
-                "native_failed": self.native_failed,
+                "published": self.published,
+                "failed": self.failed,
+                "unequal": self.unequal,
+                "slower": self.slower,
+                "served_hot": self.served_hot,
             }
 
 

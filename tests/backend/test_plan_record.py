@@ -566,7 +566,7 @@ def test_a_compile_ms_that_is_no_price_never_re_fuses(
         assert_same(first, request())
     assert checks.take() == (0, 0, 0, 0)
     assert builds[-1].restored == EVERYTHING
-    assert builds[-1].price_ms is None and builds[-1].tier == "cold"
+    assert builds[-1].price_ms is None and builds[-1].candidate is None
     assert json.loads(path.read_text())["compile_ms"] is None
 
 

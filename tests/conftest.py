@@ -33,11 +33,11 @@ def _empty_process_plan_cache():
     from repro.backend.cpu_exec import _cache_dir
     from repro.serve.plancache import PROCESS_CACHE
 
-    from helpers import wait_for_hot_builds
+    from helpers import wait_for_builds
 
     PROCESS_CACHE.clear()
-    # Nor may a hot plan an earlier test paid for be building beside it.
-    wait_for_hot_builds()
+    # Nor may a candidate an earlier test paid for be building beside it.
+    wait_for_builds()
     # The persisted plan records would carry a partition or a strict
     # verdict from an earlier test (or an earlier run: the default cache
     # directory outlives it) into this one.  The .so / .o files stay.
@@ -46,6 +46,26 @@ def _empty_process_plan_cache():
             record.unlink(missing_ok=True)
     except OSError:
         pass  # unreadable or read-only cache directory
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh ``REPRO_CC_CACHE`` and empty plan caches; the test's
+    background builds have finished when it ends.  The toolchain probes
+    (OpenMP, libmvec) run once per process, on whichever thread asks
+    first: they are asked here, not by the test's first request."""
+    from repro.backend import native_exec
+    from repro.backend.cpu_exec import CACHE_ENV
+    from repro.backend.plan import clear_plan_caches
+
+    from helpers import wait_for_builds
+
+    directory = tmp_path / "cc"
+    monkeypatch.setenv(CACHE_ENV, str(directory))
+    clear_plan_caches()
+    native_exec.toolchain_digest(())
+    yield directory
+    wait_for_builds()
 
 
 @pytest.fixture

@@ -200,10 +200,36 @@ def row_band_everywhere(enabled: bool = True):
             clear_native_caches()
 
 
-def wait_for_hot_builds() -> None:
-    """Return once both background builders — the hot-plan builder and
-    the tiered native builder — have run every job queued so far (a job
-    of a retired entry returns at once)."""
+def app_request(app: str, width: int = 96, height: int = 64, seed: int = 0):
+    """A freshly built graph of the paper app ``app``, its request
+    inputs and its default parameters."""
+    from repro.apps import APPLICATIONS, request_inputs
+    from repro.serve.registry import DEFAULT_APP_PARAMS
+
+    spec = APPLICATIONS[app]
+    return (
+        spec.build(width, height).build(),
+        request_inputs(spec, width, height, seed),
+        DEFAULT_APP_PARAMS.get(app),
+    )
+
+
+def process_entry(graph, engine: str = "native"):
+    """The one ``PROCESS_CACHE`` entry built for ``graph`` on ``engine``."""
+    from repro.serve.plancache import PROCESS_CACHE
+
+    (entry,) = [
+        e
+        for e in PROCESS_CACHE._entries.values()
+        if e.graph is graph and e.engine == engine
+    ]
+    return entry
+
+
+def wait_for_builds() -> None:
+    """Return once both background builders — trial and differential
+    candidates' — have run every job queued so far (a job of a retired
+    entry returns at once)."""
     from repro.serve import plancache
 
     for pool in list(plancache._builders.values()):

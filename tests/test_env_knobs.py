@@ -279,6 +279,17 @@ class TestValidateOverride:
         with validate_override(None):
             assert validate_mode() == "strict"
 
+    def test_none_nested_leaves_the_enclosing_scope_in_force(self, monkeypatch):
+        """``run(..., ExecutionOptions(validate=None))`` inside a
+        standard scope runs at standard, not at the environment's."""
+        from repro.envknobs import validate_override
+
+        monkeypatch.setenv(VALIDATE_ENV, "strict")
+        with validate_override("standard"):
+            with validate_override(None):
+                assert validate_mode() == "standard"
+            assert validate_mode() == "standard"
+
     def test_invalid_override_rejected(self):
         from repro.envknobs import validate_override
 

@@ -1,17 +1,13 @@
 """A cold native request is answered on the tape when ``cc`` would make
-it wait, and the native plan is published behind it by one assignment.
-
-The direct door (``api.run``) decides each native miss once, with
-``plancache.native_strategy``: ``"tiered"`` when ``cc -c`` would run and
-the tape is predicted to answer first (always under strict, which these
-tests run under), ``"blocking"`` otherwise.  A tiered entry serves its
-tape plan; the tier builder compiles the lowered C in the request's
-cache directory and publishes the native plan into the entry, whose
-first native execute then runs strict's differential.  Every test uses
-a fresh ``REPRO_CC_CACHE``, so nothing is compiled yet.
+it wait (``plancache.native_strategy``; always under strict, which these
+tests run under); its native plan, a differential candidate compiled in
+the background in the request's cache directory, is published behind
+it by one assignment, and its first execute runs strict's differential.
+Every test uses a fresh ``REPRO_CC_CACHE``, so nothing is compiled yet.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -21,10 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ToolchainSpy, served_natively, wait_for_hot_builds
+from helpers import (
+    ToolchainSpy,
+    app_request,
+    process_entry,
+    served_natively,
+    wait_for_builds,
+)
 
-from repro.api import ExecutionOptions, run
-from repro.apps import APPLICATIONS, request_inputs
+from repro.api import ExecutionOptions, FusionSettings, run
 from repro.backend import native_exec
 from repro.backend.cpu_exec import CACHE_ENV, compiler_available
 from repro.backend.native_exec import (
@@ -34,8 +35,7 @@ from repro.backend.native_exec import (
 )
 from repro.backend.plan import PartitionPlan, clear_plan_caches
 from repro.serve import ServingRuntime, faultinject, plancache
-from repro.serve.plancache import PROCESS_CACHE
-from repro.serve.registry import DEFAULT_APP_PARAMS
+from repro.serve.plancache import PROCESS_CACHE, PlanCache, build_plan, plan_key
 
 pytestmark = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler on PATH"
@@ -43,35 +43,8 @@ pytestmark = pytest.mark.skipif(
 
 NATIVE = ExecutionOptions(engine="native")
 TAPE = ExecutionOptions(engine="tape")
-COUNTERS = ("tape_first", "native_published", "native_failed")
+COUNTERS = ("tape_first", "published", "failed")
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    directory = tmp_path / "cc"
-    monkeypatch.setenv(CACHE_ENV, str(directory))
-    clear_plan_caches()
-    # The toolchain probes (OpenMP, libmvec) run once per process, on
-    # whichever thread asks first; ask here, so that a test's first
-    # request does not.
-    native_exec.toolchain_digest(())
-    yield directory
-    wait_for_hot_builds()
-
-
-def _request(app, width=96, height=64, seed=0):
-    spec = APPLICATIONS[app]
-    return (
-        spec.build(width, height).build(),
-        request_inputs(spec, width, height, seed),
-        DEFAULT_APP_PARAMS.get(app),
-    )
-
-
-def _entry(graph):
-    (entry,) = [e for e in PROCESS_CACHE._entries.values() if e.graph is graph]
-    return entry
 
 
 def _grown(before):
@@ -79,23 +52,34 @@ def _grown(before):
     return {name: after[name] - before[name] for name in COUNTERS}
 
 
-class _HeldBuilder:
-    """Holds the tier builder's thread until ``release()``, so a test
-    can act between a tiered answer and its background build."""
+class _Held:
+    """Holds the differential builder until ``release()``, so a test can
+    act between a tiered answer and its background build: before the
+    next job starts, or — given ``monkeypatch`` — inside every build,
+    past the job's directory check (``calls`` counts them)."""
 
-    def __init__(self):
-        started, self.go = threading.Event(), threading.Event()
+    def __init__(self, monkeypatch=None):
+        self.started, self.go, self.done = (threading.Event() for _ in range(3))
+        self.calls = 0
+        if monkeypatch is None:
+            plancache.builder("differential").submit(self.go.wait, 60)
+            return
+        real = native_exec._build_native_partition
 
-        def hold():
-            started.set()
+        def held(*args, **kwargs):
+            self.calls += 1
+            self.started.set()
             self.go.wait(60)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.done.set()
 
-        self.job = plancache.tier_builder().submit(hold)
-        started.wait(60)
+        monkeypatch.setattr(native_exec, "_build_native_partition", held)
 
     def release(self):
         self.go.set()
-        self.job.result()
+        wait_for_builds()
 
 
 def _assert_outputs_equal(graph, env, expected):
@@ -105,38 +89,33 @@ def _assert_outputs_equal(graph, env, expected):
         assert_native_equiv(expected[name], env[name], None, context=name)
 
 
-# ---------------------------------------------------------------------------
-# The first answer
-# ---------------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("app", ["Harris", "Night", "Enhance"])
 def test_a_cold_native_request_runs_no_cc_on_its_thread(cache_dir, monkeypatch, app):
-    graph, inputs, params = _request(app)
+    graph, inputs, params = app_request(app)
     spy = ToolchainSpy(monkeypatch)
     before = PROCESS_CACHE.stats()
     env = run(graph, inputs, params, options=NATIVE)
     mine = threading.get_ident()
     assert mine not in spy.threads
-    entry = _entry(graph)
+    entry = process_entry(graph)
     assert isinstance(entry.executor, PartitionPlan)
     assert entry.native_plan is None and entry.price_ms is None
     assert _grown(before)["tape_first"] == 1
-    expected = run(_request(app)[0], inputs, params, options=TAPE)
+    expected = run(app_request(app)[0], inputs, params, options=TAPE)
     for name in graph.external_outputs:
         assert np.array_equal(env[name], expected[name])
-    wait_for_hot_builds()
+    wait_for_builds()
     assert spy.compiles and spy.links  # the background build ran cc
     assert mine not in spy.threads
 
 
 def test_the_native_plan_is_published_and_runs_the_differential(cache_dir, monkeypatch):
-    graph, inputs, _ = _request("Harris")
+    graph, inputs, _ = app_request("Harris")
     before = PROCESS_CACHE.stats()
     first = run(graph, inputs, options=NATIVE)
-    entry = _entry(graph)
-    wait_for_hot_builds()
-    assert _grown(before) == {"tape_first": 1, "native_published": 1, "native_failed": 0}
+    entry = process_entry(graph)
+    wait_for_builds()
+    assert _grown(before) == {"tape_first": 1, "published": 1, "failed": 0}
     native = entry.executor
     assert isinstance(native, NativePartitionPlan)
     assert entry.native_plan is native
@@ -166,17 +145,17 @@ def test_the_native_plan_is_published_and_runs_the_differential(cache_dir, monke
 def test_a_recorded_library_binds_blocking(cache_dir):
     """``warm_restart``'s path: a miss whose record names a library that
     binds is native from its first answer."""
-    graph, inputs, _ = _request("Sobel")
+    graph, inputs, _ = app_request("Sobel")
     run(graph, inputs, options=NATIVE)
-    wait_for_hot_builds()
+    wait_for_builds()
     run(graph, inputs, options=NATIVE)  # the differential, recorded
     clear_native_caches()
     clear_plan_caches()
     before = PROCESS_CACHE.stats()
-    graph, _, _ = _request("Sobel")
+    graph, _, _ = app_request("Sobel")
     with served_natively():
         run(graph, inputs, options=NATIVE)
-    entry = _entry(graph)
+    entry = process_entry(graph)
     assert "library" in entry.restored
     assert entry.executor is entry.native_plan
     assert _grown(before)["tape_first"] == 0
@@ -185,17 +164,17 @@ def test_a_recorded_library_binds_blocking(cache_dir):
 def test_objects_in_the_cache_compile_blocking(cache_dir):
     """No record, but every object is in the cache: ``cc -c`` would not
     run, so the miss links and answers natively."""
-    graph, inputs, _ = _request("Unsharp")
+    graph, inputs, _ = app_request("Unsharp")
     run(graph, inputs, options=NATIVE)
-    wait_for_hot_builds()
+    wait_for_builds()
     for path in list(cache_dir.glob("plan-*.json")) + list(cache_dir.glob("*.so")):
         path.unlink()
     clear_plan_caches()
     before = PROCESS_CACHE.stats()
-    graph, _, _ = _request("Unsharp")
+    graph, _, _ = app_request("Unsharp")
     with served_natively():
         run(graph, inputs, options=NATIVE)
-    assert isinstance(_entry(graph).executor, NativePartitionPlan)
+    assert isinstance(process_entry(graph).executor, NativePartitionPlan)
     assert _grown(before)["tape_first"] == 0
 
 
@@ -207,29 +186,24 @@ def test_standard_mode_tiers_on_the_predicted_costs(cache_dir, monkeypatch, fast
         object_ms=100.0,
     )
     monkeypatch.setattr(native_exec, "COSTS", costs)
-    graph, inputs, _ = _request("Sobel")
+    graph, inputs, _ = app_request("Sobel")
     run(graph, inputs, options=ExecutionOptions(engine="native", validate="standard"))
-    tiered = isinstance(_entry(graph).executor, PartitionPlan)
+    tiered = isinstance(process_entry(graph).executor, PartitionPlan)
     assert tiered == (faster == "tape")
 
 
 def test_the_process_measures_what_it_predicts_with(cache_dir, monkeypatch):
     costs = native_exec.CompileCosts(tape_ms_per_ipx=1.0, build_ms=0.0, object_ms=1e9)
     monkeypatch.setattr(native_exec, "COSTS", costs)
-    graph, inputs, _ = _request("Night")
+    graph, inputs, _ = app_request("Night")
     run(graph, inputs, options=NATIVE)  # strict tiers whatever they say
     assert costs.tape_ms_per_ipx < 1.0
-    wait_for_hot_builds()
+    wait_for_builds()
     assert costs.object_ms < 1e9
 
 
-# ---------------------------------------------------------------------------
-# Doors and builds that never tier
-# ---------------------------------------------------------------------------
-
-
 def test_serving_never_tiers(cache_dir):
-    _, inputs, _ = _request("Harris")
+    _, inputs, _ = app_request("Harris")
     before = PROCESS_CACHE.stats()
     with ServingRuntime(engine="native", workers=1) as runtime:
         with served_natively():
@@ -241,85 +215,73 @@ def test_serving_never_tiers(cache_dir):
 
 
 def test_a_tape_request_never_tiers(cache_dir):
-    graph, inputs, _ = _request("Sobel")
+    graph, inputs, _ = app_request("Sobel")
     before = PROCESS_CACHE.stats()
     run(graph, inputs, options=TAPE)
     assert _grown(before)["tape_first"] == 0
-    assert plancache.tier_builder()._work_queue.empty()
-
-
-# ---------------------------------------------------------------------------
-# The background build
-# ---------------------------------------------------------------------------
+    assert not PROCESS_CACHE._jobs
 
 
 def test_a_failed_background_build_fails_no_request(cache_dir):
-    graph, inputs, _ = _request("Sobel")
-    held = _HeldBuilder()
+    graph, inputs, _ = app_request("Sobel")
+    held = _Held()
     before = PROCESS_CACHE.stats()
     first = run(graph, inputs, options=NATIVE)
     rule = faultinject.inject("native.compile", times=1)
     try:
         held.release()
-        wait_for_hot_builds()
     finally:
         faultinject.remove(rule)
-    assert _grown(before) == {"tape_first": 1, "native_published": 0, "native_failed": 1}
-    entry = _entry(graph)
+    assert _grown(before) == {"tape_first": 1, "published": 0, "failed": 1}
+    entry = process_entry(graph)
     again = run(graph, inputs, options=NATIVE)
     assert isinstance(entry.executor, PartitionPlan) and entry.native_plan is None
     _assert_outputs_equal(graph, again, first)
 
 
-def test_one_build_per_key_and_directory(cache_dir):
-    """A second miss on the same key, while the first one's build is
-    queued, answers on the tape and queues nothing; the build publishes
-    into its own entry only."""
-    graph, inputs, _ = _request("Sobel")
-    held = _HeldBuilder()
+def test_one_build_per_key_and_directory(cache_dir, monkeypatch):
+    """A clear drops the build queued for its entry; the next miss on
+    the key queues its own, which compiles once and publishes into its
+    own entry."""
+    graph, inputs, _ = app_request("Sobel")
+    held = _Held()
+    spy = ToolchainSpy(monkeypatch)
     before = PROCESS_CACHE.stats()
     run(graph, inputs, options=NATIVE)
-    first = _entry(graph)
+    first = process_entry(graph)
     PROCESS_CACHE.clear()
     run(graph, inputs, options=NATIVE)
-    second = _entry(graph)
-    assert plancache.tier_builder()._work_queue.qsize() == 1
+    second = process_entry(graph)
     held.release()
-    wait_for_hot_builds()
-    assert _grown(before) == {"tape_first": 2, "native_published": 0, "native_failed": 0}
-    assert isinstance(second.executor, PartitionPlan)
-    assert first.native_plan is None  # cleared: it published nothing
-    # Its record and library are what the next miss binds.
-    PROCESS_CACHE.clear()
-    run(_request("Sobel")[0], inputs, options=NATIVE)
-    assert _grown(before)["tape_first"] == 2
+    assert _grown(before) == {"tape_first": 2, "published": 1, "failed": 0}
+    assert first.native_plan is None  # dropped: it built nothing
+    assert isinstance(second.executor, NativePartitionPlan)
+    assert len(spy.links) == 1
 
 
 def test_the_build_compiles_where_its_request_resolved(cache_dir, tmp_path, monkeypatch):
-    graph, inputs, _ = _request("Unsharp")
-    held = _HeldBuilder()
+    graph, inputs, _ = app_request("Unsharp")
+    held = _Held()
     run(graph, inputs, options=NATIVE)
     later = tmp_path / "later"
     monkeypatch.setenv(CACHE_ENV, str(later))
     held.release()
-    wait_for_hot_builds()
-    assert isinstance(_entry(graph).executor, NativePartitionPlan)
+    assert isinstance(process_entry(graph).executor, NativePartitionPlan)
     assert list(cache_dir.glob("kernel-*.o")) and list(cache_dir.glob("pipeline-*.so"))
     assert not later.exists() or not list(later.iterdir())
 
 
 def test_a_build_whose_directory_is_gone_does_nothing(cache_dir):
-    graph, inputs, _ = _request("Sobel")
-    held = _HeldBuilder()
+    graph, inputs, _ = app_request("Sobel")
+    held = _Held()
     before = PROCESS_CACHE.stats()
     run(graph, inputs, options=NATIVE)
     for path in cache_dir.iterdir():
         path.unlink()
     cache_dir.rmdir()
     held.release()
-    wait_for_hot_builds()
     assert not cache_dir.exists()
-    assert _grown(before) == {"tape_first": 1, "native_published": 0, "native_failed": 0}
+    assert _grown(before) == {"tape_first": 1, "published": 0, "failed": 0}
 
 
 def test_the_tier_builder_runs_at_the_process_priority(cache_dir, monkeypatch):
@@ -331,16 +293,49 @@ def test_the_tier_builder_runs_at_the_process_priority(cache_dir, monkeypatch):
         return real_run(command, *args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", run_cc)
-    graph, inputs, _ = _request("Sobel")
+    graph, inputs, _ = app_request("Sobel")
     run(graph, inputs, options=NATIVE)
-    wait_for_hot_builds()
+    wait_for_builds()
     assert niceness
     assert set(niceness) == {os.getpriority(os.PRIO_PROCESS, os.getpid())}
 
 
-# ---------------------------------------------------------------------------
-# Exit
-# ---------------------------------------------------------------------------
+def test_a_build_never_makes_its_removed_directory_again(cache_dir, monkeypatch):
+    held = _Held(monkeypatch)
+    graph, inputs, _ = app_request("Sobel")
+    before = PROCESS_CACHE.stats()
+    run(graph, inputs, options=NATIVE)
+    assert held.started.wait(60)
+    shutil.rmtree(cache_dir)
+    held.release()
+    assert not cache_dir.exists()
+    assert not list(cache_dir.parent.rglob("*.partial.*"))
+    assert _grown(before) == {"tape_first": 1, "published": 0, "failed": 0}
+
+
+def test_close_drops_a_queued_build_and_waits_for_the_running_one(
+    cache_dir, monkeypatch
+):
+    held = _Held(monkeypatch)
+    cache, fusion, entries = PlanCache(), FusionSettings(), []
+    for app in ("Sobel", "Unsharp"):
+        graph, inputs, _ = app_request(app)
+        key = plan_key(graph.structural_signature(), inputs, "native", fusion)
+        entries.append(cache.get_or_build(key, lambda graph=graph, key=key: build_plan(
+            graph, key=key, fusion=fusion, engine="native", tiering=True
+        ))[0])
+    assert held.started.wait(60)  # Sobel's build runs, Unsharp's is queued
+    closing = threading.Thread(target=cache.close)
+    closing.start()
+    closing.join(0.5)
+    waited = closing.is_alive()
+    held.release()
+    closing.join(60)
+    assert waited and held.done.is_set() and not closing.is_alive()
+    assert cache.stats()["tape_first"] == 2 and cache.stats()["published"] == 0
+    assert held.calls == 1  # Unsharp's build never ran
+    assert all(isinstance(entry.executor, PartitionPlan) for entry in entries)
+
 
 ONE_SHOT = """
 import sys
