@@ -164,14 +164,17 @@ def run(
     tape only within the pinned 1e-12 of
     :func:`repro.backend.native_exec.tolerance_for`.
 
-    A cold ``engine="native"`` call may be answered by the tape: when
-    ``cc`` would run and the tape is predicted to answer first
-    (:func:`~repro.serve.plancache.native_strategy`), the call returns
-    the tape plan's result — the same bits, or for Enhance the same
-    within that 1e-12 — while the native plan compiles in the
-    background and serves the calls after it is ready.  The compile
-    cache directory (``REPRO_CC_CACHE``) is resolved once per call, and
-    that background build writes there.
+    A cold ``engine="native"`` call may be answered by the tape
+    (:func:`~repro.serve.plancache.native_strategy`): under strict
+    always, when no plan record binds a library, and then the call
+    lowers no C — it fuses, plans, verifies and runs the tape; under
+    ``standard`` / ``off`` when ``cc`` would run and the tape is
+    predicted to answer first.  The call returns the tape plan's
+    result — the same bits, or for Enhance the same within that 1e-12 —
+    while the native plan is lowered (unless the call did) and compiled
+    in the background, and serves the calls after it is ready.  The
+    compile cache directory (``REPRO_CC_CACHE``) is resolved once per
+    call, and that background build writes there.
     """
     opts = options or ExecutionOptions()
     runtime = opts.runtime

@@ -840,7 +840,7 @@ def native_plan_for_partition(
     recorded: Optional[RecordedLibrary] = None,
     lowering: Optional[NativeLowering] = None,
     lowered: Optional[LoweredPartition] = None,
-    defer: Optional[Callable[[PartitionPlan, LoweredPartition], bool]] = None,
+    defer: Optional[Callable[[PartitionPlan, Optional[LoweredPartition]], bool]] = None,
 ) -> Optional[NativePartitionPlan]:
     """The (cached) native plan of a partition, lowered and compiled
     under ``lowering`` — the request's ``(tile2d, f32, cflags)``, by
@@ -855,10 +855,11 @@ def native_plan_for_partition(
     checks out (``from_record``, else ``unbound`` says why), else taken
     as sanitized when the lowered source reproduces its stem.
     ``lowered`` is this partition's :func:`lower_native` under
-    ``lowering``, when a build that deferred made it.  ``defer`` is
-    asked, once the partition is lowered, whether to stop before the
-    compile: when it says so, the result is ``None`` and nothing is
-    memoized.
+    ``lowering``, when a build that deferred made it; without it the
+    build lowers.  ``defer`` is asked whether to stop before the
+    compile: first before anything is lowered (``defer(plan, None)``),
+    and only when it declines once more with the lowered partition.
+    When it says so, the result is ``None`` and nothing is memoized.
     """
     if lowering is None:
         lowering = native_lowering()
@@ -873,6 +874,8 @@ def native_plan_for_partition(
                 return _bind_recorded(plan, recorded, lowering.f32)
             except _Unbound as err:
                 unbound = str(err)
+        if defer is not None and defer(plan, None):
+            return None
         source = lowered or lower_native(graph, partition, plan, lowering)
         if defer is not None and defer(plan, source):
             return None

@@ -215,8 +215,16 @@ class Kernel:
 
     @property
     def window_radius(self) -> Tuple[int, int]:
-        """``(rx, ry)`` read-window radius over all inputs."""
-        return reads_extent(self.reads())
+        """``(rx, ry)`` read-window radius over all inputs.
+
+        Cached on first read (reads are immutable): the fusion model
+        reads it hundreds of times a partition, while a build that
+        restores its partition never does, so the constructor does not
+        pay for it."""
+        cached = getattr(self, "_window_radius_cache", None)
+        if cached is None:
+            cached = self._window_radius_cache = reads_extent(self._reads_cache)
+        return cached
 
     @property
     def window_size(self) -> int:

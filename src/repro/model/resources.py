@@ -50,10 +50,21 @@ def input_tile_bytes(kernel: Kernel, image_name: str) -> int:
 
 
 def kernel_shared_bytes(kernel: Kernel) -> int:
-    """The paper's ``fMshared(v)``: shared memory used by one kernel."""
-    if not kernel.uses_shared_memory:
-        return 0
-    return sum(input_tile_bytes(kernel, name) for name in kernel.input_names)
+    """The paper's ``fMshared(v)``: shared memory used by one kernel.
+
+    Kept on the kernel under its ``block_shape`` and
+    ``force_no_shared_memory``: both may be set after construction (a
+    block-shape sweep, a resource ablation), and a changed one is a new
+    footprint."""
+    key = (tuple(kernel.block_shape), kernel.force_no_shared_memory)
+    cached = kernel.__dict__.get("_shared_bytes_cache")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    footprint = 0
+    if kernel.uses_shared_memory:
+        footprint = sum(input_tile_bytes(kernel, name) for name in kernel.input_names)
+    kernel._shared_bytes_cache = (key, footprint)
+    return footprint
 
 
 def block_shared_bytes(graph: KernelGraph, vertices: Iterable[str]) -> int:

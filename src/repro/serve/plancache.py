@@ -894,26 +894,32 @@ def _price(value: Any) -> Optional[float]:
 
 
 def native_strategy(
-    plan: PartitionPlan, lowered: native_exec.LoweredPartition
+    plan: PartitionPlan, lowered: Optional[native_exec.LoweredPartition]
 ) -> str:
     """How a direct-door native miss gets its first answer, decided once
     per miss: ``"blocking"`` — compile, then execute natively, as every
     other build does — or ``"tiered"`` — answer on the tape ``plan`` the
-    build holds anyway, and compile ``lowered`` in the background as the
+    build holds anyway, and lower and compile in the background as the
     entry's differential :class:`Candidate`.
 
-    The build asks only when its plan record bound no library and the
-    partition is lowered.  Tiered needs two more things: ``cc -c`` would
-    run (an object of ``lowered`` is not in the cache), and the tape is
-    predicted to answer first — always under strict, whose first native
-    execute runs the whole tape as its differential anyway; otherwise
-    when :data:`~repro.backend.native_exec.COSTS` predicts the tape
-    execute below the compile."""
-    objects = lowered.objects_to_compile()
+    The build asks only when its plan record bound no library: first
+    before it lowers anything (``lowered`` is ``None``), then, unless
+    that answer was ``"tiered"``, with the partition lowered.  Under
+    strict the answer is ``"tiered"`` without reading ``lowered``: a
+    strict first native execute runs the whole tape as its differential,
+    so a blocking first request can never answer before the tape alone,
+    whether or not ``cc -c`` would run.  Otherwise tiered needs the
+    lowered partition (``"blocking"`` until it is there) and two things
+    of it: ``cc -c`` would run (an object of ``lowered`` is not in the
+    cache), and :data:`~repro.backend.native_exec.COSTS` predicts the
+    tape execute below the compile."""
+    if validate_mode() == "strict":
+        return "tiered"
+    objects = lowered.objects_to_compile() if lowered is not None else 0
     if not objects:
         return "blocking"
     costs = native_exec.COSTS
-    if validate_mode() == "strict" or costs.tape_ms(plan) < costs.compile_ms(objects):
+    if costs.tape_ms(plan) < costs.compile_ms(objects):
         return "tiered"
     return "blocking"
 
@@ -1006,8 +1012,10 @@ def build_plan(
     ``tiering`` (the direct door's, with a key) lets :func:`native_strategy`
     decide a native miss: a ``"tiered"`` entry executes on its tape plan,
     and its differential :class:`Candidate` — queued by its cache — is
-    this function on the same key and partition, passed the lowered C
-    as ``lowered``, so nothing is lowered twice.
+    this function on the same key and partition.  Under strict the miss
+    tiers before anything is lowered, and the candidate lowers the C
+    itself; otherwise the miss lowered to decide, and the candidate is
+    passed that C as ``lowered``, so nothing is lowered twice.
     """
     started = time.perf_counter()
     timings: Dict[str, float] = {}
@@ -1050,14 +1058,17 @@ def build_plan(
                 else None,
             ),
         )
+    tiered = False
     deferred = None
     if engine == "native":
 
-        def defer(plan: PartitionPlan, lowered: native_exec.LoweredPartition) -> bool:
-            nonlocal deferred
+        def defer(
+            plan: PartitionPlan, lowered: Optional[native_exec.LoweredPartition]
+        ) -> bool:
+            nonlocal tiered, deferred
             if native_strategy(plan, lowered) == "tiered":
-                deferred = lowered
-            return deferred is not None
+                tiered, deferred = True, lowered
+            return tiered
 
         native_plan = timed(
             "compile",
@@ -1092,7 +1103,7 @@ def build_plan(
         record=record,
         fusion=fusion if chosen else None,
     )
-    if deferred is not None:
+    if tiered:
 
         def build_native() -> CachedPlan:
             built = build_plan(

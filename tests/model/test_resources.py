@@ -49,6 +49,19 @@ class TestTiles:
         kernel.force_no_shared_memory = True
         assert kernel_shared_bytes(kernel) == 0
 
+    def test_a_footprint_follows_its_kernel_s_later_settings(self):
+        """The footprint is kept on the kernel, but a setting changed
+        after it was read is a new footprint, and changing it back
+        restores the old one."""
+        kernel = local_kernel("k", image("a"), image("b"))  # 3x3, block 32x8
+        assert kernel_shared_bytes(kernel) == 34 * 10 * 4
+        kernel.force_no_shared_memory = True
+        assert kernel_shared_bytes(kernel) == 0
+        kernel.force_no_shared_memory = False
+        assert kernel_shared_bytes(kernel) == 34 * 10 * 4
+        kernel.block_shape = (16, 16)
+        assert kernel_shared_bytes(kernel) == 18 * 18 * 4
+
 
 class TestBlockFootprint:
     def test_harris_whole_graph_ratio_is_five(self):

@@ -42,6 +42,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 NATIVE = ExecutionOptions(engine="native")
+STANDARD = ExecutionOptions(engine="native", validate="standard")
 TAPE = ExecutionOptions(engine="tape")
 COUNTERS = ("tape_first", "published", "failed")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -161,21 +162,112 @@ def test_a_recorded_library_binds_blocking(cache_dir):
     assert _grown(before)["tape_first"] == 0
 
 
-def test_objects_in_the_cache_compile_blocking(cache_dir):
-    """No record, but every object is in the cache: ``cc -c`` would not
-    run, so the miss links and answers natively."""
-    graph, inputs, _ = app_request("Unsharp")
-    run(graph, inputs, options=NATIVE)
-    wait_for_builds()
+def _forget_all_but_the_objects(cache_dir):
+    """Delete the plan records and libraries and empty the plan caches:
+    the next miss has no record, and every object is in the cache."""
     for path in list(cache_dir.glob("plan-*.json")) + list(cache_dir.glob("*.so")):
         path.unlink()
     clear_plan_caches()
+
+
+def test_objects_in_the_cache_compile_blocking(cache_dir):
+    """No record, but every object is in the cache: under standard
+    ``cc -c`` would not run, so the miss links and answers natively."""
+    graph, inputs, _ = app_request("Unsharp")
+    run(graph, inputs, options=STANDARD)
+    wait_for_builds()
+    _forget_all_but_the_objects(cache_dir)
     before = PROCESS_CACHE.stats()
     graph, _, _ = app_request("Unsharp")
     with served_natively():
-        run(graph, inputs, options=NATIVE)
+        run(graph, inputs, options=STANDARD)
     assert isinstance(process_entry(graph).executor, NativePartitionPlan)
     assert _grown(before)["tape_first"] == 0
+
+
+def test_a_strict_miss_tiers_though_every_object_is_cached(cache_dir, monkeypatch):
+    """Under strict the miss tiers before it lowers anything, so it
+    cannot see that no ``cc -c`` would run: its first answer is the
+    tape, the build links the cached objects, and the next request runs
+    the differential."""
+    graph, inputs, _ = app_request("Unsharp")
+    run(graph, inputs, options=NATIVE)
+    wait_for_builds()
+    _forget_all_but_the_objects(cache_dir)
+    before = PROCESS_CACHE.stats()
+    graph, _, _ = app_request("Unsharp")
+    run(graph, inputs, options=NATIVE)
+    entry = process_entry(graph)
+    assert isinstance(entry.executor, PartitionPlan)
+    assert _grown(before)["tape_first"] == 1
+    wait_for_builds()
+    native = entry.executor
+    assert isinstance(native, NativePartitionPlan)
+    assert native.objects_compiled == 0 and native.objects_reused > 0
+    assert _grown(before) == {"tape_first": 1, "published": 1, "failed": 0}
+    differentials = []
+    real = NativePartitionPlan._verified_first_pass
+
+    def noting(self, *args, **kwargs):
+        differentials.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NativePartitionPlan, "_verified_first_pass", noting)
+    with served_natively():
+        run(graph, inputs, options=NATIVE)
+    assert differentials == [native] and not native.differential_pending
+
+
+@pytest.mark.parametrize("validate", ["strict", "standard"])
+@pytest.mark.parametrize("app", ["Harris", "Night", "Enhance"])
+def test_the_partition_is_lowered_once_by_whoever_decides_with_it(
+    cache_dir, monkeypatch, app, validate
+):
+    """Strict tiers before lowering, so the background build lowers;
+    standard lowers on the request's thread to decide, and hands the C
+    to the build."""
+    monkeypatch.setattr(native_exec, "COSTS", native_exec.CompileCosts(
+        tape_ms_per_ipx=1e-9, build_ms=100.0, object_ms=100.0
+    ))  # standard tiers too
+    threads = []
+    real = native_exec.lower_native
+
+    def lowering(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(native_exec, "lower_native", lowering)
+    graph, inputs, params = app_request(app)
+    options = ExecutionOptions(engine="native", validate=validate)
+    run(graph, inputs, params, options=options)
+    assert isinstance(process_entry(graph).executor, PartitionPlan)
+    wait_for_builds()
+    assert isinstance(process_entry(graph).executor, NativePartitionPlan)
+    mine = threading.get_ident()
+    on_request = threads.count(mine)
+    expected = (0, 1) if validate == "strict" else (1, 0)
+    assert (on_request, len(threads) - on_request) == expected
+
+
+def test_the_tiered_build_compiles_the_blocking_build_s_library(
+    cache_dir, tmp_path, monkeypatch
+):
+    """The background build lowers the same C a blocking build of the
+    same key compiles: the libraries' content digests agree."""
+    graph, inputs, _ = app_request("Harris")
+    run(graph, inputs, options=NATIVE)
+    wait_for_builds()
+    tiered = process_entry(graph).executor
+    assert isinstance(tiered, NativePartitionPlan)
+    clear_plan_caches()
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "blocking"))
+    monkeypatch.setattr(plancache, "native_strategy", lambda plan, lowered: "blocking")
+    graph, _, _ = app_request("Harris")
+    with served_natively():
+        run(graph, inputs, options=NATIVE)
+    blocking = process_entry(graph).native_plan
+    assert blocking.library_path.parent == tmp_path / "blocking"
+    assert blocking.library_path.stem == tiered.library_path.stem
 
 
 @pytest.mark.parametrize("faster", ["tape", "cc"])
