@@ -784,8 +784,10 @@ class CompileCosts:
     object compiled.  The per-pixel and per-object costs are moving
     averages of what the process observed; all three are seeded with a
     reading of the six paper apps on the reference container (2 shared
-    vCPUs, gcc 12.2): 2–4 ns per instruction-pixel at 96×64 and 1024²,
-    and first builds of 190 ms for one object and 300–370 ms for six."""
+    vCPUs, gcc 12.2): a fresh process's first tape execute at 1–3 ns per
+    instruction-pixel at 96×64 and 1024² (median 1.6; a warm one
+    0.6–1.5), and first builds of 190 ms for one object and 300–370 ms
+    for six."""
 
     #: Weight of the newest observation.
     ALPHA = 0.25
@@ -829,7 +831,7 @@ class CompileCosts:
 
 #: The process's measurements (a race between two updates loses one
 #: observation, nothing else).
-COSTS = CompileCosts(tape_ms_per_ipx=3.5e-6, build_ms=150.0, object_ms=30.0)
+COSTS = CompileCosts(tape_ms_per_ipx=2.0e-6, build_ms=150.0, object_ms=30.0)
 
 
 def native_plan_for_partition(

@@ -25,7 +25,13 @@ recursive walk while remaining bit-identical to it:
   materialized once per ``(grid, extent, boundary-mode)`` and shared
   across instructions, blocks, and runs.  Grids are kept in broadcast
   form (``(1, w)`` rows and ``(h, 1)`` columns), so index arithmetic
-  is :math:`O(w + h)` instead of :math:`O(w \\cdot h)`.
+  is :math:`O(w + h)` instead of :math:`O(w \\cdot h)`;
+* **views, not gathers** — each run pads every image it reads once per
+  boundary mode, and a stencil tap whose offsets are static on both
+  axes reads a view of that copy.  A tap static on one axis takes the
+  other from a band of it; one read at an exchanged grid takes rows,
+  then columns, through the interned grids.  Only a CONSTANT tap with a
+  non-static axis fancy-indexes a full plane.
 
 Independent partition blocks can execute in parallel: a
 :class:`PartitionPlan` tracks inter-block dependences (the same
@@ -137,11 +143,14 @@ class GridStore:
     """Interned coordinate grids and out-of-bounds masks, LRU-bounded.
 
     Grids are integer index arrays in broadcast form: x-axis grids are
-    ``(1, w)`` rows, y-axis grids ``(h, 1)`` columns.  Fancy indexing
-    and mask combination broadcast them back to full ``(h, w)`` planes,
-    producing bit-identical gathers at a fraction of the index
-    arithmetic.  Entries are computed at most once per key while
-    resident and shared across every tape compiled against this store.
+    ``(1, w)`` rows, y-axis grids ``(h, 1)`` columns.  A gather takes a
+    grid along its own axis (``ndarray.take`` of the raveled vector);
+    only a CONSTANT gather with a non-static axis still fancy-indexes
+    with both, and its mask is the one full ``(h, w)`` plane kept here.
+    Static taps read no grid at all: they are views of a per-run padded
+    copy (see "Gathers" below).  Entries are computed at most once per
+    key while resident and shared across every tape compiled against
+    this store.
 
     The store holds at most ``capacity`` entries (grids + masks
     combined), evicting least-recently-used ones beyond it — serving
@@ -430,11 +439,22 @@ class BlockPlan:
         # runs its tape.
         return _release_schedule(self.tape, self.root)
 
+    @cached_property
+    def _reads(self) -> "_Reads":
+        # Computed on first use, like the release schedule.
+        return _tape_reads(self.tape)
+
     def execute(self, arrays: Arrays, params: Params | None = None) -> np.ndarray:
         """Run the tape over bound arrays; returns the output array."""
         params = params or {}
         values = _run_tape(
-            self.tape, self.root, self._release, arrays, params, self.store
+            self.tape,
+            self.root,
+            self._release,
+            self._reads,
+            arrays,
+            params,
+            self.store,
         )
         kernel = self.destination
         if not self.apply_reduction or kernel.reduction is None:
@@ -452,23 +472,214 @@ class BlockPlan:
         raise ExecutionError(f"unknown reduction {kernel.reduction!r}")
 
 
+# ---------------------------------------------------------------------------
+# Gathers: views of one padded copy per image
+# ---------------------------------------------------------------------------
+#
+# A gather whose grid keys are one static shift of the iteration space
+# on an axis (``base`` or ``shift(base, d)``) is *static* on that axis:
+# it reads the indices ``d .. d + n - 1`` there, resolved under its
+# boundary mode.  A tape run pads each image it reads once per boundary
+# (:class:`_Pad`): the rows and columns every static tap of that pair
+# reaches, taken with :func:`~repro.dsl.boundary.resolve_array`'s own
+# indices, the out-of-bounds ones filled under CONSTANT.  A tap static
+# on both axes is then a slice of that copy — a view, no NumPy call; a
+# tap static on one axis is one ``take`` of the other axis from the
+# band its static axis slices.  A tap with no static axis (a producer
+# read at an exchanged grid) takes rows, then columns, from the bound
+# array.  Only a CONSTANT tap with a non-static axis still fancy-indexes
+# the broadcast grids and fills through the interned mask.  Every pixel
+# read either way is, by construction, the value the recursive engine's
+# :func:`~repro.backend.numpy_exec.gather` reads.
+
+
+def _static(key: tuple) -> Optional[Tuple[int, int]]:
+    """``(shift, extent)`` of a grid key that is one static shift of a
+    base grid, else ``None``."""
+    if key[0] == "base":
+        return 0, _base_extent(key)
+    if key[0] == "shift" and key[1][0] == "base":
+        return key[2], _base_extent(key[1])
+    return None
+
+
+class _Reach(NamedTuple):
+    """The indices a padded copy covers on one axis: ``lo`` up to
+    ``hi``, and the whole axis ``[0, n)`` too where a tap takes it
+    through a resolved grid (``whole``; ``lo`` is then at most 0)."""
+
+    lo: int
+    hi: int
+    whole: bool
+
+    def indices(self, n: int) -> np.ndarray:
+        return np.arange(self.lo, max(self.hi, n) if self.whole else self.hi)
+
+
+class _Pad(NamedTuple):
+    """One padded copy of ``image`` under ``boundary``, over ``rows`` x
+    ``cols``, built on first need in a run and dropped after tape
+    instruction ``last``."""
+
+    image: str
+    boundary: BoundarySpec
+    rows: _Reach
+    cols: _Reach
+    last: int
+
+
+class _Tap(NamedTuple):
+    """How one gather reads: the band ``rows`` x ``cols`` of its pad
+    (an index into the tape's pads; ``None``: the bound array itself),
+    then one ``take`` of the resolved grid per axis in ``takes`` — none
+    for a tap static on both axes, whose band is its value."""
+
+    pad: Optional[int]
+    rows: slice = slice(None)
+    cols: slice = slice(None)
+    takes: Tuple[int, ...] = (0, 1)
+
+
+class _Reads(NamedTuple):
+    """Per tape instruction its :class:`_Tap` (``None`` for a fancy
+    gather and for every other op), and the tape's pads."""
+
+    taps: Tuple[Optional[_Tap], ...]
+    pads: Tuple[_Pad, ...]
+
+
+def _tape_reads(tape: Tuple[Instr, ...]) -> _Reads:
+    """How each gather of ``tape`` reads, and the padded copies it reads
+    them from — a function of the tape alone."""
+    taps: List[Optional[_Tap]] = [None] * len(tape)
+    static: Dict[int, tuple] = {}  # tape index -> (ys, xs), a (shift, extent) or None
+    reach: Dict[tuple, list] = {}  # (image, boundary) -> [row shifts, col shifts, last]
+    for index, instr in enumerate(tape):
+        if instr.op != "gather":
+            continue
+        image, xi, yi, boundary = instr.aux
+        shifts = (_static(yi), _static(xi))
+        if boundary.mode is BoundaryMode.CONSTANT and None in shifts:
+            continue  # the fancy gather: its mask fills the constant
+        if shifts == (None, None):
+            taps[index] = _Tap(None)  # rows, then columns, of the array
+        else:
+            static[index] = shifts
+            entry = reach.setdefault((image, boundary), [[], [], index])
+            entry[0].append(shifts[0])
+            entry[1].append(shifts[1])
+            entry[2] = index
+    pads: List[_Pad] = []
+    pad_of: Dict[tuple, int] = {}
+    for (image, boundary), (rows, cols, last) in reach.items():
+        pad_of[image, boundary] = len(pads)
+        pads.append(
+            _Pad(image, boundary, _axis_reach(rows), _axis_reach(cols), last)
+        )
+    for index, (ys, xs) in static.items():
+        image, _, _, boundary = tape[index].aux
+        number = pad_of[image, boundary]
+        pad = pads[number]
+        takes = tuple(axis for axis, shift in enumerate((ys, xs)) if shift is None)
+        taps[index] = _Tap(number, _band(ys, pad.rows), _band(xs, pad.cols), takes)
+    return _Reads(tuple(taps), tuple(pads))
+
+
+def _axis_reach(shifts: List[Optional[Tuple[int, int]]]) -> _Reach:
+    """The :class:`_Reach` covering every ``(shift, extent)`` of one axis
+    (``None``: a tap that takes the axis whole)."""
+    spans = [(d, d + n) for d, n in (s for s in shifts if s is not None)]
+    whole = len(spans) < len(shifts)
+    lo = min([d for d, _ in spans] + ([0] if whole else []))
+    hi = max([e for _, e in spans] + ([0] if whole else []))
+    return _Reach(lo, hi, whole)
+
+
+def _band(shift: Optional[Tuple[int, int]], reach: _Reach) -> slice:
+    """The slice of a padded axis a tap reads: its static span, or, for
+    an axis it takes through a resolved grid, the copy from index 0 on
+    (the resolved indices all lie in ``[0, n)``)."""
+    if shift is None:
+        return slice(-reach.lo, None)
+    d, n = shift
+    return slice(d - reach.lo, d - reach.lo + n)
+
+
+def _padded(array: np.ndarray, pad: _Pad) -> np.ndarray:
+    """``array`` padded over ``pad``'s rows and columns: each pixel is
+    the value :func:`~repro.backend.numpy_exec.gather` reads at that
+    coordinate under ``pad.boundary``."""
+    height, width = array.shape[:2]
+    mode = pad.boundary.mode
+    rows, row_oob = resolve_array(pad.rows.indices(height), height, mode)
+    cols, col_oob = resolve_array(pad.cols.indices(width), width, mode)
+    padded = array.take(rows, 0).take(cols, 1)
+    if row_oob is not None:
+        mask = row_oob[:, None] | col_oob[None, :]
+        padded = _apply_mask(padded, mask, pad.boundary.constant)
+    return padded
+
+
+def _taken(
+    band: np.ndarray, store: GridStore, key: tuple, n: int, mode: BoundaryMode, axis: int
+) -> np.ndarray:
+    """``band`` read on ``axis`` through the interned grid ``key``,
+    resolved against extent ``n``: one ``take``."""
+    return band.take(store.grid(resolve_key(key, n, mode)).ravel(), axis)
+
+
+def _read(
+    tap: _Tap,
+    aux: tuple,
+    pads: Tuple[_Pad, ...],
+    copies: List[Optional[np.ndarray]],
+    arrays: Arrays,
+    store: GridStore,
+) -> np.ndarray:
+    """One gather through its :class:`_Tap`; builds the run's padded
+    copy in ``copies`` on its first need."""
+    image, xi, yi, boundary = aux
+    array = _array_for(image, arrays)
+    value = array
+    if tap.pad is not None:
+        value = copies[tap.pad]
+        if value is None:
+            value = copies[tap.pad] = _padded(array, pads[tap.pad])
+        value = value[tap.rows, tap.cols]
+    for axis in tap.takes:
+        key = yi if axis == 0 else xi
+        value = _taken(value, store, key, array.shape[axis], boundary.mode, axis)
+    return value
+
+
 def _run_tape(
     tape: Tuple[Instr, ...],
     root: int,
     release: Tuple[Tuple[int, ...], ...],
+    reads: _Reads,
     arrays: Arrays,
     params: Params,
     store: GridStore,
 ) -> np.ndarray:
     slots: List = [None] * len(tape)
+    taps, pads = reads
+    # This run's padded copies: its own, never shared with another run.
+    copies: List[Optional[np.ndarray]] = [None] * len(pads)
     for index, instr in enumerate(tape):
         op = instr.op
         args = instr.args
         if op == "bin":
             value = _BIN_FN[instr.aux[0]](slots[args[0]], slots[args[1]])
         elif op == "gather":
-            image, xi, yi, boundary = instr.aux
-            value = _gather_interned(store, arrays, image, xi, yi, boundary)
+            tap = taps[index]
+            if tap is None:
+                value = _gather_interned(store, arrays, *instr.aux)
+            else:
+                value = _read(tap, instr.aux, pads, copies, arrays, store)
+                if tap.pad is not None and pads[tap.pad].last == index:
+                    copies[tap.pad] = None
+                if index == root and not tap.takes:
+                    value = value.copy()  # a view: the output owns its pixels
         elif op == "maskfill":
             mask_key, fill = instr.aux
             value = _apply_mask(slots[args[0]], store.mask(mask_key), fill)
@@ -516,15 +727,14 @@ def _gather_interned(
     yi: tuple,
     boundary: BoundarySpec,
 ) -> np.ndarray:
+    """A CONSTANT gather with a non-static axis: fancy indexing of the
+    interned broadcast grids, filled through the interned mask."""
     array = _array_for(image, arrays)
     height, width = array.shape[:2]
     xr = store.grid(resolve_key(xi, width, boundary.mode))
     yr = store.grid(resolve_key(yi, height, boundary.mode))
-    values = array[yr, xr]
-    if boundary.mode is BoundaryMode.CONSTANT:
-        mask = store.mask(("ormask", ("oob", xi, width), ("oob", yi, height)))
-        values = _apply_mask(values, mask, boundary.constant)
-    return values
+    mask = store.mask(("ormask", ("oob", xi, width), ("oob", yi, height)))
+    return _apply_mask(array[yr, xr], mask, boundary.constant)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,13 @@ class Kernel:
             cached = self._body_signature_cache = expr_signature(self.body)
         return cached
 
+    def header_settings(self) -> Tuple[Tuple[int, ...], bool]:
+        """The two header fields that may be set after construction (a
+        block-shape sweep, a resource ablation): ``block_shape`` and
+        ``force_no_shared_memory``.  What is cached from them is kept
+        under this key, so a changed one is computed afresh."""
+        return (tuple(self.block_shape), self.force_no_shared_memory)
+
     def structural_signature(self) -> tuple:
         """A hashable signature of everything execution depends on.
 
@@ -302,10 +309,12 @@ class Kernel:
         boundary handling, or the reduction kind changes it.  The
         serving runtime's plan cache keys on the pipeline-level
         aggregate of these (:meth:`repro.graph.dag.KernelGraph.structural_signature`).
+        Cached under :meth:`header_settings`.
         """
-        cached = getattr(self, "_signature_cache", None)
-        if cached is None:
-            cached = (
+        header = self.header_settings()
+        cached = self.__dict__.get("_signature_cache")
+        if cached is None or cached[0] != header:
+            signature = (
                 "kernel",
                 self.name,
                 _image_signature(self.output),
@@ -319,12 +328,9 @@ class Kernel:
                 ),
                 self.reduction.value if self.reduction else None,
                 self.granularity,
-                tuple(self.block_shape),
-                self.force_no_shared_memory,
-                self.body_signature,
-            )
-            self._signature_cache = cached
-        return cached
+            ) + header + (self.body_signature,)
+            cached = self._signature_cache = (header, signature)
+        return cached[1]
 
     def structure_signature(self) -> tuple:
         """:meth:`structural_signature` with the image geometry elided.
@@ -334,10 +340,12 @@ class Kernel:
         equal structure signatures; channels, element sizes, bodies,
         boundaries, and headers still distinguish.  This is the kernel
         half of :meth:`repro.graph.dag.KernelGraph.structure_signature`.
+        Cached under :meth:`header_settings`.
         """
-        cached = getattr(self, "_structure_cache", None)
-        if cached is None:
-            cached = (
+        header = self.header_settings()
+        cached = self.__dict__.get("_structure_cache")
+        if cached is None or cached[0] != header:
+            signature = (
                 "kernel-structure",
                 self.name,
                 _image_structure(self.output),
@@ -351,12 +359,9 @@ class Kernel:
                 ),
                 self.reduction.value if self.reduction else None,
                 self.granularity,
-                tuple(self.block_shape),
-                self.force_no_shared_memory,
-                self.body_signature,
-            )
-            self._structure_cache = cached
-        return cached
+            ) + header + (self.body_signature,)
+            cached = self._structure_cache = (header, signature)
+        return cached[1]
 
     def reads(self) -> Dict[str, Set[Tuple[int, int]]]:
         """Per-image sets of read offsets (collected once, by the

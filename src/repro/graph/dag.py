@@ -212,6 +212,29 @@ class KernelGraph:
         succs = {e.dst for e in self._edges if e.src == name}
         return tuple(n for n in self._topo_order if n in succs)
 
+    def _headers(self) -> tuple:
+        """Every kernel's :meth:`~repro.dsl.kernel.Kernel.header_settings`,
+        in topological order: the part of the graph's structure that may
+        change after construction, so the key of both digests' caches."""
+        kernels = self._kernels
+        return tuple(kernels[name].header_settings() for name in self._topo_order)
+
+    def _digest(self, attribute: str, kernel_signature: str) -> str:
+        headers = self._headers()
+        cached = self.__dict__.get(attribute)
+        if cached is None or cached[0] != headers:
+            payload = (
+                tuple(
+                    getattr(self._kernels[name], kernel_signature)()
+                    for name in self._topo_order
+                ),
+                tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
+                tuple(sorted(self._external_outputs)),
+            )
+            cached = (headers, canonical_digest(payload))
+            setattr(self, attribute, cached)
+        return cached[1]
+
     def structural_signature(self) -> str:
         """A stable hex digest of the graph's structure.
 
@@ -225,21 +248,10 @@ class KernelGraph:
         reuse compiled plans across requests and sessions: the digest is
         :func:`~repro.ir.signature.canonical_digest`, so it does not
         depend on how names were built, on object sharing or on the
-        process's hash seed.
+        process's hash seed.  A kernel re-shaped after the digest was
+        taken (:meth:`_headers`) is signed afresh.
         """
-        cached = getattr(self, "_signature_cache", None)
-        if cached is None:
-            payload = (
-                tuple(
-                    self._kernels[name].structural_signature()
-                    for name in self._topo_order
-                ),
-                tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
-                tuple(sorted(self._external_outputs)),
-            )
-            cached = canonical_digest(payload)
-            self._signature_cache = cached
-        return cached
+        return self._digest("_signature_cache", "structural_signature")
 
     def structure_signature(self) -> str:
         """:meth:`structural_signature` with image geometry elided.
@@ -251,19 +263,7 @@ class KernelGraph:
         known pipeline at a new geometry, compiled at that geometry)
         from a *structure* miss.
         """
-        cached = getattr(self, "_structure_sig_cache", None)
-        if cached is None:
-            payload = (
-                tuple(
-                    self._kernels[name].structure_signature()
-                    for name in self._topo_order
-                ),
-                tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
-                tuple(sorted(self._external_outputs)),
-            )
-            cached = canonical_digest(payload)
-            self._structure_sig_cache = cached
-        return cached
+        return self._digest("_structure_sig_cache", "structure_signature")
 
     @property
     def total_weight(self) -> float:

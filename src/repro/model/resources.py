@@ -56,7 +56,7 @@ def kernel_shared_bytes(kernel: Kernel) -> int:
     ``force_no_shared_memory``: both may be set after construction (a
     block-shape sweep, a resource ablation), and a changed one is a new
     footprint."""
-    key = (tuple(kernel.block_shape), kernel.force_no_shared_memory)
+    key = kernel.header_settings()
     cached = kernel.__dict__.get("_shared_bytes_cache")
     if cached is not None and cached[0] == key:
         return cached[1]

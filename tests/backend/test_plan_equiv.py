@@ -186,6 +186,8 @@ MODES = [
     BoundarySpec(BoundaryMode.MIRROR),
     BoundarySpec(BoundaryMode.REPEAT),
     BoundarySpec(BoundaryMode.CONSTANT, constant=3.5),
+    BoundarySpec(BoundaryMode.CONSTANT, constant=-2.25),
+    BoundarySpec(BoundaryMode.UNDEFINED),
 ]
 
 

@@ -187,6 +187,30 @@ class TestGraphSignature:
         graph = diamond_pipeline().build()
         assert graph.structural_signature() == graph.structural_signature()
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("block_shape", (16, 16)), ("force_no_shared_memory", True)],
+    )
+    def test_a_header_set_after_signing_is_signed(self, setting, value):
+        """``block_shape`` and ``force_no_shared_memory`` may be set after
+        construction: the kernel's and the graph's cached signatures
+        follow them, and setting them back restores the old ones."""
+        graph = chain_pipeline(("l", "p")).build()
+        kernel = graph.kernel("k0")
+        signs = (
+            kernel.structural_signature,
+            kernel.structure_signature,
+            graph.structural_signature,
+            graph.structure_signature,
+        )
+        before = [sign() for sign in signs]
+        old = getattr(kernel, setting)
+        setattr(kernel, setting, value)
+        after = [sign() for sign in signs]
+        assert all(a != b for a, b in zip(before, after))
+        setattr(kernel, setting, old)
+        assert [sign() for sign in signs] == before
+
 
 class TestPlanKey:
     def test_same_structure_same_key(self):
