@@ -30,8 +30,8 @@ recursive walk while remaining bit-identical to it:
   boundary mode, and a stencil tap whose offsets are static on both
   axes reads a view of that copy.  A tap static on one axis takes the
   other from a band of it; one read at an exchanged grid takes rows,
-  then columns, through the interned grids.  Only a CONSTANT tap with a
-  non-static axis fancy-indexes a full plane.
+  then columns, through the interned grids.  No tap fancy-indexes a
+  full plane.
 
 Independent partition blocks can execute in parallel: a
 :class:`PartitionPlan` tracks inter-block dependences (the same
@@ -145,9 +145,9 @@ class GridStore:
     Grids are integer index arrays in broadcast form: x-axis grids are
     ``(1, w)`` rows, y-axis grids ``(h, 1)`` columns.  A gather takes a
     grid along its own axis (``ndarray.take`` of the raveled vector);
-    only a CONSTANT gather with a non-static axis still fancy-indexes
-    with both, and its mask is the one full ``(h, w)`` plane kept here.
-    Static taps read no grid at all: they are views of a per-run padded
+    a CONSTANT gather that takes is then filled through its mask, the
+    one full ``(h, w)`` plane kept here.  Taps static on both axes read
+    no grid at all: they are views of a per-run padded
     copy (see "Gathers" below).  Entries are computed at most once per
     key while resident and shared across every tape compiled against
     this store.
@@ -487,10 +487,10 @@ class BlockPlan:
 # tap static on one axis is one ``take`` of the other axis from the
 # band its static axis slices.  A tap with no static axis (a producer
 # read at an exchanged grid) takes rows, then columns, from the bound
-# array.  Only a CONSTANT tap with a non-static axis still fancy-indexes
-# the broadcast grids and fills through the interned mask.  Every pixel
-# read either way is, by construction, the value the recursive engine's
-# :func:`~repro.backend.numpy_exec.gather` reads.
+# array.  A CONSTANT tap that takes is then filled through the
+# interned mask.  Every pixel read either way is, by construction, the
+# value the recursive engine's :func:`~repro.backend.numpy_exec.gather`
+# reads.
 
 
 def _static(key: tuple) -> Optional[Tuple[int, int]]:
@@ -532,7 +532,8 @@ class _Tap(NamedTuple):
     """How one gather reads: the band ``rows`` x ``cols`` of its pad
     (an index into the tape's pads; ``None``: the bound array itself),
     then one ``take`` of the resolved grid per axis in ``takes`` — none
-    for a tap static on both axes, whose band is its value."""
+    for a tap static on both axes, whose band is its value — and, under
+    CONSTANT, the mask if it took."""
 
     pad: Optional[int]
     rows: slice = slice(None)
@@ -541,8 +542,8 @@ class _Tap(NamedTuple):
 
 
 class _Reads(NamedTuple):
-    """Per tape instruction its :class:`_Tap` (``None`` for a fancy
-    gather and for every other op), and the tape's pads."""
+    """Per tape instruction its :class:`_Tap` (``None`` for every op
+    but a gather), and the tape's pads."""
 
     taps: Tuple[Optional[_Tap], ...]
     pads: Tuple[_Pad, ...]
@@ -559,8 +560,6 @@ def _tape_reads(tape: Tuple[Instr, ...]) -> _Reads:
             continue
         image, xi, yi, boundary = instr.aux
         shifts = (_static(yi), _static(xi))
-        if boundary.mode is BoundaryMode.CONSTANT and None in shifts:
-            continue  # the fancy gather: its mask fills the constant
         if shifts == (None, None):
             taps[index] = _Tap(None)  # rows, then columns, of the array
         else:
@@ -637,7 +636,9 @@ def _read(
     store: GridStore,
 ) -> np.ndarray:
     """One gather through its :class:`_Tap`; builds the run's padded
-    copy in ``copies`` on its first need."""
+    copy in ``copies`` on its first need.  A CONSTANT tap that takes is
+    filled through the interned mask of both its axes (its static one,
+    if any, is filled in the pad already, with the same constant)."""
     image, xi, yi, boundary = aux
     array = _array_for(image, arrays)
     value = array
@@ -649,6 +650,10 @@ def _read(
     for axis in tap.takes:
         key = yi if axis == 0 else xi
         value = _taken(value, store, key, array.shape[axis], boundary.mode, axis)
+    if tap.takes and boundary.mode is BoundaryMode.CONSTANT:
+        height, width = array.shape[:2]
+        mask = store.mask(("ormask", ("oob", xi, width), ("oob", yi, height)))
+        value = _apply_mask(value, mask, boundary.constant)
     return value
 
 
@@ -672,14 +677,11 @@ def _run_tape(
             value = _BIN_FN[instr.aux[0]](slots[args[0]], slots[args[1]])
         elif op == "gather":
             tap = taps[index]
-            if tap is None:
-                value = _gather_interned(store, arrays, *instr.aux)
-            else:
-                value = _read(tap, instr.aux, pads, copies, arrays, store)
-                if tap.pad is not None and pads[tap.pad].last == index:
-                    copies[tap.pad] = None
-                if index == root and not tap.takes:
-                    value = value.copy()  # a view: the output owns its pixels
+            value = _read(tap, instr.aux, pads, copies, arrays, store)
+            if tap.pad is not None and pads[tap.pad].last == index:
+                copies[tap.pad] = None
+            if index == root and not tap.takes:
+                value = value.copy()  # a view: the output owns its pixels
         elif op == "maskfill":
             mask_key, fill = instr.aux
             value = _apply_mask(slots[args[0]], store.mask(mask_key), fill)
@@ -717,24 +719,6 @@ def _run_tape(
         for dead in release[index]:
             slots[dead] = None
     return slots[root]
-
-
-def _gather_interned(
-    store: GridStore,
-    arrays: Arrays,
-    image: str,
-    xi: tuple,
-    yi: tuple,
-    boundary: BoundarySpec,
-) -> np.ndarray:
-    """A CONSTANT gather with a non-static axis: fancy indexing of the
-    interned broadcast grids, filled through the interned mask."""
-    array = _array_for(image, arrays)
-    height, width = array.shape[:2]
-    xr = store.grid(resolve_key(xi, width, boundary.mode))
-    yr = store.grid(resolve_key(yi, height, boundary.mode))
-    mask = store.mask(("ormask", ("oob", xi, width), ("oob", yi, height)))
-    return _apply_mask(array[yr, xr], mask, boundary.constant)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ fuse.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Callable, Dict, Mapping, Sequence, Set, Tuple
 
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
@@ -43,6 +44,20 @@ def _image_structure(image: Image) -> tuple:
     structure/shape miss split)."""
     space = image.space
     return (image.name, space.channels, image.bytes_per_pixel)
+
+
+#: Source of :data:`_header_epoch`: every header set after construction
+#: takes the next value.
+_HEADER_SETS = itertools.count(1)
+_header_epoch = 0
+
+
+def header_epoch() -> int:
+    """A value that changes whenever any kernel's ``block_shape`` or
+    ``force_no_shared_memory`` is set after construction.  A graph keeps
+    its digests under it (:meth:`repro.graph.dag.KernelGraph.structural_signature`)
+    and re-reads its kernels' headers only once it has moved."""
+    return _header_epoch
 
 
 class ComputePattern(enum.Enum):
@@ -151,8 +166,8 @@ class Kernel:
         self.body = body
         self.reduction = reduction
         self.granularity = granularity
-        self.block_shape = block_shape
-        self.force_no_shared_memory = force_no_shared_memory
+        self._block_shape = block_shape
+        self._force_no_shared_memory = force_no_shared_memory
 
         seen: Set[str] = set()
         names = []
@@ -293,12 +308,38 @@ class Kernel:
             cached = self._body_signature_cache = expr_signature(self.body)
         return cached
 
+    @property
+    def block_shape(self) -> Tuple[int, int]:
+        return self._block_shape
+
+    @block_shape.setter
+    def block_shape(self, shape: Tuple[int, int]) -> None:
+        self._block_shape = shape
+        self._header_set()
+
+    @property
+    def force_no_shared_memory(self) -> bool:
+        return self._force_no_shared_memory
+
+    @force_no_shared_memory.setter
+    def force_no_shared_memory(self, value: bool) -> None:
+        self._force_no_shared_memory = value
+        self._header_set()
+
     def header_settings(self) -> Tuple[Tuple[int, ...], bool]:
         """The two header fields that may be set after construction (a
         block-shape sweep, a resource ablation): ``block_shape`` and
-        ``force_no_shared_memory``.  What is cached from them is kept
-        under this key, so a changed one is computed afresh."""
-        return (tuple(self.block_shape), self.force_no_shared_memory)
+        ``force_no_shared_memory``."""
+        return (tuple(self._block_shape), self._force_no_shared_memory)
+
+    def _header_set(self) -> None:
+        """A header field was set: drop what was cached from it (a
+        ``copy.copy`` clone drops its own copy) and move
+        :func:`header_epoch`."""
+        global _header_epoch
+        for name in ("_signature_cache", "_structure_cache"):
+            self.__dict__.pop(name, None)
+        _header_epoch = next(_HEADER_SETS)
 
     def structural_signature(self) -> tuple:
         """A hashable signature of everything execution depends on.
@@ -309,12 +350,11 @@ class Kernel:
         boundary handling, or the reduction kind changes it.  The
         serving runtime's plan cache keys on the pipeline-level
         aggregate of these (:meth:`repro.graph.dag.KernelGraph.structural_signature`).
-        Cached under :meth:`header_settings`.
+        Cached until a header field is set.
         """
-        header = self.header_settings()
         cached = self.__dict__.get("_signature_cache")
-        if cached is None or cached[0] != header:
-            signature = (
+        if cached is None:
+            cached = (
                 "kernel",
                 self.name,
                 _image_signature(self.output),
@@ -328,9 +368,9 @@ class Kernel:
                 ),
                 self.reduction.value if self.reduction else None,
                 self.granularity,
-            ) + header + (self.body_signature,)
-            cached = self._signature_cache = (header, signature)
-        return cached[1]
+            ) + self.header_settings() + (self.body_signature,)
+            self._signature_cache = cached
+        return cached
 
     def structure_signature(self) -> tuple:
         """:meth:`structural_signature` with the image geometry elided.
@@ -340,12 +380,11 @@ class Kernel:
         equal structure signatures; channels, element sizes, bodies,
         boundaries, and headers still distinguish.  This is the kernel
         half of :meth:`repro.graph.dag.KernelGraph.structure_signature`.
-        Cached under :meth:`header_settings`.
+        Cached until a header field is set.
         """
-        header = self.header_settings()
         cached = self.__dict__.get("_structure_cache")
-        if cached is None or cached[0] != header:
-            signature = (
+        if cached is None:
+            cached = (
                 "kernel-structure",
                 self.name,
                 _image_structure(self.output),
@@ -359,9 +398,9 @@ class Kernel:
                 ),
                 self.reduction.value if self.reduction else None,
                 self.granularity,
-            ) + header + (self.body_signature,)
-            cached = self._structure_cache = (header, signature)
-        return cached[1]
+            ) + self.header_settings() + (self.body_signature,)
+            self._structure_cache = cached
+        return cached
 
     def reads(self) -> Dict[str, Set[Tuple[int, int]]]:
         """Per-image sets of read offsets (collected once, by the

@@ -25,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from repro.dsl.kernel import header_epoch
 from repro.ir.signature import canonical_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -215,25 +216,34 @@ class KernelGraph:
     def _headers(self) -> tuple:
         """Every kernel's :meth:`~repro.dsl.kernel.Kernel.header_settings`,
         in topological order: the part of the graph's structure that may
-        change after construction, so the key of both digests' caches."""
+        change after construction."""
         kernels = self._kernels
         return tuple(kernels[name].header_settings() for name in self._topo_order)
 
     def _digest(self, attribute: str, kernel_signature: str) -> str:
-        headers = self._headers()
+        """One of the two digests, cached under
+        :func:`~repro.dsl.kernel.header_epoch` and, once that has moved,
+        re-taken only if this graph's own headers changed."""
+        epoch = header_epoch()
         cached = self.__dict__.get(attribute)
-        if cached is None or cached[0] != headers:
-            payload = (
-                tuple(
-                    getattr(self._kernels[name], kernel_signature)()
-                    for name in self._topo_order
-                ),
-                tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
-                tuple(sorted(self._external_outputs)),
+        if cached is not None and cached[0] == epoch:
+            return cached[2]
+        headers = self._headers()
+        if cached is not None and cached[1] == headers:
+            digest = cached[2]
+        else:
+            digest = canonical_digest(
+                (
+                    tuple(
+                        getattr(self._kernels[name], kernel_signature)()
+                        for name in self._topo_order
+                    ),
+                    tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
+                    tuple(sorted(self._external_outputs)),
+                )
             )
-            cached = (headers, canonical_digest(payload))
-            setattr(self, attribute, cached)
-        return cached[1]
+        setattr(self, attribute, (epoch, headers, digest))
+        return digest
 
     def structural_signature(self) -> str:
         """A stable hex digest of the graph's structure.
@@ -249,7 +259,7 @@ class KernelGraph:
         :func:`~repro.ir.signature.canonical_digest`, so it does not
         depend on how names were built, on object sharing or on the
         process's hash seed.  A kernel re-shaped after the digest was
-        taken (:meth:`_headers`) is signed afresh.
+        taken is signed afresh (:meth:`_digest`).
         """
         return self._digest("_signature_cache", "structural_signature")
 

@@ -4,8 +4,8 @@ A stencil tap whose grid keys are one static shift of the iteration
 space on both axes reads a view of a padded copy the run builds once
 per ``(image, boundary)``; a tap static on one axis takes the other
 axis from a band of it; a tap with no static axis takes rows, then
-columns; only a CONSTANT tap with a non-static axis fancy-indexes a
-full plane.  Every read must be the recursive oracle's gather, bit for
+columns; no tap fancy-indexes a plane.  Every read must be the
+recursive oracle's gather, bit for
 bit and dtype for dtype, on every geometry — including ones smaller
 than a chain's margin — and no padded copy may leak out of a run.
 """
@@ -139,24 +139,36 @@ def _two_static(aux) -> bool:
     return plan_module._static(xi) is not None and plan_module._static(yi) is not None
 
 
+class _Indexed(np.ndarray):
+    """An image as the tape binds it, recording every fancy index (a
+    key holding an array) it or an array taken from it is given."""
+
+    fancy: list = []
+
+    def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        if any(isinstance(k, np.ndarray) for k in keys):
+            _Indexed.fancy.append(key)
+        return super().__getitem__(key)
+
+
 def test_no_tap_static_on_both_axes_gathers_a_plane(monkeypatch):
-    """Spy on the two ways a tap can gather a plane: the fancy gather
-    and the ``take`` of a resolved grid.  A tap static on both axes
-    reaches neither; a ``take`` is only ever given a non-static grid,
-    and only CONSTANT taps are fancy."""
-    fancy, taken = [], []
-    gather_interned, take = plan_module._gather_interned, plan_module._taken
+    """Spy on the one way a tap can gather a plane, the ``take`` of a
+    resolved grid: a tap static on both axes never reaches it, a
+    ``take`` is only ever given a non-static grid, and no tap
+    fancy-indexes its image, CONSTANT ones included."""
+    taken = []
+    take, array_for = plan_module._taken, plan_module._array_for
 
-    def spy_fancy(store, arrays, image, xi, yi, boundary):
-        fancy.append((xi, yi, boundary))
-        return gather_interned(store, arrays, image, xi, yi, boundary)
-
-    def spy_taken(band, store, key, n, mode, axis):
-        taken.append(key)
+    def spy(band, store, key, n, mode, axis):
+        taken.append((key, mode))
         return take(band, store, key, n, mode, axis)
 
-    monkeypatch.setattr(plan_module, "_gather_interned", spy_fancy)
-    monkeypatch.setattr(plan_module, "_taken", spy_taken)
+    monkeypatch.setattr(plan_module, "_taken", spy)
+    monkeypatch.setattr(
+        plan_module, "_array_for", lambda *a: array_for(*a).view(_Indexed)
+    )
+    monkeypatch.setattr(_Indexed, "fancy", [])
     cases = [
         (_graph(app, "hand", 96, 64), 96, 64, APPLICATIONS[app].channels)
         for app in sorted(APPLICATIONS)
@@ -172,11 +184,9 @@ def test_no_tap_static_on_both_axes_gathers_a_plane(monkeypatch):
             if instr.op == "gather"
         )
     assert static_taps > 100
-    assert taken and fancy
-    assert all(plan_module._static(key) is None for key in taken)
-    for xi, yi, boundary in fancy:
-        assert boundary.mode is BoundaryMode.CONSTANT
-        assert not _two_static((None, xi, yi, None))
+    assert any(mode is BoundaryMode.CONSTANT for _, mode in taken)
+    assert all(plan_module._static(key) is None for key, _ in taken)
+    assert _Indexed.fancy == []
 
 
 def test_a_root_gather_returns_an_owned_contiguous_copy():
