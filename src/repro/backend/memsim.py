@@ -37,11 +37,7 @@ from repro.fusion.border import halo_pixel_count
 from repro.fusion.fuser import FusedKernel
 from repro.model.hardware import GpuSpec
 from repro.model.occupancy import occupancy as compute_occupancy
-from repro.model.resources import (
-    block_shared_bytes,
-    estimated_registers_per_thread,
-    kernel_shared_bytes,
-)
+from repro.model.resources import estimated_registers_per_thread, kernel_shared_bytes
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,13 @@ def kernel_traffic(kernel: Kernel) -> Tuple[float, float]:
 
 
 def _shared_bytes(kernel: Kernel) -> int:
-    """Shared memory of a launch; fused kernels sum their members."""
+    """Shared memory of a launch; a fused kernel sums its members, each
+    staged under the launch's block shape."""
     if isinstance(kernel, FusedKernel):
-        return block_shared_bytes(kernel.source_graph, kernel.member_names)
+        return sum(
+            kernel_shared_bytes(member.with_header(block_shape=kernel.block_shape))
+            for member in kernel.members
+        )
     return kernel_shared_bytes(kernel)
 
 

@@ -1093,7 +1093,7 @@ def resolve_workers(workers: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 #
 # A graph owns what is compiled from it: ``graph.__dict__["_plan_memo"]``
-# (kept where ``KernelGraph._signature_cache`` is) is one table — the
+# (next to the graph's kept digests) is one table — the
 # interned grids under ``("grids",)``, each tape and native plan under
 # ``("tape" | "native", partition shape, ...)``, the graph of a block
 # run on its own (:func:`repro.api.run_block`) under ``("block",

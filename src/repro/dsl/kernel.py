@@ -10,8 +10,9 @@ fuse.
 
 from __future__ import annotations
 
+import copy
 import enum
-import itertools
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Sequence, Set, Tuple
 
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
@@ -46,18 +47,10 @@ def _image_structure(image: Image) -> tuple:
     return (image.name, space.channels, image.bytes_per_pixel)
 
 
-#: Source of :data:`_header_epoch`: every header set after construction
-#: takes the next value.
-_HEADER_SETS = itertools.count(1)
-_header_epoch = 0
-
-
-def header_epoch() -> int:
-    """A value that changes whenever any kernel's ``block_shape`` or
-    ``force_no_shared_memory`` is set after construction.  A graph keeps
-    its digests under it (:meth:`repro.graph.dag.KernelGraph.structural_signature`)
-    and re-reads its kernels' headers only once it has moved."""
-    return _header_epoch
+#: What a kernel keeps that derives from its header: the two signatures
+#: and the footprint :func:`repro.model.resources.kernel_shared_bytes`
+#: parks on it.  :meth:`Kernel.with_header` drops them from its copy.
+_HEADER_DERIVED = ("_structural", "_structure", "_shared_bytes")
 
 
 class ComputePattern(enum.Enum):
@@ -136,6 +129,12 @@ class Kernel:
     force_no_shared_memory:
         Opt a local kernel out of shared-memory staging (affects the
         resource model only, not semantics).
+
+    The header is fixed at construction, as in Hipacc: ``block_shape``
+    and ``force_no_shared_memory`` are read-only, and
+    :meth:`with_header` re-heads a copy (a block-shape sweep, a resource
+    ablation).  Everything derived from the kernel is computed once, on
+    first read, and kept.
     """
 
     def __init__(
@@ -166,7 +165,7 @@ class Kernel:
         self.body = body
         self.reduction = reduction
         self.granularity = granularity
-        self._block_shape = block_shape
+        self._block_shape = tuple(block_shape)
         self._force_no_shared_memory = force_no_shared_memory
 
         seen: Set[str] = set()
@@ -228,18 +227,14 @@ class Kernel:
                 return accessor
         raise KeyError(f"kernel {self.name!r} has no accessor for {image_name!r}")
 
-    @property
+    @cached_property
     def window_radius(self) -> Tuple[int, int]:
         """``(rx, ry)`` read-window radius over all inputs.
 
-        Cached on first read (reads are immutable): the fusion model
-        reads it hundreds of times a partition, while a build that
-        restores its partition never does, so the constructor does not
-        pay for it."""
-        cached = getattr(self, "_window_radius_cache", None)
-        if cached is None:
-            cached = self._window_radius_cache = reads_extent(self._reads_cache)
-        return cached
+        Read on first use: the fusion model reads it hundreds of times a
+        partition, while a build that restores its partition never does,
+        so the constructor does not pay for it."""
+        return reads_extent(self._reads_cache)
 
     @property
     def window_size(self) -> int:
@@ -273,73 +268,81 @@ class Kernel:
             return False
         return self.pattern is ComputePattern.LOCAL
 
-    @property
+    @cached_property
     def op_counts(self) -> OpCounts:
-        """ALU / SFU operation counts of the body (feeds Eq. 6).
+        """ALU / SFU operation counts of the body (feeds Eq. 6): the
+        CSE-aware count walks the whole (possibly large, fused) tree."""
+        return count_ops(self.body)
 
-        Cached: bodies are immutable, and the CSE-aware count walks the
-        whole (possibly large, fused) tree.
-        """
-        cached = getattr(self, "_op_counts_cache", None)
-        if cached is None:
-            cached = count_ops(self.body)
-            self._op_counts_cache = cached
-        return cached
-
-    @property
+    @cached_property
     def param_names(self) -> Set[str]:
         """Runtime scalar parameters referenced by the body — read off
         the value-numbered :attr:`body_signature`, where each appears
         once however often the tree repeats it."""
-        cached = getattr(self, "_param_names_cache", None)
-        if cached is None:
-            cached = {node[1] for node in self.body_signature if node[0] == "param"}
-            self._param_names_cache = cached
-        return cached
+        return {node[1] for node in self.body_signature if node[0] == "param"}
 
-    @property
+    @cached_property
     def body_signature(self) -> ExprSig:
-        """:func:`~repro.ir.signature.expr_signature` of the body, walked
-        once (bodies are immutable): the body half of both structural
-        signatures, and what the tape compiler
-        (:mod:`repro.backend.plan`) evaluates a member from."""
-        cached = getattr(self, "_body_signature_cache", None)
-        if cached is None:
-            cached = self._body_signature_cache = expr_signature(self.body)
-        return cached
+        """:func:`~repro.ir.signature.expr_signature` of the body: the
+        body half of both structural signatures, and what the tape
+        compiler (:mod:`repro.backend.plan`) evaluates a member from.  A
+        builder that already holds it may set it."""
+        return expr_signature(self.body)
 
     @property
     def block_shape(self) -> Tuple[int, int]:
         return self._block_shape
 
-    @block_shape.setter
-    def block_shape(self, shape: Tuple[int, int]) -> None:
-        self._block_shape = shape
-        self._header_set()
-
     @property
     def force_no_shared_memory(self) -> bool:
         return self._force_no_shared_memory
 
-    @force_no_shared_memory.setter
-    def force_no_shared_memory(self, value: bool) -> None:
-        self._force_no_shared_memory = value
-        self._header_set()
+    def with_header(
+        self,
+        block_shape: Tuple[int, int] | None = None,
+        force_no_shared_memory: bool | None = None,
+    ) -> "Kernel":
+        """A copy of this kernel under another header (``None`` keeps a
+        field): it keeps what was derived from the body and drops what
+        was derived from the header."""
+        clone = copy.copy(self)
+        for name in _HEADER_DERIVED:
+            clone.__dict__.pop(name, None)
+        if block_shape is not None:
+            clone._block_shape = tuple(block_shape)
+        if force_no_shared_memory is not None:
+            clone._force_no_shared_memory = force_no_shared_memory
+        return clone
 
-    def header_settings(self) -> Tuple[Tuple[int, ...], bool]:
-        """The two header fields that may be set after construction (a
-        block-shape sweep, a resource ablation): ``block_shape`` and
-        ``force_no_shared_memory``."""
-        return (tuple(self._block_shape), self._force_no_shared_memory)
+    def _signature(self, tag: str, image_identity: Callable[[Image], tuple]) -> tuple:
+        """The one builder of both kernel signatures: every image enters
+        through ``image_identity``."""
+        return (
+            tag,
+            self.name,
+            image_identity(self.output),
+            tuple(
+                (
+                    image_identity(a.image),
+                    a.boundary.mode.value,
+                    float(a.boundary.constant),
+                )
+                for a in self.accessors
+            ),
+            self.reduction.value if self.reduction else None,
+            self.granularity,
+            self._block_shape,
+            self._force_no_shared_memory,
+            self.body_signature,
+        )
 
-    def _header_set(self) -> None:
-        """A header field was set: drop what was cached from it (a
-        ``copy.copy`` clone drops its own copy) and move
-        :func:`header_epoch`."""
-        global _header_epoch
-        for name in ("_signature_cache", "_structure_cache"):
-            self.__dict__.pop(name, None)
-        _header_epoch = next(_HEADER_SETS)
+    @cached_property
+    def _structural(self) -> tuple:
+        return self._signature("kernel", _image_signature)
+
+    @cached_property
+    def _structure(self) -> tuple:
+        return self._signature("kernel-structure", _image_structure)
 
     def structural_signature(self) -> tuple:
         """A hashable signature of everything execution depends on.
@@ -350,27 +353,8 @@ class Kernel:
         boundary handling, or the reduction kind changes it.  The
         serving runtime's plan cache keys on the pipeline-level
         aggregate of these (:meth:`repro.graph.dag.KernelGraph.structural_signature`).
-        Cached until a header field is set.
         """
-        cached = self.__dict__.get("_signature_cache")
-        if cached is None:
-            cached = (
-                "kernel",
-                self.name,
-                _image_signature(self.output),
-                tuple(
-                    (
-                        _image_signature(a.image),
-                        a.boundary.mode.value,
-                        float(a.boundary.constant),
-                    )
-                    for a in self.accessors
-                ),
-                self.reduction.value if self.reduction else None,
-                self.granularity,
-            ) + self.header_settings() + (self.body_signature,)
-            self._signature_cache = cached
-        return cached
+        return self._structural
 
     def structure_signature(self) -> tuple:
         """:meth:`structural_signature` with the image geometry elided.
@@ -380,27 +364,8 @@ class Kernel:
         equal structure signatures; channels, element sizes, bodies,
         boundaries, and headers still distinguish.  This is the kernel
         half of :meth:`repro.graph.dag.KernelGraph.structure_signature`.
-        Cached until a header field is set.
         """
-        cached = self.__dict__.get("_structure_cache")
-        if cached is None:
-            cached = (
-                "kernel-structure",
-                self.name,
-                _image_structure(self.output),
-                tuple(
-                    (
-                        _image_structure(a.image),
-                        a.boundary.mode.value,
-                        float(a.boundary.constant),
-                    )
-                    for a in self.accessors
-                ),
-                self.reduction.value if self.reduction else None,
-                self.granularity,
-            ) + self.header_settings() + (self.body_signature,)
-            self._structure_cache = cached
-        return cached
+        return self._structure
 
     def reads(self) -> Dict[str, Set[Tuple[int, int]]]:
         """Per-image sets of read offsets (collected once, by the

@@ -13,6 +13,7 @@ pipeline); the legality analysis needs both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -25,7 +26,6 @@ from typing import (
     Tuple,
 )
 
-from repro.dsl.kernel import header_epoch
 from repro.ir.signature import canonical_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,8 +127,6 @@ class KernelGraph:
         self._external_outputs: FrozenSet[str] = frozenset(declared | sinks)
 
         self._topo_order = self._topological_sort()
-        #: Image name -> the kernels reading it (:meth:`consumers_of`).
-        self._readers: Dict[str, Tuple[str, ...]] | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -176,23 +174,21 @@ class KernelGraph:
         """The kernel producing ``image_name``; None for pipeline inputs."""
         return self._producer_of_image.get(image_name)
 
-    def consumers_of(self, image_name: str) -> Tuple[str, ...]:
-        """Kernels reading ``image_name`` (by name, topological order).
+    @cached_property
+    def _readers(self) -> Dict[str, Tuple[str, ...]]:
+        """Image name -> the kernels reading it, in topological order."""
+        index: Dict[str, List[str]] = {}
+        for name in self._topo_order:
+            for image in self._kernels[name].input_names:
+                index.setdefault(image, []).append(name)
+        return {image: tuple(names) for image, names in index.items()}
 
-        A lookup in the graph's image → readers index, which the first
-        call builds in one pass over the kernels' ``input_names`` and
-        every later call shares (the structure is immutable).
+    def consumers_of(self, image_name: str) -> Tuple[str, ...]:
+        """Kernels reading ``image_name`` (by name, topological order):
+        a lookup in the graph's image → readers index, built on first
+        use and shared by every later call (the structure is immutable).
         """
-        readers = self._readers
-        if readers is None:
-            index: Dict[str, List[str]] = {}
-            for name in self._topo_order:
-                for image in self._kernels[name].input_names:
-                    index.setdefault(image, []).append(name)
-            readers = self._readers = {
-                image: tuple(names) for image, names in index.items()
-            }
-        return readers.get(image_name, ())
+        return self._readers.get(image_name, ())
 
     def pipeline_inputs(self) -> Tuple[str, ...]:
         """Image names read by some kernel but produced by none."""
@@ -213,37 +209,27 @@ class KernelGraph:
         succs = {e.dst for e in self._edges if e.src == name}
         return tuple(n for n in self._topo_order if n in succs)
 
-    def _headers(self) -> tuple:
-        """Every kernel's :meth:`~repro.dsl.kernel.Kernel.header_settings`,
-        in topological order: the part of the graph's structure that may
-        change after construction."""
-        kernels = self._kernels
-        return tuple(kernels[name].header_settings() for name in self._topo_order)
-
-    def _digest(self, attribute: str, kernel_signature: str) -> str:
-        """One of the two digests, cached under
-        :func:`~repro.dsl.kernel.header_epoch` and, once that has moved,
-        re-taken only if this graph's own headers changed."""
-        epoch = header_epoch()
-        cached = self.__dict__.get(attribute)
-        if cached is not None and cached[0] == epoch:
-            return cached[2]
-        headers = self._headers()
-        if cached is not None and cached[1] == headers:
-            digest = cached[2]
-        else:
-            digest = canonical_digest(
-                (
-                    tuple(
-                        getattr(self._kernels[name], kernel_signature)()
-                        for name in self._topo_order
-                    ),
-                    tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
-                    tuple(sorted(self._external_outputs)),
-                )
+    def _digest(self, kernel_signature: str) -> str:
+        """The canonical digest of every kernel's ``kernel_signature``
+        (in topological order), the edge set and the external outputs."""
+        return canonical_digest(
+            (
+                tuple(
+                    getattr(self._kernels[name], kernel_signature)()
+                    for name in self._topo_order
+                ),
+                tuple(sorted((e.src, e.dst, e.image) for e in self._edges)),
+                tuple(sorted(self._external_outputs)),
             )
-        setattr(self, attribute, (epoch, headers, digest))
-        return digest
+        )
+
+    @cached_property
+    def _structural_digest(self) -> str:
+        return self._digest("structural_signature")
+
+    @cached_property
+    def _structure_digest(self) -> str:
+        return self._digest("structure_signature")
 
     def structural_signature(self) -> str:
         """A stable hex digest of the graph's structure.
@@ -258,10 +244,10 @@ class KernelGraph:
         reuse compiled plans across requests and sessions: the digest is
         :func:`~repro.ir.signature.canonical_digest`, so it does not
         depend on how names were built, on object sharing or on the
-        process's hash seed.  A kernel re-shaped after the digest was
-        taken is signed afresh (:meth:`_digest`).
+        process's hash seed.  Taken on first call and kept: kernels and
+        their headers are fixed at construction.
         """
-        return self._digest("_signature_cache", "structural_signature")
+        return self._structural_digest
 
     def structure_signature(self) -> str:
         """:meth:`structural_signature` with image geometry elided.
@@ -273,7 +259,7 @@ class KernelGraph:
         known pipeline at a new geometry, compiled at that geometry)
         from a *structure* miss.
         """
-        return self._digest("_structure_sig_cache", "structure_signature")
+        return self._structure_digest
 
     @property
     def total_weight(self) -> float:
@@ -300,7 +286,8 @@ class KernelGraph:
         new._producer_of_image = self._producer_of_image
         new._external_outputs = self._external_outputs
         new._topo_order = self._topo_order
-        new._readers = self._readers
+        if "_readers" in self.__dict__:
+            new._readers = self._readers
         new_edges = []
         for e in self._edges:
             if e.key not in weights:

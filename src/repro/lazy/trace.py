@@ -308,7 +308,7 @@ class Trace:
         kernel = Kernel(kernel_name, accessors, output, expr)
         # The CSE key already holds the body's signature: the kernel
         # takes it instead of walking the same body again on first use.
-        kernel._body_signature_cache = key[0]
+        kernel.body_signature = key[0]
         node = _Node(kernel, explicit=explicit)
         self._nodes.append(node)
         self._images[image_name] = output

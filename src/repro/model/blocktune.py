@@ -55,15 +55,6 @@ class TuneResult:
         )
 
 
-def _with_shape(kernel: Kernel, shape: Tuple[int, int]) -> Kernel:
-    """A shallow re-shaped view of a kernel (analysis only)."""
-    import copy
-
-    clone = copy.copy(kernel)
-    clone.block_shape = shape
-    return clone
-
-
 def tune_kernel(
     kernel: Kernel,
     gpu: GpuSpec,
@@ -77,7 +68,7 @@ def tune_kernel(
         bx, by = shape
         if bx * by > gpu.max_threads_per_block:
             continue
-        candidate_ms = analyze_kernel(_with_shape(kernel, shape), gpu).time_ms
+        candidate_ms = analyze_kernel(kernel.with_header(block_shape=shape), gpu).time_ms
         if candidate_ms < best_ms - 1e-12:
             best_shape = shape
             best_ms = candidate_ms

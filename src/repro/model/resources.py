@@ -50,20 +50,15 @@ def input_tile_bytes(kernel: Kernel, image_name: str) -> int:
 
 
 def kernel_shared_bytes(kernel: Kernel) -> int:
-    """The paper's ``fMshared(v)``: shared memory used by one kernel.
-
-    Kept on the kernel under its ``block_shape`` and
-    ``force_no_shared_memory``: both may be set after construction (a
-    block-shape sweep, a resource ablation), and a changed one is a new
-    footprint."""
-    key = kernel.header_settings()
-    cached = kernel.__dict__.get("_shared_bytes_cache")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    footprint = 0
-    if kernel.uses_shared_memory:
-        footprint = sum(input_tile_bytes(kernel, name) for name in kernel.input_names)
-    kernel._shared_bytes_cache = (key, footprint)
+    """The paper's ``fMshared(v)``: shared memory used by one kernel,
+    kept on the kernel (its header is fixed at construction;
+    :meth:`~repro.dsl.kernel.Kernel.with_header` drops it from a
+    re-headed copy)."""
+    footprint = kernel.__dict__.get("_shared_bytes")
+    if footprint is None:
+        staged = kernel.input_names if kernel.uses_shared_memory else ()
+        footprint = sum(input_tile_bytes(kernel, name) for name in staged)
+        kernel._shared_bytes = footprint
     return footprint
 
 

@@ -2,14 +2,21 @@
 
 import pytest
 
-from helpers import chain_pipeline, image, local_kernel, point_kernel
+from helpers import image, local_kernel, point_kernel
 
 from repro.apps.night import build_pipeline as build_night
 from repro.apps.unsharp import build_pipeline as build_unsharp
-from repro.backend.memsim import analyze_kernel, estimate_kernel_time, kernel_traffic
+from repro.apps.harris import build_pipeline as build_harris
+from repro.backend.memsim import (
+    _shared_bytes,
+    analyze_kernel,
+    estimate_kernel_time,
+    kernel_traffic,
+)
 from repro.fusion.fuser import FusedKernel
 from repro.graph.partition import PartitionBlock
 from repro.model.hardware import GTX680, GTX745, K20C
+from repro.model.resources import block_shared_bytes, kernel_shared_bytes
 
 
 class TestTraffic:
@@ -38,7 +45,7 @@ class TestTraffic:
 
     def test_local_without_staging_pays_global(self):
         kernel = local_kernel("k", image("a"), image("b"))
-        kernel.force_no_shared_memory = True
+        kernel = kernel.with_header(force_no_shared_memory=True)
         loads, shared = kernel_traffic(kernel)
         assert loads == 9.0
         assert shared == 0.0
@@ -91,6 +98,23 @@ class TestKernelTime:
             for n in graph.kernel_names
         )
         assert fused_time < member_sum
+
+    @pytest.mark.parametrize(
+        "shape, member_bytes", [((32, 8), 1360), ((32, 32), 4624), ((32, 2), 544)]
+    )
+    def test_a_re_shaped_fused_launch_stages_at_its_own_shape(
+        self, shape, member_bytes
+    ):
+        """Harris's ``gx`` (3x3 local) fused with the point ``hc``: the
+        launch stages ``gx``'s tile at the launch's block shape, not at
+        the shape ``gx`` was built with."""
+        graph = build_harris(256, 256).build()
+        fused = FusedKernel(graph, PartitionBlock(graph, {"gx", "hc"}))
+        launch = fused.with_header(block_shape=shape)
+        member = graph.kernel("gx").with_header(block_shape=shape)
+        assert kernel_shared_bytes(member) == member_bytes
+        assert _shared_bytes(launch) == member_bytes
+        assert _shared_bytes(fused) == block_shared_bytes(graph, ["gx", "hc"])
 
     def test_describe_mentions_bound(self, gpu):
         kernel = point_kernel("k", image("a", 64, 64), image("b", 64, 64))

@@ -21,6 +21,7 @@ import pytest
 
 from helpers import BLUR3, BLUR5, chain_pipeline, diamond_pipeline, random_image
 
+from repro.apps import APPLICATIONS
 from repro.backend.plan import (
     GridStore,
     clear_plan_caches,
@@ -157,6 +158,43 @@ class TestPlanCacheConcurrency:
             assert set(expected) == set(got)
             for name in expected:
                 assert np.array_equal(expected[name], got[name])
+
+
+class TestDerivedValueConcurrency:
+    def test_concurrent_first_reads_match_a_serial_read(self):
+        """Scheduler threads may be the first to sign a graph or read a
+        kernel's derived values; every thread must see the serial value
+        (``functools.cached_property`` locks a first compute on Python
+        3.11 and earlier, and does not on 3.12)."""
+
+        def read(graph):
+            return (
+                graph.structural_signature(),
+                graph.structure_signature(),
+                [graph.consumers_of(name) for name in graph.pipeline_inputs()],
+                [
+                    (k.window_radius, k.op_counts, k.body_signature)
+                    for k in graph.kernels()
+                ],
+            )
+
+        serial = read(APPLICATIONS["Harris"].build(96, 64).build())
+        graph = APPLICATIONS["Harris"].build(96, 64).build()
+        barrier = threading.Barrier(THREADS)
+
+        def first_read():
+            barrier.wait()
+            return read(graph)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(first_read) for _ in range(THREADS)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == serial for result in results)
 
 
 class TestCompileCacheConcurrency:

@@ -14,7 +14,6 @@ from repro.model.blocktune import (
     tune_partition,
     tuned_total_ms,
 )
-from repro.model.hardware import GTX680
 
 
 class TestTuneKernel:
@@ -50,14 +49,11 @@ class TestTuneKernel:
         assert kernel.block_shape == original_shape
 
     def test_best_ms_matches_reanalysis(self, gpu):
-        import copy
-
         kernel = local_kernel(
             "blur", image("a", 256, 256), image("b", 256, 256)
         )
         result = tune_kernel(kernel, gpu)
-        clone = copy.copy(kernel)
-        clone.block_shape = result.best_shape
+        clone = kernel.with_header(block_shape=result.best_shape)
         assert estimate_kernel_time(clone, gpu) == pytest.approx(
             result.best_ms
         )

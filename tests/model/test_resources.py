@@ -46,21 +46,21 @@ class TestTiles:
 
     def test_forced_no_shared_memory(self):
         kernel = local_kernel("k", image("a"), image("b"))
-        kernel.force_no_shared_memory = True
+        kernel = kernel.with_header(force_no_shared_memory=True)
         assert kernel_shared_bytes(kernel) == 0
 
     def test_a_footprint_follows_its_kernel_s_later_settings(self):
-        """The footprint is kept on the kernel, but a setting changed
-        after it was read is a new footprint, and changing it back
-        restores the old one."""
+        """The footprint is kept on the kernel; a copy re-headed after it
+        was read is a new footprint, and the original keeps its own."""
         kernel = local_kernel("k", image("a"), image("b"))  # 3x3, block 32x8
         assert kernel_shared_bytes(kernel) == 34 * 10 * 4
-        kernel.force_no_shared_memory = True
-        assert kernel_shared_bytes(kernel) == 0
-        kernel.force_no_shared_memory = False
+        unstaged = kernel.with_header(force_no_shared_memory=True)
+        assert kernel_shared_bytes(unstaged) == 0
+        restaged = unstaged.with_header(force_no_shared_memory=False)
+        assert kernel_shared_bytes(restaged) == 34 * 10 * 4
+        square = kernel.with_header(block_shape=(16, 16))
+        assert kernel_shared_bytes(square) == 18 * 18 * 4
         assert kernel_shared_bytes(kernel) == 34 * 10 * 4
-        kernel.block_shape = (16, 16)
-        assert kernel_shared_bytes(kernel) == 18 * 18 * 4
 
 
 class TestBlockFootprint:

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.api import ExecutionOptions, run
+from repro.apps import APPLICATIONS
 from repro.backend.native_exec import native_available
 from repro.backend.plan import clear_plan_caches, plan_for_partition
 from repro.dsl.boundary import BoundaryMode, BoundarySpec
@@ -39,6 +40,7 @@ from repro.ir.expr import (
     UnOp,
 )
 from repro.ir.signature import canonical_digest
+from repro.lazy.apps import lazy_trace
 from repro.model.hardware import GTX680
 from repro.serve import FusionSettings, inputs_signature, plan_key
 
@@ -146,6 +148,52 @@ class TestSignatureWalk:
             with pytest.raises(TypeError, match="cannot sign node"):
                 expr_signature(BinOp("add", Const(1.0), node))
 
+
+#: Both graph digests of each paper app at 96x64, hand-built and
+#: lazily recorded alike: ``(structural_signature, structure_signature)``.
+#: A plan record's identity hashes the structural one, so a change here
+#: makes every plan record on disk miss.
+PINNED_GRAPH_DIGESTS = {
+    "Enhance": (
+        "743e086b1b74501703ca09f3c7fb99c34765358f7c977a1cedcd5cfd0185e240",
+        "307ddd7941caaef1655ff3b6907e7747da64f7f263d2ce00ffbb0b3d49571d30",
+    ),
+    "Harris": (
+        "9dde020919204f2431a4966a24352b283876223d7577d2d75a1d3afa0a6db8af",
+        "04c412f0b1d0a10304ff201ee8cbd3c94dde9e3ec826b75acc82b9e743e40266",
+    ),
+    "Night": (
+        "05240257afbbfefad26d0224968e1782bb6ab81f9c6300528809eaa9bfe5856e",
+        "c4ce571318a0f090bcd8f78a76379d6fc4e7e105f543993b55947354cbd24d6f",
+    ),
+    "ShiTomasi": (
+        "6abdc81b8669ec5fd1cd1a2b0684ec99b43f9e518b7a79ba07f5d5ffd147252a",
+        "e9aaf71d8938f0f0af18b4babad149617ed1d41fdbf8468be3085c3595c46dd2",
+    ),
+    "Sobel": (
+        "b7e842320f2aae4c51632602851d41b5a448e9bfea327283c23423fefae7dc22",
+        "f7dde6939bd4a64f26346b15b5886299c46747747a5fe0d8013132b3edbb65af",
+    ),
+    "Unsharp": (
+        "1eecdba9a3f8281e0528a800b7cc5abe4452a1f22a1c8555d05fec0385dcd15b",
+        "1aa006e734ec2591f083fca7923c89137e3a1318657f14585ec3c51e5cb9ff42",
+    ),
+}
+
+
+@pytest.mark.parametrize("frontend", ["hand", "lazy"])
+@pytest.mark.parametrize("app", sorted(PINNED_GRAPH_DIGESTS))
+def test_graph_digests_are_pinned(app, frontend):
+    if frontend == "hand":
+        graph = APPLICATIONS[app].build(96, 64).build()
+    else:
+        graph = lazy_trace(app, 96, 64).lower().build()
+    assert (
+        graph.structural_signature(),
+        graph.structure_signature(),
+    ) == PINNED_GRAPH_DIGESTS[app]
+
+
 class TestGraphSignature:
     def test_separately_built_pipelines_sign_equal(self):
         one = chain_pipeline(("l", "p", "l")).build()
@@ -188,28 +236,34 @@ class TestGraphSignature:
         assert graph.structural_signature() == graph.structural_signature()
 
     @pytest.mark.parametrize(
-        "setting, value",
+        "field, value",
         [("block_shape", (16, 16)), ("force_no_shared_memory", True)],
+        ids=["block_shape", "force_no_shared_memory"],
     )
-    def test_a_header_set_after_signing_is_signed(self, setting, value):
-        """``block_shape`` and ``force_no_shared_memory`` may be set after
-        construction: the kernel's and the graph's cached signatures
-        follow them, and setting them back restores the old ones."""
+    def test_re_headed_signs_apart(self, field, value):
+        """A header is fixed at construction: a copy re-headed by
+        ``with_header`` signs apart from its original under both kernel
+        signatures, a graph holding it under both digests, and the field
+        cannot be assigned."""
         graph = chain_pipeline(("l", "p")).build()
         kernel = graph.kernel("k0")
-        signs = (
-            kernel.structural_signature,
-            kernel.structure_signature,
-            graph.structural_signature,
-            graph.structure_signature,
+        before = (kernel.structural_signature(), kernel.structure_signature())
+        digests = (graph.structural_signature(), graph.structure_signature())
+        re_headed = kernel.with_header(**{field: value})
+        assert getattr(re_headed, field) == value
+        assert re_headed.structural_signature() != before[0]
+        assert re_headed.structure_signature() != before[1]
+        regraph = KernelGraph(
+            [re_headed if k is kernel else k for k in graph.kernels()],
+            graph.external_outputs,
         )
-        before = [sign() for sign in signs]
-        old = getattr(kernel, setting)
-        setattr(kernel, setting, value)
-        after = [sign() for sign in signs]
-        assert all(a != b for a, b in zip(before, after))
-        setattr(kernel, setting, old)
-        assert [sign() for sign in signs] == before
+        assert regraph.structural_signature() != digests[0]
+        assert regraph.structure_signature() != digests[1]
+        with pytest.raises(AttributeError):
+            setattr(kernel, field, value)
+        assert getattr(kernel, field) != value
+        assert (kernel.structural_signature(), kernel.structure_signature()) == before
+        assert (graph.structural_signature(), graph.structure_signature()) == digests
 
 
 class TestPlanKey:
